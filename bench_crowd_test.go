@@ -130,8 +130,8 @@ func BenchmarkAggregateCrowdExec(b *testing.B) {
 // BenchmarkAggregateCrowdLarge is the nightly bench-large lane: crowd sizes
 // past the PR gate's wall-clock budget, with slot budgets scaled down so a
 // single iteration completes in minutes. Compare against BENCH_large.json,
-// not BENCH_baseline.json. ExecAuto selects the stepped engine at these
-// sizes.
+// not BENCH_baseline.json. ExecAuto runs them on the stepped engine, as it
+// does every Aggregate.
 //
 // Run with: go test -bench=BenchmarkAggregateCrowdLarge -benchtime=1x -timeout=4h
 func BenchmarkAggregateCrowdLarge(b *testing.B) {

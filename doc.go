@@ -136,13 +136,14 @@
 // compiled to resumable steppers the engine drives inline each slot, with
 // long idle stretches parked on a calendar wake-wheel instead of a
 // blocked goroutine, so a million-node crowd needs four goroutines
-// instead of a million stacks. ExecAuto (the default) picks the stepped
-// engine at crowd scale (n ≥ 16384) and the goroutine reference path
-// below it; either can be forced with Exec(ExecStepped) or
-// Exec(ExecGoroutines), and ScenarioSpec's "exec" field plus both CLIs'
-// -exec flag pin the mode on the wire. Identity across modes is pinned by
-// golden-transcript tests and a facade-level equivalence test under
-// -race -cpu 1,2,8 in CI.
+// instead of a million stacks. ExecAuto (the default) runs every Aggregate
+// on the stepped engine, which is faster than the goroutine reference path
+// at every measured size; Color's backends exist only as goroutine
+// programs and run that way in every mode. Either mode can be forced with
+// Exec(ExecStepped) or Exec(ExecGoroutines), and ScenarioSpec's "exec"
+// field plus both CLIs' -exec flag pin the mode on the wire. Identity
+// across modes is pinned by golden-transcript tests and a facade-level
+// equivalence test under -race -cpu 1,2,8 in CI.
 //
 // Two further mechanisms push the hot path at crowd scale. The slot
 // barrier shards at ≥1024 nodes: instead of every node's arrival bouncing

@@ -4,23 +4,16 @@ package core
 type ExecMode int
 
 const (
-	// ExecAuto (the zero value) picks per run: goroutine programs below
-	// SteppedAutoMinNodes, the goroutine-free Stepper form at or above it.
-	// Both forms produce bit-identical transcripts, so the switch is purely
-	// a memory/wall-clock trade.
+	// ExecAuto (the zero value) runs the goroutine-free Stepper form, which
+	// is faster than goroutine programs at every measured size.
 	ExecAuto ExecMode = iota
-	// ExecGoroutines forces one goroutine per node (the historical mode).
+	// ExecGoroutines forces one goroutine per node (the historical mode),
+	// kept as the reference oracle the Stepper form is checked against.
 	ExecGoroutines
 	// ExecStepped forces the goroutine-free Stepper form: per-node state in
 	// explicit structs, driven inline by the engine each slot.
 	ExecStepped
 )
-
-// SteppedAutoMinNodes is the node count at which ExecAuto switches from
-// goroutine programs to the Stepper form. Below it the two modes cost about
-// the same; above it per-node goroutine stacks dominate the engine's memory
-// and the park/unpark handoff dominates its slot overhead.
-const SteppedAutoMinNodes = 16384
 
 // String returns the mode's CLI/spec name.
 func (m ExecMode) String() string {
@@ -34,14 +27,5 @@ func (m ExecMode) String() string {
 	}
 }
 
-// stepped reports whether the mode resolves to the Stepper form for n nodes.
-func (m ExecMode) stepped(n int) bool {
-	switch m {
-	case ExecStepped:
-		return true
-	case ExecGoroutines:
-		return false
-	default:
-		return n >= SteppedAutoMinNodes
-	}
-}
+// stepped reports whether the mode resolves to the Stepper form.
+func (m ExecMode) stepped() bool { return m != ExecGoroutines }

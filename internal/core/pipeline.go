@@ -97,12 +97,12 @@ func Run(e *sim.Engine, pl *Plan, values []int64, op agg.Op, seed uint64) ([]Res
 // aggregate while the run still "succeeds".
 //
 // The plan's Cfg.Exec decides how the node code executes: goroutine
-// programs, the goroutine-free Stepper form (RunSteppedContext), or — the
-// default — whichever suits the node count. The transcript is bit-identical
-// either way; only memory and wall-clock differ.
+// programs or — the default — the goroutine-free Stepper form
+// (RunSteppedContext). The transcript is bit-identical either way; only
+// memory and wall-clock differ.
 func RunContext(ctx context.Context, e *sim.Engine, pl *Plan, values []int64, op agg.Op, seed uint64) ([]Result, error) {
 	n := e.Field().N()
-	if pl.Cfg.Exec.stepped(n) {
+	if pl.Cfg.Exec.stepped() {
 		return RunSteppedContext(ctx, e, pl, values, op, seed)
 	}
 	if len(values) != n {

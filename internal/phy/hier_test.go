@@ -204,7 +204,13 @@ func TestResolveAllocFree(t *testing.T) {
 // true first slot; the deployment spans far more cells than the near
 // region so the hierarchical binning scratch is exercised, not just the
 // exact kernel.
+//
+// The malloc counter is process-wide, so the GC, the runtime and goroutines
+// left over from other tests can bump it during the measured call. Each
+// mode is therefore measured on several freshly reserved fields and only
+// the minimum must be 0: a real regression allocates on every attempt.
 func TestReserveFirstSlotAllocFree(t *testing.T) {
+	const attempts = 5
 	r := rand.New(rand.NewSource(59))
 	p := model.Default(3, 400)
 	pos, txs, rxs := randomSlot(r, 400, 3, 60.0, 0.4)
@@ -212,20 +218,24 @@ func TestReserveFirstSlotAllocFree(t *testing.T) {
 		name string
 		mode Resolver
 	}{{"hier", ResolverHierarchical}, {"exact", ResolverExact}} {
-		f := NewField(p, pos)
-		f.SetResolver(tc.mode)
-		f.SetParallelism(1)
-		f.Reserve(len(pos), len(pos))
-		if tc.mode == ResolverHierarchical && f.hierState().degenerate {
-			t.Fatal("setup: deployment unexpectedly degenerate")
+		least := uint64(math.MaxUint64)
+		for a := 0; a < attempts && least > 0; a++ {
+			f := NewField(p, pos)
+			f.SetResolver(tc.mode)
+			f.SetParallelism(1)
+			f.Reserve(len(pos), len(pos))
+			if tc.mode == ResolverHierarchical && f.hierState().degenerate {
+				t.Fatal("setup: deployment unexpectedly degenerate")
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			f.Resolve(txs, rxs)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.Mallocs-before.Mallocs)
 		}
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		f.Resolve(txs, rxs)
-		runtime.ReadMemStats(&after)
-		if d := after.Mallocs - before.Mallocs; d > 0 {
-			t.Errorf("%s: first Resolve after Reserve performed %d allocations, want 0", tc.name, d)
+		if least > 0 {
+			t.Errorf("%s: first Resolve after Reserve performed at least %d allocations on each of %d fields, want 0", tc.name, least, attempts)
 		}
 	}
 }

@@ -17,8 +17,11 @@ import (
 )
 
 // resumeSpec is sized so a sweep takes long enough to interrupt mid-job:
-// 3 loss × 2 jam points × 2 seeds = 12 items on a 48-node crowd.
-const resumeSpec = `{"name": "resume", "n": 48, "channels": 3, "loss": [0, 0.05, 0.1], "jam": [0, 1], "seeds": 2}`
+// 3 loss × 2 jam points × 2 seeds = 12 items on a 48-node crowd. It pins
+// the goroutine engine, whose runs are several times slower than the
+// default stepped engine's; on the stepped engine a drain can land after
+// every item is already durable.
+const resumeSpec = `{"name": "resume", "n": 48, "channels": 3, "loss": [0, 0.05, 0.1], "jam": [0, 1], "seeds": 2, "exec": "goroutines"}`
 
 // TestCrashResumeDeterminism is the service's core guarantee: a job killed
 // mid-sweep and resumed by a fresh daemon on the same state directory

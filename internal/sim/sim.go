@@ -17,7 +17,7 @@
 //     park/unpark per node per slot.
 //   - A Stepper: protocol state in an explicit struct, driven inline by the
 //     engine with one Step call per slot — no goroutine, no stack, no
-//     parking. The crowd-scale fast path (see stepper.go).
+//     parking. The aggregation pipeline's default form (see stepper.go).
 //
 // Both forms interoperate in one run (RunMixed) and produce bit-identical
 // transcripts by construction: either way actions land in per-node pending
@@ -464,7 +464,7 @@ func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper
 	progActive := nProgs
 	progIdling := 0
 	expectCount := nProgs
-	wheel := newWakeWheel()
+	wheel := newWakeWheel(n)
 	due := make([]int32, 0, 64)
 
 	// The run's slot arena: action and reception buffers sized for every
@@ -623,6 +623,11 @@ func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper
 					shardExpect[rs.shardOf[i]]++
 				}
 			}
+		}
+		if nProgs == 0 {
+			// Nothing parks on the release channel in a stepped-only run;
+			// the initial one stays open for abort to close.
+			continue
 		}
 		expectCount = progActive - progIdling
 		rs.openGates(expectCount, shardExpect)

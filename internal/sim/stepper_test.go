@@ -404,32 +404,6 @@ func TestSteppedParallelDrive(t *testing.T) {
 	}
 }
 
-// TestWakeWheelUnit exercises the bucket structure directly: same-bucket
-// entries with different revolutions, pop order stability, and count
-// accounting.
-func TestWakeWheelUnit(t *testing.T) {
-	w := newWakeWheel()
-	w.add(1, 5)
-	w.add(2, 5+wheelBuckets) // same bucket, next revolution
-	w.add(3, 5)
-	w.add(4, 5+2*wheelBuckets) // same bucket, two revolutions out
-	if due := w.pop(5, nil); !reflect.DeepEqual(due, []int32{1, 3}) {
-		t.Fatalf("pop(5) = %v, want [1 3]", due)
-	}
-	if due := w.pop(5+wheelBuckets, nil); !reflect.DeepEqual(due, []int32{2}) {
-		t.Fatalf("pop(+1 rev) = %v, want [2]", due)
-	}
-	if due := w.pop(5+2*wheelBuckets, nil); !reflect.DeepEqual(due, []int32{4}) {
-		t.Fatalf("pop(+2 rev) = %v, want [4]", due)
-	}
-	if w.count != 0 {
-		t.Fatalf("count = %d, want 0", w.count)
-	}
-	if due := w.pop(5, nil); len(due) != 0 {
-		t.Fatalf("empty wheel pop = %v", due)
-	}
-}
-
 // Compile-time checks that the test doubles satisfy their interfaces.
 var (
 	_ Stepper       = (*chatterStepper)(nil)

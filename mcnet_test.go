@@ -110,25 +110,44 @@ func TestAggregateCancelledContext(t *testing.T) {
 }
 
 // TestAggregateMidRunCancellation: cancelling mid-run aborts the round loop
-// promptly instead of finishing the schedule.
+// instead of finishing the schedule. The cancel comes from an event
+// observer at the first milestone, so it strikes mid-run whatever the
+// engine's speed.
 func TestAggregateMidRunCancellation(t *testing.T) {
 	const n = 96
-	// One channel makes the contention phase long enough that the deadline
-	// strikes mid-run.
 	nw, err := New(n, Channels(1), Seed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	start := time.Now()
+	var (
+		mu       sync.Mutex
+		first    = -1
+		informed bool
+	)
+	nw.Events(func(ev Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		if first < 0 {
+			first = ev.Slot
+			cancel()
+		}
+		if ev.Name == EventInformed {
+			informed = true
+		}
+	})
 	_, err = nw.Aggregate(ctx, make([]int64, n), Sum)
-	elapsed := time.Since(start)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if elapsed > 3*time.Second {
-		t.Errorf("cancellation took %v, want prompt return", elapsed)
+	mu.Lock()
+	defer mu.Unlock()
+	if first < 0 {
+		t.Fatal("no milestone event before the run ended")
+	}
+	if informed {
+		t.Errorf("run reached the inform stage after a cancel at slot %d", first)
 	}
 }
 

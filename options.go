@@ -219,12 +219,13 @@ func ColorerNames() []string { return coloring.Names() }
 type ExecMode int
 
 const (
-	// ExecAuto (the default) picks per run: goroutine programs on small
-	// deployments, the goroutine-free stepped engine at crowd scale (64k
-	// goroutine stacks cost gigabytes; steppers keep per-node state in flat
-	// structs).
+	// ExecAuto (the default) runs Aggregate on the goroutine-free stepped
+	// engine at every size, which beats goroutine programs at every
+	// measured size: no barrier handoff per node per slot, no per-node
+	// stack. Color always runs as goroutine programs.
 	ExecAuto ExecMode = ExecMode(core.ExecAuto)
-	// ExecGoroutines forces one goroutine per node.
+	// ExecGoroutines forces one goroutine per node: the reference form the
+	// stepped engine is checked against.
 	ExecGoroutines ExecMode = ExecMode(core.ExecGoroutines)
 	// ExecStepped forces the goroutine-free stepped engine.
 	ExecStepped ExecMode = ExecMode(core.ExecStepped)

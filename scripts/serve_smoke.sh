@@ -19,8 +19,10 @@ trap cleanup EXIT
 go build -o "$workdir/mcserved" ./cmd/mcserved
 go build -o "$workdir/mcscenario" ./cmd/mcscenario
 
-# 3 loss × 2 jam × 2 seeds = 12 items: enough runtime to interrupt.
-spec='{"name":"smoke","n":64,"channels":3,"loss":[0,0.05,0.1],"jam":[0,1],"seeds":2}'
+# 3 loss × 2 jam × 2 seeds = 12 items: enough runtime to interrupt. The
+# goroutine engine is pinned because its runs are several times slower
+# than the default stepped engine's, which can finish the sweep first.
+spec='{"name":"smoke","n":64,"channels":3,"loss":[0,0.05,0.1],"jam":[0,1],"seeds":2,"exec":"goroutines"}'
 printf '%s\n' "$spec" > "$workdir/spec.json"
 
 start_daemon() {
