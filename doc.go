@@ -137,8 +137,9 @@
 // long idle stretches parked on a calendar wake-wheel instead of a
 // blocked goroutine, so a million-node crowd needs four goroutines
 // instead of a million stacks. ExecAuto (the default) runs every Aggregate
-// on the stepped engine, which is faster than the goroutine reference path
-// at every measured size; Color's backends exist only as goroutine
+// and every Color with the default sec7 backend on the stepped engine,
+// which is faster than the goroutine reference path at every measured
+// size; the dplus1 and hsb coloring backends exist only as goroutine
 // programs and run that way in every mode. Either mode can be forced with
 // Exec(ExecStepped) or Exec(ExecGoroutines), and ScenarioSpec's "exec"
 // field plus both CLIs' -exec flag pin the mode on the wire. Identity

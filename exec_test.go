@@ -15,12 +15,31 @@ import (
 // events — must be independent of the execution mode.
 func runExecIdentity(t *testing.T, name string, n int, opts ...Option) {
 	t.Helper()
+	values := make([]int64, 0, n)
+	for i := 0; i < n; i++ {
+		values = append(values, int64(2*i+1))
+	}
+	execIdentity(t, name, n, func(nw *Network) (*AggregateResult, error) {
+		return nw.Aggregate(context.Background(), values[:nw.N()], Sum)
+	}, opts...)
+}
+
+// runColorExecIdentity is runExecIdentity for Color: identical ColorResults
+// and event streams under both execution modes.
+func runColorExecIdentity(t *testing.T, name string, n int, opts ...Option) {
+	t.Helper()
+	execIdentity(t, name, n, func(nw *Network) (*ColorResult, error) {
+		return nw.Color(context.Background())
+	}, opts...)
+}
+
+// execIdentity runs verb on an n-node network built with opts once per
+// forced execution mode and requires equal results and equal event streams
+// (sorted, since goroutine-mode emission order is scheduling-dependent).
+func execIdentity[R any](t *testing.T, name string, n int, verb func(*Network) (R, error), opts ...Option) {
+	t.Helper()
 	t.Run(name, func(t *testing.T) {
-		values := make([]int64, 0, n)
-		for i := 0; i < n; i++ {
-			values = append(values, int64(2*i+1))
-		}
-		run := func(mode ExecMode) (*AggregateResult, []Event) {
+		run := func(mode ExecMode) (R, []Event) {
 			nw, err := New(n, append([]Option{Exec(mode)}, opts...)...)
 			if err != nil {
 				t.Fatal(err)
@@ -34,10 +53,7 @@ func runExecIdentity(t *testing.T, name string, n int, opts ...Option) {
 				events = append(events, ev)
 				mu.Unlock()
 			})
-			if len(values) != nw.N() {
-				values = values[:nw.N()]
-			}
-			res, err := nw.Aggregate(context.Background(), values, Sum)
+			res, err := verb(nw)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,11 +74,6 @@ func runExecIdentity(t *testing.T, name string, n int, opts ...Option) {
 		gRes, gEvents := run(ExecGoroutines)
 		sRes, sEvents := run(ExecStepped)
 		if !reflect.DeepEqual(gRes, sRes) {
-			for i := range gRes.Nodes {
-				if gRes.Nodes[i] != sRes.Nodes[i] {
-					t.Fatalf("node %d differs:\n goroutines %+v\n stepped    %+v", i, gRes.Nodes[i], sRes.Nodes[i])
-				}
-			}
 			t.Fatalf("results differ:\n goroutines %+v\n stepped    %+v", gRes, sRes)
 		}
 		if !reflect.DeepEqual(gEvents, sEvents) {
@@ -112,6 +123,28 @@ func TestAggregateExecIdentity(t *testing.T) {
 	if !testing.Short() {
 		runExecIdentity(t, "grid", 100, Seed(11), Channels(8), WithTopology(Grid))
 	}
+}
+
+// TestColorExecIdentity is TestAggregateExecIdentity for the default sec7
+// Color: ExecGoroutines and ExecStepped give identical ColorResults and
+// event streams across the topology suite and the fault layers. Run under
+// -cpu 1,2,8 in CI.
+func TestColorExecIdentity(t *testing.T) {
+	for _, seed := range []uint64{3, 8} {
+		runColorExecIdentity(t, "crowd", 48, Seed(seed), Channels(4))
+	}
+	runColorExecIdentity(t, "uniform", 72, Seed(5), Channels(8), WithTopology(Uniform(12)))
+	runColorExecIdentity(t, "grid", 49, Seed(5), Channels(2), WithTopology(Grid))
+	runColorExecIdentity(t, "line", 32, Seed(7), Channels(4), WithTopology(Line(0.7)))
+	runColorExecIdentity(t, "ring", 32, Seed(9), Channels(2), WithTopology(Ring(0.7)))
+	// Node 7 crashes at slot 40, inside structure construction.
+	runColorExecIdentity(t, "faults", 56, Seed(9), Channels(4),
+		Loss(0.02),
+		Jamming(1, JamOblivious),
+		Churn(ChurnSpec{CrashAt: map[int]int{7: 40}, Rate: 0.05, From: 100}))
+	runColorExecIdentity(t, "byzantine", 56, Seed(13), Channels(4),
+		Byzantine(0.2, ByzEquivocate),
+		Jamming(1, JamReactive))
 }
 
 // TestParseExecMode pins the CLI/spec name mapping both ways.

@@ -6,7 +6,7 @@ package backbone
 // consumption code — so the two forms produce bit-identical transcripts.
 
 import (
-	"sort"
+	"slices"
 
 	"mcnet/internal/agg"
 	"mcnet/internal/phy"
@@ -15,6 +15,12 @@ import (
 
 // ColorFrag is the sim.Frag form of RunColor. Out is valid once Feed
 // returns true.
+//
+// RunColor's three sets are maps that mostly live on its goroutine stack;
+// here they would be heap maps per dominator, so the fragment keeps them as
+// small slices instead, with the same set semantics: the neighbor set
+// (sorted once discovery ends, becoming Out.Neighbors), a not-yet-heard flag
+// per smaller-ID neighbor, and the list of announced colors.
 type ColorFrag struct {
 	Cfg ColorConfig
 	Out ColorOutcome
@@ -23,8 +29,10 @@ type ColorFrag struct {
 	stage                   uint8 // 0 discover, 1 resolve
 	s                       int
 	discoverLen, resolveLen int
-	neighbors               map[int]bool
-	smaller, taken          map[int]bool
+	neighbors               []int
+	unheard                 []bool // per Out.Neighbors entry: smaller ID, not yet heard
+	smaller                 int    // count of unheard entries
+	taken                   []int
 	awaitBeacon, awaitFinal bool
 }
 
@@ -34,24 +42,31 @@ func (f *ColorFrag) Feed(sc *sim.StepCtx) bool {
 	if !f.init {
 		f.init = true
 		f.Out = ColorOutcome{Color: -1}
-		f.neighbors = map[int]bool{}
 		f.discoverLen = f.Cfg.discoverSlots(p)
 		f.resolveLen = f.Cfg.resolveSlots(p)
 	}
 	if f.awaitBeacon {
 		f.awaitBeacon = false
 		rec := sc.Prev()
-		if b, ok := rec.Msg.(Beacon); ok && phy.SenderWithin(rec, p, f.Cfg.Radius) {
-			f.neighbors[b.From] = true
+		if b, ok := rec.Msg.(Beacon); ok && phy.SenderWithin(rec, p, f.Cfg.Radius) &&
+			!slices.Contains(f.neighbors, b.From) {
+			f.neighbors = append(f.neighbors, b.From)
 		}
 	}
 	if f.awaitFinal {
 		f.awaitFinal = false
 		rec := sc.Prev()
-		if fin, ok := rec.Msg.(Final); ok && f.neighbors[fin.From] &&
-			phy.SenderWithin(rec, p, f.Cfg.Radius) {
-			f.taken[fin.Color] = true
-			delete(f.smaller, fin.From)
+		if fin, ok := rec.Msg.(Final); ok {
+			if i, nb := slices.BinarySearch(f.Out.Neighbors, fin.From); nb &&
+				phy.SenderWithin(rec, p, f.Cfg.Radius) {
+				if !slices.Contains(f.taken, fin.Color) {
+					f.taken = append(f.taken, fin.Color)
+				}
+				if f.unheard[i] {
+					f.unheard[i] = false
+					f.smaller--
+				}
+			}
 		}
 	}
 	for {
@@ -68,20 +83,22 @@ func (f *ColorFrag) Feed(sc *sim.StepCtx) bool {
 		case f.stage == 0:
 			// Discovery over: freeze the neighbor list, set up resolution.
 			f.stage, f.s = 1, 0
-			f.Out.Neighbors = make([]int, 0, len(f.neighbors))
-			for id := range f.neighbors {
-				f.Out.Neighbors = append(f.Out.Neighbors, id)
+			slices.Sort(f.neighbors)
+			f.Out.Neighbors = slices.Clip(f.neighbors)
+			if f.Out.Neighbors == nil {
+				f.Out.Neighbors = []int{}
 			}
-			sort.Ints(f.Out.Neighbors)
-			f.smaller, f.taken = map[int]bool{}, map[int]bool{}
-			for _, id := range f.Out.Neighbors {
+			f.neighbors = nil
+			f.unheard = make([]bool, len(f.Out.Neighbors))
+			for i, id := range f.Out.Neighbors {
 				if id < sc.ID() {
-					f.smaller[id] = true
+					f.unheard[i] = true
+					f.smaller++
 				}
 			}
 		case f.s < f.resolveLen:
 			f.s++
-			if f.Out.Color < 0 && len(f.smaller) == 0 {
+			if f.Out.Color < 0 && f.smaller == 0 {
 				f.pickColor()
 			}
 			if f.Out.Color >= 0 && sc.Rand.Float64() < f.Cfg.AnnounceProb {
@@ -103,7 +120,7 @@ func (f *ColorFrag) Feed(sc *sim.StepCtx) bool {
 
 func (f *ColorFrag) pickColor() {
 	c := 0
-	for f.taken[c] {
+	for slices.Contains(f.taken, c) {
 		c++
 	}
 	if c >= f.Cfg.PhiMax {

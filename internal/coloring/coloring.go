@@ -84,7 +84,15 @@ func Run(e *sim.Engine, pl *core.Plan, cfg Config) ([]Result, error) {
 
 // RunContext is like Run but aborts promptly with ctx.Err() when ctx is
 // cancelled mid-run.
+//
+// The plan's Cfg.Exec decides how the node code executes, as in
+// core.RunContext: goroutine programs, or — the default — the
+// goroutine-free Stepper form (runStepped). The transcript is bit-identical
+// either way.
 func RunContext(ctx context.Context, e *sim.Engine, pl *core.Plan, cfg Config) ([]Result, error) {
+	if pl.Cfg.Exec.Stepped() {
+		return runStepped(ctx, e, pl, cfg)
+	}
 	n := e.Field().N()
 	res := make([]Result, n)
 	progs := make([]sim.Program, n)
@@ -112,12 +120,7 @@ func program(pl *core.Plan, cfg Config, i int, res []Result) sim.Program {
 		got, ackedOn := pl.FollowerStage(ctx, st, int64(ctx.ID()))
 		r.IsReporter = st.IsReporter()
 
-		// Sorted follower list: announcement order must be deterministic.
-		var followers []int
-		for id := range got {
-			followers = append(followers, id)
-		}
-		sort.Ints(followers)
+		followers := sortedFollowers(got)
 
 		// Procedure 2: subtree counts up the reporter tree.
 		cast := pl.CastConfig(st.Off)
@@ -131,30 +134,12 @@ func program(pl *core.Plan, cfg Config, i int, res []Result) sim.Program {
 			reporter.IdleCast(ctx, cast)
 		}
 
-		// Procedure 3: color-index ranges down the reporter tree. A
-		// reporter's own block covers itself plus its followers; the
-		// dominator consumes nothing here (it takes the index one past the
-		// total).
-		split := func(j int, base bool, payload [2]int64, cv [2]int64, cs [2]bool) (self, left, right [2]int64) {
-			lo := payload[0]
-			if base && j != 0 {
-				self = [2]int64{lo, subtree}
-				lo += subtree
-			}
-			if cs[0] {
-				left = [2]int64{lo, cv[0]}
-				lo += cv[0]
-			}
-			if cs[1] {
-				right = [2]int64{lo, cv[1]}
-			}
-			return self, left, right
-		}
+		// Procedure 3: color-index ranges down the reporter tree.
 		var block [2]int64
 		haveBlock := false
 		if st.Role >= 0 {
 			root := [2]int64{0, up.Value}
-			block, haveBlock = reporter.RunCastDown(ctx, cast, st.Role, st.Dom.Dominator, up, root, split)
+			block, haveBlock = reporter.RunCastDown(ctx, cast, st.Role, st.Dom.Dominator, up, root, indexSplit(subtree))
 		} else {
 			reporter.IdleCast(ctx, cast)
 		}
@@ -203,15 +188,54 @@ func program(pl *core.Plan, cfg Config, i int, res []Result) sim.Program {
 	}
 }
 
+// sortedFollowers lists a reporter's followers in ascending ID order:
+// procedure 4's announcement order must be deterministic.
+func sortedFollowers(got map[int]int64) []int {
+	followers := make([]int, 0, len(got))
+	for id := range got {
+		followers = append(followers, id)
+	}
+	sort.Ints(followers)
+	return followers
+}
+
+// indexSplit is procedure 3's payload split for a node whose own subtree
+// count is subtree: a reporter's own block covers itself plus its
+// followers, its children's blocks follow in order, and the dominator
+// consumes nothing here (it takes the index one past the total).
+func indexSplit(subtree int64) reporter.SplitFunc {
+	return func(j int, base bool, payload [2]int64, cv [2]int64, cs [2]bool) (self, left, right [2]int64) {
+		lo := payload[0]
+		if base && j != 0 {
+			self = [2]int64{lo, subtree}
+			lo += subtree
+		}
+		if cs[0] {
+			left = [2]int64{lo, cv[0]}
+			lo += cv[0]
+		}
+		if cs[1] {
+			right = [2]int64{lo, cv[1]}
+		}
+		return self, left, right
+	}
+}
+
 // colorOf finalizes the color k·φ + i from the within-cluster index and the
 // cluster color.
 func colorOf(r *Result, pl *core.Plan) {
+	r.Color = paletteColor(pl, r.Index, r.ClusterColor)
+}
+
+// paletteColor is the color k·φ + i of within-cluster index k in a cluster
+// of color clusterColor.
+func paletteColor(pl *core.Plan, index, clusterColor int) int {
 	phi := pl.Cfg.PhiMax
-	cc := r.ClusterColor % phi
+	cc := clusterColor % phi
 	if cc < 0 {
 		cc = 0
 	}
-	r.Color = r.Index*phi + cc
+	return index*phi + cc
 }
 
 // Validate checks a coloring against the communication graph: it returns

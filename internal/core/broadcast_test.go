@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"mcnet/internal/agg"
+	"mcnet/internal/fault"
 	"mcnet/internal/geo"
 	"mcnet/internal/model"
 	"mcnet/internal/phy"
@@ -88,8 +90,25 @@ func TestBroadcastFromDominator(t *testing.T) {
 	}
 }
 
+// runWithCrashes runs the Sum pipeline with node i crashing at slot
+// crashAt[i], through the fault layer's churn hook.
+func runWithCrashes(t *testing.T, pl *Plan, pos []geo.Point, values []int64, crashAt map[int]int, seed uint64) []Result {
+	t.Helper()
+	e := sim.NewEngine(phy.NewField(pl.Params, pos), seed)
+	spec := fault.Spec{CrashAt: crashAt}
+	if err := spec.Validate(len(pos), pl.Params.Channels); err != nil {
+		t.Fatal(err)
+	}
+	e.Faults = fault.NewInjector(spec, seed, len(pos), pl.Params.Channels, pl.Offsets.End)
+	res, err := RunContext(context.Background(), e, pl, values, agg.Sum, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestFailuresBeforeBuild(t *testing.T) {
-	// A fifth of the nodes never start; the rest must still build a
+	// A fifth of the nodes crash at slot 0; the rest must still build a
 	// structure and aggregate their own values without deadlock.
 	const n = 30
 	p := model.Default(4, 64)
@@ -102,27 +121,23 @@ func TestFailuresBeforeBuild(t *testing.T) {
 			Y: (rnd.Float64()*2 - 1) * rc / 2,
 		}
 	}
-	values, _ := make([]int64, n), 0
-	var aliveSum int64
-	dead := map[int]int{}
-	for i := 0; i < n; i++ {
-		values[i] = int64(i + 1)
-		if i%5 == 0 {
-			dead[i] = StageBuild
-		} else {
-			aliveSum += values[i]
-		}
-	}
 	cfg := DefaultConfig(p)
 	cfg.DeltaHat = n
 	cfg.PhiMax = 4
 	cfg.HopBound = 2
 	pl := NewPlan(p, cfg)
-	e := sim.NewEngine(phy.NewField(p, pos), 13)
-	res, err := RunWithFailures(e, pl, values, agg.Sum, dead)
-	if err != nil {
-		t.Fatal(err)
+	values := make([]int64, n)
+	var aliveSum int64
+	dead := map[int]int{}
+	for i := 0; i < n; i++ {
+		values[i] = int64(i + 1)
+		if i%5 == 0 {
+			dead[i] = pl.Offsets.Dominate
+		} else {
+			aliveSum += values[i]
+		}
 	}
+	res := runWithCrashes(t, pl, pos, values, dead, 13)
 	informed, exact := 0, 0
 	for i, r := range res {
 		if _, isDead := dead[i]; isDead {
@@ -168,17 +183,15 @@ func TestFailuresMidPipeline(t *testing.T) {
 		values[i] = int64(i + 1)
 		want += values[i]
 	}
-	dead := map[int]int{3: StageTree, 9: StageBackbone}
 	cfg := DefaultConfig(p)
 	cfg.DeltaHat = n
 	cfg.PhiMax = 4
 	cfg.HopBound = 2
 	pl := NewPlan(p, cfg)
-	e := sim.NewEngine(phy.NewField(p, pos), 19)
-	res, err := RunWithFailures(e, pl, values, agg.Sum, dead)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Node 3 crashes as the reporter-tree pass starts, node 9 as the
+	// backbone stage starts.
+	dead := map[int]int{3: pl.Offsets.Tree, 9: pl.Offsets.Backbone}
+	res := runWithCrashes(t, pl, pos, values, dead, 19)
 	informed := 0
 	for i, r := range res {
 		if _, isDead := dead[i]; isDead {

@@ -1,6 +1,7 @@
 package core
 
-// ExecMode selects how Run drives the per-node pipeline code.
+// ExecMode selects how Run — and coloring.RunContext, the Sec. 7 coloring
+// built on the same structure — drive the per-node code.
 type ExecMode int
 
 const (
@@ -27,5 +28,5 @@ func (m ExecMode) String() string {
 	}
 }
 
-// stepped reports whether the mode resolves to the Stepper form.
-func (m ExecMode) stepped() bool { return m != ExecGoroutines }
+// Stepped reports whether the mode resolves to the Stepper form.
+func (m ExecMode) Stepped() bool { return m != ExecGoroutines }

@@ -102,7 +102,7 @@ func Run(e *sim.Engine, pl *Plan, values []int64, op agg.Op, seed uint64) ([]Res
 // memory and wall-clock differ.
 func RunContext(ctx context.Context, e *sim.Engine, pl *Plan, values []int64, op agg.Op, seed uint64) ([]Result, error) {
 	n := e.Field().N()
-	if pl.Cfg.Exec.stepped() {
+	if pl.Cfg.Exec.Stepped() {
 		return RunSteppedContext(ctx, e, pl, values, op, seed)
 	}
 	if len(values) != n {

@@ -14,12 +14,15 @@ import (
 )
 
 // This file is the Stepper-form port of the pipeline (see internal/sim:
-// Stepper, Frag). pipelineStepper chains the per-stage fragments exactly as
-// program chains the goroutine stage calls; the stage-glue code (structure
-// bookkeeping, the elect channel draw, the cast-value fold) runs at the
-// fragment boundaries, in the same position of the node's random stream and
-// slot timeline as in the goroutine form, so both forms produce
-// bit-identical transcripts. TestRunSteppedIdentity pins this.
+// Stepper, Frag). BuildFrag chains the structure-construction and follower
+// fragments (stages 1–6) exactly as BuildStage and FollowerStage chain the
+// goroutine stage calls, and pipelineStepper composes it with the
+// aggregation stages 7–9; the Sec. 7 coloring composes the same BuildFrag
+// with its own procedures. The stage-glue code (structure bookkeeping, the
+// elect channel draw, the cast-value fold) runs at the fragment boundaries,
+// in the same position of the node's random stream and slot timeline as in
+// the goroutine form, so both forms produce bit-identical transcripts.
+// TestRunSteppedIdentity pins this.
 
 // RunStepped executes the full pipeline in the engine's goroutine-free mode.
 // It is behaviorally identical to Run — same per-node results, same
@@ -36,21 +39,24 @@ func RunSteppedContext(ctx context.Context, e *sim.Engine, pl *Plan, values []in
 	if len(values) != n {
 		return nil, fmt.Errorf("core: %d values for %d nodes", len(values), n)
 	}
-	res := make([]Result, n)
 	steppers := make([]sim.Stepper, n)
 	arena := make([]pipelineStepper, n) // one allocation for all nodes
 	for i := 0; i < n; i++ {
-		arena[i] = pipelineStepper{pl: pl, value: values[i], op: op, res: res}
+		arena[i] = pipelineStepper{build: BuildFrag{Pl: pl, Value: values[i]}, op: op}
 		steppers[i] = &arena[i]
 	}
 	_ = seed
 	if _, err := e.RunSteppersContext(ctx, steppers); err != nil {
 		return nil, err
 	}
+	res := make([]Result, n)
+	for i := range arena {
+		arena[i].result(&res[i])
+	}
 	return res, nil
 }
 
-// Pipeline stages, in slot order.
+// Build stages (stages 1–6), in slot order.
 const (
 	stDominate uint8 = iota
 	stColor
@@ -58,27 +64,27 @@ const (
 	stCSA
 	stElect
 	stFollower
-	stCast
-	stTree
-	stInform
-	stDone
+	stBuilt
 )
 
-// pipelineStepper is one node's pipeline as a sim.Stepper: the active
-// fragment acts each slot; when it finalizes, the stage glue runs and the
-// next fragment starts within the same Step call.
-type pipelineStepper struct {
-	pl    *Plan
-	value int64
-	op    agg.Op
-	res   []Result
+// BuildFrag is the sim.Frag form of BuildStage followed by FollowerStage:
+// structure construction (stages 1–5) and the Sec. 6 follower procedure
+// (stage 6), with Value as the node's follower payload. St is final once
+// Built reports true; Got and AckedOn (see FollowerStage) are valid once
+// Feed returns true.
+type BuildFrag struct {
+	Pl    *Plan
+	Value int64
+
+	St      Structure
+	Got     map[int]int64
+	AckedOn int
 
 	stage uint8
-	st    Structure
 	cur   sim.Frag
 
 	// Stages every node (or every member — at crowd scale, nearly every
-	// node) passes through live as values inside the stepper, so entering
+	// node) passes through live as values inside the fragment, so entering
 	// them costs zero allocations: cur points at the embedded field. The
 	// rare-role fragments (dominators are ~1 per cluster) stay heap
 	// pointers to keep the arena element lean.
@@ -88,16 +94,177 @@ type pipelineStepper struct {
 	csaSDee csa.SmallDominateeFrag
 	elect   reporter.ElectFrag
 	fol     followerFrag
-	inf     informFrag
 	idle    sim.IdleFrag
 
 	col     *backbone.ColorFrag
 	csaDom  *csa.DominatorFrag
 	csaSDom *csa.SmallDominatorFrag
-	cast    *reporter.CastUpFrag
-	tree    *backbone.TreeFrag
 
-	ownColor   int
+	ownColor int
+}
+
+// Built reports whether stages 1–5 have completed, so St is final.
+func (f *BuildFrag) Built() bool { return f.stage > stElect }
+
+// Feed implements sim.Frag: the active stage fragment acts; when it
+// finalizes, the stage glue runs and the next fragment starts within the
+// same call.
+func (f *BuildFrag) Feed(sc *sim.StepCtx) bool {
+	for {
+		if f.cur != nil {
+			if !f.cur.Feed(sc) {
+				return false
+			}
+			f.cur = nil
+			f.leave(sc)
+		}
+		if f.stage == stBuilt {
+			return true
+		}
+		f.enter(sc)
+	}
+}
+
+// enterIdle points cur at the embedded idle fragment, reset for a k-slot
+// idle stretch.
+func (f *BuildFrag) enterIdle(k int) {
+	f.idle = sim.IdleFrag{K: k}
+	f.cur = &f.idle
+}
+
+// enter builds the fragment for the current stage — the mirror of the
+// goroutine form's stage-call sites, including their pre-call glue (the
+// member's elect channel draw).
+func (f *BuildFrag) enter(sc *sim.StepCtx) {
+	pl := f.Pl
+	p := sc.Params()
+	switch f.stage {
+	case stDominate:
+		f.dom = dominate.RunFrag{Cfg: pl.Dominate}
+		f.cur = &f.dom
+	case stColor:
+		if f.St.Dom.IsDominator {
+			f.col = &backbone.ColorFrag{Cfg: pl.Color}
+			f.cur = f.col
+		} else {
+			f.enterIdle(pl.Color.SlotBudget(p))
+		}
+	case stAnnounce:
+		f.ann = announceFrag{pl: pl, dom: f.St.Dom, ownColor: f.ownColor}
+		f.cur = &f.ann
+	case stCSA:
+		if pl.UseSmall {
+			cfg := pl.CSASmall
+			cfg.Offset = f.St.Off
+			if f.St.Dom.IsDominator {
+				f.csaSDom = &csa.SmallDominatorFrag{Cfg: cfg}
+				f.cur = f.csaSDom
+			} else {
+				f.csaSDee = csa.SmallDominateeFrag{Cfg: cfg, Dom: f.St.Dom.Dominator}
+				f.cur = &f.csaSDee
+			}
+		} else {
+			cfg := pl.CSALarge
+			cfg.Offset = f.St.Off
+			if f.St.Dom.IsDominator {
+				f.csaDom = &csa.DominatorFrag{Cfg: cfg, Dom: sc.ID()}
+				f.cur = f.csaDom
+			} else {
+				f.csaDee = csa.DominateeFrag{Cfg: cfg, Dom: f.St.Dom.Dominator}
+				f.cur = &f.csaDee
+			}
+		}
+	case stElect:
+		f.St.Fv = pl.fv(f.St.Est)
+		elect := pl.Elect
+		elect.Offset = f.St.Off
+		f.St.Role = -1
+		if f.St.Dom.IsDominator {
+			f.enterIdle(elect.SlotBudget(p))
+		} else {
+			f.St.Channel = sc.Rand.Intn(f.St.Fv)
+			f.elect = reporter.ElectFrag{Cfg: elect, Channel: f.St.Channel, Dom: f.St.Dom.Dominator}
+			f.cur = &f.elect
+		}
+	case stFollower:
+		f.fol = followerFrag{b: f}
+		f.cur = &f.fol
+	}
+}
+
+// leave consumes the finished stage's result — the mirror of the goroutine
+// form's post-call glue.
+func (f *BuildFrag) leave(sc *sim.StepCtx) {
+	pl := f.Pl
+	switch f.stage {
+	case stDominate:
+		f.St = Structure{Channel: -1}
+		f.St.Dom = f.dom.Out
+	case stColor:
+		if f.St.Dom.IsDominator {
+			f.ownColor = f.col.Out.Color
+		} else {
+			f.ownColor = -1
+		}
+		f.col = nil
+	case stAnnounce:
+		f.St.Color = f.ann.Color
+		f.St.Off = f.St.Color % pl.Cfg.PhiMax
+		if f.St.Off < 0 {
+			f.St.Off = 0
+		}
+	case stCSA:
+		switch {
+		case pl.UseSmall && f.St.Dom.IsDominator:
+			f.St.Est = f.csaSDom.Estimate
+		case pl.UseSmall:
+			f.St.Est = f.csaSDee.Estimate
+		case f.St.Dom.IsDominator:
+			f.St.Est = f.csaDom.Estimate + 1 // members + self
+		default:
+			est := f.csaDee.Estimate
+			if est > 0 {
+				est++
+			}
+			f.St.Est = est
+		}
+		f.csaDom, f.csaSDom = nil, nil
+		f.csaSDee = csa.SmallDominateeFrag{} // drops its internal sub-fragments
+	case stElect:
+		if f.St.Dom.IsDominator {
+			f.St.Role = 0
+		} else if f.elect.Min == sc.ID() {
+			f.St.Role = f.St.Channel + 1
+		}
+	}
+	f.stage++
+}
+
+// Pipeline stages after the build, in slot order.
+const (
+	psBuild uint8 = iota
+	psCast
+	psTree
+	psInform
+	psDone
+)
+
+// pipelineStepper is one node's pipeline as a sim.Stepper: BuildFrag for
+// stages 1–6, then the aggregation stages. The active fragment acts each
+// slot; when it finalizes, the stage glue runs and the next fragment starts
+// within the same Step call.
+type pipelineStepper struct {
+	build BuildFrag
+	op    agg.Op
+
+	stage uint8
+	cur   sim.Frag
+
+	inf  informFrag
+	idle sim.IdleFrag
+	cast *reporter.CastUpFrag
+	tree *backbone.TreeFrag
+
 	clusterAgg int64
 }
 
@@ -111,7 +278,7 @@ func (ps *pipelineStepper) Step(sc *sim.StepCtx) {
 			ps.cur = nil
 			ps.leave(sc)
 		}
-		if ps.stage == stDone {
+		if ps.stage == psDone {
 			sc.Done()
 			return
 		}
@@ -128,86 +295,38 @@ func (ps *pipelineStepper) enterIdle(k int) {
 
 // enter builds the fragment for the current stage — the mirror of the
 // goroutine form's stage-call sites, including their pre-call glue (the
-// member's elect channel draw, the reporter's cast-value fold).
+// reporter's cast-value fold).
 func (ps *pipelineStepper) enter(sc *sim.StepCtx) {
-	pl := ps.pl
-	p := sc.Params()
+	pl := ps.build.Pl
+	st := &ps.build.St
 	switch ps.stage {
-	case stDominate:
-		ps.dom = dominate.RunFrag{Cfg: pl.Dominate}
-		ps.cur = &ps.dom
-	case stColor:
-		if ps.st.Dom.IsDominator {
-			ps.col = &backbone.ColorFrag{Cfg: pl.Color}
-			ps.cur = ps.col
-		} else {
-			ps.enterIdle(pl.Color.SlotBudget(p))
-		}
-	case stAnnounce:
-		ps.ann = announceFrag{pl: pl, dom: ps.st.Dom, ownColor: ps.ownColor}
-		ps.cur = &ps.ann
-	case stCSA:
-		if pl.UseSmall {
-			cfg := pl.CSASmall
-			cfg.Offset = ps.st.Off
-			if ps.st.Dom.IsDominator {
-				ps.csaSDom = &csa.SmallDominatorFrag{Cfg: cfg}
-				ps.cur = ps.csaSDom
-			} else {
-				ps.csaSDee = csa.SmallDominateeFrag{Cfg: cfg, Dom: ps.st.Dom.Dominator}
-				ps.cur = &ps.csaSDee
-			}
-		} else {
-			cfg := pl.CSALarge
-			cfg.Offset = ps.st.Off
-			if ps.st.Dom.IsDominator {
-				ps.csaDom = &csa.DominatorFrag{Cfg: cfg, Dom: sc.ID()}
-				ps.cur = ps.csaDom
-			} else {
-				ps.csaDee = csa.DominateeFrag{Cfg: cfg, Dom: ps.st.Dom.Dominator}
-				ps.cur = &ps.csaDee
-			}
-		}
-	case stElect:
-		ps.st.Fv = pl.fv(ps.st.Est)
-		elect := pl.Elect
-		elect.Offset = ps.st.Off
-		ps.st.Role = -1
-		if ps.st.Dom.IsDominator {
-			ps.enterIdle(elect.SlotBudget(p))
-		} else {
-			ps.st.Channel = sc.Rand.Intn(ps.st.Fv)
-			ps.elect = reporter.ElectFrag{Cfg: elect, Channel: ps.st.Channel, Dom: ps.st.Dom.Dominator}
-			ps.cur = &ps.elect
-		}
-	case stFollower:
-		ps.fol = followerFrag{pl: pl, st: ps.st, value: ps.value}
-		ps.cur = &ps.fol
-	case stCast:
-		cast := pl.CastConfig(ps.st.Off)
-		if ps.st.Role >= 0 {
-			castVal := ps.value
-			for _, v := range ps.fol.Got {
+	case psBuild:
+		ps.cur = &ps.build
+	case psCast:
+		cast := pl.CastConfig(st.Off)
+		if st.Role >= 0 {
+			castVal := ps.build.Value
+			for _, v := range ps.build.Got {
 				castVal = ps.op.Combine(castVal, v)
 			}
 			ps.cast = &reporter.CastUpFrag{
-				Cfg: cast, Role: ps.st.Role, Dom: ps.st.Dom.Dominator,
+				Cfg: cast, Role: st.Role, Dom: st.Dom.Dominator,
 				Value: castVal, Op: ps.op,
 			}
 			ps.cur = ps.cast
 		} else {
 			ps.enterIdle(cast.SlotBudget())
 		}
-	case stTree:
-		if ps.st.IsDominator() {
-			ps.tree = &backbone.TreeFrag{Cfg: pl.Tree, Color: ps.st.Off, Value: ps.clusterAgg, Op: ps.op}
+	case psTree:
+		if st.IsDominator() {
+			ps.tree = &backbone.TreeFrag{Cfg: pl.Tree, Color: st.Off, Value: ps.clusterAgg, Op: ps.op}
 			ps.cur = ps.tree
 		} else {
 			ps.enterIdle(pl.Tree.SlotBudget())
 		}
-	case stInform:
-		ps.inf = informFrag{pl: pl, st: ps.st}
-		if ps.st.IsDominator() && ps.tree != nil {
+	case psInform:
+		ps.inf = informFrag{pl: pl, st: st}
+		if st.IsDominator() && ps.tree != nil {
 			ps.inf.Value, ps.inf.Have = ps.tree.Out.Result, ps.tree.Out.Done
 		}
 		ps.cur = &ps.inf
@@ -217,79 +336,39 @@ func (ps *pipelineStepper) enter(sc *sim.StepCtx) {
 // leave consumes the finished stage's result — the mirror of the goroutine
 // form's post-call glue, including its Emits.
 func (ps *pipelineStepper) leave(sc *sim.StepCtx) {
-	pl := ps.pl
 	switch ps.stage {
-	case stDominate:
-		ps.st = Structure{Channel: -1}
-		ps.st.Dom = ps.dom.Out
-		ps.stage = stColor
-	case stColor:
-		if ps.st.Dom.IsDominator {
-			ps.ownColor = ps.col.Out.Color
-		} else {
-			ps.ownColor = -1
-		}
-		ps.col = nil
-		ps.stage = stAnnounce
-	case stAnnounce:
-		ps.st.Color = ps.ann.Color
-		ps.st.Off = ps.st.Color % pl.Cfg.PhiMax
-		if ps.st.Off < 0 {
-			ps.st.Off = 0
-		}
-		ps.stage = stCSA
-	case stCSA:
-		switch {
-		case pl.UseSmall && ps.st.Dom.IsDominator:
-			ps.st.Est = ps.csaSDom.Estimate
-		case pl.UseSmall:
-			ps.st.Est = ps.csaSDee.Estimate
-		case ps.st.Dom.IsDominator:
-			ps.st.Est = ps.csaDom.Estimate + 1 // members + self
-		default:
-			est := ps.csaDee.Estimate
-			if est > 0 {
-				est++
-			}
-			ps.st.Est = est
-		}
-		ps.csaDom, ps.csaSDom = nil, nil
-		ps.csaSDee = csa.SmallDominateeFrag{} // drops its internal sub-fragments
-		ps.stage = stElect
-	case stElect:
-		if ps.st.Dom.IsDominator {
-			ps.st.Role = 0
-		} else if ps.elect.Min == sc.ID() {
-			ps.st.Role = ps.st.Channel + 1
-		}
-		r := &ps.res[sc.ID()]
-		r.IsDominator = ps.st.IsDominator()
-		r.Dominator = ps.st.Dom.Dominator
-		r.Color = ps.st.Color
-		r.SizeEst = ps.st.Est
-		r.Channel = ps.st.Channel
-		r.IsReporter = ps.st.IsReporter()
-		ps.stage = stFollower
-	case stFollower:
-		ps.stage = stCast
-	case stCast:
-		if ps.st.Role == 0 {
+	case psCast:
+		if ps.build.St.Role == 0 {
 			ps.clusterAgg = ps.cast.St.Value
 			sc.Emit(EventClusterAgg, 0)
 		}
-		ps.fol = followerFrag{} // drops the reporter's Got map
+		ps.build.Got = nil // drops the reporter's follower map
 		ps.cast = nil
-		ps.stage = stTree
-	case stTree:
-		ps.stage = stInform
-	case stInform:
+	case psInform:
 		if ps.inf.Have {
-			r := &ps.res[sc.ID()]
-			r.Value, r.Ok = ps.inf.Value, true
 			sc.Emit(EventInformed, 0)
 		}
 		ps.tree = nil
-		ps.stage = stDone
+	}
+	ps.stage++
+}
+
+// result fills r from the node's final state: the structure once stages
+// 1–5 completed, the aggregate once stage 9 did — the same points at which
+// the goroutine form writes them.
+func (ps *pipelineStepper) result(r *Result) {
+	if !ps.build.Built() {
+		return
+	}
+	st := &ps.build.St
+	r.IsDominator = st.IsDominator()
+	r.Dominator = st.Dom.Dominator
+	r.Color = st.Color
+	r.SizeEst = st.Est
+	r.Channel = st.Channel
+	r.IsReporter = st.IsReporter()
+	if ps.stage == psDone && ps.inf.Have {
+		r.Value, r.Ok = ps.inf.Value, true
 	}
 }
 
@@ -363,15 +442,11 @@ const (
 	folAwaitBackoff
 )
 
-// followerFrag is the sim.Frag form of FollowerStage. Got and AckedOn are
-// valid once Feed returns true.
+// followerFrag is the sim.Frag form of FollowerStage for the enclosing
+// BuildFrag b: it reads b's plan, structure and value, and leaves its
+// results in b.Got and b.AckedOn.
 type followerFrag struct {
-	pl    *Plan
-	st    Structure
-	value int64
-
-	Got     map[int]int64
-	AckedOn int
+	b *BuildFrag
 
 	init                   bool
 	stride, off            int
@@ -390,33 +465,35 @@ type followerFrag struct {
 
 // Feed implements sim.Frag.
 func (f *followerFrag) Feed(sc *sim.StepCtx) bool {
-	pl := f.pl
+	b := f.b
+	pl := b.Pl
 	p := pl.Params
+	st := &b.St
 	if !f.init {
 		f.init = true
 		f.stride = pl.Cfg.PhiMax
-		f.isRep = f.st.IsReporter()
-		f.repChan = f.st.Role - 1
-		f.isDom = f.st.IsDominator()
+		f.isRep = st.IsReporter()
+		f.repChan = st.Role - 1
+		f.isDom = st.IsDominator()
 		f.follower = !f.isRep && !f.isDom
-		f.pu = pl.Cfg.Lambda * float64(f.st.Fv) / float64(max2(f.st.Est, 1))
+		f.pu = pl.Cfg.Lambda * float64(st.Fv) / float64(max2(st.Est, 1))
 		if f.pu > 0.5 {
 			f.pu = 0.5
 		}
 		f.memberR = pl.ClusterRadius()
-		f.off = f.st.Off
-		f.AckedOn = -1
+		f.off = st.Off
+		b.AckedOn = -1
 		f.sentOn, f.ackTo = -1, -1
 		if f.isRep {
-			f.Got = map[int]int64{}
+			b.Got = map[int]int64{}
 		}
 	}
 	switch f.await {
 	case folAwaitRep:
 		rec := sc.Prev()
-		if m, ok := rec.Msg.(FollowerMsg); ok && m.Dom == f.st.Dom.Dominator &&
+		if m, ok := rec.Msg.(FollowerMsg); ok && m.Dom == st.Dom.Dominator &&
 			phy.SenderWithin(rec, p, f.memberR) {
-			f.Got[m.From] = m.Value
+			b.Got[m.From] = m.Value
 			f.ackTo = m.From
 		}
 	case folAwaitDom:
@@ -428,14 +505,14 @@ func (f *followerFrag) Feed(sc *sim.StepCtx) bool {
 	case folAwaitAck:
 		rec := sc.Prev()
 		if a, ok := rec.Msg.(FollowerAck); ok && a.To == sc.ID() &&
-			a.Dom == f.st.Dom.Dominator {
+			a.Dom == st.Dom.Dominator {
 			f.acked = true
-			f.AckedOn = f.sentOn
+			b.AckedOn = f.sentOn
 			sc.Emit(EventAcked, f.phase)
 		}
 	case folAwaitBackoff:
 		rec := sc.Prev()
-		if b, ok := rec.Msg.(Backoff); ok && b.Dom == f.st.Dom.Dominator &&
+		if b, ok := rec.Msg.(Backoff); ok && b.Dom == st.Dom.Dominator &&
 			phy.SenderWithin(rec, p, f.memberR) {
 			f.heardBackoff = true
 		}
@@ -461,8 +538,8 @@ func (f *followerFrag) Feed(sc *sim.StepCtx) bool {
 			f.sentOn, f.ackTo = -1, -1
 			switch {
 			case f.follower && !f.acked && sc.Rand.Float64() < f.pu:
-				f.sentOn = sc.Rand.Intn(f.st.Fv)
-				sc.Transmit(f.sentOn, FollowerMsg{From: sc.ID(), Dom: f.st.Dom.Dominator, Value: f.value})
+				f.sentOn = sc.Rand.Intn(st.Fv)
+				sc.Transmit(f.sentOn, FollowerMsg{From: sc.ID(), Dom: st.Dom.Dominator, Value: b.Value})
 			case f.isRep:
 				sc.Listen(f.repChan)
 				f.await = folAwaitRep
@@ -477,7 +554,7 @@ func (f *followerFrag) Feed(sc *sim.StepCtx) bool {
 			f.pos = 3
 			switch {
 			case f.isRep && f.ackTo >= 0:
-				sc.Transmit(f.repChan, FollowerAck{To: f.ackTo, Dom: f.st.Dom.Dominator})
+				sc.Transmit(f.repChan, FollowerAck{To: f.ackTo, Dom: st.Dom.Dominator})
 			case f.follower && f.sentOn >= 0:
 				sc.Listen(f.sentOn)
 				f.await = folAwaitAck
@@ -538,7 +615,7 @@ func (f *followerFrag) Feed(sc *sim.StepCtx) bool {
 // stage's in/out value pair.
 type informFrag struct {
 	pl *Plan
-	st Structure
+	st *Structure
 
 	Value int64
 	Have  bool

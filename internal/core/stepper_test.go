@@ -193,10 +193,9 @@ func TestRunSteppedSlotCount(t *testing.T) {
 	pos := clusterPositions(n, p, 9)
 	pl := NewPlan(p, DefaultConfig(p))
 	e := sim.NewEngine(phy.NewField(p, pos), 13)
-	res := make([]Result, n)
 	steppers := make([]sim.Stepper, n)
 	for i := 0; i < n; i++ {
-		steppers[i] = &pipelineStepper{pl: pl, value: 0, op: agg.Sum, res: res}
+		steppers[i] = &pipelineStepper{build: BuildFrag{Pl: pl}, op: agg.Sum}
 	}
 	slots, err := e.RunSteppers(steppers)
 	if err != nil {

@@ -271,12 +271,15 @@ func RunCastUp(ctx *sim.Ctx, cfg CastConfig, role, dom int, value int64, op agg.
 	return st
 }
 
+// SplitFunc partitions acted role j's payload into the actor's own interval
+// (only when base is true: a physical node consumes its own share exactly
+// once, at its base role) and the two child subtree intervals, using the
+// child contributions cv/cs recorded on the way up.
+type SplitFunc func(j int, base bool, payload [2]int64, cv [2]int64, cs [2]bool) (self, left, right [2]int64)
+
 // RunCastDown executes one down pass, distributing payload intervals from
 // the root to the reporters, retracing the up pass recorded in st
-// (including takeovers). split partitions an acted role's payload into the
-// actor's own interval (only when base is true: a physical node consumes
-// its own share exactly once, at its base role) and the two child subtree
-// intervals, using the child contributions recorded on the way up.
+// (including takeovers); split divides each acted role's payload.
 //
 // The returned value is this node's own interval (with ok=false if the node
 // never obtained a payload). The pass consumes exactly cfg.SlotBudget
@@ -287,7 +290,7 @@ func RunCastDown(
 	role, dom int,
 	st CastState,
 	rootPayload [2]int64,
-	split func(j int, base bool, payload [2]int64, cv [2]int64, cs [2]bool) (self, left, right [2]int64),
+	split SplitFunc,
 ) ([2]int64, bool) {
 	var (
 		p        = ctx.Params()
@@ -412,10 +415,14 @@ func RunCastDown(
 	return selfPay, haveSelf
 }
 
+// rootChain is the dominator's chain: it acts as the root only. Shared and
+// read-only.
+var rootChain = []int{0}
+
 // chainRoles returns the roles the node acted as during the up pass.
 func chainRoles(role int, st CastState) []int {
 	if role == 0 {
-		return []int{0}
+		return rootChain
 	}
 	return st.Chain
 }

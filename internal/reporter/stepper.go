@@ -1,9 +1,10 @@
 package reporter
 
-// Stepper-form ports of RunElect and RunCastUp (see internal/sim: Stepper,
-// Frag). Each fragment mirrors its goroutine original's control flow — the
-// order and conditions of ctx.Rand draws and the placement of post-Listen
-// consumption code — so the two forms produce bit-identical transcripts.
+// Stepper-form ports of RunElect, RunCastUp and RunCastDown (see
+// internal/sim: Stepper, Frag). Each fragment mirrors its goroutine
+// original's control flow — the order and conditions of ctx.Rand draws and
+// the placement of post-Listen consumption code — so the two forms produce
+// bit-identical transcripts.
 
 import (
 	"mcnet/internal/agg"
@@ -270,6 +271,182 @@ func (f *CastUpFrag) Feed(sc *sim.StepCtx) bool {
 				}
 			}
 			f.lvl--
+			f.pos = 0
+			if k := 4 * (stride - 1 - f.Cfg.Offset); k > 0 {
+				sc.IdleFor(k)
+				return false
+			}
+		}
+	}
+}
+
+// CastDownFrag is the sim.Frag form of RunCastDown for tree role Role in
+// cluster Dom: it retraces the up pass St (a CastUpFrag's St, takeovers
+// included), starting from Root at the dominator and dividing each acted
+// role's payload with Split. Self and Ok are the node's own interval and
+// whether it obtained one, valid once Feed returns true.
+type CastDownFrag struct {
+	Cfg       CastConfig
+	Role, Dom int
+	St        CastState
+	Root      [2]int64
+	Split     SplitFunc
+	Self      [2]int64
+	Ok        bool
+
+	init     bool
+	lvl      int
+	pos      uint8            // 0 pre-idle, 1..4 sub-slots 0..3, 5 post-idle
+	chain    []int            // the roles acted as: chainRoles(Role, St)
+	payloads map[int][2]int64 // payload per chain role, once known
+	have     bool
+	topRole  int
+	await    bool
+	// Per-level locals of the goroutine form.
+	parentRole        int
+	isParent          bool
+	leftPay, rightPay [2]int64
+	expectsAt         bool
+	recvCh            int
+}
+
+// inChain reports whether the node acted as role j during the up pass.
+func (f *CastDownFrag) inChain(j int) bool {
+	for _, c := range f.chain {
+		if c == j {
+			return true
+		}
+	}
+	return false
+}
+
+// propagate walks the node's internal chain top-down from the top role,
+// splitting payloads locally (no radio between a node's own roles).
+func (f *CastDownFrag) propagate() {
+	if !f.have {
+		return
+	}
+	for j := f.topRole; j >= 0; {
+		pl, ok := f.payloads[j]
+		if !ok {
+			return
+		}
+		self, left, right := f.Split(j, j == f.Role, pl, f.St.ChildVals[j], f.St.ChildSeen[j])
+		if j == f.Role {
+			f.Self, f.Ok = self, true
+			return
+		}
+		switch {
+		case f.inChain(2 * j):
+			f.payloads[2*j] = left
+			j = 2 * j
+		case f.inChain(2*j + 1):
+			f.payloads[2*j+1] = right
+			j = 2*j + 1
+		default:
+			return
+		}
+	}
+}
+
+// Feed implements sim.Frag.
+func (f *CastDownFrag) Feed(sc *sim.StepCtx) bool {
+	p := sc.Params()
+	if !f.init {
+		f.init = true
+		f.chain = chainRoles(f.Role, f.St)
+		f.payloads = map[int][2]int64{}
+		f.topRole = -1
+		if f.Role == 0 {
+			f.payloads[0] = f.Root
+			f.have = true
+			f.topRole = 0
+		} else if len(f.chain) > 0 {
+			// The payload arrives addressed to the highest role in the
+			// chain (the role under which the node delivered upward).
+			f.topRole = f.chain[len(f.chain)-1]
+		}
+		f.propagate()
+		f.lvl = 1
+	}
+	if f.await {
+		f.await = false
+		rec := sc.Prev()
+		if m, ok := rec.Msg.(DownMsg); ok && m.ToRole == f.topRole && m.Dom == f.Dom &&
+			phy.SenderWithin(rec, p, f.Cfg.ClusterRadius) {
+			f.payloads[f.topRole], f.have = m.Payload, true
+			f.propagate()
+		}
+	}
+
+	stride := f.Cfg.stride()
+	for {
+		if f.lvl > f.Cfg.Levels() {
+			return true
+		}
+		switch f.pos {
+		case 0:
+			f.pos = 1
+			if k := 4 * f.Cfg.Offset; k > 0 {
+				sc.IdleFor(k)
+				return false
+			}
+		case 1: // Sub-slot 0: payload to left child.
+			// Does the node act as a parent of level-lvl roles?
+			f.parentRole, f.isParent = -1, false
+			for _, j := range f.chain {
+				if levelOf(j) == f.lvl-1 {
+					f.parentRole, f.isParent = j, true
+				}
+			}
+			if f.isParent {
+				if _, ok := f.payloads[f.parentRole]; !ok {
+					f.isParent = false
+				}
+			}
+			f.leftPay, f.rightPay = [2]int64{}, [2]int64{}
+			if f.isParent {
+				_, f.leftPay, f.rightPay = f.Split(f.parentRole, f.parentRole == f.Role,
+					f.payloads[f.parentRole], f.St.ChildVals[f.parentRole], f.St.ChildSeen[f.parentRole])
+			}
+			// Does the node expect to receive at this level?
+			f.expectsAt = !f.have && f.topRole >= 1 && levelOf(f.topRole) == f.lvl
+			f.recvCh = chanOf(f.topRole / 2)
+			f.pos = 2
+			switch {
+			case f.isParent && f.parentRole >= 1 && f.St.ChildSeen[f.parentRole][0] && !f.inChain(2*f.parentRole):
+				sc.Transmit(chanOf(f.parentRole), DownMsg{ToRole: 2 * f.parentRole, Dom: f.Dom, Payload: f.leftPay})
+			case f.expectsAt && f.topRole%2 == 0 && f.topRole != 1:
+				sc.Listen(f.recvCh)
+				f.await = true
+			default:
+				sc.Idle()
+			}
+			return false
+		case 2: // Sub-slot 1: layout parity with the up pass.
+			f.pos = 3
+			sc.Idle()
+			return false
+		case 3: // Sub-slot 2: payload to right child (and from root to role 1).
+			f.pos = 4
+			switch {
+			case f.isParent && f.parentRole == 0:
+				sc.Transmit(0, DownMsg{ToRole: 1, Dom: f.Dom, Payload: f.rightPay})
+			case f.isParent && f.St.ChildSeen[f.parentRole][1] && !f.inChain(2*f.parentRole+1):
+				sc.Transmit(chanOf(f.parentRole), DownMsg{ToRole: 2*f.parentRole + 1, Dom: f.Dom, Payload: f.rightPay})
+			case f.expectsAt && (f.topRole%2 == 1 || f.topRole == 1):
+				sc.Listen(f.recvCh)
+				f.await = true
+			default:
+				sc.Idle()
+			}
+			return false
+		case 4: // Sub-slot 3: layout parity.
+			f.pos = 5
+			sc.Idle()
+			return false
+		default:
+			f.lvl++
 			f.pos = 0
 			if k := 4 * (stride - 1 - f.Cfg.Offset); k > 0 {
 				sc.IdleFor(k)

@@ -17,7 +17,8 @@
 //     park/unpark per node per slot.
 //   - A Stepper: protocol state in an explicit struct, driven inline by the
 //     engine with one Step call per slot — no goroutine, no stack, no
-//     parking. The aggregation pipeline's default form (see stepper.go).
+//     parking. The default form of the aggregation pipeline and of the
+//     Sec. 7 coloring (see stepper.go).
 //
 // Both forms interoperate in one run (RunMixed) and produce bit-identical
 // transcripts by construction: either way actions land in per-node pending

@@ -379,6 +379,50 @@ func TestColorCancellation(t *testing.T) {
 	}
 }
 
+// TestColorMidRunCancellation cancels a running Color from a Network.Events
+// observer at the first colored event (the end of procedure 3) and requires
+// context.Canceled. No wall-clock deadline is involved: the cancel is
+// observed between slots, so procedure 4 never colors the followers.
+func TestColorMidRunCancellation(t *testing.T) {
+	const n = 64
+	nw, err := New(n, Channels(2), Seed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var (
+		mu          sync.Mutex
+		first, last = -1, -1
+		colored     int
+	)
+	nw.Events(func(ev Event) {
+		if ev.Name != EventColored {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if first < 0 {
+			first = ev.Slot
+			cancel()
+		}
+		last = ev.Slot
+		colored++
+	})
+	_, err = nw.Color(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if first < 0 {
+		t.Fatal("no colored event before the run ended")
+	}
+	if last > first+1 || colored >= n {
+		t.Errorf("%d nodes colored through slot %d after a cancel at slot %d", colored, last, first)
+	}
+}
+
 // TestNewValidation rejects malformed construction options.
 func TestNewValidation(t *testing.T) {
 	cases := []struct {

@@ -213,16 +213,18 @@ func Colorer(name string) Option {
 // ColorerNames lists the registered coloring backend names, default first.
 func ColorerNames() []string { return coloring.Names() }
 
-// ExecMode selects how Aggregate executes the per-node protocol code. All
-// modes produce bit-identical transcripts, results and events — the knob
-// trades memory and wall-clock time only.
+// ExecMode selects how Aggregate and the default sec7 Color execute the
+// per-node protocol code. All modes produce bit-identical transcripts,
+// results and events — the knob trades memory and wall-clock time only.
+// The dplus1 and hsb coloring backends run as goroutine programs in every
+// mode.
 type ExecMode int
 
 const (
-	// ExecAuto (the default) runs Aggregate on the goroutine-free stepped
-	// engine at every size, which beats goroutine programs at every
-	// measured size: no barrier handoff per node per slot, no per-node
-	// stack. Color always runs as goroutine programs.
+	// ExecAuto (the default) runs Aggregate and the sec7 Color on the
+	// goroutine-free stepped engine at every size, which beats goroutine
+	// programs at every measured size: no barrier handoff per node per
+	// slot, no per-node stack.
 	ExecAuto ExecMode = ExecMode(core.ExecAuto)
 	// ExecGoroutines forces one goroutine per node: the reference form the
 	// stepped engine is checked against.
