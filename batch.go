@@ -194,7 +194,6 @@ func (nw *Network) withFaults(spec fault.Spec) (*Network, error) {
 		exact:       nw.exact,
 		farFieldTol: nw.farFieldTol,
 		cellFrac:    nw.cellFrac,
-		kernel32:    nw.kernel32,
 		faults:      spec,
 		faulted:     true,
 		colorer:     nw.colorer,

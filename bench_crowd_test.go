@@ -157,12 +157,3 @@ func BenchmarkAggregateByz(b *testing.B) {
 			Byzantine(0.2, ByzEquivocate), Jamming(1, JamReactive))
 	})
 }
-
-// BenchmarkAggregateCrowdF32 is the n=16k crowd under the Float32Kernel
-// knob: same slot budget as BenchmarkAggregateCrowd/n=16k, so the two ns/op
-// values read directly as the f32 kernel's speedup on the SINR term.
-func BenchmarkAggregateCrowdF32(b *testing.B) {
-	b.Run("n=16k", func(b *testing.B) {
-		benchAggregateCrowdSlots(b, 16384, benchCrowdSlots, Float32Kernel())
-	})
-}

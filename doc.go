@@ -119,51 +119,34 @@
 //
 // The knobs: Exact() forces bit-exact pairwise resolution, whose
 // transcripts replay identically across releases; FarFieldTolerance(ε)
-// tunes the hierarchical error bound (0 also means exact — this knob's
-// historical contract); ResolverCellSize(frac) sizes grid cells as a
-// fraction of the transmission range; Parallelism sets the worker count
-// the resolver fans listeners out across (default GOMAXPROCS) — every
-// setting is bit-identical, it trades wall-clock time only. The slot
-// pipeline is allocation-free in steady state: the engine presizes a
-// per-run arena (action, reception and grid-bin scratch) and listeners
-// fan out over a persistent worker pool, so no per-slot allocations or
-// goroutine spawns occur.
+// tunes the hierarchical error bound (ε > 0); ResolverCellSize(frac)
+// sizes grid cells as a fraction of the transmission range; Parallelism
+// sets the worker count the resolver fans listeners out across (default
+// GOMAXPROCS) — every setting is bit-identical, it trades wall-clock time
+// only. The slot pipeline is allocation-free in steady state: the engine
+// presizes a per-run arena (action, reception and grid-bin scratch) and
+// listeners fan out over a persistent worker pool, so no per-slot
+// allocations or goroutine spawns occur. See cmd/mcagg or cmd/mcscenario's
+// -cpuprofile / -memprofile flags for profiling runs without editing code.
 //
 // The engine itself has two execution modes, selected by the Exec option
 // and bit-identical by construction. The goroutine mode — the reference
-// form — runs one goroutine per node with a sharded slot barrier. The
-// stepped mode runs the same pipeline goroutine-free: node programs are
-// compiled to resumable steppers the engine drives inline each slot, with
-// long idle stretches parked on a calendar wake-wheel instead of a
-// blocked goroutine, so a million-node crowd needs four goroutines
-// instead of a million stacks. ExecAuto (the default) runs every Aggregate
-// and every Color with the default sec7 backend on the stepped engine,
-// which is faster than the goroutine reference path at every measured
-// size; the dplus1 and hsb coloring backends exist only as goroutine
-// programs and run that way in every mode. Either mode can be forced with
+// form — runs one goroutine per node behind a single-word slot barrier:
+// each arrival increments one packed atomic counter, the last one wakes
+// the engine, and one channel close releases every node. The stepped
+// mode runs the same pipeline goroutine-free: node programs are compiled
+// to resumable steppers the engine drives inline each slot, with long
+// idle stretches parked on a calendar wake-wheel instead of a blocked
+// goroutine, so a million-node crowd needs four goroutines instead of a
+// million stacks. ExecAuto (the default) runs every Aggregate and every
+// Color with the default sec7 backend on the stepped engine, which is
+// faster than the goroutine reference path at every measured size; the
+// dplus1 and hsb coloring backends exist only as goroutine programs and
+// run that way in every mode. Either mode can be forced with
 // Exec(ExecStepped) or Exec(ExecGoroutines), and ScenarioSpec's "exec"
 // field plus both CLIs' -exec flag pin the mode on the wire. Identity
 // across modes is pinned by golden-transcript tests and a facade-level
 // equivalence test under -race -cpu 1,2,8 in CI.
-//
-// Two further mechanisms push the hot path at crowd scale. The slot
-// barrier shards at ≥1024 nodes: instead of every node's arrival bouncing
-// one shared atomic word, nodes are grouped by geo-grid region into ≤64
-// balanced shards with padded per-shard epoch counters and a two-level
-// combine — transcripts are bit-identical to the single-word barrier by
-// construction, pinned by a golden-transcript test and a -race -cpu
-// 1,2,8 CI stress leg. And Float32Kernel() (default off) swaps the SINR
-// inner loop for a divide-free float32 inverse-sqrt kernel: relative
-// error at most phy.Float32KernelTolerance (1e-4) on every accumulated
-// power, decode flips confined to the ε-ambiguous band around β,
-// bit-identical runs per (seed, kernel) at every Parallelism setting —
-// but not transcript-compatible with the default f64 kernel, which stays
-// frozen by the golden-transcript contracts. See README.md for the
-// error-bound derivations and measured numbers — on scalar single-core
-// hardware the f32 kernel trades slightly slower for divide-free, so
-// measure before enabling it. See cmd/mcagg or
-// cmd/mcscenario's -cpuprofile / -memprofile flags for profiling runs
-// without editing code.
 //
 // Everything under internal/ is implementation — the SINR physical layer,
 // the slot-synchronous simulator, and the per-stage protocols — and is not

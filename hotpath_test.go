@@ -3,6 +3,7 @@ package mcnet
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mcnet/internal/sim"
@@ -157,6 +158,9 @@ func TestPerformanceOptionValidation(t *testing.T) {
 	if _, err := New(8, FarFieldTolerance(-0.5)); err == nil {
 		t.Error("FarFieldTolerance(-0.5) should fail")
 	}
+	if _, err := New(8, FarFieldTolerance(0)); err == nil || !strings.Contains(err.Error(), "Exact()") {
+		t.Errorf("FarFieldTolerance(0) should fail and point at Exact(), got %v", err)
+	}
 	if _, err := New(8, ResolverCellSize(0)); err == nil {
 		t.Error("ResolverCellSize(0) should fail")
 	}
@@ -168,52 +172,6 @@ func TestPerformanceOptionValidation(t *testing.T) {
 	}
 	if _, err := New(8, Exact()); err != nil {
 		t.Errorf("Exact() rejected: %v", err)
-	}
-}
-
-// TestFloat32KernelOption: the Float32Kernel knob is deterministic per
-// (seed, kernel) — deeply equal results run over run and across Parallelism
-// settings — computes the correct aggregate, and is rejected when α ≠ 3.
-func TestFloat32KernelOption(t *testing.T) {
-	const n = 64
-	values := make([]int64, n)
-	var want int64
-	for i := range values {
-		values[i] = int64(i * 7)
-		want += values[i]
-	}
-	run := func(opts ...Option) *AggregateResult {
-		t.Helper()
-		nw, err := New(n, append([]Option{Channels(4), Seed(23), Float32Kernel()}, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := nw.Aggregate(context.Background(), values, Sum)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	base := run()
-	if base.Value != want {
-		t.Fatalf("f32 aggregate = %d, want %d", base.Value, want)
-	}
-	if again := run(); !reflect.DeepEqual(base, again) {
-		t.Error("equal (seed, kernel) produced different results")
-	}
-	if serial := run(Parallelism(1)); !reflect.DeepEqual(base, serial) {
-		t.Error("Parallelism(1) changed the f32 transcript")
-	}
-	if wide := run(Parallelism(8)); !reflect.DeepEqual(base, wide) {
-		t.Error("Parallelism(8) changed the f32 transcript")
-	}
-	if exact := run(Exact()); !reflect.DeepEqual(base, exact) {
-		// The crowd fits one grid cell, so hier degenerates to the exact scan
-		// and the f32 kernel must agree with itself across resolver modes.
-		t.Error("f32 kernel diverged between resolver modes on a crowd")
-	}
-	if _, err := New(n, Float32Kernel(), SINR(2.5, 1.5)); err == nil {
-		t.Error("Float32Kernel with α = 2.5 should fail at New")
 	}
 }
 
@@ -243,11 +201,10 @@ func TestAggregateResolverModes(t *testing.T) {
 	}
 	def := run()
 	exact := run(Exact())
-	legacyExact := run(FarFieldTolerance(0))
 	approx := run(FarFieldTolerance(0.1))
 	coarse := run(ResolverCellSize(1.5))
 	for name, res := range map[string]*AggregateResult{
-		"default": def, "exact": exact, "tol0": legacyExact, "tol0.1": approx, "coarse": coarse,
+		"default": def, "exact": exact, "tol0.1": approx, "coarse": coarse,
 	} {
 		if res.Value != want {
 			t.Fatalf("%s: fold = %d, want %d", name, res.Value, want)
@@ -255,9 +212,6 @@ func TestAggregateResolverModes(t *testing.T) {
 	}
 	if !reflect.DeepEqual(def, exact) {
 		t.Error("hierarchical default diverged from exact mode on an all-near-field crowd")
-	}
-	if !reflect.DeepEqual(exact, legacyExact) {
-		t.Error("FarFieldTolerance(0) is not the same as Exact()")
 	}
 	if !reflect.DeepEqual(def, approx) {
 		t.Error("far-field tolerance diverged on an all-near-field workload")

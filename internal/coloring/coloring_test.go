@@ -197,61 +197,3 @@ func TestDominatorIndexPastTotal(t *testing.T) {
 		}
 	}
 }
-
-func TestLocalBroadcastServesAllLinks(t *testing.T) {
-	// Color a dense cluster, then run one TDMA cycle of local broadcast:
-	// every directed neighbor link must be served.
-	const n = 30
-	p := model.Default(4, 64)
-	rc := p.ClusterRadius()
-	rnd := rand.New(rand.NewSource(31))
-	pos := make([]geo.Point, n)
-	for i := 1; i < n; i++ {
-		pos[i] = geo.Point{
-			X: (rnd.Float64()*2 - 1) * rc / 2,
-			Y: (rnd.Float64()*2 - 1) * rc / 2,
-		}
-	}
-	cfg := core.DefaultConfig(p)
-	cfg.DeltaHat = n
-	cfg.PhiMax = 4
-	cfg.HopBound = 2
-	res, _ := runColoring(t, pos, p, cfg, 33)
-	if c, u, _ := Validate(pos, p.REps(), res); c != 0 || u != 0 {
-		t.Fatalf("coloring setup failed: %d conflicts, %d uncolored", c, u)
-	}
-
-	payloads := make([]int64, n)
-	for i := range payloads {
-		payloads[i] = int64(i*i + 7)
-	}
-	e := sim.NewEngine(phy.NewField(model.Default(1, n), pos), 35)
-	out, err := LocalBroadcast(e, res, payloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	served, missed := ValidateLocalBroadcast(e, p.REps(), payloads, out)
-	if missed != 0 {
-		t.Errorf("%d/%d directed links missed", missed, served+missed)
-	}
-	if served == 0 {
-		t.Error("no links served: broadcast inert")
-	}
-}
-
-func TestLocalBroadcastUncoloredListensOnly(t *testing.T) {
-	pos := []geo.Point{{X: 0}, {X: 0.1}}
-	p := model.Default(1, 64)
-	res := []Result{{Color: 0}, {Color: -1}}
-	e := sim.NewEngine(phy.NewField(p, pos), 1)
-	out, err := LocalBroadcast(e, res, []int64{5, 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := out[1].Heard[0]; !ok || got != 5 {
-		t.Errorf("uncolored node should still hear: %v", out[1].Heard)
-	}
-	if len(out[0].Heard) != 0 {
-		t.Errorf("node 0 heard %v while node 1 never transmits", out[0].Heard)
-	}
-}

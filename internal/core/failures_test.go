@@ -11,84 +11,7 @@ import (
 	"mcnet/internal/model"
 	"mcnet/internal/phy"
 	"mcnet/internal/sim"
-	"mcnet/internal/topology"
 )
-
-func TestBroadcastSingleCluster(t *testing.T) {
-	const n = 32
-	p := model.Default(4, 64)
-	rc := p.ClusterRadius()
-	rnd := rand.New(rand.NewSource(3))
-	pos := make([]geo.Point, n)
-	for i := 1; i < n; i++ {
-		pos[i] = geo.Point{
-			X: (rnd.Float64()*2 - 1) * rc / 2,
-			Y: (rnd.Float64()*2 - 1) * rc / 2,
-		}
-	}
-	cfg := DefaultConfig(p)
-	cfg.DeltaHat = n
-	cfg.PhiMax = 4
-	cfg.HopBound = 2
-	pl := NewPlan(p, cfg)
-	e := sim.NewEngine(phy.NewField(p, pos), 5)
-	res, err := Broadcast(e, pl, 7, 424242, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range res {
-		if !r.Ok || r.Value != 424242 {
-			t.Errorf("node %d: %+v", i, r)
-		}
-	}
-}
-
-func TestBroadcastMultiHop(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-hop broadcast integration is slow")
-	}
-	const n = 60
-	p := model.Default(2, 128)
-	rnd := rand.New(rand.NewSource(7))
-	pos := topology.UniformDegree(rnd, n, p.REps(), 14)
-	cfg := DefaultConfig(p)
-	cfg.DeltaHat = 24
-	cfg.PhiMax = 24
-	cfg.HopBound = 12
-	pl := NewPlan(p, cfg)
-	e := sim.NewEngine(phy.NewField(p, pos), 9)
-	res, err := Broadcast(e, pl, 0, 99, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	informed := 0
-	for _, r := range res {
-		if r.Ok {
-			informed++
-			if r.Value != 99 {
-				t.Errorf("wrong payload %d", r.Value)
-			}
-		}
-	}
-	if informed < n*9/10 {
-		t.Errorf("only %d/%d informed", informed, n)
-	}
-}
-
-func TestBroadcastFromDominator(t *testing.T) {
-	// Source that ends up a dominator: stage B1 degenerates gracefully.
-	p := model.Default(2, 64)
-	cfg := DefaultConfig(p)
-	pl := NewPlan(p, cfg)
-	e := sim.NewEngine(phy.NewField(p, []geo.Point{{X: 0}}), 1)
-	res, err := Broadcast(e, pl, 0, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res[0].Ok || res[0].Value != 7 {
-		t.Errorf("singleton broadcast: %+v", res[0])
-	}
-}
 
 // runWithCrashes runs the Sum pipeline with node i crashing at slot
 // crashAt[i], through the fault layer's churn hook.

@@ -95,16 +95,6 @@ func BenchmarkResolveCrowdDenseParallel(b *testing.B) {
 	benchCrowdDense(b, func(f *Field) { f.SetParallelism(0) })
 }
 
-// BenchmarkResolveCrowdDenseF32 is the same dense-slot shape under the
-// float32 divide-free kernel — the head-to-head for the kernel swap alone,
-// with no engine or protocol overhead in the way.
-func BenchmarkResolveCrowdDenseF32(b *testing.B) {
-	benchCrowdDense(b, func(f *Field) {
-		f.SetParallelism(1)
-		f.SetKernel(KernelFloat32)
-	})
-}
-
 // benchClusteredSlot is the far-field target regime: crowds — many
 // same-cell transmitters — scattered over a span ≫ R_T, so each distant
 // crowd collapses into one centroid term per listener instead of hundreds

@@ -174,20 +174,14 @@ func TestResolveAllocFree(t *testing.T) {
 		name    string
 		workers int
 		mode    Resolver
-		kernel  Kernel
 	}{
-		{"hier/serial", 1, ResolverHierarchical, KernelFloat64},
-		{"hier/parallel", 0, ResolverHierarchical, KernelFloat64},
-		{"exact/serial", 1, ResolverExact, KernelFloat64},
-		{"exact/parallel", 0, ResolverExact, KernelFloat64},
-		{"hier32/serial", 1, ResolverHierarchical, KernelFloat32},
-		{"hier32/parallel", 0, ResolverHierarchical, KernelFloat32},
-		{"exact32/serial", 1, ResolverExact, KernelFloat32},
-		{"exact32/parallel", 0, ResolverExact, KernelFloat32},
+		{"hier/serial", 1, ResolverHierarchical},
+		{"hier/parallel", 0, ResolverHierarchical},
+		{"exact/serial", 1, ResolverExact},
+		{"exact/parallel", 0, ResolverExact},
 	} {
 		f := NewField(p, pos)
 		f.SetResolver(tc.mode)
-		f.SetKernel(tc.kernel)
 		f.SetParallelism(tc.workers)
 		f.Reserve(len(pos), len(pos))
 		f.Resolve(txs, rxs) // warm the pool and any remaining growth

@@ -147,7 +147,6 @@ type Field struct {
 	mode     Resolver
 	tol      float64 // hierarchical far-field tolerance (> 0)
 	cellFrac float64 // grid cell size as a fraction of R_T
-	kernel32 bool    // KernelFloat32 selected (see kernel32.go)
 
 	// soa is the per-slot struct-of-arrays transmitter layout, rebuilt by
 	// every Resolve call; hier adds the per-cell segmentation on top.
@@ -218,17 +217,12 @@ func (f *Field) SetResolver(mode Resolver) {
 func (f *Field) Mode() Resolver { return f.mode }
 
 // SetFarFieldTolerance sets the hierarchical mode's relative error bound on
-// the far-field interference term and selects hierarchical resolution.
-// tol = 0 selects exact resolution instead (the historical contract of this
-// knob). Positive tolerances require the Euclidean metric; fields built
-// over a custom metric panic.
+// the far-field interference term and selects hierarchical resolution. The
+// tolerance must be positive and finite (exact resolution is
+// SetResolver(ResolverExact)), and fields built over a custom metric panic.
 func (f *Field) SetFarFieldTolerance(tol float64) {
-	if tol < 0 || math.IsNaN(tol) || math.IsInf(tol, 0) {
-		panic("phy: far-field tolerance must be finite and ≥ 0")
-	}
-	if tol == 0 {
-		f.mode = ResolverExact
-		return
+	if !(tol > 0) || math.IsInf(tol, 0) {
+		panic("phy: far-field tolerance must be positive and finite")
 	}
 	if f.dist != nil {
 		panic("phy: far-field approximation requires the Euclidean metric")
@@ -382,28 +376,21 @@ func (f *Field) Resolve(txs []Tx, rxs []Rx) []Reception {
 // unit of work handed to pool workers; disjoint ranges touch disjoint out
 // entries, so workers share nothing but read-only slot state.
 func (f *Field) resolveRange(txs []Tx, rxs []Rx, out []Reception, lo, hi int) {
-	hier, k32 := f.slotHier, f.kernel32
+	hier := f.slotHier
 	for i := lo; i < hi; i++ {
 		rx := rxs[i]
 		if hier {
 			if f.jammed[rx.Channel] {
 				// A jammed channel delivers nothing, so decode bookkeeping
 				// is skipped: the listener senses the exact flat power sum
-				// of the (unbinned) channel segment. The f32 kernel keeps
-				// this exact: jammed slots are rare and never hot.
+				// of the (unbinned) channel segment.
 				out[i] = Reception{From: -1, Interference: f.jammedTotal(rx)}
-			} else if k32 {
-				out[i] = f.resolveOneHier32(rx, txs)
 			} else {
 				out[i] = f.resolveOneHier(rx, txs)
 			}
 			continue
 		}
-		if k32 {
-			out[i] = f.resolveOneExact32(rx, txs)
-		} else {
-			out[i] = f.resolveOneExact(rx, txs)
-		}
+		out[i] = f.resolveOneExact(rx, txs)
 		if f.jammed[rx.Channel] && out[i].Decoded {
 			// Historical jam fold, preserved bit-for-bit: the signal is
 			// still sensed, nothing is delivered.

@@ -300,19 +300,9 @@ func TestFarFieldValidation(t *testing.T) {
 	}
 	expectPanic("negative tolerance", func() { NewField(p, pos).SetFarFieldTolerance(-0.1) })
 	expectPanic("NaN tolerance", func() { NewField(p, pos).SetFarFieldTolerance(math.NaN()) })
+	// Exact resolution is SetResolver(ResolverExact); zero is not a tolerance.
+	expectPanic("zero tolerance", func() { NewField(p, pos).SetFarFieldTolerance(0) })
 	expectPanic("custom metric", func() {
 		NewFieldMetric(p, pos, geo.Manhattan).SetFarFieldTolerance(0.5)
 	})
-	// Zero restores exact mode and is always allowed.
-	f := NewField(p, pos)
-	f.SetFarFieldTolerance(0.5)
-	f.SetFarFieldTolerance(0)
-	if f.Mode() != ResolverExact {
-		t.Error("SetFarFieldTolerance(0) should select exact resolution")
-	}
-	ref := NewField(p, pos)
-	ref.SetResolver(ResolverExact)
-	txs := []Tx{{Node: 0, Channel: 0, Msg: 1}}
-	rxs := []Rx{{Node: 1, Channel: 0}}
-	sameReceptions(t, "tol reset", f.Resolve(txs, rxs), append([]Reception(nil), ref.Resolve(txs, rxs)...))
 }

@@ -1,172 +1,35 @@
 package sim
 
-// This file implements the sharded slot barrier: the arrival side of the
-// engine's per-slot synchronization, split across per-region epoch counters
-// so a million arrivals per slot do not serialize on one cache line.
+// This file implements the arrival side of the engine's per-slot
+// synchronization for goroutine Program nodes. The gate (roundState.gate)
+// packs the slot's expected and observed arrival counts into a single
+// atomic word: each arrival increments the low half, and the arrival whose
+// snapshot shows observed == expected hands the engine the single wake
+// token. Between slots the engine owns all shared state (every live node is
+// parked), so it rewrites the expected half with a plain atomic store.
 //
-// The global barrier (roundState.gate) packs the slot's expected and
-// observed arrival counts into a single atomic word. That is optimal for
-// small runs, but every arrival is a read-modify-write of the same word, so
-// at crowd scale the barrier becomes a coherence hotspot: each of n nodes
-// bounces the line once per slot.
-//
-// The sharded barrier replaces the single word with one epoch counter per
-// shard plus a two-level combine tree:
-//
-//   - Nodes are grouped into shards along the same geo-grid regions the
-//     hierarchical resolver bins into (cell size R_T): nodes are ordered by
-//     region and the order is cut into ≤ maxBarrierShards contiguous,
-//     balanced chunks. Region-contiguous shards keep a shard's arrivals
-//     spatially — and, for phase-structured protocols, temporally —
-//     correlated, and the chunking keeps shards balanced even when the
-//     whole deployment sits in one region (the Crowd workload).
-//   - An arrival increments only its own shard's counter (its own cache
-//     line). The arrival that completes a shard — observed == expected in
-//     one atomic snapshot — increments the root counter; the arrival that
-//     completes the last expected shard hands the engine the single wake
-//     token, exactly like the global barrier's completing arrival.
-//
-// Between slots the engine owns all shared state (every live node is
-// parked), so it rewrites each shard's expected count and the root's
-// expected-shard count with plain atomic stores — the same quiescent-window
-// contract the global gate uses. Shards whose expected count is zero for a
-// slot (all members idling or retired) are excluded from the root's count
-// and can never fire a completion.
-//
-// Transcripts are unaffected by construction: the barrier only decides when
-// the engine wakes, never the order slot state is read in (the engine scans
-// pending[] in node order either way). TestShardedBarrierTranscripts pins
-// bit-identical transcripts against the global barrier.
+// The barrier only decides when the engine wakes, never the order slot
+// state is read in (the engine scans pending[] in node order), so it cannot
+// affect transcripts. TestBarrierStress pins run-over-run determinism under
+// -race at several GOMAXPROCS settings.
 
-import (
-	"sort"
-	"sync/atomic"
-
-	"mcnet/internal/geo"
-)
-
-// BarrierMode selects the engine's slot-barrier implementation.
-type BarrierMode int
-
-const (
-	// BarrierAuto (the default) selects the sharded barrier at or above
-	// shardedBarrierMinNodes and the global single-word barrier below it.
-	BarrierAuto BarrierMode = iota
-	// BarrierGlobal forces the single packed-word barrier.
-	BarrierGlobal
-	// BarrierSharded forces per-region epoch counters with the two-level
-	// combine, at any node count.
-	BarrierSharded
-)
-
-// shardedBarrierMinNodes is the node count at which BarrierAuto switches to
-// the sharded barrier: below it a run's arrivals fit comfortably on one
-// contended word and the per-slot shard-gate rewrites are pure overhead.
-const shardedBarrierMinNodes = 1024
-
-// maxBarrierShards caps the shard count; the engine rewrites every shard
-// gate per slot, so the cap bounds that quiescent-window work.
-const maxBarrierShards = 64
-
-// barrierShardTargetNodes is the preferred shard size; the shard count is
-// ~n/target, clamped to [2, maxBarrierShards].
-const barrierShardTargetNodes = 256
-
-// gateShard is one shard's epoch counter, padded to its own cache-line pair
-// so neighboring shards never share a line (128 bytes covers the adjacent-
-// line prefetcher on common x86 parts). The word packs expected<<32 |
-// arrived, exactly like the global gate.
-type gateShard struct {
-	gate atomic.Uint64
-	_    [120]byte
-}
-
-// shardPlan maps nodes to barrier shards for one deployment. Positions are
-// fixed for an engine's lifetime, so the plan is built once and cached.
-type shardPlan struct {
-	of    []int32 // node → shard index
-	count int     // number of shards in use
-}
-
-// buildShardPlan groups nodes into balanced, region-contiguous shards: order
-// nodes by their geo-grid region (cell size R_T — the same spatial structure
-// the hierarchical resolver aggregates over, one level coarser), then cut
-// the order into equal chunks. Deployments inside a single region (Crowd)
-// degrade gracefully to plain index-contiguous chunks.
-func buildShardPlan(pos []geo.Point, rt float64) *shardPlan {
-	n := len(pos)
-	shards := n / barrierShardTargetNodes
-	if shards > maxBarrierShards {
-		shards = maxBarrierShards
-	}
-	if shards < 2 {
-		shards = 2
-	}
-	grid := geo.NewGrid(pos, rt)
-	cols, _ := grid.Dims()
-	region := make([]int32, n)
-	order := make([]int32, n)
-	for i, p := range pos {
-		c, r := grid.CellCoord(p)
-		region[i] = int32(r*cols + c)
-		order[i] = int32(i)
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return region[order[a]] < region[order[b]]
-	})
-	chunk := (n + shards - 1) / shards
-	of := make([]int32, n)
-	for k, node := range order {
-		of[node] = int32(k / chunk)
-	}
-	return &shardPlan{of: of, count: (n + chunk - 1) / chunk}
-}
-
-// arrive records one barrier arrival for the given node and wakes the
-// engine if it completes the slot. Both halves of each counter come from
-// one atomic snapshot, so exactly one arrival completes a shard and exactly
-// one shard completion completes the root. The wake send is non-blocking
-// because stale arrivals during an abort may race with an undelivered
-// token (see the global barrier's arrive path).
-func (rs *roundState) arrive(node int) {
-	if rs.shards == nil {
-		g := rs.gate.Add(1)
-		if uint32(g) == uint32(g>>32) {
-			select {
-			case rs.wake <- struct{}{}:
-			default:
-			}
-		}
-		return
-	}
-	g := rs.shards[rs.shardOf[node]].gate.Add(1)
+// arrive records one barrier arrival and wakes the engine if it completes
+// the slot. Both halves come from one atomic snapshot, so exactly one
+// arrival completes the slot. The wake send is non-blocking because stale
+// arrivals during an abort may race with an undelivered token.
+func (rs *roundState) arrive() {
+	g := rs.gate.Add(1)
 	if uint32(g) == uint32(g>>32) {
-		r := rs.root.Add(1)
-		if uint32(r) == uint32(r>>32) {
-			select {
-			case rs.wake <- struct{}{}:
-			default:
-			}
+		select {
+		case rs.wake <- struct{}{}:
+		default:
 		}
 	}
 }
 
-// openGates publishes the next slot's expected arrival counts — the global
-// word, or every shard gate plus the root's expected-shard count. Must only
-// be called in the engine's quiescent window (no node can arrive until the
+// openGate publishes the next slot's expected arrival count. Must only be
+// called in the engine's quiescent window (no node can arrive until the
 // release channel swap that follows).
-func (rs *roundState) openGates(expectCount int, shardExpect []int32) {
-	if rs.shards == nil {
-		rs.gate.Store(uint64(uint32(expectCount)) << 32)
-		return
-	}
-	var live uint64
-	for s := range rs.shards {
-		e := shardExpect[s]
-		rs.shards[s].gate.Store(uint64(uint32(e)) << 32)
-		if e > 0 {
-			live++
-		}
-	}
-	rs.root.Store(live << 32)
+func (rs *roundState) openGate(expectCount int) {
+	rs.gate.Store(uint64(uint32(expectCount)) << 32)
 }

@@ -8,14 +8,13 @@ import (
 	"mcnet/internal/phy"
 )
 
-// This file stresses the sharded slot barrier (barrier.go). The CI race leg
-// runs it at -cpu 1,2,8 so the epoch-counter arrival path — shard
-// completion, root combine, termination arrivals, idle re-entry, abort —
-// is race-proven at several schedulings.
+// This file stresses the slot barrier (barrier.go). The CI race leg runs it
+// at -cpu 1,2,8 so the packed-word arrival path — slot completion,
+// termination arrivals, idle re-entry, abort — is race-proven at several
+// schedulings.
 
-// stressField spreads n nodes over a multi-region strip so the shard plan
-// gets real region structure (several grid cells), unlike the single-cell
-// Crowd layout.
+// stressField spreads n nodes over a multi-region strip (several grid
+// cells), unlike the single-cell Crowd layout.
 func stressField(n, channels int) *phy.Field {
 	pos := make([]geo.Point, n)
 	for i := range pos {
@@ -54,63 +53,34 @@ func stressPrograms(n, channels, slots int) []Program {
 	return progs
 }
 
-// TestBarrierStress runs the stress mix at several node counts under both
-// barrier implementations and requires bit-identical transcripts and slot
-// counts. Run it with -race -cpu 1,2,8 (the CI race leg does) to prove the
-// sharded arrival path at GOMAXPROCS 1, 2 and 8.
+// TestBarrierStress runs the stress mix twice at several node counts and
+// requires bit-identical transcripts and slot counts. Run it with -race
+// -cpu 1,2,8 (the CI race leg does) to prove the arrival path at
+// GOMAXPROCS 1, 2 and 8.
 func TestBarrierStress(t *testing.T) {
 	for _, n := range []int{1, 2, 256, 4096} {
 		slots := 24
 		if n >= 4096 {
 			slots = 8 // keep the race-instrumented run affordable
 		}
-		run := func(mode BarrierMode) (uint64, int) {
-			e := NewEngine(stressField(n, 3), 7)
-			e.Barrier = mode
-			return engineTranscriptHash(t, e, stressPrograms(n, 3, slots))
+		run := func() (uint64, int) {
+			return engineTranscriptHash(t, NewEngine(stressField(n, 3), 7), stressPrograms(n, 3, slots))
 		}
-		hg, sg := run(BarrierGlobal)
-		hs, ss := run(BarrierSharded)
-		if hg != hs || sg != ss {
-			t.Errorf("n=%d: sharded barrier diverged from global: %x/%d vs %x/%d", n, hs, ss, hg, sg)
-		}
-		// And the sharded path is itself deterministic run over run.
-		if h2, s2 := run(BarrierSharded); h2 != hs || s2 != ss {
-			t.Errorf("n=%d: sharded barrier not deterministic: %x/%d vs %x/%d", n, h2, s2, hs, ss)
+		h1, s1 := run()
+		if h2, s2 := run(); h2 != h1 || s2 != s1 {
+			t.Errorf("n=%d: barrier not deterministic: %x/%d vs %x/%d", n, h2, s2, h1, s1)
 		}
 	}
 }
 
-// TestShardedBarrierTranscripts is the golden-transcript determinism
-// contract for the barrier modes: on the chatter workload the auto, global
-// and sharded barriers produce bit-identical transcripts — including event
-// logs — at a node count where BarrierAuto actually shards.
-func TestShardedBarrierTranscripts(t *testing.T) {
-	const n = shardedBarrierMinNodes + 512
-	run := func(mode BarrierMode) (uint64, int) {
-		e := NewEngine(stressField(n, 2), 41)
-		e.Barrier = mode
-		return engineTranscriptHash(t, e, chatterPrograms(n, 2, 16, true))
-	}
-	hAuto, sAuto := run(BarrierAuto)
-	hGlobal, sGlobal := run(BarrierGlobal)
-	hSharded, sSharded := run(BarrierSharded)
-	if hAuto != hGlobal || sAuto != sGlobal {
-		t.Errorf("auto vs global: %x/%d vs %x/%d", hAuto, sAuto, hGlobal, sGlobal)
-	}
-	if hSharded != hGlobal || sSharded != sGlobal {
-		t.Errorf("sharded vs global: %x/%d vs %x/%d", hSharded, sSharded, hGlobal, sGlobal)
-	}
-}
-
-// TestShardedBarrierAbort: a MaxSlots abort with the sharded barrier frees
-// every parked node — including one mid-IdleFor — and the stale termination
-// arrivals that follow must not wedge or wake a dead run.
-func TestShardedBarrierAbort(t *testing.T) {
-	e := NewEngine(stressField(64, 2), 3)
-	e.Barrier = BarrierSharded
+// TestBarrierAbort: a MaxSlots abort at crowd size frees every parked node
+// — including those mid-IdleFor — and the stale termination arrivals that
+// follow must not wedge or wake a dead run.
+func TestBarrierAbort(t *testing.T) {
+	const n = 4096
+	e := NewEngine(stressField(n, 2), 3)
 	e.MaxSlots = 12
-	progs := make([]Program, 64)
+	progs := make([]Program, n)
 	for i := range progs {
 		switch i % 3 {
 		case 0:
@@ -131,59 +101,5 @@ func TestShardedBarrierAbort(t *testing.T) {
 	}
 	if _, err := e.Run(progs); err == nil {
 		t.Fatal("expected MaxSlots abort")
-	}
-}
-
-// TestShardPlanShape: the plan covers every node, shard indices are dense
-// and balanced within one chunk, and the count respects the cap — for both
-// a spread deployment (many regions) and a single-cell crowd.
-func TestShardPlanShape(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		pos  func(n int) []geo.Point
-	}{
-		{"spread", func(n int) []geo.Point {
-			pos := make([]geo.Point, n)
-			for i := range pos {
-				pos[i] = geo.Point{X: float64(i%50) * 0.7, Y: float64(i/50) * 0.7}
-			}
-			return pos
-		}},
-		{"crowd", func(n int) []geo.Point {
-			pos := make([]geo.Point, n)
-			for i := range pos {
-				pos[i] = geo.Point{X: float64(i) * 1e-4}
-			}
-			return pos
-		}},
-	} {
-		for _, n := range []int{1, 2, 300, 5000, 40000} {
-			plan := buildShardPlan(tc.pos(n), 1.0)
-			if len(plan.of) != n {
-				t.Fatalf("%s n=%d: plan covers %d nodes", tc.name, n, len(plan.of))
-			}
-			if plan.count < 1 || plan.count > maxBarrierShards {
-				t.Fatalf("%s n=%d: shard count %d out of range", tc.name, n, plan.count)
-			}
-			members := make([]int, plan.count)
-			for node, s := range plan.of {
-				if s < 0 || int(s) >= plan.count {
-					t.Fatalf("%s n=%d: node %d in shard %d of %d", tc.name, n, node, s, plan.count)
-				}
-				members[s]++
-			}
-			lo, hi := n, 0
-			for _, m := range members {
-				if m < lo {
-					lo = m
-				}
-				if m > hi {
-					hi = m
-				}
-			}
-			if hi == 0 || hi-lo > (n+plan.count-1)/plan.count {
-				t.Errorf("%s n=%d: unbalanced shards: min %d max %d over %d shards", tc.name, n, lo, hi, plan.count)
-			}
-		}
 	}
 }

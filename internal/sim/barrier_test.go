@@ -23,7 +23,7 @@ func transcriptHash(t *testing.T, f *phy.Field, seed uint64, progs []Program) (u
 }
 
 // engineTranscriptHash is transcriptHash over a caller-configured engine
-// (barrier mode, slot caps).
+// (field, seed, slot caps).
 func engineTranscriptHash(t *testing.T, e *Engine, progs []Program) (uint64, int) {
 	t.Helper()
 	h := fnv.New64a()

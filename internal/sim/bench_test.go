@@ -42,12 +42,10 @@ func benchEngine(b *testing.B, n int) {
 func BenchmarkEngine64Nodes100Slots(b *testing.B)  { benchEngine(b, 64) }
 func BenchmarkEngine256Nodes100Slots(b *testing.B) { benchEngine(b, 256) }
 
-// BenchmarkEngineBarrier isolates the slot-barrier cost at a node count
-// where BarrierAuto shards: the same chatter workload under the forced
-// global single-word barrier and the sharded epoch-counter barrier. The gap
-// between the two sub-benches is the barrier contention term (visible on
-// multicore runners; on one core the two are equivalent).
-func benchEngineBarrier(b *testing.B, n int, mode BarrierMode) {
+// BenchmarkEngineBarrier isolates the slot-barrier cost: the same chatter
+// workload as goroutine Programs, which park on the packed-word barrier
+// every slot, and as Steppers, which have no barrier at all.
+func benchEngineBarrier(b *testing.B, n int) {
 	b.Helper()
 	pos := make([]geo.Point, n)
 	for i := range pos {
@@ -57,7 +55,6 @@ func benchEngineBarrier(b *testing.B, n int, mode BarrierMode) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := NewEngine(f, uint64(i))
-		e.Barrier = mode
 		progs := make([]Program, n)
 		for j := range progs {
 			progs[j] = func(ctx *Ctx) {
@@ -124,9 +121,7 @@ func benchEngineStepped(b *testing.B, n int) {
 }
 
 func BenchmarkEngineBarrier(b *testing.B) {
-	b.Run("global/n=4k", func(b *testing.B) { benchEngineBarrier(b, 4096, BarrierGlobal) })
-	b.Run("sharded/n=4k", func(b *testing.B) { benchEngineBarrier(b, 4096, BarrierSharded) })
+	b.Run("goroutines/n=4k", func(b *testing.B) { benchEngineBarrier(b, 4096) })
 	b.Run("stepped/n=4k", func(b *testing.B) { benchEngineStepped(b, 4096) })
-	b.Run("sharded/n=65k", func(b *testing.B) { benchEngineBarrier(b, 65536, BarrierSharded) })
 	b.Run("stepped/n=65k", func(b *testing.B) { benchEngineStepped(b, 65536) })
 }

@@ -20,22 +20,24 @@
 //     parking. The default form of the aggregation pipeline and of the
 //     Sec. 7 coloring (see stepper.go).
 //
-// Both forms interoperate in one run (RunMixed) and produce bit-identical
+// A run holds one form for its whole population — Run takes Programs,
+// RunSteppers takes Steppers — and both forms produce bit-identical
 // transcripts by construction: either way actions land in per-node pending
 // slots that the engine scans in node order, so the scheduler decides when
-// a node's action lands, never the resolved transcript.
+// a node's action lands, never the resolved transcript. The goroutine form
+// is the reference oracle the stepped ports are checked against.
 //
 // # Slot barrier
 //
 // A slot costs one synchronization round, not one rendezvous per node:
 // goroutine nodes deposit their action into a shared per-node slot (no
-// contention — node i writes only index i), the last arriver hands the
-// engine a single wake token, and after resolution the engine releases all
-// of them at once by closing the slot's release channel. Each node
-// therefore parks at most once per slot, and the engine parks once, instead
-// of the two blocking channel handoffs per node per slot of a naive design.
-// Stepped nodes never touch the barrier — the engine drives them inside its
-// own quiescent window.
+// contention — node i writes only index i) and arrive at a single packed
+// atomic word (barrier.go); the last arriver hands the engine a single wake
+// token, and after resolution the engine releases all of them at once by
+// closing the slot's release channel. Each node therefore parks at most
+// once per slot, and the engine parks once, instead of the two blocking
+// channel handoffs per node per slot of a naive design. Stepped runs have
+// no barrier at all — the engine drives the nodes inside its own loop.
 //
 // # Idle wake-wheel
 //
@@ -133,18 +135,9 @@ type Engine struct {
 	// zero-intensity injector leaves transcripts bit-identical to running
 	// with Faults == nil.
 	Faults FaultInjector
-	// Barrier selects the slot-barrier implementation (see BarrierMode).
-	// The default, BarrierAuto, shards the barrier at crowd scale and keeps
-	// the single-word gate for small runs. Every mode produces bit-identical
-	// transcripts — the barrier decides when the engine wakes, never the
-	// order slot state is read in. Set it before Run.
-	Barrier BarrierMode
 
 	field *phy.Field
 	seed  uint64
-	// sharding caches the node → barrier-shard map; positions are fixed for
-	// the engine's lifetime, so it is built once on first sharded run.
-	sharding *shardPlan
 
 	mu     sync.Mutex
 	events []Event
@@ -223,30 +216,27 @@ type action struct {
 // engine aborts a run.
 type stopSignal struct{}
 
-// roundState is the shared slot barrier of one run. Per slot, every live
-// node either deposits an action into pending (its own index only) and
-// arrives, or terminates and arrives once through its goroutine's deferred
-// cleanup; the arrival that completes the count hands the engine the single
-// wake token. The engine then owns all shared state until it releases the
-// slot by closing the release channel — a quiescent window in which it reads
-// pending, retires terminated nodes, adjusts expect, writes results, and
-// swaps in the next release channel.
+// roundState is the shared per-slot state of one run. Per slot, every live
+// node deposits an action into pending (its own index only). Goroutine
+// Program nodes then arrive at the barrier (see barrier.go), or terminate
+// and arrive once through their goroutine's deferred cleanup; the arrival
+// that completes the count hands the engine the single wake token. The
+// engine then owns all shared state until it releases the slot by closing
+// the release channel — a quiescent window in which it reads pending,
+// retires terminated nodes, adjusts the expected count, writes results, and
+// swaps in the next release channel. Stepper nodes deposit their actions
+// from inside that window and never touch the barrier fields.
 type roundState struct {
 	pending []action        // node i writes pending[i] before arriving
 	results []phy.Reception // engine writes, node i reads after release
-	done    []atomic.Bool   // set by node i's goroutine on termination
+	done    []atomic.Bool   // set by node i on termination
 
 	// gate packs the barrier counters into one word: the high half holds
 	// how many arrivals complete the slot (= live, non-idling nodes), the
 	// low half counts arrivals so far. The engine rewrites both halves
 	// together between slots; arrivals increment the low half and compare
 	// the halves of the same atomic snapshot.
-	gate atomic.Uint64
-	// shards, when non-nil, replaces gate with per-region epoch counters
-	// combined through root — see barrier.go. shardOf maps node → shard.
-	shards  []gateShard
-	shardOf []int32
-	root    atomic.Uint64                 // live shards<<32 | completed shards
+	gate    atomic.Uint64
 	wake    chan struct{}                 // capacity 1: the completing arrival → engine
 	release atomic.Pointer[chan struct{}] // closed by the engine per slot
 
@@ -261,11 +251,9 @@ type roundState struct {
 }
 
 // Run executes one program per node until all programs return, then reports
-// the number of slots consumed. The slot counter continues across
-// consecutive Run calls on the same engine (startSlot), so staged protocols
-// measure cumulative time; use a fresh engine for independent runs.
+// the number of slots consumed. Every run starts at slot 0.
 func (e *Engine) Run(programs []Program) (slots int, err error) {
-	return e.run(context.Background(), programs, nil, 0)
+	return e.run(context.Background(), programs, nil)
 }
 
 // RunContext is like Run but aborts the round loop as soon as ctx is
@@ -273,46 +261,25 @@ func (e *Engine) Run(programs []Program) (slots int, err error) {
 // while waiting for node actions, so it takes effect promptly even during
 // long schedules.
 func (e *Engine) RunContext(ctx context.Context, programs []Program) (slots int, err error) {
-	return e.run(ctx, programs, nil, 0)
-}
-
-// RunFrom is like Run but starts the slot counter at startSlot, for staged
-// pipelines that want globally consistent event timestamps.
-func (e *Engine) RunFrom(startSlot int, programs []Program) (slots int, err error) {
-	return e.run(context.Background(), programs, nil, startSlot)
-}
-
-// RunFromContext combines RunFrom and RunContext.
-func (e *Engine) RunFromContext(ctx context.Context, startSlot int, programs []Program) (slots int, err error) {
-	return e.run(ctx, programs, nil, startSlot)
+	return e.run(ctx, programs, nil)
 }
 
 // RunSteppers executes one Stepper per node in the goroutine-free mode —
 // the Stepper-form counterpart of Run, with identical semantics and (for a
 // faithfully ported protocol) an identical transcript.
 func (e *Engine) RunSteppers(steppers []Stepper) (slots int, err error) {
-	return e.run(context.Background(), nil, steppers, 0)
+	return e.run(context.Background(), nil, steppers)
 }
 
 // RunSteppersContext combines RunSteppers and RunContext.
 func (e *Engine) RunSteppersContext(ctx context.Context, steppers []Stepper) (slots int, err error) {
-	return e.run(ctx, nil, steppers, 0)
+	return e.run(ctx, nil, steppers)
 }
 
-// RunMixed executes a mixed population: node i runs steppers[i] when
-// non-nil, programs[i] otherwise (either slice may be nil for "none of this
-// form"). Both forms share the slot clock, the resolver, and the fault
-// injector, and a node's form never shows in the transcript.
-func (e *Engine) RunMixed(programs []Program, steppers []Stepper) (slots int, err error) {
-	return e.run(context.Background(), programs, steppers, 0)
-}
-
-// RunMixedContext combines RunMixed and RunContext.
-func (e *Engine) RunMixedContext(ctx context.Context, programs []Program, steppers []Stepper) (slots int, err error) {
-	return e.run(ctx, programs, steppers, 0)
-}
-
-func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper, startSlot int) (int, error) {
+// run drives one run. Exactly one of programs and steppers is non-nil, so
+// the whole population is either goroutine Program nodes (a nil Program
+// powers down immediately) or Stepper nodes; stepped records which.
+func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -320,135 +287,57 @@ func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper
 	if n == 0 {
 		return 0, nil
 	}
-	if programs == nil && steppers == nil {
-		return 0, fmt.Errorf("sim: no programs or steppers for %d nodes", n)
-	}
-	if programs != nil && len(programs) != n {
-		return 0, fmt.Errorf("sim: %d programs for %d nodes", len(programs), n)
-	}
-	if steppers != nil && len(steppers) != n {
+	stepped := steppers != nil
+	if stepped && len(steppers) != n {
 		return 0, fmt.Errorf("sim: %d steppers for %d nodes", len(steppers), n)
+	}
+	if !stepped && len(programs) != n {
+		return 0, fmt.Errorf("sim: %d programs for %d nodes", len(programs), n)
 	}
 	maxSlots := e.MaxSlots
 	if maxSlots <= 0 {
 		maxSlots = DefaultMaxSlots
 	}
 
-	// Split the population: node i is stepped iff steppers[i] is non-nil;
-	// every other node is a goroutine Program node (a nil Program powers
-	// down immediately). Only program nodes touch the barrier.
-	nSteppers := 0
-	if steppers != nil {
-		for i := 0; i < n; i++ {
-			if steppers[i] != nil {
-				nSteppers++
-			}
-		}
-	}
-	nProgs := n - nSteppers
-
 	rs := &roundState{
 		pending: make([]action, n),
 		results: make([]phy.Reception, n),
 		done:    make([]atomic.Bool, n),
-		wake:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
 	}
 	rec := &panicRecorder{}
 	nodeParams := e.field.Params()
 	if e.NodeParams != nil {
 		nodeParams = *e.NodeParams
 	}
-	var sr *steppedRun
-	if nSteppers > 0 {
-		sr = newSteppedRun(e, rs, steppers, nodeParams, startSlot)
-	}
-	isStepped := func(i int) bool { return sr != nil && sr.state[i] != stepNone }
 
-	// Barrier selection: per-region shards at crowd scale (or on request),
-	// the single packed word otherwise. Only goroutine nodes arrive at the
-	// barrier, so both the mode choice and the per-shard expectations count
-	// program nodes only. shardExpect mirrors, per shard, the live
-	// non-idling program-node count the engine tracks globally in
-	// expectCount; both are engine-private and updated in the quiescent
-	// window only.
-	var shardExpect []int32
-	if nProgs > 0 && (e.Barrier == BarrierSharded || (e.Barrier == BarrierAuto && nProgs >= shardedBarrierMinNodes)) {
-		if e.sharding == nil {
-			e.sharding = buildShardPlan(e.field.Positions(), e.field.Params().RT())
+	// expectCount is how many barrier arrivals complete the current slot:
+	// the live, non-idling goroutine nodes. A stepped run has no barrier, so
+	// it stays 0 and the engine never waits for a wake token.
+	expectCount := 0
+	var (
+		sr *steppedRun
+		wg sync.WaitGroup
+	)
+	if stepped {
+		var err error
+		if sr, err = newSteppedRun(e, rs, steppers, nodeParams); err != nil {
+			return 0, err
 		}
-		rs.shards = make([]gateShard, e.sharding.count)
-		rs.shardOf = e.sharding.of
-		shardExpect = make([]int32, e.sharding.count)
-		for i := 0; i < n; i++ {
-			if !isStepped(i) {
-				shardExpect[rs.shardOf[i]]++
-			}
-		}
-	}
-	rs.openGates(nProgs, shardExpect)
-	rel := make(chan struct{})
-	rs.release.Store(&rel)
-
-	var wg sync.WaitGroup
-	if nProgs > 0 {
-		rs.idleWake = make([]chan struct{}, n)
-		// One contiguous Ctx arena instead of one allocation per node, and
-		// one flat generator arena instead of two allocations per node.
-		ctxs := make([]Ctx, n)
-		rands := rng.Streams(e.seed, n)
-		wg.Add(nProgs)
-		for i := 0; i < n; i++ {
-			if isStepped(i) {
-				continue
-			}
-			rs.idleWake[i] = make(chan struct{}, 1)
-			nctx := &ctxs[i]
-			*nctx = Ctx{
-				id:      i,
-				engine:  e,
-				params:  nodeParams,
-				Rand:    rands[i],
-				rs:      rs,
-				slot:    startSlot,
-				crashAt: math.MaxInt,
-			}
-			if e.Faults != nil {
-				nctx.crashAt = e.Faults.CrashSlot(i)
-			}
-			var prog Program
-			if programs != nil {
-				prog = programs[i]
-			}
-			go func(i int, nctx *Ctx, prog Program) {
-				defer wg.Done()
-				defer func() {
-					r := recover()
-					if r != nil {
-						if _, isStop := r.(stopSignal); !isStop {
-							rec.record(i, r)
-						}
-					}
-					// Terminating counts as this node's arrival for the slot
-					// in progress; the done flag is set first so the engine
-					// retires the node before resolving.
-					rs.done[i].Store(true)
-					rs.arrive(i)
-				}()
-				if prog != nil {
-					prog(nctx)
-				}
-			}(i, nctx, prog)
-		}
+	} else {
+		expectCount = n
+		e.startPrograms(rs, programs, nodeParams, rec, &wg)
 	}
 
 	abort := func() {
+		if stepped {
+			// Stepped nodes need no unwinding — the engine simply stops
+			// driving them.
+			return
+		}
 		rs.aborted.Store(true)
 		close(rs.stop)
 		// Free every parked node: steps sample the abort flag before
 		// blocking, so anything released here unwinds at its next step.
-		// Stepped nodes need no unwinding — the engine simply stops driving
-		// them.
 		close(*rs.release.Load())
 		wg.Wait()
 	}
@@ -457,14 +346,11 @@ func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper
 	for i := range active {
 		active[i] = true
 	}
-	// nActive counts all live nodes and decides termination; progActive and
-	// progIdling track the goroutine subset (live, and parked mid-IdleFor)
-	// that the barrier bookkeeping is about. The wheel holds every sleeping
-	// node — both forms — keyed by the slot it acts again in.
+	// nActive counts live nodes and decides termination; idling counts the
+	// live nodes asleep mid-IdleFor. The wheel holds every sleeping node,
+	// keyed by the slot it acts again in.
 	nActive := n
-	progActive := nProgs
-	progIdling := 0
-	expectCount := nProgs
+	idling := 0
 	wheel := newWakeWheel(n)
 	due := make([]int32, 0, 64)
 
@@ -476,7 +362,7 @@ func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper
 	rxs := make([]phy.Rx, 0, n)
 	e.field.Reserve(n, n)
 
-	slot := startSlot
+	slot := 0
 	for used := 0; ; used++ {
 		txs, rxs = txs[:0], rxs[:0]
 		if expectCount > 0 {
@@ -488,22 +374,20 @@ func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper
 			case <-rs.wake:
 			case <-ctx.Done():
 				abort()
-				return slot - startSlot, ctx.Err()
+				return slot, ctx.Err()
 			}
 		}
 		// Drive the awake stepped nodes inline: each deposits its action for
 		// this slot into pending, exactly where a goroutine node's primitive
-		// would have put it. This runs inside the quiescent window, after
-		// the barrier wake above (trivially so when no program arrivals are
-		// expected).
-		if sr != nil && len(sr.awake) > 0 {
+		// would have put it.
+		if stepped && len(sr.awake) > 0 {
 			sr.stepAll(slot, rec)
 		}
 		if pErr := rec.get(); pErr != nil {
 			abort()
-			return slot - startSlot, pErr
+			return slot, pErr
 		}
-		if expectCount > 0 || (sr != nil && len(sr.awake) > 0) {
+		if expectCount > 0 || (stepped && len(sr.awake) > 0) {
 			// Collect the slot while retiring terminated nodes and
 			// registering fresh IdleFor batches — one fused pass over the
 			// node set.
@@ -514,13 +398,8 @@ func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper
 				if rs.done[i].Load() {
 					active[i] = false
 					nActive--
-					if isStepped(i) {
+					if stepped {
 						sr.state[i] = stepDead
-					} else {
-						progActive--
-						if shardExpect != nil {
-							shardExpect[rs.shardOf[i]]--
-						}
 					}
 					continue
 				}
@@ -535,21 +414,17 @@ func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper
 					end := slot + rs.pending[i].count - 1
 					wheel.add(i, end+1)
 					rs.pending[i].kind = actIdleHold
-					if isStepped(i) {
+					idling++
+					if stepped {
 						sr.state[i] = stepSleeping
-					} else {
-						progIdling++
-						if shardExpect != nil {
-							shardExpect[rs.shardOf[i]]--
-						}
 					}
 				}
 			}
-			if sr != nil {
+			if stepped {
 				sr.compact()
 			}
 			if nActive == 0 {
-				return slot - startSlot, nil
+				return slot, nil
 			}
 		}
 		// else: every live node sleeps mid-IdleFor — nothing can arrive,
@@ -557,11 +432,11 @@ func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper
 		// directly.
 		if err := ctx.Err(); err != nil {
 			abort()
-			return slot - startSlot, err
+			return slot, err
 		}
 		if used >= maxSlots {
 			abort()
-			return slot - startSlot, fmt.Errorf("sim: exceeded MaxSlots = %d with %d nodes still live", maxSlots, nActive)
+			return slot, fmt.Errorf("sim: exceeded MaxSlots = %d with %d nodes still live", maxSlots, nActive)
 		}
 
 		if e.Faults != nil {
@@ -603,46 +478,83 @@ func (e *Engine) run(ctx context.Context, programs []Program, steppers []Stepper
 		}
 		slot++
 
-		// Open the next slot and release everyone at once. Order matters:
-		// expect and arrived must be current and the new release channel
-		// installed before the old one closes, because released nodes
-		// re-enter the barrier immediately. Sleepers due now pop off the
-		// wheel: program nodes rejoin the barrier before the release and
-		// are woken through their private channels after it; stepped nodes
-		// rejoin the awake list and get stepped at the top of the loop.
+		// Open the next slot. Sleepers due now pop off the wheel: stepped
+		// nodes rejoin the awake list and get stepped at the top of the
+		// loop; program nodes rejoin the barrier before the release and are
+		// woken through their private channels after it.
 		due = wheel.pop(slot, due[:0])
-		endingProgs := 0
-		for _, id := range due {
-			i := int(id)
-			if isStepped(i) {
-				sr.state[i] = stepAwake
+		idling -= len(due)
+		if stepped {
+			for _, id := range due {
+				sr.state[id] = stepAwake
 				sr.awake = append(sr.awake, id)
-			} else {
-				endingProgs++
-				progIdling--
-				if shardExpect != nil {
-					shardExpect[rs.shardOf[i]]++
-				}
 			}
-		}
-		if nProgs == 0 {
-			// Nothing parks on the release channel in a stepped-only run;
-			// the initial one stays open for abort to close.
 			continue
 		}
-		expectCount = progActive - progIdling
-		rs.openGates(expectCount, shardExpect)
+		// Release everyone at once. Order matters: the gate must be current
+		// and the new release channel installed before the old one closes,
+		// because released nodes re-enter the barrier immediately.
+		expectCount = nActive - idling
+		rs.openGate(expectCount)
 		next := make(chan struct{})
 		old := rs.release.Load()
 		rs.release.Store(&next)
 		close(*old)
-		if endingProgs > 0 {
-			for _, id := range due {
-				if !isStepped(int(id)) {
-					rs.idleWake[id] <- struct{}{}
-				}
-			}
+		for _, id := range due {
+			rs.idleWake[id] <- struct{}{}
 		}
+	}
+}
+
+// startPrograms launches one goroutine per Program node (a nil Program
+// powers down immediately) and arms the barrier for the first slot with
+// every node expected.
+func (e *Engine) startPrograms(rs *roundState, programs []Program, nodeParams model.Params, rec *panicRecorder, wg *sync.WaitGroup) {
+	n := len(programs)
+	rs.wake = make(chan struct{}, 1)
+	rs.stop = make(chan struct{})
+	rs.openGate(n)
+	rel := make(chan struct{})
+	rs.release.Store(&rel)
+	rs.idleWake = make([]chan struct{}, n)
+	// One contiguous Ctx arena instead of one allocation per node, and
+	// one flat generator arena instead of two allocations per node.
+	ctxs := make([]Ctx, n)
+	rands := rng.Streams(e.seed, n)
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		rs.idleWake[i] = make(chan struct{}, 1)
+		nctx := &ctxs[i]
+		*nctx = Ctx{
+			id:      i,
+			engine:  e,
+			params:  nodeParams,
+			Rand:    rands[i],
+			rs:      rs,
+			crashAt: math.MaxInt,
+		}
+		if e.Faults != nil {
+			nctx.crashAt = e.Faults.CrashSlot(i)
+		}
+		go func(i int, nctx *Ctx, prog Program) {
+			defer wg.Done()
+			defer func() {
+				r := recover()
+				if r != nil {
+					if _, isStop := r.(stopSignal); !isStop {
+						rec.record(i, r)
+					}
+				}
+				// Terminating counts as this node's arrival for the slot
+				// in progress; the done flag is set first so the engine
+				// retires the node before resolving.
+				rs.done[i].Store(true)
+				rs.arrive()
+			}()
+			if prog != nil {
+				prog(nctx)
+			}
+		}(i, nctx, programs[i])
 	}
 }
 
@@ -711,7 +623,7 @@ func (c *Ctx) IdleFor(k int) {
 		panic(stopSignal{})
 	}
 	rs.pending[c.id] = action{kind: actIdleLong, count: k}
-	rs.arrive(c.id)
+	rs.arrive()
 	select {
 	case <-rs.idleWake[c.id]:
 		// The select can win this race against a concurrent abort; don't
@@ -751,7 +663,7 @@ func (c *Ctx) step(a action) phy.Reception {
 	// slot's channel at any moment.
 	rel := rs.release.Load()
 	rs.pending[c.id] = a
-	rs.arrive(c.id)
+	rs.arrive()
 	<-*rel
 	// An abort also closes the release channel to free parked nodes; their
 	// slot was never resolved, so unwind instead of handing the program a

@@ -240,26 +240,6 @@ func TestEventsAndSlotCounter(t *testing.T) {
 	}
 }
 
-func TestRunFromOffsetsSlots(t *testing.T) {
-	f := lineField(1, 1, 1)
-	e := NewEngine(f, 1)
-	var sawSlot int
-	progs := []Program{func(ctx *Ctx) {
-		ctx.Idle()
-		sawSlot = ctx.Slot()
-	}}
-	slots, err := e.RunFrom(100, progs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slots != 1 {
-		t.Errorf("slots = %d, want 1", slots)
-	}
-	if sawSlot != 101 {
-		t.Errorf("ctx.Slot() = %d, want 101", sawSlot)
-	}
-}
-
 func TestTraceObservesSlots(t *testing.T) {
 	f := lineField(2, 0.5, 1)
 	e := NewEngine(f, 1)

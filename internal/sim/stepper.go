@@ -184,11 +184,8 @@ func (c *StepCtx) stepNode(slot int) {
 }
 
 // Stepped-node scheduling states, tracked per node in steppedRun.state.
-// stepNone marks nodes that are not stepped at all (goroutine or absent),
-// so state doubles as the "is this node stepped" map.
 const (
-	stepNone uint8 = iota
-	stepAwake
+	stepAwake uint8 = iota
 	stepSleeping
 	stepDead
 )
@@ -223,26 +220,26 @@ const stepChunk = 512
 
 // steppedRun is the engine-private state of one run's stepped population.
 type steppedRun struct {
-	ctxs    []StepCtx // indexed by node; only stepped nodes are initialized
-	state   []uint8   // node → stepNone/stepAwake/stepSleeping/stepDead
+	ctxs    []StepCtx // indexed by node
+	state   []uint8   // node → stepAwake/stepSleeping/stepDead
 	awake   []int32   // nodes to drive this slot, compacted after each scan
 	workers int
 }
 
-func newSteppedRun(e *Engine, rs *roundState, steppers []Stepper, nodeParams model.Params, startSlot int) *steppedRun {
+func newSteppedRun(e *Engine, rs *roundState, steppers []Stepper, nodeParams model.Params) (*steppedRun, error) {
 	n := len(steppers)
 	sr := &steppedRun{
 		ctxs:    make([]StepCtx, n),
 		state:   make([]uint8, n),
+		awake:   make([]int32, n),
 		workers: runtime.GOMAXPROCS(0),
 	}
 	rands := rng.Streams(e.seed, n)
 	for i, st := range steppers {
 		if st == nil {
-			continue
+			return nil, fmt.Errorf("sim: nil stepper for node %d", i)
 		}
-		sr.state[i] = stepAwake
-		sr.awake = append(sr.awake, int32(i))
+		sr.awake[i] = int32(i)
 		sc := &sr.ctxs[i]
 		*sc = StepCtx{
 			Rand:    rands[i],
@@ -251,14 +248,13 @@ func newSteppedRun(e *Engine, rs *roundState, steppers []Stepper, nodeParams mod
 			params:  nodeParams,
 			rs:      rs,
 			stepper: st,
-			slot:    startSlot,
 			crashAt: math.MaxInt,
 		}
 		if e.Faults != nil {
 			sc.crashAt = e.Faults.CrashSlot(i)
 		}
 	}
-	return sr
+	return sr, nil
 }
 
 // stepAll drives every awake stepped node through the given slot. It runs

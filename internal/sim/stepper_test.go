@@ -119,10 +119,9 @@ func sortedEvents(evs []Event) []Event {
 
 // runChatter runs the reference workload in the requested mode and returns
 // its transcript, events, and slot count.
-func runChatter(t *testing.T, n, rounds int, seed uint64, mode string, faults FaultInjector, barrier BarrierMode) ([]slotRecord, []Event, int) {
+func runChatter(t *testing.T, n, rounds int, seed uint64, mode string, faults FaultInjector) ([]slotRecord, []Event, int) {
 	t.Helper()
 	e := NewEngine(chatterField(n), seed)
-	e.Barrier = barrier
 	e.Faults = faults
 	var trace []slotRecord
 	e.Trace = recordTrace(&trace)
@@ -143,19 +142,6 @@ func runChatter(t *testing.T, n, rounds int, seed uint64, mode string, faults Fa
 			steps[i] = &chatterStepper{rounds: rounds}
 		}
 		slots, err = e.RunSteppers(steps)
-	case "mixed":
-		// Odd nodes run the goroutine form, even nodes the stepped form, in
-		// one run — the interoperation the engine guarantees.
-		progs := make([]Program, n)
-		steps := make([]Stepper, n)
-		for i := 0; i < n; i++ {
-			if i%2 == 0 {
-				steps[i] = &chatterStepper{rounds: rounds}
-			} else {
-				progs[i] = chatterProgram(rounds)
-			}
-		}
-		slots, err = e.RunMixed(progs, steps)
 	default:
 		t.Fatalf("unknown mode %q", mode)
 	}
@@ -165,29 +151,35 @@ func runChatter(t *testing.T, n, rounds int, seed uint64, mode string, faults Fa
 	return trace, sortedEvents(e.Events()), slots
 }
 
-// TestSteppedEngineEquivalence pins the tentpole invariant at the engine
-// level: the same workload run as goroutine Programs, as Steppers, and as a
-// mixed population produces bit-identical transcripts, events, and slot
-// counts — with and without the global barrier, at several sizes.
+// requireSteppedMatches runs the chatter workload as goroutine Programs
+// and as Steppers and fails unless transcripts, events and slot counts are
+// identical.
+func requireSteppedMatches(t *testing.T, n, rounds int, seed uint64, faults FaultInjector) {
+	t.Helper()
+	gTrace, gEvents, gSlots := runChatter(t, n, rounds, seed, "goroutine", faults)
+	sTrace, sEvents, sSlots := runChatter(t, n, rounds, seed, "stepped", faults)
+	if sSlots != gSlots {
+		t.Fatalf("slots: goroutine %d, stepped %d", gSlots, sSlots)
+	}
+	if !reflect.DeepEqual(sTrace, gTrace) {
+		t.Fatal("stepped transcript differs from goroutine mode")
+	}
+	if !reflect.DeepEqual(sEvents, gEvents) {
+		t.Fatal("stepped events differ from goroutine mode")
+	}
+}
+
+// TestSteppedEngineEquivalence pins the central invariant at the engine
+// level: the same workload run as goroutine Programs and as Steppers
+// produces bit-identical transcripts, events, and slot counts, at several
+// sizes.
 func TestSteppedEngineEquivalence(t *testing.T) {
 	for _, n := range []int{1, 7, 64, 1500} {
 		for _, seed := range []uint64{1, 42} {
 			n, seed := n, seed
 			t.Run(fmt.Sprintf("n=%d/seed=%d", n, seed), func(t *testing.T) {
 				t.Parallel()
-				gTrace, gEvents, gSlots := runChatter(t, n, 40, seed, "goroutine", nil, BarrierAuto)
-				for _, mode := range []string{"stepped", "mixed"} {
-					trace, events, slots := runChatter(t, n, 40, seed, mode, nil, BarrierAuto)
-					if slots != gSlots {
-						t.Fatalf("%s: slots = %d, goroutine = %d", mode, slots, gSlots)
-					}
-					if !reflect.DeepEqual(trace, gTrace) {
-						t.Fatalf("%s: transcript differs from goroutine mode", mode)
-					}
-					if !reflect.DeepEqual(events, gEvents) {
-						t.Fatalf("%s: events differ from goroutine mode", mode)
-					}
-				}
+				requireSteppedMatches(t, n, 40, seed, nil)
 			})
 		}
 	}
@@ -215,22 +207,7 @@ func (f crashFaults) CrashSlot(node int) int {
 // crashing at awkward points — including during a sleep, where both forms
 // must retire the node at the batch boundary, not before.
 func TestSteppedEquivalenceUnderCrashes(t *testing.T) {
-	faults := func() FaultInjector {
-		return crashFaults{at: map[int]int{0: 0, 3: 7, 11: 13, 17: 2, 40: 25}}
-	}
-	gTrace, gEvents, gSlots := runChatter(t, 64, 40, 9, "goroutine", faults(), BarrierAuto)
-	for _, mode := range []string{"stepped", "mixed"} {
-		trace, events, slots := runChatter(t, 64, 40, 9, mode, faults(), BarrierAuto)
-		if slots != gSlots {
-			t.Fatalf("%s: slots = %d, goroutine = %d", mode, slots, gSlots)
-		}
-		if !reflect.DeepEqual(trace, gTrace) {
-			t.Fatalf("%s: transcript differs from goroutine mode under crashes", mode)
-		}
-		if !reflect.DeepEqual(events, gEvents) {
-			t.Fatalf("%s: events differ from goroutine mode under crashes", mode)
-		}
-	}
+	requireSteppedMatches(t, 64, 40, 9, crashFaults{at: map[int]int{0: 0, 3: 7, 11: 13, 17: 2, 40: 25}})
 }
 
 // sleeperStepper exercises wake-wheel re-entry: alternating IdleFor batches
@@ -374,12 +351,16 @@ type lazyStepper struct{}
 func (lazyStepper) Step(*StepCtx) {}
 
 // TestSteppedContractViolation: a Stepper that neither acts nor calls Done
-// fails the run instead of hanging it.
+// fails the run instead of hanging it, and a nil Stepper is rejected up
+// front.
 func TestSteppedContractViolation(t *testing.T) {
 	e := NewEngine(chatterField(2), 1)
 	_, err := e.RunSteppers([]Stepper{&chatterStepper{rounds: 3}, lazyStepper{}})
 	if err == nil || !strings.Contains(err.Error(), "without acting") {
 		t.Fatalf("want contract error, got %v", err)
+	}
+	if _, err := e.RunSteppers([]Stepper{&chatterStepper{rounds: 3}, nil}); err == nil || !strings.Contains(err.Error(), "nil stepper") {
+		t.Fatalf("want nil-stepper error, got %v", err)
 	}
 }
 
@@ -391,17 +372,7 @@ func TestSteppedParallelDrive(t *testing.T) {
 		t.Skip("crowd-sized equivalence run")
 	}
 	n := parallelStepMin + 512
-	gTrace, gEvents, gSlots := runChatter(t, n, 12, 3, "goroutine", nil, BarrierAuto)
-	sTrace, sEvents, sSlots := runChatter(t, n, 12, 3, "stepped", nil, BarrierAuto)
-	if gSlots != sSlots {
-		t.Fatalf("slots: goroutine %d, stepped %d", gSlots, sSlots)
-	}
-	if !reflect.DeepEqual(gTrace, sTrace) {
-		t.Fatal("parallel stepped transcript differs from goroutine mode")
-	}
-	if !reflect.DeepEqual(gEvents, sEvents) {
-		t.Fatal("parallel stepped events differ from goroutine mode")
-	}
+	requireSteppedMatches(t, n, 12, 3, nil)
 }
 
 // Compile-time checks that the test doubles satisfy their interfaces.

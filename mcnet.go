@@ -34,9 +34,8 @@ type Network struct {
 	maxSlots    int
 	parallelism int
 	exact       bool
-	farFieldTol float64 // <0 = resolver default, 0 = exact, >0 = tolerance
+	farFieldTol float64 // 0 = resolver default
 	cellFrac    float64 // 0 = resolver default
-	kernel32    bool    // divide-free float32 SINR kernel
 
 	// faults is the fault/dynamics spec; faulted records that a fault
 	// option was given (possibly at zero intensity), which attaches the
@@ -90,9 +89,6 @@ func New(n int, opts ...Option) (*Network, error) {
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	if s.kernel32 && s.alpha != 3 {
-		return nil, fmt.Errorf("mcnet: Float32Kernel requires alpha = 3, have %v", s.alpha)
 	}
 
 	g := geometryOf(p)
@@ -156,7 +152,6 @@ func New(n int, opts ...Option) (*Network, error) {
 		exact:       s.exact,
 		farFieldTol: s.farFieldTol,
 		cellFrac:    s.cellFrac,
-		kernel32:    s.kernel32,
 		faults:      s.faults,
 		faulted:     s.faulted,
 		colorer:     s.colorer,
@@ -238,11 +233,8 @@ func (nw *Network) newField(p model.Params) *phy.Field {
 	switch {
 	case nw.exact:
 		f.SetResolver(phy.ResolverExact)
-	case nw.farFieldTol >= 0:
-		f.SetFarFieldTolerance(nw.farFieldTol) // 0 keeps the historical exact meaning
-	}
-	if nw.kernel32 {
-		f.SetKernel(phy.KernelFloat32)
+	case nw.farFieldTol > 0:
+		f.SetFarFieldTolerance(nw.farFieldTol)
 	}
 	return f
 }

@@ -24,9 +24,8 @@ type settings struct {
 
 	parallelism int     // slot-resolution workers; 0 = GOMAXPROCS
 	exact       bool    // force exact resolution (Exact option)
-	farFieldTol float64 // far-field relative error; <0 = resolver default, 0 = exact
+	farFieldTol float64 // far-field relative error; 0 = resolver default
 	cellFrac    float64 // hierarchical grid cell size as a fraction of R_T; 0 = default
-	kernel32    bool    // divide-free float32 SINR kernel (Float32Kernel option)
 
 	// faults is the run's fault/dynamics spec; faulted records that a fault
 	// option was given (even at zero intensity), which attaches the
@@ -40,14 +39,13 @@ type settings struct {
 
 func defaultSettings() settings {
 	return settings{
-		channels:    4,
-		seed:        1,
-		topo:        Crowd,
-		alpha:       3.0,
-		beta:        1.5,
-		noise:       1.0,
-		epsilon:     0.3,
-		farFieldTol: -1, // resolver default (hierarchical at its default ε)
+		channels: 4,
+		seed:     1,
+		topo:     Crowd,
+		alpha:    3.0,
+		beta:     1.5,
+		noise:    1.0,
+		epsilon:  0.3,
 	}
 }
 
@@ -441,39 +439,18 @@ func Exact() Option {
 // spatial grid, cells near a listener are scanned exactly, and cells far
 // from it contribute their summed power from the cell centroid, with
 // relative error at most tol on the far-field interference term. The
-// resolver default is 0.05; tol = 0 selects exact resolution (equivalent
-// to Exact, and this knob's historical meaning). Decoding candidates are always evaluated exactly — the near
+// resolver default is 0.05; tol must be positive (use Exact for exact
+// resolution). Decoding candidates are always evaluated exactly — the near
 // field covers the transmission range — so decode outcomes can differ from
 // exact mode only when the SINR sits within the far-field error of the
 // threshold β. Runs remain deterministic for a fixed tolerance at every
 // worker count.
 func FarFieldTolerance(tol float64) Option {
 	return func(s *settings) error {
-		if tol < 0 || tol != tol || tol > 1e18 {
-			return fmt.Errorf("mcnet: FarFieldTolerance = %v must be a finite value ≥ 0", tol)
+		if !(tol > 0) || tol > 1e18 {
+			return fmt.Errorf("mcnet: FarFieldTolerance = %v must be a finite value > 0 (use Exact() for exact resolution)", tol)
 		}
 		s.farFieldTol = tol
-		return nil
-	}
-}
-
-// Float32Kernel selects the divide-free float32 SINR kernel for slot
-// resolution: per-pair received powers come from a float32 inverse-sqrt
-// iteration (no divides or square roots in the inner loop) with relative
-// error at most phy.Float32KernelTolerance on every accumulated power —
-// signal, interference, RSSI — versus the default float64 kernel. Decode
-// decisions can differ only when the SINR sits within that error of the
-// threshold β.
-//
-// Default off: the float64 kernel is frozen by the repository's
-// transcript-replay contracts. Runs under the f32 kernel are themselves
-// fully deterministic — bit-identical per (seed, kernel) at every
-// Parallelism setting — but are NOT transcript-compatible with f64 runs.
-// Requires α = 3 (the default; checked against the SINR option at New
-// time).
-func Float32Kernel() Option {
-	return func(s *settings) error {
-		s.kernel32 = true
 		return nil
 	}
 }

@@ -7,6 +7,12 @@ import (
 	"testing"
 )
 
+// stormSpecGolden is the fully populated spec document of
+// TestScenarioSpecGoldenRoundTrip.
+const stormSpecGolden = `{"name":"storm","n":64,"topology":"uniform","topology_param":10,` +
+	`"channels":6,"loss":[0,0.1],"jam":[0,2],"churn":[0.05],` +
+	`"jam_model":"roundrobin","seeds":3,"base_seed":7,"op":"max"}`
+
 // TestScenarioSpecGoldenRoundTrip: the document form is stable — a fully
 // populated spec marshals to exactly the golden JSON, and the golden JSON
 // parses back to the same spec.
@@ -29,11 +35,8 @@ func TestScenarioSpecGoldenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const golden = `{"name":"storm","n":64,"topology":"uniform","topology_param":10,` +
-		`"channels":6,"loss":[0,0.1],"jam":[0,2],"churn":[0.05],` +
-		`"jam_model":"roundrobin","seeds":3,"base_seed":7,"op":"max"}`
-	if string(data) != golden {
-		t.Fatalf("marshal drifted from golden document:\n got %s\nwant %s", data, golden)
+	if string(data) != stormSpecGolden {
+		t.Fatalf("marshal drifted from golden document:\n got %s\nwant %s", data, stormSpecGolden)
 	}
 	back, err := ParseScenarioSpec(data)
 	if err != nil {
@@ -43,8 +46,8 @@ func TestScenarioSpecGoldenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(round) != golden {
-		t.Fatalf("round trip drifted:\n got %s\nwant %s", round, golden)
+	if string(round) != stormSpecGolden {
+		t.Fatalf("round trip drifted:\n got %s\nwant %s", round, stormSpecGolden)
 	}
 }
 
@@ -71,29 +74,32 @@ func TestScenarioSpecDefaults(t *testing.T) {
 	}
 }
 
+// specFieldErrorCases are documents that each break one field, with the
+// text the parse error must contain.
+var specFieldErrorCases = []struct {
+	doc  string
+	want string
+}{
+	{`{"n": 1}`, `"n"`},
+	{`{"n": 16, "loss": [0, 1.5]}`, `"loss[1]"`},
+	{`{"n": 16, "jam": [-1]}`, `"jam[0]"`},
+	{`{"n": 16, "channels": 2, "jam": [0, 2]}`, `"jam[1]"`},
+	{`{"n": 16, "churn": [2]}`, `"churn[0]"`},
+	{`{"n": 16, "jam_model": "psychic"}`, `"jam_model"`},
+	{`{"n": 16, "op": "median"}`, `"op"`},
+	{`{"n": 16, "topology": "torus"}`, `"topology"`},
+	{`{"n": 16, "topology": "grid", "topology_param": 3}`, `"topology_param"`},
+	{`{"n": 16, "topology": "line", "topology_param": 1.5}`, `"topology_param"`},
+	{`{"n": 16, "seeds": -1}`, `"seeds"`},
+	{`{"n": 16, "colorer": "rainbow"}`, `"colorer"`},
+	{`{"n": 16, "bogus": true}`, `bogus`},
+	{`{"n": 16} {"n": 8}`, `trailing`},
+}
+
 // TestScenarioSpecFieldErrors: every invalid field is rejected with a
 // message naming that field.
 func TestScenarioSpecFieldErrors(t *testing.T) {
-	cases := []struct {
-		doc  string
-		want string
-	}{
-		{`{"n": 1}`, `"n"`},
-		{`{"n": 16, "loss": [0, 1.5]}`, `"loss[1]"`},
-		{`{"n": 16, "jam": [-1]}`, `"jam[0]"`},
-		{`{"n": 16, "channels": 2, "jam": [0, 2]}`, `"jam[1]"`},
-		{`{"n": 16, "churn": [2]}`, `"churn[0]"`},
-		{`{"n": 16, "jam_model": "psychic"}`, `"jam_model"`},
-		{`{"n": 16, "op": "median"}`, `"op"`},
-		{`{"n": 16, "topology": "torus"}`, `"topology"`},
-		{`{"n": 16, "topology": "grid", "topology_param": 3}`, `"topology_param"`},
-		{`{"n": 16, "topology": "line", "topology_param": 1.5}`, `"topology_param"`},
-		{`{"n": 16, "seeds": -1}`, `"seeds"`},
-		{`{"n": 16, "colorer": "rainbow"}`, `"colorer"`},
-		{`{"n": 16, "bogus": true}`, `bogus`},
-		{`{"n": 16} {"n": 8}`, `trailing`},
-	}
-	for _, c := range cases {
+	for _, c := range specFieldErrorCases {
 		_, err := ParseScenarioSpec([]byte(c.doc))
 		if err == nil {
 			t.Errorf("doc %s accepted, want error mentioning %s", c.doc, c.want)
@@ -103,6 +109,42 @@ func TestScenarioSpecFieldErrors(t *testing.T) {
 			t.Errorf("doc %s: error %q does not mention %s", c.doc, err, c.want)
 		}
 	}
+}
+
+// FuzzParseScenarioSpec: the parser never panics, every document it
+// accepts re-marshals and re-parses to byte-identical JSON, and every
+// accepted document compiles to a Scenario.
+func FuzzParseScenarioSpec(f *testing.F) {
+	f.Add([]byte(stormSpecGolden))
+	f.Add([]byte(`{"n": 16}`))
+	f.Add([]byte(`{"n": 20, "channels": 4, "colorer": "dplus1"}`))
+	for _, c := range specFieldErrorCases {
+		f.Add([]byte(c.doc))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sp, err := ParseScenarioSpec(data)
+		if err != nil {
+			return
+		}
+		first, err := json.Marshal(sp)
+		if err != nil {
+			t.Fatalf("accepted spec does not marshal: %v", err)
+		}
+		back, err := ParseScenarioSpec(first)
+		if err != nil {
+			t.Fatalf("re-marshaled spec %s rejected: %v", first, err)
+		}
+		second, err := json.Marshal(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(first) != string(second) {
+			t.Fatalf("round trip drifted:\n first %s\nsecond %s", first, second)
+		}
+		if _, err := sp.Scenario(); err != nil {
+			t.Fatalf("accepted spec %s does not compile: %v", first, err)
+		}
+	})
 }
 
 // TestScenarioSpecColorer: the colorer field survives the wire and is
