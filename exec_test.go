@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"mcnet/internal/golden"
 )
 
 // runExecIdentity builds the same network once per forced execution mode,
@@ -72,6 +74,18 @@ func execIdentity[R any](t *testing.T, name string, n int, verb func(*Network) (
 			return res, events
 		}
 		gRes, gEvents := run(ExecGoroutines)
+		rec := golden.NewRecorder()
+		for _, ev := range gEvents {
+			rec.Event(ev.Slot, ev.Node, ev.Name, ev.Value)
+		}
+		d := rec.Digest(t, gRes)
+		switch r := any(gRes).(type) {
+		case *AggregateResult:
+			d.Slots = r.Slots
+		case *ColorResult:
+			d.Slots = r.Slots
+		}
+		golden.Check(t, "", d)
 		sRes, sEvents := run(ExecStepped)
 		if !reflect.DeepEqual(gRes, sRes) {
 			t.Fatalf("results differ:\n goroutines %+v\n stepped    %+v", gRes, sRes)

@@ -3,9 +3,54 @@ package mcnet
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"mcnet/internal/golden"
 )
+
+// goldenExperimentsPath holds every experiment's table at -quick -seeds 1,
+// in ExperimentIDs order, each as `mcagg -exp <id> -quick -seeds 1 -csv`
+// prints it.
+var goldenExperimentsPath = filepath.Join("testdata", "golden_experiments_quick.csv")
+
+// quickTables renders every experiment at -quick -seeds 1 in the golden
+// file's layout.
+func quickTables(t *testing.T, o ExperimentOptions) string {
+	t.Helper()
+	var b strings.Builder
+	for _, id := range ExperimentIDs() {
+		tb, err := RunExperiment(id, o)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		b.WriteString(tb.CSV())
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+// TestExperimentsQuickGolden pins all 22 experiment tables at -quick
+// -seeds 1 byte for byte. Regenerate with -update-golden only for an
+// intentional, explained behaviour change.
+func TestExperimentsQuickGolden(t *testing.T) {
+	got := quickTables(t, ExperimentOptions{Seeds: 1, Quick: true, Exec: ExecGoroutines})
+	if *golden.Update {
+		if err := os.WriteFile(goldenExperimentsPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenExperimentsPath)
+	if err != nil {
+		t.Fatalf("reading golden tables (regenerate with -update-golden): %v", err)
+	}
+	if got != string(want) {
+		t.Fatalf("experiment tables differ from %s:\n%s", goldenExperimentsPath, got)
+	}
+}
 
 // TestRunExperiment: the facade runs a suite experiment and renders its
 // table.
@@ -86,6 +131,13 @@ func TestF4ExecIdentity(t *testing.T) {
 			t.Fatalf("exec %v: %v", mode, err)
 		}
 		out := tb.CSV()
+		want, err := os.ReadFile(goldenExperimentsPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(want), out+"\n") {
+			t.Fatalf("exec %v: f4 table is not the frozen one in %s:\n%s", mode, goldenExperimentsPath, out)
+		}
 		if ref == "" {
 			ref = out
 		} else if out != ref {

@@ -3,14 +3,13 @@ package mcnet
 import (
 	"context"
 	"encoding/json"
-	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
-)
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite the coloring golden file from current output")
+	"mcnet/internal/golden"
+)
 
 // goldenColorRun freezes everything observable about one default-backend
 // Color run: the full per-node result vector plus the validation summary and
@@ -76,7 +75,7 @@ func TestColorGoldenSec7(t *testing.T) {
 		})
 	}
 
-	if *updateGolden {
+	if *golden.Update {
 		data, err := json.MarshalIndent(runs, "", "\t")
 		if err != nil {
 			t.Fatal(err)

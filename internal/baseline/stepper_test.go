@@ -56,6 +56,7 @@ func TestTDMASteppedIdentity(t *testing.T) {
 			}
 			return out, trace, len(trace)
 		}
+		tdmaGoldenCheck(t, seed, p, pos, values)
 		gOut, gTrace, gSlots := run(false)
 		sOut, sTrace, sSlots := run(true)
 		if !reflect.DeepEqual(gOut, sOut) {

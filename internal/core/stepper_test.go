@@ -9,6 +9,7 @@ import (
 	"mcnet/internal/agg"
 	"mcnet/internal/fault"
 	"mcnet/internal/geo"
+	"mcnet/internal/golden"
 	"mcnet/internal/model"
 	"mcnet/internal/phy"
 	"mcnet/internal/sim"
@@ -63,6 +64,7 @@ func runIdentityCase(t *testing.T, name string, pos []geo.Point, p model.Params,
 			res    []Result
 			events []sim.Event
 			trace  []txRec
+			digest golden.Digest
 		}
 		run := func(stepped bool) outcome {
 			pl := NewPlan(p, cfg)
@@ -71,7 +73,12 @@ func runIdentityCase(t *testing.T, name string, pos []geo.Point, p model.Params,
 				e.Faults = fault.NewInjector(spec, seed+1, len(pos), p.Channels, pl.Offsets.End)
 			}
 			var trace []txRec
-			e.Trace = captureTrace(&trace)
+			capture := captureTrace(&trace)
+			rec := golden.NewRecorder()
+			e.Trace = func(slot int, txs []phy.Tx, rxs []phy.Rx, recs []phy.Reception) {
+				capture(slot, txs, rxs, recs)
+				rec.Trace(slot, txs, rxs, recs)
+			}
 			var (
 				res []Result
 				err error
@@ -84,9 +91,13 @@ func runIdentityCase(t *testing.T, name string, pos []geo.Point, p model.Params,
 			if err != nil {
 				t.Fatal(err)
 			}
-			return outcome{res: res, events: sortedEvents(e.Events()), trace: trace}
+			for _, ev := range e.Events() {
+				rec.Event(ev.Slot, ev.Node, ev.Name, ev.Value)
+			}
+			return outcome{res: res, events: sortedEvents(e.Events()), trace: trace, digest: rec.Digest(t, res)}
 		}
 		g, s := run(false), run(true)
+		golden.Check(t, "", g.digest)
 		if !reflect.DeepEqual(g.res, s.res) {
 			for i := range g.res {
 				if g.res[i] != s.res[i] {

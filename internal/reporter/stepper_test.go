@@ -8,6 +8,7 @@ import (
 
 	"mcnet/internal/agg"
 	"mcnet/internal/geo"
+	"mcnet/internal/golden"
 	"mcnet/internal/model"
 	"mcnet/internal/phy"
 	"mcnet/internal/sim"
@@ -82,11 +83,21 @@ func TestCastDownFragMatchesRunCastDown(t *testing.T) {
 		}
 		seed := uint64(trial) + 1
 
+		var digest golden.Digest
 		run := func(stepped bool) (selves [][2]int64, oks []bool, ups []CastState, slots int, transcript []string) {
 			e := sim.NewEngine(phy.NewField(p, pos), seed)
-			e.Trace = func(slot int, txs []phy.Tx, _ []phy.Rx, _ []phy.Reception) {
+			rec := golden.NewRecorder()
+			e.Trace = func(slot int, txs []phy.Tx, rxs []phy.Rx, recs []phy.Reception) {
 				transcript = append(transcript, fmt.Sprintf("%d:%v", slot, txs))
+				rec.Trace(slot, txs, rxs, recs)
 			}
+			defer func() {
+				digest = rec.Digest(t, struct {
+					Selves [][2]int64
+					Oks    []bool
+					Ups    []CastState
+				}{selves, oks, ups})
+			}()
 			selves = make([][2]int64, len(roles))
 			oks = make([]bool, len(roles))
 			ups = make([]CastState, len(roles))
@@ -123,6 +134,7 @@ func TestCastDownFragMatchesRunCastDown(t *testing.T) {
 			return selves, oks, ups, slots, transcript
 		}
 		gSelf, gOk, gUp, gSlots, gTr := run(false)
+		golden.Check(t, fmt.Sprintf("trial=%02d", trial), digest)
 		sSelf, sOk, _, sSlots, sTr := run(true)
 
 		if want := 2 * cfg.SlotBudget(); gSlots != want || sSlots != want {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mcnet/internal/geo"
+	"mcnet/internal/golden"
 	"mcnet/internal/model"
 	"mcnet/internal/phy"
 )
@@ -151,11 +152,47 @@ func runChatter(t *testing.T, n, rounds int, seed uint64, mode string, faults Fa
 	return trace, sortedEvents(e.Events()), slots
 }
 
+// chatterDigest runs the chatter workload in the given form and digests its
+// transcript, events and slot count.
+func chatterDigest(t *testing.T, n, rounds int, seed uint64, mode string, faults FaultInjector) golden.Digest {
+	t.Helper()
+	e := NewEngine(chatterField(n), seed)
+	e.Faults = faults
+	rec := golden.NewRecorder()
+	e.Trace = rec.Trace
+	var (
+		slots int
+		err   error
+	)
+	switch mode {
+	case "goroutine":
+		progs := make([]Program, n)
+		for i := range progs {
+			progs[i] = chatterProgram(rounds)
+		}
+		slots, err = e.Run(progs)
+	default:
+		steps := make([]Stepper, n)
+		for i := range steps {
+			steps[i] = &chatterStepper{rounds: rounds}
+		}
+		slots, err = e.RunSteppers(steps)
+	}
+	if err != nil {
+		t.Fatalf("%s run: %v", mode, err)
+	}
+	for _, ev := range e.Events() {
+		rec.Event(ev.Slot, ev.Node, ev.Name, ev.Value)
+	}
+	return rec.Digest(t, slots)
+}
+
 // requireSteppedMatches runs the chatter workload as goroutine Programs
 // and as Steppers and fails unless transcripts, events and slot counts are
 // identical.
 func requireSteppedMatches(t *testing.T, n, rounds int, seed uint64, faults FaultInjector) {
 	t.Helper()
+	golden.Check(t, "", chatterDigest(t, n, rounds, seed, "goroutine", faults))
 	gTrace, gEvents, gSlots := runChatter(t, n, rounds, seed, "goroutine", faults)
 	sTrace, sEvents, sSlots := runChatter(t, n, rounds, seed, "stepped", faults)
 	if sSlots != gSlots {
@@ -280,6 +317,17 @@ func TestWakeWheelSpans(t *testing.T) {
 	if !reflect.DeepEqual(gTrace, sTrace) {
 		t.Fatal("wheel transcript differs between forms")
 	}
+	e3 := NewEngine(chatterField(n), 5)
+	rec := golden.NewRecorder()
+	e3.Trace = rec.Trace
+	for i := range progs {
+		progs[i] = prog(spans[i])
+	}
+	slots3, err := e3.Run(progs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, "spans", rec.Digest(t, slots3))
 }
 
 // TestSteppedMaxSlotsAbort aborts a stepped run mid-sleep and checks the
