@@ -114,24 +114,10 @@ func BenchmarkAggregateCrowd(b *testing.B) {
 	b.Run("n=65k", func(b *testing.B) { benchAggregateCrowd(b, 65536) })
 }
 
-// BenchmarkAggregateCrowdExec pins the two execution modes against each
-// other on the PR gate's largest crowd: same workload, same transcript, the
-// gap is pure engine overhead (goroutine stacks and park/unpark vs stepper
-// structs). peak-heap-bytes and peak-goroutines are where the modes differ.
-func BenchmarkAggregateCrowdExec(b *testing.B) {
-	b.Run("goroutines/n=16k", func(b *testing.B) {
-		benchAggregateCrowdSlots(b, 16384, benchCrowdSlots, Exec(ExecGoroutines))
-	})
-	b.Run("stepped/n=16k", func(b *testing.B) {
-		benchAggregateCrowdSlots(b, 16384, benchCrowdSlots, Exec(ExecStepped))
-	})
-}
-
 // BenchmarkAggregateCrowdLarge is the nightly bench-large lane: crowd sizes
 // past the PR gate's wall-clock budget, with slot budgets scaled down so a
 // single iteration completes in minutes. Compare against BENCH_large.json,
-// not BENCH_baseline.json. ExecAuto runs them on the stepped engine, as it
-// does every Aggregate.
+// not BENCH_baseline.json.
 //
 // Run with: go test -bench=BenchmarkAggregateCrowdLarge -benchtime=1x -timeout=4h
 func BenchmarkAggregateCrowdLarge(b *testing.B) {

@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -284,4 +287,55 @@ func TestUsageErrors(t *testing.T) {
 	if code := run([]string{"-bench", "/does/not/exist.txt"}, &out, &errOut); code != 2 {
 		t.Errorf("unreadable bench file: exit %d, want 2", code)
 	}
+}
+
+// FuzzParseBench fuzzes both input parsers. parseBench must yield only
+// well-formed entries — Benchmark-prefixed names without whitespace,
+// finite non-negative metrics — and must reproduce its result from its own
+// canonical rendering; parseBaseline, when it accepts a document, must
+// reproduce its result from the document's re-encoding.
+func FuzzParseBench(f *testing.F) {
+	f.Add(sampleBench)
+	f.Add("BenchmarkAggregateCrowd/n=16k-8 1 5000000000 ns/op 1445826 node-slots/s 691.6 ns/slot-node 1028 peak-goroutines 239523 allocs/op\n")
+	f.Add("BenchmarkResolve4kSerial-8 1 1500000 ns/op 32 B/op 2 allocs/op\n")
+	f.Add(`{"BenchmarkAggregateCrowd/n=1k": 10000000, "BenchmarkResolve4kSerial": 1500000}`)
+	f.Add(`{"BenchmarkAggregateCrowd/n=16k": {"ns_op": 5200000000, "allocs_op": 63453, "ns_slot_node": 700}}`)
+	f.Fuzz(func(t *testing.T, s string) {
+		got := parseBench(s)
+		var b strings.Builder
+		for name, e := range got {
+			if !strings.HasPrefix(name, "Benchmark") || strings.ContainsAny(name, " \t\r\n\v\f") {
+				t.Fatalf("malformed name %q", name)
+			}
+			for _, v := range []*float64{&e.NsOp, e.AllocsOp, e.NsSlotNode} {
+				if v != nil && (*v < 0 || math.IsInf(*v, 0) || math.IsNaN(*v)) {
+					t.Fatalf("%s: metric %v out of range", name, *v)
+				}
+			}
+			fmt.Fprintf(&b, "%s-8 1 %s ns/op", name, strconv.FormatFloat(e.NsOp, 'f', -1, 64))
+			if e.NsSlotNode != nil {
+				fmt.Fprintf(&b, " %s ns/slot-node", strconv.FormatFloat(*e.NsSlotNode, 'f', -1, 64))
+			}
+			if e.AllocsOp != nil {
+				fmt.Fprintf(&b, " %s allocs/op", strconv.FormatFloat(*e.AllocsOp, 'f', -1, 64))
+			}
+			b.WriteByte('\n')
+		}
+		if again := parseBench(b.String()); !reflect.DeepEqual(again, got) {
+			t.Fatalf("re-parsing the rendering changed the result:\n%+v\nvs\n%+v\nrendering:\n%s", got, again, b.String())
+		}
+
+		base, err := parseBaseline([]byte(s))
+		if err != nil {
+			return
+		}
+		raw, err := json.Marshal(base)
+		if err != nil {
+			t.Fatalf("re-encoding an accepted baseline: %v", err)
+		}
+		again, err := parseBaseline(raw)
+		if err != nil || !reflect.DeepEqual(again, base) {
+			t.Fatalf("baseline round trip: %+v, %v; want %+v", again, err, base)
+		}
+	})
 }

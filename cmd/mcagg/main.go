@@ -42,7 +42,6 @@ func run(args []string, out, errOut io.Writer, exit func(int)) {
 		byz        = fs.String("byz", "", "comma-separated byzantine fractions in [0, 1] overriding the f4/f6 sweep axis (default each experiment's axis)")
 		jamModel   = fs.String("jam-model", "", "comma-separated jamming adversaries for the f4/f5 sweeps (default all relevant: "+strings.Join(mcnet.JamModelNames(), ",")+")")
 		colorer    = fs.String("colorer", "", "comma-separated coloring backends for the c-series head-to-heads (default all: "+strings.Join(mcnet.ColorerNames(), ",")+")")
-		execMode   = fs.String("exec", "", "pipeline execution mode: auto|goroutines|stepped (default auto; tables are identical, memory/wall-clock differ)")
 		quick      = fs.Bool("quick", false, "shrink sweeps for a fast run")
 		csv        = fs.Bool("csv", false, "emit CSV instead of aligned tables")
 		parallel   = fs.Int("parallel", 0, "worker-pool size for multi-seed sweeps (0 = GOMAXPROCS, 1 = serial)")
@@ -107,12 +106,6 @@ func run(args []string, out, errOut io.Writer, exit func(int)) {
 			colorers = append(colorers, name)
 		}
 	}
-	exec, err := mcnet.ParseExecMode(*execMode)
-	if err != nil {
-		fmt.Fprintln(errOut, "mcagg:", err)
-		fatal(2)
-		return
-	}
 	var byzFracs []float64
 	if *byz != "" {
 		for _, part := range strings.Split(*byz, ",") {
@@ -154,7 +147,7 @@ func run(args []string, out, errOut io.Writer, exit func(int)) {
 			jamModels = append(jamModels, name)
 		}
 	}
-	o := mcnet.ExperimentOptions{Seeds: *seeds, Quick: *quick, Parallel: *parallel, Colorers: colorers, Exec: exec, Byz: byzFracs, JamModels: jamModels}
+	o := mcnet.ExperimentOptions{Seeds: *seeds, Quick: *quick, Parallel: *parallel, Colorers: colorers, Byz: byzFracs, JamModels: jamModels}
 	var tables []*mcnet.Table
 	if strings.EqualFold(*exp, "all") {
 		ts, err := mcnet.AllExperimentsContext(ctx, o)

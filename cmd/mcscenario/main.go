@@ -67,7 +67,6 @@ func run(args []string, out, errOut io.Writer, exit func(int)) {
 		byz        = fs.String("byz", "0", "comma-separated byzantine node fractions in [0, 1]")
 		byzStrat   = fs.String("byz-strategy", "corrupt", "byzantine strategy: "+strings.Join(mcnet.ByzStrategyNames(), "|"))
 		colorer    = fs.String("colorer", "", "coloring backend pinned in the spec: sec7|dplus1|hsb (default sec7)")
-		execMode   = fs.String("exec", "", "execution mode pinned in the spec: auto|goroutines|stepped (default auto)")
 		name       = fs.String("name", "mcscenario", "report title")
 		csv        = fs.Bool("csv", false, "emit CSV instead of an aligned table")
 		parallel   = fs.Int("parallel", 0, "worker-pool size for the sweep's runs (0 = GOMAXPROCS, 1 = serial)")
@@ -194,7 +193,6 @@ func run(args []string, out, errOut io.Writer, exit func(int)) {
 			Seeds:       *seeds,
 			BaseSeed:    *seed,
 			Colorer:     *colorer,
-			Exec:        *execMode,
 		}
 		if sc, err = sp.Scenario(); err != nil {
 			fail("%v", err)

@@ -54,8 +54,8 @@
 // fixed per-node lie, ByzEquivocate: a fresh lie per slot and channel,
 // ByzSilent: transmit nothing); Churn(spec) crashes nodes at explicit or
 // seeded random slots. Every fault decision is a pure function of the run
-// seed, so faulty runs replay bit-identically across both execution modes
-// and all worker counts, and zero-intensity faults reproduce the
+// seed, so faulty runs replay bit-identically at all worker counts, and
+// zero-intensity faults reproduce the
 // fault-free transcript bit-for-bit. Results gain a FaultReport
 // (delivered vs. lost, jammed slot-channels, crashed and Byzantine nodes,
 // honest-survivor correctness — SurvivorsExact and SurvivorsAgreeing
@@ -129,28 +129,91 @@
 // allocations or goroutine spawns occur. See cmd/mcagg or cmd/mcscenario's
 // -cpuprofile / -memprofile flags for profiling runs without editing code.
 //
-// The engine itself has two execution modes, selected by the Exec option
-// and bit-identical by construction. The goroutine mode — the reference
-// form — runs one goroutine per node behind a single-word slot barrier:
-// each arrival increments one packed atomic counter, the last one wakes
-// the engine, and one channel close releases every node. The stepped
-// mode runs the same pipeline goroutine-free: node programs are compiled
-// to resumable steppers the engine drives inline each slot, with long
-// idle stretches parked on a calendar wake-wheel instead of a blocked
-// goroutine, so a million-node crowd needs four goroutines instead of a
-// million stacks. ExecAuto (the default) runs every Aggregate and every
-// Color with the default sec7 backend on the stepped engine, which is
-// faster than the goroutine reference path at every measured size; the
-// dplus1 and hsb coloring backends exist only as goroutine programs and
-// run that way in every mode. Either mode can be forced with
-// Exec(ExecStepped) or Exec(ExecGoroutines), and ScenarioSpec's "exec"
-// field plus both CLIs' -exec flag pin the mode on the wire. Identity
-// across modes is pinned by golden-transcript tests and a facade-level
-// equivalence test under -race -cpu 1,2,8 in CI.
+// The engine drives every protocol as Steppers: per-node state in
+// explicit structs that the engine steps inline each slot, fanning the
+// step calls out across workers for large populations, with long idle
+// stretches parked on a calendar wake-wheel — so a million-node crowd
+// needs a handful of goroutines, not a million stacks. Transcripts are
+// identical at every worker count; goldens recorded from the earlier
+// goroutine-per-node engine pin them, under -race -cpu 1,2,8 in CI.
+//
+// # Experiments
+//
+// RunExperiment (and cmd/mcagg -exp) runs one table per claim, and
+// testdata/golden_experiments_quick.csv freezes every table at -quick
+// -seeds 1:
+//
+//   - E1–E4: aggregation vs channels F (the Δ/F term), vs n, vs the
+//     single-channel tree and TDMA baselines, and node coloring (Sec. 7);
+//   - E5–E9: the building blocks — ruling sets (Sec. 4), cluster-size
+//     approximation (Lemmas 12–14), structure construction (Theorem 10),
+//     the exponential-chain lower-bound instance (Sec. 1), and backbone
+//     quality (Lemmas 7–8);
+//   - E10: the diameter term D on corridors;
+//   - A1–A3: ablations of the follower backoff, the cluster TDMA and the
+//     channel spread;
+//   - F1–F6: message loss, jamming, churn, Byzantine nodes, jamming
+//     adversaries head to head, and Byzantine × churn;
+//   - C1–C3: the coloring backends head to head, their scaling, and their
+//     robustness under churn.
+//
+// # Deviations from the paper
+//
+// The reproduction departs from the paper where the paper imports a black
+// box or where its proof constants make schedules impractically long.
+// Code comments cite these by number.
+//
+// D1, practical constants. Where the analysis picks constants for a union
+// bound, the implementation uses the smallest values that keep the
+// measured guarantees: the ruling set's ACK probability is 1/2 instead of
+// 1/(2µ), since clear receivers of distinct HELLOs are already spatially
+// sparse, and channels per cluster use c₁ = 1 instead of 24. Exercised by
+// the ruling package's postcondition tests, E5's violations and
+// undominated columns, and E1's speedup curve.
+//
+// D2, dominating set. The paper adopts the O(log n) protocol of
+// Scheideler, Richa and Santi as a black box. internal/dominate runs an
+// equivalent HELLO/ACK/IN contention process instead, with per-phase
+// probability doubling from 1/n̂ (no degree knowledge needed), periodic IN
+// re-announcements by dominators, and self-appointment of nodes left
+// uncovered at the end. Exercised by the dominate package's coverage and
+// density tests and by E9's dominators, density, self_appointed and
+// uncovered columns.
+//
+// D3, inter-cluster aggregation. The paper imports an aggregation tree
+// over dominators (its Theorem 3). internal/backbone builds one itself: a
+// flood elects the maximum-ID dominator as root and a BFS-ish tree, then
+// values are convergecast and the result flooded back, all in TDMA blocks
+// keyed by cluster color, with phase lengths fixed from a hop bound.
+// Exercised by the backbone tree tests, E10's cast_delay column and E3,
+// whose single-channel baseline runs the same tree over every node.
+//
+// D4, cluster coloring. Instead of the paper's φ-phase ruling-set
+// coloring, dominators discover their R_{ε/2} neighbors by beacons and
+// then color greedily in ID order: each waits for its smaller-ID
+// neighbors to announce and takes the smallest free color. The wait is
+// bounded by the stage budget; a dominator still waiting at the end takes
+// a color against partial knowledge (Forced), which on long decreasing-ID
+// chains — lines, row-major grids — yields conflicts (ROADMAP item 1).
+// Exercised by the backbone coloring tests, E9's colors and conflicts
+// columns, and the sec7 conflicts C1 reports.
+//
+// D5, clear receptions. Definition 4 certifies "no other node within 4r
+// transmitted" with the interference threshold T_s, which under exact
+// far-field accounting almost never holds in extended networks. Clear
+// receptions use the largest threshold that still certifies it,
+// P/(4r)^α (model.Params.ClearInterferenceBound). Exercised by the phy
+// package's clear-reception tests and, through the ruling set, by E5.
+//
+// D6, reporter election. Instead of invoking a ruling set per (cluster,
+// channel), members that chose a channel gossip the minimum ID: they share
+// one r_c-ball, a single-hop environment in which the smallest ID reaches
+// everyone in O(log n) rounds w.h.p. The postcondition is the paper's —
+// exactly one reporter per non-empty channel. Exercised by the reporter
+// election tests and the core structure-invariant tests.
 //
 // Everything under internal/ is implementation — the SINR physical layer,
 // the slot-synchronous simulator, and the per-stage protocols — and is not
 // importable from outside; examples/, cmd/ and the benchmarks consume only
-// the facade. See README.md for the architecture and migration notes and
-// EXPERIMENTS.md for measured results.
+// the facade. See README.md for the architecture and measured results.
 package mcnet

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"mcnet/internal/coloring"
-	"mcnet/internal/core"
 	"mcnet/internal/expt"
 	"mcnet/internal/fault"
 	"mcnet/internal/stats"
@@ -32,10 +31,6 @@ type ExperimentOptions struct {
 	// subset of backend names (see ColorerNames); empty means every
 	// backend. Other experiments ignore it.
 	Colorers []string
-	// Exec pins the execution mode every aggregation run uses (default
-	// ExecAuto). Tables are bit-identical at every setting; the knob exists
-	// for memory/wall-clock measurement.
-	Exec ExecMode
 	// Byz overrides the Byzantine-fraction axis of the f4 and f6 sweeps;
 	// empty means each experiment's default axis. Every value must be in
 	// [0, 1]. Other experiments ignore it.
@@ -100,7 +95,7 @@ func RunExperimentContext(ctx context.Context, id string, o ExperimentOptions) (
 		}
 		jams = append(jams, fault.JamModel(jm))
 	}
-	tb, err := runner(expt.Options{Seeds: o.Seeds, Quick: o.Quick, Parallel: o.Parallel, Ctx: ctx, Colorers: o.Colorers, Exec: core.ExecMode(o.Exec), Byz: o.Byz, JamModels: jams})
+	tb, err := runner(expt.Options{Seeds: o.Seeds, Quick: o.Quick, Parallel: o.Parallel, Ctx: ctx, Colorers: o.Colorers, Byz: o.Byz, JamModels: jams})
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +111,7 @@ func AllExperiments(o ExperimentOptions) ([]*Table, error) {
 // experiments that completed before ctx fired are returned alongside the
 // error.
 func AllExperimentsContext(ctx context.Context, o ExperimentOptions) ([]*Table, error) {
-	ts, err := expt.All(expt.Options{Seeds: o.Seeds, Quick: o.Quick, Parallel: o.Parallel, Ctx: ctx, Exec: core.ExecMode(o.Exec)})
+	ts, err := expt.All(expt.Options{Seeds: o.Seeds, Quick: o.Quick, Parallel: o.Parallel, Ctx: ctx})
 	out := make([]*Table, len(ts))
 	for i, tb := range ts {
 		out[i] = &Table{t: tb}

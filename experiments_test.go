@@ -36,7 +36,7 @@ func quickTables(t *testing.T, o ExperimentOptions) string {
 // -seeds 1 byte for byte. Regenerate with -update-golden only for an
 // intentional, explained behaviour change.
 func TestExperimentsQuickGolden(t *testing.T) {
-	got := quickTables(t, ExperimentOptions{Seeds: 1, Quick: true, Exec: ExecGoroutines})
+	got := quickTables(t, ExperimentOptions{Seeds: 1, Quick: true})
 	if *golden.Update {
 		if err := os.WriteFile(goldenExperimentsPath, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -119,30 +119,20 @@ func TestExperimentOptionValidation(t *testing.T) {
 	}
 }
 
-// TestF4ExecIdentity is the experiment-level face of the acceptance
-// criterion: the Byzantine degradation sweep is byte-identical across the
-// two execution modes (worker counts are covered by
-// TestExperimentParallelIdentity).
+// TestF4ExecIdentity: the Byzantine degradation sweep, run serially,
+// reproduces byte for byte the f4 table the goroutine engine froze in the
+// golden file (which the default worker pool also reproduces).
 func TestF4ExecIdentity(t *testing.T) {
-	var ref string
-	for _, mode := range []ExecMode{ExecGoroutines, ExecStepped} {
-		tb, err := RunExperiment("f4", ExperimentOptions{Seeds: 1, Quick: true, Exec: mode})
-		if err != nil {
-			t.Fatalf("exec %v: %v", mode, err)
-		}
-		out := tb.CSV()
-		want, err := os.ReadFile(goldenExperimentsPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(string(want), out+"\n") {
-			t.Fatalf("exec %v: f4 table is not the frozen one in %s:\n%s", mode, goldenExperimentsPath, out)
-		}
-		if ref == "" {
-			ref = out
-		} else if out != ref {
-			t.Fatalf("f4 table differs across exec modes:\n%s\n--- vs ---\n%s", out, ref)
-		}
+	tb, err := RunExperiment("f4", ExperimentOptions{Seeds: 1, Quick: true, Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(goldenExperimentsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := tb.CSV(); !strings.Contains(string(want), out+"\n") {
+		t.Fatalf("f4 table is not the frozen one in %s:\n%s", goldenExperimentsPath, out)
 	}
 }
 

@@ -51,12 +51,12 @@ func TestRunColorProper(t *testing.T) {
 		cfg := DefaultColorConfig(p, 24)
 		e := sim.NewEngine(phy.NewField(p, pos), seed)
 		out := make([]ColorOutcome, len(pos))
-		progs := make([]sim.Program, len(pos))
-		for i := range progs {
-			i := i
-			progs[i] = func(ctx *sim.Ctx) { out[i] = RunColor(ctx, cfg) }
+		steppers := make([]sim.Stepper, len(pos))
+		for i := range steppers {
+			f := &ColorFrag{Cfg: cfg}
+			steppers[i] = &sim.FragStepper{Frag: f, Finish: func(*sim.StepCtx) { out[i] = f.Out }}
 		}
-		if _, err := e.Run(progs); err != nil {
+		if _, err := e.Run(steppers); err != nil {
 			t.Fatal(err)
 		}
 		conflicts := 0
@@ -85,11 +85,11 @@ func TestRunColorSingleton(t *testing.T) {
 	p := model.Default(1, 64)
 	cfg := DefaultColorConfig(p, 8)
 	e := sim.NewEngine(phy.NewField(p, []geo.Point{{X: 0}}), 1)
-	var out ColorOutcome
-	progs := []sim.Program{func(ctx *sim.Ctx) { out = RunColor(ctx, cfg) }}
-	if _, err := e.Run(progs); err != nil {
+	f := &ColorFrag{Cfg: cfg}
+	if _, err := e.Run([]sim.Stepper{&sim.FragStepper{Frag: f}}); err != nil {
 		t.Fatal(err)
 	}
+	out := f.Out
 	if out.Color != 0 || len(out.Neighbors) != 0 || out.Forced {
 		t.Errorf("singleton outcome = %+v", out)
 	}
@@ -101,11 +101,10 @@ func TestColorSlotBudget(t *testing.T) {
 	pos := []geo.Point{{X: 0}, {X: 0.5}}
 	e := sim.NewEngine(phy.NewField(p, pos), 2)
 	after := make([]int, 2)
-	progs := []sim.Program{
-		func(ctx *sim.Ctx) { RunColor(ctx, cfg); after[0] = ctx.Slot() },
-		func(ctx *sim.Ctx) { IdleColor(ctx, cfg); after[1] = ctx.Slot() },
-	}
-	if _, err := e.Run(progs); err != nil {
+	if _, err := e.Run([]sim.Stepper{
+		&sim.FragStepper{Frag: &ColorFrag{Cfg: cfg}, Finish: func(sc *sim.StepCtx) { after[0] = sc.Slot() }},
+		&sim.FragStepper{Frag: &sim.IdleFrag{K: cfg.SlotBudget(p)}, Finish: func(sc *sim.StepCtx) { after[1] = sc.Slot() }},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	want := cfg.SlotBudget(p)
@@ -124,14 +123,12 @@ func runTree(t *testing.T, pos []geo.Point, values []int64, op agg.Op, seed uint
 	cfg := DefaultTreeConfig(p, phiMax, hopBound)
 	e := sim.NewEngine(phy.NewField(p, pos), seed)
 	out := make([]TreeOutcome, len(pos))
-	progs := make([]sim.Program, len(pos))
-	for i := range progs {
-		i := i
-		progs[i] = func(ctx *sim.Ctx) {
-			out[i] = RunTree(ctx, cfg, colors[i], values[i], op)
-		}
+	steppers := make([]sim.Stepper, len(pos))
+	for i := range steppers {
+		f := &TreeFrag{Cfg: cfg, Color: colors[i], Value: values[i], Op: op}
+		steppers[i] = &sim.FragStepper{Frag: f, Finish: func(*sim.StepCtx) { out[i] = f.Out }}
 	}
-	if _, err := e.Run(progs); err != nil {
+	if _, err := e.Run(steppers); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -252,11 +249,10 @@ func TestTreeSlotBudget(t *testing.T) {
 	pos := []geo.Point{{X: 0}, {X: 0.5}}
 	e := sim.NewEngine(phy.NewField(p, pos), 2)
 	after := make([]int, 2)
-	progs := []sim.Program{
-		func(ctx *sim.Ctx) { RunTree(ctx, cfg, 0, 1, agg.Sum); after[0] = ctx.Slot() },
-		func(ctx *sim.Ctx) { IdleTree(ctx, cfg); after[1] = ctx.Slot() },
-	}
-	if _, err := e.Run(progs); err != nil {
+	if _, err := e.Run([]sim.Stepper{
+		&sim.FragStepper{Frag: &TreeFrag{Cfg: cfg, Value: 1, Op: agg.Sum}, Finish: func(sc *sim.StepCtx) { after[0] = sc.Slot() }},
+		&sim.FragStepper{Frag: &sim.IdleFrag{K: cfg.SlotBudget()}, Finish: func(sc *sim.StepCtx) { after[1] = sc.Slot() }},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if after[0] != cfg.SlotBudget() || after[1] != cfg.SlotBudget() {
@@ -270,12 +266,11 @@ func TestTreeEmitsEvents(t *testing.T) {
 	colors := greedyColors(pos, p.REpsHalf())
 	cfg := DefaultTreeConfig(p, maxOf(colors)+1, 4)
 	e := sim.NewEngine(phy.NewField(p, pos), 3)
-	progs := make([]sim.Program, len(pos))
-	for i := range progs {
-		i := i
-		progs[i] = func(ctx *sim.Ctx) { RunTree(ctx, cfg, colors[i], 1, agg.Sum) }
+	steppers := make([]sim.Stepper, len(pos))
+	for i := range steppers {
+		steppers[i] = &sim.FragStepper{Frag: &TreeFrag{Cfg: cfg, Color: colors[i], Value: 1, Op: agg.Sum}}
 	}
-	if _, err := e.Run(progs); err != nil {
+	if _, err := e.Run(steppers); err != nil {
 		t.Fatal(err)
 	}
 	var aggEvents, resultEvents int

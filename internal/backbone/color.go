@@ -7,7 +7,7 @@ package backbone
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"mcnet/internal/model"
 	"mcnet/internal/phy"
@@ -27,11 +27,12 @@ type Final struct {
 
 // ColorConfig parameterizes the cluster coloring stage.
 //
-// The pipeline variant (deviation D7) colors the constant-density dominator
-// set in two sub-stages: RSSI-filtered neighbor discovery, then ID-ordered
-// greedy color resolution — each dominator waits for all smaller-ID
-// neighbors within Radius to announce, then takes the smallest free color
-// and announces it for the rest of the stage.
+// The pipeline variant (deviation D4 in the mcnet package documentation)
+// colors the constant-density dominator set in two sub-stages:
+// RSSI-filtered neighbor discovery, then ID-ordered greedy color
+// resolution — each dominator waits for all smaller-ID neighbors within
+// Radius to announce, then takes the smallest free color and announces it
+// for the rest of the stage.
 type ColorConfig struct {
 	// Channel used by the stage.
 	Channel int
@@ -79,8 +80,8 @@ func (c ColorConfig) resolveSlots(p model.Params) int {
 	return int(math.Ceil(c.ResolveFactor * p.LogN()))
 }
 
-// SlotBudget returns the exact number of slots RunColor and IdleColor
-// consume.
+// SlotBudget returns the exact number of slots the coloring stage
+// consumes.
 func (c ColorConfig) SlotBudget(p model.Params) int {
 	return c.discoverSlots(p) + c.resolveSlots(p)
 }
@@ -98,79 +99,119 @@ type ColorOutcome struct {
 	Overflowed bool
 }
 
-// IdleColor consumes the stage budget for nodes that are not dominators.
-func IdleColor(ctx *sim.Ctx, cfg ColorConfig) {
-	ctx.IdleFor(cfg.SlotBudget(ctx.Params()))
+// ColorFrag executes the dominator side of the coloring stage, consuming
+// exactly Cfg.SlotBudget slots; non-dominators idle through the budget with
+// a sim.IdleFrag. Out is valid once Feed returns true.
+//
+// The fragment keeps its three sets as small slices rather than maps: the
+// neighbor set (sorted once discovery ends, becoming Out.Neighbors), a
+// not-yet-heard flag per smaller-ID neighbor, and the list of announced
+// colors.
+type ColorFrag struct {
+	Cfg ColorConfig
+	Out ColorOutcome
+
+	init                    bool
+	stage                   uint8 // 0 discover, 1 resolve
+	s                       int
+	discoverLen, resolveLen int
+	neighbors               []int
+	unheard                 []bool // per Out.Neighbors entry: smaller ID, not yet heard
+	smaller                 int    // count of unheard entries
+	taken                   []int
+	awaitBeacon, awaitFinal bool
 }
 
-// RunColor executes the dominator side of the coloring stage, consuming
-// exactly cfg.SlotBudget slots.
-func RunColor(ctx *sim.Ctx, cfg ColorConfig) ColorOutcome {
-	p := ctx.Params()
-	out := ColorOutcome{Color: -1}
+// Feed implements sim.Frag.
+func (f *ColorFrag) Feed(sc *sim.StepCtx) bool {
+	p := sc.Params()
+	if !f.init {
+		f.init = true
+		f.Out = ColorOutcome{Color: -1}
+		f.discoverLen = f.Cfg.discoverSlots(p)
+		f.resolveLen = f.Cfg.resolveSlots(p)
+	}
+	if f.awaitBeacon {
+		f.awaitBeacon = false
+		rec := sc.Prev()
+		if b, ok := rec.Msg.(Beacon); ok && phy.SenderWithin(rec, p, f.Cfg.Radius) &&
+			!slices.Contains(f.neighbors, b.From) {
+			f.neighbors = append(f.neighbors, b.From)
+		}
+	}
+	if f.awaitFinal {
+		f.awaitFinal = false
+		rec := sc.Prev()
+		if fin, ok := rec.Msg.(Final); ok {
+			if i, nb := slices.BinarySearch(f.Out.Neighbors, fin.From); nb &&
+				phy.SenderWithin(rec, p, f.Cfg.Radius) {
+				if !slices.Contains(f.taken, fin.Color) {
+					f.taken = append(f.taken, fin.Color)
+				}
+				if f.unheard[i] {
+					f.unheard[i] = false
+					f.smaller--
+				}
+			}
+		}
+	}
+	for {
+		switch {
+		case f.stage == 0 && f.s < f.discoverLen:
+			f.s++
+			if sc.Rand.Float64() < f.Cfg.BeaconProb {
+				sc.Transmit(f.Cfg.Channel, Beacon{From: sc.ID()})
+			} else {
+				sc.Listen(f.Cfg.Channel)
+				f.awaitBeacon = true
+			}
+			return false
+		case f.stage == 0:
+			// Discovery over: freeze the neighbor list, set up resolution.
+			f.stage, f.s = 1, 0
+			slices.Sort(f.neighbors)
+			f.Out.Neighbors = slices.Clip(f.neighbors)
+			if f.Out.Neighbors == nil {
+				f.Out.Neighbors = []int{}
+			}
+			f.neighbors = nil
+			f.unheard = make([]bool, len(f.Out.Neighbors))
+			for i, id := range f.Out.Neighbors {
+				if id < sc.ID() {
+					f.unheard[i] = true
+					f.smaller++
+				}
+			}
+		case f.s < f.resolveLen:
+			f.s++
+			if f.Out.Color < 0 && f.smaller == 0 {
+				f.pickColor()
+			}
+			if f.Out.Color >= 0 && sc.Rand.Float64() < f.Cfg.AnnounceProb {
+				sc.Transmit(f.Cfg.Channel, Final{From: sc.ID(), Color: f.Out.Color})
+			} else {
+				sc.Listen(f.Cfg.Channel)
+				f.awaitFinal = true
+			}
+			return false
+		default:
+			if f.Out.Color < 0 {
+				f.Out.Forced = true
+				f.pickColor()
+			}
+			return true
+		}
+	}
+}
 
-	// Sub-stage 1: neighbor discovery. Random beacons; receivers keep
-	// senders whose RSSI-estimated distance is within Radius.
-	neighbors := map[int]bool{}
-	for s := 0; s < cfg.discoverSlots(p); s++ {
-		if ctx.Rand.Float64() < cfg.BeaconProb {
-			ctx.Transmit(cfg.Channel, Beacon{From: ctx.ID()})
-			continue
-		}
-		rec := ctx.Listen(cfg.Channel)
-		if b, ok := rec.Msg.(Beacon); ok && phy.SenderWithin(rec, p, cfg.Radius) {
-			neighbors[b.From] = true
-		}
+func (f *ColorFrag) pickColor() {
+	c := 0
+	for slices.Contains(f.taken, c) {
+		c++
 	}
-	out.Neighbors = make([]int, 0, len(neighbors))
-	for id := range neighbors {
-		out.Neighbors = append(out.Neighbors, id)
+	if c >= f.Cfg.PhiMax {
+		f.Out.Overflowed = true
+		c %= f.Cfg.PhiMax
 	}
-	sort.Ints(out.Neighbors)
-
-	// Sub-stage 2: ID-ordered greedy resolution.
-	var (
-		smaller    = map[int]bool{} // smaller-ID neighbors not yet heard
-		taken      = map[int]bool{} // colors announced by any neighbor
-		resolveLen = cfg.resolveSlots(p)
-	)
-	for _, id := range out.Neighbors {
-		if id < ctx.ID() {
-			smaller[id] = true
-		}
-	}
-	pickColor := func() {
-		c := 0
-		for taken[c] {
-			c++
-		}
-		if c >= cfg.PhiMax {
-			out.Overflowed = true
-			c %= cfg.PhiMax
-		}
-		out.Color = c
-	}
-	for s := 0; s < resolveLen; s++ {
-		if out.Color < 0 && len(smaller) == 0 {
-			pickColor()
-		}
-		if out.Color >= 0 && ctx.Rand.Float64() < cfg.AnnounceProb {
-			ctx.Transmit(cfg.Channel, Final{From: ctx.ID(), Color: out.Color})
-			continue
-		}
-		rec := ctx.Listen(cfg.Channel)
-		f, ok := rec.Msg.(Final)
-		if !ok || !neighbors[f.From] || !phy.SenderWithin(rec, p, cfg.Radius) {
-			continue
-		}
-		taken[f.Color] = true
-		delete(smaller, f.From)
-	}
-	if out.Color < 0 {
-		// Budget exhausted before all smaller neighbors were heard: color
-		// greedily against what is known rather than stall the pipeline.
-		out.Forced = true
-		pickColor()
-	}
-	return out
+	f.Out.Color = c
 }

@@ -68,7 +68,7 @@ func (m Result) PayloadValue() int64 { return m.Value }
 func (m Result) WithPayloadValue(v int64) any { m.Value = v; return m }
 
 // TreeConfig parameterizes the inter-cluster stage (substrate for [2],
-// Theorem 3; deviation D3 in DESIGN.md).
+// Theorem 3; deviation D3 in the mcnet package documentation).
 //
 // All communication happens in TDMA blocks of PhiMax sub-slots: a dominator
 // with cluster color c may transmit only in sub-slot c of each block and
@@ -110,7 +110,8 @@ func DefaultTreeConfig(p model.Params, phiMax, hopBound int) TreeConfig {
 	}
 }
 
-// SlotBudget returns the exact number of slots RunTree and IdleTree consume.
+// SlotBudget returns the exact number of slots the inter-cluster stage
+// consumes.
 func (c TreeConfig) SlotBudget() int {
 	return c.PhiMax * (c.BuildBlocks + c.ChildBlocks + c.CastBlocks + c.ResultBlocks)
 }
@@ -131,179 +132,240 @@ type TreeOutcome struct {
 	Done bool
 }
 
-// IdleTree consumes the stage budget for non-dominators.
-func IdleTree(ctx *sim.Ctx, cfg TreeConfig) {
-	ctx.IdleFor(cfg.SlotBudget())
+// treeAwait tags which phase's listen the fragment's previous slot holds.
+type treeAwait uint8
+
+const (
+	treeAwaitNone treeAwait = iota
+	treeAwaitA
+	treeAwaitB
+	treeAwaitC
+	treeAwaitD
+)
+
+// TreeFrag executes the dominator side of the inter-cluster stage: it
+// elects a root, builds a BFS-ish tree, convergecasts the cluster values
+// under Op, and floods the result back. Color is the cluster color that
+// picks the node's TDMA sub-slot and Value this cluster's aggregate from
+// the intra-cluster phase. It consumes exactly Cfg.SlotBudget slots
+// (non-dominators idle through it with a sim.IdleFrag); Out is valid once
+// Feed returns true.
+type TreeFrag struct {
+	Cfg   TreeConfig
+	Color int
+	Value int64
+	Op    agg.Op
+	Out   TreeOutcome
+
+	init   bool
+	phase  uint8 // 0 build, 1 children, 2 cast, 3 result, 4 done
+	b, sub int
+	await  treeAwait
+	// Phase A
+	parentPow float64
+	// Phase B
+	isRoot     bool
+	childSet   map[int]bool
+	ackQueue   []int
+	childAcked bool
+	// Phase C
+	childVal map[int]int64
+	upAcks   []int
+	upAcked  bool
+	sentVal  int64
+	sentAny  bool
+	emitted  bool
+	// Phase D
+	informed bool
 }
 
-// RunTree executes the dominator side of the inter-cluster stage: it elects
-// a root, builds a BFS-ish tree, convergecasts the cluster values under op,
-// and floods the result back. value is this cluster's aggregate from the
-// intra-cluster phase. It consumes exactly cfg.SlotBudget slots.
-func RunTree(ctx *sim.Ctx, cfg TreeConfig, color int, value int64, op agg.Op) TreeOutcome {
-	p := ctx.Params()
-	out := TreeOutcome{Root: ctx.ID(), Parent: -1}
+func (f *TreeFrag) ownSlot(sub int) bool { return sub == f.Color%f.Cfg.PhiMax }
 
-	// ownSlot reports whether the node may transmit in this sub-slot.
-	ownSlot := func(sub int) bool { return sub == color%cfg.PhiMax }
+func (f *TreeFrag) recompute() int64 {
+	v := f.Value
+	for _, cv := range f.childVal {
+		v = f.Op.Combine(v, cv)
+	}
+	return v
+}
 
-	// Phase A: root election + BFS tree by State flooding.
-	var parentPow float64
-	for b := 0; b < cfg.BuildBlocks; b++ {
-		for sub := 0; sub < cfg.PhiMax; sub++ {
-			if ownSlot(sub) && ctx.Rand.Float64() < cfg.FloodProb {
-				ctx.Transmit(cfg.Channel, State{Root: out.Root, Hops: out.Depth, From: ctx.ID()})
-				continue
-			}
-			rec := ctx.Listen(cfg.Channel)
-			st, ok := rec.Msg.(State)
-			if !ok || !phy.SenderWithin(rec, p, cfg.Radius) {
-				continue
-			}
+func (f *TreeFrag) ready() bool {
+	for c := range f.childSet {
+		if _, ok := f.childVal[c]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// advance moves to the next (block, sub-slot) pair of the current phase.
+func (f *TreeFrag) advance() {
+	f.sub++
+	if f.sub == f.Cfg.PhiMax {
+		f.sub = 0
+		f.b++
+	}
+}
+
+// Feed implements sim.Frag.
+func (f *TreeFrag) Feed(sc *sim.StepCtx) bool {
+	p := sc.Params()
+	if !f.init {
+		f.init = true
+		f.Out = TreeOutcome{Root: sc.ID(), Parent: -1}
+	}
+	switch f.await {
+	case treeAwaitA:
+		rec := sc.Prev()
+		if st, ok := rec.Msg.(State); ok && phy.SenderWithin(rec, p, f.Cfg.Radius) {
 			switch {
-			case st.Root > out.Root,
-				st.Root == out.Root && st.Hops+1 < out.Depth,
-				st.Root == out.Root && out.Parent >= 0 && st.Hops+1 == out.Depth &&
-					rec.SignalPower > parentPow:
-				out.Root = st.Root
-				out.Depth = st.Hops + 1
-				out.Parent = st.From
-				parentPow = rec.SignalPower
+			case st.Root > f.Out.Root,
+				st.Root == f.Out.Root && st.Hops+1 < f.Out.Depth,
+				st.Root == f.Out.Root && f.Out.Parent >= 0 && st.Hops+1 == f.Out.Depth &&
+					rec.SignalPower > f.parentPow:
+				f.Out.Root = st.Root
+				f.Out.Depth = st.Hops + 1
+				f.Out.Parent = st.From
+				f.parentPow = rec.SignalPower
 			}
 		}
-	}
-
-	// Phase B: children discovery with acknowledgements.
-	var (
-		isRoot     = out.Root == ctx.ID()
-		childSet   = map[int]bool{}
-		ackQueue   []int
-		childAcked = isRoot // the root has nothing to announce
-	)
-	for b := 0; b < cfg.ChildBlocks; b++ {
-		for sub := 0; sub < cfg.PhiMax; sub++ {
-			if ownSlot(sub) {
-				switch {
-				case len(ackQueue) > 0 && ctx.Rand.Float64() < cfg.AckProb:
-					ctx.Transmit(cfg.Channel, ChildAck{To: ackQueue[0]})
-					ackQueue = ackQueue[1:]
-					continue
-				case !childAcked && ctx.Rand.Float64() < cfg.FloodProb:
-					ctx.Transmit(cfg.Channel, Child{Parent: out.Parent, From: ctx.ID()})
-					continue
+	case treeAwaitB:
+		rec := sc.Prev()
+		switch m := rec.Msg.(type) {
+		case Child:
+			if m.Parent == sc.ID() {
+				if !f.childSet[m.From] {
+					f.childSet[m.From] = true
+					f.Out.Children = append(f.Out.Children, m.From)
 				}
+				f.ackQueue = append(f.ackQueue, m.From)
 			}
-			rec := ctx.Listen(cfg.Channel)
-			switch m := rec.Msg.(type) {
-			case Child:
-				if m.Parent == ctx.ID() {
-					if !childSet[m.From] {
-						childSet[m.From] = true
-						out.Children = append(out.Children, m.From)
+		case ChildAck:
+			if m.To == sc.ID() {
+				f.childAcked = true
+			}
+		}
+	case treeAwaitC:
+		rec := sc.Prev()
+		switch m := rec.Msg.(type) {
+		case Up:
+			if m.Parent == sc.ID() {
+				if old, ok := f.childVal[m.From]; !ok || old != m.Value {
+					f.childVal[m.From] = m.Value
+					if f.sentAny && f.recompute() != f.sentVal {
+						f.upAcked = false // value grew: resend upward
 					}
-					ackQueue = append(ackQueue, m.From)
-				}
-			case ChildAck:
-				if m.To == ctx.ID() {
-					childAcked = true
-				}
-			}
-		}
-	}
-
-	// Phase C: convergecast. A node sends its current aggregate once all
-	// known children have reported; parents keep each child's latest value
-	// and re-fold on change, re-opening their own transmission when their
-	// aggregate grows, so late or unannounced children are never dropped
-	// (the fold must be commutative and associative, which agg.Op requires).
-	var (
-		childVal = map[int]int64{}
-		upAcks   []int
-		upAcked  = false
-		sentVal  int64
-		sentAny  = false
-		emitted  bool
-	)
-	recompute := func() int64 {
-		v := value
-		for _, cv := range childVal {
-			v = op.Combine(v, cv)
-		}
-		return v
-	}
-	ready := func() bool {
-		for c := range childSet {
-			if _, ok := childVal[c]; !ok {
-				return false
-			}
-		}
-		return true
-	}
-	for b := 0; b < cfg.CastBlocks; b++ {
-		for sub := 0; sub < cfg.PhiMax; sub++ {
-			if isRoot && !emitted && ready() {
-				emitted = true
-				ctx.Emit(EventAgg, int(recompute()))
-			}
-			if ownSlot(sub) {
-				switch {
-				case len(upAcks) > 0 && ctx.Rand.Float64() < cfg.AckProb:
-					ctx.Transmit(cfg.Channel, UpAck{To: upAcks[0]})
-					upAcks = upAcks[1:]
-					continue
-				case !isRoot && !upAcked && ready() && ctx.Rand.Float64() < cfg.FloodProb:
-					sentVal = recompute()
-					sentAny = true
-					ctx.Transmit(cfg.Channel, Up{Parent: out.Parent, From: ctx.ID(), Value: sentVal})
-					continue
-				}
-			}
-			rec := ctx.Listen(cfg.Channel)
-			switch m := rec.Msg.(type) {
-			case Up:
-				if m.Parent == ctx.ID() {
-					if old, ok := childVal[m.From]; !ok || old != m.Value {
-						childVal[m.From] = m.Value
-						if sentAny && recompute() != sentVal {
-							upAcked = false // value grew: resend upward
-						}
-						if isRoot {
-							// Timestamp every root-side update so harnesses
-							// can measure true (not ready-check) completion.
-							ctx.Emit(EventAggUpdate, int(recompute()))
-						}
+					if f.isRoot {
+						sc.Emit(EventAggUpdate, int(f.recompute()))
 					}
-					upAcks = append(upAcks, m.From)
 				}
-			case UpAck:
-				if m.To == ctx.ID() {
-					upAcked = true
-				}
+				f.upAcks = append(f.upAcks, m.From)
+			}
+		case UpAck:
+			if m.To == sc.ID() {
+				f.upAcked = true
 			}
 		}
+	case treeAwaitD:
+		rec := sc.Prev()
+		if m, ok := rec.Msg.(Result); ok && !f.informed {
+			f.Out.Result = m.Value
+			f.Out.Done = true
+			f.informed = true
+			sc.Emit(EventResult, int(m.Value))
+		}
 	}
-	have := recompute()
-
-	// Phase D: flood the result down.
-	informed := isRoot
-	if isRoot {
-		out.Result = have
-		out.Done = true
-	}
-	for b := 0; b < cfg.ResultBlocks; b++ {
-		for sub := 0; sub < cfg.PhiMax; sub++ {
-			if ownSlot(sub) && informed && ctx.Rand.Float64() < cfg.FloodProb {
-				ctx.Transmit(cfg.Channel, Result{Value: out.Result, From: ctx.ID()})
+	f.await = treeAwaitNone
+	for {
+		switch f.phase {
+		case 0: // Phase A: root election + BFS tree.
+			if f.b >= f.Cfg.BuildBlocks {
+				f.isRoot = f.Out.Root == sc.ID()
+				f.childSet = map[int]bool{}
+				f.childAcked = f.isRoot
+				f.phase, f.b, f.sub = 1, 0, 0
 				continue
 			}
-			rec := ctx.Listen(cfg.Channel)
-			if m, ok := rec.Msg.(Result); ok && !informed {
-				out.Result = m.Value
-				out.Done = true
-				informed = true
-				ctx.Emit(EventResult, int(m.Value))
+			if f.ownSlot(f.sub) && sc.Rand.Float64() < f.Cfg.FloodProb {
+				sc.Transmit(f.Cfg.Channel, State{Root: f.Out.Root, Hops: f.Out.Depth, From: sc.ID()})
+			} else {
+				sc.Listen(f.Cfg.Channel)
+				f.await = treeAwaitA
 			}
+			f.advance()
+			return false
+		case 1: // Phase B: children discovery.
+			if f.b >= f.Cfg.ChildBlocks {
+				f.childVal = map[int]int64{}
+				f.phase, f.b, f.sub = 2, 0, 0
+				continue
+			}
+			if f.ownSlot(f.sub) {
+				if len(f.ackQueue) > 0 && sc.Rand.Float64() < f.Cfg.AckProb {
+					sc.Transmit(f.Cfg.Channel, ChildAck{To: f.ackQueue[0]})
+					f.ackQueue = f.ackQueue[1:]
+					f.advance()
+					return false
+				}
+				if !f.childAcked && sc.Rand.Float64() < f.Cfg.FloodProb {
+					sc.Transmit(f.Cfg.Channel, Child{Parent: f.Out.Parent, From: sc.ID()})
+					f.advance()
+					return false
+				}
+			}
+			sc.Listen(f.Cfg.Channel)
+			f.await = treeAwaitB
+			f.advance()
+			return false
+		case 2: // Phase C: convergecast.
+			if f.b >= f.Cfg.CastBlocks {
+				have := f.recompute()
+				f.informed = f.isRoot
+				if f.isRoot {
+					f.Out.Result = have
+					f.Out.Done = true
+				}
+				f.phase, f.b, f.sub = 3, 0, 0
+				continue
+			}
+			if f.isRoot && !f.emitted && f.ready() {
+				f.emitted = true
+				sc.Emit(EventAgg, int(f.recompute()))
+			}
+			if f.ownSlot(f.sub) {
+				if len(f.upAcks) > 0 && sc.Rand.Float64() < f.Cfg.AckProb {
+					sc.Transmit(f.Cfg.Channel, UpAck{To: f.upAcks[0]})
+					f.upAcks = f.upAcks[1:]
+					f.advance()
+					return false
+				}
+				if !f.isRoot && !f.upAcked && f.ready() && sc.Rand.Float64() < f.Cfg.FloodProb {
+					f.sentVal = f.recompute()
+					f.sentAny = true
+					sc.Transmit(f.Cfg.Channel, Up{Parent: f.Out.Parent, From: sc.ID(), Value: f.sentVal})
+					f.advance()
+					return false
+				}
+			}
+			sc.Listen(f.Cfg.Channel)
+			f.await = treeAwaitC
+			f.advance()
+			return false
+		case 3: // Phase D: result flood.
+			if f.b >= f.Cfg.ResultBlocks {
+				f.phase = 4
+				continue
+			}
+			if f.ownSlot(f.sub) && f.informed && sc.Rand.Float64() < f.Cfg.FloodProb {
+				sc.Transmit(f.Cfg.Channel, Result{Value: f.Out.Result, From: sc.ID()})
+			} else {
+				sc.Listen(f.Cfg.Channel)
+				f.await = treeAwaitD
+			}
+			f.advance()
+			return false
+		default:
+			return true
 		}
 	}
-	return out
 }

@@ -52,15 +52,14 @@ func SingleChannelTree(e *sim.Engine, values []int64, op agg.Op, deltaHint, hopB
 	cfg.ResultBlocks += 2 * stretch * hopBound
 
 	out := make([]SingleChannelResult, n)
-	progs := make([]sim.Program, n)
-	for i := 0; i < n; i++ {
-		i := i
-		progs[i] = func(ctx *sim.Ctx) {
-			o := backbone.RunTree(ctx, cfg, 0, values[i], op)
-			out[i] = SingleChannelResult{Value: o.Result, Done: o.Done}
-		}
+	steppers := make([]sim.Stepper, n)
+	for i := range steppers {
+		f := &backbone.TreeFrag{Cfg: cfg, Value: values[i], Op: op}
+		steppers[i] = &sim.FragStepper{Frag: f, Finish: func(*sim.StepCtx) {
+			out[i] = SingleChannelResult{Value: f.Out.Result, Done: f.Out.Done}
+		}}
 	}
-	if _, err := e.Run(progs); err != nil {
+	if _, err := e.Run(steppers); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -76,49 +75,14 @@ func TDMAByID(e *sim.Engine, pos []geo.Point, values []int64, op agg.Op) ([]Sing
 	p := e.Field().Params()
 	n := len(pos)
 	sched := buildTDMASchedule(pos, p.REps())
-	parent, dist := sched.parent, sched.dist
-	upSlot, downSlot := sched.upSlot, sched.downSlot
-
 	out := make([]SingleChannelResult, n)
-	progs := make([]sim.Program, n)
+	steppers := make([]sim.Stepper, n)
+	arena := make([]tdmaStepper, n)
 	for i := 0; i < n; i++ {
-		i := i
-		progs[i] = func(ctx *sim.Ctx) {
-			have := values[i]
-			result := int64(0)
-			gotResult := false
-			for t := 0; t < 2*n; t++ {
-				switch {
-				case t == upSlot[i] && parent[i] >= 0:
-					ctx.Transmit(0, upMsg{To: parent[i], Value: have})
-				case t == downSlot[i] && (gotResult || (i == 0 && dist[i] == 0)):
-					if i == 0 {
-						result, gotResult = have, true
-					}
-					ctx.Transmit(0, downMsg{Value: result})
-				case t < n:
-					rec := ctx.Listen(0)
-					if m, ok := rec.Msg.(upMsg); ok && m.To == i {
-						have = op.Combine(have, m.Value)
-					}
-				default:
-					rec := ctx.Listen(0)
-					if m, ok := rec.Msg.(downMsg); ok && !gotResult {
-						result, gotResult = m.Value, true
-					}
-				}
-			}
-			if i == 0 && !gotResult {
-				result, gotResult = have, true
-			}
-			if !gotResult {
-				result = have // disconnected: own component partial
-				gotResult = true
-			}
-			out[i] = SingleChannelResult{Value: result, Done: gotResult}
-		}
+		arena[i] = tdmaStepper{sched: &sched, op: op, out: out, have: values[i]}
+		steppers[i] = &arena[i]
 	}
-	if _, err := e.Run(progs); err != nil {
+	if _, err := e.Run(steppers); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -63,10 +63,19 @@ func TestSingleChannelTreeGolden(t *testing.T) {
 	}
 }
 
-// tdmaGoldenCheck digests TDMAByID on one of TestTDMASteppedIdentity's
-// fields.
-func tdmaGoldenCheck(t *testing.T, seed int64, p model.Params, pos []geo.Point, values []int64) {
-	golden.Check(t, fmt.Sprintf("seed=%d", seed), digestRun(t, p, pos, uint64(seed), func(e *sim.Engine) ([]SingleChannelResult, error) {
-		return TDMAByID(e, pos, values, agg.Sum)
-	}))
+// TestTDMASteppedIdentity pins TDMAByID's transcript and per-node results
+// to the ones the goroutine engine produced on three uniform fields.
+func TestTDMASteppedIdentity(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		p := model.Default(1, 64)
+		pos := topology.UniformDegree(rnd, 50, p.REps(), 10)
+		values := make([]int64, 50)
+		for i := range values {
+			values[i] = int64(i*5 + 2)
+		}
+		golden.Check(t, fmt.Sprintf("seed=%d", seed), digestRun(t, p, pos, uint64(seed), func(e *sim.Engine) ([]SingleChannelResult, error) {
+			return TDMAByID(e, pos, values, agg.Sum)
+		}))
+	}
 }

@@ -9,8 +9,8 @@ import (
 	"mcnet/internal/sim"
 )
 
-// tdmaSchedule is the centralized round-robin plan shared by both execution
-// forms of TDMAByID: BFS parents plus each node's up- and down-pass slot.
+// tdmaSchedule is TDMAByID's centralized round-robin plan: BFS parents plus
+// each node's up- and down-pass slot.
 type tdmaSchedule struct {
 	n                int
 	parent, dist     []int
@@ -47,9 +47,8 @@ func buildTDMASchedule(pos []geo.Point, radius float64) tdmaSchedule {
 	return tdmaSchedule{n: n, parent: parent, dist: dist, upSlot: upSlot, downSlot: downSlot}
 }
 
-// tdmaStepper is the sim.Stepper form of one TDMAByID node program. No
-// randomness is involved; the port only restates the slot loop with the
-// loop counter held explicitly.
+// tdmaStepper is one TDMAByID node: it transmits in its own up- and
+// down-pass slots and listens in every other. No randomness is involved.
 type tdmaStepper struct {
 	sched *tdmaSchedule
 	op    agg.Op
@@ -106,24 +105,4 @@ func (s *tdmaStepper) Step(sc *sim.StepCtx) {
 		sc.Listen(0)
 		s.await = 2
 	}
-}
-
-// TDMAByIDStepped is TDMAByID in the engine's goroutine-free mode: the same
-// schedule driven as Steppers, producing a bit-identical transcript and the
-// same per-node results.
-func TDMAByIDStepped(e *sim.Engine, pos []geo.Point, values []int64, op agg.Op) ([]SingleChannelResult, error) {
-	p := e.Field().Params()
-	n := len(pos)
-	sched := buildTDMASchedule(pos, p.REps())
-	out := make([]SingleChannelResult, n)
-	steppers := make([]sim.Stepper, n)
-	arena := make([]tdmaStepper, n)
-	for i := 0; i < n; i++ {
-		arena[i] = tdmaStepper{sched: &sched, op: op, out: out, have: values[i]}
-		steppers[i] = &arena[i]
-	}
-	if _, err := e.RunSteppers(steppers); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

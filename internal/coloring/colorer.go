@@ -31,9 +31,9 @@ type Stats struct {
 	ColorSlots int
 }
 
-// Colorer is a pluggable coloring backend: it runs node programs on the
+// Colorer is a pluggable coloring backend: it runs node Steppers on the
 // engine's slot machinery and returns per-node colors. Every backend
-// inherits determinism (per-node ctx.Rand streams) and fault injection
+// inherits determinism (per-node StepCtx.Rand streams) and fault injection
 // (engine-attached injectors) from the simulator, exactly like the
 // aggregation pipeline.
 type Colorer interface {

@@ -25,11 +25,9 @@ import (
 	"math"
 	"sort"
 
-	"mcnet/internal/agg"
 	"mcnet/internal/core"
 	"mcnet/internal/geo"
 	"mcnet/internal/graph"
-	"mcnet/internal/phy"
 	"mcnet/internal/reporter"
 	"mcnet/internal/sim"
 )
@@ -84,108 +82,24 @@ func Run(e *sim.Engine, pl *core.Plan, cfg Config) ([]Result, error) {
 
 // RunContext is like Run but aborts promptly with ctx.Err() when ctx is
 // cancelled mid-run.
-//
-// The plan's Cfg.Exec decides how the node code executes, as in
-// core.RunContext: goroutine programs, or — the default — the
-// goroutine-free Stepper form (runStepped). The transcript is bit-identical
-// either way.
 func RunContext(ctx context.Context, e *sim.Engine, pl *core.Plan, cfg Config) ([]Result, error) {
-	if pl.Cfg.Exec.Stepped() {
-		return runStepped(ctx, e, pl, cfg)
-	}
 	n := e.Field().N()
-	res := make([]Result, n)
-	progs := make([]sim.Program, n)
+	rounds := AssignRounds(pl, cfg)
+	steppers := make([]sim.Stepper, n)
+	arena := make([]sec7Stepper, n) // one allocation for all nodes
 	for i := 0; i < n; i++ {
-		progs[i] = program(pl, cfg, i, res)
+		// Procedure 1 delivers IDs, so a node's follower value is its ID.
+		arena[i] = sec7Stepper{build: core.BuildFrag{Pl: pl, Value: int64(i)}, rounds: rounds}
+		steppers[i] = &arena[i]
 	}
-	if _, err := e.RunContext(ctx, progs); err != nil {
+	if _, err := e.RunContext(ctx, steppers); err != nil {
 		return nil, err
 	}
-	return res, nil
-}
-
-func program(pl *core.Plan, cfg Config, i int, res []Result) sim.Program {
-	return func(ctx *sim.Ctx) {
-		r := &res[i]
-		r.Color, r.Index = -1, -1
-		p := pl.Params
-
-		// Structure construction (Sec. 5).
-		st := pl.BuildStage(ctx)
-		r.ClusterColor = st.Color
-		r.IsDominator = st.IsDominator()
-
-		// Procedure 1: followers send IDs to reporters.
-		got, ackedOn := pl.FollowerStage(ctx, st, int64(ctx.ID()))
-		r.IsReporter = st.IsReporter()
-
-		followers := sortedFollowers(got)
-
-		// Procedure 2: subtree counts up the reporter tree.
-		cast := pl.CastConfig(st.Off)
-		var up reporter.CastState
-		subtree := int64(1 + len(followers))
-		if st.Role >= 1 {
-			up = reporter.RunCastUp(ctx, cast, st.Role, st.Dom.Dominator, subtree, agg.Sum)
-		} else if st.Role == 0 {
-			up = reporter.RunCastUp(ctx, cast, 0, st.Dom.Dominator, 0, agg.Sum)
-		} else {
-			reporter.IdleCast(ctx, cast)
-		}
-
-		// Procedure 3: color-index ranges down the reporter tree.
-		var block [2]int64
-		haveBlock := false
-		if st.Role >= 0 {
-			root := [2]int64{0, up.Value}
-			block, haveBlock = reporter.RunCastDown(ctx, cast, st.Role, st.Dom.Dominator, up, root, indexSplit(subtree))
-		} else {
-			reporter.IdleCast(ctx, cast)
-		}
-
-		// Procedure 4: reporters announce follower indices; followers listen
-		// on the channel whose reporter acknowledged them.
-		var (
-			stride  = pl.Cfg.PhiMax
-			rounds  = AssignRounds(pl, cfg)
-			memberR = pl.ClusterRadius()
-		)
-		switch {
-		case st.Role == 0:
-			// The dominator's index is one past the member total.
-			r.Index = int(up.Value)
-			colorOf(r, pl)
-			ctx.Emit(EventColored, r.Color)
-		case st.Role >= 1 && haveBlock:
-			r.Index = int(block[0])
-			colorOf(r, pl)
-			ctx.Emit(EventColored, r.Color)
-		}
-		for round := 0; round < rounds; round++ {
-			ctx.IdleFor(st.Off)
-			switch {
-			case st.Role >= 1 && haveBlock && len(followers) > 0:
-				k := round % len(followers)
-				ctx.Transmit(st.Role-1, Assign{
-					Dom:   st.Dom.Dominator,
-					To:    followers[k],
-					Index: int(block[0]) + 1 + k,
-				})
-			case st.Role < 0 && r.Color < 0 && ackedOn >= 0:
-				rec := ctx.Listen(ackedOn)
-				if m, ok := rec.Msg.(Assign); ok && m.Dom == st.Dom.Dominator &&
-					m.To == ctx.ID() && phy.SenderWithin(rec, p, memberR) {
-					r.Index = m.Index
-					colorOf(r, pl)
-					ctx.Emit(EventColored, r.Color)
-				}
-			default:
-				ctx.Idle()
-			}
-			ctx.IdleFor(stride - 1 - st.Off)
-		}
+	res := make([]Result, n)
+	for i := range arena {
+		arena[i].result(&res[i])
 	}
+	return res, nil
 }
 
 // sortedFollowers lists a reporter's followers in ascending ID order:

@@ -4,8 +4,6 @@ import (
 	"context"
 
 	"mcnet/internal/core"
-	"mcnet/internal/model"
-	"mcnet/internal/phy"
 	"mcnet/internal/sim"
 )
 
@@ -37,14 +35,10 @@ func (DPlus1) Name() string { return "dplus1" }
 // Color implements Colorer. The plan is unused: this backend needs no
 // structure construction.
 func (b DPlus1) Color(goctx context.Context, e *sim.Engine, _ *core.Plan) ([]Result, Stats, error) {
-	n := e.Field().N()
-	res := make([]Result, n)
-	epochs := make([]int, n)
-	progs := make([]sim.Program, n)
-	for i := 0; i < n; i++ {
-		progs[i] = b.program(i, res, epochs)
-	}
-	if _, err := e.RunContext(goctx, progs); err != nil {
+	res, epochs, err := backendRun(goctx, e, func(r *Result, ep *int) sim.Stepper {
+		return &dplus1Stepper{b: b, r: r, epochs: ep}
+	})
+	if err != nil {
 		return nil, Stats{}, err
 	}
 	st := summarize(res, 1)
@@ -53,73 +47,40 @@ func (b DPlus1) Color(goctx context.Context, e *sim.Engine, _ *core.Plan) ([]Res
 	return res, st, nil
 }
 
-func (b DPlus1) program(i int, res []Result, epochs []int) sim.Program {
-	return func(ctx *sim.Ctx) {
-		r := &res[i]
-		r.Color, r.Index, r.ClusterColor = -1, -1, -1
-		p := ctx.Params()
-		cycle := sweepLen(p)
-		nbs := discoverNeighbors(ctx, p, cycle)
-		maxEpochs := b.MaxEpochs
+// dplus1Stepper is one node of the dplus1 backend: the discovery sweep,
+// then the trial epochs.
+type dplus1Stepper struct {
+	b      DPlus1
+	r      *Result
+	epochs *int
+
+	disc   *discovery
+	trials *trialFrag
+}
+
+// Step implements sim.Stepper.
+func (s *dplus1Stepper) Step(sc *sim.StepCtx) {
+	p := sc.Params()
+	if s.disc == nil {
+		s.disc = newDiscovery(sc.ID(), sweepLen(p))
+	}
+	if s.trials == nil {
+		if !s.disc.Feed(sc) {
+			return
+		}
+		nbs := s.disc.sorted()
+		maxEpochs := s.b.MaxEpochs
 		if maxEpochs <= 0 {
 			maxEpochs = trialEpochCap(p, len(nbs))
 		}
-		taken := make(map[int]bool, len(nbs))
-		finals := make(map[int]bool, len(nbs))
-		epochs[i] = runTrials(ctx, p, cycle, nbs, r, taken, finals, maxEpochs)
-		r.Index = r.Color
+		s.trials = newTrialFrag(sc.ID(), sweepLen(p), maxEpochs, nbs, s.r)
 	}
-}
-
-// runTrials executes rank-based palette trial epochs until the node has
-// committed a color and heard a commitment from every neighbor — the point
-// at which leaving the air cannot strand anyone — or until the epoch cap.
-// r.Color may arrive pre-committed (the hsb leaders); taken accumulates the
-// colors neighbors have committed, finals the neighbors that committed.
-// Returns the number of epochs executed.
-func runTrials(ctx *sim.Ctx, p model.Params, cycle int, nbs []int, r *Result, taken, finals map[int]bool, maxEpochs int) int {
-	deg := len(nbs)
-	for epoch := 1; epoch <= maxEpochs; epoch++ {
-		// The epoch announces the node's state as of the epoch start: a
-		// commitment only counts as heard once a full sweep carried it, so
-		// the exit below never strands a neighbor still waiting for it.
-		wasFinal := r.Color >= 0
-		candidate := r.Color
-		var rank uint64
-		if !wasFinal {
-			candidate = pickFree(ctx, deg, taken)
-			rank = ctx.Rand.Uint64()
-		}
-		lost := false
-		announceSweep(ctx, p, cycle,
-			trialMsg{From: ctx.ID(), Rank: rank, Color: candidate, Final: wasFinal},
-			func(rec phy.Reception) {
-				m, ok := rec.Msg.(trialMsg)
-				if !ok {
-					return // a neighbor still in another protocol phase
-				}
-				if m.Final {
-					finals[m.From] = true
-					taken[m.Color] = true
-					if !wasFinal && m.Color == candidate {
-						lost = true
-					}
-					return
-				}
-				if !wasFinal && m.Color == candidate &&
-					(m.Rank < rank || (m.Rank == rank && m.From < ctx.ID())) {
-					lost = true
-				}
-			})
-		if !wasFinal && !lost {
-			r.Color = candidate
-			ctx.Emit(EventColored, r.Color)
-		}
-		if wasFinal && allMarked(nbs, finals) {
-			return epoch
-		}
+	if !s.trials.Feed(sc) {
+		return
 	}
-	return maxEpochs
+	*s.epochs = s.trials.epoch
+	s.r.Index = s.r.Color
+	sc.Done()
 }
 
 // maxOf returns the slice maximum (0 for an empty slice).

@@ -35,14 +35,10 @@ func (HSB) Name() string { return "hsb" }
 // Color implements Colorer. The plan is unused: symmetry is broken by the
 // MIS, not by the paper's structure.
 func (b HSB) Color(goctx context.Context, e *sim.Engine, _ *core.Plan) ([]Result, Stats, error) {
-	n := e.Field().N()
-	res := make([]Result, n)
-	epochs := make([]int, n)
-	progs := make([]sim.Program, n)
-	for i := 0; i < n; i++ {
-		progs[i] = b.program(i, res, epochs)
-	}
-	if _, err := e.RunContext(goctx, progs); err != nil {
+	res, epochs, err := backendRun(goctx, e, func(r *Result, ep *int) sim.Stepper {
+		return &hsbStepper{b: b, r: r, epochs: ep}
+	})
+	if err != nil {
 		return nil, Stats{}, err
 	}
 	p := e.Field().Params()
@@ -60,87 +56,127 @@ func misEpochCap(p model.Params) int {
 	return 16 + 6*bits.Len(uint(sweepLen(p)))
 }
 
-func (b HSB) program(i int, res []Result, epochs []int) sim.Program {
-	return func(ctx *sim.Ctx) {
-		r := &res[i]
-		r.Color, r.Index, r.ClusterColor = -1, -1, -1
-		p := ctx.Params()
-		cycle := sweepLen(p)
-		nbs := discoverNeighbors(ctx, p, cycle)
-		deg := len(nbs)
+// hsbStepper is one node of the hsb backend: the discovery sweep, the MIS
+// epochs, then the trial epochs.
+type hsbStepper struct {
+	b      HSB
+	r      *Result
+	epochs *int
 
-		// Phase 1: elect an MIS. Per epoch every undecided node draws a rank
-		// and joins if it holds the neighborhood minimum; hearing a leader
-		// covers a node. Announcements carry the state as of the epoch start,
-		// so a node leaves only after a full sweep has advertised its
-		// decision and every neighbor's decision has been heard.
-		state := misUndecided
-		decided := make(map[int]bool, deg)
-		misEpochs := 0
-		for epoch := 1; epoch <= misEpochCap(p); epoch++ {
-			misEpochs = epoch
-			announced := state
-			var rank uint64
-			if state == misUndecided {
-				rank = ctx.Rand.Uint64()
-			}
-			localMin := true
-			sawLeader := false
-			announceSweep(ctx, p, cycle, misMsg{From: ctx.ID(), Rank: rank, State: announced},
-				func(rec phy.Reception) {
-					m, ok := rec.Msg.(misMsg)
-					if !ok {
-						return
-					}
-					switch m.State {
-					case misLeader:
-						decided[m.From] = true
-						sawLeader = true
-					case misCovered:
-						decided[m.From] = true
-					default:
-						if m.Rank < rank || (m.Rank == rank && m.From < ctx.ID()) {
-							localMin = false
-						}
-					}
-				})
-			if state == misUndecided {
-				switch {
-				case sawLeader:
-					state = misCovered
-				case localMin:
-					state = misLeader
-				}
-			}
-			if announced != misUndecided && allMarked(nbs, decided) {
-				break
-			}
-		}
-		if state == misUndecided {
-			state = misCovered // cap fallback: color as an ordinary member
-		}
+	disc   *discovery
+	mis    *misFrag
+	trials *trialFrag
+}
 
-		// Phase 2: leaders commit color 0 — pairwise non-adjacent, so no
-		// conflict — and everyone runs the trial protocol, leaders only to
-		// advertise their commitment until the neighborhood settles.
-		if state == misLeader {
-			r.Color = 0
-			r.IsDominator = true
-			ctx.Emit(EventColored, 0)
+// Step implements sim.Stepper.
+func (s *hsbStepper) Step(sc *sim.StepCtx) {
+	p := sc.Params()
+	cycle := sweepLen(p)
+	if s.disc == nil {
+		s.disc = newDiscovery(sc.ID(), cycle)
+	}
+	if s.mis == nil {
+		if !s.disc.Feed(sc) {
+			return
 		}
-		maxEpochs := b.MaxEpochs
+		nbs := s.disc.sorted()
+		s.mis = &misFrag{epochLoop: epochLoop{cycle: cycle, cap: misEpochCap(p)}, id: sc.ID(), nbs: nbs,
+			decided: make(map[int]bool, len(nbs))}
+	}
+	if s.trials == nil {
+		if !s.mis.Feed(sc) {
+			return
+		}
+		// Leaders commit color 0 — pairwise non-adjacent, so no conflict —
+		// and everyone runs the trial protocol, leaders only to advertise
+		// their commitment until the neighborhood settles.
+		if s.mis.state == misLeader {
+			s.r.Color = 0
+			s.r.IsDominator = true
+			sc.Emit(EventColored, 0)
+		}
+		maxEpochs := s.b.MaxEpochs
 		if maxEpochs <= 0 {
-			maxEpochs = trialEpochCap(p, deg)
+			maxEpochs = trialEpochCap(p, len(s.mis.nbs))
 		}
-		taken := make(map[int]bool, deg)
-		finals := make(map[int]bool, deg)
-		trials := runTrials(ctx, p, cycle, nbs, r, taken, finals, maxEpochs)
-		epochs[i] = 1 + misEpochs + trials
+		s.trials = newTrialFrag(sc.ID(), cycle, maxEpochs, s.mis.nbs, s.r)
+	}
+	if !s.trials.Feed(sc) {
+		return
+	}
+	*s.epochs = 1 + s.mis.epoch + s.trials.epoch
+	// Read the color as its multi-channel TDMA pair.
+	if s.r.Color >= 0 {
+		s.r.Index = s.r.Color / p.Channels
+		s.r.ClusterColor = s.r.Color % p.Channels
+	}
+	sc.Done()
+}
 
-		// Read the color as its multi-channel TDMA pair.
-		if r.Color >= 0 {
-			r.Index = r.Color / p.Channels
-			r.ClusterColor = r.Color % p.Channels
+// misFrag elects a maximal independent set. Per epoch every undecided node
+// draws a rank and joins if it holds the neighborhood minimum; hearing a
+// leader covers a node. Announcements carry the state as of the epoch
+// start, so a node leaves only after a full sweep has advertised its
+// decision and every neighbor's decision has been heard. Nodes still
+// undecided at the epoch cap end covered.
+type misFrag struct {
+	epochLoop
+	id      int
+	nbs     []int
+	decided map[int]bool
+
+	state, announced    uint8
+	rank                uint64
+	localMin, sawLeader bool
+}
+
+// Feed implements sim.Frag.
+func (f *misFrag) Feed(sc *sim.StepCtx) bool {
+	if !f.feed(sc, f) {
+		return false
+	}
+	if f.state == misUndecided {
+		f.state = misCovered // cap fallback: color as an ordinary member
+	}
+	return true
+}
+
+func (f *misFrag) begin(sc *sim.StepCtx) any {
+	f.announced = f.state
+	f.rank = 0
+	if f.state == misUndecided {
+		f.rank = sc.Rand.Uint64()
+	}
+	f.localMin, f.sawLeader = true, false
+	return misMsg{From: f.id, Rank: f.rank, State: f.announced}
+}
+
+func (f *misFrag) end(*sim.StepCtx) bool {
+	if f.state == misUndecided {
+		switch {
+		case f.sawLeader:
+			f.state = misCovered
+		case f.localMin:
+			f.state = misLeader
+		}
+	}
+	return f.announced != misUndecided && allMarked(f.nbs, f.decided)
+}
+
+func (f *misFrag) hear(rec phy.Reception) {
+	m, ok := rec.Msg.(misMsg)
+	if !ok {
+		return
+	}
+	switch m.State {
+	case misLeader:
+		f.decided[m.From] = true
+		f.sawLeader = true
+	case misCovered:
+		f.decided[m.From] = true
+	default:
+		if m.Rank < f.rank || (m.Rank == f.rank && m.From < f.id) {
+			f.localMin = false
 		}
 	}
 }

@@ -1,43 +1,18 @@
 package coloring
 
-// This file is the Stepper-form port of the sec7 backend (see internal/sim:
+// This file holds the sec7 backend's node protocol (see internal/sim:
 // Stepper, Frag). sec7Stepper chains core.BuildFrag (structure plus
 // procedure 1), the reporter-tree cast fragments (procedures 2 and 3) and
-// assignFrag (procedure 4) exactly as program chains the goroutine calls,
-// with the glue at the fragment boundaries, so both forms produce
-// bit-identical transcripts. TestColorExecIdentity in the root package pins
-// this.
+// assignFrag (procedure 4), with the glue at the fragment boundaries.
+// TestColorExecIdentity in the root package pins the transcripts.
 
 import (
-	"context"
-
 	"mcnet/internal/agg"
 	"mcnet/internal/core"
 	"mcnet/internal/phy"
 	"mcnet/internal/reporter"
 	"mcnet/internal/sim"
 )
-
-// runStepped executes the sec7 coloring in the engine's goroutine-free mode.
-func runStepped(ctx context.Context, e *sim.Engine, pl *core.Plan, cfg Config) ([]Result, error) {
-	n := e.Field().N()
-	rounds := AssignRounds(pl, cfg)
-	steppers := make([]sim.Stepper, n)
-	arena := make([]sec7Stepper, n) // one allocation for all nodes
-	for i := 0; i < n; i++ {
-		// Procedure 1 delivers IDs, so a node's follower value is its ID.
-		arena[i] = sec7Stepper{build: core.BuildFrag{Pl: pl, Value: int64(i)}, rounds: rounds}
-		steppers[i] = &arena[i]
-	}
-	if _, err := e.RunSteppersContext(ctx, steppers); err != nil {
-		return nil, err
-	}
-	res := make([]Result, n)
-	for i := range arena {
-		arena[i].result(&res[i])
-	}
-	return res, nil
-}
 
 // Coloring stages, in slot order.
 const (
@@ -81,9 +56,8 @@ func (s *sec7Stepper) Step(sc *sim.StepCtx) {
 	}
 }
 
-// enter builds the fragment for the current stage — the mirror of the
-// goroutine form's call sites, including the pre-loop index assignment of
-// procedure 4.
+// enter builds the fragment for the current stage, including the
+// dominator's and reporters' index assignment at the start of procedure 4.
 func (s *sec7Stepper) enter(sc *sim.StepCtx) {
 	st := &s.build.St
 	switch s.stage {
@@ -143,10 +117,10 @@ func (s *sec7Stepper) leave() {
 	s.stage++
 }
 
-// result fills r from the node's final state, at the same points at which
-// the goroutine form writes it: the cluster color and dominator flag once
-// the structure is built, the reporter flag once procedure 1 is over, the
-// index and color once assigned.
+// result fills r from the node's final state: the cluster color and
+// dominator flag once the structure is built, the reporter flag once
+// procedure 1 is over, the index and color once assigned. A node that
+// crashed earlier reports what it had reached.
 func (s *sec7Stepper) result(r *Result) {
 	r.Color, r.Index = -1, -1
 	st := &s.build.St
@@ -162,9 +136,9 @@ func (s *sec7Stepper) result(r *Result) {
 	}
 }
 
-// assignFrag is the sim.Frag form of procedure 4: a reporter holding its
-// block announces one index per follower on its channel, round-robin; an
-// uncolored follower listens on the channel whose reporter acknowledged it.
+// assignFrag is procedure 4: a reporter holding its block announces one
+// index per follower on its channel, round-robin; an uncolored follower
+// listens on the channel whose reporter acknowledged it.
 // Index and Color are the node's outcome (-1 while uncolored).
 type assignFrag struct {
 	pl        *core.Plan

@@ -21,7 +21,9 @@
 package coloring
 
 import (
+	"context"
 	"math/bits"
+	"math/rand"
 	"sort"
 
 	"mcnet/internal/model"
@@ -76,51 +78,184 @@ func trialEpochCap(p model.Params, deg int) int {
 	return 24 + 8*bits.Len(uint(sweepLen(p))) + deg
 }
 
-// discoverNeighbors runs one full TDMA sweep in which every node announces
-// its ID, and returns the sorted IDs heard from within the communication
-// radius R_ε. With n̂ ≥ n the sweep is collision-free, so the result equals
-// the node's exact communication-graph neighborhood.
-func discoverNeighbors(ctx *sim.Ctx, p model.Params, cycle int) []int {
-	id := ctx.ID()
-	rEps := p.REps()
-	seen := make(map[int]bool)
-	var nbs []int
-	for s := 0; s < cycle; s++ {
-		ch := s % p.Channels
-		if s == id%cycle {
-			ctx.Transmit(ch, hello{From: id})
-			continue
-		}
-		rec := ctx.Listen(ch)
-		if !rec.Decoded {
-			continue
-		}
-		if m, ok := rec.Msg.(hello); ok && phy.SenderWithin(rec, p, rEps) && !seen[m.From] {
-			seen[m.From] = true
-			nbs = append(nbs, m.From)
-		}
-	}
-	sort.Ints(nbs)
-	return nbs
+// hearer consumes the messages a sweep delivers.
+type hearer interface {
+	hear(rec phy.Reception)
 }
 
-// announceSweep runs one TDMA sweep: the node transmits msg in its own slot
-// and listens everywhere else, invoking handle for every decoded message
-// from within the communication radius. Exactly cycle slots are consumed,
-// keeping all nodes sweep-aligned.
-func announceSweep(ctx *sim.Ctx, p model.Params, cycle int, msg any, handle func(rec phy.Reception)) {
-	id := ctx.ID()
-	rEps := p.REps()
-	for s := 0; s < cycle; s++ {
-		ch := s % p.Channels
-		if s == id%cycle {
-			ctx.Transmit(ch, msg)
-			continue
+// sweepFrag is one TDMA sweep as a sim.Frag: the node transmits msg in its
+// own sweep slot and listens on every other slot's channel, passing each
+// message decoded from within the communication radius R_ε to h. It
+// consumes exactly cycle slots, keeping all nodes sweep-aligned.
+type sweepFrag struct {
+	cycle int
+	msg   any
+	h     hearer
+
+	s     int
+	await bool
+}
+
+// Feed implements sim.Frag.
+func (f *sweepFrag) Feed(sc *sim.StepCtx) bool {
+	p := sc.Params()
+	if f.await {
+		f.await = false
+		if rec := sc.Prev(); rec.Decoded && phy.SenderWithin(rec, p, p.REps()) {
+			f.h.hear(rec)
 		}
-		rec := ctx.Listen(ch)
-		if rec.Decoded && phy.SenderWithin(rec, p, rEps) {
-			handle(rec)
+	}
+	if f.s >= f.cycle {
+		return true
+	}
+	s := f.s
+	f.s++
+	ch := s % p.Channels
+	if s == sc.ID()%f.cycle {
+		sc.Transmit(ch, f.msg)
+		return false
+	}
+	sc.Listen(ch)
+	f.await = true
+	return false
+}
+
+// discovery is the hello sweep that learns a node's neighborhood: with
+// n̂ ≥ n it is collision-free, so nbs ends as the node's exact
+// communication-graph neighborhood. Call sorted once the sweep is over.
+type discovery struct {
+	sweepFrag
+	seen map[int]bool
+	nbs  []int
+}
+
+func newDiscovery(id, cycle int) *discovery {
+	d := &discovery{seen: make(map[int]bool)}
+	d.sweepFrag = sweepFrag{cycle: cycle, msg: hello{From: id}, h: d}
+	return d
+}
+
+func (d *discovery) hear(rec phy.Reception) {
+	if m, ok := rec.Msg.(hello); ok && !d.seen[m.From] {
+		d.seen[m.From] = true
+		d.nbs = append(d.nbs, m.From)
+	}
+}
+
+// sorted returns the discovered neighbor IDs in ascending order.
+func (d *discovery) sorted() []int {
+	sort.Ints(d.nbs)
+	return d.nbs
+}
+
+// epochProto is one epoch-structured protocol phase: begin opens an epoch
+// and returns the node's announcement for its sweep; hear observes the
+// sweep's messages; end closes the epoch and reports whether the phase is
+// over.
+type epochProto interface {
+	hearer
+	begin(sc *sim.StepCtx) any
+	end(sc *sim.StepCtx) bool
+}
+
+// epochLoop drives an epochProto through whole-sweep epochs, at most cap of
+// them; epoch is the number started so far.
+type epochLoop struct {
+	cycle, cap, epoch int
+	sweep             sweepFrag
+	inSweep           bool
+}
+
+// feed advances p by one slot, like sim.Frag.Feed.
+func (l *epochLoop) feed(sc *sim.StepCtx, p epochProto) bool {
+	for {
+		if l.inSweep {
+			if !l.sweep.Feed(sc) {
+				return false
+			}
+			l.inSweep = false
+			if p.end(sc) {
+				return true
+			}
 		}
+		if l.epoch >= l.cap {
+			return true
+		}
+		l.epoch++
+		l.sweep = sweepFrag{cycle: l.cycle, msg: p.begin(sc), h: p}
+		l.inSweep = true
+	}
+}
+
+// trialFrag runs rank-based palette trial epochs until the node has
+// committed a color and heard a commitment from every neighbor — the point
+// at which leaving the air cannot strand anyone — or until the epoch cap.
+// r.Color may arrive pre-committed (the hsb leaders). Once Feed returns
+// true, epochLoop.epoch is the number of epochs executed.
+type trialFrag struct {
+	epochLoop
+	id  int
+	nbs []int
+	r   *Result
+	// taken accumulates the colors neighbors have committed, finals the
+	// neighbors that committed.
+	taken, finals map[int]bool
+
+	wasFinal  bool
+	candidate int
+	rank      uint64
+	lost      bool
+}
+
+func newTrialFrag(id, cycle, maxEpochs int, nbs []int, r *Result) *trialFrag {
+	return &trialFrag{
+		epochLoop: epochLoop{cycle: cycle, cap: maxEpochs},
+		id:        id, nbs: nbs, r: r,
+		taken:  make(map[int]bool, len(nbs)),
+		finals: make(map[int]bool, len(nbs)),
+	}
+}
+
+// Feed implements sim.Frag.
+func (f *trialFrag) Feed(sc *sim.StepCtx) bool { return f.feed(sc, f) }
+
+// begin announces the node's state as of the epoch start: a commitment
+// only counts as heard once a full sweep carried it, so the exit in end
+// never strands a neighbor still waiting for it.
+func (f *trialFrag) begin(sc *sim.StepCtx) any {
+	f.wasFinal = f.r.Color >= 0
+	f.candidate, f.rank, f.lost = f.r.Color, 0, false
+	if !f.wasFinal {
+		f.candidate = pickFree(sc.Rand, len(f.nbs), f.taken)
+		f.rank = sc.Rand.Uint64()
+	}
+	return trialMsg{From: f.id, Rank: f.rank, Color: f.candidate, Final: f.wasFinal}
+}
+
+func (f *trialFrag) end(sc *sim.StepCtx) bool {
+	if !f.wasFinal && !f.lost {
+		f.r.Color = f.candidate
+		sc.Emit(EventColored, f.r.Color)
+	}
+	return f.wasFinal && allMarked(f.nbs, f.finals)
+}
+
+func (f *trialFrag) hear(rec phy.Reception) {
+	m, ok := rec.Msg.(trialMsg)
+	if !ok {
+		return // a neighbor still in another protocol phase
+	}
+	if m.Final {
+		f.finals[m.From] = true
+		f.taken[m.Color] = true
+		if !f.wasFinal && m.Color == f.candidate {
+			f.lost = true
+		}
+		return
+	}
+	if !f.wasFinal && m.Color == f.candidate &&
+		(m.Rank < f.rank || (m.Rank == f.rank && m.From < f.id)) {
+		f.lost = true
 	}
 }
 
@@ -128,14 +263,14 @@ func announceSweep(ctx *sim.Ctx, p model.Params, cycle int, msg any, handle func
 // already committed by neighbors. At most deg of the deg+1 palette colors
 // can be taken, so the free set is never empty — the degree+1 list-coloring
 // invariant.
-func pickFree(ctx *sim.Ctx, deg int, taken map[int]bool) int {
+func pickFree(rnd *rand.Rand, deg int, taken map[int]bool) int {
 	free := make([]int, 0, deg+1)
 	for c := 0; c <= deg; c++ {
 		if !taken[c] {
 			free = append(free, c)
 		}
 	}
-	return free[ctx.Rand.Intn(len(free))]
+	return free[rnd.Intn(len(free))]
 }
 
 // allMarked reports whether every listed neighbor is marked in m.
@@ -146,4 +281,22 @@ func allMarked(nbs []int, m map[int]bool) bool {
 		}
 	}
 	return true
+}
+
+// backendRun drives one Stepper per node of a sweep backend and returns
+// the per-node results, which start uncolored (-1 everywhere) so a node
+// that crashes before acting reports no color.
+func backendRun(goctx context.Context, e *sim.Engine, mk func(r *Result, epochs *int) sim.Stepper) ([]Result, []int, error) {
+	n := e.Field().N()
+	res := make([]Result, n)
+	epochs := make([]int, n)
+	steppers := make([]sim.Stepper, n)
+	for i := range res {
+		res[i].Color, res[i].Index, res[i].ClusterColor = -1, -1, -1
+		steppers[i] = mk(&res[i], &epochs[i])
+	}
+	if _, err := e.RunContext(goctx, steppers); err != nil {
+		return nil, nil, err
+	}
+	return res, epochs, nil
 }

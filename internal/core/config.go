@@ -36,7 +36,8 @@ type Config struct {
 	// Δ̂). It sizes the CSA and follower stages.
 	DeltaHat int
 	// C1 scales channels per cluster: f_v = min(⌈est/(C1·ln n̂)⌉, F). The
-	// paper uses c₁ = 24; 1.0 is the practical default (deviation D1).
+	// paper uses c₁ = 24; 1.0 is the practical default (deviation D1 in the
+	// mcnet package documentation).
 	C1 float64
 	// PhiMax is the agreed TDMA period (an upper bound on cluster colors).
 	PhiMax int
@@ -62,10 +63,6 @@ type Config struct {
 	// derived from the parameters at Plan time.
 	DominateRoundFactor float64
 	ColorConfig         *backbone.ColorConfig
-
-	// Exec selects the execution mode Run dispatches to (see ExecMode); the
-	// zero value is ExecAuto. Every mode yields bit-identical transcripts.
-	Exec ExecMode
 }
 
 // DefaultConfig returns the pipeline configuration for the given model.

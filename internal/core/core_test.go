@@ -205,23 +205,13 @@ func TestScheduleAlignment(t *testing.T) {
 	}
 	pl := NewPlan(p, DefaultConfig(p))
 	e := sim.NewEngine(phy.NewField(p, pos), 13)
+	slots := 0
+	e.Trace = func(int, []phy.Tx, []phy.Rx, []phy.Reception) { slots++ }
 	if _, err := Run(e, pl, make([]int64, n), agg.Sum, 13); err != nil {
 		t.Fatal(err)
 	}
-	// Re-run with fresh engine to measure slots.
-	e2 := sim.NewEngine(phy.NewField(p, pos), 13)
-	pl2 := NewPlan(p, DefaultConfig(p))
-	progs := make([]sim.Program, n)
-	res := make([]Result, n)
-	for i := 0; i < n; i++ {
-		progs[i] = pl2.program(i, 0, agg.Sum, res)
-	}
-	slots, err := e2.Run(progs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slots != pl2.Offsets.End {
-		t.Errorf("pipeline consumed %d slots, plan says %d", slots, pl2.Offsets.End)
+	if slots != pl.Offsets.End {
+		t.Errorf("pipeline consumed %d slots, plan says %d", slots, pl.Offsets.End)
 	}
 }
 

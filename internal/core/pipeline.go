@@ -5,11 +5,6 @@ import (
 	"fmt"
 
 	"mcnet/internal/agg"
-	"mcnet/internal/backbone"
-	"mcnet/internal/csa"
-	"mcnet/internal/dominate"
-	"mcnet/internal/phy"
-	"mcnet/internal/reporter"
 	"mcnet/internal/sim"
 )
 
@@ -95,27 +90,24 @@ func Run(e *sim.Engine, pl *Plan, values []int64, op agg.Op, seed uint64) ([]Res
 // cancelled mid-run. A values slice whose length differs from the node
 // count is an error: silently substituting zeros would corrupt the
 // aggregate while the run still "succeeds".
-//
-// The plan's Cfg.Exec decides how the node code executes: goroutine
-// programs or — the default — the goroutine-free Stepper form
-// (RunSteppedContext). The transcript is bit-identical either way; only
-// memory and wall-clock differ.
 func RunContext(ctx context.Context, e *sim.Engine, pl *Plan, values []int64, op agg.Op, seed uint64) ([]Result, error) {
 	n := e.Field().N()
-	if pl.Cfg.Exec.Stepped() {
-		return RunSteppedContext(ctx, e, pl, values, op, seed)
-	}
 	if len(values) != n {
 		return nil, fmt.Errorf("core: %d values for %d nodes", len(values), n)
 	}
-	res := make([]Result, n)
-	progs := make([]sim.Program, n)
+	steppers := make([]sim.Stepper, n)
+	arena := make([]pipelineStepper, n) // one allocation for all nodes
 	for i := 0; i < n; i++ {
-		progs[i] = pl.program(i, values[i], op, res)
+		arena[i] = pipelineStepper{build: BuildFrag{Pl: pl, Value: values[i]}, op: op}
+		steppers[i] = &arena[i]
 	}
 	_ = seed
-	if _, err := e.RunContext(ctx, progs); err != nil {
+	if _, err := e.RunContext(ctx, steppers); err != nil {
 		return nil, err
+	}
+	res := make([]Result, n)
+	for i := range arena {
+		arena[i].result(&res[i])
 	}
 	return res, nil
 }
@@ -134,113 +126,4 @@ func (pl *Plan) fv(est int) int {
 		f = 1
 	}
 	return f
-}
-
-// program builds node i's pipeline program: structure build, then the three
-// aggregation procedures, then the inform stage.
-func (pl *Plan) program(i int, value int64, op agg.Op, res []Result) sim.Program {
-	return func(ctx *sim.Ctx) {
-		r := &res[i]
-
-		// Stages 1-5: structure construction.
-		st := pl.BuildStage(ctx)
-		r.IsDominator = st.IsDominator()
-		r.Dominator = st.Dom.Dominator
-		r.Color = st.Color
-		r.SizeEst = st.Est
-		r.Channel = st.Channel
-		r.IsReporter = st.IsReporter()
-
-		// Stage 6: followers → reporters.
-		got, _ := pl.FollowerStage(ctx, st, value)
-
-		// Stage 7: reporter-tree convergecast to the dominator.
-		cast := pl.CastConfig(st.Off)
-		var clusterAgg int64
-		if st.Role >= 0 {
-			castVal := value
-			for _, v := range got {
-				castVal = op.Combine(castVal, v)
-			}
-			cs := reporter.RunCastUp(ctx, cast, st.Role, st.Dom.Dominator, castVal, op)
-			if st.Role == 0 {
-				clusterAgg = cs.Value
-				ctx.Emit(EventClusterAgg, 0)
-			}
-		} else {
-			reporter.IdleCast(ctx, cast)
-		}
-
-		// Stage 8: inter-cluster aggregation over the backbone.
-		var final int64
-		informed := false
-		if st.IsDominator() {
-			out := backbone.RunTree(ctx, pl.Tree, st.Off, clusterAgg, op)
-			final, informed = out.Result, out.Done
-		} else {
-			backbone.IdleTree(ctx, pl.Tree)
-		}
-
-		// Stage 9: dominators inform their clusters.
-		final, informed = pl.InformStage(ctx, st, final, informed)
-		if informed {
-			r.Value, r.Ok = final, true
-			ctx.Emit(EventInformed, 0)
-		}
-	}
-}
-
-// runAnnounce is stage 3: dominators repeatedly announce their color on
-// channel 0; members learn their cluster's color. Returns the node's color
-// (dominators: their own; members: the learned one, or 0 if missed).
-func (pl *Plan) runAnnounce(ctx *sim.Ctx, dom dominate.Outcome, ownColor int) int {
-	p := pl.Params
-	if dom.IsDominator {
-		for s := 0; s < pl.AnnounceSlots; s++ {
-			if ctx.Rand.Float64() < 0.2 {
-				ctx.Transmit(0, ColorMsg{Dom: ctx.ID(), Color: ownColor})
-			} else {
-				ctx.Idle()
-			}
-		}
-		return ownColor
-	}
-	color := -1
-	for s := 0; s < pl.AnnounceSlots; s++ {
-		if color >= 0 {
-			ctx.Idle()
-			continue
-		}
-		rec := ctx.Listen(0)
-		if m, ok := rec.Msg.(ColorMsg); ok && m.Dom == dom.Dominator &&
-			phy.SenderWithin(rec, p, p.ClusterRadius()) {
-			color = m.Color
-		}
-	}
-	if color < 0 {
-		color = 0 // degraded: TDMA misalignment possible, but keep going
-	}
-	return color
-}
-
-// runCSA is stage 4: the Lemma 14 chooser between the two CSA variants.
-func (pl *Plan) runCSA(ctx *sim.Ctx, dom dominate.Outcome, off int) int {
-	if pl.UseSmall {
-		cfg := pl.CSASmall
-		cfg.Offset = off
-		if dom.IsDominator {
-			return csa.RunSmallDominator(ctx, cfg)
-		}
-		return csa.RunSmallDominatee(ctx, cfg, dom.Dominator)
-	}
-	cfg := pl.CSALarge
-	cfg.Offset = off
-	if dom.IsDominator {
-		return csa.RunDominator(ctx, cfg, ctx.ID()) + 1 // members + self
-	}
-	est := csa.RunDominatee(ctx, cfg, dom.Dominator)
-	if est > 0 {
-		est++
-	}
-	return est
 }

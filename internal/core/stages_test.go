@@ -10,7 +10,7 @@ import (
 	"mcnet/internal/sim"
 )
 
-// buildStructures runs only the build stages over a crowd and returns the
+// buildStructures runs the build stages over a crowd and returns the
 // per-node structures.
 func buildStructures(t *testing.T, n int, channels int, seed uint64) ([]Structure, *Plan, []geo.Point) {
 	t.Helper()
@@ -31,15 +31,33 @@ func buildStructures(t *testing.T, n int, channels int, seed uint64) ([]Structur
 	pl := NewPlan(p, cfg)
 	e := sim.NewEngine(phy.NewField(p, pos), seed)
 	sts := make([]Structure, n)
-	progs := make([]sim.Program, n)
-	for i := range progs {
-		i := i
-		progs[i] = func(ctx *sim.Ctx) { sts[i] = pl.BuildStage(ctx) }
+	steppers := make([]sim.Stepper, n)
+	for i := range steppers {
+		f := &BuildFrag{Pl: pl}
+		steppers[i] = &sim.FragStepper{Frag: f, Finish: func(*sim.StepCtx) { sts[i] = f.St }}
 	}
-	if _, err := e.Run(progs); err != nil {
+	if _, err := e.Run(steppers); err != nil {
 		t.Fatal(err)
 	}
 	return sts, pl, pos
+}
+
+// builtAt runs a BuildFrag and records the slot in which stages 1–5
+// completed and the slot in which the whole fragment finished.
+type builtAt struct {
+	f           BuildFrag
+	built, done int
+}
+
+func (b *builtAt) Step(sc *sim.StepCtx) {
+	fin := b.f.Feed(sc)
+	if b.f.Built() && b.built < 0 {
+		b.built = sc.Slot()
+	}
+	if fin {
+		b.done = sc.Slot()
+		sc.Done()
+	}
 }
 
 func TestBuildStageStructureInvariants(t *testing.T) {
@@ -109,28 +127,28 @@ func TestBuildStageBudget(t *testing.T) {
 	cfg.PhiMax = 4
 	pl := NewPlan(p, cfg)
 	e := sim.NewEngine(phy.NewField(p, pos), 3)
-	after := make([]int, n)
-	progs := make([]sim.Program, n)
-	for i := range progs {
-		i := i
-		progs[i] = func(ctx *sim.Ctx) {
-			pl.BuildStage(ctx)
-			after[i] = ctx.Slot()
-		}
+	nodes := make([]builtAt, n)
+	steppers := make([]sim.Stepper, n)
+	for i := range steppers {
+		nodes[i] = builtAt{f: BuildFrag{Pl: pl}, built: -1}
+		steppers[i] = &nodes[i]
 	}
-	if _, err := e.Run(progs); err != nil {
+	if _, err := e.Run(steppers); err != nil {
 		t.Fatal(err)
 	}
-	for i, s := range after {
-		if s != pl.Offsets.Followers {
-			t.Errorf("node %d consumed %d slots for build, plan says %d", i, s, pl.Offsets.Followers)
+	for i, nd := range nodes {
+		if nd.built != pl.Offsets.Followers {
+			t.Errorf("node %d consumed %d slots for build, plan says %d", i, nd.built, pl.Offsets.Followers)
+		}
+		if nd.done != pl.Offsets.Tree {
+			t.Errorf("node %d finished the follower stage at %d, plan says %d", i, nd.done, pl.Offsets.Tree)
 		}
 	}
 }
 
 func TestInformStageDelivers(t *testing.T) {
-	// Directly exercise InformStage: a dominator with a value, members
-	// without; after one TDMA block all members have it.
+	// Directly exercise the inform stage: a dominator with a value,
+	// members without; after one TDMA block all members have it.
 	const n = 10
 	p := model.Default(1, 64)
 	pos := make([]geo.Point, n)
@@ -144,24 +162,22 @@ func TestInformStageDelivers(t *testing.T) {
 	e := sim.NewEngine(phy.NewField(p, pos), 7)
 	got := make([]int64, n)
 	oks := make([]bool, n)
-	progs := make([]sim.Program, n)
-	for i := range progs {
-		i := i
-		progs[i] = func(ctx *sim.Ctx) {
-			st := Structure{Channel: -1}
-			st.Dom.Dominator = 0
-			if i == 0 {
-				st.Dom.IsDominator = true
-				st.Role = 0
-			} else {
-				st.Role = -1
-			}
-			v, ok := pl.InformStage(ctx, st, 777, i == 0)
-			got[i], oks[i] = v, ok
+	steppers := make([]sim.Stepper, n)
+	for i := range steppers {
+		st := &Structure{Channel: -1, Role: -1}
+		if i == 0 {
+			st.Dom.IsDominator = true
+			st.Role = 0
 		}
+		f := &informFrag{pl: pl, st: st, Value: 777, Have: i == 0}
+		steppers[i] = &sim.FragStepper{Frag: f, Finish: func(*sim.StepCtx) { got[i], oks[i] = f.Value, f.Have }}
 	}
-	if _, err := e.Run(progs); err != nil {
+	slots, err := e.Run(steppers)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if slots != pl.Cfg.PhiMax {
+		t.Errorf("inform stage took %d slots, want PhiMax = %d", slots, pl.Cfg.PhiMax)
 	}
 	for i := range got {
 		if !oks[i] || got[i] != 777 {

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"context"
-	"fmt"
-
 	"mcnet/internal/agg"
 	"mcnet/internal/backbone"
 	"mcnet/internal/csa"
@@ -13,48 +10,15 @@ import (
 	"mcnet/internal/sim"
 )
 
-// This file is the Stepper-form port of the pipeline (see internal/sim:
-// Stepper, Frag). BuildFrag chains the structure-construction and follower
-// fragments (stages 1–6) exactly as BuildStage and FollowerStage chain the
-// goroutine stage calls, and pipelineStepper composes it with the
+// This file holds the pipeline's node protocol (see internal/sim: Stepper,
+// Frag). BuildFrag chains the structure-construction and follower
+// fragments (stages 1–6), and pipelineStepper composes it with the
 // aggregation stages 7–9; the Sec. 7 coloring composes the same BuildFrag
 // with its own procedures. The stage-glue code (structure bookkeeping, the
-// elect channel draw, the cast-value fold) runs at the fragment boundaries,
-// in the same position of the node's random stream and slot timeline as in
-// the goroutine form, so both forms produce bit-identical transcripts.
-// TestRunSteppedIdentity pins this.
-
-// RunStepped executes the full pipeline in the engine's goroutine-free mode.
-// It is behaviorally identical to Run — same per-node results, same
-// transcript, same events — but drives the nodes as Steppers, which at crowd
-// scale avoids the per-node goroutine stacks and the park/unpark slot cost.
-func RunStepped(e *sim.Engine, pl *Plan, values []int64, op agg.Op, seed uint64) ([]Result, error) {
-	return RunSteppedContext(context.Background(), e, pl, values, op, seed)
-}
-
-// RunSteppedContext is like RunStepped but aborts promptly with ctx.Err()
-// when ctx is cancelled mid-run.
-func RunSteppedContext(ctx context.Context, e *sim.Engine, pl *Plan, values []int64, op agg.Op, seed uint64) ([]Result, error) {
-	n := e.Field().N()
-	if len(values) != n {
-		return nil, fmt.Errorf("core: %d values for %d nodes", len(values), n)
-	}
-	steppers := make([]sim.Stepper, n)
-	arena := make([]pipelineStepper, n) // one allocation for all nodes
-	for i := 0; i < n; i++ {
-		arena[i] = pipelineStepper{build: BuildFrag{Pl: pl, Value: values[i]}, op: op}
-		steppers[i] = &arena[i]
-	}
-	_ = seed
-	if _, err := e.RunSteppersContext(ctx, steppers); err != nil {
-		return nil, err
-	}
-	res := make([]Result, n)
-	for i := range arena {
-		arena[i].result(&res[i])
-	}
-	return res, nil
-}
+// elect channel draw, the cast-value fold) runs at the fragment
+// boundaries, within the Step call that finishes the previous stage, so
+// stage boundaries cost no slots. TestRunSteppedIdentity pins the
+// transcripts.
 
 // Build stages (stages 1–6), in slot order.
 const (
@@ -67,11 +31,14 @@ const (
 	stBuilt
 )
 
-// BuildFrag is the sim.Frag form of BuildStage followed by FollowerStage:
-// structure construction (stages 1–5) and the Sec. 6 follower procedure
-// (stage 6), with Value as the node's follower payload. St is final once
-// Built reports true; Got and AckedOn (see FollowerStage) are valid once
-// Feed returns true.
+// BuildFrag runs structure construction (stages 1–5, Theorem 10) and the
+// Sec. 6 follower procedure (stage 6), with Value as the node's follower
+// payload; it consumes exactly Offsets.Tree slots. St is final once Built
+// reports true. Got and AckedOn are valid once Feed returns true: for
+// reporters, Got maps each collected follower's ID to its value; for
+// followers, AckedOn is the channel whose reporter acknowledged the value
+// (-1 if never acknowledged) — that reporter owns the follower in the
+// Sec. 7 coloring.
 type BuildFrag struct {
 	Pl    *Plan
 	Value int64
@@ -132,9 +99,8 @@ func (f *BuildFrag) enterIdle(k int) {
 	f.cur = &f.idle
 }
 
-// enter builds the fragment for the current stage — the mirror of the
-// goroutine form's stage-call sites, including their pre-call glue (the
-// member's elect channel draw).
+// enter builds the fragment for the current stage, including its pre-stage
+// glue (the member's elect channel draw).
 func (f *BuildFrag) enter(sc *sim.StepCtx) {
 	pl := f.Pl
 	p := sc.Params()
@@ -192,8 +158,7 @@ func (f *BuildFrag) enter(sc *sim.StepCtx) {
 	}
 }
 
-// leave consumes the finished stage's result — the mirror of the goroutine
-// form's post-call glue.
+// leave consumes the finished stage's result.
 func (f *BuildFrag) leave(sc *sim.StepCtx) {
 	pl := f.Pl
 	switch f.stage {
@@ -293,9 +258,8 @@ func (ps *pipelineStepper) enterIdle(k int) {
 	ps.cur = &ps.idle
 }
 
-// enter builds the fragment for the current stage — the mirror of the
-// goroutine form's stage-call sites, including their pre-call glue (the
-// reporter's cast-value fold).
+// enter builds the fragment for the current stage, including its
+// pre-stage glue (the reporter's cast-value fold).
 func (ps *pipelineStepper) enter(sc *sim.StepCtx) {
 	pl := ps.build.Pl
 	st := &ps.build.St
@@ -333,8 +297,8 @@ func (ps *pipelineStepper) enter(sc *sim.StepCtx) {
 	}
 }
 
-// leave consumes the finished stage's result — the mirror of the goroutine
-// form's post-call glue, including its Emits.
+// leave consumes the finished stage's result and emits its milestone
+// events.
 func (ps *pipelineStepper) leave(sc *sim.StepCtx) {
 	switch ps.stage {
 	case psCast:
@@ -354,8 +318,8 @@ func (ps *pipelineStepper) leave(sc *sim.StepCtx) {
 }
 
 // result fills r from the node's final state: the structure once stages
-// 1–5 completed, the aggregate once stage 9 did — the same points at which
-// the goroutine form writes them.
+// 1–5 completed, the aggregate once stage 9 did. A node that crashed
+// earlier reports what it had reached.
 func (ps *pipelineStepper) result(r *Result) {
 	if !ps.build.Built() {
 		return
@@ -372,8 +336,10 @@ func (ps *pipelineStepper) result(r *Result) {
 	}
 }
 
-// announceFrag is the sim.Frag form of runAnnounce. Color is valid once
-// Feed returns true.
+// announceFrag is stage 3: dominators repeatedly announce their color on
+// channel 0; members learn their cluster's color. Color is valid once Feed
+// returns true: the dominator's own, the learned one, or 0 for a member
+// that missed every announcement.
 type announceFrag struct {
 	pl       *Plan
 	dom      dominate.Outcome
@@ -442,9 +408,11 @@ const (
 	folAwaitBackoff
 )
 
-// followerFrag is the sim.Frag form of FollowerStage for the enclosing
-// BuildFrag b: it reads b's plan, structure and value, and leaves its
-// results in b.Got and b.AckedOn.
+// followerFrag is stage 6 (Sec. 6, first procedure) for the enclosing
+// BuildFrag b: followers deliver their values to reporters under
+// backoff-controlled contention. It reads b's plan, structure and value,
+// leaves its results in b.Got and b.AckedOn, and consumes exactly
+// Offsets.Tree − Offsets.Followers slots.
 type followerFrag struct {
 	b *BuildFrag
 
@@ -611,8 +579,9 @@ func (f *followerFrag) Feed(sc *sim.StepCtx) bool {
 	}
 }
 
-// informFrag is the sim.Frag form of InformStage. Value and Have are the
-// stage's in/out value pair.
+// informFrag is stage 9: dominators announce the final value within their
+// clusters and members listen, in exactly PhiMax slots. Value and Have are
+// the stage's in/out value pair.
 type informFrag struct {
 	pl *Plan
 	st *Structure

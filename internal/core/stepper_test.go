@@ -2,8 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"reflect"
-	"sort"
 	"testing"
 
 	"mcnet/internal/agg"
@@ -16,107 +14,27 @@ import (
 	"mcnet/internal/topology"
 )
 
-// txRec is one transcript entry: who transmitted and who decoded what.
-type txRec struct {
-	Slot    int
-	Txs     []phy.Tx
-	Listens []int
-	Decoded []bool
-}
-
-// captureTrace returns a TraceFn that appends deep copies of every resolved
-// slot to *dst (Trace slices are engine scratch).
-func captureTrace(dst *[]txRec) sim.TraceFn {
-	return func(slot int, txs []phy.Tx, rxs []phy.Rx, recs []phy.Reception) {
-		r := txRec{Slot: slot, Txs: append([]phy.Tx(nil), txs...)}
-		for i, rx := range rxs {
-			r.Listens = append(r.Listens, rx.Node)
-			r.Decoded = append(r.Decoded, recs[i].Msg != nil)
-		}
-		*dst = append(*dst, r)
-	}
-}
-
-func sortedEvents(evs []sim.Event) []sim.Event {
-	out := append([]sim.Event(nil), evs...)
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Slot != out[b].Slot {
-			return out[a].Slot < out[b].Slot
-		}
-		if out[a].Node != out[b].Node {
-			return out[a].Node < out[b].Node
-		}
-		if out[a].Name != out[b].Name {
-			return out[a].Name < out[b].Name
-		}
-		return out[a].Value < out[b].Value
-	})
-	return out
-}
-
-// runIdentityCase runs the pipeline once per execution mode on the same
-// (topology, seed, faults) and requires bit-identical transcripts, events,
-// results, and slot counts.
+// runIdentityCase runs the pipeline on (topology, seed, faults) and checks
+// its transcript, events, results and slot count against the golden the
+// goroutine engine recorded.
 func runIdentityCase(t *testing.T, name string, pos []geo.Point, p model.Params, cfg Config, values []int64, op agg.Op, seed uint64, spec fault.Spec) {
 	t.Helper()
 	t.Run(name, func(t *testing.T) {
-		type outcome struct {
-			res    []Result
-			events []sim.Event
-			trace  []txRec
-			digest golden.Digest
+		pl := NewPlan(p, cfg)
+		e := sim.NewEngine(phy.NewField(p, pos), seed)
+		if !spec.Zero() {
+			e.Faults = fault.NewInjector(spec, seed+1, len(pos), p.Channels, pl.Offsets.End)
 		}
-		run := func(stepped bool) outcome {
-			pl := NewPlan(p, cfg)
-			e := sim.NewEngine(phy.NewField(p, pos), seed)
-			if !spec.Zero() {
-				e.Faults = fault.NewInjector(spec, seed+1, len(pos), p.Channels, pl.Offsets.End)
-			}
-			var trace []txRec
-			capture := captureTrace(&trace)
-			rec := golden.NewRecorder()
-			e.Trace = func(slot int, txs []phy.Tx, rxs []phy.Rx, recs []phy.Reception) {
-				capture(slot, txs, rxs, recs)
-				rec.Trace(slot, txs, rxs, recs)
-			}
-			var (
-				res []Result
-				err error
-			)
-			if stepped {
-				res, err = RunStepped(e, pl, values, op, seed)
-			} else {
-				res, err = Run(e, pl, values, op, seed)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, ev := range e.Events() {
-				rec.Event(ev.Slot, ev.Node, ev.Name, ev.Value)
-			}
-			return outcome{res: res, events: sortedEvents(e.Events()), trace: trace, digest: rec.Digest(t, res)}
+		rec := golden.NewRecorder()
+		e.Trace = rec.Trace
+		res, err := Run(e, pl, values, op, seed)
+		if err != nil {
+			t.Fatal(err)
 		}
-		g, s := run(false), run(true)
-		golden.Check(t, "", g.digest)
-		if !reflect.DeepEqual(g.res, s.res) {
-			for i := range g.res {
-				if g.res[i] != s.res[i] {
-					t.Fatalf("node %d result differs:\n goroutine %+v\n stepped   %+v", i, g.res[i], s.res[i])
-				}
-			}
+		for _, ev := range e.Events() {
+			rec.Event(ev.Slot, ev.Node, ev.Name, ev.Value)
 		}
-		if !reflect.DeepEqual(g.events, s.events) {
-			t.Fatalf("events differ: goroutine %d vs stepped %d entries", len(g.events), len(s.events))
-		}
-		if len(g.trace) != len(s.trace) {
-			t.Fatalf("transcript lengths differ: %d vs %d", len(g.trace), len(s.trace))
-		}
-		for i := range g.trace {
-			if !reflect.DeepEqual(g.trace[i], s.trace[i]) {
-				t.Fatalf("transcript diverges at slot %d:\n goroutine %+v\n stepped   %+v",
-					g.trace[i].Slot, g.trace[i], s.trace[i])
-			}
-		}
+		golden.Check(t, "", rec.Digest(t, res))
 	})
 }
 
@@ -135,10 +53,9 @@ func clusterPositions(n int, p model.Params, src int64) []geo.Point {
 	return pos
 }
 
-// TestRunSteppedIdentity pins the tentpole guarantee at the pipeline level:
-// the Stepper port of every stage reproduces the goroutine pipeline's
-// transcript bit for bit — across both CSA variants, multi-cluster fields,
-// and fault injection.
+// TestRunSteppedIdentity pins the pipeline's transcripts bit for bit to the
+// goldens recorded from the goroutine engine — across both CSA variants,
+// multi-cluster fields, and fault injection.
 func TestRunSteppedIdentity(t *testing.T) {
 	values := func(n int) []int64 {
 		v := make([]int64, n)
@@ -196,8 +113,8 @@ func TestRunSteppedIdentity(t *testing.T) {
 	}
 }
 
-// TestRunSteppedSlotCount pins that the stepped pipeline consumes exactly
-// the plan's slot budget, like the goroutine form.
+// TestRunSteppedSlotCount pins that the pipeline's Steppers consume exactly
+// the plan's slot budget.
 func TestRunSteppedSlotCount(t *testing.T) {
 	const n = 12
 	p := model.Default(2, 64)
@@ -208,7 +125,7 @@ func TestRunSteppedSlotCount(t *testing.T) {
 	for i := 0; i < n; i++ {
 		steppers[i] = &pipelineStepper{build: BuildFrag{Pl: pl}, op: agg.Sum}
 	}
-	slots, err := e.RunSteppers(steppers)
+	slots, err := e.Run(steppers)
 	if err != nil {
 		t.Fatal(err)
 	}

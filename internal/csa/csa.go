@@ -11,7 +11,7 @@
 //     O(log Δ̂ · log n).
 //
 //   - The small-Δ̂ variant (Appendix A) spreads dominatees uniformly over
-//     the F channels, elects a per-channel leader (reporter.RunElect), runs
+//     the F channels, elects a per-channel leader (reporter.ElectFrag), runs
 //     the probing estimator per channel with the small per-channel bound,
 //     aggregates the per-channel estimates to the dominator over the
 //     reporter tree, and broadcasts the total. Runtime O(log n · log log n)
@@ -103,11 +103,6 @@ func (c Config) SlotBudget(p model.Params) int {
 	return c.stride() * c.Phases() * (c.RoundsPerPhase(p) + 1)
 }
 
-// Idle consumes the estimator budget without participating.
-func Idle(ctx *sim.Ctx, cfg Config) {
-	ctx.IdleFor(cfg.SlotBudget(ctx.Params()))
-}
-
 // threshold is the termination count for the given parameters.
 func (c Config) threshold(p model.Params) int {
 	t := int(math.Ceil(c.CountFactor * p.LogN()))
@@ -117,82 +112,194 @@ func (c Config) threshold(p model.Params) int {
 	return t
 }
 
-// RunDominator executes the counting side for cluster head dom (usually the
-// caller itself; channel leaders in the small-Δ̂ variant pass their own ID).
-// It returns the estimate of the number of PROBING members (excluding the
-// head itself), ≥ 1·constant-factor accurate w.h.p., or 0 if the cluster
-// appears empty. It consumes exactly cfg.SlotBudget slots.
-func RunDominator(ctx *sim.Ctx, cfg Config, dom int) int {
-	var (
-		p          = ctx.Params()
-		stride     = cfg.stride()
-		rounds     = cfg.RoundsPerPhase(p)
-		thresh     = cfg.threshold(p)
-		estimate   = 0
-		terminated = false
-	)
-	for phase := 0; phase < cfg.Phases(); phase++ {
-		count := 0
-		for r := 0; r < rounds; r++ {
-			ctx.IdleFor(cfg.Offset)
-			rec := ctx.Listen(cfg.Channel)
-			if m, ok := rec.Msg.(Probe); ok && m.Dom == dom &&
-				phy.SenderWithin(rec, p, cfg.ClusterRadius) {
-				count++
-			}
-			ctx.IdleFor(stride - 1 - cfg.Offset)
-		}
-		// Notification round.
-		ctx.IdleFor(cfg.Offset)
-		if !terminated && count >= thresh {
-			terminated = true
-			estimate = cfg.DeltaHat >> phase
-			if estimate < 1 {
-				estimate = 1
-			}
-		}
-		if terminated {
-			ctx.Transmit(cfg.Channel, Estimate{Dom: dom, Est: estimate})
-		} else {
-			ctx.Idle()
-		}
-		ctx.IdleFor(stride - 1 - cfg.Offset)
-	}
-	return estimate
+// DominatorFrag executes the counting side for cluster head Dom (usually
+// the node itself; channel leaders in the small-Δ̂ variant pass their own
+// ID). Once Feed returns true, Estimate is the estimate of the number of
+// PROBING members (excluding the head itself), ≥ 1·constant-factor
+// accurate w.h.p., or 0 if the cluster appears empty. It consumes exactly
+// Cfg.SlotBudget slots.
+type DominatorFrag struct {
+	Cfg      Config
+	Dom      int
+	Estimate int
+
+	init                   bool
+	phases, rounds, thresh int
+	phase, round           int
+	pos                    uint8 // 0/1/2 probe round, 3/4/5 notification
+	count                  int
+	terminated             bool
+	awaitProbe             bool
 }
 
-// RunDominatee executes the probing side for a member of cluster dom. It
-// returns the estimate learned from the head's notification (0 if none
-// arrived). It consumes exactly cfg.SlotBudget slots.
-func RunDominatee(ctx *sim.Ctx, cfg Config, dom int) int {
-	var (
-		p        = ctx.Params()
-		stride   = cfg.stride()
-		rounds   = cfg.RoundsPerPhase(p)
-		prob     = cfg.Lambda / float64(cfg.DeltaHat)
-		estimate = 0
-	)
-	for phase := 0; phase < cfg.Phases(); phase++ {
-		for r := 0; r < rounds; r++ {
-			ctx.IdleFor(cfg.Offset)
-			if estimate == 0 && ctx.Rand.Float64() < prob {
-				ctx.Transmit(cfg.Channel, Probe{From: ctx.ID(), Dom: dom})
-			} else {
-				ctx.Idle()
-			}
-			ctx.IdleFor(stride - 1 - cfg.Offset)
-		}
-		// Notification round.
-		ctx.IdleFor(cfg.Offset)
-		rec := ctx.Listen(cfg.Channel)
-		if m, ok := rec.Msg.(Estimate); ok && m.Dom == dom &&
-			phy.SenderWithin(rec, p, cfg.ClusterRadius) && estimate == 0 {
-			estimate = m.Est
-		}
-		ctx.IdleFor(stride - 1 - cfg.Offset)
-		prob = math.Min(prob*2, cfg.Lambda)
+// Feed implements sim.Frag.
+func (f *DominatorFrag) Feed(sc *sim.StepCtx) bool {
+	p := sc.Params()
+	if !f.init {
+		f.init = true
+		f.phases = f.Cfg.Phases()
+		f.rounds = f.Cfg.RoundsPerPhase(p)
+		f.thresh = f.Cfg.threshold(p)
 	}
-	return estimate
+	if f.awaitProbe {
+		f.awaitProbe = false
+		rec := sc.Prev()
+		if m, ok := rec.Msg.(Probe); ok && m.Dom == f.Dom &&
+			phy.SenderWithin(rec, p, f.Cfg.ClusterRadius) {
+			f.count++
+		}
+	}
+	stride := f.Cfg.stride()
+	off := f.Cfg.Offset
+	for {
+		if f.phase >= f.phases {
+			return true
+		}
+		switch f.pos {
+		case 0: // probe-round pre-idle
+			if f.round >= f.rounds {
+				f.pos = 3
+				continue
+			}
+			f.pos = 1
+			if off > 0 {
+				sc.IdleFor(off)
+				return false
+			}
+		case 1: // probe-round listen
+			f.pos = 2
+			sc.Listen(f.Cfg.Channel)
+			f.awaitProbe = true
+			return false
+		case 2: // probe-round post-idle
+			f.pos = 0
+			f.round++
+			if k := stride - 1 - off; k > 0 {
+				sc.IdleFor(k)
+				return false
+			}
+		case 3: // notification pre-idle
+			f.pos = 4
+			if off > 0 {
+				sc.IdleFor(off)
+				return false
+			}
+		case 4: // notification act
+			f.pos = 5
+			if !f.terminated && f.count >= f.thresh {
+				f.terminated = true
+				f.Estimate = f.Cfg.DeltaHat >> f.phase
+				if f.Estimate < 1 {
+					f.Estimate = 1
+				}
+			}
+			if f.terminated {
+				sc.Transmit(f.Cfg.Channel, Estimate{Dom: f.Dom, Est: f.Estimate})
+			} else {
+				sc.Idle()
+			}
+			return false
+		default: // notification post-idle + phase advance
+			f.pos = 0
+			f.round = 0
+			f.count = 0
+			f.phase++
+			if k := stride - 1 - off; k > 0 {
+				sc.IdleFor(k)
+				return false
+			}
+		}
+	}
+}
+
+// DominateeFrag executes the probing side for a member of cluster Dom.
+// Once Feed returns true, Estimate is the estimate learned from the head's
+// notification (0 if none arrived). It consumes exactly Cfg.SlotBudget
+// slots.
+type DominateeFrag struct {
+	Cfg      Config
+	Dom      int
+	Estimate int
+
+	init           bool
+	phases, rounds int
+	phase, round   int
+	pos            uint8 // 0/1/2 probe round, 3/4/5 notification
+	prob           float64
+	awaitEst       bool
+}
+
+// Feed implements sim.Frag.
+func (f *DominateeFrag) Feed(sc *sim.StepCtx) bool {
+	p := sc.Params()
+	if !f.init {
+		f.init = true
+		f.phases = f.Cfg.Phases()
+		f.rounds = f.Cfg.RoundsPerPhase(p)
+		f.prob = f.Cfg.Lambda / float64(f.Cfg.DeltaHat)
+	}
+	if f.awaitEst {
+		f.awaitEst = false
+		rec := sc.Prev()
+		if m, ok := rec.Msg.(Estimate); ok && m.Dom == f.Dom &&
+			phy.SenderWithin(rec, p, f.Cfg.ClusterRadius) && f.Estimate == 0 {
+			f.Estimate = m.Est
+		}
+	}
+	stride := f.Cfg.stride()
+	off := f.Cfg.Offset
+	for {
+		if f.phase >= f.phases {
+			return true
+		}
+		switch f.pos {
+		case 0: // probe-round pre-idle
+			if f.round >= f.rounds {
+				f.pos = 3
+				continue
+			}
+			f.pos = 1
+			if off > 0 {
+				sc.IdleFor(off)
+				return false
+			}
+		case 1: // probe-round act
+			f.pos = 2
+			if f.Estimate == 0 && sc.Rand.Float64() < f.prob {
+				sc.Transmit(f.Cfg.Channel, Probe{From: sc.ID(), Dom: f.Dom})
+			} else {
+				sc.Idle()
+			}
+			return false
+		case 2: // probe-round post-idle
+			f.pos = 0
+			f.round++
+			if k := stride - 1 - off; k > 0 {
+				sc.IdleFor(k)
+				return false
+			}
+		case 3: // notification pre-idle
+			f.pos = 4
+			if off > 0 {
+				sc.IdleFor(off)
+				return false
+			}
+		case 4: // notification listen
+			f.pos = 5
+			sc.Listen(f.Cfg.Channel)
+			f.awaitEst = true
+			return false
+		default: // notification post-idle + phase advance
+			f.pos = 0
+			f.round = 0
+			f.phase++
+			f.prob = math.Min(f.prob*2, f.Cfg.Lambda)
+			if k := stride - 1 - off; k > 0 {
+				sc.IdleFor(k)
+				return false
+			}
+		}
+	}
 }
 
 // SmallConfig parameterizes the Appendix A multichannel estimator.
@@ -247,79 +354,188 @@ func (c SmallConfig) SlotBudget(p model.Params) int {
 	return elect.SlotBudget(p) + probe.SlotBudget(p) + cast.SlotBudget() + c.stride()
 }
 
-// IdleSmall consumes the small-variant budget without participating.
-func IdleSmall(ctx *sim.Ctx, cfg SmallConfig) {
-	ctx.IdleFor(cfg.SlotBudget(ctx.Params()))
-}
-
-// RunSmallDominator executes the dominator side of the Appendix A variant
-// and returns the cluster-size estimate (counting members and the dominator
-// itself). It consumes exactly cfg.SlotBudget slots.
-func RunSmallDominator(ctx *sim.Ctx, cfg SmallConfig) int {
-	var (
-		elect = cfg.Elect
-		probe = cfg.Probe
-		cast  = reporter.DefaultCastConfig(cfg.F, cfg.ClusterRadius)
-	)
-	elect.Stride, elect.Offset = cfg.stride(), cfg.Offset
-	probe.Stride, probe.Offset = cfg.stride(), cfg.Offset
-	cast.Stride, cast.Offset = cfg.stride(), cfg.Offset
-
-	// The dominator sits out election and probing.
-	reporter.IdleElect(ctx, elect)
-	Idle(ctx, probe)
-	st := reporter.RunCastUp(ctx, cast, 0, ctx.ID(), 0, agg.Sum)
-	est := int(st.Value) + 1 // members + self
-
-	// Broadcast round.
-	ctx.IdleFor(cfg.Offset)
-	ctx.Transmit(0, Estimate{Dom: ctx.ID(), Est: est})
-	ctx.IdleFor(cfg.stride() - 1 - cfg.Offset)
-	return est
-}
-
-// RunSmallDominatee executes the member side: pick a channel, elect a
-// leader, estimate per channel, aggregate, and learn the total from the
-// dominator's broadcast. It returns the learned estimate (0 if the
-// broadcast was missed). It consumes exactly cfg.SlotBudget slots.
-func RunSmallDominatee(ctx *sim.Ctx, cfg SmallConfig, dom int) int {
-	var (
-		p     = ctx.Params()
-		elect = cfg.Elect
-		probe = cfg.Probe
-		cast  = reporter.DefaultCastConfig(cfg.F, cfg.ClusterRadius)
-	)
-	elect.Stride, elect.Offset = cfg.stride(), cfg.Offset
-	probe.Stride, probe.Offset = cfg.stride(), cfg.Offset
-	cast.Stride, cast.Offset = cfg.stride(), cfg.Offset
-
-	channel := ctx.Rand.Intn(cfg.F)
-	probe.Channel = channel
-
-	leader := reporter.RunElect(ctx, elect, channel, dom)
-	var channelCount int64
-	if leader == ctx.ID() {
-		channelCount = int64(RunDominator(ctx, probe, ctx.ID())) + 1 // + leader
-		reporter.RunCastUp(ctx, cast, channel+1, dom, channelCount, agg.Sum)
-	} else {
-		RunDominatee(ctx, probe, leader)
-		reporter.IdleCast(ctx, cast)
-	}
-
-	// Broadcast round: listen on channel 0.
-	ctx.IdleFor(cfg.Offset)
-	est := 0
-	rec := ctx.Listen(0)
-	if m, ok := rec.Msg.(Estimate); ok && m.Dom == dom &&
-		phy.SenderWithin(rec, p, cfg.ClusterRadius) {
-		est = m.Est
-	}
-	ctx.IdleFor(cfg.stride() - 1 - cfg.Offset)
-	return est
-}
-
 // UseSmall implements the Lemma 14 chooser: the small variant applies when
 // Δ̂ ≤ F·log^{ĉ+2} n̂ (we use ĉ = 0, i.e. Δ̂/F ≤ log² n̂).
 func UseSmall(p model.Params, deltaHat int) bool {
 	return float64(deltaHat)/float64(p.Channels) <= p.LogN()*p.LogN()
+}
+
+// smallCastCfg builds the reporter-tree config the small variant uses.
+func smallCastCfg(cfg SmallConfig) reporter.CastConfig {
+	cast := reporter.DefaultCastConfig(cfg.F, cfg.ClusterRadius)
+	cast.Stride, cast.Offset = cfg.stride(), cfg.Offset
+	return cast
+}
+
+// SmallDominatorFrag executes the dominator side of the Appendix A
+// variant: it sits out election and probing, collects the per-channel
+// counts over the reporter tree and broadcasts the total. Once Feed
+// returns true, Estimate is the cluster-size estimate (counting members
+// and the dominator itself). It consumes exactly Cfg.SlotBudget slots.
+type SmallDominatorFrag struct {
+	Cfg      SmallConfig
+	Estimate int
+
+	init  bool
+	stage uint8 // 0 idle-elect, 1 idle-probe, 2 cast up, 3/4/5 broadcast
+	idle  sim.IdleFrag
+	cast  *reporter.CastUpFrag
+}
+
+// Feed implements sim.Frag.
+func (f *SmallDominatorFrag) Feed(sc *sim.StepCtx) bool {
+	p := sc.Params()
+	for {
+		switch f.stage {
+		case 0: // sit out the election
+			if !f.init {
+				f.init = true
+				elect := f.Cfg.Elect
+				elect.Stride, elect.Offset = f.Cfg.stride(), f.Cfg.Offset
+				f.idle = sim.IdleFrag{K: elect.SlotBudget(p)}
+			}
+			if !f.idle.Feed(sc) {
+				return false
+			}
+			probe := f.Cfg.Probe
+			probe.Stride, probe.Offset = f.Cfg.stride(), f.Cfg.Offset
+			f.idle = sim.IdleFrag{K: probe.SlotBudget(p)}
+			f.stage = 1
+		case 1: // sit out the probing
+			if !f.idle.Feed(sc) {
+				return false
+			}
+			f.cast = &reporter.CastUpFrag{
+				Cfg: smallCastCfg(f.Cfg), Role: 0, Dom: sc.ID(), Value: 0, Op: agg.Sum,
+			}
+			f.stage = 2
+		case 2: // aggregate channel counts up the reporter tree
+			if !f.cast.Feed(sc) {
+				return false
+			}
+			f.Estimate = int(f.cast.St.Value) + 1 // members + self
+			f.stage = 3
+		case 3: // broadcast pre-idle
+			f.stage = 4
+			if k := f.Cfg.Offset; k > 0 {
+				sc.IdleFor(k)
+				return false
+			}
+		case 4: // broadcast
+			f.stage = 5
+			sc.Transmit(0, Estimate{Dom: sc.ID(), Est: f.Estimate})
+			return false
+		case 5: // broadcast post-idle
+			f.stage = 6
+			if k := f.Cfg.stride() - 1 - f.Cfg.Offset; k > 0 {
+				sc.IdleFor(k)
+				return false
+			}
+		default:
+			return true
+		}
+	}
+}
+
+// SmallDominateeFrag executes the member side of the Appendix A variant
+// for a member of cluster Dom: pick a channel, elect a leader, estimate per
+// channel, aggregate, and learn the total from the dominator's broadcast.
+// Once Feed returns true, Estimate is the learned estimate (0 if the
+// broadcast was missed). It consumes exactly Cfg.SlotBudget slots.
+type SmallDominateeFrag struct {
+	Cfg      SmallConfig
+	Dom      int
+	Estimate int
+
+	init    bool
+	stage   uint8 // 0 elect, 1 lead probe, 2 lead cast, 3 member probe, 4 idle cast, 5/6/7 broadcast
+	channel int
+	elect   *reporter.ElectFrag
+	domFrag *DominatorFrag
+	deeFrag *DominateeFrag
+	cast    *reporter.CastUpFrag
+	idle    sim.IdleFrag
+	await   bool
+}
+
+// Feed implements sim.Frag.
+func (f *SmallDominateeFrag) Feed(sc *sim.StepCtx) bool {
+	p := sc.Params()
+	if f.await {
+		f.await = false
+		rec := sc.Prev()
+		if m, ok := rec.Msg.(Estimate); ok && m.Dom == f.Dom &&
+			phy.SenderWithin(rec, p, f.Cfg.ClusterRadius) {
+			f.Estimate = m.Est
+		}
+	}
+	for {
+		switch f.stage {
+		case 0: // channel choice + election
+			if !f.init {
+				f.init = true
+				f.channel = sc.Rand.Intn(f.Cfg.F)
+				elect := f.Cfg.Elect
+				elect.Stride, elect.Offset = f.Cfg.stride(), f.Cfg.Offset
+				f.elect = &reporter.ElectFrag{Cfg: elect, Channel: f.channel, Dom: f.Dom}
+			}
+			if !f.elect.Feed(sc) {
+				return false
+			}
+			probe := f.Cfg.Probe
+			probe.Stride, probe.Offset = f.Cfg.stride(), f.Cfg.Offset
+			probe.Channel = f.channel
+			if f.elect.Min == sc.ID() {
+				f.domFrag = &DominatorFrag{Cfg: probe, Dom: sc.ID()}
+				f.stage = 1
+			} else {
+				f.deeFrag = &DominateeFrag{Cfg: probe, Dom: f.elect.Min}
+				f.stage = 3
+			}
+		case 1: // channel leader: count own channel
+			if !f.domFrag.Feed(sc) {
+				return false
+			}
+			f.cast = &reporter.CastUpFrag{
+				Cfg: smallCastCfg(f.Cfg), Role: f.channel + 1, Dom: f.Dom,
+				Value: int64(f.domFrag.Estimate) + 1, Op: agg.Sum, // + leader
+			}
+			f.stage = 2
+		case 2: // channel leader: report up the tree
+			if !f.cast.Feed(sc) {
+				return false
+			}
+			f.stage = 5
+		case 3: // member: probe
+			if !f.deeFrag.Feed(sc) {
+				return false
+			}
+			f.idle = sim.IdleFrag{K: smallCastCfg(f.Cfg).SlotBudget()}
+			f.stage = 4
+		case 4: // member: sit out the cast
+			if !f.idle.Feed(sc) {
+				return false
+			}
+			f.stage = 5
+		case 5: // broadcast pre-idle
+			f.stage = 6
+			if k := f.Cfg.Offset; k > 0 {
+				sc.IdleFor(k)
+				return false
+			}
+		case 6: // broadcast listen on channel 0
+			f.stage = 7
+			sc.Listen(0)
+			f.await = true
+			return false
+		case 7: // broadcast post-idle
+			f.stage = 8
+			if k := f.Cfg.stride() - 1 - f.Cfg.Offset; k > 0 {
+				sc.IdleFor(k)
+				return false
+			}
+		default:
+			return true
+		}
+	}
 }

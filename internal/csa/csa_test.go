@@ -24,6 +24,16 @@ func clusterPos(size int, radius float64, seed int64) []geo.Point {
 	return pos
 }
 
+// finishSlots runs node i as frags[i] and records in after[i] the slot at
+// which that fragment finished.
+func finishSlots(after []int, frags ...sim.Frag) []sim.Stepper {
+	steppers := make([]sim.Stepper, len(frags))
+	for i, f := range frags {
+		steppers[i] = &sim.FragStepper{Frag: f, Finish: func(sc *sim.StepCtx) { after[i] = sc.Slot() }}
+	}
+	return steppers
+}
+
 // runLarge executes the large-Δ̂ estimator on a single cluster with node 0
 // as dominator; returns the dominator's estimate and the members' learned
 // estimates.
@@ -34,13 +44,14 @@ func runLarge(t *testing.T, size int, cfg Config, channels int, seed uint64) (in
 	e := sim.NewEngine(phy.NewField(p, pos), seed)
 	var domEst int
 	memberEst := make([]int, size)
-	progs := make([]sim.Program, size)
-	progs[0] = func(ctx *sim.Ctx) { domEst = RunDominator(ctx, cfg, 0) }
+	steppers := make([]sim.Stepper, size)
+	dom := &DominatorFrag{Cfg: cfg}
+	steppers[0] = &sim.FragStepper{Frag: dom, Finish: func(*sim.StepCtx) { domEst = dom.Estimate }}
 	for i := 1; i < size; i++ {
-		i := i
-		progs[i] = func(ctx *sim.Ctx) { memberEst[i] = RunDominatee(ctx, cfg, 0) }
+		f := &DominateeFrag{Cfg: cfg}
+		steppers[i] = &sim.FragStepper{Frag: f, Finish: func(*sim.StepCtx) { memberEst[i] = f.Estimate }}
 	}
-	if _, err := e.Run(progs); err != nil {
+	if _, err := e.Run(steppers); err != nil {
 		t.Fatal(err)
 	}
 	return domEst, memberEst
@@ -80,12 +91,11 @@ func TestLargeSlotBudget(t *testing.T) {
 	pos := clusterPos(3, 0.05, 1)
 	e := sim.NewEngine(phy.NewField(p, pos), 1)
 	after := make([]int, 3)
-	progs := []sim.Program{
-		func(ctx *sim.Ctx) { RunDominator(ctx, cfg, 0); after[0] = ctx.Slot() },
-		func(ctx *sim.Ctx) { RunDominatee(ctx, cfg, 0); after[1] = ctx.Slot() },
-		func(ctx *sim.Ctx) { Idle(ctx, cfg); after[2] = ctx.Slot() },
-	}
-	if _, err := e.Run(progs); err != nil {
+	if _, err := e.Run(finishSlots(after,
+		&DominatorFrag{Cfg: cfg},
+		&DominateeFrag{Cfg: cfg},
+		&sim.IdleFrag{K: cfg.SlotBudget(p)},
+	)); err != nil {
 		t.Fatal(err)
 	}
 	want := cfg.SlotBudget(p)
@@ -116,13 +126,14 @@ func TestSmallEstimateAccuracy(t *testing.T) {
 		e := sim.NewEngine(phy.NewField(p, pos), uint64(size)*7)
 		var domEst int
 		memberEst := make([]int, size)
-		progs := make([]sim.Program, size)
-		progs[0] = func(ctx *sim.Ctx) { domEst = RunSmallDominator(ctx, cfg) }
+		steppers := make([]sim.Stepper, size)
+		dom := &SmallDominatorFrag{Cfg: cfg}
+		steppers[0] = &sim.FragStepper{Frag: dom, Finish: func(*sim.StepCtx) { domEst = dom.Estimate }}
 		for i := 1; i < size; i++ {
-			i := i
-			progs[i] = func(ctx *sim.Ctx) { memberEst[i] = RunSmallDominatee(ctx, cfg, 0) }
+			f := &SmallDominateeFrag{Cfg: cfg}
+			steppers[i] = &sim.FragStepper{Frag: f, Finish: func(*sim.StepCtx) { memberEst[i] = f.Estimate }}
 		}
-		if _, err := e.Run(progs); err != nil {
+		if _, err := e.Run(steppers); err != nil {
 			t.Fatal(err)
 		}
 		if domEst < size/8 || domEst > size*8 {
@@ -149,13 +160,12 @@ func TestSmallSlotBudget(t *testing.T) {
 	pos := clusterPos(4, 0.05, 2)
 	e := sim.NewEngine(phy.NewField(p, pos), 5)
 	after := make([]int, 4)
-	progs := []sim.Program{
-		func(ctx *sim.Ctx) { RunSmallDominator(ctx, cfg); after[0] = ctx.Slot() },
-		func(ctx *sim.Ctx) { RunSmallDominatee(ctx, cfg, 0); after[1] = ctx.Slot() },
-		func(ctx *sim.Ctx) { RunSmallDominatee(ctx, cfg, 0); after[2] = ctx.Slot() },
-		func(ctx *sim.Ctx) { IdleSmall(ctx, cfg); after[3] = ctx.Slot() },
-	}
-	if _, err := e.Run(progs); err != nil {
+	if _, err := e.Run(finishSlots(after,
+		&SmallDominatorFrag{Cfg: cfg},
+		&SmallDominateeFrag{Cfg: cfg},
+		&SmallDominateeFrag{Cfg: cfg},
+		&sim.IdleFrag{K: cfg.SlotBudget(p)},
+	)); err != nil {
 		t.Fatal(err)
 	}
 	want := cfg.SlotBudget(p)
@@ -189,18 +199,18 @@ func TestTwoClustersInterleaved(t *testing.T) {
 	p := model.Default(1, 256)
 	e := sim.NewEngine(phy.NewField(p, pos), 9)
 	ests := make([]int, 2)
-	progs := make([]sim.Program, 2*size)
+	steppers := make([]sim.Stepper, 2*size)
 	for c := 0; c < 2; c++ {
-		c := c
 		cfg := DefaultConfig(256, 0.14)
 		cfg.Stride, cfg.Offset = 2, c
 		dom := c * size
-		progs[dom] = func(ctx *sim.Ctx) { ests[c] = RunDominator(ctx, cfg, dom) }
+		f := &DominatorFrag{Cfg: cfg, Dom: dom}
+		steppers[dom] = &sim.FragStepper{Frag: f, Finish: func(*sim.StepCtx) { ests[c] = f.Estimate }}
 		for i := 1; i < size; i++ {
-			progs[dom+i] = func(ctx *sim.Ctx) { RunDominatee(ctx, cfg, dom) }
+			steppers[dom+i] = &sim.FragStepper{Frag: &DominateeFrag{Cfg: cfg, Dom: dom}}
 		}
 	}
-	if _, err := e.Run(progs); err != nil {
+	if _, err := e.Run(steppers); err != nil {
 		t.Fatal(err)
 	}
 	truth := size - 1

@@ -4,7 +4,7 @@
 //
 // The paper adopts the O(log n) protocol of Scheideler, Richa and Santi [28]
 // as a black box. This package implements an equivalent substrate (deviation
-// D2 in DESIGN.md): a HELLO/ACK/IN contention process in the style of the
+// D2 in the mcnet package documentation): a HELLO/ACK/IN contention process in the style of the
 // Sec. 4 ruling-set algorithm, extended with
 //
 //   - per-phase probability doubling from 1/n̂ up to the cap 1/(2µ), so the
@@ -80,7 +80,7 @@ type Outcome struct {
 	// IsDominator reports whether the node heads a cluster.
 	IsDominator bool
 	// Dominator is the ID of the node's cluster head (its own ID for
-	// dominators). It is always set after Run.
+	// dominators). It is always set once RunFrag finishes.
 	Dominator int
 	// SelfAppointed reports that the node became a dominator by exhausting
 	// the schedule uncovered rather than via the ACK handshake.
@@ -98,83 +98,129 @@ func (c Config) roundsPerPhase(p model.Params) int {
 	return int(math.Ceil(c.RoundFactor * p.LogN()))
 }
 
-// SlotBudget returns the exact number of slots Run and Idle consume.
+// SlotBudget returns the exact number of slots RunFrag consumes.
 func (c Config) SlotBudget(p model.Params) int {
 	return 3 * c.phases(p) * c.roundsPerPhase(p)
 }
 
-// Idle consumes the stage's slot budget without participating.
-func Idle(ctx *sim.Ctx, cfg Config) {
-	ctx.IdleFor(cfg.SlotBudget(ctx.Params()))
+// runAwait tags which listen, if any, the fragment's previous slot holds.
+type runAwait uint8
+
+const (
+	awaitNone runAwait = iota
+	awaitHello
+	awaitAck
+	awaitIn
+)
+
+// RunFrag executes the node's side of the dominating-set construction as a
+// sim.Frag, consuming exactly Cfg.SlotBudget slots. Out is valid once Feed
+// returns true.
+type RunFrag struct {
+	Cfg Config
+	Out Outcome
+
+	init              bool
+	phases, rounds    int
+	prob, probCap     float64
+	phase, round, sub int
+	sentHello         bool
+	clearFrom         int
+	gotAck            bool
+	await             runAwait
 }
 
-// Run executes the node's side of the dominating-set construction,
-// consuming exactly cfg.SlotBudget slots.
-func Run(ctx *sim.Ctx, cfg Config) Outcome {
-	var (
-		p      = ctx.Params()
-		phases = cfg.phases(p)
-		rounds = cfg.roundsPerPhase(p)
-		prob   = 1 / float64(p.NEstimate)
-		cap    = 1 / (2 * cfg.Mu)
-		out    = Outcome{Dominator: -1}
-	)
-	for phase := 0; phase < phases; phase++ {
-		for round := 0; round < rounds; round++ {
-			// Slot 1: HELLO.
-			candidate := out.Dominator == -1 && !out.IsDominator
-			sentHello := candidate && ctx.Rand.Float64() < prob
-			clearFrom := -1
-			if sentHello {
-				ctx.Transmit(cfg.Channel, Hello{From: ctx.ID()})
-			} else {
-				rec := ctx.Listen(cfg.Channel)
-				if h, ok := rec.Msg.(Hello); ok && !out.IsDominator &&
-					phy.Clear(rec, p, cfg.R) {
-					clearFrom = h.From
-				}
-			}
-
-			// Slot 2: ACK.
-			gotAck := false
-			switch {
-			case sentHello:
-				rec := ctx.Listen(cfg.Channel)
-				if a, ok := rec.Msg.(Ack); ok && a.To == ctx.ID() &&
-					phy.SenderWithin(rec, p, cfg.R) {
-					gotAck = true
-				}
-			case clearFrom >= 0 && ctx.Rand.Float64() < cfg.AckProb:
-				ctx.Transmit(cfg.Channel, Ack{To: clearFrom})
-			default:
-				ctx.Listen(cfg.Channel)
-			}
-
-			// Slot 3: IN — new dominators announce; established dominators
-			// re-announce; everyone else listens for coverage.
-			switch {
-			case sentHello && gotAck:
-				out.IsDominator = true
-				out.Dominator = ctx.ID()
-				ctx.Transmit(cfg.Channel, In{From: ctx.ID()})
-			case out.IsDominator && ctx.Rand.Float64() < cfg.ReannounceProb:
-				ctx.Transmit(cfg.Channel, In{From: ctx.ID()})
-			default:
-				rec := ctx.Listen(cfg.Channel)
-				if in, ok := rec.Msg.(In); ok && out.Dominator == -1 &&
-					phy.SenderWithin(rec, p, cfg.R) {
-					out.Dominator = in.From
-				}
-			}
+// Feed implements sim.Frag.
+func (f *RunFrag) Feed(sc *sim.StepCtx) bool {
+	p := sc.Params()
+	if !f.init {
+		f.init = true
+		f.phases = f.Cfg.phases(p)
+		f.rounds = f.Cfg.roundsPerPhase(p)
+		f.prob = 1 / float64(p.NEstimate)
+		f.probCap = 1 / (2 * f.Cfg.Mu)
+		f.Out = Outcome{Dominator: -1}
+		f.clearFrom = -1
+	}
+	// Consume the previous slot's reception before acting (or drawing).
+	switch f.await {
+	case awaitHello:
+		rec := sc.Prev()
+		if h, ok := rec.Msg.(Hello); ok && !f.Out.IsDominator &&
+			phy.Clear(rec, p, f.Cfg.R) {
+			f.clearFrom = h.From
 		}
-		prob = math.Min(prob*2, cap)
+	case awaitAck:
+		rec := sc.Prev()
+		if a, ok := rec.Msg.(Ack); ok && a.To == sc.ID() &&
+			phy.SenderWithin(rec, p, f.Cfg.R) {
+			f.gotAck = true
+		}
+	case awaitIn:
+		rec := sc.Prev()
+		if in, ok := rec.Msg.(In); ok && f.Out.Dominator == -1 &&
+			phy.SenderWithin(rec, p, f.Cfg.R) {
+			f.Out.Dominator = in.From
+		}
 	}
-	if out.Dominator == -1 {
-		out.IsDominator = true
-		out.SelfAppointed = true
-		out.Dominator = ctx.ID()
+	f.await = awaitNone
+
+	if f.phase >= f.phases {
+		if f.Out.Dominator == -1 {
+			f.Out.IsDominator = true
+			f.Out.SelfAppointed = true
+			f.Out.Dominator = sc.ID()
+		}
+		return true
 	}
-	return out
+
+	ch := f.Cfg.Channel
+	switch f.sub {
+	case 0: // HELLO
+		candidate := f.Out.Dominator == -1 && !f.Out.IsDominator
+		f.sentHello = candidate && sc.Rand.Float64() < f.prob
+		f.clearFrom = -1
+		if f.sentHello {
+			sc.Transmit(ch, Hello{From: sc.ID()})
+		} else {
+			sc.Listen(ch)
+			f.await = awaitHello
+		}
+	case 1: // ACK
+		f.gotAck = false
+		switch {
+		case f.sentHello:
+			sc.Listen(ch)
+			f.await = awaitAck
+		case f.clearFrom >= 0 && sc.Rand.Float64() < f.Cfg.AckProb:
+			sc.Transmit(ch, Ack{To: f.clearFrom})
+		default:
+			sc.Listen(ch)
+		}
+	case 2: // IN
+		switch {
+		case f.sentHello && f.gotAck:
+			f.Out.IsDominator = true
+			f.Out.Dominator = sc.ID()
+			sc.Transmit(ch, In{From: sc.ID()})
+		case f.Out.IsDominator && sc.Rand.Float64() < f.Cfg.ReannounceProb:
+			sc.Transmit(ch, In{From: sc.ID()})
+		default:
+			sc.Listen(ch)
+			f.await = awaitIn
+		}
+	}
+	f.sub++
+	if f.sub == 3 {
+		f.sub = 0
+		f.round++
+		if f.round == f.rounds {
+			f.round = 0
+			f.phase++
+			f.prob = math.Min(f.prob*2, f.probCap)
+		}
+	}
+	return false
 }
 
 // Stats summarizes a constructed dominating set for validation and the E9

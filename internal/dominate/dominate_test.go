@@ -20,14 +20,12 @@ func runDominate(t *testing.T, pos []geo.Point, cfg Config, seed uint64) []Outco
 	p := model.Default(1, nEst)
 	e := sim.NewEngine(phy.NewField(p, pos), seed)
 	out := make([]Outcome, len(pos))
-	progs := make([]sim.Program, len(pos))
-	for i := range progs {
-		i := i
-		progs[i] = func(ctx *sim.Ctx) {
-			out[i] = Run(ctx, cfg)
-		}
+	steppers := make([]sim.Stepper, len(pos))
+	for i := range steppers {
+		f := &RunFrag{Cfg: cfg}
+		steppers[i] = &sim.FragStepper{Frag: f, Finish: func(*sim.StepCtx) { out[i] = f.Out }}
 	}
-	if _, err := e.Run(progs); err != nil {
+	if _, err := e.Run(steppers); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -121,15 +119,11 @@ func TestSlotBudgetExact(t *testing.T) {
 	want := cfg.SlotBudget(p)
 	e := sim.NewEngine(phy.NewField(p, pos), 3)
 	after := make([]int, len(pos))
-	progs := make([]sim.Program, len(pos))
-	for i := range progs {
-		i := i
-		progs[i] = func(ctx *sim.Ctx) {
-			Run(ctx, cfg)
-			after[i] = ctx.Slot()
-		}
+	steppers := make([]sim.Stepper, len(pos))
+	for i := range steppers {
+		steppers[i] = &sim.FragStepper{Frag: &RunFrag{Cfg: cfg}, Finish: func(sc *sim.StepCtx) { after[i] = sc.Slot() }}
 	}
-	if _, err := e.Run(progs); err != nil {
+	if _, err := e.Run(steppers); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range after {
@@ -163,20 +157,21 @@ func TestAnalyzeUncovered(t *testing.T) {
 	}
 }
 
+// TestIdleConsumesBudget: a node idling through SlotBudget finishes in the
+// same slot as a participant next to it.
 func TestIdleConsumesBudget(t *testing.T) {
-	pos := []geo.Point{{X: 0}}
+	pos := []geo.Point{{X: 0}, {X: 0.02}}
 	p := model.Default(1, 64)
 	cfg := DefaultConfig(0.06, 0)
 	e := sim.NewEngine(phy.NewField(p, pos), 1)
-	var got int
-	progs := []sim.Program{func(ctx *sim.Ctx) {
-		Idle(ctx, cfg)
-		got = ctx.Slot()
-	}}
-	if _, err := e.Run(progs); err != nil {
+	after := make([]int, 2)
+	if _, err := e.Run([]sim.Stepper{
+		&sim.FragStepper{Frag: &RunFrag{Cfg: cfg}, Finish: func(sc *sim.StepCtx) { after[0] = sc.Slot() }},
+		&sim.FragStepper{Frag: &sim.IdleFrag{K: cfg.SlotBudget(p)}, Finish: func(sc *sim.StepCtx) { after[1] = sc.Slot() }},
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if got != cfg.SlotBudget(p) {
-		t.Errorf("Idle consumed %d, want %d", got, cfg.SlotBudget(p))
+	if after[0] != cfg.SlotBudget(p) || after[1] != after[0] {
+		t.Errorf("participant finished at %d, idler at %d, want both %d", after[0], after[1], cfg.SlotBudget(p))
 	}
 }

@@ -33,7 +33,6 @@ func A1BackoffAblation(o Options) (*stats.Table, error) {
 		pos := Crowd(p, n, uint64(s+51))
 		values, _ := sequentialValues(n)
 		cfg := core.DefaultConfig(p)
-		cfg.Exec = o.Exec
 		cfg.DeltaHat = n
 		cfg.PhiMax = 4
 		cfg.HopBound = 2
@@ -91,7 +90,6 @@ func A2TDMAAblation(o Options) (*stats.Table, error) {
 		pos := topology.UniformDegree(rnd, n, p.REps(), 14)
 		values, _ := sequentialValues(n)
 		cfg := core.DefaultConfig(p)
-		cfg.Exec = o.Exec
 		cfg.DeltaHat = 32
 		cfg.PhiMax = phi
 		cfg.HopBound = 14
@@ -146,7 +144,6 @@ func A3ChannelSpreadAblation(o Options) (*stats.Table, error) {
 		pos := Crowd(p, n, uint64(s+61))
 		values, _ := sequentialValues(n)
 		cfg := core.DefaultConfig(p)
-		cfg.Exec = o.Exec
 		cfg.DeltaHat = n
 		cfg.PhiMax = 4
 		cfg.HopBound = 2

@@ -1,7 +1,8 @@
-// Package expt implements the experiment suite E1–E10 defined in DESIGN.md:
-// one runner per claimed bound of the paper, each regenerating a table whose
-// shape can be compared against the theory (EXPERIMENTS.md records the
-// outcomes).
+// Package expt implements the experiment suite listed in the mcnet package
+// documentation: one runner per claimed bound of the paper, each
+// regenerating a table whose shape can be compared against the theory
+// (the root package's testdata/golden_experiments_quick.csv freezes every
+// table at -quick -seeds 1).
 //
 // Stage budgets in the pipeline are conservative envelopes, so wall-clock
 // comparisons use *event* timestamps: when followers were acknowledged, when

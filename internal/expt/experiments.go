@@ -40,9 +40,6 @@ type Options struct {
 	// backend names; empty means every registered backend. Other experiment
 	// families ignore it.
 	Colorers []string
-	// Exec pins the pipeline execution mode for every aggregation run
-	// (default core.ExecAuto). Tables are bit-identical at every setting.
-	Exec core.ExecMode
 	// Byz overrides the Byzantine-fraction axis of the f4 and f6 sweeps;
 	// empty means each experiment's default axis. Values must be in [0, 1].
 	Byz []float64
@@ -95,7 +92,6 @@ func E1SpeedupVsChannels(o Options) (*stats.Table, error) {
 		pos := Crowd(p, n, uint64(s+1))
 		values, _ := sequentialValues(n)
 		cfg := core.DefaultConfig(p)
-		cfg.Exec = o.Exec
 		cfg.DeltaHat = n
 		cfg.PhiMax = 4
 		cfg.HopBound = 2
@@ -153,7 +149,6 @@ func E2AggVsN(o Options) (*stats.Table, error) {
 		pos := Crowd(p, n, uint64(s+11))
 		values, _ := sequentialValues(n)
 		cfg := core.DefaultConfig(p)
-		cfg.Exec = o.Exec
 		cfg.DeltaHat = n
 		cfg.PhiMax = 4
 		cfg.HopBound = 2
@@ -210,7 +205,6 @@ func E3Baselines(o Options) (*stats.Table, error) {
 			p := model.Default(f, n)
 			pos := Crowd(p, n, seed)
 			cfg := core.DefaultConfig(p)
-			cfg.Exec = o.Exec
 			cfg.DeltaHat = n
 			cfg.PhiMax = 4
 			cfg.HopBound = 2
@@ -306,7 +300,6 @@ func E4Coloring(o Options) (*stats.Table, error) {
 		p := model.Default(f, n)
 		pos := Crowd(p, n, uint64(s+31))
 		cfg := core.DefaultConfig(p)
-		cfg.Exec = o.Exec
 		cfg.DeltaHat = n
 		cfg.PhiMax = 4
 		cfg.HopBound = 2
@@ -391,12 +384,12 @@ func E5RulingSet(o Options) (*stats.Table, error) {
 		cfg := ruling.DefaultConfig(r, 0)
 		e := sim.NewEngine(phy.NewField(p, pos), uint64(s+1))
 		out := make([]ruling.Outcome, n)
-		progs := make([]sim.Program, n)
-		for i := range progs {
-			i := i
-			progs[i] = func(ctx *sim.Ctx) { out[i] = ruling.Run(ctx, cfg) }
+		steppers := make([]sim.Stepper, n)
+		for i := range steppers {
+			f := &ruling.RunFrag{Cfg: cfg}
+			steppers[i] = &sim.FragStepper{Frag: f, Finish: func(*sim.StepCtx) { out[i] = f.Out }}
 		}
-		if _, err := e.Run(progs); err != nil {
+		if _, err := e.Run(steppers); err != nil {
 			return e5Run{}, err
 		}
 		maxRound := 0
@@ -458,23 +451,25 @@ func E6CSA(o Options) (*stats.Table, error) {
 		est := 0
 		budget := 0
 		memberR := 2 * p.ClusterRadius()
-		progs := make([]sim.Program, size)
+		steppers := make([]sim.Stepper, size)
 		if variant == "large" {
 			cfg := csa.DefaultConfig(256, memberR)
 			budget = cfg.SlotBudget(p)
-			progs[0] = func(ctx *sim.Ctx) { est = csa.RunDominator(ctx, cfg, 0) + 1 }
+			dom := &csa.DominatorFrag{Cfg: cfg}
+			steppers[0] = &sim.FragStepper{Frag: dom, Finish: func(*sim.StepCtx) { est = dom.Estimate + 1 }}
 			for i := 1; i < size; i++ {
-				progs[i] = func(ctx *sim.Ctx) { csa.RunDominatee(ctx, cfg, 0) }
+				steppers[i] = &sim.FragStepper{Frag: &csa.DominateeFrag{Cfg: cfg}}
 			}
 		} else {
 			cfg := csa.DefaultSmallConfig(p, memberR)
 			budget = cfg.SlotBudget(p)
-			progs[0] = func(ctx *sim.Ctx) { est = csa.RunSmallDominator(ctx, cfg) }
+			dom := &csa.SmallDominatorFrag{Cfg: cfg}
+			steppers[0] = &sim.FragStepper{Frag: dom, Finish: func(*sim.StepCtx) { est = dom.Estimate }}
 			for i := 1; i < size; i++ {
-				progs[i] = func(ctx *sim.Ctx) { csa.RunSmallDominatee(ctx, cfg, 0) }
+				steppers[i] = &sim.FragStepper{Frag: &csa.SmallDominateeFrag{Cfg: cfg}}
 			}
 		}
-		if _, err := e.Run(progs); err != nil {
+		if _, err := e.Run(steppers); err != nil {
 			return e6Run{}, err
 		}
 		return e6Run{ratio: float64(est) / float64(size), budget: budget}, nil
@@ -515,7 +510,6 @@ func E7StructureBuild(o Options) (*stats.Table, error) {
 		n := ns[i]
 		p := model.Default(8, n)
 		cfg := core.DefaultConfig(p)
-		cfg.Exec = o.Exec
 		cfg.DeltaHat = n
 		pl := core.NewPlan(p, cfg)
 		covered := "-"
@@ -564,7 +558,6 @@ func E8ExponentialChain(o Options) (*stats.Table, error) {
 	if o.Quick {
 		n, slots = 16, 120
 	}
-	type linkMsg struct{ To int }
 	type e8Case struct {
 		name string
 		pos  []geo.Point
@@ -601,20 +594,11 @@ func E8ExponentialChain(o Options) (*stats.Table, error) {
 				maxPar = links
 			}
 		}
-		progs := make([]sim.Program, n)
-		for i := range progs {
-			progs[i] = func(ctx *sim.Ctx) {
-				for s := 0; s < slots; s++ {
-					// Send to the next node toward the sink (index 0).
-					if ctx.ID() > 0 && ctx.Rand.Float64() < 0.5 {
-						ctx.Transmit(0, linkMsg{To: ctx.ID() - 1})
-					} else {
-						ctx.Listen(0)
-					}
-				}
-			}
+		steppers := make([]sim.Stepper, n)
+		for i := range steppers {
+			steppers[i] = &chainStepper{slots: slots}
 		}
-		if _, err := e.Run(progs); err != nil {
+		if _, err := e.Run(steppers); err != nil {
 			return e8Run{}, err
 		}
 		return e8Run{maxPar: maxPar, total: total}, nil
@@ -630,6 +614,30 @@ func E8ExponentialChain(o Options) (*stats.Table, error) {
 	}
 	t.AddNote("sink-directed links on the chain serialize to ≤ 1 per slot ([25]): aggregating n values needs Ω(n) = Ω(Δ) slots at F=1, the term that F channels divide")
 	return t, nil
+}
+
+// linkMsg is E8's sink-directed transmission.
+type linkMsg struct{ To int }
+
+// chainStepper is one E8 node: each slot it sends to its sink-side
+// neighbor with probability 1/2 and listens otherwise; the sink only
+// listens.
+type chainStepper struct {
+	slots, s int
+}
+
+// Step implements sim.Stepper.
+func (c *chainStepper) Step(sc *sim.StepCtx) {
+	if c.s >= c.slots {
+		sc.Done()
+		return
+	}
+	c.s++
+	if sc.ID() > 0 && sc.Rand.Float64() < 0.5 {
+		sc.Transmit(0, linkMsg{To: sc.ID() - 1})
+	} else {
+		sc.Listen(0)
+	}
 }
 
 // E9Backbone measures dominating-set and cluster-coloring quality on sparse
@@ -652,12 +660,12 @@ func E9Backbone(o Options) (*stats.Table, error) {
 		dcfg := dominate.DefaultConfig(rc, 0)
 		e := sim.NewEngine(phy.NewField(p, pos), uint64(s+41))
 		dout := make([]dominate.Outcome, n)
-		progs := make([]sim.Program, n)
-		for i := range progs {
-			i := i
-			progs[i] = func(ctx *sim.Ctx) { dout[i] = dominate.Run(ctx, dcfg) }
+		steppers := make([]sim.Stepper, n)
+		for i := range steppers {
+			f := &dominate.RunFrag{Cfg: dcfg}
+			steppers[i] = &sim.FragStepper{Frag: f, Finish: func(*sim.StepCtx) { dout[i] = f.Out }}
 		}
-		if _, err := e.Run(progs); err != nil {
+		if _, err := e.Run(steppers); err != nil {
 			return e9Run{}, err
 		}
 		st := dominate.Analyze(pos, dout, rc)
@@ -666,16 +674,15 @@ func E9Backbone(o Options) (*stats.Table, error) {
 		ccfg := backbone.DefaultColorConfig(p, 32)
 		e2 := sim.NewEngine(phy.NewField(p, pos), uint64(s+61))
 		cout := make([]backbone.ColorOutcome, n)
-		progs2 := make([]sim.Program, n)
-		for i := range progs2 {
-			i := i
+		for i := range steppers {
 			if dout[i].IsDominator {
-				progs2[i] = func(ctx *sim.Ctx) { cout[i] = backbone.RunColor(ctx, ccfg) }
+				f := &backbone.ColorFrag{Cfg: ccfg}
+				steppers[i] = &sim.FragStepper{Frag: f, Finish: func(*sim.StepCtx) { cout[i] = f.Out }}
 			} else {
-				progs2[i] = func(ctx *sim.Ctx) { backbone.IdleColor(ctx, ccfg) }
+				steppers[i] = &sim.FragStepper{Frag: &sim.IdleFrag{K: ccfg.SlotBudget(p)}}
 			}
 		}
-		if _, err := e2.Run(progs2); err != nil {
+		if _, err := e2.Run(steppers); err != nil {
 			return e9Run{}, err
 		}
 		maxColor, conflicts := 0, 0
@@ -751,7 +758,6 @@ func E10DiameterTerm(o Options) (*stats.Table, error) {
 		}
 		values, _ := sequentialValues(n)
 		cfg := core.DefaultConfig(p)
-		cfg.Exec = o.Exec
 		cfg.DeltaHat = 24
 		cfg.PhiMax = 24
 		cfg.HopBound = 3*L + 6

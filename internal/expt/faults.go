@@ -54,7 +54,6 @@ func F1LossSweep(o Options) (*stats.Table, error) {
 		pos := Crowd(p, n, uint64(s+71))
 		values, _ := sequentialValues(n)
 		cfg := core.DefaultConfig(p)
-		cfg.Exec = o.Exec
 		cfg.DeltaHat = n
 		cfg.PhiMax = 4
 		cfg.HopBound = 2
@@ -128,7 +127,6 @@ func F2JamSweep(o Options) (*stats.Table, error) {
 		pos := Crowd(p, n, uint64(s+81))
 		values, _ := sequentialValues(n)
 		cfg := core.DefaultConfig(p)
-		cfg.Exec = o.Exec
 		cfg.DeltaHat = n
 		cfg.PhiMax = 4
 		cfg.HopBound = 2
@@ -205,7 +203,6 @@ func F3ChurnSweep(o Options) (*stats.Table, error) {
 		pos := Crowd(p, n, uint64(s+91))
 		values, _ := sequentialValues(n)
 		cfg := core.DefaultConfig(p)
-		cfg.Exec = o.Exec
 		cfg.DeltaHat = n
 		cfg.PhiMax = 4
 		cfg.HopBound = 2
@@ -307,7 +304,6 @@ func F4ByzantineSweep(o Options) (*stats.Table, error) {
 		pos := topology.UniformDegree(newRand(uint64(5100*n+s)), n, p.REps(), 14)
 		values, _ := sequentialValues(n)
 		cfg := core.DefaultConfig(p)
-		cfg.Exec = o.Exec
 		cfg.DeltaHat = 32
 		cfg.PhiMax = 24
 		cfg.HopBound = 14
@@ -398,7 +394,6 @@ func F5JamHeadToHead(o Options) (*stats.Table, error) {
 		pos := Crowd(p, n, uint64(s+111))
 		values, _ := sequentialValues(n)
 		cfg := core.DefaultConfig(p)
-		cfg.Exec = o.Exec
 		cfg.DeltaHat = n
 		cfg.PhiMax = 4
 		cfg.HopBound = 2
@@ -469,7 +464,6 @@ func F6ByzChurnSweep(o Options) (*stats.Table, error) {
 		pos := Crowd(p, n, uint64(s+121))
 		values, _ := sequentialValues(n)
 		cfg := core.DefaultConfig(p)
-		cfg.Exec = o.Exec
 		cfg.DeltaHat = n
 		cfg.PhiMax = 4
 		cfg.HopBound = 2

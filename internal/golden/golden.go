@@ -89,7 +89,7 @@ func (r *Recorder) Digest(t testing.TB, results any) Digest {
 		Transcript: fmt.Sprintf("%016x", r.h.Sum64()),
 		Events:     len(r.events),
 		EventHash:  eventHash(r.events),
-		Results:    Hash(t, results),
+		Results:    jsonHash(t, results),
 	}
 }
 
@@ -117,8 +117,8 @@ func eventHash(evs []event) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// Hash returns the FNV-64a hash of v's JSON encoding.
-func Hash(t testing.TB, v any) string {
+// jsonHash returns the FNV-64a hash of v's JSON encoding.
+func jsonHash(t testing.TB, v any) string {
 	t.Helper()
 	data, err := json.Marshal(v)
 	if err != nil {

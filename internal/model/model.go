@@ -127,9 +127,9 @@ func (p Params) ClusterRadius() float64 {
 // T_s is far below the maximal threshold that still yields that guarantee
 // (see ClearInterferenceBound); under exact far-field interference
 // accounting, receptions almost never qualify at T_s in extended networks,
-// so the implementation uses ClearInterferenceBound instead (deviation D6 in
-// DESIGN.md). T_s is retained for reference and for the Lemma 5 analysis
-// checks in tests.
+// so the implementation uses ClearInterferenceBound instead (deviation D5,
+// listed in the mcnet package documentation). T_s is retained for
+// reference and for the Lemma 5 analysis checks in tests.
 func (p Params) ClearThreshold() float64 {
 	a := (math.Pow(2, p.Alpha) - 1) / math.Pow(2, p.Alpha)
 	b := math.Pow(0.5, p.Alpha) * p.Beta

@@ -551,7 +551,8 @@ func (f *Field) powerAt(d float64) float64 {
 //
 // The certificate uses the maximal admissible threshold P/(4r)^α rather
 // than the paper's (much smaller) constant T_s; see
-// model.Params.ClearInterferenceBound and deviation D6 in DESIGN.md.
+// model.Params.ClearInterferenceBound and deviation D5 in the mcnet package
+// documentation.
 func Clear(rec Reception, p model.Params, r float64) bool {
 	if !rec.Decoded {
 		return false

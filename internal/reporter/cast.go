@@ -69,11 +69,6 @@ func (c CastConfig) SlotBudget() int {
 	return 4 * c.Levels() * c.stride()
 }
 
-// IdleCast consumes one directional pass without participating.
-func IdleCast(ctx *sim.Ctx, cfg CastConfig) {
-	ctx.IdleFor(cfg.SlotBudget())
-}
-
 // levelOf returns the heap level of role k: 0 for the root (role 0), and
 // the MSB position for k ≥ 1 (role 1 → 1, roles 2-3 → 2, roles 4-7 → 3, …).
 func levelOf(k int) int {
@@ -112,308 +107,11 @@ type CastState struct {
 	ChildSeen map[int][2]bool
 }
 
-// RunCastUp executes one up pass of the reporter tree for cluster dom.
-//
-// Role 0 is the dominator; roles 1..F are channel reporters (role k on
-// physical channel k-1); bystanders use IdleCast. Child values are folded
-// with op. Missing roles (empty channels) are healed by the Appendix A
-// rules: an unacknowledged left child stands in for its missing parent,
-// absorbing its sibling's transmission directly; an unacknowledged right
-// child takes over only when the left sibling is absent too (a present left
-// sibling would have acknowledged it).
-//
-// Sub-slots per level: 0 = left child transmits, 1 = ack to left child,
-// 2 = right child transmits, 3 = ack to right child. Role 1 (the root's
-// only child) uses the right-child sub-slots. The pass consumes exactly
-// cfg.SlotBudget slots.
-func RunCastUp(ctx *sim.Ctx, cfg CastConfig, role, dom int, value int64, op agg.Op) CastState {
-	var (
-		p      = ctx.Params()
-		stride = cfg.stride()
-		st     = CastState{
-			Value:       value,
-			DeliveredAs: -1,
-			ChildVals:   map[int][2]int64{},
-			ChildSeen:   map[int][2]bool{},
-		}
-		acting = role
-		done   = false
-	)
-	if role >= 0 {
-		st.Chain = append(st.Chain, role)
-	}
-	recordChild := func(j, side int, v int64) {
-		cv, cs := st.ChildVals[j], st.ChildSeen[j]
-		cv[side], cs[side] = v, true
-		st.ChildVals[j], st.ChildSeen[j] = cv, cs
-	}
-
-	for lvl := cfg.Levels(); lvl >= 1; lvl-- {
-		ctx.IdleFor(4 * cfg.Offset)
-		var (
-			isSender = !done && acting >= 1 && levelOf(acting) == lvl
-			isParent = !done && acting >= 0 && levelOf(acting) == lvl-1
-			// Role 1 transmits in the right-child sub-slots.
-			sendsLeft  = isSender && acting%2 == 0 && acting != 1
-			sendsRight = isSender && (acting%2 == 1 || acting == 1)
-			parentRole = acting / 2
-			sendCh     = chanOf(parentRole) // channel the parent owns
-			ownCh      = chanOf(acting)
-			gotAck     = false
-			standIn    = false
-			sibValue   int64
-			sibSeen    = false
-		)
-
-		// Sub-slot 0: left children transmit.
-		switch {
-		case sendsLeft:
-			ctx.Transmit(sendCh, UpMsg{ToRole: parentRole, Dom: dom, From: acting, Value: st.Value})
-		case isParent:
-			rec := ctx.Listen(ownCh)
-			if m, ok := rec.Msg.(UpMsg); ok && m.ToRole == acting && m.Dom == dom &&
-				m.From == 2*acting && phy.SenderWithin(rec, p, cfg.ClusterRadius) {
-				recordChild(acting, 0, m.Value)
-			}
-		default:
-			ctx.Idle()
-		}
-
-		// Sub-slot 1: parents ack their left child.
-		switch {
-		case isParent && st.ChildSeen[acting][0]:
-			ctx.Transmit(ownCh, UpAck{ToRole: 2 * acting, Dom: dom})
-		case sendsLeft:
-			rec := ctx.Listen(sendCh)
-			if a, ok := rec.Msg.(UpAck); ok && a.ToRole == acting && a.Dom == dom {
-				gotAck = true
-			}
-			standIn = !gotAck // parent absent: stand in for it
-		default:
-			ctx.Idle()
-		}
-
-		// Sub-slot 2: right children transmit; stand-ins absorb their
-		// sibling's transmission off the shared parent channel.
-		switch {
-		case sendsRight:
-			ctx.Transmit(sendCh, UpMsg{ToRole: parentRole, Dom: dom, From: acting, Value: st.Value})
-		case isParent:
-			rec := ctx.Listen(ownCh)
-			if m, ok := rec.Msg.(UpMsg); ok && m.ToRole == acting && m.Dom == dom &&
-				m.From == 2*acting+1 && phy.SenderWithin(rec, p, cfg.ClusterRadius) {
-				recordChild(acting, 1, m.Value)
-			}
-		case standIn:
-			rec := ctx.Listen(sendCh)
-			if m, ok := rec.Msg.(UpMsg); ok && m.ToRole == parentRole && m.Dom == dom &&
-				m.From == acting+1 && phy.SenderWithin(rec, p, cfg.ClusterRadius) {
-				sibValue, sibSeen = m.Value, true
-			}
-		default:
-			ctx.Idle()
-		}
-
-		// Sub-slot 3: parents (or stand-ins) ack the right child.
-		switch {
-		case isParent && st.ChildSeen[acting][1]:
-			ctx.Transmit(ownCh, UpAck{ToRole: 2*acting + 1, Dom: dom})
-		case standIn && sibSeen:
-			ctx.Transmit(sendCh, UpAck{ToRole: acting + 1, Dom: dom})
-		case sendsRight:
-			rec := ctx.Listen(sendCh)
-			if a, ok := rec.Msg.(UpAck); ok && a.ToRole == acting && a.Dom == dom {
-				gotAck = true
-			}
-		default:
-			ctx.Idle()
-		}
-
-		// Fold absorbed values and resolve takeovers for the next level.
-		if isParent {
-			if st.ChildSeen[acting][0] {
-				st.Value = op.Combine(st.Value, st.ChildVals[acting][0])
-			}
-			if st.ChildSeen[acting][1] {
-				st.Value = op.Combine(st.Value, st.ChildVals[acting][1])
-			}
-		}
-		if isSender {
-			switch {
-			case gotAck:
-				st.DeliveredAs = acting
-				done = true
-			default:
-				// Parent absent. Left children (and role 1, whose parent —
-				// the dominator — is always present, so this is defensive)
-				// take over; right children take over only when the left
-				// sibling is absent (no stand-in ack arrived).
-				st.Chain = append(st.Chain, parentRole)
-				acting = parentRole
-				if standIn {
-					// Record the stand-in's view: left = own subtree,
-					// right = absorbed sibling.
-					recordChild(parentRole, 0, st.Value)
-					if sibSeen {
-						st.Value = op.Combine(st.Value, sibValue)
-						recordChild(parentRole, 1, sibValue)
-					}
-				} else {
-					// Right child taking over: its subtree is the right
-					// record.
-					recordChild(parentRole, 1, st.Value)
-				}
-			}
-		}
-
-		ctx.IdleFor(4 * (stride - 1 - cfg.Offset))
-	}
-	return st
-}
-
 // SplitFunc partitions acted role j's payload into the actor's own interval
 // (only when base is true: a physical node consumes its own share exactly
 // once, at its base role) and the two child subtree intervals, using the
 // child contributions cv/cs recorded on the way up.
 type SplitFunc func(j int, base bool, payload [2]int64, cv [2]int64, cs [2]bool) (self, left, right [2]int64)
-
-// RunCastDown executes one down pass, distributing payload intervals from
-// the root to the reporters, retracing the up pass recorded in st
-// (including takeovers); split divides each acted role's payload.
-//
-// The returned value is this node's own interval (with ok=false if the node
-// never obtained a payload). The pass consumes exactly cfg.SlotBudget
-// slots.
-func RunCastDown(
-	ctx *sim.Ctx,
-	cfg CastConfig,
-	role, dom int,
-	st CastState,
-	rootPayload [2]int64,
-	split SplitFunc,
-) ([2]int64, bool) {
-	var (
-		p        = ctx.Params()
-		stride   = cfg.stride()
-		payloads = map[int][2]int64{} // payload per chain role, once known
-		have     = false
-		topRole  = -1
-		selfPay  [2]int64
-		haveSelf = false
-	)
-	if role == 0 {
-		payloads[0] = rootPayload
-		have = true
-		topRole = 0
-	} else if len(st.Chain) > 0 {
-		// The payload arrives addressed to the highest role in the chain
-		// (the role under which the node delivered upward).
-		topRole = st.Chain[len(st.Chain)-1]
-	}
-	inChain := func(j int) bool {
-		if role == 0 {
-			return j == 0
-		}
-		for _, c := range st.Chain {
-			if c == j {
-				return true
-			}
-		}
-		return false
-	}
-	// propagate walks the node's internal chain top-down from the top role,
-	// splitting payloads locally (no radio between a node's own roles).
-	propagate := func() {
-		if !have {
-			return
-		}
-		for j := topRole; j >= 0; {
-			pl, ok := payloads[j]
-			if !ok {
-				return
-			}
-			self, left, right := split(j, j == role, pl, st.ChildVals[j], st.ChildSeen[j])
-			if j == role {
-				selfPay, haveSelf = self, true
-				return
-			}
-			switch {
-			case inChain(2 * j):
-				payloads[2*j] = left
-				j = 2 * j
-			case inChain(2*j + 1):
-				payloads[2*j+1] = right
-				j = 2*j + 1
-			default:
-				return
-			}
-		}
-	}
-	propagate()
-
-	for lvl := 1; lvl <= cfg.Levels(); lvl++ {
-		ctx.IdleFor(4 * cfg.Offset)
-		// Does the node act as a parent of level-lvl roles?
-		parentRole, isParent := -1, false
-		for _, j := range chainRoles(role, st) {
-			if levelOf(j) == lvl-1 {
-				parentRole, isParent = j, true
-			}
-		}
-		if isParent {
-			if _, ok := payloads[parentRole]; !ok {
-				isParent = false
-			}
-		}
-		var leftPay, rightPay [2]int64
-		if isParent {
-			_, leftPay, rightPay = split(parentRole, parentRole == role,
-				payloads[parentRole], st.ChildVals[parentRole], st.ChildSeen[parentRole])
-		}
-		// Does the node expect to receive at this level?
-		expectsAt := !have && topRole >= 1 && levelOf(topRole) == lvl
-		recvCh := chanOf(topRole / 2)
-
-		// Sub-slot 0: payload to left child.
-		switch {
-		case isParent && parentRole >= 1 && st.ChildSeen[parentRole][0] && !inChain(2*parentRole):
-			ctx.Transmit(chanOf(parentRole), DownMsg{ToRole: 2 * parentRole, Dom: dom, Payload: leftPay})
-		case expectsAt && topRole%2 == 0 && topRole != 1:
-			rec := ctx.Listen(recvCh)
-			if m, ok := rec.Msg.(DownMsg); ok && m.ToRole == topRole && m.Dom == dom &&
-				phy.SenderWithin(rec, p, cfg.ClusterRadius) {
-				payloads[topRole], have = m.Payload, true
-				propagate()
-			}
-		default:
-			ctx.Idle()
-		}
-		// Sub-slot 1: layout parity with the up pass.
-		ctx.Idle()
-
-		// Sub-slot 2: payload to right child (and from root to role 1).
-		switch {
-		case isParent && parentRole == 0:
-			ctx.Transmit(0, DownMsg{ToRole: 1, Dom: dom, Payload: rightPay})
-		case isParent && st.ChildSeen[parentRole][1] && !inChain(2*parentRole+1):
-			ctx.Transmit(chanOf(parentRole), DownMsg{ToRole: 2*parentRole + 1, Dom: dom, Payload: rightPay})
-		case expectsAt && (topRole%2 == 1 || topRole == 1):
-			rec := ctx.Listen(recvCh)
-			if m, ok := rec.Msg.(DownMsg); ok && m.ToRole == topRole && m.Dom == dom &&
-				phy.SenderWithin(rec, p, cfg.ClusterRadius) {
-				payloads[topRole], have = m.Payload, true
-				propagate()
-			}
-		default:
-			ctx.Idle()
-		}
-		// Sub-slot 3: layout parity.
-		ctx.Idle()
-
-		ctx.IdleFor(4 * (stride - 1 - cfg.Offset))
-	}
-	return selfPay, haveSelf
-}
 
 // rootChain is the dominator's chain: it acts as the root only. Shared and
 // read-only.
@@ -425,4 +123,401 @@ func chainRoles(role int, st CastState) []int {
 		return rootChain
 	}
 	return st.Chain
+}
+
+// castAwait tags which sub-slot listen the fragment's previous slot holds.
+type castAwait uint8
+
+const (
+	castAwaitNone castAwait = iota
+	castAwaitSub0Parent
+	castAwaitSub1Sender
+	castAwaitSub2Parent
+	castAwaitSub2StandIn
+	castAwaitSub3Sender
+)
+
+// CastUpFrag executes one up pass of the reporter tree for tree role Role
+// in cluster Dom, folding Value with Op. St is valid once Feed returns
+// true.
+//
+// Role 0 is the dominator; roles 1..F are channel reporters (role k on
+// physical channel k-1); bystanders idle through the pass with a
+// sim.IdleFrag. Missing roles (empty channels) are healed by the Appendix
+// A rules: an unacknowledged left child stands in for its missing parent,
+// absorbing its sibling's transmission directly; an unacknowledged right
+// child takes over only when the left sibling is absent too (a present
+// left sibling would have acknowledged it).
+//
+// Sub-slots per level: 0 = left child transmits, 1 = ack to left child,
+// 2 = right child transmits, 3 = ack to right child. Role 1 (the root's
+// only child) uses the right-child sub-slots. The pass consumes exactly
+// Cfg.SlotBudget slots.
+type CastUpFrag struct {
+	Cfg       CastConfig
+	Role, Dom int
+	Value     int64
+	Op        agg.Op
+	St        CastState
+
+	init   bool
+	lvl    int
+	pos    uint8 // 0 pre-idle, 1..4 sub-slots 0..3, 5 level end + post-idle
+	acting int
+	done   bool
+	await  castAwait
+	// Per-level state.
+	isSender, isParent    bool
+	sendsLeft, sendsRight bool
+	parentRole            int
+	sendCh, ownCh         int
+	gotAck, standIn       bool
+	sibValue              int64
+	sibSeen               bool
+}
+
+func (f *CastUpFrag) recordChild(j, side int, v int64) {
+	cv, cs := f.St.ChildVals[j], f.St.ChildSeen[j]
+	cv[side], cs[side] = v, true
+	f.St.ChildVals[j], f.St.ChildSeen[j] = cv, cs
+}
+
+// Feed implements sim.Frag.
+func (f *CastUpFrag) Feed(sc *sim.StepCtx) bool {
+	p := sc.Params()
+	if !f.init {
+		f.init = true
+		f.St = CastState{
+			Value:       f.Value,
+			DeliveredAs: -1,
+			ChildVals:   map[int][2]int64{},
+			ChildSeen:   map[int][2]bool{},
+		}
+		f.acting = f.Role
+		if f.Role >= 0 {
+			f.St.Chain = append(f.St.Chain, f.Role)
+		}
+		f.lvl = f.Cfg.Levels()
+	}
+	switch f.await {
+	case castAwaitSub0Parent:
+		rec := sc.Prev()
+		if m, ok := rec.Msg.(UpMsg); ok && m.ToRole == f.acting && m.Dom == f.Dom &&
+			m.From == 2*f.acting && phy.SenderWithin(rec, p, f.Cfg.ClusterRadius) {
+			f.recordChild(f.acting, 0, m.Value)
+		}
+	case castAwaitSub1Sender:
+		rec := sc.Prev()
+		if a, ok := rec.Msg.(UpAck); ok && a.ToRole == f.acting && a.Dom == f.Dom {
+			f.gotAck = true
+		}
+		f.standIn = !f.gotAck // parent absent: stand in for it
+	case castAwaitSub2Parent:
+		rec := sc.Prev()
+		if m, ok := rec.Msg.(UpMsg); ok && m.ToRole == f.acting && m.Dom == f.Dom &&
+			m.From == 2*f.acting+1 && phy.SenderWithin(rec, p, f.Cfg.ClusterRadius) {
+			f.recordChild(f.acting, 1, m.Value)
+		}
+	case castAwaitSub2StandIn:
+		rec := sc.Prev()
+		if m, ok := rec.Msg.(UpMsg); ok && m.ToRole == f.parentRole && m.Dom == f.Dom &&
+			m.From == f.acting+1 && phy.SenderWithin(rec, p, f.Cfg.ClusterRadius) {
+			f.sibValue, f.sibSeen = m.Value, true
+		}
+	case castAwaitSub3Sender:
+		rec := sc.Prev()
+		if a, ok := rec.Msg.(UpAck); ok && a.ToRole == f.acting && a.Dom == f.Dom {
+			f.gotAck = true
+		}
+	}
+	f.await = castAwaitNone
+
+	stride := f.Cfg.stride()
+	for {
+		if f.lvl < 1 {
+			return true
+		}
+		switch f.pos {
+		case 0:
+			f.pos = 1
+			if k := 4 * f.Cfg.Offset; k > 0 {
+				sc.IdleFor(k)
+				return false
+			}
+		case 1: // Sub-slot 0: left children transmit.
+			f.isSender = !f.done && f.acting >= 1 && levelOf(f.acting) == f.lvl
+			f.isParent = !f.done && f.acting >= 0 && levelOf(f.acting) == f.lvl-1
+			f.sendsLeft = f.isSender && f.acting%2 == 0 && f.acting != 1
+			f.sendsRight = f.isSender && (f.acting%2 == 1 || f.acting == 1)
+			f.parentRole = f.acting / 2
+			f.sendCh = chanOf(f.parentRole)
+			f.ownCh = chanOf(f.acting)
+			f.gotAck, f.standIn, f.sibSeen = false, false, false
+			f.sibValue = 0
+			f.pos = 2
+			switch {
+			case f.sendsLeft:
+				sc.Transmit(f.sendCh, UpMsg{ToRole: f.parentRole, Dom: f.Dom, From: f.acting, Value: f.St.Value})
+			case f.isParent:
+				sc.Listen(f.ownCh)
+				f.await = castAwaitSub0Parent
+			default:
+				sc.Idle()
+			}
+			return false
+		case 2: // Sub-slot 1: parents ack their left child.
+			f.pos = 3
+			switch {
+			case f.isParent && f.St.ChildSeen[f.acting][0]:
+				sc.Transmit(f.ownCh, UpAck{ToRole: 2 * f.acting, Dom: f.Dom})
+			case f.sendsLeft:
+				sc.Listen(f.sendCh)
+				f.await = castAwaitSub1Sender
+			default:
+				sc.Idle()
+			}
+			return false
+		case 3: // Sub-slot 2: right children transmit; stand-ins absorb.
+			f.pos = 4
+			switch {
+			case f.sendsRight:
+				sc.Transmit(f.sendCh, UpMsg{ToRole: f.parentRole, Dom: f.Dom, From: f.acting, Value: f.St.Value})
+			case f.isParent:
+				sc.Listen(f.ownCh)
+				f.await = castAwaitSub2Parent
+			case f.standIn:
+				sc.Listen(f.sendCh)
+				f.await = castAwaitSub2StandIn
+			default:
+				sc.Idle()
+			}
+			return false
+		case 4: // Sub-slot 3: parents (or stand-ins) ack the right child.
+			f.pos = 5
+			switch {
+			case f.isParent && f.St.ChildSeen[f.acting][1]:
+				sc.Transmit(f.ownCh, UpAck{ToRole: 2*f.acting + 1, Dom: f.Dom})
+			case f.standIn && f.sibSeen:
+				sc.Transmit(f.sendCh, UpAck{ToRole: f.acting + 1, Dom: f.Dom})
+			case f.sendsRight:
+				sc.Listen(f.sendCh)
+				f.await = castAwaitSub3Sender
+			default:
+				sc.Idle()
+			}
+			return false
+		default: // Fold, resolve takeovers, post-idle, next level.
+			if f.isParent {
+				if f.St.ChildSeen[f.acting][0] {
+					f.St.Value = f.Op.Combine(f.St.Value, f.St.ChildVals[f.acting][0])
+				}
+				if f.St.ChildSeen[f.acting][1] {
+					f.St.Value = f.Op.Combine(f.St.Value, f.St.ChildVals[f.acting][1])
+				}
+			}
+			if f.isSender {
+				switch {
+				case f.gotAck:
+					f.St.DeliveredAs = f.acting
+					f.done = true
+				default:
+					f.St.Chain = append(f.St.Chain, f.parentRole)
+					f.acting = f.parentRole
+					if f.standIn {
+						f.recordChild(f.parentRole, 0, f.St.Value)
+						if f.sibSeen {
+							f.St.Value = f.Op.Combine(f.St.Value, f.sibValue)
+							f.recordChild(f.parentRole, 1, f.sibValue)
+						}
+					} else {
+						f.recordChild(f.parentRole, 1, f.St.Value)
+					}
+				}
+			}
+			f.lvl--
+			f.pos = 0
+			if k := 4 * (stride - 1 - f.Cfg.Offset); k > 0 {
+				sc.IdleFor(k)
+				return false
+			}
+		}
+	}
+}
+
+// CastDownFrag executes one down pass for tree role Role in cluster Dom,
+// distributing payload intervals from the root to the reporters: it
+// retraces the up pass St (a CastUpFrag's St, takeovers included), starting
+// from Root at the dominator and dividing each acted role's payload with
+// Split. Self and Ok are the node's own interval and whether it obtained
+// one, valid once Feed returns true. The pass consumes exactly
+// Cfg.SlotBudget slots.
+type CastDownFrag struct {
+	Cfg       CastConfig
+	Role, Dom int
+	St        CastState
+	Root      [2]int64
+	Split     SplitFunc
+	Self      [2]int64
+	Ok        bool
+
+	init     bool
+	lvl      int
+	pos      uint8            // 0 pre-idle, 1..4 sub-slots 0..3, 5 post-idle
+	chain    []int            // the roles acted as: chainRoles(Role, St)
+	payloads map[int][2]int64 // payload per chain role, once known
+	have     bool
+	topRole  int
+	await    bool
+	// Per-level state.
+	parentRole        int
+	isParent          bool
+	leftPay, rightPay [2]int64
+	expectsAt         bool
+	recvCh            int
+}
+
+// inChain reports whether the node acted as role j during the up pass.
+func (f *CastDownFrag) inChain(j int) bool {
+	for _, c := range f.chain {
+		if c == j {
+			return true
+		}
+	}
+	return false
+}
+
+// propagate walks the node's internal chain top-down from the top role,
+// splitting payloads locally (no radio between a node's own roles).
+func (f *CastDownFrag) propagate() {
+	if !f.have {
+		return
+	}
+	for j := f.topRole; j >= 0; {
+		pl, ok := f.payloads[j]
+		if !ok {
+			return
+		}
+		self, left, right := f.Split(j, j == f.Role, pl, f.St.ChildVals[j], f.St.ChildSeen[j])
+		if j == f.Role {
+			f.Self, f.Ok = self, true
+			return
+		}
+		switch {
+		case f.inChain(2 * j):
+			f.payloads[2*j] = left
+			j = 2 * j
+		case f.inChain(2*j + 1):
+			f.payloads[2*j+1] = right
+			j = 2*j + 1
+		default:
+			return
+		}
+	}
+}
+
+// Feed implements sim.Frag.
+func (f *CastDownFrag) Feed(sc *sim.StepCtx) bool {
+	p := sc.Params()
+	if !f.init {
+		f.init = true
+		f.chain = chainRoles(f.Role, f.St)
+		f.payloads = map[int][2]int64{}
+		f.topRole = -1
+		if f.Role == 0 {
+			f.payloads[0] = f.Root
+			f.have = true
+			f.topRole = 0
+		} else if len(f.chain) > 0 {
+			// The payload arrives addressed to the highest role in the
+			// chain (the role under which the node delivered upward).
+			f.topRole = f.chain[len(f.chain)-1]
+		}
+		f.propagate()
+		f.lvl = 1
+	}
+	if f.await {
+		f.await = false
+		rec := sc.Prev()
+		if m, ok := rec.Msg.(DownMsg); ok && m.ToRole == f.topRole && m.Dom == f.Dom &&
+			phy.SenderWithin(rec, p, f.Cfg.ClusterRadius) {
+			f.payloads[f.topRole], f.have = m.Payload, true
+			f.propagate()
+		}
+	}
+
+	stride := f.Cfg.stride()
+	for {
+		if f.lvl > f.Cfg.Levels() {
+			return true
+		}
+		switch f.pos {
+		case 0:
+			f.pos = 1
+			if k := 4 * f.Cfg.Offset; k > 0 {
+				sc.IdleFor(k)
+				return false
+			}
+		case 1: // Sub-slot 0: payload to left child.
+			// Does the node act as a parent of level-lvl roles?
+			f.parentRole, f.isParent = -1, false
+			for _, j := range f.chain {
+				if levelOf(j) == f.lvl-1 {
+					f.parentRole, f.isParent = j, true
+				}
+			}
+			if f.isParent {
+				if _, ok := f.payloads[f.parentRole]; !ok {
+					f.isParent = false
+				}
+			}
+			f.leftPay, f.rightPay = [2]int64{}, [2]int64{}
+			if f.isParent {
+				_, f.leftPay, f.rightPay = f.Split(f.parentRole, f.parentRole == f.Role,
+					f.payloads[f.parentRole], f.St.ChildVals[f.parentRole], f.St.ChildSeen[f.parentRole])
+			}
+			// Does the node expect to receive at this level?
+			f.expectsAt = !f.have && f.topRole >= 1 && levelOf(f.topRole) == f.lvl
+			f.recvCh = chanOf(f.topRole / 2)
+			f.pos = 2
+			switch {
+			case f.isParent && f.parentRole >= 1 && f.St.ChildSeen[f.parentRole][0] && !f.inChain(2*f.parentRole):
+				sc.Transmit(chanOf(f.parentRole), DownMsg{ToRole: 2 * f.parentRole, Dom: f.Dom, Payload: f.leftPay})
+			case f.expectsAt && f.topRole%2 == 0 && f.topRole != 1:
+				sc.Listen(f.recvCh)
+				f.await = true
+			default:
+				sc.Idle()
+			}
+			return false
+		case 2: // Sub-slot 1: layout parity with the up pass.
+			f.pos = 3
+			sc.Idle()
+			return false
+		case 3: // Sub-slot 2: payload to right child (and from root to role 1).
+			f.pos = 4
+			switch {
+			case f.isParent && f.parentRole == 0:
+				sc.Transmit(0, DownMsg{ToRole: 1, Dom: f.Dom, Payload: f.rightPay})
+			case f.isParent && f.St.ChildSeen[f.parentRole][1] && !f.inChain(2*f.parentRole+1):
+				sc.Transmit(chanOf(f.parentRole), DownMsg{ToRole: 2*f.parentRole + 1, Dom: f.Dom, Payload: f.rightPay})
+			case f.expectsAt && (f.topRole%2 == 1 || f.topRole == 1):
+				sc.Listen(f.recvCh)
+				f.await = true
+			default:
+				sc.Idle()
+			}
+			return false
+		case 4: // Sub-slot 3: layout parity.
+			f.pos = 5
+			sc.Idle()
+			return false
+		default:
+			f.lvl++
+			f.pos = 0
+			if k := 4 * (stride - 1 - f.Cfg.Offset); k > 0 {
+				sc.IdleFor(k)
+				return false
+			}
+		}
+	}
 }

@@ -46,17 +46,7 @@ func TestCastUpPropertyRandomSubsets(t *testing.T) {
 		p := model.Default(channels, 64)
 		e := sim.NewEngine(phy.NewField(p, pos), uint64(trial)+1)
 		cfg := DefaultCastConfig(channels, 0.14)
-		states := make([]CastState, len(roles))
-		progs := make([]sim.Program, len(roles))
-		for i := range progs {
-			i := i
-			progs[i] = func(ctx *sim.Ctx) {
-				states[i] = RunCastUp(ctx, cfg, roles[i], 0, values[i], agg.Sum)
-			}
-		}
-		if _, err := e.Run(progs); err != nil {
-			t.Fatal(err)
-		}
+		states, _, _, _ := castRun(t, e, cfg, roles, values, agg.Sum, false)
 		if got := states[0].Value; got != want {
 			t.Errorf("trial %d roles %v: root value %d, want %d", trial, roles, got, want)
 		}
@@ -90,24 +80,8 @@ func TestCastDownPropertyRandomSubsets(t *testing.T) {
 		p := model.Default(channels, 64)
 		e := sim.NewEngine(phy.NewField(p, pos), uint64(trial)+7)
 		cfg := DefaultCastConfig(channels, 0.14)
-		payloads := make([][2]int64, len(roles))
-		oks := make([]bool, len(roles))
-		var rootTotal int64
-		progs := make([]sim.Program, len(roles))
-		for i := range progs {
-			i := i
-			progs[i] = func(ctx *sim.Ctx) {
-				st := RunCastUp(ctx, cfg, roles[i], 0, values[i], agg.Sum)
-				if roles[i] == 0 {
-					rootTotal = st.Value
-				}
-				root := [2]int64{0, st.Value}
-				payloads[i], oks[i] = RunCastDown(ctx, cfg, roles[i], 0, st, root, coloringSplit)
-			}
-		}
-		if _, err := e.Run(progs); err != nil {
-			t.Fatal(err)
-		}
+		ups, payloads, oks, _ := castRun(t, e, cfg, roles, values, agg.Sum, true)
+		rootTotal := ups[0].Value
 		reporters := len(roles) - 1
 		if rootTotal != int64(reporters) {
 			t.Errorf("trial %d: root total %d, want %d", trial, rootTotal, reporters)

@@ -6,10 +6,11 @@
 // ranges are distributed back down).
 //
 // Election uses min-ID gossip per (cluster, channel) instead of the paper's
-// ruling-set invocation (deviation D7): all members of a cluster share one
-// r_c-ball, so the channel population is a single-hop environment in which
-// the smallest ID propagates to everyone in O(log n) rounds w.h.p. The
-// postcondition is the paper's: exactly one reporter per non-empty channel.
+// ruling-set invocation (deviation D6 in the mcnet package documentation):
+// all members of a cluster share one r_c-ball, so the channel population is
+// a single-hop environment in which the smallest ID propagates to everyone
+// in O(log n) rounds w.h.p. The postcondition is the paper's: exactly one
+// reporter per non-empty channel.
 //
 // Tree role numbering: the dominator is role 0; the reporter elected on
 // physical channel c has role c+1; the parent of role k is ⌊k/2⌋; role
@@ -67,40 +68,73 @@ func (c ElectConfig) Rounds(p model.Params) int {
 	return int(math.Ceil(c.RoundFactor * p.LogN()))
 }
 
-// SlotBudget returns the exact number of slots RunElect and IdleElect
-// consume.
+// SlotBudget returns the exact number of slots an election consumes.
 func (c ElectConfig) SlotBudget(p model.Params) int {
 	return c.stride() * c.Rounds(p)
 }
 
-// IdleElect consumes the stage budget without participating.
-func IdleElect(ctx *sim.Ctx, cfg ElectConfig) {
-	ctx.IdleFor(cfg.SlotBudget(ctx.Params()))
+// ElectFrag runs the election on the given physical channel for a member
+// of cluster Dom. Min is the node's current minimum; once Feed returns
+// true it is the elected reporter's ID — the minimum ID among members that
+// chose the channel, w.h.p. — which equals the node's own ID exactly when
+// it is the reporter. It consumes exactly Cfg.SlotBudget slots;
+// non-members idle through the budget with a sim.IdleFrag.
+type ElectFrag struct {
+	Cfg          ElectConfig
+	Channel, Dom int
+	Min          int
+
+	init      bool
+	rounds    int
+	round     int
+	pos       uint8 // 0 pre-idle, 1 act, 2 post-idle
+	awaitCand bool
 }
 
-// RunElect executes the election on the given physical channel for a member
-// of cluster dom. It returns the elected reporter's ID — the minimum ID
-// among members that chose the channel, w.h.p. — which equals the caller's
-// own ID exactly when it is the reporter. It consumes exactly
-// cfg.SlotBudget slots.
-func RunElect(ctx *sim.Ctx, cfg ElectConfig, channel, dom int) int {
-	var (
-		p      = ctx.Params()
-		stride = cfg.stride()
-		min    = ctx.ID()
-	)
-	for round := 0; round < cfg.Rounds(p); round++ {
-		ctx.IdleFor(cfg.Offset)
-		if min == ctx.ID() && ctx.Rand.Float64() < cfg.TxProb {
-			ctx.Transmit(channel, Cand{From: ctx.ID(), Dom: dom})
-		} else {
-			rec := ctx.Listen(channel)
-			if c, ok := rec.Msg.(Cand); ok && c.Dom == dom && c.From < min &&
-				phy.SenderWithin(rec, p, cfg.ClusterRadius) {
-				min = c.From
+// Feed implements sim.Frag.
+func (f *ElectFrag) Feed(sc *sim.StepCtx) bool {
+	p := sc.Params()
+	if !f.init {
+		f.init = true
+		f.rounds = f.Cfg.Rounds(p)
+		f.Min = sc.ID()
+	}
+	if f.awaitCand {
+		f.awaitCand = false
+		rec := sc.Prev()
+		if c, ok := rec.Msg.(Cand); ok && c.Dom == f.Dom && c.From < f.Min &&
+			phy.SenderWithin(rec, p, f.Cfg.ClusterRadius) {
+			f.Min = c.From
+		}
+	}
+	stride := f.Cfg.stride()
+	for {
+		if f.round >= f.rounds {
+			return true
+		}
+		switch f.pos {
+		case 0:
+			f.pos = 1
+			if f.Cfg.Offset > 0 {
+				sc.IdleFor(f.Cfg.Offset)
+				return false
+			}
+		case 1:
+			f.pos = 2
+			if f.Min == sc.ID() && sc.Rand.Float64() < f.Cfg.TxProb {
+				sc.Transmit(f.Channel, Cand{From: sc.ID(), Dom: f.Dom})
+			} else {
+				sc.Listen(f.Channel)
+				f.awaitCand = true
+			}
+			return false
+		default:
+			f.pos = 0
+			f.round++
+			if k := stride - 1 - f.Cfg.Offset; k > 0 {
+				sc.IdleFor(k)
+				return false
 			}
 		}
-		ctx.IdleFor(stride - 1 - cfg.Offset)
 	}
-	return min
 }

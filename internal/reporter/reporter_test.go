@@ -34,14 +34,11 @@ func TestElectMinIDPerChannel(t *testing.T) {
 	// nodes c, c+4, c+8, ... → min on channel c is node c.
 	e := sim.NewEngine(f, 5)
 	isLeader := make([]bool, n)
-	progs := make([]sim.Program, n)
-	for i := 0; i < n; i++ {
-		i := i
-		progs[i] = func(ctx *sim.Ctx) {
-			isLeader[i] = RunElect(ctx, cfg, i%channels, 0) == ctx.ID()
-		}
+	steppers := make([]sim.Stepper, n)
+	for i := range steppers {
+		steppers[i] = electStepper(cfg, i%channels, 0, &isLeader[i])
 	}
-	if _, err := e.Run(progs); err != nil {
+	if _, err := e.Run(steppers); err != nil {
 		t.Fatal(err)
 	}
 	_ = p
@@ -67,18 +64,15 @@ func TestElectTwoClustersIsolated(t *testing.T) {
 	e := sim.NewEngine(phy.NewField(p, pos), 7)
 	cfg := DefaultElectConfig(0.14)
 	isLeader := make([]bool, len(pos))
-	progs := make([]sim.Program, len(pos))
-	for i := range progs {
-		i := i
+	steppers := make([]sim.Stepper, len(pos))
+	for i := range steppers {
 		dom := 0
 		if i >= perCluster {
 			dom = perCluster
 		}
-		progs[i] = func(ctx *sim.Ctx) {
-			isLeader[i] = RunElect(ctx, cfg, 0, dom) == ctx.ID()
-		}
+		steppers[i] = electStepper(cfg, 0, dom, &isLeader[i])
 	}
-	if _, err := e.Run(progs); err != nil {
+	if _, err := e.Run(steppers); err != nil {
 		t.Fatal(err)
 	}
 	for i, l := range isLeader {
@@ -95,11 +89,10 @@ func TestElectSlotBudget(t *testing.T) {
 	pos := []geo.Point{{X: 0}, {X: 0.02}}
 	e := sim.NewEngine(phy.NewField(p, pos), 2)
 	after := make([]int, 2)
-	progs := []sim.Program{
-		func(ctx *sim.Ctx) { RunElect(ctx, cfg, 0, 0); after[0] = ctx.Slot() },
-		func(ctx *sim.Ctx) { IdleElect(ctx, cfg); after[1] = ctx.Slot() },
-	}
-	if _, err := e.Run(progs); err != nil {
+	if _, err := e.Run([]sim.Stepper{
+		&sim.FragStepper{Frag: &ElectFrag{Cfg: cfg}, Finish: func(sc *sim.StepCtx) { after[0] = sc.Slot() }},
+		&sim.FragStepper{Frag: &sim.IdleFrag{K: cfg.SlotBudget(p)}, Finish: func(sc *sim.StepCtx) { after[1] = sc.Slot() }},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	want := cfg.SlotBudget(p)
@@ -108,29 +101,99 @@ func TestElectSlotBudget(t *testing.T) {
 	}
 }
 
+// electStepper runs one member's election on channel for cluster dom and
+// records whether the node ended as the channel's reporter.
+func electStepper(cfg ElectConfig, channel, dom int, leader *bool) sim.Stepper {
+	f := &ElectFrag{Cfg: cfg, Channel: channel, Dom: dom}
+	return &sim.FragStepper{Frag: f, Finish: func(sc *sim.StepCtx) { *leader = f.Min == sc.ID() }}
+}
+
+// castStepper plays one tree role in cluster 0: an up pass folding value
+// with op, then (with down) a down pass splitting the root total with
+// coloringSplit. A negative role is a bystander idling through the passes.
+type castStepper struct {
+	cfg  CastConfig
+	role int
+	down bool
+
+	up    CastUpFrag
+	dn    *CastDownFrag
+	idle  *sim.IdleFrag
+	start bool
+}
+
+func (s *castStepper) Step(sc *sim.StepCtx) {
+	if !s.start {
+		s.start = true
+		if s.role < 0 {
+			passes := 1
+			if s.down {
+				passes = 2
+			}
+			s.idle = &sim.IdleFrag{K: passes * s.cfg.SlotBudget()}
+		}
+	}
+	if s.idle != nil {
+		if s.idle.Feed(sc) {
+			sc.Done()
+		}
+		return
+	}
+	if s.dn == nil {
+		if !s.up.Feed(sc) {
+			return
+		}
+		if !s.down {
+			sc.Done()
+			return
+		}
+		s.dn = &CastDownFrag{
+			Cfg: s.cfg, Role: s.role, St: s.up.St,
+			Root: [2]int64{0, s.up.St.Value}, Split: coloringSplit,
+		}
+	}
+	if s.dn.Feed(sc) {
+		sc.Done()
+	}
+}
+
+// castRun runs node i as tree role roles[i] with value values[i] (see
+// castStepper) and returns each node's up-pass state and, with down, its
+// own interval and whether it obtained one, plus the run's slot count.
+func castRun(t *testing.T, e *sim.Engine, cfg CastConfig, roles []int, values []int64, op agg.Op, down bool) (ups []CastState, selves [][2]int64, oks []bool, slots int) {
+	t.Helper()
+	nodes := make([]castStepper, len(roles))
+	steppers := make([]sim.Stepper, len(roles))
+	for i := range nodes {
+		nodes[i] = castStepper{cfg: cfg, role: roles[i], down: down,
+			up: CastUpFrag{Cfg: cfg, Role: roles[i], Value: values[i], Op: op}}
+		steppers[i] = &nodes[i]
+	}
+	slots, err := e.Run(steppers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ups = make([]CastState, len(roles))
+	selves = make([][2]int64, len(roles))
+	oks = make([]bool, len(roles))
+	for i, nd := range nodes {
+		if nd.role >= 0 {
+			ups[i] = nd.up.St
+		}
+		if nd.dn != nil {
+			selves[i], oks[i] = nd.dn.Self, nd.dn.Ok
+		}
+	}
+	return ups, selves, oks, slots
+}
+
 // runCast executes an up pass with the given role assignment (node i plays
 // roles[i]; -1 is a bystander) and per-node values, and returns the states.
 func runCast(t *testing.T, roles []int, values []int64, channels int, op agg.Op, seed uint64) []CastState {
 	t.Helper()
 	f, _ := clusterField(len(roles), channels, 0.05, int64(seed))
-	cfg := DefaultCastConfig(channels, 0.14)
-	e := sim.NewEngine(f, seed)
-	states := make([]CastState, len(roles))
-	progs := make([]sim.Program, len(roles))
-	for i := range progs {
-		i := i
-		progs[i] = func(ctx *sim.Ctx) {
-			if roles[i] < 0 {
-				IdleCast(ctx, cfg)
-				return
-			}
-			states[i] = RunCastUp(ctx, cfg, roles[i], 0, values[i], op)
-		}
-	}
-	if _, err := e.Run(progs); err != nil {
-		t.Fatal(err)
-	}
-	return states
+	ups, _, _, _ := castRun(t, sim.NewEngine(f, seed), DefaultCastConfig(channels, 0.14), roles, values, op, false)
+	return ups
 }
 
 func TestCastUpFullTree(t *testing.T) {
@@ -248,21 +311,7 @@ func TestCastDownDistributesDisjointRanges(t *testing.T) {
 	f, _ := clusterField(len(roles), channels, 0.05, 31)
 	cfg := DefaultCastConfig(channels, 0.14)
 	e := sim.NewEngine(f, 31)
-	states := make([]CastState, len(roles))
-	payloads := make([][2]int64, len(roles))
-	oks := make([]bool, len(roles))
-	progs := make([]sim.Program, len(roles))
-	for i := range progs {
-		i := i
-		progs[i] = func(ctx *sim.Ctx) {
-			states[i] = RunCastUp(ctx, cfg, roles[i], 0, values[i], agg.Sum)
-			root := [2]int64{0, states[i].Value} // only meaningful at role 0
-			payloads[i], oks[i] = RunCastDown(ctx, cfg, roles[i], 0, states[i], root, coloringSplit)
-		}
-	}
-	if _, err := e.Run(progs); err != nil {
-		t.Fatal(err)
-	}
+	states, payloads, oks, _ := castRun(t, e, cfg, roles, values, agg.Sum, true)
 	if states[0].Value != 5 {
 		t.Fatalf("root total = %d, want 5", states[0].Value)
 	}
@@ -294,26 +343,7 @@ func TestCastDownWithTakeover(t *testing.T) {
 	f, _ := clusterField(len(roles), channels, 0.05, 37)
 	cfg := DefaultCastConfig(channels, 0.14)
 	e := sim.NewEngine(f, 37)
-	states := make([]CastState, len(roles))
-	payloads := make([][2]int64, len(roles))
-	oks := make([]bool, len(roles))
-	progs := make([]sim.Program, len(roles))
-	for i := range progs {
-		i := i
-		progs[i] = func(ctx *sim.Ctx) {
-			if roles[i] < 0 {
-				IdleCast(ctx, cfg)
-				IdleCast(ctx, cfg)
-				return
-			}
-			states[i] = RunCastUp(ctx, cfg, roles[i], 0, values[i], agg.Sum)
-			root := [2]int64{0, states[i].Value}
-			payloads[i], oks[i] = RunCastDown(ctx, cfg, roles[i], 0, states[i], root, coloringSplit)
-		}
-	}
-	if _, err := e.Run(progs); err != nil {
-		t.Fatal(err)
-	}
+	states, payloads, oks, _ := castRun(t, e, cfg, roles, values, agg.Sum, true)
 	if states[0].Value != 3 {
 		t.Fatalf("root total = %d, want 3", states[0].Value)
 	}
@@ -337,11 +367,10 @@ func TestCastSlotBudget(t *testing.T) {
 	pos := []geo.Point{{X: 0}, {X: 0.02}}
 	e := sim.NewEngine(phy.NewField(p, pos), 2)
 	after := make([]int, 2)
-	progs := []sim.Program{
-		func(ctx *sim.Ctx) { RunCastUp(ctx, cfg, 0, 0, 1, agg.Sum); after[0] = ctx.Slot() },
-		func(ctx *sim.Ctx) { IdleCast(ctx, cfg); after[1] = ctx.Slot() },
-	}
-	if _, err := e.Run(progs); err != nil {
+	if _, err := e.Run([]sim.Stepper{
+		&sim.FragStepper{Frag: &CastUpFrag{Cfg: cfg, Value: 1, Op: agg.Sum}, Finish: func(sc *sim.StepCtx) { after[0] = sc.Slot() }},
+		&sim.FragStepper{Frag: &sim.IdleFrag{K: cfg.SlotBudget()}, Finish: func(sc *sim.StepCtx) { after[1] = sc.Slot() }},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if after[0] != cfg.SlotBudget() || after[1] != cfg.SlotBudget() {

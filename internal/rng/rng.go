@@ -1,7 +1,7 @@
 // Package rng provides deterministic, splittable random number streams.
 //
-// The simulator runs one goroutine per node; determinism must therefore not
-// depend on goroutine scheduling. Each node draws from its own stream,
+// The simulator may step nodes from several workers; determinism must
+// therefore not depend on scheduling. Each node draws from its own stream,
 // derived from a run seed and the node ID via SplitMix64 mixing, so a run is
 // reproducible from (seed, topology) alone.
 package rng

@@ -23,12 +23,7 @@ func rulingDigest(t *testing.T, p model.Params, pos []geo.Point, cfgs []Config, 
 	rec := golden.NewRecorder()
 	e.Trace = rec.Trace
 	out := make([]Outcome, len(pos))
-	progs := make([]sim.Program, len(pos))
-	for i := range progs {
-		i := i
-		progs[i] = func(ctx *sim.Ctx) { out[i] = Run(ctx, cfgs[i]) }
-	}
-	if _, err := e.Run(progs); err != nil {
+	if _, err := e.Run(rulingSteppers(cfgs, out, nil)); err != nil {
 		t.Fatal(err)
 	}
 	return rec.Digest(t, out)

@@ -16,9 +16,9 @@
 //	         (it is dominated, Lemma 5). Participants still active after all
 //	         rounds join S.
 //
-// The implementation is a composable stage: Run consumes exactly
-// Config.SlotBudget slots of its sim.Ctx, padding with idle slots after the
-// node halts, so staged pipelines stay slot-aligned. Stride/Offset interleave
+// The implementation is a composable stage: RunFrag consumes exactly
+// Config.SlotBudget slots, padding with idle slots after the node halts, so
+// staged pipelines stay slot-aligned. Stride/Offset interleave
 // independent executions under the cluster TDMA scheme of Sec. 5.1.2.
 package ruling
 
@@ -56,7 +56,8 @@ type Config struct {
 	Mu float64
 	// AckProb is the slot-2 acknowledgement probability. The paper uses
 	// 1/(2µ) as well; 1/2 is a practical default since clear receivers of
-	// distinct HELLOs are already spatially sparse (deviation D1).
+	// distinct HELLOs are already spatially sparse (deviation D1 in the
+	// mcnet package documentation).
 	AckProb float64
 	// RoundFactor scales the round count: rounds = ceil(RoundFactor·ln n̂).
 	RoundFactor float64
@@ -91,8 +92,8 @@ func (c Config) Rounds(p model.Params) int {
 	return int(math.Ceil(c.RoundFactor * p.LogN()))
 }
 
-// SlotBudget returns the exact number of simulator slots Run and Idle
-// consume: 3 slots per round per stride sub-block.
+// SlotBudget returns the exact number of simulator slots RunFrag consumes:
+// 3 slots per round per stride sub-block.
 func (c Config) SlotBudget(p model.Params) int {
 	return 3 * c.stride() * c.Rounds(p)
 }
@@ -109,84 +110,135 @@ type Outcome struct {
 	JoinRound int
 }
 
-// Idle consumes the stage's slot budget without participating. Non-members
-// of the current TDMA color class (and non-participants generally) call this
-// to stay aligned.
-func Idle(ctx *sim.Ctx, cfg Config) {
-	ctx.IdleFor(cfg.SlotBudget(ctx.Params()))
+// rulingAwait tags which listen, if any, the fragment's previous slot
+// holds.
+type rulingAwait uint8
+
+const (
+	awaitNone rulingAwait = iota
+	awaitHello
+	awaitAck
+	awaitIn
+)
+
+// RunFrag is the participant side of the ruling-set protocol as a
+// sim.Frag. It consumes exactly Cfg.SlotBudget slots, padding with an idle
+// stretch once the node halts; Out is the node's outcome once Feed returns
+// true. Non-participants idle through the budget with a sim.IdleFrag.
+type RunFrag struct {
+	Cfg Config
+	Out Outcome
+
+	init      bool
+	rounds    int
+	round     int
+	pos       uint8 // 0 round start, 1-3 protocol slots, 4 round end, 5 padded
+	slotUsed  int
+	halted    bool // joined S or was dominated
+	sentHello bool
+	clearFrom int
+	gotAck    bool
+	await     rulingAwait
 }
 
-// Run executes the participant side of the ruling-set protocol and returns
-// the node's outcome. It consumes exactly cfg.SlotBudget slots.
-func Run(ctx *sim.Ctx, cfg Config) Outcome {
-	var (
-		p        = ctx.Params()
-		rounds   = cfg.Rounds(p)
-		stride   = cfg.stride()
-		helloPr  = 1 / (2 * cfg.Mu)
-		out      = Outcome{DominatedBy: -1, JoinRound: rounds}
-		active   = true
-		slotUsed = 0
-	)
-	budget := cfg.SlotBudget(p)
-	defer func() {
-		// Pad to the fixed stage length.
-		ctx.IdleFor(budget - slotUsed)
-	}()
-
-	for round := 0; round < rounds && active; round++ {
-		slotUsed += 3 * stride
-		ctx.IdleFor(3 * cfg.Offset)
-
-		// Slot 1: HELLO.
-		sentHello := ctx.Rand.Float64() < helloPr
-		var clearFrom = -1
-		if sentHello {
-			ctx.Transmit(cfg.Channel, Hello{From: ctx.ID()})
-		} else {
-			rec := ctx.Listen(cfg.Channel)
-			if h, ok := rec.Msg.(Hello); ok && phy.Clear(rec, p, cfg.R) {
-				clearFrom = h.From
-			}
+// Feed implements sim.Frag.
+func (f *RunFrag) Feed(sc *sim.StepCtx) bool {
+	p := sc.Params()
+	cfg := f.Cfg
+	if !f.init {
+		f.init = true
+		f.rounds = cfg.Rounds(p)
+		f.Out = Outcome{DominatedBy: -1, JoinRound: f.rounds}
+	}
+	// Consume the previous slot's reception before acting (or drawing).
+	switch f.await {
+	case awaitHello:
+		rec := sc.Prev()
+		if h, ok := rec.Msg.(Hello); ok && phy.Clear(rec, p, cfg.R) {
+			f.clearFrom = h.From
 		}
-
-		// Slot 2: ACK.
-		gotAck := false
-		switch {
-		case sentHello:
-			rec := ctx.Listen(cfg.Channel)
-			if a, ok := rec.Msg.(Ack); ok && a.To == ctx.ID() &&
-				phy.SenderWithin(rec, p, cfg.R) {
-				gotAck = true
+	case awaitAck:
+		rec := sc.Prev()
+		if a, ok := rec.Msg.(Ack); ok && a.To == sc.ID() && phy.SenderWithin(rec, p, cfg.R) {
+			f.gotAck = true
+		}
+	case awaitIn:
+		rec := sc.Prev()
+		if in, ok := rec.Msg.(In); ok && phy.SenderWithin(rec, p, cfg.R) {
+			f.Out.DominatedBy = in.From
+			f.Out.JoinRound = f.round
+			f.halted = true
+		}
+	}
+	f.await = awaitNone
+	for {
+		switch f.pos {
+		case 0:
+			if f.round >= f.rounds || f.halted {
+				if !f.halted {
+					// Survivor: enters S at the end (Sec. 4).
+					f.Out.InSet = true
+				}
+				// Pad to the fixed stage length.
+				f.pos = 5
+				if k := cfg.SlotBudget(p) - f.slotUsed; k > 0 {
+					sc.IdleFor(k)
+					return false
+				}
+				continue
 			}
-		case clearFrom >= 0 && ctx.Rand.Float64() < cfg.AckProb:
-			ctx.Transmit(cfg.Channel, Ack{To: clearFrom})
+			f.slotUsed += 3 * cfg.stride()
+			f.pos = 1
+			if k := 3 * cfg.Offset; k > 0 {
+				sc.IdleFor(k)
+				return false
+			}
+		case 1: // slot 1: HELLO
+			f.pos = 2
+			f.clearFrom, f.gotAck = -1, false
+			f.sentHello = sc.Rand.Float64() < 1/(2*cfg.Mu)
+			if f.sentHello {
+				sc.Transmit(cfg.Channel, Hello{From: sc.ID()})
+			} else {
+				sc.Listen(cfg.Channel)
+				f.await = awaitHello
+			}
+			return false
+		case 2: // slot 2: ACK
+			f.pos = 3
+			switch {
+			case f.sentHello:
+				sc.Listen(cfg.Channel)
+				f.await = awaitAck
+			case f.clearFrom >= 0 && sc.Rand.Float64() < cfg.AckProb:
+				sc.Transmit(cfg.Channel, Ack{To: f.clearFrom})
+			default:
+				sc.Listen(cfg.Channel)
+			}
+			return false
+		case 3: // slot 3: IN
+			f.pos = 4
+			if f.sentHello && f.gotAck {
+				sc.Transmit(cfg.Channel, In{From: sc.ID()})
+				f.Out.InSet = true
+				f.Out.JoinRound = f.round
+				f.halted = true
+			} else {
+				sc.Listen(cfg.Channel)
+				f.await = awaitIn
+			}
+			return false
+		case 4:
+			f.pos = 0
+			f.round++
+			if k := 3 * (cfg.stride() - 1 - cfg.Offset); k > 0 {
+				sc.IdleFor(k)
+				return false
+			}
 		default:
-			ctx.Listen(cfg.Channel)
+			return true
 		}
-
-		// Slot 3: IN.
-		if sentHello && gotAck {
-			ctx.Transmit(cfg.Channel, In{From: ctx.ID()})
-			out.InSet = true
-			out.JoinRound = round
-			active = false
-		} else {
-			rec := ctx.Listen(cfg.Channel)
-			if in, ok := rec.Msg.(In); ok && phy.SenderWithin(rec, p, cfg.R) {
-				out.DominatedBy = in.From
-				out.JoinRound = round
-				active = false
-			}
-		}
-
-		ctx.IdleFor(3 * (stride - 1 - cfg.Offset))
 	}
-	if active {
-		// Survivor: enters S at the end (Sec. 4).
-		out.InSet = true
-	}
-	return out
 }
 
 // Validate checks the ruling-set postcondition over the participant set:

@@ -23,17 +23,31 @@ func runRuling(t *testing.T, pos []geo.Point, cfg Config, seed uint64, channels 
 	p := model.Default(channels, nEst)
 	e := sim.NewEngine(phy.NewField(p, pos), seed)
 	out := make([]Outcome, len(pos))
-	progs := make([]sim.Program, len(pos))
-	for i := range progs {
-		i := i
-		progs[i] = func(ctx *sim.Ctx) {
-			out[i] = Run(ctx, cfg)
-		}
+	cfgs := make([]Config, len(pos))
+	for i := range cfgs {
+		cfgs[i] = cfg
 	}
-	if _, err := e.Run(progs); err != nil {
+	if _, err := e.Run(rulingSteppers(cfgs, out, nil)); err != nil {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// rulingSteppers runs node i as a participant under cfgs[i], storing its
+// outcome in out[i] and, if after is non-nil, the slot it finished at in
+// after[i].
+func rulingSteppers(cfgs []Config, out []Outcome, after []int) []sim.Stepper {
+	steppers := make([]sim.Stepper, len(cfgs))
+	for i := range steppers {
+		f := &RunFrag{Cfg: cfgs[i]}
+		steppers[i] = &sim.FragStepper{Frag: f, Finish: func(sc *sim.StepCtx) {
+			out[i] = f.Out
+			if after != nil {
+				after[i] = sc.Slot()
+			}
+		}}
+	}
+	return steppers
 }
 
 func allTrue(n int) []bool {
@@ -193,15 +207,8 @@ func TestSlotBudgetExact(t *testing.T) {
 	want := cfg.SlotBudget(p)
 	e := sim.NewEngine(phy.NewField(p, pos), 3)
 	after := make([]int, len(pos))
-	progs := make([]sim.Program, len(pos))
-	for i := range progs {
-		i := i
-		progs[i] = func(ctx *sim.Ctx) {
-			Run(ctx, cfg)
-			after[i] = ctx.Slot()
-		}
-	}
-	if _, err := e.Run(progs); err != nil {
+	cfgs := []Config{cfg, cfg, cfg}
+	if _, err := e.Run(rulingSteppers(cfgs, make([]Outcome, len(pos)), after)); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range after {
@@ -211,21 +218,24 @@ func TestSlotBudgetExact(t *testing.T) {
 	}
 }
 
+// TestIdleConsumesBudget: a non-participant idling through SlotBudget
+// finishes in the same slot as the participants next to it.
 func TestIdleConsumesBudget(t *testing.T) {
-	pos := []geo.Point{{X: 0}}
+	pos := []geo.Point{{X: 0}, {X: 0.02}}
 	p := model.Default(1, 64)
 	cfg := DefaultConfig(0.05, 0)
 	e := sim.NewEngine(phy.NewField(p, pos), 1)
-	var got int
-	progs := []sim.Program{func(ctx *sim.Ctx) {
-		Idle(ctx, cfg)
-		got = ctx.Slot()
-	}}
-	if _, err := e.Run(progs); err != nil {
+	after := make([]int, 2)
+	steppers := rulingSteppers([]Config{cfg}, make([]Outcome, 1), after)
+	steppers = append(steppers, &sim.FragStepper{
+		Frag:   &sim.IdleFrag{K: cfg.SlotBudget(p)},
+		Finish: func(sc *sim.StepCtx) { after[1] = sc.Slot() },
+	})
+	if _, err := e.Run(steppers); err != nil {
 		t.Fatal(err)
 	}
-	if got != cfg.SlotBudget(p) {
-		t.Errorf("Idle consumed %d, want %d", got, cfg.SlotBudget(p))
+	if after[0] != cfg.SlotBudget(p) || after[1] != after[0] {
+		t.Errorf("participant finished at %d, idler at %d, want both %d", after[0], after[1], cfg.SlotBudget(p))
 	}
 }
 
@@ -243,15 +253,13 @@ func TestStrideInterleavingIsolation(t *testing.T) {
 	p := model.Default(1, 64)
 	e := sim.NewEngine(phy.NewField(p, pos), 9)
 	out := make([]Outcome, len(pos))
-	progs := make([]sim.Program, len(pos))
-	for i := range progs {
-		i := i
-		cfg := DefaultConfig(r, 0)
-		cfg.Mu = 6
-		cfg.Stride, cfg.Offset = 2, group[i]
-		progs[i] = func(ctx *sim.Ctx) { out[i] = Run(ctx, cfg) }
+	cfgs := make([]Config, len(pos))
+	for i := range cfgs {
+		cfgs[i] = DefaultConfig(r, 0)
+		cfgs[i].Mu = 6
+		cfgs[i].Stride, cfgs[i].Offset = 2, group[i]
 	}
-	if _, err := e.Run(progs); err != nil {
+	if _, err := e.Run(rulingSteppers(cfgs, out, nil)); err != nil {
 		t.Fatal(err)
 	}
 	for g := 0; g < 2; g++ {

@@ -17,11 +17,8 @@ import (
 )
 
 // resumeSpec is sized so a sweep takes long enough to interrupt mid-job:
-// 3 loss × 2 jam points × 2 seeds = 12 items on a 48-node crowd. It pins
-// the goroutine engine, whose runs are several times slower than the
-// default stepped engine's; on the stepped engine a drain can land after
-// every item is already durable.
-const resumeSpec = `{"name": "resume", "n": 48, "channels": 3, "loss": [0, 0.05, 0.1], "jam": [0, 1], "seeds": 2, "exec": "goroutines"}`
+// 3 loss × 2 jam points × 8 seeds = 48 items on a 48-node crowd.
+const resumeSpec = `{"name": "resume", "n": 48, "channels": 3, "loss": [0, 0.05, 0.1], "jam": [0, 1], "seeds": 8}`
 
 // TestCrashResumeDeterminism is the service's core guarantee: a job killed
 // mid-sweep and resumed by a fresh daemon on the same state directory
@@ -37,7 +34,7 @@ func TestCrashResumeDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := 12
+	total := 48
 
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

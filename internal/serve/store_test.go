@@ -1,7 +1,16 @@
 package serve
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -170,4 +179,129 @@ func TestLoadResultsMissing(t *testing.T) {
 	if err != nil || len(results) != 0 {
 		t.Fatalf("missing log: results %v, err %v; want empty, nil", results, err)
 	}
+}
+
+// TestStoreResumesLegacyExecSpec: a job persisted while specs still
+// carried an "exec" field loads — the store decodes records leniently — and
+// a fresh daemon resumes it to the table an in-process run produces, while
+// the strict wire parser rejects the same key.
+func TestStoreResumesLegacyExecSpec(t *testing.T) {
+	const doc = `{"name": "legacy", "n": 16, "loss": [0, 0.1], "exec": "goroutines"}`
+	if _, err := mcnet.ParseScenarioSpec([]byte(doc)); err == nil || !strings.Contains(err.Error(), `"exec"`) {
+		t.Fatalf("ParseScenarioSpec on a spec with exec: err = %v, want an unknown-field error", err)
+	}
+
+	dir := t.TempDir()
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := s.NewID()
+	rec := fmt.Sprintf(`{"id": %q, "spec": %s, "state": "running", "items": 2, "submitted": "2024-01-01T00:00:00Z"}`, id, doc)
+	if err := os.WriteFile(filepath.Join(dir, "jobs", id+".json"), []byte(rec+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := s.LoadJob(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Spec.Name != "legacy" || loaded.Spec.N != 16 || loaded.State != StateRunning {
+		t.Fatalf("legacy record loaded as %+v", loaded)
+	}
+
+	srv, err := NewServer(Config{Dir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		_ = srv.Drain(ctx)
+	}()
+	fin := waitState(t, ts, id, time.Minute)
+	if fin.State != StateDone || fin.Done != 2 {
+		t.Fatalf("legacy job ended %+v, want done 2/2", fin)
+	}
+
+	sc, err := testSpec(t, `{"name": "legacy", "n": 16, "loss": [0, 0.1]}`).Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := mcnet.RunScenario(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/table")
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if string(table) != want.Render()+"\n" {
+		t.Errorf("resumed legacy table differs from an in-process run:\n%s---\n%s", table, want.Render())
+	}
+}
+
+// FuzzLoadResults fuzzes the torn-tail recovery of a job's NDJSON result
+// log. Whatever the file holds, loading must not fail or panic, must leave
+// on disk a byte prefix of the original whose lines decode in index order
+// to exactly the returned results, and a reload must return the same
+// prefix.
+func FuzzLoadResults(f *testing.F) {
+	var good bytes.Buffer
+	for i := 0; i < 3; i++ {
+		line, err := json.Marshal(resultLine{Index: i, Result: mcnet.RunResult{Informed: 10 + i, Nodes: 16}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		good.Write(append(line, '\n'))
+	}
+	f.Add(good.Bytes())
+	f.Add(append(bytes.Clone(good.Bytes()), `{"index":3,"result":{"torntail`...))
+	f.Add([]byte(`{"index":1,"result":{}}` + "\n"))
+	f.Add([]byte("not json\n"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := OpenStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := s.NewID()
+		if err := os.WriteFile(s.ResultsPath(id), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.LoadResults(id)
+		if err != nil {
+			t.Fatalf("LoadResults: %v", err)
+		}
+		kept, err := os.ReadFile(s.ResultsPath(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, kept) {
+			t.Fatal("recovery rewrote the log instead of truncating it")
+		}
+		lines := bytes.SplitAfter(kept, []byte("\n"))
+		if last := len(lines) - 1; len(lines[last]) == 0 {
+			lines = lines[:last]
+		}
+		if len(lines) != len(got) {
+			t.Fatalf("%d durable lines, %d results", len(lines), len(got))
+		}
+		for i, ln := range lines {
+			var rl resultLine
+			if !bytes.HasSuffix(ln, []byte("\n")) || json.Unmarshal(ln, &rl) != nil || rl.Index != i {
+				t.Fatalf("durable line %d is not index %d: %q", i, i, ln)
+			}
+			if !reflect.DeepEqual(rl.Result, got[i]) {
+				t.Fatalf("result %d = %+v, line decodes to %+v", i, got[i], rl.Result)
+			}
+		}
+		again, err := s.LoadResults(id)
+		if err != nil || !reflect.DeepEqual(again, got) {
+			t.Fatalf("reload: %+v, %v; want %+v", again, err, got)
+		}
+	})
 }

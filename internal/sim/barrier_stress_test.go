@@ -8,10 +8,10 @@ import (
 	"mcnet/internal/phy"
 )
 
-// This file stresses the slot barrier (barrier.go). The CI race leg runs it
-// at -cpu 1,2,8 so the packed-word arrival path — slot completion,
-// termination arrivals, idle re-entry, abort — is race-proven at several
-// schedulings.
+// This file stresses the step phase's per-slot join: with parallelStepMin
+// or more awake nodes the engine fans the slot's Step calls out across
+// workers and waits for every one of them before it collects the slot.
+// The CI race leg runs these tests under -race.
 
 // stressField spreads n nodes over a multi-region strip (several grid
 // cells), unlike the single-cell Crowd layout.
@@ -23,83 +23,82 @@ func stressField(n, channels int) *phy.Field {
 	return phy.NewField(model.Default(channels, max(n, 2)), pos)
 }
 
-// stressPrograms mixes every primitive the barrier mediates: transmits,
-// listens, single idles, batched IdleFor (leaves the barrier), and early
-// returns (termination arrivals through the deferred cleanup path).
-func stressPrograms(n, channels, slots int) []Program {
-	progs := make([]Program, n)
-	for i := range progs {
-		progs[i] = func(ctx *Ctx) {
-			heard := 0
-			for s := 0; s < slots; s++ {
-				switch {
-				case ctx.Rand.Float64() < 0.05:
-					return // early termination mid-run
-				case ctx.Rand.Float64() < 0.3:
-					ctx.Transmit(ctx.Rand.Intn(channels), ctx.ID()*1000+s)
-				case ctx.Rand.Float64() < 0.2:
-					ctx.IdleFor(1 + ctx.Rand.Intn(4))
-				case ctx.Rand.Float64() < 0.1:
-					ctx.Idle()
-				default:
-					if ctx.Listen(ctx.Rand.Intn(channels)).Decoded {
-						heard++
-					}
-				}
-			}
-			ctx.Emit("heard", heard)
-		}
-	}
-	return progs
+// stressStepper mixes every primitive: transmits, listens, single idles,
+// IdleFor batches (the node leaves the awake list) and early power-downs.
+type stressStepper struct {
+	channels, slots, s, heard int
+	listened                  bool
 }
 
-// TestBarrierStress runs the stress mix twice at several node counts and
-// requires bit-identical transcripts and slot counts. Run it with -race
-// -cpu 1,2,8 (the CI race leg does) to prove the arrival path at
-// GOMAXPROCS 1, 2 and 8.
+func (st *stressStepper) Step(sc *StepCtx) {
+	if st.listened && sc.Prev().Decoded {
+		st.heard++
+	}
+	st.listened = false
+	if st.s == st.slots {
+		sc.Emit("heard", st.heard)
+		sc.Done()
+		return
+	}
+	s := st.s
+	st.s++
+	switch {
+	case sc.Rand.Float64() < 0.05:
+		sc.Done() // early power-down mid-run
+	case sc.Rand.Float64() < 0.3:
+		sc.Transmit(sc.Rand.Intn(st.channels), sc.ID()*1000+s)
+	case sc.Rand.Float64() < 0.2:
+		sc.IdleFor(1 + sc.Rand.Intn(4))
+	case sc.Rand.Float64() < 0.1:
+		sc.Idle()
+	default:
+		sc.Listen(sc.Rand.Intn(st.channels))
+		st.listened = true
+	}
+}
+
+// TestBarrierStress runs the stress mix twice at several node counts,
+// including one above parallelStepMin, and requires bit-identical
+// transcripts and slot counts.
 func TestBarrierStress(t *testing.T) {
-	for _, n := range []int{1, 2, 256, 4096} {
+	for _, n := range []int{1, 2, 256, parallelStepMin + 512} {
 		slots := 24
-		if n >= 4096 {
+		if n > 256 {
 			slots = 8 // keep the race-instrumented run affordable
 		}
 		run := func() (uint64, int) {
-			return engineTranscriptHash(t, NewEngine(stressField(n, 3), 7), stressPrograms(n, 3, slots))
+			steppers := make([]Stepper, n)
+			for i := range steppers {
+				steppers[i] = &stressStepper{channels: 3, slots: slots}
+			}
+			return transcriptHash(t, stressField(n, 3), 7, steppers)
 		}
 		h1, s1 := run()
 		if h2, s2 := run(); h2 != h1 || s2 != s1 {
-			t.Errorf("n=%d: barrier not deterministic: %x/%d vs %x/%d", n, h2, s2, h1, s1)
+			t.Errorf("n=%d: step phase not deterministic: %x/%d vs %x/%d", n, h2, s2, h1, s1)
 		}
 	}
 }
 
-// TestBarrierAbort: a MaxSlots abort at crowd size frees every parked node
-// — including those mid-IdleFor — and the stale termination arrivals that
-// follow must not wedge or wake a dead run.
+// TestBarrierAbort: a MaxSlots abort at crowd size, with the step phase
+// fanned out and a third of the nodes asleep mid-IdleFor, ends the run
+// with the MaxSlots error.
 func TestBarrierAbort(t *testing.T) {
-	const n = 4096
+	n := 2 * parallelStepMin
 	e := NewEngine(stressField(n, 2), 3)
 	e.MaxSlots = 12
-	progs := make([]Program, n)
-	for i := range progs {
+	steppers := make([]Stepper, n)
+	for i := range steppers {
 		switch i % 3 {
 		case 0:
-			progs[i] = func(ctx *Ctx) { ctx.IdleFor(1 << 20) }
+			steppers[i] = ops(func(sc *StepCtx) { sc.IdleFor(1 << 20) })
 		case 1:
-			progs[i] = func(ctx *Ctx) {
-				for s := 0; ; s++ {
-					ctx.Transmit(0, s)
-				}
-			}
+			steppers[i] = &loop{n: 1 << 30, body: func(sc *StepCtx, s int) { sc.Transmit(0, s) }}
 		default:
-			progs[i] = func(ctx *Ctx) {
-				for {
-					ctx.Listen(1)
-				}
-			}
+			steppers[i] = &loop{n: 1 << 30, body: func(sc *StepCtx, _ int) { sc.Listen(1) }}
 		}
 	}
-	if _, err := e.Run(progs); err == nil {
+	if _, err := e.Run(steppers); err == nil {
 		t.Fatal("expected MaxSlots abort")
 	}
 }

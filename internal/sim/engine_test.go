@@ -13,19 +13,13 @@ import (
 	"mcnet/internal/phy"
 )
 
-// transcriptHash runs the given programs and folds every resolved slot —
+// transcriptHash runs the given steppers and folds every resolved slot —
 // transmissions, listens, and reception outcomes in engine order — plus the
 // sorted event log into one hash. Two runs with equal hashes behaved
 // identically slot by slot.
-func transcriptHash(t *testing.T, f *phy.Field, seed uint64, progs []Program) (uint64, int) {
+func transcriptHash(t *testing.T, f *phy.Field, seed uint64, steppers []Stepper) (uint64, int) {
 	t.Helper()
-	return engineTranscriptHash(t, NewEngine(f, seed), progs)
-}
-
-// engineTranscriptHash is transcriptHash over a caller-configured engine
-// (field, seed, slot caps).
-func engineTranscriptHash(t *testing.T, e *Engine, progs []Program) (uint64, int) {
-	t.Helper()
+	e := NewEngine(f, seed)
 	h := fnv.New64a()
 	e.Trace = func(slot int, txs []phy.Tx, rxs []phy.Rx, recs []phy.Reception) {
 		fmt.Fprintf(h, "slot %d|", slot)
@@ -39,7 +33,7 @@ func engineTranscriptHash(t *testing.T, e *Engine, progs []Program) (uint64, int
 				math.Float64bits(r.SignalPower), math.Float64bits(r.Interference))
 		}
 	}
-	slots, err := e.Run(progs)
+	slots, err := e.Run(steppers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,47 +54,31 @@ func engineTranscriptHash(t *testing.T, e *Engine, progs []Program) (uint64, int
 	return h.Sum64(), slots
 }
 
-func chatterPrograms(n, channels, slots int, emit bool) []Program {
-	progs := make([]Program, n)
-	for i := range progs {
-		progs[i] = func(ctx *Ctx) {
-			heard := 0
-			for s := 0; s < slots; s++ {
-				switch {
-				case ctx.Rand.Float64() < 0.25:
-					ctx.Transmit(ctx.Rand.Intn(channels), ctx.ID()*1000+s)
-				case ctx.Rand.Float64() < 0.2:
-					ctx.IdleFor(1 + ctx.Rand.Intn(5))
-				default:
-					if ctx.Listen(ctx.Rand.Intn(channels)).Decoded {
-						heard++
-					}
-				}
-			}
-			if emit {
-				ctx.Emit("heard", heard)
-			}
-		}
+// chatters returns n chatterStepper nodes running rounds rounds.
+func chatters(n, rounds int) []Stepper {
+	steppers := make([]Stepper, n)
+	for i := range steppers {
+		steppers[i] = &chatterStepper{rounds: rounds}
 	}
-	return progs
+	return steppers
 }
 
-// TestGoldenTranscript is the seed-determinism contract for the barrier
-// engine and resolver stack: equal seeds produce bit-identical slot
-// transcripts and event logs, run after run, with or without listener
-// fan-out in the SINR layer.
+// TestGoldenTranscript is the seed-determinism contract for the engine and
+// resolver stack: equal seeds produce bit-identical slot transcripts and
+// event logs, run after run, with or without listener fan-out in the SINR
+// layer.
 func TestGoldenTranscript(t *testing.T) {
 	const n = 64
 	pos := make([]geo.Point, n)
 	for i := range pos {
 		pos[i] = geo.Point{X: float64(i%8) * 0.3, Y: float64(i/8) * 0.3}
 	}
-	p := model.Default(3, n)
+	p := model.Default(4, n)
 
 	mk := func(parallelism int) (uint64, int) {
 		f := phy.NewField(p, pos)
 		f.SetParallelism(parallelism)
-		return transcriptHash(t, f, 99, chatterPrograms(n, 3, 40, true))
+		return transcriptHash(t, f, 99, chatters(n, 40))
 	}
 	h1, s1 := mk(1)
 	h2, s2 := mk(1)
@@ -111,11 +89,44 @@ func TestGoldenTranscript(t *testing.T) {
 	if h1 != h8 || s1 != s8 {
 		t.Errorf("parallel resolution changed the transcript: %x/%d vs %x/%d", h1, s1, h8, s8)
 	}
-	if hOther, _ := func() (uint64, int) {
-		f := phy.NewField(p, pos)
-		return transcriptHash(t, f, 100, chatterPrograms(n, 3, 40, true))
-	}(); hOther == h1 {
+	if hOther, _ := transcriptHash(t, phy.NewField(p, pos), 100, chatters(n, 40)); hOther == h1 {
 		t.Error("different seeds produced identical transcripts")
+	}
+}
+
+// idleBatcher idles through random spans either as one IdleFor batch or
+// as single Idle slots, interleaved with transmits and listens.
+type idleBatcher struct {
+	batched bool
+	s, left int
+}
+
+func (b *idleBatcher) Step(sc *StepCtx) {
+	if b.left > 0 {
+		b.left--
+		sc.Idle()
+		return
+	}
+	if b.s == 12 {
+		sc.Emit("done", sc.Slot())
+		sc.Done()
+		return
+	}
+	s := b.s
+	b.s++
+	k := 1 + sc.Rand.Intn(7)
+	switch {
+	case sc.Rand.Float64() < 0.4:
+		if b.batched {
+			sc.IdleFor(k)
+		} else {
+			b.left = k - 1
+			sc.Idle()
+		}
+	case sc.Rand.Float64() < 0.5:
+		sc.Transmit(sc.Rand.Intn(2), s)
+	default:
+		sc.Listen(sc.Rand.Intn(2))
 	}
 }
 
@@ -130,30 +141,11 @@ func TestIdleForMatchesIdleLoop(t *testing.T) {
 	p := model.Default(2, n)
 
 	run := func(batched bool) (uint64, int) {
-		progs := make([]Program, n)
-		for i := range progs {
-			progs[i] = func(ctx *Ctx) {
-				for s := 0; s < 12; s++ {
-					k := 1 + ctx.Rand.Intn(7)
-					switch {
-					case ctx.Rand.Float64() < 0.4:
-						if batched {
-							ctx.IdleFor(k)
-						} else {
-							for j := 0; j < k; j++ {
-								ctx.Idle()
-							}
-						}
-					case ctx.Rand.Float64() < 0.5:
-						ctx.Transmit(ctx.Rand.Intn(2), s)
-					default:
-						ctx.Listen(ctx.Rand.Intn(2))
-					}
-				}
-				ctx.Emit("done", ctx.Slot())
-			}
+		steppers := make([]Stepper, n)
+		for i := range steppers {
+			steppers[i] = &idleBatcher{batched: batched}
 		}
-		return transcriptHash(t, phy.NewField(p, pos), 17, progs)
+		return transcriptHash(t, phy.NewField(p, pos), 17, steppers)
 	}
 	hBatch, sBatch := run(true)
 	hLoop, sLoop := run(false)
@@ -163,7 +155,7 @@ func TestIdleForMatchesIdleLoop(t *testing.T) {
 }
 
 // TestAllNodesIdle: when every live node is mid-IdleFor the engine
-// fast-forwards slots without a barrier round; slot accounting, traces and
+// fast-forwards slots without stepping anyone; slot accounting, traces and
 // wakeups stay exact.
 func TestAllNodesIdle(t *testing.T) {
 	f := lineField(3, 0.4, 1)
@@ -171,12 +163,11 @@ func TestAllNodesIdle(t *testing.T) {
 	var traced int
 	e.Trace = func(int, []phy.Tx, []phy.Rx, []phy.Reception) { traced++ }
 	after := make([]int, 3)
-	progs := []Program{
-		func(ctx *Ctx) { ctx.IdleFor(50); after[0] = ctx.Slot() },
-		func(ctx *Ctx) { ctx.IdleFor(30); ctx.IdleFor(20); after[1] = ctx.Slot() },
-		func(ctx *Ctx) { ctx.Idle(); ctx.IdleFor(49); after[2] = ctx.Slot() },
-	}
-	slots, err := e.Run(progs)
+	record := func(i int) func(sc *StepCtx) { return func(sc *StepCtx) { after[i] = sc.Slot() } }
+	idleFor := func(k int) func(sc *StepCtx) { return func(sc *StepCtx) { sc.IdleFor(k) } }
+	s0, s1, s2 := ops(idleFor(50)), ops(idleFor(30), idleFor(20)), ops(func(sc *StepCtx) { sc.Idle() }, idleFor(49))
+	s0.end, s1.end, s2.end = record(0), record(1), record(2)
+	slots, err := e.Run([]Stepper{s0, s1, s2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,16 +182,14 @@ func TestAllNodesIdle(t *testing.T) {
 }
 
 // TestIdlerOutlivesEveryone: a long idle batch must keep the run alive
-// after all other programs returned.
+// after all other nodes powered down.
 func TestIdlerOutlivesEveryone(t *testing.T) {
 	f := lineField(2, 0.4, 1)
 	e := NewEngine(f, 1)
 	woke := false
-	progs := []Program{
-		func(ctx *Ctx) { ctx.Transmit(0, 1) },
-		func(ctx *Ctx) { ctx.IdleFor(25); woke = true },
-	}
-	slots, err := e.Run(progs)
+	idler := ops(func(sc *StepCtx) { sc.IdleFor(25) })
+	idler.end = func(*StepCtx) { woke = true }
+	slots, err := e.Run([]Stepper{ops(func(sc *StepCtx) { sc.Transmit(0, 1) }), idler})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,24 +198,22 @@ func TestIdlerOutlivesEveryone(t *testing.T) {
 	}
 }
 
-// TestCancelDuringIdleBatch: cancellation reaches nodes parked inside an
-// IdleFor batch.
+// TestCancelDuringIdleBatch: cancellation ends a run whose other node is
+// asleep inside a long IdleFor batch.
 func TestCancelDuringIdleBatch(t *testing.T) {
 	f := lineField(2, 0.4, 1)
 	e := NewEngine(f, 1)
 	ctx, cancel := context.WithCancel(context.Background())
-	progs := []Program{
-		func(c *Ctx) { c.IdleFor(1 << 20) },
-		func(c *Ctx) {
-			for i := 0; ; i++ {
-				if i == 10 {
-					cancel()
-				}
-				c.Idle()
+	steppers := []Stepper{
+		ops(func(sc *StepCtx) { sc.IdleFor(1 << 20) }),
+		&loop{n: 1 << 30, body: func(sc *StepCtx, k int) {
+			if k == 10 {
+				cancel()
 			}
-		},
+			sc.Idle()
+		}},
 	}
-	if _, err := e.RunContext(ctx, progs); err != context.Canceled {
+	if _, err := e.RunContext(ctx, steppers); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -242,29 +229,23 @@ func TestZeroNodeRun(t *testing.T) {
 	}
 }
 
-// TestAbortDeliversNoStaleReception: when the engine aborts, nodes parked
-// at the barrier are freed but their slot was never resolved — step must
-// unwind, not hand the program a reception left over from an earlier slot.
+// TestAbortDeliversNoStaleReception: when the engine aborts, the slot in
+// progress is never resolved and no node is stepped again, so a listener
+// observes exactly the resolved slots' messages.
 func TestAbortDeliversNoStaleReception(t *testing.T) {
 	f := lineField(2, 0.5, 1)
 	e := NewEngine(f, 1)
 	e.MaxSlots = 2
 	var msgs []any
-	progs := []Program{
-		func(ctx *Ctx) {
-			for i := 0; ; i++ {
-				ctx.Transmit(0, i)
+	_, err := e.Run([]Stepper{
+		&loop{n: 1 << 30, body: func(sc *StepCtx, k int) { sc.Transmit(0, k) }},
+		&loop{n: 1 << 30, body: func(sc *StepCtx, k int) {
+			if rec := sc.Prev(); k > 0 && rec.Decoded {
+				msgs = append(msgs, rec.Msg)
 			}
-		},
-		func(ctx *Ctx) {
-			for {
-				if rec := ctx.Listen(0); rec.Decoded {
-					msgs = append(msgs, rec.Msg)
-				}
-			}
-		},
-	}
-	_, err := e.Run(progs)
+			sc.Listen(0)
+		}},
+	})
 	if err == nil {
 		t.Fatal("expected MaxSlots abort")
 	}
@@ -281,12 +262,8 @@ func TestMaxSlotsDuringIdleFastForward(t *testing.T) {
 	f := lineField(2, 0.4, 1)
 	e := NewEngine(f, 1)
 	e.MaxSlots = 40
-	progs := []Program{
-		func(ctx *Ctx) { ctx.IdleFor(1 << 20) },
-		func(ctx *Ctx) { ctx.IdleFor(1 << 20) },
-	}
-	_, err := e.Run(progs)
-	if err == nil {
+	sleep := func(sc *StepCtx) { sc.IdleFor(1 << 20) }
+	if _, err := e.Run([]Stepper{ops(sleep), ops(sleep)}); err == nil {
 		t.Fatal("expected MaxSlots error")
 	}
 }

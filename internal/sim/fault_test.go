@@ -7,27 +7,29 @@ import (
 	"mcnet/internal/phy"
 )
 
-// pingPrograms builds n programs where node 0 transmits every slot on
-// channel 0 and everyone else listens, for the given number of slots.
-// decoded[i] counts how many slots node i decoded the beacon.
-func pingPrograms(n, slots int, decoded []int) []Program {
-	progs := make([]Program, n)
-	progs[0] = func(ctx *Ctx) {
-		for s := 0; s < slots; s++ {
-			ctx.Transmit(0, s)
-		}
-	}
+// pingSteppers builds n nodes where node 0 transmits every slot on channel
+// 0 and everyone else listens, for the given number of slots. decoded[i]
+// counts how many slots node i decoded the beacon.
+func pingSteppers(n, slots int, decoded []int) []Stepper {
+	steppers := make([]Stepper, n)
+	steppers[0] = &loop{n: slots, body: func(sc *StepCtx, s int) { sc.Transmit(0, s) }}
 	for i := 1; i < n; i++ {
-		i := i
-		progs[i] = func(ctx *Ctx) {
-			for s := 0; s < slots; s++ {
-				if rec := ctx.Listen(0); rec.Decoded {
-					decoded[i]++
-				}
+		count := func(sc *StepCtx) {
+			if sc.Prev().Decoded {
+				decoded[i]++
 			}
 		}
+		steppers[i] = &loop{n: slots,
+			body: func(sc *StepCtx, s int) {
+				if s > 0 {
+					count(sc)
+				}
+				sc.Listen(0)
+			},
+			end: count,
+		}
 	}
-	return progs
+	return steppers
 }
 
 // TestEngineFaultLoss: a lossy injector suppresses part of the beacon stream
@@ -38,7 +40,7 @@ func TestEngineFaultLoss(t *testing.T) {
 
 	baseline := make([]int, n)
 	e0 := NewEngine(lineField(n, 0.2, 1), 7)
-	if _, err := e0.Run(pingPrograms(n, slots, baseline)); err != nil {
+	if _, err := e0.Run(pingSteppers(n, slots, baseline)); err != nil {
 		t.Fatal(err)
 	}
 	total := baseline[1] + baseline[2]
@@ -50,7 +52,7 @@ func TestEngineFaultLoss(t *testing.T) {
 	e := NewEngine(lineField(n, 0.2, 1), 7)
 	inj := fault.NewInjector(fault.Spec{LossProb: 0.25}, 7, n, 1, slots)
 	e.Faults = inj
-	if _, err := e.Run(pingPrograms(n, slots, decoded)); err != nil {
+	if _, err := e.Run(pingSteppers(n, slots, decoded)); err != nil {
 		t.Fatal(err)
 	}
 	rep := inj.Report()
@@ -77,23 +79,26 @@ func TestEngineFaultJamAll(t *testing.T) {
 	inj := fault.NewInjector(fault.Spec{JamChannels: 1, JamModel: fault.JamRoundRobin}, 3, n, 2, slots)
 	e.Faults = inj
 	decodes := 0
-	progs := make([]Program, n)
-	progs[0] = func(ctx *Ctx) {
-		for s := 0; s < slots; s++ {
-			ctx.Transmit(0, s)
+	observe := func(sc *StepCtx) {
+		if rec := sc.Prev(); rec.Decoded {
+			decodes++
+		} else if rec.RSSI() > 0 {
+			sensed = true
 		}
 	}
-	progs[1] = func(ctx *Ctx) {
-		for s := 0; s < slots; s++ {
-			rec := ctx.Listen(0)
-			if rec.Decoded {
-				decodes++
-			} else if rec.RSSI() > 0 {
-				sensed = true
-			}
-		}
+	steppers := []Stepper{
+		&loop{n: slots, body: func(sc *StepCtx, s int) { sc.Transmit(0, s) }},
+		&loop{n: slots,
+			body: func(sc *StepCtx, s int) {
+				if s > 0 {
+					observe(sc)
+				}
+				sc.Listen(0)
+			},
+			end: observe,
+		},
 	}
-	if _, err := e.Run(progs); err != nil {
+	if _, err := e.Run(steppers); err != nil {
 		t.Fatal(err)
 	}
 	// k=1 of F=2 round-robin: channel 0 jammed on even slots only.
@@ -116,13 +121,13 @@ func TestEngineFaultCrash(t *testing.T) {
 	e := NewEngine(lineField(n, 0.2, 1), 5)
 	inj := fault.NewInjector(fault.Spec{CrashAt: map[int]int{0: 10}}, 5, n, 1, slots)
 	e.Faults = inj
-	used, err := e.Run(pingPrograms(n, slots, decoded))
+	used, err := e.Run(pingSteppers(n, slots, decoded))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The transmitter dies at slot 10; listeners run their full schedule.
 	if used != slots {
-		t.Errorf("run used %d slots, want %d (survivors finish their programs)", used, slots)
+		t.Errorf("run used %d slots, want %d (survivors finish their schedules)", used, slots)
 	}
 	if decoded[1] > 10 || decoded[2] > 10 {
 		t.Errorf("listeners decoded %d/%d beacons after the transmitter crashed at slot 10",
@@ -134,9 +139,8 @@ func TestEngineFaultCrash(t *testing.T) {
 }
 
 // TestEngineFaultCrashInIdleBatch: a crash slot inside an IdleFor batch
-// takes effect at the batch boundary — the node's next radio primitive
-// unwinds instead of acting, so nothing it schedules after the batch ever
-// airs, and the barrier accounting stays consistent.
+// takes effect at the batch boundary — the node is retired instead of
+// stepped, so nothing it schedules after the batch ever airs.
 func TestEngineFaultCrashInIdleBatch(t *testing.T) {
 	const n = 2
 	e := NewEngine(lineField(n, 0.2, 1), 1)
@@ -146,18 +150,14 @@ func TestEngineFaultCrashInIdleBatch(t *testing.T) {
 	e.Trace = func(_ int, txs []phy.Tx, _ []phy.Rx, _ []phy.Reception) {
 		transmitted += len(txs)
 	}
-	progs := []Program{
-		func(ctx *Ctx) {
-			ctx.IdleFor(20)    // crash slot 5 falls inside the batch
-			ctx.Transmit(0, 1) // must never air
-		},
-		func(ctx *Ctx) {
-			for s := 0; s < 30; s++ {
-				ctx.Idle()
-			}
-		},
+	steppers := []Stepper{
+		ops(
+			func(sc *StepCtx) { sc.IdleFor(20) },    // crash slot 5 falls inside the batch
+			func(sc *StepCtx) { sc.Transmit(0, 1) }, // must never air
+		),
+		&loop{n: 30, body: func(sc *StepCtx, _ int) { sc.Idle() }},
 	}
-	if _, err := e.Run(progs); err != nil {
+	if _, err := e.Run(steppers); err != nil {
 		t.Fatal(err)
 	}
 	if transmitted != 0 {
@@ -176,7 +176,7 @@ func TestEngineZeroInjectorTranscript(t *testing.T) {
 		if attach {
 			e.Faults = fault.NewInjector(fault.Spec{}, 11, n, 1, slots)
 		}
-		used, err := e.Run(pingPrograms(n, slots, decoded))
+		used, err := e.Run(pingSteppers(n, slots, decoded))
 		if err != nil {
 			t.Fatal(err)
 		}

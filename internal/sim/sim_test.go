@@ -2,7 +2,6 @@ package sim
 
 import (
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"mcnet/internal/geo"
@@ -18,22 +17,47 @@ func lineField(n int, spacing float64, channels int) *phy.Field {
 	return phy.NewField(model.Default(channels, n+2), pos)
 }
 
+// loop is a test Stepper: Step k (k < n) runs body(sc, k), which must act;
+// Step n runs end (if set) and powers the node down. A body or end that
+// follows a Listen reads its reception as sc.Prev.
+type loop struct {
+	n    int
+	body func(sc *StepCtx, k int)
+	end  func(sc *StepCtx)
+	k    int
+}
+
+func (l *loop) Step(sc *StepCtx) {
+	if l.k >= l.n {
+		if l.end != nil {
+			l.end(sc)
+		}
+		sc.Done()
+		return
+	}
+	l.k++
+	l.body(sc, l.k-1)
+}
+
+// ops is a loop performing one primitive per Step call, in order.
+func ops(fs ...func(sc *StepCtx)) *loop {
+	return &loop{n: len(fs), body: func(sc *StepCtx, k int) { fs[k](sc) }}
+}
+
 func TestSimpleExchange(t *testing.T) {
 	f := lineField(2, 0.5, 1)
 	e := NewEngine(f, 1)
-	var got atomic.Value
-	progs := []Program{
-		func(ctx *Ctx) { ctx.Transmit(0, "ping") },
-		func(ctx *Ctx) { got.Store(ctx.Listen(0)) },
-	}
-	slots, err := e.Run(progs)
+	var rec phy.Reception
+	slots, err := e.Run([]Stepper{
+		ops(func(sc *StepCtx) { sc.Transmit(0, "ping") }),
+		&loop{n: 1, body: func(sc *StepCtx, _ int) { sc.Listen(0) }, end: func(sc *StepCtx) { rec = sc.Prev() }},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if slots != 1 {
 		t.Errorf("slots = %d, want 1", slots)
 	}
-	rec := got.Load().(phy.Reception)
 	if !rec.Decoded || rec.Msg != "ping" || rec.From != 0 {
 		t.Errorf("reception = %+v", rec)
 	}
@@ -45,19 +69,23 @@ func TestLockstep(t *testing.T) {
 	f := lineField(2, 0.5, 1)
 	e := NewEngine(f, 1)
 	var recs [3]phy.Reception
-	progs := []Program{
-		func(ctx *Ctx) {
-			ctx.Transmit(0, 1)
-			ctx.Idle()
-			ctx.Transmit(0, 3)
+	_, err := e.Run([]Stepper{
+		ops(
+			func(sc *StepCtx) { sc.Transmit(0, 1) },
+			func(sc *StepCtx) { sc.Idle() },
+			func(sc *StepCtx) { sc.Transmit(0, 3) },
+		),
+		&loop{n: 3,
+			body: func(sc *StepCtx, k int) {
+				if k > 0 {
+					recs[k-1] = sc.Prev()
+				}
+				sc.Listen(0)
+			},
+			end: func(sc *StepCtx) { recs[2] = sc.Prev() },
 		},
-		func(ctx *Ctx) {
-			for i := 0; i < 3; i++ {
-				recs[i] = ctx.Listen(0)
-			}
-		},
-	}
-	if _, err := e.Run(progs); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !recs[0].Decoded || recs[0].Msg != 1 {
@@ -72,27 +100,29 @@ func TestLockstep(t *testing.T) {
 }
 
 func TestEarlyReturnBecomesIdle(t *testing.T) {
-	// Node 0 returns immediately; nodes 1 and 2 keep exchanging. The run
-	// lasts as long as the longest program.
+	// Node 0 powers down at once; nodes 1 and 2 keep exchanging. The run
+	// lasts as long as the longest protocol.
 	f := lineField(3, 0.4, 1)
 	e := NewEngine(f, 1)
 	heard := 0
-	progs := []Program{
-		func(ctx *Ctx) {},
-		func(ctx *Ctx) {
-			for i := 0; i < 5; i++ {
-				ctx.Transmit(0, i)
-			}
-		},
-		func(ctx *Ctx) {
-			for i := 0; i < 5; i++ {
-				if ctx.Listen(0).Decoded {
-					heard++
-				}
-			}
-		},
+	count := func(sc *StepCtx) {
+		if sc.Prev().Decoded {
+			heard++
+		}
 	}
-	slots, err := e.Run(progs)
+	slots, err := e.Run([]Stepper{
+		&loop{},
+		&loop{n: 5, body: func(sc *StepCtx, k int) { sc.Transmit(0, k) }},
+		&loop{n: 5,
+			body: func(sc *StepCtx, k int) {
+				if k > 0 {
+					count(sc)
+				}
+				sc.Listen(0)
+			},
+			end: count,
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,29 +134,47 @@ func TestEarlyReturnBecomesIdle(t *testing.T) {
 	}
 }
 
+// randomTalker is a node that, for rounds slots, picks a random channel and
+// transmits with probability p or listens otherwise; heard observes every
+// decoded reception.
+func randomTalker(rounds, channels int, p float64, heard func(sc *StepCtx, rec phy.Reception)) *loop {
+	listened := false
+	consume := func(sc *StepCtx) {
+		if listened {
+			listened = false
+			if rec := sc.Prev(); rec.Decoded {
+				heard(sc, rec)
+			}
+		}
+	}
+	return &loop{n: rounds,
+		body: func(sc *StepCtx, _ int) {
+			consume(sc)
+			ch := sc.Rand.Intn(channels)
+			if sc.Rand.Float64() < p {
+				sc.Transmit(ch, sc.ID())
+			} else {
+				sc.Listen(ch)
+				listened = true
+			}
+		},
+		end: consume,
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	// Two identical runs produce identical transcripts of random decisions.
 	run := func() []int {
 		f := lineField(8, 0.3, 2)
 		e := NewEngine(f, 42)
 		out := make([]int, 8)
-		progs := make([]Program, 8)
-		for i := 0; i < 8; i++ {
-			i := i
-			progs[i] = func(ctx *Ctx) {
-				acc := 0
-				for s := 0; s < 50; s++ {
-					ch := ctx.Rand.Intn(2)
-					if ctx.Rand.Float64() < 0.3 {
-						ctx.Transmit(ch, ctx.ID())
-					} else if rec := ctx.Listen(ch); rec.Decoded {
-						acc = acc*31 + rec.From + 7
-					}
-				}
-				out[i] = acc
-			}
+		steppers := make([]Stepper, 8)
+		for i := range steppers {
+			steppers[i] = randomTalker(50, 2, 0.3, func(_ *StepCtx, rec phy.Reception) {
+				out[i] = out[i]*31 + rec.From + 7
+			})
 		}
-		if _, err := e.Run(progs); err != nil {
+		if _, err := e.Run(steppers); err != nil {
 			t.Fatal(err)
 		}
 		return out
@@ -143,23 +191,15 @@ func TestSeedChangesOutcome(t *testing.T) {
 	run := func(seed uint64) int {
 		f := lineField(4, 0.3, 1)
 		e := NewEngine(f, seed)
-		var total atomic.Int64
-		progs := make([]Program, 4)
-		for i := 0; i < 4; i++ {
-			progs[i] = func(ctx *Ctx) {
-				for s := 0; s < 40; s++ {
-					if ctx.Rand.Float64() < 0.5 {
-						ctx.Transmit(0, 1)
-					} else if ctx.Listen(0).Decoded {
-						total.Add(1)
-					}
-				}
-			}
+		total := 0
+		steppers := make([]Stepper, 4)
+		for i := range steppers {
+			steppers[i] = randomTalker(40, 1, 0.5, func(*StepCtx, phy.Reception) { total++ })
 		}
-		if _, err := e.Run(progs); err != nil {
+		if _, err := e.Run(steppers); err != nil {
 			t.Fatal(err)
 		}
-		return int(total.Load())
+		return total
 	}
 	if run(1) == run(2) && run(3) == run(4) && run(1) == run(3) {
 		t.Error("different seeds produced suspiciously identical outcomes")
@@ -170,15 +210,10 @@ func TestMaxSlotsAborts(t *testing.T) {
 	f := lineField(2, 0.5, 1)
 	e := NewEngine(f, 1)
 	e.MaxSlots = 10
-	progs := []Program{
-		func(ctx *Ctx) {
-			for {
-				ctx.Idle()
-			}
-		},
-		func(ctx *Ctx) {},
-	}
-	_, err := e.Run(progs)
+	_, err := e.Run([]Stepper{
+		&loop{n: 1 << 30, body: func(sc *StepCtx, _ int) { sc.Idle() }},
+		&loop{},
+	})
 	if err == nil || !strings.Contains(err.Error(), "MaxSlots") {
 		t.Fatalf("expected MaxSlots error, got %v", err)
 	}
@@ -187,44 +222,40 @@ func TestMaxSlotsAborts(t *testing.T) {
 func TestProgramPanicPropagates(t *testing.T) {
 	f := lineField(2, 0.5, 1)
 	e := NewEngine(f, 1)
-	progs := []Program{
-		func(ctx *Ctx) {
-			ctx.Idle()
-			panic("protocol bug")
-		},
-		func(ctx *Ctx) {
-			for i := 0; i < 100; i++ {
-				ctx.Idle()
+	_, err := e.Run([]Stepper{
+		&loop{n: 2, body: func(sc *StepCtx, k int) {
+			if k == 1 {
+				panic("protocol bug")
 			}
-		},
-	}
-	_, err := e.Run(progs)
-	if err == nil || !strings.Contains(err.Error(), "protocol bug") {
-		t.Fatalf("expected panic to surface, got %v", err)
+			sc.Idle()
+		}},
+		&loop{n: 100, body: func(sc *StepCtx, _ int) { sc.Idle() }},
+	})
+	if err == nil || !strings.Contains(err.Error(), "protocol bug") || !strings.Contains(err.Error(), "node 0") {
+		t.Fatalf("expected node 0's panic to surface, got %v", err)
 	}
 }
 
 func TestProgramCountMismatch(t *testing.T) {
 	f := lineField(3, 0.5, 1)
 	e := NewEngine(f, 1)
-	if _, err := e.Run(make([]Program, 2)); err == nil {
-		t.Fatal("expected error for wrong program count")
+	if _, err := e.Run([]Stepper{&loop{}, &loop{}}); err == nil {
+		t.Fatal("expected error for wrong stepper count")
 	}
 }
 
 func TestEventsAndSlotCounter(t *testing.T) {
 	f := lineField(2, 0.5, 1)
 	e := NewEngine(f, 1)
-	progs := []Program{
-		func(ctx *Ctx) {
-			ctx.Idle()
-			ctx.Idle()
-			ctx.Emit("checkpoint", 7)
-			ctx.Idle()
-		},
-		func(ctx *Ctx) { ctx.IdleFor(3) },
-	}
-	if _, err := e.Run(progs); err != nil {
+	_, err := e.Run([]Stepper{
+		ops(
+			func(sc *StepCtx) { sc.Idle() },
+			func(sc *StepCtx) { sc.Idle() },
+			func(sc *StepCtx) { sc.Emit("checkpoint", 7); sc.Idle() },
+		),
+		ops(func(sc *StepCtx) { sc.IdleFor(3) }),
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	evs := e.Events()
@@ -253,11 +284,11 @@ func TestTraceObservesSlots(t *testing.T) {
 			}
 		}
 	}
-	progs := []Program{
-		func(ctx *Ctx) { ctx.Transmit(0, 1); ctx.Transmit(0, 2) },
-		func(ctx *Ctx) { ctx.Listen(0); ctx.Listen(0) },
-	}
-	if _, err := e.Run(progs); err != nil {
+	_, err := e.Run([]Stepper{
+		&loop{n: 2, body: func(sc *StepCtx, k int) { sc.Transmit(0, k+1) }},
+		&loop{n: 2, body: func(sc *StepCtx, _ int) { sc.Listen(0) }},
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if slots != 2 || txCount != 2 || decoded != 2 {
@@ -265,11 +296,13 @@ func TestTraceObservesSlots(t *testing.T) {
 	}
 }
 
+// TestNilProgramIsIdle: a node with an empty protocol — its Stepper powers
+// down at its first step — stays idle while the others run, and the run
+// lasts as long as they do.
 func TestNilProgramIsIdle(t *testing.T) {
 	f := lineField(2, 0.5, 1)
 	e := NewEngine(f, 1)
-	progs := []Program{nil, func(ctx *Ctx) { ctx.IdleFor(2) }}
-	slots, err := e.Run(progs)
+	slots, err := e.Run([]Stepper{&loop{}, ops(func(sc *StepCtx) { sc.IdleFor(2) })})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,20 +321,11 @@ func TestManyNodesManyChannels(t *testing.T) {
 	}
 	f := phy.NewField(model.Default(8, n), pos)
 	e := NewEngine(f, 7)
-	progs := make([]Program, n)
-	for i := range progs {
-		progs[i] = func(ctx *Ctx) {
-			for s := 0; s < 30; s++ {
-				ch := ctx.Rand.Intn(8)
-				if ctx.Rand.Float64() < 0.2 {
-					ctx.Transmit(ch, ctx.ID())
-				} else {
-					ctx.Listen(ch)
-				}
-			}
-		}
+	steppers := make([]Stepper, n)
+	for i := range steppers {
+		steppers[i] = randomTalker(30, 8, 0.2, func(*StepCtx, phy.Reception) {})
 	}
-	slots, err := e.Run(progs)
+	slots, err := e.Run(steppers)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,19 +1,13 @@
 package sim
 
-// This file implements the goroutine-free execution mode: Stepper nodes
-// hold their protocol state in explicit structs and are driven inline by
-// the engine, one Step call per slot, instead of running as parked
-// goroutines. At crowd scale this removes the per-node stack (kilobytes per
-// node) and the park/unpark pair per node per slot that dominate the
-// goroutine mode's slot cost.
-//
-// Equivalence by construction: a Step call deposits its action into the
-// same per-node pending slot a goroutine's primitive would have, the engine
-// scans pending in node order either way, and all randomness comes from the
-// same per-node stream — so for a correctly ported protocol the resolved
-// transcript is bit-identical to the goroutine form, regardless of how many
-// workers drive the Step calls. TestSteppedEngineEquivalence and the
-// facade's TestAggregateSteppedIdentity pin this.
+// This file implements the node side of the engine: Stepper nodes hold
+// their protocol state in explicit structs and are driven inline by the
+// engine, one Step call per awake slot, optionally fanned out across step
+// workers. A Step call deposits its action into the node's own pending
+// entry, the engine scans pending in node order, and all randomness comes
+// from the node's own stream — so the resolved transcript is identical
+// regardless of how many workers drive the Step calls.
+// TestSteppedParallelDrive pins this.
 
 import (
 	"fmt"
@@ -28,17 +22,17 @@ import (
 	"mcnet/internal/rng"
 )
 
-// Stepper is the goroutine-free form of a node protocol. The engine calls
-// Step once per slot in which the node is awake; each call must perform
-// exactly one primitive on sc — Transmit, Listen, Idle, or IdleFor — or
-// call Done to power the node down for the rest of the run. After an
-// IdleFor(k), the next Step call comes k slots later.
+// Stepper is a node protocol. The engine calls Step once per slot in which
+// the node is awake; each call must perform exactly one primitive on sc —
+// Transmit, Listen, Idle, or IdleFor — or call Done to power the node down
+// for the rest of the run. After an IdleFor(k), the next Step call comes k
+// slots later.
 //
 // A Stepper must draw randomness only from sc.Rand and must not retain sc
 // across calls. If it listened in the previous acting slot, sc.Prev holds
 // that slot's reception; consume it before doing anything else (including
-// drawing randomness) to stay bit-identical with the equivalent goroutine
-// Program, whose post-Listen code runs before its next primitive.
+// drawing randomness), so the protocol reacts to a reception before its
+// next decision — the order the committed transcript goldens pin.
 type Stepper interface {
 	Step(sc *StepCtx)
 }
@@ -48,14 +42,14 @@ type Stepper interface {
 // returns false (the fragment still owns the node's slots), or finalizes
 // without acting and returns true — the caller then advances to the next
 // fragment within the same Step call, so stage boundaries consume no extra
-// slots, exactly like consecutive calls in a goroutine Program.
+// slots.
 type Frag interface {
 	Feed(sc *StepCtx) bool
 }
 
 // IdleFrag is the Frag form of "idle through a stage budget": one
 // IdleFor(K) batch, then done. A K ≤ 0 finalizes immediately without
-// consuming a slot, mirroring goroutine IdleFor's no-op on k ≤ 0.
+// consuming a slot.
 type IdleFrag struct {
 	K    int
 	done bool
@@ -71,17 +65,35 @@ func (f *IdleFrag) Feed(sc *StepCtx) bool {
 	return false
 }
 
-// StepCtx is a stepped node's handle to the simulator — the Stepper-mode
-// counterpart of Ctx. The engine owns it; Steppers use it only inside Step.
+// FragStepper drives one Frag as a node's whole protocol: once the fragment
+// finalizes, Finish (if set) observes the node's state and the node powers
+// down in the same Step call.
+type FragStepper struct {
+	Frag   Frag
+	Finish func(sc *StepCtx)
+}
+
+// Step implements Stepper.
+func (s *FragStepper) Step(sc *StepCtx) {
+	if !s.Frag.Feed(sc) {
+		return
+	}
+	if s.Finish != nil {
+		s.Finish(sc)
+	}
+	sc.Done()
+}
+
+// StepCtx is a node's handle to the simulator. The engine owns it;
+// Steppers use it only inside Step.
 type StepCtx struct {
-	// Rand is this node's private random stream — the same stream the
-	// equivalent goroutine Program would draw from.
+	// Rand is this node's private random stream.
 	Rand *rand.Rand
 
 	id      int
 	engine  *Engine
 	params  model.Params
-	rs      *roundState
+	rs      *runState
 	stepper Stepper
 	slot    int
 	crashAt int
@@ -95,10 +107,9 @@ func (c *StepCtx) ID() int { return c.id }
 // Params returns the model parameters known to the node.
 func (c *StepCtx) Params() model.Params { return c.params }
 
-// Slot returns the slot the current Step call is acting in. It matches
-// Ctx.Slot at the same point of the equivalent goroutine Program: the code
-// that runs after a Listen returns (and before the next primitive) sees the
-// slot after the listen.
+// Slot returns the slot the current Step call is acting in: the number of
+// slots completed before it, so code that consumes a Listen's reception
+// sees the slot after the listen.
 func (c *StepCtx) Slot() int { return c.slot }
 
 // Prev returns the reception delivered to this node's most recent Listen.
@@ -123,8 +134,7 @@ func (c *StepCtx) Idle() {
 }
 
 // IdleFor idles for k consecutive slots; the next Step call comes k slots
-// later. k ≤ 0 is a no-op (the Step call must still act), matching the
-// goroutine primitive.
+// later. k ≤ 0 is a no-op (the Step call must still act).
 func (c *StepCtx) IdleFor(k int) {
 	if k == 1 {
 		c.Idle()
@@ -136,9 +146,9 @@ func (c *StepCtx) IdleFor(k int) {
 	c.put(action{kind: actIdleLong, count: k})
 }
 
-// Done powers the node down for the remainder of the run, like a goroutine
-// Program returning. It is final and performs no primitive: a Step call
-// must either act or call Done, never both.
+// Done powers the node down for the remainder of the run. It is final and
+// performs no primitive: a Step call must either act or call Done, never
+// both.
 func (c *StepCtx) Done() {
 	if c.acted {
 		panic(fmt.Sprintf("sim: node %d Stepper called Done after acting in the same Step", c.id))
@@ -166,16 +176,17 @@ func (c *StepCtx) put(a action) {
 func (c *StepCtx) stepNode(slot int) {
 	c.slot = slot
 	if slot >= c.crashAt {
-		// A crashed node powers down instead of acting — the same boundary
-		// a goroutine node observes at its next primitive (or at the end of
-		// the IdleFor batch it slept through).
-		c.rs.done[c.id].Store(true)
+		// A crashed node powers down instead of acting: at its first awake
+		// slot at or past the crash slot, which for a sleeper is the end of
+		// the IdleFor batch it slept through (an idling node is externally
+		// indistinguishable from a dead one).
+		c.rs.done[c.id] = true
 		return
 	}
 	c.acted = false
 	c.stepper.Step(c)
 	if c.ended {
-		c.rs.done[c.id].Store(true)
+		c.rs.done[c.id] = true
 		return
 	}
 	if !c.acted {
@@ -183,33 +194,12 @@ func (c *StepCtx) stepNode(slot int) {
 	}
 }
 
-// Stepped-node scheduling states, tracked per node in steppedRun.state.
+// Node scheduling states, tracked per node in runState.state.
 const (
 	stepAwake uint8 = iota
 	stepSleeping
 	stepDead
 )
-
-// panicRecorder captures the first panic out of any node — goroutine or
-// step worker — for the engine to surface as the run error.
-type panicRecorder struct {
-	mu    sync.Mutex
-	first error
-}
-
-func (p *panicRecorder) record(node int, r any) {
-	p.mu.Lock()
-	if p.first == nil {
-		p.first = fmt.Errorf("sim: node %d panicked: %v", node, r)
-	}
-	p.mu.Unlock()
-}
-
-func (p *panicRecorder) get() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.first
-}
 
 // parallelStepMin is the awake-population size below which a slot's Step
 // calls run serially even on multicore: fan-out costs more than it saves.
@@ -218,34 +208,53 @@ const parallelStepMin = 4096
 // stepChunk is the work-stealing granule of the parallel step phase.
 const stepChunk = 512
 
-// steppedRun is the engine-private state of one run's stepped population.
-type steppedRun struct {
+// runState is the engine-private node state of one run. In the step phase
+// every awake node writes only its own entries — pending[i] (its action)
+// and done[i] (set when it powers down) — so distinct nodes may be stepped
+// from distinct workers; the engine then reads both and writes listeners'
+// results back.
+type runState struct {
 	ctxs    []StepCtx // indexed by node
-	state   []uint8   // node → stepAwake/stepSleeping/stepDead
-	awake   []int32   // nodes to drive this slot, compacted after each scan
+	pending []action
+	results []phy.Reception
+	done    []bool
+	state   []uint8 // node → stepAwake/stepSleeping/stepDead
+	awake   []int32 // nodes to drive this slot, compacted after each scan
 	workers int
+
+	// panicked is the first panic out of any step worker, as the run
+	// error; mu guards it during the step phase.
+	mu       sync.Mutex
+	panicked error
 }
 
-func newSteppedRun(e *Engine, rs *roundState, steppers []Stepper, nodeParams model.Params) (*steppedRun, error) {
+func newRunState(e *Engine, steppers []Stepper) (*runState, error) {
 	n := len(steppers)
-	sr := &steppedRun{
+	rs := &runState{
 		ctxs:    make([]StepCtx, n),
+		pending: make([]action, n),
+		results: make([]phy.Reception, n),
+		done:    make([]bool, n),
 		state:   make([]uint8, n),
 		awake:   make([]int32, n),
 		workers: runtime.GOMAXPROCS(0),
+	}
+	params := e.field.Params()
+	if e.NodeParams != nil {
+		params = *e.NodeParams
 	}
 	rands := rng.Streams(e.seed, n)
 	for i, st := range steppers {
 		if st == nil {
 			return nil, fmt.Errorf("sim: nil stepper for node %d", i)
 		}
-		sr.awake[i] = int32(i)
-		sc := &sr.ctxs[i]
+		rs.awake[i] = int32(i)
+		sc := &rs.ctxs[i]
 		*sc = StepCtx{
 			Rand:    rands[i],
 			id:      i,
 			engine:  e,
-			params:  nodeParams,
+			params:  params,
 			rs:      rs,
 			stepper: st,
 			crashAt: math.MaxInt,
@@ -254,25 +263,25 @@ func newSteppedRun(e *Engine, rs *roundState, steppers []Stepper, nodeParams mod
 			sc.crashAt = e.Faults.CrashSlot(i)
 		}
 	}
-	return sr, nil
+	return rs, nil
 }
 
-// stepAll drives every awake stepped node through the given slot. It runs
-// in the engine's quiescent window; with enough awake nodes and spare
-// procs, the calls fan out across workers in chunks (safe because each call
-// touches only node-local state, and transcript-neutral because actions
-// land in per-node slots that the engine scans in node order regardless).
-// A panicking Step abandons the rest of its worker's share; the engine
-// aborts the run right after, so the unstepped remainder never resolves.
-func (sr *steppedRun) stepAll(slot int, rec *panicRecorder) {
-	awake := sr.awake
-	if sr.workers <= 1 || len(awake) < parallelStepMin {
-		sr.stepRange(awake, slot, rec)
+// stepAll drives every awake node through the given slot. With enough
+// awake nodes and spare procs, the calls fan out across workers in chunks
+// (safe because each call touches only node-local state, and
+// transcript-neutral because actions land in per-node slots that the
+// engine scans in node order regardless). A panicking Step abandons the
+// rest of its worker's share; the engine aborts the run right after, so
+// the unstepped remainder never resolves.
+func (rs *runState) stepAll(slot int) {
+	awake := rs.awake
+	if rs.workers <= 1 || len(awake) < parallelStepMin {
+		rs.stepRange(awake, slot)
 		return
 	}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
-	workers := sr.workers
+	workers := rs.workers
 	if max := (len(awake) + stepChunk - 1) / stepChunk; workers > max {
 		workers = max
 	}
@@ -289,35 +298,39 @@ func (sr *steppedRun) stepAll(slot int, rec *panicRecorder) {
 				if hi > len(awake) {
 					hi = len(awake)
 				}
-				sr.stepRange(awake[lo:hi], slot, rec)
+				rs.stepRange(awake[lo:hi], slot)
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-func (sr *steppedRun) stepRange(ids []int32, slot int, rec *panicRecorder) {
+func (rs *runState) stepRange(ids []int32, slot int) {
 	cur := -1
 	defer func() {
 		if r := recover(); r != nil {
-			rec.record(cur, r)
+			rs.mu.Lock()
+			if rs.panicked == nil {
+				rs.panicked = fmt.Errorf("sim: node %d panicked: %v", cur, r)
+			}
+			rs.mu.Unlock()
 		}
 	}()
 	for _, id := range ids {
 		cur = int(id)
-		sr.ctxs[id].stepNode(slot)
+		rs.ctxs[id].stepNode(slot)
 	}
 }
 
 // compact drops nodes that went to sleep or died from the awake list,
 // preserving order. Runs once per scanned slot, after the engine has
 // classified every pending action.
-func (sr *steppedRun) compact() {
-	kept := sr.awake[:0]
-	for _, id := range sr.awake {
-		if sr.state[id] == stepAwake {
+func (rs *runState) compact() {
+	kept := rs.awake[:0]
+	for _, id := range rs.awake {
+		if rs.state[id] == stepAwake {
 			kept = append(kept, id)
 		}
 	}
-	sr.awake = kept
+	rs.awake = kept
 }

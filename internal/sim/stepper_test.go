@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -13,25 +12,6 @@ import (
 	"mcnet/internal/phy"
 )
 
-// slotRecord is one resolved slot flattened for transcript comparison.
-type slotRecord struct {
-	Slot int
-	Txs  []phy.Tx
-	Rxs  []phy.Rx
-	Recs []phy.Reception
-}
-
-func recordTrace(dst *[]slotRecord) TraceFn {
-	return func(slot int, txs []phy.Tx, rxs []phy.Rx, recs []phy.Reception) {
-		*dst = append(*dst, slotRecord{
-			Slot: slot,
-			Txs:  append([]phy.Tx(nil), txs...),
-			Rxs:  append([]phy.Rx(nil), rxs...),
-			Recs: append([]phy.Reception(nil), recs...),
-		})
-	}
-}
-
 func chatterField(n int) *phy.Field {
 	pos := make([]geo.Point, n)
 	for i := range pos {
@@ -40,34 +20,9 @@ func chatterField(n int) *phy.Field {
 	return phy.NewField(model.Default(4, n), pos)
 }
 
-// chatterProgram is the goroutine form of the reference workload: random
-// chatter with interleaved IdleFor batches whose spans depend on the node's
-// private stream, plus value echoes so receptions feed back into behavior.
-func chatterProgram(rounds int) Program {
-	return func(ctx *Ctx) {
-		last := 0
-		for s := 0; s < rounds; s++ {
-			switch r := ctx.Rand.Float64(); {
-			case r < 0.25:
-				ctx.Transmit(ctx.Rand.Intn(4), last+s)
-			case r < 0.5:
-				rec := ctx.Listen(ctx.Rand.Intn(4))
-				if v, ok := rec.Msg.(int); ok {
-					last = v
-					ctx.Emit("heard", v)
-				}
-			case r < 0.7:
-				ctx.Idle()
-			default:
-				ctx.IdleFor(1 + ctx.Rand.Intn(7))
-			}
-		}
-	}
-}
-
-// chatterStepper is the hand-ported Stepper form of chatterProgram. The
-// listen branch's consumption moves to the top of the next Step call, which
-// is exactly where the transformation must put it.
+// chatterStepper is the reference workload: random chatter with
+// interleaved IdleFor batches whose spans depend on the node's private
+// stream, plus value echoes so receptions feed back into behavior.
 type chatterStepper struct {
 	rounds    int
 	s         int
@@ -102,84 +57,17 @@ func (cs *chatterStepper) Step(sc *StepCtx) {
 	}
 }
 
-func sortedEvents(evs []Event) []Event {
-	out := append([]Event(nil), evs...)
-	// Event order between nodes within a slot is unspecified; compare a
-	// canonical ordering.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			a, b := out[j-1], out[j]
-			if a.Slot < b.Slot || (a.Slot == b.Slot && (a.Node < b.Node || (a.Node == b.Node && a.Name <= b.Name))) {
-				break
-			}
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
-}
-
-// runChatter runs the reference workload in the requested mode and returns
-// its transcript, events, and slot count.
-func runChatter(t *testing.T, n, rounds int, seed uint64, mode string, faults FaultInjector) ([]slotRecord, []Event, int) {
-	t.Helper()
-	e := NewEngine(chatterField(n), seed)
-	e.Faults = faults
-	var trace []slotRecord
-	e.Trace = recordTrace(&trace)
-	var (
-		slots int
-		err   error
-	)
-	switch mode {
-	case "goroutine":
-		progs := make([]Program, n)
-		for i := range progs {
-			progs[i] = chatterProgram(rounds)
-		}
-		slots, err = e.Run(progs)
-	case "stepped":
-		steps := make([]Stepper, n)
-		for i := range steps {
-			steps[i] = &chatterStepper{rounds: rounds}
-		}
-		slots, err = e.RunSteppers(steps)
-	default:
-		t.Fatalf("unknown mode %q", mode)
-	}
-	if err != nil {
-		t.Fatalf("%s run: %v", mode, err)
-	}
-	return trace, sortedEvents(e.Events()), slots
-}
-
-// chatterDigest runs the chatter workload in the given form and digests its
-// transcript, events and slot count.
-func chatterDigest(t *testing.T, n, rounds int, seed uint64, mode string, faults FaultInjector) golden.Digest {
+// chatterDigest runs the chatter workload and digests its transcript,
+// events and slot count.
+func chatterDigest(t *testing.T, n, rounds int, seed uint64, faults FaultInjector) golden.Digest {
 	t.Helper()
 	e := NewEngine(chatterField(n), seed)
 	e.Faults = faults
 	rec := golden.NewRecorder()
 	e.Trace = rec.Trace
-	var (
-		slots int
-		err   error
-	)
-	switch mode {
-	case "goroutine":
-		progs := make([]Program, n)
-		for i := range progs {
-			progs[i] = chatterProgram(rounds)
-		}
-		slots, err = e.Run(progs)
-	default:
-		steps := make([]Stepper, n)
-		for i := range steps {
-			steps[i] = &chatterStepper{rounds: rounds}
-		}
-		slots, err = e.RunSteppers(steps)
-	}
+	slots, err := e.Run(chatters(n, rounds))
 	if err != nil {
-		t.Fatalf("%s run: %v", mode, err)
+		t.Fatal(err)
 	}
 	for _, ev := range e.Events() {
 		rec.Event(ev.Slot, ev.Node, ev.Name, ev.Value)
@@ -187,36 +75,15 @@ func chatterDigest(t *testing.T, n, rounds int, seed uint64, mode string, faults
 	return rec.Digest(t, slots)
 }
 
-// requireSteppedMatches runs the chatter workload as goroutine Programs
-// and as Steppers and fails unless transcripts, events and slot counts are
-// identical.
-func requireSteppedMatches(t *testing.T, n, rounds int, seed uint64, faults FaultInjector) {
-	t.Helper()
-	golden.Check(t, "", chatterDigest(t, n, rounds, seed, "goroutine", faults))
-	gTrace, gEvents, gSlots := runChatter(t, n, rounds, seed, "goroutine", faults)
-	sTrace, sEvents, sSlots := runChatter(t, n, rounds, seed, "stepped", faults)
-	if sSlots != gSlots {
-		t.Fatalf("slots: goroutine %d, stepped %d", gSlots, sSlots)
-	}
-	if !reflect.DeepEqual(sTrace, gTrace) {
-		t.Fatal("stepped transcript differs from goroutine mode")
-	}
-	if !reflect.DeepEqual(sEvents, gEvents) {
-		t.Fatal("stepped events differ from goroutine mode")
-	}
-}
-
-// TestSteppedEngineEquivalence pins the central invariant at the engine
-// level: the same workload run as goroutine Programs and as Steppers
-// produces bit-identical transcripts, events, and slot counts, at several
-// sizes.
+// TestSteppedEngineEquivalence pins the engine's transcripts, events and
+// slot counts on the chatter workload, at several sizes, to the ones the
+// goroutine engine recorded (testdata).
 func TestSteppedEngineEquivalence(t *testing.T) {
 	for _, n := range []int{1, 7, 64, 1500} {
 		for _, seed := range []uint64{1, 42} {
-			n, seed := n, seed
 			t.Run(fmt.Sprintf("n=%d/seed=%d", n, seed), func(t *testing.T) {
 				t.Parallel()
-				requireSteppedMatches(t, n, 40, seed, nil)
+				golden.Check(t, "", chatterDigest(t, n, 40, seed, nil))
 			})
 		}
 	}
@@ -240,11 +107,11 @@ func (f crashFaults) CrashSlot(node int) int {
 	return 1 << 40
 }
 
-// TestSteppedEquivalenceUnderCrashes runs the equivalence check with nodes
-// crashing at awkward points — including during a sleep, where both forms
+// TestSteppedEquivalenceUnderCrashes runs the golden check with nodes
+// crashing at awkward points — including during a sleep, where the engine
 // must retire the node at the batch boundary, not before.
 func TestSteppedEquivalenceUnderCrashes(t *testing.T) {
-	requireSteppedMatches(t, 64, 40, 9, crashFaults{at: map[int]int{0: 0, 3: 7, 11: 13, 17: 2, 40: 25}})
+	golden.Check(t, "", chatterDigest(t, 64, 40, 9, crashFaults{at: map[int]int{0: 0, 3: 7, 11: 13, 17: 2, 40: 25}}))
 }
 
 // sleeperStepper exercises wake-wheel re-entry: alternating IdleFor batches
@@ -270,8 +137,8 @@ func (s *sleeperStepper) Step(sc *StepCtx) {
 }
 
 // TestWakeWheelSpans drives IdleFor spans spanning multiple wheel
-// revolutions plus same-bucket collisions, in both forms, and checks the
-// slot count and transcript agree.
+// revolutions plus same-bucket collisions, and checks the slot count and
+// transcript against the golden.
 func TestWakeWheelSpans(t *testing.T) {
 	spans := [][]int{
 		{3, wheelBuckets + 3, 5},
@@ -280,54 +147,18 @@ func TestWakeWheelSpans(t *testing.T) {
 		{5 * wheelBuckets, 4, 1},
 	}
 	n := len(spans)
-	prog := func(sp []int) Program {
-		return func(ctx *Ctx) {
-			for i, k := range sp {
-				ctx.IdleFor(k)
-				ctx.Transmit(0, 2*i+1)
-			}
-		}
-	}
 	e := NewEngine(chatterField(n), 5)
-	var gTrace []slotRecord
-	e.Trace = recordTrace(&gTrace)
-	progs := make([]Program, n)
-	for i := range progs {
-		progs[i] = prog(spans[i])
-	}
-	gSlots, err := e.Run(progs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	e2 := NewEngine(chatterField(n), 5)
-	var sTrace []slotRecord
-	e2.Trace = recordTrace(&sTrace)
+	rec := golden.NewRecorder()
+	e.Trace = rec.Trace
 	steps := make([]Stepper, n)
 	for i := range steps {
 		steps[i] = &sleeperStepper{spans: spans[i]}
 	}
-	sSlots, err := e2.RunSteppers(steps)
+	slots, err := e.Run(steps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gSlots != sSlots {
-		t.Fatalf("slots: goroutine %d, stepped %d", gSlots, sSlots)
-	}
-	if !reflect.DeepEqual(gTrace, sTrace) {
-		t.Fatal("wheel transcript differs between forms")
-	}
-	e3 := NewEngine(chatterField(n), 5)
-	rec := golden.NewRecorder()
-	e3.Trace = rec.Trace
-	for i := range progs {
-		progs[i] = prog(spans[i])
-	}
-	slots3, err := e3.Run(progs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden.Check(t, "spans", rec.Digest(t, slots3))
+	golden.Check(t, "spans", rec.Digest(t, slots))
 }
 
 // TestSteppedMaxSlotsAbort aborts a stepped run mid-sleep and checks the
@@ -341,7 +172,7 @@ func TestSteppedMaxSlotsAbort(t *testing.T) {
 	for i := range steps {
 		steps[i] = &sleeperStepper{spans: []int{100}}
 	}
-	slots, err := e.RunSteppers(steps)
+	slots, err := e.Run(steps)
 	if err == nil || !strings.Contains(err.Error(), "MaxSlots") {
 		t.Fatalf("want MaxSlots error, got slots=%d err=%v", slots, err)
 	}
@@ -358,11 +189,7 @@ func TestSteppedContextCancel(t *testing.T) {
 			cancel()
 		}
 	}
-	steps := make([]Stepper, n)
-	for i := range steps {
-		steps[i] = &chatterStepper{rounds: 1000}
-	}
-	if _, err := e.RunSteppersContext(ctx, steps); err != context.Canceled {
+	if _, err := e.RunContext(ctx, chatters(n, 1000)); err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
@@ -379,7 +206,7 @@ func (p *panicStepper) Step(sc *StepCtx) {
 }
 
 // TestSteppedPanicPropagates turns a panicking Stepper into a run error
-// naming the node, like a panicking goroutine Program.
+// naming the node.
 func TestSteppedPanicPropagates(t *testing.T) {
 	n := 4
 	e := NewEngine(chatterField(n), 1)
@@ -387,7 +214,7 @@ func TestSteppedPanicPropagates(t *testing.T) {
 	for i := range steps {
 		steps[i] = &panicStepper{n: i + 2}
 	}
-	_, err := e.RunSteppers(steps)
+	_, err := e.Run(steps)
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("want panic error, got %v", err)
 	}
@@ -403,24 +230,23 @@ func (lazyStepper) Step(*StepCtx) {}
 // front.
 func TestSteppedContractViolation(t *testing.T) {
 	e := NewEngine(chatterField(2), 1)
-	_, err := e.RunSteppers([]Stepper{&chatterStepper{rounds: 3}, lazyStepper{}})
+	_, err := e.Run([]Stepper{&chatterStepper{rounds: 3}, lazyStepper{}})
 	if err == nil || !strings.Contains(err.Error(), "without acting") {
 		t.Fatalf("want contract error, got %v", err)
 	}
-	if _, err := e.RunSteppers([]Stepper{&chatterStepper{rounds: 3}, nil}); err == nil || !strings.Contains(err.Error(), "nil stepper") {
+	if _, err := e.Run([]Stepper{&chatterStepper{rounds: 3}, nil}); err == nil || !strings.Contains(err.Error(), "nil stepper") {
 		t.Fatalf("want nil-stepper error, got %v", err)
 	}
 }
 
 // TestSteppedParallelDrive forces the parallel step fan-out (population
-// above parallelStepMin) and checks the transcript still matches the
-// goroutine form. Run under -race in CI at -cpu 1,2,8.
+// above parallelStepMin) and checks the transcript against the golden.
+// Run under -race in CI at -cpu 1,2,8.
 func TestSteppedParallelDrive(t *testing.T) {
 	if testing.Short() {
-		t.Skip("crowd-sized equivalence run")
+		t.Skip("crowd-sized golden run")
 	}
-	n := parallelStepMin + 512
-	requireSteppedMatches(t, n, 12, 3, nil)
+	golden.Check(t, "", chatterDigest(t, parallelStepMin+512, 12, 3, nil))
 }
 
 // Compile-time checks that the test doubles satisfy their interfaces.

@@ -4,12 +4,11 @@ package sim
 // wake slots that generalizes the all-idle fast-forward to mixed
 // active/idle populations.
 //
-// Every IdleFor batch — goroutine or stepped — registers its node here
-// under the first slot at which the node acts again. Per slot the engine
-// pops exactly one bucket instead of probing a map, and sleeping nodes are
-// never touched in between: a goroutine node stays parked off the barrier,
-// a stepped node stays off the awake list, so a slot's cost scales with the
-// nodes that actually act in it.
+// Every IdleFor batch registers its node here under the first slot at
+// which the node acts again. Per slot the engine pops exactly one bucket
+// instead of probing a map, and sleeping nodes are never touched in
+// between — they stay off the awake list — so a slot's cost scales with
+// the nodes that actually act in it.
 //
 // The wheel is sized so that protocol idles (TDMA strides, stage skips —
 // tens to a few thousand slots) land in their bucket's first revolution;
@@ -28,7 +27,8 @@ const wheelBuckets = 1024
 const wheelNil = -1
 
 // wakeWheel is the engine's calendar queue of sleeping nodes. All access is
-// from the engine's quiescent window, so there is no locking.
+// from the engine's own loop, outside the step phase, so there is no
+// locking.
 type wakeWheel struct {
 	head, tail [wheelBuckets]int32 // per bucket: first and last node, or wheelNil
 	next       []int32             // node → next node in its bucket, or wheelNil

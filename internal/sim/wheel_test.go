@@ -135,9 +135,9 @@ func (s *idlerStepper) Step(sc *StepCtx) {
 	s.left -= k
 }
 
-// TestSteppedRunAllocFlat: a stepped-only run of idling and sleeping
-// nodes allocates the same whatever its length — no per-slot release
-// channel, no wheel bucket growth.
+// TestSteppedRunAllocFlat: a run of idling and sleeping nodes allocates
+// the same whatever its length — no per-slot allocation, no wheel bucket
+// growth.
 func TestSteppedRunAllocFlat(t *testing.T) {
 	const n = 64
 	run := func(slots int) uint64 {
@@ -149,7 +149,7 @@ func TestSteppedRunAllocFlat(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		got, err := e.RunSteppers(steps)
+		got, err := e.Run(steps)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)

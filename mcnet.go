@@ -129,7 +129,6 @@ func New(n int, opts ...Option) (*Network, error) {
 	cfg.DeltaHat = min(d.DeltaHat, n)
 	cfg.PhiMax = d.PhiMax
 	cfg.HopBound = d.HopBound
-	cfg.Exec = core.ExecMode(s.exec)
 
 	// The fault spec can only be validated once the deployment's true n and
 	// channel count are fixed (crash sets name node IDs, jamming must leave
@@ -210,8 +209,9 @@ func (nw *Network) Plan() PlanInfo {
 }
 
 // Events registers an observer that receives every milestone Event as runs
-// emit them. Calls are serialized but arrive on simulator goroutines; the
-// observer must be fast and must not call back into the Network.
+// emit them. Calls are serialized but arrive on the simulator's step
+// workers; the observer must be fast and must not call back into the
+// Network.
 func (nw *Network) Events(fn func(Event)) {
 	if fn == nil {
 		return

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mcnet/internal/coloring"
-	"mcnet/internal/core"
 	"mcnet/internal/fault"
 )
 
@@ -34,7 +33,6 @@ type settings struct {
 	faulted bool
 
 	colorer string // coloring backend name; "" = sec7
-	exec    ExecMode
 }
 
 func defaultSettings() settings {
@@ -210,55 +208,6 @@ func Colorer(name string) Option {
 
 // ColorerNames lists the registered coloring backend names, default first.
 func ColorerNames() []string { return coloring.Names() }
-
-// ExecMode selects how Aggregate and the default sec7 Color execute the
-// per-node protocol code. All modes produce bit-identical transcripts,
-// results and events — the knob trades memory and wall-clock time only.
-// The dplus1 and hsb coloring backends run as goroutine programs in every
-// mode.
-type ExecMode int
-
-const (
-	// ExecAuto (the default) runs Aggregate and the sec7 Color on the
-	// goroutine-free stepped engine at every size, which beats goroutine
-	// programs at every measured size: no barrier handoff per node per
-	// slot, no per-node stack.
-	ExecAuto ExecMode = ExecMode(core.ExecAuto)
-	// ExecGoroutines forces one goroutine per node: the reference form the
-	// stepped engine is checked against.
-	ExecGoroutines ExecMode = ExecMode(core.ExecGoroutines)
-	// ExecStepped forces the goroutine-free stepped engine.
-	ExecStepped ExecMode = ExecMode(core.ExecStepped)
-)
-
-// String returns the mode's CLI/spec name: auto, goroutines or stepped.
-func (m ExecMode) String() string { return core.ExecMode(m).String() }
-
-// ParseExecMode maps a CLI/spec name ("auto", "goroutines", "stepped"; ""
-// means auto) to its ExecMode.
-func ParseExecMode(name string) (ExecMode, error) {
-	switch name {
-	case "", "auto":
-		return ExecAuto, nil
-	case "goroutines":
-		return ExecGoroutines, nil
-	case "stepped":
-		return ExecStepped, nil
-	}
-	return ExecAuto, fmt.Errorf("mcnet: unknown exec mode %q (valid: auto, goroutines, stepped)", name)
-}
-
-// Exec selects the execution mode (default ExecAuto). See ExecMode.
-func Exec(m ExecMode) Option {
-	return func(s *settings) error {
-		switch m {
-		case ExecAuto, ExecGoroutines, ExecStepped:
-			s.exec = m
-			return nil
-		}
-		return fmt.Errorf("mcnet: invalid exec mode %d", int(m))
-	}
-}
 
 // JamModel selects the jamming adversary's channel-selection strategy for
 // the Jamming option.

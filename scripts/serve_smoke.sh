@@ -19,10 +19,9 @@ trap cleanup EXIT
 go build -o "$workdir/mcserved" ./cmd/mcserved
 go build -o "$workdir/mcscenario" ./cmd/mcscenario
 
-# 3 loss × 2 jam × 2 seeds = 12 items: enough runtime to interrupt. The
-# goroutine engine is pinned because its runs are several times slower
-# than the default stepped engine's, which can finish the sweep first.
-spec='{"name":"smoke","n":64,"channels":3,"loss":[0,0.05,0.1],"jam":[0,1],"seeds":2,"exec":"goroutines"}'
+# 3 loss × 2 jam × 8 seeds = 48 items: enough runtime to interrupt.
+total=48
+spec='{"name":"smoke","n":64,"channels":3,"loss":[0,0.05,0.1],"jam":[0,1],"seeds":8}'
 printf '%s\n' "$spec" > "$workdir/spec.json"
 
 start_daemon() {
@@ -86,7 +85,7 @@ if [ "$interrupted" = 1 ]; then
   grep -q '"state":"running"' "$workdir/state/jobs/$job.json" \
     || { echo "FAIL: interrupted job not left in running state" >&2; exit 1; }
   lines=$(wc -l < "$workdir/state/jobs/$job.results.ndjson")
-  echo "interrupted with $lines/12 items durable"
+  echo "interrupted with $lines/$total items durable"
 fi
 
 # Second daemon on the same state dir: the job resumes and finishes.
@@ -103,7 +102,7 @@ done
 curl -sf "$base/v1/jobs/$job/results" > "$workdir/final.ndjson"
 curl -sf "$base/v1/jobs/$job/table"   > "$workdir/served_table.txt"
 lines=$(wc -l < "$workdir/final.ndjson")
-[ "$lines" = 12 ] || { echo "FAIL: $lines NDJSON lines, want 12" >&2; exit 1; }
+[ "$lines" = "$total" ] || { echo "FAIL: $lines NDJSON lines, want $total" >&2; exit 1; }
 
 # The served table must match an uninterrupted in-process run exactly.
 "$workdir/mcscenario" -spec "$workdir/spec.json" -quiet > "$workdir/local_table.txt"

@@ -58,10 +58,6 @@ type ScenarioSpec struct {
 	// sweeps are unaffected; the field exists so one spec document pins
 	// every protocol choice.
 	Colorer string `json:"colorer,omitempty"`
-	// Exec names the execution mode: auto, goroutines or stepped (default
-	// auto). Every mode produces bit-identical transcripts, so the field
-	// only pins memory/wall-clock behavior for reproducible measurement.
-	Exec string `json:"exec,omitempty"`
 }
 
 // specFieldError reports a validation failure against one named field of a
@@ -233,17 +229,6 @@ func (sp ScenarioSpec) Validate() error {
 	if err := colorerByName(sp.Colorer); err != nil {
 		return err
 	}
-	if err := execModeByName(sp.Exec); err != nil {
-		return err
-	}
-	return nil
-}
-
-// execModeByName validates a spec's execution-mode name; empty means auto.
-func execModeByName(name string) error {
-	if _, err := ParseExecMode(strings.ToLower(name)); err != nil {
-		return specFieldError("exec", "%v", err)
-	}
 	return nil
 }
 
@@ -277,13 +262,6 @@ func (sp ScenarioSpec) Scenario() (Scenario, error) {
 	opts := []Option{WithTopology(topo), Channels(channels)}
 	if sp.Colorer != "" {
 		opts = append(opts, Colorer(sp.Colorer))
-	}
-	if sp.Exec != "" {
-		mode, err := ParseExecMode(strings.ToLower(sp.Exec))
-		if err != nil {
-			return Scenario{}, specFieldError("exec", "%v", err)
-		}
-		opts = append(opts, Exec(mode))
 	}
 	return Scenario{
 		Name:        sp.Name,
