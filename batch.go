@@ -182,20 +182,7 @@ func (nw *Network) withFaults(spec fault.Spec) (*Network, error) {
 	if err := spec.Validate(nw.N(), nw.params.Channels); err != nil {
 		return nil, fmt.Errorf("mcnet: %w", err)
 	}
-	return &Network{
-		params:      nw.params,
-		topo:        nw.topo,
-		seed:        nw.seed,
-		pos:         nw.pos,
-		cfg:         nw.cfg,
-		plan:        nw.plan,
-		maxSlots:    nw.maxSlots,
-		parallelism: nw.parallelism,
-		exact:       nw.exact,
-		farFieldTol: nw.farFieldTol,
-		cellFrac:    nw.cellFrac,
-		faults:      spec,
-		faulted:     true,
-		colorer:     nw.colorer,
-	}, nil
+	s := nw.settings
+	s.faults, s.faulted = spec, true
+	return &Network{settings: s, params: nw.params, pos: nw.pos, cfg: nw.cfg, plan: nw.plan}, nil
 }

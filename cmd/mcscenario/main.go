@@ -66,7 +66,6 @@ func run(args []string, out, errOut io.Writer, exit func(int)) {
 		churn      = fs.String("churn", "0", "comma-separated crash rates in [0, 1]")
 		byz        = fs.String("byz", "0", "comma-separated byzantine node fractions in [0, 1]")
 		byzStrat   = fs.String("byz-strategy", "corrupt", "byzantine strategy: "+strings.Join(mcnet.ByzStrategyNames(), "|"))
-		colorer    = fs.String("colorer", "", "coloring backend pinned in the spec: sec7|dplus1|hsb (default sec7)")
 		name       = fs.String("name", "mcscenario", "report title")
 		csv        = fs.Bool("csv", false, "emit CSV instead of an aligned table")
 		parallel   = fs.Int("parallel", 0, "worker-pool size for the sweep's runs (0 = GOMAXPROCS, 1 = serial)")
@@ -192,7 +191,6 @@ func run(args []string, out, errOut io.Writer, exit func(int)) {
 			JamModel:    *jamModel,
 			Seeds:       *seeds,
 			BaseSeed:    *seed,
-			Colorer:     *colorer,
 		}
 		if sc, err = sp.Scenario(); err != nil {
 			fail("%v", err)

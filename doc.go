@@ -17,10 +17,11 @@
 //	}
 //	res, err := net.Aggregate(ctx, values, mcnet.Sum)
 //
-// The facade derives all pipeline sizing (the cluster-size bound Δ̂, the
-// TDMA period φ, the backbone hop bound) from the chosen Topology, so
-// callers never hand-tune internal schedule parameters; explicit options
-// (DeltaHat, PhiMax, HopBound) override the derivation when needed.
+// The facade fixes the paper's SINR model (α = 3, β = 1.5, ε = 0.3, and
+// the size estimate n̂ = n) and derives all pipeline sizing (the
+// cluster-size bound Δ̂, the TDMA period φ, the backbone hop bound) from
+// the chosen Topology, so callers never hand-tune internal schedule
+// parameters.
 // Aggregate and Color honor context cancellation, results carry per-stage
 // budgets vs. observed completion events plus channel utilization, and
 // Events streams per-node milestones live. RunExperiment exposes the
@@ -40,8 +41,7 @@
 // multi-channel assignment whose colors are (slot, channel) pairs — F
 // colors share each TDMA slot on distinct channels, shrinking the cycle
 // to ⌈palette/F⌉. ColorResult.Backend, Palette, Cycle and Rounds make
-// the backends comparable; ScenarioSpec's "colorer" field pins one on the
-// wire, and experiments c1–c3 print the head-to-heads.
+// the backends comparable, and experiments c1–c3 print the head-to-heads.
 //
 // # Fault injection
 //
@@ -115,17 +115,14 @@
 // deterministic for a fixed configuration at every worker count. When a
 // deployment is compact enough that nothing can be aggregated under the
 // tolerance (the Crowd topology, for instance), the resolver degenerates
-// to the exact kernel and transcripts are bit-identical to Exact mode.
+// to the exact kernel and transcripts are bit-identical to exact
+// resolution.
 //
-// The knobs: Exact() forces bit-exact pairwise resolution, whose
-// transcripts replay identically across releases; FarFieldTolerance(ε)
-// tunes the hierarchical error bound (ε > 0); ResolverCellSize(frac)
-// sizes grid cells as a fraction of the transmission range; Parallelism
-// sets the worker count the resolver fans listeners out across (default
-// GOMAXPROCS) — every setting is bit-identical, it trades wall-clock time
-// only. The slot pipeline is allocation-free in steady state: the engine
-// presizes a per-run arena (action, reception and grid-bin scratch) and
-// listeners fan out over a persistent worker pool, so no per-slot
+// The resolver has no facade knobs: it runs at the default tolerance and
+// grid cell size (0.5·R_T), and every worker count is bit-identical. The
+// slot pipeline is allocation-free in steady state: the engine presizes a
+// per-run arena (action, reception and grid-bin scratch) and listeners fan
+// out over a persistent GOMAXPROCS-sized worker pool, so no per-slot
 // allocations or goroutine spawns occur. See cmd/mcagg or cmd/mcscenario's
 // -cpuprofile / -memprofile flags for profiling runs without editing code.
 //

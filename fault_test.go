@@ -75,8 +75,6 @@ func TestFaultOptionValidation(t *testing.T) {
 		{"negative byz fraction", []Option{Byzantine(-0.1, ByzCorrupt)}},
 		{"byz fraction above one", []Option{Byzantine(1.5, ByzCorrupt)}},
 		{"unknown byz strategy", []Option{Byzantine(0.2, ByzStrategy(9))}},
-		{"negative byz count", []Option{ByzantineCount(-1, ByzSilent)}},
-		{"byz count above n", []Option{ByzantineCount(17, ByzCorrupt)}},
 	}
 	for _, tc := range bad {
 		if _, err := New(16, tc.opts...); err == nil {
@@ -90,7 +88,7 @@ func TestFaultOptionValidation(t *testing.T) {
 		{Churn(ChurnSpec{CrashAt: map[int]int{0: 5, 15: 0}})},
 		{Loss(0), Jamming(0, JamOblivious), Churn(ChurnSpec{})},
 		{Byzantine(0.25, ByzEquivocate)},
-		{ByzantineCount(3, ByzSilent)},
+		{Byzantine(3.0/16, ByzSilent)},
 		{Jamming(1, JamReactive)},
 		{Jamming(2, JamAdaptive)},
 	}
@@ -281,13 +279,13 @@ func TestByzantineReporting(t *testing.T) {
 		t.Errorf("SurvivorsExact = %d under 10 consistent liars, want 0", fr.SurvivorsExact)
 	}
 
-	silent, _ := faultRun(t, n, seqValues(n), ByzantineCount(4, ByzSilent))
+	silent, _ := faultRun(t, n, seqValues(n), Byzantine(0.1, ByzSilent))
 	sr := silent.Faults
 	if sr == nil {
 		t.Fatal("no FaultReport")
 	}
 	if len(sr.ByzantineNodes) != 4 {
-		t.Errorf("ByzantineCount(4) chose %v", sr.ByzantineNodes)
+		t.Errorf("Byzantine(0.1) of %d nodes chose %v, want 4", n, sr.ByzantineNodes)
 	}
 	if sr.Dropped == 0 || sr.Corrupted != 0 {
 		t.Errorf("silent strategy: corrupted %d, dropped %d; want 0, >0", sr.Corrupted, sr.Dropped)

@@ -28,6 +28,8 @@ import (
 	"mcnet/internal/core"
 	"mcnet/internal/geo"
 	"mcnet/internal/graph"
+	"mcnet/internal/model"
+	"mcnet/internal/phy"
 	"mcnet/internal/reporter"
 	"mcnet/internal/sim"
 )
@@ -171,4 +173,54 @@ func Validate(pos []geo.Point, radius float64, res []Result) (conflicts, uncolor
 		}
 	}
 	return conflicts, uncolored, len(seen)
+}
+
+// VerifyTDMA uses colors as a single-channel TDMA broadcast schedule — in
+// cycle slot t, the nodes with color t transmit — and resolves every slot
+// over the SINR layer. It returns how many directed communication-graph
+// links (at R_ε) decoded their neighbor's broadcast, and how many such
+// links there are. Nodes with a negative color are unscheduled: they only
+// listen, so their outgoing links cannot deliver. A proper coloring
+// delivers every link in one cycle.
+func VerifyTDMA(pos []geo.Point, p model.Params, colors []int) (delivered, links int) {
+	g := graph.Build(pos, p.REps())
+	field := phy.NewField(p.WithChannels(1), pos)
+	// Only slots that schedule at least one transmitter can deliver, so
+	// resolve the distinct colors rather than every slot of the cycle: a
+	// sparse palette (or one stray huge color) costs per color in use
+	// instead of per cycle slot.
+	var slots []int
+	inUse := make(map[int]bool, len(colors))
+	for _, c := range colors {
+		if c >= 0 && !inUse[c] {
+			inUse[c] = true
+			slots = append(slots, c)
+		}
+	}
+	sort.Ints(slots)
+	for _, slot := range slots {
+		var txs []phy.Tx
+		var rxs []phy.Rx
+		for i, c := range colors {
+			if c == slot {
+				txs = append(txs, phy.Tx{Node: i, Channel: 0, Msg: i})
+			} else {
+				rxs = append(rxs, phy.Rx{Node: i, Channel: 0})
+			}
+		}
+		for k, rec := range field.Resolve(txs, rxs) {
+			if !rec.Decoded {
+				continue
+			}
+			for _, nb := range g.Neighbors(rxs[k].Node) {
+				if int(nb) == rec.From {
+					delivered++
+				}
+			}
+		}
+	}
+	for i := range pos {
+		links += g.Degree(i)
+	}
+	return delivered, links
 }

@@ -13,8 +13,9 @@ import (
 )
 
 // TestColorerGolden pins the dplus1 and hsb backends' transcripts, events,
-// colors and stats across the topology suite, under node crashes and
-// with an undersized n̂ whose TDMA sweep collides.
+// colors and stats across the topology suite, under node crashes, under
+// message loss (which can hide a neighbor from discovery but not from the
+// trials) and with an undersized n̂ whose TDMA sweep collides.
 func TestColorerGolden(t *testing.T) {
 	type variant struct {
 		name string
@@ -26,6 +27,7 @@ func TestColorerGolden(t *testing.T) {
 			return &fault.Spec{CrashAt: map[int]int{3: 50, 9: 400}}
 		}},
 		{"nhat-half", func(p *model.Params) *fault.Spec { p.NEstimate /= 2; return nil }},
+		{"loss", func(*model.Params) *fault.Spec { return &fault.Spec{LossProb: 0.1} }},
 	}
 	for _, b := range []Colorer{DPlus1{}, HSB{}} {
 		for _, tc := range backendCases() {

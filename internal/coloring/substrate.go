@@ -24,6 +24,7 @@ import (
 	"context"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"mcnet/internal/model"
@@ -200,6 +201,11 @@ type trialFrag struct {
 	// taken accumulates the colors neighbors have committed, finals the
 	// neighbors that committed.
 	taken, finals map[int]bool
+	// deg sizes the palette {0..deg}: the discovered neighbors plus every
+	// undiscovered one heard committing. A lossy discovery sweep can miss a
+	// neighbor whose commitment still arrives later, and counting it keeps
+	// a free color in the palette.
+	deg int
 
 	wasFinal  bool
 	candidate int
@@ -210,7 +216,7 @@ type trialFrag struct {
 func newTrialFrag(id, cycle, maxEpochs int, nbs []int, r *Result) *trialFrag {
 	return &trialFrag{
 		epochLoop: epochLoop{cycle: cycle, cap: maxEpochs},
-		id:        id, nbs: nbs, r: r,
+		id:        id, nbs: nbs, r: r, deg: len(nbs),
 		taken:  make(map[int]bool, len(nbs)),
 		finals: make(map[int]bool, len(nbs)),
 	}
@@ -226,7 +232,7 @@ func (f *trialFrag) begin(sc *sim.StepCtx) any {
 	f.wasFinal = f.r.Color >= 0
 	f.candidate, f.rank, f.lost = f.r.Color, 0, false
 	if !f.wasFinal {
-		f.candidate = pickFree(sc.Rand, len(f.nbs), f.taken)
+		f.candidate = pickFree(sc.Rand, f.deg, f.taken)
 		f.rank = sc.Rand.Uint64()
 	}
 	return trialMsg{From: f.id, Rank: f.rank, Color: f.candidate, Final: f.wasFinal}
@@ -246,6 +252,9 @@ func (f *trialFrag) hear(rec phy.Reception) {
 		return // a neighbor still in another protocol phase
 	}
 	if m.Final {
+		if _, discovered := slices.BinarySearch(f.nbs, m.From); !discovered && !f.finals[m.From] {
+			f.deg++
+		}
 		f.finals[m.From] = true
 		f.taken[m.Color] = true
 		if !f.wasFinal && m.Color == f.candidate {
@@ -260,9 +269,9 @@ func (f *trialFrag) hear(rec phy.Reception) {
 }
 
 // pickFree draws a uniformly random color from {0..deg} minus the colors
-// already committed by neighbors. At most deg of the deg+1 palette colors
-// can be taken, so the free set is never empty — the degree+1 list-coloring
-// invariant.
+// already committed by neighbors. Each of the at most deg committed
+// neighbors takes one color, so the free set is never empty — the
+// degree+1 list-coloring invariant.
 func pickFree(rnd *rand.Rand, deg int, taken map[int]bool) int {
 	free := make([]int, 0, deg+1)
 	for c := 0; c <= deg; c++ {

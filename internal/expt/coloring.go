@@ -91,7 +91,11 @@ func runColorer(goctx context.Context, name string, tc colorCase, p model.Params
 	}
 	m.palette, m.cycle, m.rounds, m.colorSlots = st.Palette, st.Cycle, st.Rounds, st.ColorSlots
 	m.conflicts, m.uncolored, _ = coloring.Validate(tc.pos, p.REps(), res)
-	m.delivered, m.links = tdmaVerify(tc.pos, p, res)
+	colors := make([]int, len(res))
+	for i, r := range res {
+		colors[i] = r.Color
+	}
+	m.delivered, m.links = coloring.VerifyTDMA(tc.pos, p, colors)
 	if inj != nil {
 		rep := inj.Report()
 		m.crashed = len(rep.CrashedNodes)
@@ -116,47 +120,6 @@ func runColorer(goctx context.Context, name string, tc colorCase, p model.Params
 		}
 	}
 	return m, nil
-}
-
-// tdmaVerify replays a coloring as a single-channel TDMA broadcast schedule
-// over the SINR layer — in cycle slot t, nodes with color t transmit — and
-// counts the directed communication-graph links that decoded, mirroring the
-// facade's VerifyTDMA so the c-series reports schedule quality, not just
-// palette arithmetic.
-func tdmaVerify(pos []geo.Point, p model.Params, res []coloring.Result) (delivered, links int) {
-	g := graph.Build(pos, p.REps())
-	field := phy.NewField(p.WithChannels(1), pos)
-	inUse := make(map[int]bool, len(res))
-	for _, r := range res {
-		if r.Color >= 0 {
-			inUse[r.Color] = true
-		}
-	}
-	for slot := range inUse {
-		var txs []phy.Tx
-		var rxs []phy.Rx
-		for i, r := range res {
-			if r.Color == slot {
-				txs = append(txs, phy.Tx{Node: i, Channel: 0, Msg: i})
-			} else {
-				rxs = append(rxs, phy.Rx{Node: i, Channel: 0})
-			}
-		}
-		for k, rec := range field.Resolve(txs, rxs) {
-			if !rec.Decoded {
-				continue
-			}
-			for _, nb := range g.Neighbors(rxs[k].Node) {
-				if int(nb) == rec.From {
-					delivered++
-				}
-			}
-		}
-	}
-	for i := range pos {
-		links += g.Degree(i)
-	}
-	return delivered, links
 }
 
 // C1ColorHeadToHead races every backend over the topology suite: palette,

@@ -109,32 +109,21 @@ func (s ByzStrategy) String() string {
 
 // ByzSpec declares the Byzantine population of one run. The zero value
 // injects nothing. Membership is chosen by seeded hash over node IDs —
-// exactly Count nodes (or round(Fraction·n) when Count is 0) — so the same
-// (seed, spec, n) always corrupts the same nodes, independent of execution
-// mode or scheduling.
+// exactly round(Fraction·n) nodes — so the same (seed, spec, n) always
+// corrupts the same nodes, independent of scheduling.
 type ByzSpec struct {
-	// Fraction of the deployment to corrupt, in [0, 1]. Ignored when Count
-	// is set.
+	// Fraction of the deployment to corrupt, in [0, 1].
 	Fraction float64
-	// Count is the exact number of Byzantine nodes; 0 defers to Fraction.
-	Count int
 	// Strategy selects the nodes' behavior.
 	Strategy ByzStrategy
 }
 
 // Zero reports whether the spec names no Byzantine nodes.
-func (b ByzSpec) Zero() bool { return b.Fraction == 0 && b.Count == 0 }
+func (b ByzSpec) Zero() bool { return b.Fraction == 0 }
 
 // size resolves the spec to a concrete Byzantine population for n nodes.
 func (b ByzSpec) size(n int) int {
-	k := b.Count
-	if k == 0 {
-		k = int(math.Round(b.Fraction * float64(n)))
-	}
-	if k > n {
-		k = n
-	}
-	return k
+	return int(math.Round(b.Fraction * float64(n)))
 }
 
 // Payload is implemented by value-bearing protocol messages that Byzantine
@@ -220,8 +209,6 @@ func (s Spec) Validate(n, channels int) error {
 	}
 	if b := s.Byz; b.Fraction < 0 || b.Fraction > 1 || b.Fraction != b.Fraction {
 		return fmt.Errorf("fault: byzantine fraction %v must be in [0, 1]", b.Fraction)
-	} else if b.Count < 0 || b.Count > n {
-		return fmt.Errorf("fault: byzantine count %d must be in [0, %d]", b.Count, n)
 	} else {
 		switch b.Strategy {
 		case ByzCorrupt, ByzEquivocate, ByzSilent:

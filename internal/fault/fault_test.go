@@ -291,7 +291,7 @@ func TestByzValidate(t *testing.T) {
 	good := []Spec{
 		{Byz: ByzSpec{Fraction: 0.5}},
 		{Byz: ByzSpec{Fraction: 1, Strategy: ByzEquivocate}},
-		{Byz: ByzSpec{Count: 8, Strategy: ByzSilent}},
+		{Byz: ByzSpec{Fraction: 0.25, Strategy: ByzSilent}},
 	}
 	for i, s := range good {
 		if err := s.Validate(8, 4); err != nil {
@@ -301,8 +301,6 @@ func TestByzValidate(t *testing.T) {
 	bad := []Spec{
 		{Byz: ByzSpec{Fraction: -0.1}},
 		{Byz: ByzSpec{Fraction: 1.5}},
-		{Byz: ByzSpec{Count: -1}},
-		{Byz: ByzSpec{Count: 9}}, // more liars than nodes
 		{Byz: ByzSpec{Fraction: 0.1, Strategy: ByzStrategy(9)}},
 	}
 	for i, s := range bad {
@@ -313,7 +311,7 @@ func TestByzValidate(t *testing.T) {
 	if !(Spec{Byz: ByzSpec{Strategy: ByzSilent}}).Zero() {
 		t.Error("strategy without a population should still be Zero")
 	}
-	if (Spec{Byz: ByzSpec{Fraction: 0.1}}).Zero() || (Spec{Byz: ByzSpec{Count: 1}}).Zero() {
+	if (Spec{Byz: ByzSpec{Fraction: 0.1}}).Zero() {
 		t.Error("a Byzantine population reported Zero")
 	}
 }
@@ -349,9 +347,9 @@ func TestByzantineSelection(t *testing.T) {
 	if ra.Byzantine(-1) || ra.Byzantine(n) {
 		t.Error("out-of-range ids reported Byzantine")
 	}
-	// Count overrides Fraction, and is clamped to n.
-	if rep := NewInjector(Spec{Byz: ByzSpec{Fraction: 0.9, Count: 3}}, 7, n, 4, 100).Report(); len(rep.ByzantineNodes) != 3 {
-		t.Errorf("Count=3 chose %d nodes", len(rep.ByzantineNodes))
+	// The population is round(fraction·n).
+	if rep := NewInjector(Spec{Byz: ByzSpec{Fraction: 0.034}}, 7, n, 4, 100).Report(); len(rep.ByzantineNodes) != 3 {
+		t.Errorf("fraction 0.034 of %d chose %d nodes, want 3", n, len(rep.ByzantineNodes))
 	}
 }
 
@@ -373,7 +371,7 @@ func TestByzantineStrategies(t *testing.T) {
 	}
 	msg := payloadMsg{V: 41}
 
-	corrupt := NewInjector(Spec{Byz: ByzSpec{Count: 2, Strategy: ByzCorrupt}}, 3, n, 4, 100)
+	corrupt := NewInjector(Spec{Byz: ByzSpec{Fraction: 0.25, Strategy: ByzCorrupt}}, 3, n, 4, 100)
 	byz, honest := pick(corrupt)
 	out1, ok1 := corrupt.FilterTransmission(5, phy.Tx{Node: byz, Channel: 0, Msg: msg})
 	out2, ok2 := corrupt.FilterTransmission(9, phy.Tx{Node: byz, Channel: 2, Msg: msg})
@@ -398,7 +396,7 @@ func TestByzantineStrategies(t *testing.T) {
 		t.Errorf("corrupt report = %+v, want 2 corrupted, 0 dropped", rep)
 	}
 
-	equiv := NewInjector(Spec{Byz: ByzSpec{Count: 2, Strategy: ByzEquivocate}}, 3, n, 4, 100)
+	equiv := NewInjector(Spec{Byz: ByzSpec{Fraction: 0.25, Strategy: ByzEquivocate}}, 3, n, 4, 100)
 	byz, _ = pick(equiv)
 	e1, _ := equiv.FilterTransmission(5, phy.Tx{Node: byz, Channel: 0, Msg: msg})
 	e2, _ := equiv.FilterTransmission(5, phy.Tx{Node: byz, Channel: 1, Msg: msg})
@@ -412,7 +410,7 @@ func TestByzantineStrategies(t *testing.T) {
 		t.Error("equivocation not deterministic per (slot, channel)")
 	}
 
-	silent := NewInjector(Spec{Byz: ByzSpec{Count: 2, Strategy: ByzSilent}}, 3, n, 4, 100)
+	silent := NewInjector(Spec{Byz: ByzSpec{Fraction: 0.25, Strategy: ByzSilent}}, 3, n, 4, 100)
 	byz, honest = pick(silent)
 	if _, ok := silent.FilterTransmission(5, phy.Tx{Node: byz, Channel: 0, Msg: msg}); ok {
 		t.Error("silent traitor's transmission was not dropped")

@@ -182,15 +182,26 @@ func TestLoadResultsMissing(t *testing.T) {
 }
 
 // TestStoreResumesLegacyExecSpec: a job persisted while specs still
-// carried an "exec" field loads — the store decodes records leniently — and
-// a fresh daemon resumes it to the table an in-process run produces, while
-// the strict wire parser rejects the same key.
+// carried a since-removed field ("exec", "colorer") loads — the store
+// decodes records leniently — and a fresh daemon resumes it to the table an
+// in-process run produces, while the strict wire parser rejects the same
+// key.
 func TestStoreResumesLegacyExecSpec(t *testing.T) {
-	const doc = `{"name": "legacy", "n": 16, "loss": [0, 0.1], "exec": "goroutines"}`
-	if _, err := mcnet.ParseScenarioSpec([]byte(doc)); err == nil || !strings.Contains(err.Error(), `"exec"`) {
-		t.Fatalf("ParseScenarioSpec on a spec with exec: err = %v, want an unknown-field error", err)
+	for _, f := range []struct{ key, value string }{{"exec", "goroutines"}, {"colorer", "dplus1"}} {
+		t.Run(f.key, func(t *testing.T) {
+			doc := fmt.Sprintf(`{"name": "legacy", "n": 16, "loss": [0, 0.1], %q: %q}`, f.key, f.value)
+			if _, err := mcnet.ParseScenarioSpec([]byte(doc)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", f.key)) {
+				t.Fatalf("ParseScenarioSpec on a spec with %s: err = %v, want an unknown-field error", f.key, err)
+			}
+			resumeLegacy(t, doc)
+		})
 	}
+}
 
+// resumeLegacy persists doc as a running job, resumes it on a fresh daemon
+// and compares the table with an in-process run of the same sweep.
+func resumeLegacy(t *testing.T, doc string) {
+	t.Helper()
 	dir := t.TempDir()
 	s, err := OpenStore(dir)
 	if err != nil {

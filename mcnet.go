@@ -3,7 +3,6 @@ package mcnet
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"mcnet/internal/coloring"
@@ -19,31 +18,16 @@ import (
 // Network is the public entry point: a fixed node deployment under the SINR
 // model, ready to run the paper's protocols. Build one with New, then call
 // Aggregate or Color; every run is a deterministic function of the
-// construction options (topology, seed, SINR parameters).
+// construction options (topology, channels, seed, faults).
 //
 // A Network is safe for concurrent use; each run simulates on its own
 // engine.
 type Network struct {
-	params model.Params
-	topo   Topology
-	seed   uint64
-	pos    []geo.Point
-	cfg    core.Config
-	plan   *core.Plan
-
-	maxSlots    int
-	parallelism int
-	exact       bool
-	farFieldTol float64 // 0 = resolver default
-	cellFrac    float64 // 0 = resolver default
-
-	// faults is the fault/dynamics spec; faulted records that a fault
-	// option was given (possibly at zero intensity), which attaches the
-	// injection layer to every run and a FaultReport to results.
-	faults  fault.Spec
-	faulted bool
-
-	colorer string // coloring backend name; "" = sec7
+	settings // the options New was called with
+	params   model.Params
+	pos      []geo.Point
+	cfg      core.Config
+	plan     *core.Plan
 
 	mu        sync.Mutex
 	observers []func(Event)
@@ -54,10 +38,11 @@ type Network struct {
 }
 
 // New builds a network of n nodes. Defaults: 4 channels, the Crowd
-// topology, seed 1, the paper's standard SINR parameters (α=3, β=1.5,
-// R_T=1), and pipeline sizing (Δ̂, φ, hop bound) derived from the topology —
-// see the options for overrides. Topologies with an intrinsic size (e.g.
-// Hotspot) may override n; N reports the actual count.
+// topology and seed 1. The model is fixed: the paper's standard SINR
+// parameters (α=3, β=1.5, ε=0.3, R_T=1), the size estimate n̂ = n, and
+// pipeline sizing (Δ̂, φ, hop bound) from the topology's Defaults.
+// Topologies with an intrinsic size (e.g. Hotspot) may override n; N
+// reports the actual count.
 func New(n int, opts ...Option) (*Network, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("mcnet: n = %d must be ≥ 2", n)
@@ -74,37 +59,16 @@ func New(n int, opts ...Option) (*Network, error) {
 		}
 	}
 
-	nEst := s.nEstimate
-	if nEst == 0 {
-		nEst = n
-	}
-	p := model.Params{
-		Alpha:     s.alpha,
-		Beta:      s.beta,
-		Noise:     s.noise,
-		Power:     s.beta * s.noise, // R_T = (P/(β·N))^{1/α} = 1
-		Epsilon:   s.epsilon,
-		Channels:  s.channels,
-		NEstimate: nEst,
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-
+	p := model.Default(s.channels, n)
 	g := geometryOf(p)
 	pts := s.topo.Layout(n, s.seed, g)
 	if len(pts) < 2 {
 		return nil, fmt.Errorf("mcnet: topology %q produced %d nodes, need ≥ 2", s.topo.Name(), len(pts))
 	}
-	if len(pts) != n {
-		n = len(pts)
-		if s.nEstimate == 0 {
-			p.NEstimate = n
-		}
-	}
+	n = len(pts)
+	p.NEstimate = n
 
-	// Sizing: topology-derived defaults, generic fallbacks for zero fields,
-	// explicit options last.
+	// Sizing: topology-derived defaults, generic fallbacks for zero fields.
 	d := s.topo.Defaults(n, g)
 	if d.DeltaHat <= 0 {
 		d.DeltaHat = n
@@ -115,16 +79,6 @@ func New(n int, opts ...Option) (*Network, error) {
 	if d.HopBound <= 0 {
 		d.HopBound = 8
 	}
-	if s.deltaHat > 0 {
-		d.DeltaHat = s.deltaHat
-	}
-	if s.phiMax > 0 {
-		d.PhiMax = s.phiMax
-	}
-	if s.hopBound > 0 {
-		d.HopBound = s.hopBound
-	}
-
 	cfg := core.DefaultConfig(p)
 	cfg.DeltaHat = min(d.DeltaHat, n)
 	cfg.PhiMax = d.PhiMax
@@ -140,20 +94,11 @@ func New(n int, opts ...Option) (*Network, error) {
 	}
 
 	return &Network{
-		params:      p,
-		topo:        s.topo,
-		seed:        s.seed,
-		pos:         toGeo(pts),
-		cfg:         cfg,
-		plan:        core.NewPlan(p, cfg),
-		maxSlots:    s.maxSlots,
-		parallelism: s.parallelism,
-		exact:       s.exact,
-		farFieldTol: s.farFieldTol,
-		cellFrac:    s.cellFrac,
-		faults:      s.faults,
-		faulted:     s.faulted,
-		colorer:     s.colorer,
+		settings: s,
+		params:   p,
+		pos:      toGeo(pts),
+		cfg:      cfg,
+		plan:     core.NewPlan(p, cfg),
 	}, nil
 }
 
@@ -221,30 +166,12 @@ func (nw *Network) Events(fn func(Event)) {
 	nw.mu.Unlock()
 }
 
-// newField builds a per-run resolver with the network's performance options
-// applied: hierarchical resolution at the default tolerance unless the
-// Exact, FarFieldTolerance or ResolverCellSize options said otherwise.
-func (nw *Network) newField(p model.Params) *phy.Field {
-	f := phy.NewField(p, nw.pos)
-	f.SetParallelism(nw.parallelism)
-	if nw.cellFrac > 0 {
-		f.SetCellSize(nw.cellFrac)
-	}
-	switch {
-	case nw.exact:
-		f.SetResolver(phy.ResolverExact)
-	case nw.farFieldTol > 0:
-		f.SetFarFieldTolerance(nw.farFieldTol)
-	}
-	return f
-}
-
 // newEngine builds a per-run engine with event streaming and (when fault
 // options were given) a fresh fault injector attached; callers install
 // their own Trace for slot and channel accounting. The injector is returned
 // so runs can surface its Report — nil when the network is fault-free.
 func (nw *Network) newEngine() (*sim.Engine, *fault.Injector) {
-	e := sim.NewEngine(nw.newField(nw.params), nw.seed)
+	e := sim.NewEngine(phy.NewField(nw.params, nw.pos), nw.seed)
 	if nw.maxSlots > 0 {
 		e.MaxSlots = nw.maxSlots
 	}
@@ -462,50 +389,8 @@ func (nw *Network) VerifyTDMA(colors []int) (TDMAReport, error) {
 			unscheduled++
 		}
 	}
-	g := graph.Build(nw.pos, nw.params.REps())
-	field := nw.newField(nw.params.WithChannels(1))
 	rep := TDMAReport{Cycle: maxColor + 1, Unscheduled: unscheduled}
-	// Only slots that schedule at least one transmitter can deliver, so
-	// resolve the distinct colors rather than every slot of the cycle —
-	// identical report, and a sparse palette (or one stray huge color)
-	// costs per color in use instead of per cycle slot.
-	inUse := make(map[int]struct{}, n)
-	var slots []int
-	for _, c := range colors {
-		if c < 0 {
-			continue
-		}
-		if _, ok := inUse[c]; !ok {
-			inUse[c] = struct{}{}
-			slots = append(slots, c)
-		}
-	}
-	sort.Ints(slots)
-	for _, slot := range slots {
-		var txs []phy.Tx
-		var rxs []phy.Rx
-		for i, c := range colors {
-			if c == slot {
-				txs = append(txs, phy.Tx{Node: i, Channel: 0, Msg: i})
-			} else {
-				rxs = append(rxs, phy.Rx{Node: i, Channel: 0})
-			}
-		}
-		recs := field.Resolve(txs, rxs)
-		for k, rec := range recs {
-			if !rec.Decoded {
-				continue
-			}
-			for _, nb := range g.Neighbors(rxs[k].Node) {
-				if int(nb) == rec.From {
-					rep.Delivered++
-				}
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		rep.Links += g.Degree(i)
-	}
+	rep.Delivered, rep.Links = coloring.VerifyTDMA(nw.pos, nw.params, colors)
 	return rep, nil
 }
 

@@ -432,14 +432,7 @@ func TestNewValidation(t *testing.T) {
 	}{
 		{"tiny n", 1, nil},
 		{"zero channels", 16, []Option{Channels(0)}},
-		{"bad epsilon", 16, []Option{Epsilon(1.5)}},
-		{"bad alpha", 16, []Option{SINR(1.5, 2)}},
-		{"bad beta", 16, []Option{SINR(3, 0.5)}},
 		{"nil topology", 16, []Option{WithTopology(nil)}},
-		{"bad estimate", 16, []Option{NEstimate(1)}},
-		{"bad deltahat", 16, []Option{DeltaHat(0)}},
-		{"bad phimax", 16, []Option{PhiMax(-1)}},
-		{"bad hopbound", 16, []Option{HopBound(0)}},
 		{"bad line spacing", 16, []Option{WithTopology(Line(0))}},
 		{"bad ring spacing", 16, []Option{WithTopology(Ring(1.5))}},
 		{"bad corridor length", 16, []Option{WithTopology(Corridor(0))}},

@@ -7,24 +7,13 @@ import (
 	"mcnet/internal/fault"
 )
 
-// settings collects everything New derives a Network from. Options mutate
-// it; zero-valued fields fall back to documented defaults.
+// settings collects everything New takes from its options; the Network
+// keeps it. Zero-valued fields fall back to documented defaults.
 type settings struct {
-	channels  int
-	seed      uint64
-	nEstimate int
-	topo      Topology
-
-	alpha, beta, noise float64
-	epsilon            float64
-
-	deltaHat, phiMax, hopBound int // 0 = derive from topology
-	maxSlots                   int
-
-	parallelism int     // slot-resolution workers; 0 = GOMAXPROCS
-	exact       bool    // force exact resolution (Exact option)
-	farFieldTol float64 // far-field relative error; 0 = resolver default
-	cellFrac    float64 // hierarchical grid cell size as a fraction of R_T; 0 = default
+	channels int
+	seed     uint64
+	topo     Topology
+	maxSlots int // 0 = the simulator's built-in bound
 
 	// faults is the run's fault/dynamics spec; faulted records that a fault
 	// option was given (even at zero intensity), which attaches the
@@ -36,15 +25,7 @@ type settings struct {
 }
 
 func defaultSettings() settings {
-	return settings{
-		channels: 4,
-		seed:     1,
-		topo:     Crowd,
-		alpha:    3.0,
-		beta:     1.5,
-		noise:    1.0,
-		epsilon:  0.3,
-	}
+	return settings{channels: 4, seed: 1, topo: Crowd}
 }
 
 // Option configures a Network under construction.
@@ -83,80 +64,6 @@ func WithTopology(t Topology) Option {
 	}
 }
 
-// SINR overrides the path-loss exponent α (> 2) and decoding threshold
-// β (≥ 1). The transmission power is renormalized so R_T stays 1.
-func SINR(alpha, beta float64) Option {
-	return func(s *settings) error {
-		if alpha <= 2 {
-			return fmt.Errorf("mcnet: alpha = %v must be > 2 in the plane", alpha)
-		}
-		if beta < 1 {
-			return fmt.Errorf("mcnet: beta = %v must be ≥ 1", beta)
-		}
-		s.alpha, s.beta = alpha, beta
-		return nil
-	}
-}
-
-// Epsilon sets the communication-graph margin ε in (0, 1): links span
-// R_ε = (1-ε)·R_T (default 0.3).
-func Epsilon(eps float64) Option {
-	return func(s *settings) error {
-		if eps <= 0 || eps >= 1 {
-			return fmt.Errorf("mcnet: epsilon = %v must be in (0, 1)", eps)
-		}
-		s.epsilon = eps
-		return nil
-	}
-}
-
-// NEstimate sets the polynomial size estimate n̂ the nodes are allowed to
-// know (default: the true n). Protocols scale their round counts by ln n̂.
-func NEstimate(nHat int) Option {
-	return func(s *settings) error {
-		if nHat < 2 {
-			return fmt.Errorf("mcnet: size estimate = %d must be ≥ 2", nHat)
-		}
-		s.nEstimate = nHat
-		return nil
-	}
-}
-
-// DeltaHat overrides the derived cluster-size bound Δ̂. By default it is
-// derived from the topology (e.g. n for Crowd, measured max degree for
-// Positions).
-func DeltaHat(v int) Option {
-	return func(s *settings) error {
-		if v < 1 {
-			return fmt.Errorf("mcnet: DeltaHat = %d must be ≥ 1", v)
-		}
-		s.deltaHat = v
-		return nil
-	}
-}
-
-// PhiMax overrides the derived TDMA period (upper bound on cluster colors).
-func PhiMax(v int) Option {
-	return func(s *settings) error {
-		if v < 1 {
-			return fmt.Errorf("mcnet: PhiMax = %d must be ≥ 1", v)
-		}
-		s.phiMax = v
-		return nil
-	}
-}
-
-// HopBound overrides the derived backbone hop-diameter bound.
-func HopBound(v int) Option {
-	return func(s *settings) error {
-		if v < 1 {
-			return fmt.Errorf("mcnet: HopBound = %d must be ≥ 1", v)
-		}
-		s.hopBound = v
-		return nil
-	}
-}
-
 // MaxSlots caps a run's slot count as a safety net (default: the
 // simulator's built-in bound).
 func MaxSlots(v int) Option {
@@ -165,21 +72,6 @@ func MaxSlots(v int) Option {
 			return fmt.Errorf("mcnet: MaxSlots = %d must be ≥ 1", v)
 		}
 		s.maxSlots = v
-		return nil
-	}
-}
-
-// Parallelism sets how many workers each slot's SINR resolution may fan
-// listeners out across: 0 (the default) sizes the pool by GOMAXPROCS, 1
-// forces serial resolution. Every setting produces bit-identical results —
-// listeners resolve independently — so this knob trades wall-clock time
-// only and never affects transcripts.
-func Parallelism(workers int) Option {
-	return func(s *settings) error {
-		if workers < 0 {
-			return fmt.Errorf("mcnet: Parallelism = %d must be ≥ 0", workers)
-		}
-		s.parallelism = workers
 		return nil
 	}
 }
@@ -337,17 +229,6 @@ func Byzantine(fraction float64, strategy ByzStrategy) Option {
 	}
 }
 
-// ByzantineCount is Byzantine with an exact node count instead of a
-// fraction.
-func ByzantineCount(count int, strategy ByzStrategy) Option {
-	return func(s *settings) error {
-		s.faults.Byz.Count = count
-		s.faults.Byz.Strategy = fault.ByzStrategy(strategy)
-		s.faulted = true
-		return nil
-	}
-}
-
 // Churn sets node churn: nodes crash at explicit slots (spec.CrashAt)
 // and/or at seeded random slots (spec.Rate). A crashed node performs no
 // radio action at or after its crash slot; the run always completes and the
@@ -366,54 +247,6 @@ func Churn(spec ChurnSpec) Option {
 		s.faults.CrashRate = spec.Rate
 		s.faults.CrashFrom, s.faults.CrashUntil = spec.From, spec.Until
 		s.faulted = true
-		return nil
-	}
-}
-
-// Exact forces bit-exact SINR resolution: every listener scans every
-// same-channel transmitter pairwise, exactly as the pre-hierarchical
-// resolver did, so transcripts replay bit-identically across releases. The
-// default is the hierarchical resolver (see FarFieldTolerance), which is
-// asymptotically faster on spread-out deployments. Exact overrides
-// FarFieldTolerance when both are given.
-func Exact() Option {
-	return func(s *settings) error {
-		s.exact = true
-		return nil
-	}
-}
-
-// FarFieldTolerance sets the hierarchical resolver's relative error bound
-// on far-field interference: each slot's transmitters are binned into a
-// spatial grid, cells near a listener are scanned exactly, and cells far
-// from it contribute their summed power from the cell centroid, with
-// relative error at most tol on the far-field interference term. The
-// resolver default is 0.05; tol must be positive (use Exact for exact
-// resolution). Decoding candidates are always evaluated exactly — the near
-// field covers the transmission range — so decode outcomes can differ from
-// exact mode only when the SINR sits within the far-field error of the
-// threshold β. Runs remain deterministic for a fixed tolerance at every
-// worker count.
-func FarFieldTolerance(tol float64) Option {
-	return func(s *settings) error {
-		if !(tol > 0) || tol > 1e18 {
-			return fmt.Errorf("mcnet: FarFieldTolerance = %v must be a finite value > 0 (use Exact() for exact resolution)", tol)
-		}
-		s.farFieldTol = tol
-		return nil
-	}
-}
-
-// ResolverCellSize sizes the hierarchical resolver's grid cells as
-// frac·R_T (default 0.5). Smaller cells tighten the exactly-scanned near
-// region around each listener at the cost of more cells; the error bound
-// of FarFieldTolerance holds for every setting — only performance changes.
-func ResolverCellSize(frac float64) Option {
-	return func(s *settings) error {
-		if !(frac > 0) || frac > 1e6 || frac != frac {
-			return fmt.Errorf("mcnet: ResolverCellSize = %v must be a positive finite fraction of R_T", frac)
-		}
-		s.cellFrac = frac
 		return nil
 	}
 }

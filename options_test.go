@@ -52,8 +52,7 @@ func TestTopologyDefaults(t *testing.T) {
 	}
 }
 
-// TestNewDerivesDefaults: the plan reflects topology-derived sizing, and
-// explicit options override it.
+// TestNewDerivesDefaults: the plan reflects topology-derived sizing.
 func TestNewDerivesDefaults(t *testing.T) {
 	nw, err := New(48, WithTopology(Crowd))
 	if err != nil {
@@ -62,15 +61,6 @@ func TestNewDerivesDefaults(t *testing.T) {
 	pi := nw.Plan()
 	if pi.DeltaHat != 48 || pi.PhiMax != 4 || pi.HopBound != 2 {
 		t.Errorf("Crowd plan = %+v, want DeltaHat 48, PhiMax 4, HopBound 2", pi)
-	}
-
-	nw, err = New(48, WithTopology(Crowd), DeltaHat(10), PhiMax(7), HopBound(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi = nw.Plan()
-	if pi.DeltaHat != 10 || pi.PhiMax != 7 || pi.HopBound != 5 {
-		t.Errorf("overridden plan = %+v, want DeltaHat 10, PhiMax 7, HopBound 5", pi)
 	}
 	if pi.BuildSlots <= 0 || pi.BudgetSlots <= pi.BuildSlots {
 		t.Errorf("plan budgets = %+v, want 0 < build < total", pi)

@@ -21,9 +21,8 @@ type Scenario struct {
 	// N is the node count (≥ 2).
 	N int
 	// Options are the base construction options applied to every grid
-	// point (topology, channels, SINR overrides, ...). Per-point Seed,
-	// Loss, Jamming and Churn options are appended after them, so leave
-	// those to the sweep.
+	// point (topology, channels, ...). Per-point Seed, Loss, Jamming and
+	// Churn options are appended after them, so leave those to the sweep.
 	Options []Option
 	// Loss, Jam and Churn are the sweep axes: loss probabilities,
 	// jammed-channel counts, and rate-based churn probabilities. An empty

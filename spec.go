@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-
-	"mcnet/internal/coloring"
 )
 
 // ScenarioSpec is the stable JSON document form of a Scenario — the wire
@@ -53,11 +51,6 @@ type ScenarioSpec struct {
 	BaseSeed uint64 `json:"base_seed,omitempty"`
 	// Op names the aggregate: sum, max or min (default sum).
 	Op string `json:"op,omitempty"`
-	// Colorer names the coloring backend Networks built from this spec use
-	// for Color runs: sec7, dplus1 or hsb (default sec7). Aggregation-only
-	// sweeps are unaffected; the field exists so one spec document pins
-	// every protocol choice.
-	Colorer string `json:"colorer,omitempty"`
 }
 
 // specFieldError reports a validation failure against one named field of a
@@ -165,15 +158,6 @@ func aggregatorByName(name string) (Aggregator, error) {
 	}
 }
 
-// colorerByName validates a spec's coloring backend name against the
-// registry; empty means the sec7 default.
-func colorerByName(name string) error {
-	if _, err := coloring.ByName(name); err != nil {
-		return specFieldError("colorer", "%v", err)
-	}
-	return nil
-}
-
 // Validate checks every field of the document and returns the first
 // field-level error, or nil for a runnable spec. It applies exactly the
 // rules Scenario compilation applies, so a validated spec always compiles.
@@ -223,13 +207,8 @@ func (sp ScenarioSpec) Validate() error {
 	if sp.Seeds < 0 {
 		return specFieldError("seeds", "%d must be ≥ 0 (0 means 1)", sp.Seeds)
 	}
-	if _, err := aggregatorByName(sp.Op); err != nil {
-		return err
-	}
-	if err := colorerByName(sp.Colorer); err != nil {
-		return err
-	}
-	return nil
+	_, err := aggregatorByName(sp.Op)
+	return err
 }
 
 // Scenario converts the validated document into a runnable Scenario. The
@@ -259,14 +238,10 @@ func (sp ScenarioSpec) Scenario() (Scenario, error) {
 	if channels == 0 {
 		channels = 4
 	}
-	opts := []Option{WithTopology(topo), Channels(channels)}
-	if sp.Colorer != "" {
-		opts = append(opts, Colorer(sp.Colorer))
-	}
 	return Scenario{
 		Name:        sp.Name,
 		N:           sp.N,
-		Options:     opts,
+		Options:     []Option{WithTopology(topo), Channels(channels)},
 		Loss:        append([]float64(nil), sp.Loss...),
 		Jam:         append([]int(nil), sp.Jam...),
 		Churn:       append([]float64(nil), sp.Churn...),

@@ -91,7 +91,7 @@ var specFieldErrorCases = []struct {
 	{`{"n": 16, "topology": "grid", "topology_param": 3}`, `"topology_param"`},
 	{`{"n": 16, "topology": "line", "topology_param": 1.5}`, `"topology_param"`},
 	{`{"n": 16, "seeds": -1}`, `"seeds"`},
-	{`{"n": 16, "colorer": "rainbow"}`, `"colorer"`},
+	{`{"n": 16, "colorer": "dplus1"}`, `"colorer"`},
 	{`{"n": 16, "bogus": true}`, `bogus`},
 	{`{"n": 16} {"n": 8}`, `trailing`},
 }
@@ -145,38 +145,6 @@ func FuzzParseScenarioSpec(f *testing.F) {
 			t.Fatalf("accepted spec %s does not compile: %v", first, err)
 		}
 	})
-}
-
-// TestScenarioSpecColorer: the colorer field survives the wire and is
-// threaded into the built network — coloring the spec's scenario runs the
-// pinned backend.
-func TestScenarioSpecColorer(t *testing.T) {
-	sp, err := ParseScenarioSpec([]byte(`{"n": 20, "channels": 4, "colorer": "dplus1"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"colorer":"dplus1"`) {
-		t.Errorf("colorer dropped on marshal: %s", data)
-	}
-	sc, err := sp.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw, err := New(sc.N, sc.Options...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := nw.Color(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Backend != "dplus1" {
-		t.Errorf("Backend = %q, want dplus1", res.Backend)
-	}
 }
 
 // TestRunSpecGoldenRoundTrip: RunSpec's wire form is stable and

@@ -29,8 +29,8 @@ type Geometry struct {
 }
 
 // Defaults are the pipeline sizing parameters a topology derives for an
-// n-node instance. Zero fields mean "no opinion" and fall back to generic
-// values; explicit options (DeltaHat, PhiMax, HopBound) always win.
+// n-node instance: New takes Δ̂, φ and the hop bound from here and nowhere
+// else. Zero fields mean "no opinion" and fall back to generic values.
 type Defaults struct {
 	// DeltaHat bounds cluster sizes (the paper's Δ̂), sizing the CSA and
 	// follower stages.
