@@ -175,14 +175,14 @@ func RunBatch(ctx context.Context, n int, base []Option, specs []RunSpec, bo Bat
 }
 
 // withFaults returns a Network sharing this one's deployment — positions,
-// parameters, sizing and plan — with the fault layer replaced by spec. The
-// spec is validated against the deployment exactly as New validates fault
-// options. The copy starts with no event observers.
+// parameters, link-gain table, sizing and plan — with the fault layer
+// replaced by spec. The spec is validated against the deployment exactly as
+// New validates fault options. The copy starts with no event observers.
 func (nw *Network) withFaults(spec fault.Spec) (*Network, error) {
-	if err := spec.Validate(nw.N(), nw.params.Channels); err != nil {
+	if err := spec.Validate(nw.N(), nw.Channels()); err != nil {
 		return nil, fmt.Errorf("mcnet: %w", err)
 	}
 	s := nw.settings
 	s.faults, s.faulted = spec, true
-	return &Network{settings: s, params: nw.params, pos: nw.pos, cfg: nw.cfg, plan: nw.plan}, nil
+	return &Network{settings: s, deploy: nw.deploy, cfg: nw.cfg, plan: nw.plan}, nil
 }

@@ -116,7 +116,19 @@
 // deployment is compact enough that nothing can be aggregated under the
 // tolerance (the Crowd topology, for instance), the resolver degenerates
 // to the exact kernel and transcripts are bit-identical to exact
-// resolution.
+// resolution. That includes every workload of the end-to-end benchmark
+// (bench/): at n = 1024 even the Uniform(12) field's grid fits inside the
+// near region, so none of them exercises the far-field path.
+//
+// Exact slots read their received powers from a link-gain table: the n²
+// values P/d^α of the deployment, computed with the exact kernel's own
+// arithmetic, so every reception stays bit-identical while a lookup
+// replaces a square root and a division per pair. A Network builds the
+// table lazily, on its first run rather than in New, and shares it with
+// every later Aggregate or Color and with the fault variants RunBatch
+// derives from the same seed. Deployments above 2048 nodes (a 32 MiB
+// table), where the table would stream from memory and gain nothing,
+// compute powers on the fly.
 //
 // The resolver has no facade knobs: it runs at the default tolerance and
 // grid cell size (0.5·R_T), and every worker count is bit-identical. The

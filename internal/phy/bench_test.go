@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -146,3 +147,32 @@ func BenchmarkResolveHotspotsFarField(b *testing.B) {
 		f.SetFarFieldTolerance(0.1)
 	})
 }
+
+// Link-gain table vs on-the-fly exact kernel on the same slot over a
+// uniform field of degree ≈ 12 (the field-agg shape, scaled with n), F = 8,
+// a fifth of the nodes transmitting. The table rows build the table even
+// above maxGainTableBytes, so the pairs show where the crossover lies; the
+// warm-up slot absorbs the build. The serial rows compare kernels; the
+// Parallel rows pair with them to place minParallelWork.
+func benchTable(b *testing.B, n int, table bool, workers int) {
+	span := math.Sqrt(float64(n) * math.Pi / 12)
+	benchSlot(b, n, 8, span, 0.2, func(f *Field) {
+		f.SetResolver(ResolverExact)
+		f.SetParallelism(workers)
+		d := f.Deployment
+		if table {
+			d.gainOnce.Do(func() { d.gain = d.buildGains() })
+		} else {
+			d.gainOnce.Do(func() {})
+		}
+	})
+}
+
+func BenchmarkResolveTable1k(b *testing.B)         { benchTable(b, 1024, true, 1) }
+func BenchmarkResolveTable1kParallel(b *testing.B) { benchTable(b, 1024, true, 0) }
+func BenchmarkResolveOnTheFly1k(b *testing.B)      { benchTable(b, 1024, false, 1) }
+func BenchmarkResolveTable2k(b *testing.B)         { benchTable(b, 2048, true, 1) }
+func BenchmarkResolveTable2kParallel(b *testing.B) { benchTable(b, 2048, true, 0) }
+func BenchmarkResolveOnTheFly2k(b *testing.B)      { benchTable(b, 2048, false, 1) }
+func BenchmarkResolveTable4k(b *testing.B)         { benchTable(b, 4096, true, 1) }
+func BenchmarkResolveOnTheFly4k(b *testing.B)      { benchTable(b, 4096, false, 1) }

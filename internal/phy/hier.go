@@ -222,8 +222,9 @@ func (h *hierState) prepare(f *Field, txs []Tx) {
 // transmitter with the exact pairwise power; farther cells contribute
 // count·P/d(centroid)^α. Cell-coordinate distance over-covers the metric
 // cutoff (a cell at Chebyshev distance ≤ nearRings may still be far), which
-// only enlarges the exact region and never weakens the error bound.
-func (f *Field) resolveOneHier(rx Rx, txs []Tx) Reception {
+// only enlarges the exact region and never weakens the error bound. The
+// outcome is written to rec.
+func (f *Field) resolveOneHier(rec *Reception, rx Rx, txs []Tx) {
 	h := f.hier
 	cells := h.cells[h.cellSeg[rx.Channel]:h.cellSeg[rx.Channel+1]]
 	listener := f.pos[rx.Node]
@@ -232,10 +233,9 @@ func (f *Field) resolveOneHier(rx Rx, txs []Tx) Reception {
 	self := int32(rx.Node)
 
 	var (
-		total    float64
-		best     = -1
-		bestPow  float64
-		infCount int
+		total   float64
+		best    = -1
+		bestPow float64
 	)
 	// α = 3 (the default) gets the same inlined-cube arithmetic as the
 	// exact resolver's hot path; other exponents route through powerAt.
@@ -264,18 +264,10 @@ func (f *Field) resolveOneHier(rx Rx, txs []Tx) Reception {
 				dx, dy := lx-xs[k], ly-ys[k]
 				d := math.Sqrt(dx*dx + dy*dy)
 				var pw float64
-				if cube {
-					if d <= 0 {
-						pw = math.Inf(1)
-						infCount++
-					} else {
-						pw = power / (d * d * d)
-					}
+				if cube && d > 0 {
+					pw = power / (d * d * d)
 				} else {
 					pw = f.powerAt(d)
-					if math.IsInf(pw, 1) {
-						infCount++
-					}
 				}
 				total += pw
 				if best == -1 || pw > bestPow {
@@ -297,7 +289,8 @@ func (f *Field) resolveOneHier(rx Rx, txs []Tx) Reception {
 	// transmitter is beyond R_T — but the listener must still sense the
 	// aggregated power. Report the aggregate as undecodable interference.
 	if best == -1 {
-		return Reception{From: -1, Interference: total}
+		*rec = Reception{From: -1, Interference: total}
+		return
 	}
-	return f.decide(txs, total, bestPow, best, infCount)
+	f.decide(rec, txs, total, bestPow, best)
 }

@@ -36,8 +36,8 @@ func TestHierDeterminismAcrossWorkers(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	p := model.Default(3, 900)
 	pos, txs, rxs := randomSlot(r, 900, 3, 25.0, 0.4)
-	if len(rxs)*len(txs) < minParallelWork {
-		t.Fatalf("slot too small to exercise fan-out: %d pairs", len(rxs)*len(txs))
+	if pairs := sameChannelPairs(txs, rxs); pairs < minParallelWork {
+		t.Fatalf("slot too small to exercise fan-out: %d pairs", pairs)
 	}
 	serial := NewField(p, pos)
 	serial.SetParallelism(1)

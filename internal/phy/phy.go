@@ -25,9 +25,11 @@
 //     the configured tolerance on the far-field interference term (see
 //     hier.go for the bound). Decoding candidates are always evaluated
 //     exactly: the near region extends at least to the transmission range
-//     R_T, beyond which no transmitter can satisfy the SINR threshold.
-//   - ResolverExact scans every same-channel transmitter per listener —
-//     O(|rxs|·|txs|) per slot — and is bit-identical to the historical
+//     R_T, beyond which no transmitter can satisfy the SINR threshold. When
+//     the whole deployment fits inside the near region (the grid is
+//     degenerate) nothing can be aggregated, and slots resolve exactly.
+//   - ResolverExact sums every same-channel transmitter per listener —
+//     O(Σ_c tx_c·rx_c) per slot — bit-identically to the historical
 //     resolver: transcripts recorded before the hierarchical mode existed
 //     replay exactly. Fields over a custom metric always resolve exactly.
 //
@@ -38,21 +40,33 @@
 // # Performance
 //
 // Resolve is the simulator's hot path: every slot of every protocol run
-// passes through it. Beyond the hierarchical aggregation, three mechanisms
+// passes through it. Beyond the hierarchical aggregation, four mechanisms
 // keep it fast without changing results:
 //
-//   - The slot's transmitters are laid out once per Resolve in
-//     struct-of-arrays form (contiguous per-channel x/y position, node and
-//     index slices — see soa.go), so the per-listener scan streams through
-//     memory with no pointer chasing.
+//   - Exact slots read their powers from the deployment's link-gain table
+//     (gain.go): the n² received powers P/d^α, computed once with the exact
+//     kernel's own arithmetic, so a lookup replaces a square root and a
+//     division per pair and every Reception stays bit-identical. The table
+//     belongs to the Deployment, which every Field of a run shares (the
+//     facade keeps one per Network), is built lazily by the first Reserve
+//     or Resolve that needs it, and is scanned transmitter-major. Above
+//     maxGainTableBytes (n > 2048) the table would stream from DRAM and
+//     gain nothing, so larger deployments — and non-degenerate
+//     hierarchical slots — compute powers on the fly.
+//   - The slot's transmitters and listeners are laid out once per Resolve
+//     in channel-segmented struct-of-arrays form (soa.go, gain.go), so the
+//     scans stream through memory with no pointer chasing.
 //   - Listeners resolve independently, so Resolve fans them out across a
 //     package-level pool of persistent worker goroutines, by default as
-//     many as GOMAXPROCS (SetParallelism). Outcomes are bit-identical for
-//     every worker count, and no goroutines are spawned per slot.
-//   - All scratch — the SoA layout, grid bins, reception buffers — is
-//     per-Field state reused across calls: steady-state resolution
-//     allocates nothing per slot. Reserve presizes the scratch so even the
-//     first slots of a run stay allocation-free.
+//     many as GOMAXPROCS (SetParallelism), once a slot has enough
+//     same-channel pairs to pay for the hand-off (minParallelWork).
+//     Outcomes are bit-identical for every worker count, and no goroutines
+//     are spawned per slot.
+//   - All scratch — the layouts, grid bins, accumulators, reception
+//     buffers — is per-Field state reused across calls: steady-state
+//     resolution allocates nothing per slot. Reserve presizes the scratch
+//     and fetches the table so even the first slots of a run stay
+//     allocation-free.
 //
 // Under the default Euclidean metric with α = 3, per-pair powers use an
 // inlined distance and an integer power identity that reproduces math.Pow
@@ -128,18 +142,74 @@ const DefaultFarFieldTolerance = 0.05
 // extent would need too many cells.
 const DefaultCellFraction = 0.5
 
-// Field resolves slots for a fixed node placement under fixed parameters.
+// Deployment is the immutable half of a resolver: the node placement, the
+// model parameters, the fading metric and the lazily built link-gain table
+// (see gain.go). It is safe for concurrent use, and any number of Fields —
+// one per run — may share it, so the table is built once per deployment.
+type Deployment struct {
+	params model.Params
+	pos    []geo.Point
+	dist   geo.Metric // nil selects the built-in Euclidean fast path
+
+	power    float64 // params.Power, hoisted for the scan loops
+	alphaInt int     // α when integral in [1, 64], else 0
+
+	gainOnce sync.Once
+	gain     []float64 // see gains; nil until built, and when unusable
+}
+
+// NewDeployment describes a placement under the Euclidean metric. The
+// position slice is retained; callers must not mutate it while the
+// deployment is in use.
+func NewDeployment(p model.Params, pos []geo.Point) *Deployment {
+	return newDeployment(p, pos, nil)
+}
+
+func newDeployment(p model.Params, pos []geo.Point, m geo.Metric) *Deployment {
+	return &Deployment{
+		params:   p,
+		pos:      pos,
+		dist:     m,
+		power:    p.Power,
+		alphaInt: integralAlpha(p.Alpha),
+	}
+}
+
+// NewField creates a resolver over the deployment, resolving
+// hierarchically with the default tolerance and cell size under the
+// Euclidean metric, exactly under a custom one. Fields share the
+// deployment's link-gain table but nothing else.
+func (d *Deployment) NewField() *Field {
+	f := &Field{
+		Deployment: d,
+		jammed:     make([]bool, d.params.Channels),
+		mode:       ResolverHierarchical,
+		tol:        DefaultFarFieldTolerance,
+		cellFrac:   DefaultCellFraction,
+	}
+	if d.dist != nil {
+		f.mode = ResolverExact
+	}
+	return f
+}
+
+// Params returns the model parameters of the deployment.
+func (d *Deployment) Params() model.Params { return d.params }
+
+// Positions returns the node placement (shared; do not mutate).
+func (d *Deployment) Positions() []geo.Point { return d.pos }
+
+// N returns the number of nodes in the deployment.
+func (d *Deployment) N() int { return len(d.pos) }
+
+// Field resolves slots over a Deployment: the per-run mutable state — the
+// resolver mode, jammed channels and the reusable slot scratch.
 //
 // A Field is not safe for concurrent use: Resolve reuses internal scratch
 // buffers between calls (each engine builds its own Field).
 type Field struct {
-	params model.Params
-	pos    []geo.Point
-	dist   geo.Metric // nil selects the built-in Euclidean fast path
+	*Deployment
 	jammed []bool
-
-	power    float64 // params.Power, hoisted for the scan loops
-	alphaInt int     // α when integral in [1, 64], else 0
 
 	// parallelism is the worker count for Resolve; 0 means GOMAXPROCS.
 	parallelism int
@@ -152,10 +222,13 @@ type Field struct {
 	// every Resolve call; hier adds the per-cell segmentation on top.
 	soa  slotSoA
 	hier *hierState
-	// slotHier records whether the current slot resolves hierarchically
-	// (mode, metric and grid degeneration folded in), set once per Resolve
-	// before any fan-out and read-only during it.
-	slotHier bool
+	// lis is the per-slot channel-segmented listener layout and the table
+	// kernel's accumulators.
+	lis slotListeners
+	// slotHier and slotTable record how the current slot resolves (mode,
+	// metric, grid degeneration and table availability folded in), set once
+	// per Resolve before any fan-out and read-only during it.
+	slotHier, slotTable bool
 
 	// out is the Reception slice returned by Resolve, reused across calls.
 	out []Reception
@@ -166,9 +239,10 @@ type Field struct {
 // NewField creates a resolver for the given placement under the Euclidean
 // metric, resolving hierarchically with the default tolerance and cell
 // size. The position slice is retained; callers must not mutate it during
-// use.
+// use. The field has its own Deployment; share one through
+// Deployment.NewField to build the link-gain table only once.
 func NewField(p model.Params, pos []geo.Point) *Field {
-	return NewFieldMetric(p, pos, nil)
+	return NewDeployment(p, pos).NewField()
 }
 
 // NewFieldMetric creates a resolver under an arbitrary fading metric
@@ -177,23 +251,9 @@ func NewField(p model.Params, pos []geo.Point) *Field {
 // received powers — so the whole stack runs unchanged. A nil metric selects
 // the Euclidean metric and enables its inlined fast path and the
 // hierarchical resolver; a non-nil metric (even geo.Euclidean explicitly)
-// resolves exactly through the generic (slower) loop.
+// resolves exactly through the generic (slower) arithmetic.
 func NewFieldMetric(p model.Params, pos []geo.Point, m geo.Metric) *Field {
-	f := &Field{
-		params:   p,
-		pos:      pos,
-		dist:     m,
-		jammed:   make([]bool, p.Channels),
-		power:    p.Power,
-		alphaInt: integralAlpha(p.Alpha),
-		mode:     ResolverHierarchical,
-		tol:      DefaultFarFieldTolerance,
-		cellFrac: DefaultCellFraction,
-	}
-	if m != nil {
-		f.mode = ResolverExact
-	}
-	return f
+	return newDeployment(p, pos, m).NewField()
 }
 
 // SetResolver selects the resolution mode. Selecting ResolverHierarchical
@@ -266,30 +326,26 @@ func (f *Field) Jam(channel int, jam bool) {
 	f.jammed[channel] = jam
 }
 
-// Params returns the model parameters of the field.
-func (f *Field) Params() model.Params { return f.params }
-
-// Positions returns the node placement (shared; do not mutate).
-func (f *Field) Positions() []geo.Point { return f.pos }
-
-// N returns the number of nodes in the field.
-func (f *Field) N() int { return len(f.pos) }
-
 // Reserve presizes the field's reusable scratch — the reception buffer, the
-// struct-of-arrays layout and (in hierarchical mode) the grid bins — for
-// slots with up to maxTx transmitters and maxRx listeners, so a run's first
-// slots allocate nothing. The engine calls this once per run with the node
-// count; calling it is never required for correctness.
+// struct-of-arrays layouts and (in hierarchical mode) the grid bins — for
+// slots with up to maxTx transmitters and maxRx listeners, and builds or
+// fetches the deployment's link-gain table, so a run's first slots allocate
+// nothing. The engine calls this once per run with the node count; calling
+// it is never required for correctness.
 func (f *Field) Reserve(maxTx, maxRx int) {
 	if cap(f.out) < maxRx {
 		f.out = make([]Reception, maxRx)
 	}
 	f.soa.reserve(f.params.Channels, maxTx)
+	f.lis.reserve(f.params.Channels, maxRx, len(f.pos))
 	if f.hierActive() {
 		if h := f.hierState(); !h.degenerate {
+			// Hierarchical slots never read the link-gain table.
 			h.reserve(f.params.Channels, maxTx)
+			return
 		}
 	}
+	f.gains()
 }
 
 // hierActive reports whether slots resolve through the hierarchical path.
@@ -305,12 +361,15 @@ func (f *Field) hierState() *hierState {
 }
 
 // minParallelWork bounds when Resolve fans out to the worker pool: below
-// this many listener×transmitter pairs the hand-off overhead outweighs the
-// win.
-const minParallelWork = 1 << 13
+// this many same-channel listener×transmitter pairs the hand-off overhead
+// outweighs the win. Measured on a 2-vCPU Xeon VM (BenchmarkResolveTable*
+// vs its Parallel twin, BenchmarkResolve4k*): a 21k-pair table slot breaks
+// even, an 84k-pair one gains 1.15×, and a 335k-pair on-the-fly slot 1.8×.
+const minParallelWork = 1 << 14
 
-// workersFor picks the worker count for one Resolve call.
-func (f *Field) workersFor(nRx, nTx int) int {
+// workersFor picks the worker count for one Resolve call from the slot's
+// same-channel pair count Σ_c tx_c·rx_c.
+func (f *Field) workersFor(nRx int) int {
 	w := f.parallelism
 	if w == 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -318,7 +377,7 @@ func (f *Field) workersFor(nRx, nTx int) int {
 	if w > nRx {
 		w = nRx
 	}
-	if w <= 1 || nRx*nTx < minParallelWork {
+	if w <= 1 || f.lis.pairs(&f.soa) < minParallelWork {
 		return 1
 	}
 	return w
@@ -332,12 +391,14 @@ func (f *Field) workersFor(nRx, nTx int) int {
 // Channels are numbered 0..F-1; transmissions or listens on out-of-range
 // channels panic, as they indicate a protocol bug.
 func (f *Field) Resolve(txs []Tx, rxs []Rx) []Reception {
-	// Lay the slot out in struct-of-arrays form (and bin it into grid cells
-	// in hierarchical mode) before any fan-out, so invalid transmit
-	// channels panic on the caller's goroutine. A degenerate grid — the
-	// whole deployment inside the near region — skips binning and resolves
-	// through the exact kernel, bit-identically to exact mode.
+	// Lay the slot's transmitters and listeners out per channel (and bin
+	// the transmitters into grid cells in hierarchical mode) before any
+	// fan-out, so invalid channels panic on the caller's goroutine. A
+	// degenerate grid — the whole deployment inside the near region — skips
+	// binning and resolves exactly, through the link-gain table when the
+	// deployment has one, bit-identically to exact mode.
 	f.soa.prepare(f, txs)
+	f.lis.prepare(f, rxs)
 	f.slotHier = false
 	if f.hierActive() {
 		if h := f.hierState(); !h.degenerate {
@@ -345,18 +406,13 @@ func (f *Field) Resolve(txs []Tx, rxs []Rx) []Reception {
 			f.slotHier = true
 		}
 	}
-	// Validate listen channels up front for the same reason.
-	for _, rx := range rxs {
-		if rx.Channel < 0 || rx.Channel >= f.params.Channels {
-			panic("phy: listen on invalid channel")
-		}
-	}
+	f.slotTable = !f.slotHier && f.gains() != nil && !f.lis.overlaps(txs)
 	if cap(f.out) < len(rxs) {
 		f.out = make([]Reception, len(rxs))
 	}
 	out := f.out[:len(rxs)]
 
-	if w := f.workersFor(len(rxs), len(txs)); w > 1 {
+	if w := f.workersFor(len(rxs)); w > 1 {
 		poolOnce.Do(startPool)
 		chunk := (len(rxs) + w - 1) / w
 		for lo := chunk; lo < len(rxs); lo += chunk {
@@ -372,10 +428,15 @@ func (f *Field) Resolve(txs []Tx, rxs []Rx) []Reception {
 	return out
 }
 
-// resolveRange resolves listeners rxs[lo:hi] into out[lo:hi]. It is the
-// unit of work handed to pool workers; disjoint ranges touch disjoint out
-// entries, so workers share nothing but read-only slot state.
+// resolveRange resolves one share of the slot's listeners: rxs[lo:hi], or
+// in table slots the listener layout's positions lo..hi. It is the unit of
+// work handed to pool workers; disjoint ranges touch disjoint out entries
+// and scratch, so workers share nothing but read-only slot state.
 func (f *Field) resolveRange(txs []Tx, rxs []Rx, out []Reception, lo, hi int) {
+	if f.slotTable {
+		f.resolveTableRange(txs, out, lo, hi)
+		return
+	}
 	hier := f.slotHier
 	for i := lo; i < hi; i++ {
 		rx := rxs[i]
@@ -386,33 +447,40 @@ func (f *Field) resolveRange(txs []Tx, rxs []Rx, out []Reception, lo, hi int) {
 				// of the (unbinned) channel segment.
 				out[i] = Reception{From: -1, Interference: f.jammedTotal(rx)}
 			} else {
-				out[i] = f.resolveOneHier(rx, txs)
+				f.resolveOneHier(&out[i], rx, txs)
 			}
 			continue
 		}
-		out[i] = f.resolveOneExact(rx, txs)
-		if f.jammed[rx.Channel] && out[i].Decoded {
-			// Historical jam fold, preserved bit-for-bit: the signal is
-			// still sensed, nothing is delivered.
-			out[i].Interference += out[i].SignalPower
-			out[i].Decoded, out[i].From, out[i].Msg = false, -1, nil
-			out[i].SignalPower, out[i].SINR = 0, 0
+		f.resolveOneExact(&out[i], rx, txs)
+		if f.jammed[rx.Channel] {
+			jamFold(&out[i])
 		}
 	}
 }
 
+// jamFold applies a jammed channel to an exactly resolved reception: the
+// signal is still sensed, nothing is delivered (the historical fold,
+// preserved bit-for-bit).
+func jamFold(rec *Reception) {
+	if rec.Decoded {
+		rec.Interference += rec.SignalPower
+		rec.Decoded, rec.From, rec.Msg = false, -1, nil
+		rec.SignalPower, rec.SINR = 0, 0
+	}
+}
+
 // resolveOneExact scans the listener's whole channel segment pairwise, in
-// transmitter order — bit-identical to the pre-hierarchical resolver.
-func (f *Field) resolveOneExact(rx Rx, txs []Tx) Reception {
+// transmitter order — bit-identical to the pre-hierarchical resolver — and
+// writes the outcome to rec.
+func (f *Field) resolveOneExact(rec *Reception, rx Rx, txs []Tx) {
 	listener := f.pos[rx.Node]
 	lo, hi := f.soa.segment(rx.Channel)
 	self := int32(rx.Node)
 
 	var (
-		total    float64
-		best     = int32(-1)
-		bestPow  float64
-		infCount int
+		total   float64
+		best    = int32(-1)
+		bestPow float64
 	)
 	if f.dist == nil && f.alphaInt == 3 {
 		// Hot path: Euclidean metric with α = 3 (the default parameters).
@@ -440,7 +508,6 @@ func (f *Field) resolveOneExact(rx Rx, txs []Tx) Reception {
 			var pw float64
 			if d <= 0 {
 				pw = math.Inf(1)
-				infCount++
 			} else {
 				pw = power / (d * d * d)
 			}
@@ -460,9 +527,6 @@ func (f *Field) resolveOneExact(rx Rx, txs []Tx) Reception {
 				continue
 			}
 			pw := f.params.PowerAtDistance(dist(listener, f.pos[nodes[k]]))
-			if math.IsInf(pw, 1) {
-				infCount++
-			}
 			total += pw
 			if best == -1 || pw > bestPow {
 				best, bestPow = int32(k), pw
@@ -470,9 +534,10 @@ func (f *Field) resolveOneExact(rx Rx, txs []Tx) Reception {
 		}
 	}
 	if best >= 0 {
-		return f.decide(txs, total, bestPow, int(f.soa.tx[lo+int(best)]), infCount)
+		f.decide(rec, txs, total, bestPow, int(f.soa.tx[lo+int(best)]))
+		return
 	}
-	return f.decide(txs, total, bestPow, -1, infCount)
+	f.decide(rec, txs, total, bestPow, -1)
 }
 
 // jammedTotal returns the exact summed power a listener on a jammed channel
@@ -503,32 +568,36 @@ func (f *Field) jammedTotal(rx Rx) float64 {
 }
 
 // decide applies the Eq. (1) threshold test to one listener's accumulated
-// scan: total sensed power, the strongest transmitter (as an index into
-// txs) and its power, and how many transmitters arrived with infinite
-// power (co-located).
-func (f *Field) decide(txs []Tx, total, bestPow float64, best, infCount int) Reception {
-	rec := Reception{From: -1}
+// scan — total sensed power, the strongest transmitter (as an index into
+// txs) and its power — and writes the outcome to rec. Writing through rec
+// rather than returning the struct keeps the per-listener copy out of the
+// callers' loops.
+func (f *Field) decide(rec *Reception, txs []Tx, total, bestPow float64, best int) {
 	if best == -1 {
-		return rec
+		*rec = Reception{From: -1}
+		return
 	}
-	rec.Interference = total - bestPow
-	if infCount > 1 || (infCount == 1 && !math.IsInf(bestPow, 1)) {
-		// Co-located interferers: nothing is decodable.
-		rec.Interference = total
-		return rec
+	if math.IsInf(bestPow, 1) {
+		// A co-located sender: its power is unbounded, so the SINR is
+		// undefined and nothing decodes.
+		*rec = Reception{From: -1, Interference: total}
+		return
 	}
-	sinr := bestPow / (f.params.Noise + rec.Interference)
+	interference := total - bestPow
+	sinr := bestPow / (f.params.Noise + interference)
 	if sinr >= f.params.Beta {
-		rec.Decoded = true
-		rec.From = txs[best].Node
-		rec.Msg = txs[best].Msg
-		rec.SignalPower = bestPow
-		rec.SINR = sinr
-		return rec
+		*rec = Reception{
+			Decoded:      true,
+			From:         txs[best].Node,
+			Msg:          txs[best].Msg,
+			SignalPower:  bestPow,
+			Interference: interference,
+			SINR:         sinr,
+		}
+		return
 	}
 	// Not decoded: the listener still senses all the power.
-	rec.Interference = total
-	return rec
+	*rec = Reception{From: -1, Interference: total}
 }
 
 // powerAt returns the received power P/d^α, matching

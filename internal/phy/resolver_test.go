@@ -55,6 +55,20 @@ func randomSlot(r *rand.Rand, n, channels int, span, txFrac float64) ([]geo.Poin
 	return pos, txs, rxs
 }
 
+// sameChannelPairs returns a slot's same-channel listener×transmitter pair
+// count Σ_c tx_c·rx_c, the work estimate Resolve's fan-out decision uses.
+func sameChannelPairs(txs []Tx, rxs []Rx) int {
+	perChannel := map[int]int{}
+	for _, tx := range txs {
+		perChannel[tx.Channel]++
+	}
+	pairs := 0
+	for _, rx := range rxs {
+		pairs += perChannel[rx.Channel]
+	}
+	return pairs
+}
+
 func sameReceptions(t *testing.T, label string, a, b []Reception) {
 	t.Helper()
 	if len(a) != len(b) {
@@ -108,8 +122,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 	parallel := NewField(p, pos)
 	parallel.SetParallelism(8)
 
-	if len(rxs)*len(txs) < minParallelWork {
-		t.Fatalf("slot too small to exercise fan-out: %d pairs", len(rxs)*len(txs))
+	if pairs := sameChannelPairs(txs, rxs); pairs < minParallelWork {
+		t.Fatalf("slot too small to exercise fan-out: %d pairs", pairs)
 	}
 	want := append([]Reception(nil), serial.Resolve(txs, rxs)...)
 	for trial := 0; trial < 10; trial++ {

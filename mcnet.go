@@ -8,7 +8,6 @@ import (
 	"mcnet/internal/coloring"
 	"mcnet/internal/core"
 	"mcnet/internal/fault"
-	"mcnet/internal/geo"
 	"mcnet/internal/graph"
 	"mcnet/internal/model"
 	"mcnet/internal/phy"
@@ -24,10 +23,12 @@ import (
 // engine.
 type Network struct {
 	settings // the options New was called with
-	params   model.Params
-	pos      []geo.Point
-	cfg      core.Config
-	plan     *core.Plan
+	// deploy holds the positions and model parameters. Every run (and
+	// every withFaults copy) resolves over it, so its link-gain table is
+	// built once, on the first run rather than in New.
+	deploy *phy.Deployment
+	cfg    core.Config
+	plan   *core.Plan
 
 	mu        sync.Mutex
 	observers []func(Event)
@@ -95,18 +96,17 @@ func New(n int, opts ...Option) (*Network, error) {
 
 	return &Network{
 		settings: s,
-		params:   p,
-		pos:      toGeo(pts),
+		deploy:   phy.NewDeployment(p, toGeo(pts)),
 		cfg:      cfg,
 		plan:     core.NewPlan(p, cfg),
 	}, nil
 }
 
 // N returns the node count.
-func (nw *Network) N() int { return len(nw.pos) }
+func (nw *Network) N() int { return nw.deploy.N() }
 
 // Channels returns the channel count F.
-func (nw *Network) Channels() int { return nw.params.Channels }
+func (nw *Network) Channels() int { return nw.deploy.Params().Channels }
 
 // Seed returns the run seed.
 func (nw *Network) Seed() uint64 { return nw.seed }
@@ -115,10 +115,10 @@ func (nw *Network) Seed() uint64 { return nw.seed }
 func (nw *Network) TopologyName() string { return nw.topo.Name() }
 
 // Positions returns the node coordinates.
-func (nw *Network) Positions() []Point { return fromGeo(nw.pos) }
+func (nw *Network) Positions() []Point { return fromGeo(nw.deploy.Positions()) }
 
 // Geometry returns the radii derived from the SINR parameters.
-func (nw *Network) Geometry() Geometry { return geometryOf(nw.params) }
+func (nw *Network) Geometry() Geometry { return geometryOf(nw.deploy.Params()) }
 
 // geometryOf is the single params → Geometry mapping, shared by New (for
 // topology layout/sizing) and Network.Geometry.
@@ -132,7 +132,7 @@ func geometryOf(p model.Params) Geometry {
 
 // Stats measures the communication graph induced by the layout at R_ε.
 func (nw *Network) Stats() GraphStats {
-	g := graph.Build(nw.pos, nw.params.REps())
+	g := graph.Build(nw.deploy.Positions(), nw.deploy.Params().REps())
 	return GraphStats{
 		MaxDegree: g.MaxDegree(),
 		AvgDegree: g.AvgDegree(),
@@ -171,13 +171,13 @@ func (nw *Network) Events(fn func(Event)) {
 // their own Trace for slot and channel accounting. The injector is returned
 // so runs can surface its Report — nil when the network is fault-free.
 func (nw *Network) newEngine() (*sim.Engine, *fault.Injector) {
-	e := sim.NewEngine(phy.NewField(nw.params, nw.pos), nw.seed)
+	e := sim.NewEngine(nw.deploy.NewField(), nw.seed)
 	if nw.maxSlots > 0 {
 		e.MaxSlots = nw.maxSlots
 	}
 	var inj *fault.Injector
 	if nw.faulted {
-		inj = fault.NewInjector(nw.faults, nw.seed, nw.N(), nw.params.Channels, nw.plan.Offsets.End)
+		inj = fault.NewInjector(nw.faults, nw.seed, nw.N(), nw.Channels(), nw.plan.Offsets.End)
 		e.Faults = inj
 	}
 	nw.mu.Lock()
@@ -209,8 +209,8 @@ func (nw *Network) Aggregate(ctx context.Context, values []int64, op Aggregator)
 		return nil, fmt.Errorf("mcnet: nil aggregator")
 	}
 
-	busySlots := make([]int, nw.params.Channels)
-	seen := make([]bool, nw.params.Channels)
+	busySlots := make([]int, nw.Channels())
+	seen := make([]bool, nw.Channels())
 	slots := 0
 	e, inj := nw.newEngine()
 	e.Trace = func(_ int, txs []phy.Tx, _ []phy.Rx, _ []phy.Reception) {
@@ -355,7 +355,7 @@ func (nw *Network) Color(ctx context.Context) (*ColorResult, error) {
 			IsReporter:   r.IsReporter,
 		}
 	}
-	out.Conflicts, out.Uncolored, out.Palette = coloring.Validate(nw.pos, nw.params.REps(), res)
+	out.Conflicts, out.Uncolored, out.Palette = coloring.Validate(nw.deploy.Positions(), nw.deploy.Params().REps(), res)
 	out.ColorSlots = st.ColorSlots
 	return out, nil
 }
@@ -390,7 +390,7 @@ func (nw *Network) VerifyTDMA(colors []int) (TDMAReport, error) {
 		}
 	}
 	rep := TDMAReport{Cycle: maxColor + 1, Unscheduled: unscheduled}
-	rep.Delivered, rep.Links = coloring.VerifyTDMA(nw.pos, nw.params, colors)
+	rep.Delivered, rep.Links = coloring.VerifyTDMA(nw.deploy.Positions(), nw.deploy.Params(), colors)
 	return rep, nil
 }
 
