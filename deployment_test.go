@@ -52,11 +52,11 @@ func checkTableShared(t *testing.T, label string, perRun []uint64) {
 	}
 }
 
-// TestGainTableSharedAcrossRuns: a second Aggregate on one Network reuses
-// the table the first one built.
-func TestGainTableSharedAcrossRuns(t *testing.T) {
-	skipUnderRace(t)
-	nw, err := mcnet.New(tableSharingN, tableSharingOpts...)
+// aggregateTwice runs two Aggregates on one Network and returns the bytes
+// each allocated.
+func aggregateTwice(t *testing.T, n int, opts ...mcnet.Option) []uint64 {
+	t.Helper()
+	nw, err := mcnet.New(n, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,32 @@ func TestGainTableSharedAcrossRuns(t *testing.T) {
 			}
 		}))
 	}
+	return perRun
+}
+
+// TestGainTableSharedAcrossRuns: a second Aggregate on one Network reuses
+// the table the first one built.
+func TestGainTableSharedAcrossRuns(t *testing.T) {
+	skipUnderRace(t)
+	perRun := aggregateTwice(t, tableSharingN, tableSharingOpts...)
 	checkTableShared(t, "Aggregate", perRun)
+}
+
+// TestGainTableSpreadDeployment: a line spanning far more than the
+// transmission range resolves through the link-gain table like a crowd —
+// the first Aggregate builds it, the second reuses it. A line run's own
+// allocations (~15 MB at n = 512) dwarf the 2 MiB table, so the check is
+// differential: the first run allocates at least half a table more than
+// the second, which a run that skipped the table or rebuilt it would not.
+func TestGainTableSpreadDeployment(t *testing.T) {
+	skipUnderRace(t)
+	const n = 512
+	perRun := aggregateTwice(t, n, mcnet.Channels(8), mcnet.WithTopology(mcnet.Line(0.5)))
+	table := uint64(n * n * 8)
+	if perRun[0] < perRun[1]+table/2 {
+		t.Errorf("Line(0.5): runs allocated %d then %d bytes, want the first to exceed the second by at least half the %d-byte table",
+			perRun[0], perRun[1], table)
+	}
 }
 
 // TestGainTableSharedAcrossBatchFaults: RunBatch's fault variants of one

@@ -103,25 +103,14 @@
 //
 // # Performance options
 //
-// Slot resolution is the hot path. By default it runs the hierarchical
-// cell-aggregated resolver: each slot's transmitters are binned once into
-// a spatial grid and laid out in struct-of-arrays form, every listener
-// scans nearby cells exactly, and each distant cell contributes one
-// centroid-aggregated term, with relative error at most ε (default 0.05)
-// on the far-field interference term. Decoding candidates are always
-// evaluated exactly — the near field covers the transmission range — so
-// decode outcomes can differ from exact resolution only when a SINR sits
-// within the far-field error of the threshold β, and runs remain
-// deterministic for a fixed configuration at every worker count. When a
-// deployment is compact enough that nothing can be aggregated under the
-// tolerance (the Crowd topology, for instance), the resolver degenerates
-// to the exact kernel and transcripts are bit-identical to exact
-// resolution. That includes every workload of the end-to-end benchmark
-// (bench/): at n = 1024 even the Uniform(12) field's grid fits inside the
-// near region, so none of them exercises the far-field path.
+// Slot resolution is the hot path. Every slot is resolved exactly: each
+// listener sums the power of every same-channel transmitter, as Eq. (1)
+// prescribes, and runs are deterministic at every worker count. The
+// slot's transmitters and listeners are laid out per channel in
+// struct-of-arrays form.
 //
-// Exact slots read their received powers from a link-gain table: the n²
-// values P/d^α of the deployment, computed with the exact kernel's own
+// Slots read their received powers from a link-gain table: the n² values
+// P/d^α of the deployment, computed with the on-the-fly kernel's own
 // arithmetic, so every reception stays bit-identical while a lookup
 // replaces a square root and a division per pair. A Network builds the
 // table lazily, on its first run rather than in New, and shares it with
@@ -130,12 +119,11 @@
 // table), where the table would stream from memory and gain nothing,
 // compute powers on the fly.
 //
-// The resolver has no facade knobs: it runs at the default tolerance and
-// grid cell size (0.5·R_T), and every worker count is bit-identical. The
-// slot pipeline is allocation-free in steady state: the engine presizes a
-// per-run arena (action, reception and grid-bin scratch) and listeners fan
-// out over a persistent GOMAXPROCS-sized worker pool, so no per-slot
-// allocations or goroutine spawns occur. See cmd/mcagg or cmd/mcscenario's
+// The resolver has no facade knobs. The slot pipeline is allocation-free
+// in steady state: the engine presizes a per-run arena (action and
+// reception scratch) and listeners fan out over a persistent
+// GOMAXPROCS-sized worker pool, so no per-slot allocations or goroutine
+// spawns occur. See cmd/mcagg or cmd/mcscenario's
 // -cpuprofile / -memprofile flags for profiling runs without editing code.
 //
 // The engine drives every protocol as Steppers: per-node state in

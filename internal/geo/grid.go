@@ -64,18 +64,6 @@ func NewGrid(pts []Point, cell float64) *Grid {
 // Len returns the number of indexed points.
 func (g *Grid) Len() int { return len(g.pts) }
 
-// CellSize returns the edge length of the grid's cells. It may be larger
-// than the size requested at construction when the point set's extent forced
-// coarsening (see maxGridCells).
-func (g *Grid) CellSize() float64 { return g.cell }
-
-// Dims returns the number of grid columns and rows.
-func (g *Grid) Dims() (cols, rows int) { return g.cols, g.rows }
-
-// CellCoord returns the (col, row) of the cell containing p, clamped to the
-// grid's extent.
-func (g *Grid) CellCoord(p Point) (col, row int) { return g.cellCoord(p) }
-
 // Points returns the indexed point slice (shared, do not mutate).
 func (g *Grid) Points() []Point { return g.pts }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // TestGridCellBoundaryPoints: points landing exactly on cell edges (exact
-// multiples of the cell size) must be binned consistently with CellCoord
+// multiples of the cell size) must be binned consistently with cellCoord
 // and stay findable by neighbor queries at exactly-touching radii — the
 // inclusive ≤ r contract, with no point lost between two cells.
 func TestGridCellBoundaryPoints(t *testing.T) {
@@ -38,13 +38,12 @@ func TestGridCellBoundaryPoints(t *testing.T) {
 	if got := g.CountNeighbors(center, cell); got != 5 {
 		t.Errorf("boundary-radius query found %d points, want 5 (self + 4 touching)", got)
 	}
-	// CellCoord is consistent with the binning: querying each point's own
+	// cellCoord is consistent with the binning: querying each point's own
 	// cell coordinate never goes out of range.
 	for _, p := range pts {
-		c, r := g.CellCoord(p)
-		cols, rows := g.Dims()
-		if c < 0 || c >= cols || r < 0 || r >= rows {
-			t.Fatalf("CellCoord(%v) = (%d, %d) outside %dx%d", p, c, r, cols, rows)
+		c, r := g.cellCoord(p)
+		if c < 0 || c >= g.cols || r < 0 || r >= g.rows {
+			t.Fatalf("cellCoord(%v) = (%d, %d) outside %dx%d", p, c, r, g.cols, g.rows)
 		}
 	}
 }
@@ -57,9 +56,8 @@ func TestGridAllColocated(t *testing.T) {
 		pts[i] = Point{X: 3.25, Y: -1.5}
 	}
 	g := NewGrid(pts, 0.5)
-	cols, rows := g.Dims()
-	if cols != 1 || rows != 1 {
-		t.Errorf("colocated grid dims = %dx%d, want 1x1", cols, rows)
+	if g.cols != 1 || g.rows != 1 {
+		t.Errorf("colocated grid dims = %dx%d, want 1x1", g.cols, g.rows)
 	}
 	if got := g.CountNeighbors(pts[0], 0); got != len(pts) {
 		t.Errorf("radius-0 query found %d, want all %d colocated points", got, len(pts))

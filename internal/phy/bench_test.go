@@ -56,10 +56,10 @@ func BenchmarkResolve4kParallel(b *testing.B) {
 }
 
 // BenchmarkResolveCrowdDense is the AggregateCrowd hot shape: one tight
-// cluster well inside a single grid cell, half the nodes transmitting on
-// one channel, every other node listening — the dense ACK slots that
-// dominate the 16k crowd pipeline. All pairs are near-field, so this
-// measures the struct-of-arrays scan kernel itself.
+// cluster, half the nodes transmitting on one channel, every other node
+// listening — the dense ACK slots that dominate the 16k crowd pipeline. At
+// n = 4096 the deployment is above the table cap, so this measures the
+// struct-of-arrays on-the-fly kernel itself.
 func benchCrowdDense(b *testing.B, configure func(*Field)) {
 	b.Helper()
 	const n = 4096
@@ -96,10 +96,8 @@ func BenchmarkResolveCrowdDenseParallel(b *testing.B) {
 	benchCrowdDense(b, func(f *Field) { f.SetParallelism(0) })
 }
 
-// benchClusteredSlot is the far-field target regime: crowds — many
-// same-cell transmitters — scattered over a span ≫ R_T, so each distant
-// crowd collapses into one centroid term per listener instead of hundreds
-// of pairwise powers.
+// benchClusteredSlot is the spread-deployment regime: crowds of
+// transmitters scattered over a span ≫ R_T.
 func benchClusteredSlot(b *testing.B, clusters, per, channels int, span float64, configure func(*Field)) {
 	b.Helper()
 	r := rand.New(rand.NewSource(1))
@@ -132,20 +130,10 @@ func benchClusteredSlot(b *testing.B, clusters, per, channels int, span float64,
 	}
 }
 
-// Exact vs the (default) hierarchical aggregation on 32 crowds of 256 nodes
-// across 200 R_T. The far-field bench keeps its historical name; it now
-// measures the default path at tolerance 0.1.
+// 32 crowds of 256 nodes across 200 R_T: n = 8192 is above the table cap,
+// so every pair is computed on the fly.
 func BenchmarkResolveHotspotsExact(b *testing.B) {
-	benchClusteredSlot(b, 32, 256, 8, 200, func(f *Field) {
-		f.SetParallelism(1)
-		f.SetResolver(ResolverExact)
-	})
-}
-func BenchmarkResolveHotspotsFarField(b *testing.B) {
-	benchClusteredSlot(b, 32, 256, 8, 200, func(f *Field) {
-		f.SetParallelism(1)
-		f.SetFarFieldTolerance(0.1)
-	})
+	benchClusteredSlot(b, 32, 256, 8, 200, func(f *Field) { f.SetParallelism(1) })
 }
 
 // Link-gain table vs on-the-fly exact kernel on the same slot over a
@@ -157,7 +145,6 @@ func BenchmarkResolveHotspotsFarField(b *testing.B) {
 func benchTable(b *testing.B, n int, table bool, workers int) {
 	span := math.Sqrt(float64(n) * math.Pi / 12)
 	benchSlot(b, n, 8, span, 0.2, func(f *Field) {
-		f.SetResolver(ResolverExact)
 		f.SetParallelism(workers)
 		d := f.Deployment
 		if table {

@@ -51,7 +51,7 @@ func (d *Deployment) gains() []float64 {
 func (d *Deployment) buildGains() []float64 {
 	n := len(d.pos)
 	gain := make([]float64, n*n)
-	fast := d.dist == nil && d.alphaInt == 3
+	fast := d.dist == nil && d.cube
 	dist := d.dist
 	if dist == nil {
 		dist = geo.Euclidean

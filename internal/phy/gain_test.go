@@ -61,7 +61,6 @@ func TestTableMatchesOnTheFly(t *testing.T) {
 		colocate(pos)
 		for _, channels := range []int{1, 8} {
 			f := NewField(model.Default(channels, n), pos)
-			f.SetResolver(ResolverExact)
 			for trial := 0; trial < 12; trial++ {
 				label := fmt.Sprintf("n=%d F=%d trial %d", n, channels, trial)
 				for c := 0; c < channels; c++ {
@@ -123,7 +122,6 @@ func TestTableMatchesOnTheFlyGenericArithmetic(t *testing.T) {
 		{"manhattan", NewFieldMetric(model.Default(4, 64), pos, geo.Manhattan)},
 		{"alpha 2.5", NewField(alpha, pos)},
 	} {
-		tc.f.SetResolver(ResolverExact)
 		for trial := 0; trial < 10; trial++ {
 			_, txs, rxs := randomSlot(r, len(pos), 4, 1, 0.3)
 			checkTableSlot(t, fmt.Sprintf("%s trial %d", tc.name, trial), tc.f, txs, rxs)
@@ -132,9 +130,9 @@ func TestTableMatchesOnTheFlyGenericArithmetic(t *testing.T) {
 }
 
 // TestTableFallbacks pins when a slot resolves on the fly: a node that
-// both transmits and listens, a deployment above the table cap, and
-// hierarchical slots over a non-degenerate grid (whose field never builds
-// the table).
+// both transmits and listens, and a deployment above the table cap. A
+// deployment spanning far more than R_T, within the cap, is no fallback: it
+// builds the table at Reserve and resolves through it bit-identically.
 func TestTableFallbacks(t *testing.T) {
 	pos := []geo.Point{{X: 0}, {X: 0.5}, {X: 1}}
 	f := NewField(model.Default(1, 3), pos)
@@ -155,13 +153,8 @@ func TestTableFallbacks(t *testing.T) {
 	r := rand.New(rand.NewSource(79))
 	spread, txs2, rxs2 := randomSlot(r, 400, 3, 60, 0.4)
 	h := NewField(model.Default(3, 400), spread)
-	if h.hierState().degenerate {
-		t.Fatal("setup: deployment unexpectedly degenerate")
+	if h.Reserve(400, 400); h.gain == nil {
+		t.Error("spread deployment did not build the link-gain table at Reserve")
 	}
-	if h.Reserve(400, 400); h.gain != nil {
-		t.Error("hierarchical field built the link-gain table")
-	}
-	if h.Resolve(txs2, rxs2); h.slotTable {
-		t.Error("non-degenerate hierarchical slot used the table")
-	}
+	checkTableSlot(t, "spread deployment", h, txs2, rxs2)
 }

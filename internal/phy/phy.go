@@ -9,50 +9,28 @@
 //
 // Since β ≥ 1, at most one transmitter (the strongest) can satisfy the
 // condition, so resolution tests only the strongest signal at each listener.
+// Every slot is resolved exactly: each listener's sum covers every
+// same-channel transmitter, whatever its distance.
 //
 // Listeners always measure total received power (the RSSI primitive of
 // Sec. 2), which upper layers use for carrier sense, clear-reception
 // detection (Definition 4) and distance estimation.
 //
-// # Resolver modes
-//
-// A Field resolves slots in one of two modes (SetResolver):
-//
-//   - ResolverHierarchical (the default under the Euclidean metric) bins the
-//     slot's transmitters into a uniform grid once — O(|txs|) — and gives
-//     each listener an exact pairwise sum over nearby cells plus one
-//     centroid-aggregated term per distant cell, with relative error at most
-//     the configured tolerance on the far-field interference term (see
-//     hier.go for the bound). Decoding candidates are always evaluated
-//     exactly: the near region extends at least to the transmission range
-//     R_T, beyond which no transmitter can satisfy the SINR threshold. When
-//     the whole deployment fits inside the near region (the grid is
-//     degenerate) nothing can be aggregated, and slots resolve exactly.
-//   - ResolverExact sums every same-channel transmitter per listener —
-//     O(Σ_c tx_c·rx_c) per slot — bit-identically to the historical
-//     resolver: transcripts recorded before the hierarchical mode existed
-//     replay exactly. Fields over a custom metric always resolve exactly.
-//
-// Both modes are deterministic: equal slots resolve to equal receptions at
-// every parallelism setting, run after run. Only exact mode is
-// transcript-compatible across the mode boundary.
-//
 // # Performance
 //
 // Resolve is the simulator's hot path: every slot of every protocol run
-// passes through it. Beyond the hierarchical aggregation, four mechanisms
-// keep it fast without changing results:
+// passes through it. Four mechanisms keep it fast without changing results:
 //
-//   - Exact slots read their powers from the deployment's link-gain table
-//     (gain.go): the n² received powers P/d^α, computed once with the exact
-//     kernel's own arithmetic, so a lookup replaces a square root and a
-//     division per pair and every Reception stays bit-identical. The table
-//     belongs to the Deployment, which every Field of a run shares (the
-//     facade keeps one per Network), is built lazily by the first Reserve
-//     or Resolve that needs it, and is scanned transmitter-major. Above
-//     maxGainTableBytes (n > 2048) the table would stream from DRAM and
-//     gain nothing, so larger deployments — and non-degenerate
-//     hierarchical slots — compute powers on the fly.
+//   - Slots read their powers from the deployment's link-gain table
+//     (gain.go): the n² received powers P/d^α, computed once with the
+//     on-the-fly kernel's own arithmetic, so a lookup replaces a square
+//     root and a division per pair and every Reception stays
+//     bit-identical. The table belongs to the Deployment, which every
+//     Field of a run shares (the facade keeps one per Network), is built
+//     lazily by the first Reserve or Resolve that needs it, and is scanned
+//     transmitter-major. Above maxGainTableBytes (n > 2048) the table
+//     would stream from DRAM and gain nothing, so larger deployments
+//     compute powers on the fly.
 //   - The slot's transmitters and listeners are laid out once per Resolve
 //     in channel-segmented struct-of-arrays form (soa.go, gain.go), so the
 //     scans stream through memory with no pointer chasing.
@@ -62,15 +40,14 @@
 //     same-channel pairs to pay for the hand-off (minParallelWork).
 //     Outcomes are bit-identical for every worker count, and no goroutines
 //     are spawned per slot.
-//   - All scratch — the layouts, grid bins, accumulators, reception
-//     buffers — is per-Field state reused across calls: steady-state
-//     resolution allocates nothing per slot. Reserve presizes the scratch
-//     and fetches the table so even the first slots of a run stay
-//     allocation-free.
+//   - All scratch — the layouts, accumulators, reception buffers — is
+//     per-Field state reused across calls: steady-state resolution
+//     allocates nothing per slot. Reserve presizes the scratch and fetches
+//     the table so even the first slots of a run stay allocation-free.
 //
 // Under the default Euclidean metric with α = 3, per-pair powers use an
-// inlined distance and an integer power identity that reproduces math.Pow
-// bit-for-bit (see ipow), so transcripts match the generic path exactly.
+// inlined distance and cube that reproduce math.Pow bit-for-bit (see
+// resolveOneExact), so transcripts match the generic path exactly.
 package phy
 
 import (
@@ -118,30 +95,6 @@ type Reception struct {
 // excluding ambient noise.
 func (r Reception) RSSI() float64 { return r.SignalPower + r.Interference }
 
-// Resolver selects how a Field computes per-listener interference sums.
-type Resolver int
-
-const (
-	// ResolverHierarchical is the default: grid-binned transmitters, exact
-	// near cells, centroid-aggregated far cells within the configured
-	// tolerance. Requires the Euclidean metric.
-	ResolverHierarchical Resolver = iota
-	// ResolverExact scans every same-channel transmitter per listener and
-	// is bit-identical to the pre-hierarchical resolver.
-	ResolverExact
-)
-
-// DefaultFarFieldTolerance is the hierarchical mode's default relative
-// error bound on the far-field interference term. Decode outcomes can
-// differ from exact mode only when a listener's SINR lies within this
-// factor of the threshold β.
-const DefaultFarFieldTolerance = 0.05
-
-// DefaultCellFraction sizes hierarchical grid cells as this fraction of the
-// transmission range R_T; geo.NewGrid coarsens further if the deployment's
-// extent would need too many cells.
-const DefaultCellFraction = 0.5
-
 // Deployment is the immutable half of a resolver: the node placement, the
 // model parameters, the fading metric and the lazily built link-gain table
 // (see gain.go). It is safe for concurrent use, and any number of Fields —
@@ -151,8 +104,8 @@ type Deployment struct {
 	pos    []geo.Point
 	dist   geo.Metric // nil selects the built-in Euclidean fast path
 
-	power    float64 // params.Power, hoisted for the scan loops
-	alphaInt int     // α when integral in [1, 64], else 0
+	power float64 // params.Power, hoisted for the scan loops
+	cube  bool    // α = 3: the inlined-cube fast path applies
 
 	gainOnce sync.Once
 	gain     []float64 // see gains; nil until built, and when unusable
@@ -167,30 +120,18 @@ func NewDeployment(p model.Params, pos []geo.Point) *Deployment {
 
 func newDeployment(p model.Params, pos []geo.Point, m geo.Metric) *Deployment {
 	return &Deployment{
-		params:   p,
-		pos:      pos,
-		dist:     m,
-		power:    p.Power,
-		alphaInt: integralAlpha(p.Alpha),
+		params: p,
+		pos:    pos,
+		dist:   m,
+		power:  p.Power,
+		cube:   p.Alpha == 3,
 	}
 }
 
-// NewField creates a resolver over the deployment, resolving
-// hierarchically with the default tolerance and cell size under the
-// Euclidean metric, exactly under a custom one. Fields share the
+// NewField creates a resolver over the deployment. Fields share the
 // deployment's link-gain table but nothing else.
 func (d *Deployment) NewField() *Field {
-	f := &Field{
-		Deployment: d,
-		jammed:     make([]bool, d.params.Channels),
-		mode:       ResolverHierarchical,
-		tol:        DefaultFarFieldTolerance,
-		cellFrac:   DefaultCellFraction,
-	}
-	if d.dist != nil {
-		f.mode = ResolverExact
-	}
-	return f
+	return &Field{Deployment: d, jammed: make([]bool, d.params.Channels)}
 }
 
 // Params returns the model parameters of the deployment.
@@ -203,7 +144,7 @@ func (d *Deployment) Positions() []geo.Point { return d.pos }
 func (d *Deployment) N() int { return len(d.pos) }
 
 // Field resolves slots over a Deployment: the per-run mutable state — the
-// resolver mode, jammed channels and the reusable slot scratch.
+// jammed channels and the reusable slot scratch.
 //
 // A Field is not safe for concurrent use: Resolve reuses internal scratch
 // buffers between calls (each engine builds its own Field).
@@ -214,21 +155,16 @@ type Field struct {
 	// parallelism is the worker count for Resolve; 0 means GOMAXPROCS.
 	parallelism int
 
-	mode     Resolver
-	tol      float64 // hierarchical far-field tolerance (> 0)
-	cellFrac float64 // grid cell size as a fraction of R_T
-
 	// soa is the per-slot struct-of-arrays transmitter layout, rebuilt by
-	// every Resolve call; hier adds the per-cell segmentation on top.
-	soa  slotSoA
-	hier *hierState
+	// every Resolve call.
+	soa slotSoA
 	// lis is the per-slot channel-segmented listener layout and the table
 	// kernel's accumulators.
 	lis slotListeners
-	// slotHier and slotTable record how the current slot resolves (mode,
-	// metric, grid degeneration and table availability folded in), set once
-	// per Resolve before any fan-out and read-only during it.
-	slotHier, slotTable bool
+	// slotTable records whether the current slot resolves through the
+	// link-gain table, set once per Resolve before any fan-out and read-only
+	// during it.
+	slotTable bool
 
 	// out is the Reception slice returned by Resolve, reused across calls.
 	out []Reception
@@ -237,8 +173,7 @@ type Field struct {
 }
 
 // NewField creates a resolver for the given placement under the Euclidean
-// metric, resolving hierarchically with the default tolerance and cell
-// size. The position slice is retained; callers must not mutate it during
+// metric. The position slice is retained; callers must not mutate it during
 // use. The field has its own Deployment; share one through
 // Deployment.NewField to build the link-gain table only once.
 func NewField(p model.Params, pos []geo.Point) *Field {
@@ -249,62 +184,11 @@ func NewField(p model.Params, pos []geo.Point) *Field {
 // (footnote 1 of the paper: the results extend to metrics whose doubling
 // dimension is below α). Protocols are metric-agnostic — they only observe
 // received powers — so the whole stack runs unchanged. A nil metric selects
-// the Euclidean metric and enables its inlined fast path and the
-// hierarchical resolver; a non-nil metric (even geo.Euclidean explicitly)
-// resolves exactly through the generic (slower) arithmetic.
+// the Euclidean metric and enables its inlined fast path; a non-nil metric
+// (even geo.Euclidean explicitly) goes through the generic (slower)
+// arithmetic.
 func NewFieldMetric(p model.Params, pos []geo.Point, m geo.Metric) *Field {
 	return newDeployment(p, pos, m).NewField()
-}
-
-// SetResolver selects the resolution mode. Selecting ResolverHierarchical
-// on a field built over a custom metric panics: the aggregation's error
-// bound holds only for the Euclidean metric.
-func (f *Field) SetResolver(mode Resolver) {
-	switch mode {
-	case ResolverExact:
-		f.mode = ResolverExact
-	case ResolverHierarchical:
-		if f.dist != nil {
-			panic("phy: hierarchical resolution requires the Euclidean metric")
-		}
-		f.mode = ResolverHierarchical
-	default:
-		panic("phy: unknown resolver mode")
-	}
-}
-
-// Mode returns the field's resolution mode.
-func (f *Field) Mode() Resolver { return f.mode }
-
-// SetFarFieldTolerance sets the hierarchical mode's relative error bound on
-// the far-field interference term and selects hierarchical resolution. The
-// tolerance must be positive and finite (exact resolution is
-// SetResolver(ResolverExact)), and fields built over a custom metric panic.
-func (f *Field) SetFarFieldTolerance(tol float64) {
-	if !(tol > 0) || math.IsInf(tol, 0) {
-		panic("phy: far-field tolerance must be positive and finite")
-	}
-	if f.dist != nil {
-		panic("phy: far-field approximation requires the Euclidean metric")
-	}
-	f.mode = ResolverHierarchical
-	f.tol = tol
-	if f.hier != nil {
-		f.hier.setCutoff(f, tol)
-	}
-}
-
-// SetCellSize sizes the hierarchical grid's cells as frac·R_T (default
-// DefaultCellFraction). Smaller cells tighten the near region around each
-// listener at the cost of more cells; geo.NewGrid coarsens the result if
-// the deployment's extent would need too many cells. The error bound holds
-// for every setting — only performance changes.
-func (f *Field) SetCellSize(frac float64) {
-	if frac <= 0 || math.IsNaN(frac) || math.IsInf(frac, 0) {
-		panic("phy: cell size fraction must be positive and finite")
-	}
-	f.cellFrac = frac
-	f.hier = nil // grid geometry changed; rebuild lazily
 }
 
 // SetParallelism sets how many workers Resolve may fan listeners out
@@ -326,38 +210,18 @@ func (f *Field) Jam(channel int, jam bool) {
 	f.jammed[channel] = jam
 }
 
-// Reserve presizes the field's reusable scratch — the reception buffer, the
-// struct-of-arrays layouts and (in hierarchical mode) the grid bins — for
-// slots with up to maxTx transmitters and maxRx listeners, and builds or
-// fetches the deployment's link-gain table, so a run's first slots allocate
-// nothing. The engine calls this once per run with the node count; calling
-// it is never required for correctness.
+// Reserve presizes the field's reusable scratch — the reception buffer and
+// the struct-of-arrays layouts — for slots with up to maxTx transmitters and
+// maxRx listeners, and builds or fetches the deployment's link-gain table, so
+// a run's first slots allocate nothing. The engine calls this once per run
+// with the node count; calling it is never required for correctness.
 func (f *Field) Reserve(maxTx, maxRx int) {
 	if cap(f.out) < maxRx {
 		f.out = make([]Reception, maxRx)
 	}
 	f.soa.reserve(f.params.Channels, maxTx)
 	f.lis.reserve(f.params.Channels, maxRx, len(f.pos))
-	if f.hierActive() {
-		if h := f.hierState(); !h.degenerate {
-			// Hierarchical slots never read the link-gain table.
-			h.reserve(f.params.Channels, maxTx)
-			return
-		}
-	}
 	f.gains()
-}
-
-// hierActive reports whether slots resolve through the hierarchical path.
-func (f *Field) hierActive() bool { return f.mode == ResolverHierarchical && f.dist == nil }
-
-// hierState returns the hierarchical geometry, building it on first use
-// (and after SetCellSize invalidated it).
-func (f *Field) hierState() *hierState {
-	if f.hier == nil {
-		f.hier = newHierState(f)
-	}
-	return f.hier
 }
 
 // minParallelWork bounds when Resolve fans out to the worker pool: below
@@ -391,22 +255,12 @@ func (f *Field) workersFor(nRx int) int {
 // Channels are numbered 0..F-1; transmissions or listens on out-of-range
 // channels panic, as they indicate a protocol bug.
 func (f *Field) Resolve(txs []Tx, rxs []Rx) []Reception {
-	// Lay the slot's transmitters and listeners out per channel (and bin
-	// the transmitters into grid cells in hierarchical mode) before any
-	// fan-out, so invalid channels panic on the caller's goroutine. A
-	// degenerate grid — the whole deployment inside the near region — skips
-	// binning and resolves exactly, through the link-gain table when the
-	// deployment has one, bit-identically to exact mode.
+	// Lay the slot's transmitters and listeners out per channel before any
+	// fan-out, so invalid channels panic on the caller's goroutine. The slot
+	// resolves through the link-gain table when the deployment has one.
 	f.soa.prepare(f, txs)
 	f.lis.prepare(f, rxs)
-	f.slotHier = false
-	if f.hierActive() {
-		if h := f.hierState(); !h.degenerate {
-			h.prepare(f, txs)
-			f.slotHier = true
-		}
-	}
-	f.slotTable = !f.slotHier && f.gains() != nil && !f.lis.overlaps(txs)
+	f.slotTable = f.gains() != nil && !f.lis.overlaps(txs)
 	if cap(f.out) < len(rxs) {
 		f.out = make([]Reception, len(rxs))
 	}
@@ -437,20 +291,8 @@ func (f *Field) resolveRange(txs []Tx, rxs []Rx, out []Reception, lo, hi int) {
 		f.resolveTableRange(txs, out, lo, hi)
 		return
 	}
-	hier := f.slotHier
 	for i := lo; i < hi; i++ {
 		rx := rxs[i]
-		if hier {
-			if f.jammed[rx.Channel] {
-				// A jammed channel delivers nothing, so decode bookkeeping
-				// is skipped: the listener senses the exact flat power sum
-				// of the (unbinned) channel segment.
-				out[i] = Reception{From: -1, Interference: f.jammedTotal(rx)}
-			} else {
-				f.resolveOneHier(&out[i], rx, txs)
-			}
-			continue
-		}
 		f.resolveOneExact(&out[i], rx, txs)
 		if f.jammed[rx.Channel] {
 			jamFold(&out[i])
@@ -470,8 +312,7 @@ func jamFold(rec *Reception) {
 }
 
 // resolveOneExact scans the listener's whole channel segment pairwise, in
-// transmitter order — bit-identical to the pre-hierarchical resolver — and
-// writes the outcome to rec.
+// transmitter order, and writes the outcome to rec.
 func (f *Field) resolveOneExact(rec *Reception, rx Rx, txs []Tx) {
 	listener := f.pos[rx.Node]
 	lo, hi := f.soa.segment(rx.Channel)
@@ -482,7 +323,7 @@ func (f *Field) resolveOneExact(rec *Reception, rx Rx, txs []Tx) {
 		best    = int32(-1)
 		bestPow float64
 	)
-	if f.dist == nil && f.alphaInt == 3 {
+	if f.dist == nil && f.cube {
 		// Hot path: Euclidean metric with α = 3 (the default parameters).
 		// Bit-identical to the generic loop below: geo.Euclidean is exactly
 		// √(dx²+dy²), and math.Pow(d, 3) multiplies d·(d·d) by
@@ -540,33 +381,6 @@ func (f *Field) resolveOneExact(rec *Reception, rx Rx, txs []Tx) {
 	f.decide(rec, txs, total, bestPow, -1)
 }
 
-// jammedTotal returns the exact summed power a listener on a jammed channel
-// senses in hierarchical mode: the flat channel segment, no decode
-// bookkeeping (jammed channels skip cell binning entirely).
-func (f *Field) jammedTotal(rx Rx) float64 {
-	listener := f.pos[rx.Node]
-	lo, hi := f.soa.segment(rx.Channel)
-	lx, ly := listener.X, listener.Y
-	self := int32(rx.Node)
-	power := f.power
-	cube := f.alphaInt == 3
-	var total float64
-	xs, ys, nodes := f.soa.x[lo:hi], f.soa.y[lo:hi], f.soa.node[lo:hi]
-	for k := range xs {
-		if nodes[k] == self {
-			continue
-		}
-		dx, dy := lx-xs[k], ly-ys[k]
-		d := math.Sqrt(dx*dx + dy*dy)
-		if cube && d > 0 {
-			total += power / (d * d * d)
-		} else {
-			total += f.powerAt(d)
-		}
-	}
-	return total
-}
-
 // decide applies the Eq. (1) threshold test to one listener's accumulated
 // scan — total sensed power, the strongest transmitter (as an index into
 // txs) and its power — and writes the outcome to rec. Writing through rec
@@ -598,19 +412,6 @@ func (f *Field) decide(rec *Reception, txs []Tx, total, bestPow float64, best in
 	}
 	// Not decoded: the listener still senses all the power.
 	*rec = Reception{From: -1, Interference: total}
-}
-
-// powerAt returns the received power P/d^α, matching
-// model.Params.PowerAtDistance bit-for-bit (the integral-α route goes
-// through ipow, which reproduces math.Pow's square-and-multiply rounding).
-func (f *Field) powerAt(d float64) float64 {
-	if d <= 0 {
-		return math.Inf(1)
-	}
-	if f.alphaInt > 0 {
-		return f.power / ipow(d, f.alphaInt)
-	}
-	return f.power / math.Pow(d, f.params.Alpha)
 }
 
 // Clear reports whether rec is a "clear reception" for radius r in the sense

@@ -3,6 +3,7 @@ package phy
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -319,5 +320,80 @@ func TestJammedChannel(t *testing.T) {
 	)
 	if !recs[0].Decoded {
 		t.Error("channel should recover after unjamming")
+	}
+}
+
+// TestDeterminismAcrossWorkers: a spread deployment (span ≫ R_T) resolves
+// bit-identically at every worker count, run after run — listeners resolve
+// independently against the same slot layout.
+func TestDeterminismAcrossWorkers(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	p := model.Default(3, 900)
+	pos, txs, rxs := randomSlot(r, 900, 3, 25.0, 0.4)
+	if pairs := sameChannelPairs(txs, rxs); pairs < minParallelWork {
+		t.Fatalf("slot too small to exercise fan-out: %d pairs", pairs)
+	}
+	serial := NewField(p, pos)
+	serial.SetParallelism(1)
+	want := append([]Reception(nil), serial.Resolve(txs, rxs)...)
+	for _, workers := range []int{2, runtime.GOMAXPROCS(0), 8} {
+		f := NewField(p, pos)
+		f.SetParallelism(workers)
+		for trial := 0; trial < 3; trial++ {
+			sameReceptions(t, "parallel vs serial", f.Resolve(txs, rxs), want)
+		}
+	}
+}
+
+// TestResolveAllocFree pins the steady-state contract: once Reserve has
+// presized the scratch and the first slot has warmed the worker pool,
+// Resolve allocates nothing, serially and across workers.
+func TestResolveAllocFree(t *testing.T) {
+	r := rand.New(rand.NewSource(53))
+	p := model.Default(4, 600)
+	pos, txs, rxs := randomSlot(r, 600, 4, 12.0, 0.4)
+	for _, tc := range []struct {
+		name    string
+		workers int
+	}{{"serial", 1}, {"parallel", 0}} {
+		f := NewField(p, pos)
+		f.SetParallelism(tc.workers)
+		f.Reserve(len(pos), len(pos))
+		f.Resolve(txs, rxs) // warm the pool and any remaining growth
+		if allocs := testing.AllocsPerRun(20, func() { f.Resolve(txs, rxs) }); allocs > 0 {
+			t.Errorf("%s: %v allocs per Resolve, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestReserveFirstSlotAllocFree: Reserve alone (no warm-up slot) is enough
+// to make even the first serial Resolve allocation-free — the engine's
+// per-run arena contract, link-gain table build included. Measured with raw
+// malloc counters because testing.AllocsPerRun inserts a warm-up call and
+// would never observe the true first slot.
+//
+// The malloc counter is process-wide, so the GC, the runtime and goroutines
+// left over from other tests can bump it during the measured call. The
+// check is therefore made on several freshly reserved fields and only the
+// minimum must be 0: a real regression allocates on every attempt.
+func TestReserveFirstSlotAllocFree(t *testing.T) {
+	const attempts = 5
+	r := rand.New(rand.NewSource(59))
+	p := model.Default(3, 400)
+	pos, txs, rxs := randomSlot(r, 400, 3, 60.0, 0.4)
+	least := uint64(math.MaxUint64)
+	for a := 0; a < attempts && least > 0; a++ {
+		f := NewField(p, pos)
+		f.SetParallelism(1)
+		f.Reserve(len(pos), len(pos))
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f.Resolve(txs, rxs)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	if least > 0 {
+		t.Errorf("first Resolve after Reserve performed at least %d allocations on each of %d fields, want 0", least, attempts)
 	}
 }

@@ -5,7 +5,7 @@ package phy
 // segmented by channel via a stable counting sort. The per-listener scan
 // loops then stream through flat float64 slices — no Tx struct loads, no
 // position-table indirection — which is what makes the O(|rxs|·|txs|) exact
-// scan and the hierarchical near-cell scans cache- and prefetch-friendly.
+// scan cache- and prefetch-friendly.
 //
 // All slices are per-Field scratch reused across slots; nothing allocates
 // once they have grown to the slot size (Field.Reserve presizes them).
@@ -34,8 +34,8 @@ func (s *slotSoA) reserve(channels, maxTx int) {
 // prepare builds the channel-segmented layout for one slot. Transmissions
 // on out-of-range channels panic (they indicate a protocol bug), before any
 // worker fan-out. The sort is stable: within a channel, transmitters keep
-// their txs order, which is what keeps exact mode's summation order — and
-// therefore its transcripts — bit-identical to the historical resolver.
+// their txs order, which is what keeps the summation order — and therefore
+// the transcripts — bit-identical to the historical resolver.
 func (s *slotSoA) prepare(f *Field, txs []Tx) {
 	channels := f.params.Channels
 	s.reserve(channels, len(txs))
