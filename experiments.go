@@ -69,8 +69,9 @@ func RunExperiment(id string, o ExperimentOptions) (*Table, error) {
 	return RunExperimentContext(context.Background(), id, o)
 }
 
-// RunExperimentContext is RunExperiment with cancellation: the sweep stops
-// between runs when ctx is done and returns ctx's error.
+// RunExperimentContext is RunExperiment with cancellation: when ctx is
+// done, queued runs never start, in-flight runs abort mid-schedule, and the
+// call returns ctx's error.
 func RunExperimentContext(ctx context.Context, id string, o ExperimentOptions) (*Table, error) {
 	runner, ok := expt.ByName(strings.ToLower(id))
 	if !ok {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"reflect"
 	"testing"
-
-	"mcnet/internal/sim"
 )
 
 // TestVerifyTDMAUnscheduled: a partially uncolored palette must be reported
@@ -84,34 +82,6 @@ func TestVerifyTDMAUnscheduled(t *testing.T) {
 	// full palette's.
 	if hugeRep.Delivered < fullRep.Delivered {
 		t.Errorf("huge-color Delivered = %d < full palette's %d", hugeRep.Delivered, fullRep.Delivered)
-	}
-}
-
-// TestObserveStagesClampsTrailing: events landing strictly past the final
-// stage's budget end must be clamped into the final stage so per-stage
-// totals agree with the engine's event log.
-func TestObserveStagesClampsTrailing(t *testing.T) {
-	stages := []StageReport{
-		{Name: "a", Start: 0, End: 10, LastEvent: -1},
-		{Name: "b", Start: 10, End: 20, LastEvent: -1},
-	}
-	events := []sim.Event{
-		{Slot: 0, Name: "x"},   // stage a
-		{Slot: 9, Name: "x"},   // stage a
-		{Slot: 10, Name: "x"},  // stage b
-		{Slot: 20, Name: "x"},  // at budget end: final stage
-		{Slot: 137, Name: "x"}, // past budget end: clamped into final stage
-	}
-	got := observeStages(stages, events)
-	if got[0].Events != 2 || got[0].LastEvent != 9 {
-		t.Errorf("stage a: %+v", got[0])
-	}
-	if got[1].Events != 3 || got[1].LastEvent != 137 {
-		t.Errorf("stage b: %+v", got[1])
-	}
-	total := got[0].Events + got[1].Events
-	if total != len(events) {
-		t.Errorf("stage totals %d disagree with event log %d", total, len(events))
 	}
 }
 

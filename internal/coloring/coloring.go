@@ -74,16 +74,11 @@ func AssignRounds(pl *core.Plan, cfg Config) int {
 	return cfg.AssignCycles*perChannel + int(math.Ceil(cfg.AssignSlackFactor*pl.Params.LogN()))
 }
 
-// Run executes structure construction followed by the four coloring
-// procedures, returning per-node colors. All protocol randomness flows from
-// the engine's seed through the per-node ctx.Rand streams, so there is no
+// RunContext executes structure construction followed by the four coloring
+// procedures, returning per-node colors, and aborts promptly with ctx.Err()
+// when ctx is cancelled mid-run. All protocol randomness flows from the
+// engine's seed through the per-node ctx.Rand streams, so there is no
 // separate coloring seed.
-func Run(e *sim.Engine, pl *core.Plan, cfg Config) ([]Result, error) {
-	return RunContext(context.Background(), e, pl, cfg)
-}
-
-// RunContext is like Run but aborts promptly with ctx.Err() when ctx is
-// cancelled mid-run.
 func RunContext(ctx context.Context, e *sim.Engine, pl *core.Plan, cfg Config) ([]Result, error) {
 	n := e.Field().N()
 	rounds := AssignRounds(pl, cfg)

@@ -16,8 +16,8 @@
 //  9. inform     — dominators announce the result to their clusters
 //
 // Stage budgets are conservative envelopes; actual completion is observed
-// through sim events ("acked", "informed", "backbone-agg"), which is what
-// the experiments report.
+// through sim events ("acked", "informed", "backbone-agg"), which
+// RunSummary measures for the facade and the experiments alike.
 package core
 
 import (
@@ -43,40 +43,33 @@ type Config struct {
 	PhiMax int
 	// HopBound bounds the backbone hop diameter, sizing backbone budgets.
 	HopBound int
-	// Gamma2 scales follower-phase length: Γ = ⌈Gamma2·ln n̂⌉ rounds (the
-	// paper's γ₂).
-	Gamma2 float64
-	// Omega2 scales the dominator's backoff threshold: Ω = ⌈Omega2·ln n̂⌉
-	// messages per phase (the paper's ω₂).
-	Omega2 float64
-	// Lambda is the contention target (the paper's λ = 1/2).
-	Lambda float64
-	// ExtraFollowerPhases pads the follower stage beyond the computed
-	// doubling+throughput phases.
-	ExtraFollowerPhases int
 	// DisableBackoff removes the dominator's congestion signal from the
 	// follower stage (ablation A1): transmission probabilities then double
 	// unchecked and Bounded Contention (Definition 17) is not maintained.
 	DisableBackoff bool
-
-	// Dominate, Color and CSA stage overrides; zero values mean defaults
-	// derived from the parameters at Plan time.
-	DominateRoundFactor float64
-	ColorConfig         *backbone.ColorConfig
 }
+
+// Follower-stage constants of Sec. 6.
+const (
+	// gamma2 scales follower-phase length: Γ = ⌈γ₂·ln n̂⌉ rounds.
+	gamma2 = 5
+	// omega2 scales the dominator's backoff threshold: Ω = ⌈ω₂·ln n̂⌉
+	// messages per phase.
+	omega2 = 1
+	// lambda is the contention target λ = 1/2.
+	lambda = 0.5
+	// extraFollowerPhases pads the follower stage beyond the computed
+	// doubling+throughput phases.
+	extraFollowerPhases = 4
+)
 
 // DefaultConfig returns the pipeline configuration for the given model.
 func DefaultConfig(p model.Params) Config {
 	return Config{
-		DeltaHat:            p.NEstimate,
-		C1:                  1.0,
-		PhiMax:              10,
-		HopBound:            8,
-		Gamma2:              5,
-		Omega2:              1,
-		Lambda:              0.5,
-		ExtraFollowerPhases: 4,
-		DominateRoundFactor: 4,
+		DeltaHat: p.NEstimate,
+		C1:       1.0,
+		PhiMax:   10,
+		HopBound: 8,
 	}
 }
 
@@ -127,15 +120,7 @@ func NewPlan(p model.Params, cfg Config) *Plan {
 	memberR := 2 * rc
 
 	pl.Dominate = dominate.DefaultConfig(rc, 0)
-	if cfg.DominateRoundFactor > 0 {
-		pl.Dominate.RoundFactor = cfg.DominateRoundFactor
-	}
-
-	if cfg.ColorConfig != nil {
-		pl.Color = *cfg.ColorConfig
-	} else {
-		pl.Color = backbone.DefaultColorConfig(p, cfg.PhiMax)
-	}
+	pl.Color = backbone.DefaultColorConfig(p, cfg.PhiMax)
 
 	pl.AnnounceSlots = int(math.Ceil(8 * p.LogN()))
 
@@ -148,12 +133,12 @@ func NewPlan(p model.Params, cfg Config) *Plan {
 	pl.Elect = reporter.DefaultElectConfig(memberR)
 	pl.Elect.Stride = cfg.PhiMax
 
-	pl.FollowerGamma = int(math.Ceil(cfg.Gamma2 * p.LogN()))
-	pl.Omega = int(math.Ceil(cfg.Omega2 * p.LogN()))
+	pl.FollowerGamma = int(math.Ceil(gamma2 * p.LogN()))
+	pl.Omega = int(math.Ceil(omega2 * p.LogN()))
 	throughput := float64(p.Channels) * p.LogN()
 	pl.FollowerPhases = int(math.Ceil(math.Log2(float64(max2(cfg.DeltaHat, 2))))) +
 		int(math.Ceil(float64(cfg.DeltaHat)/throughput)) +
-		cfg.ExtraFollowerPhases
+		extraFollowerPhases
 
 	pl.Tree = backbone.DefaultTreeConfig(p, cfg.PhiMax, cfg.HopBound)
 

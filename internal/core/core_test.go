@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -18,7 +19,7 @@ func runPipeline(t *testing.T, pos []geo.Point, p model.Params, cfg Config, valu
 	t.Helper()
 	pl := NewPlan(p, cfg)
 	e := sim.NewEngine(phy.NewField(p, pos), seed)
-	res, err := Run(e, pl, values, op, seed)
+	res, err := RunContext(context.Background(), e, pl, values, op, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestScheduleAlignment(t *testing.T) {
 	e := sim.NewEngine(phy.NewField(p, pos), 13)
 	slots := 0
 	e.Trace = func(int, []phy.Tx, []phy.Rx, []phy.Reception) { slots++ }
-	if _, err := Run(e, pl, make([]int64, n), agg.Sum, 13); err != nil {
+	if _, err := RunContext(context.Background(), e, pl, make([]int64, n), agg.Sum, 13); err != nil {
 		t.Fatal(err)
 	}
 	if slots != pl.Offsets.End {
@@ -286,7 +287,7 @@ func TestPipelineUnderManhattanMetric(t *testing.T) {
 	cfg.HopBound = 2
 	pl := NewPlan(p, cfg)
 	e := sim.NewEngine(phy.NewFieldMetric(p, pos, geo.Manhattan), 29)
-	res, err := Run(e, pl, values, agg.Sum, 29)
+	res, err := RunContext(context.Background(), e, pl, values, agg.Sum, 29)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +324,7 @@ func TestPipelineDeterminism(t *testing.T) {
 		cfg.HopBound = 2
 		pl := NewPlan(p, cfg)
 		e := sim.NewEngine(phy.NewField(p, pos), 99)
-		res, err := Run(e, pl, values, agg.Sum, 99)
+		res, err := RunContext(context.Background(), e, pl, values, agg.Sum, 99)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,7 +375,7 @@ func TestPipelineUnderParameterUncertainty(t *testing.T) {
 	pl := NewPlan(believed, cfg)
 	e := sim.NewEngine(phy.NewField(truth, pos), 49)
 	e.NodeParams = &believed
-	res, err := Run(e, pl, values, agg.Sum, 49)
+	res, err := RunContext(context.Background(), e, pl, values, agg.Sum, 49)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +425,7 @@ func TestPipelineWithJammedChannel(t *testing.T) {
 	field := phy.NewField(p, pos)
 	field.Jam(2, true)
 	e := sim.NewEngine(field, 57)
-	res, err := Run(e, pl, values, agg.Sum, 57)
+	res, err := RunContext(context.Background(), e, pl, values, agg.Sum, 57)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,18 +78,13 @@ type Result struct {
 	IsReporter  bool
 }
 
-// Run executes the full pipeline over the engine's field: structure
+// RunContext executes the full pipeline over the engine's field: structure
 // construction followed by data aggregation of values under op. It returns
-// the per-node results; timings are available via the engine's events and
-// the plan's stage offsets.
-func Run(e *sim.Engine, pl *Plan, values []int64, op agg.Op, seed uint64) ([]Result, error) {
-	return RunContext(context.Background(), e, pl, values, op, seed)
-}
-
-// RunContext is like Run but aborts promptly with ctx.Err() when ctx is
-// cancelled mid-run. A values slice whose length differs from the node
-// count is an error: silently substituting zeros would corrupt the
-// aggregate while the run still "succeeds".
+// the per-node results (RunSummary also measures the run) and aborts
+// promptly with ctx.Err() when ctx is cancelled mid-run. A values slice
+// whose length differs from the node count is an error: silently
+// substituting zeros would corrupt the aggregate while the run still
+// "succeeds". seed is unused: all randomness flows from the engine's seed.
 func RunContext(ctx context.Context, e *sim.Engine, pl *Plan, values []int64, op agg.Op, seed uint64) ([]Result, error) {
 	n := e.Field().N()
 	if len(values) != n {

@@ -444,7 +444,7 @@ func (f *followerFrag) Feed(sc *sim.StepCtx) bool {
 		f.repChan = st.Role - 1
 		f.isDom = st.IsDominator()
 		f.follower = !f.isRep && !f.isDom
-		f.pu = pl.Cfg.Lambda * float64(st.Fv) / float64(max2(st.Est, 1))
+		f.pu = lambda * float64(st.Fv) / float64(max2(st.Est, 1))
 		if f.pu > 0.5 {
 			f.pu = 0.5
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -27,7 +28,7 @@ func runIdentityCase(t *testing.T, name string, pos []geo.Point, p model.Params,
 		}
 		rec := golden.NewRecorder()
 		e.Trace = rec.Trace
-		res, err := Run(e, pl, values, op, seed)
+		res, err := RunContext(context.Background(), e, pl, values, op, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

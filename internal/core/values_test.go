@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestRunRejectsWrongValuesLength(t *testing.T) {
 
 	for _, wrong := range [][]int64{nil, make([]int64, 2), make([]int64, 5)} {
 		e := sim.NewEngine(phy.NewField(p, pos), 1)
-		_, err := Run(e, pl, wrong, agg.Sum, 1)
+		_, err := RunContext(context.Background(), e, pl, wrong, agg.Sum, 1)
 		if err == nil {
 			t.Fatalf("len %d: expected error, got nil", len(wrong))
 		}
@@ -34,7 +35,7 @@ func TestRunRejectsWrongValuesLength(t *testing.T) {
 
 	// The matching length still runs.
 	e := sim.NewEngine(phy.NewField(p, pos), 1)
-	if _, err := Run(e, pl, make([]int64, len(pos)), agg.Sum, 1); err != nil {
+	if _, err := RunContext(context.Background(), e, pl, make([]int64, len(pos)), agg.Sum, 1); err != nil {
 		t.Fatalf("correct length failed: %v", err)
 	}
 }

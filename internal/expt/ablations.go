@@ -1,9 +1,9 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 
-	"mcnet/internal/agg"
 	"mcnet/internal/core"
 	"mcnet/internal/model"
 	"mcnet/internal/stats"
@@ -27,7 +27,7 @@ func A1BackoffAblation(o Options) (*stats.Table, error) {
 		acked, followers, exact, total int
 	}
 	seeds := o.seeds()
-	runs, err := sweep(o, len(variants)*seeds, func(i int) (a1Run, error) {
+	runs, err := sweep(o, len(variants)*seeds, func(ctx context.Context, i int) (a1Run, error) {
 		disable, s := variants[i/seeds], i%seeds
 		p := model.Default(f, n)
 		pos := Crowd(p, n, uint64(s+51))
@@ -37,11 +37,11 @@ func A1BackoffAblation(o Options) (*stats.Table, error) {
 		cfg.PhiMax = 4
 		cfg.HopBound = 2
 		cfg.DisableBackoff = disable
-		m, err := RunAgg(pos, p, cfg, values, agg.Sum, uint64(2000+s))
+		m, err := aggregate(ctx, pos, p, cfg, values, uint64(2000+s))
 		if err != nil {
 			return a1Run{}, err
 		}
-		return a1Run{float64(m.AckSlots), m.FollowersAcked, m.Followers, m.Exact, m.N}, nil
+		return a1Run{float64(m.AckSlots), m.FollowersAcked, m.Followers, m.Exact, n}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -83,7 +83,7 @@ func A2TDMAAblation(o Options) (*stats.Table, error) {
 		informed, exact, total int
 	}
 	seeds := o.seeds()
-	runs, err := sweep(o, len(phis)*seeds, func(i int) (a2Run, error) {
+	runs, err := sweep(o, len(phis)*seeds, func(ctx context.Context, i int) (a2Run, error) {
 		phi, s := phis[i/seeds], i%seeds
 		p := model.Default(4, 2*n)
 		rnd := newRand(uint64(2100*n + s))
@@ -93,11 +93,11 @@ func A2TDMAAblation(o Options) (*stats.Table, error) {
 		cfg.DeltaHat = 32
 		cfg.PhiMax = phi
 		cfg.HopBound = 14
-		m, err := RunAgg(pos, p, cfg, values, agg.Sum, uint64(2200+s))
+		m, err := aggregate(ctx, pos, p, cfg, values, uint64(2200+s))
 		if err != nil {
 			return a2Run{}, err
 		}
-		return a2Run{m.Informed, m.Exact, m.N}, nil
+		return a2Run{m.Informed, m.Exact, n}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -138,7 +138,7 @@ func A3ChannelSpreadAblation(o Options) (*stats.Table, error) {
 		exact, total int
 	}
 	seeds := o.seeds()
-	runs, err := sweep(o, len(c1s)*seeds, func(i int) (a3Run, error) {
+	runs, err := sweep(o, len(c1s)*seeds, func(ctx context.Context, i int) (a3Run, error) {
 		c1, s := c1s[i/seeds], i%seeds
 		p := model.Default(f, n)
 		pos := Crowd(p, n, uint64(s+61))
@@ -148,11 +148,11 @@ func A3ChannelSpreadAblation(o Options) (*stats.Table, error) {
 		cfg.PhiMax = 4
 		cfg.HopBound = 2
 		cfg.C1 = c1
-		m, err := RunAgg(pos, p, cfg, values, agg.Sum, uint64(2300+s))
+		m, err := aggregate(ctx, pos, p, cfg, values, uint64(2300+s))
 		if err != nil {
 			return a3Run{}, err
 		}
-		return a3Run{float64(m.AckSlots), m.Exact, m.N}, nil
+		return a3Run{float64(m.AckSlots), m.Exact, n}, nil
 	})
 	if err != nil {
 		return nil, err

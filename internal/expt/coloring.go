@@ -136,11 +136,11 @@ func C1ColorHeadToHead(o Options) (*stats.Table, error) {
 	suite := colorSuite(n, 41)
 	backends := o.colorBackends()
 	seeds := o.seeds()
-	runs, err := sweep(o, len(suite)*len(backends)*seeds, func(i int) (colorMetrics, error) {
+	runs, err := sweep(o, len(suite)*len(backends)*seeds, func(ctx context.Context, i int) (colorMetrics, error) {
 		tc := suite[i/(len(backends)*seeds)]
 		b := backends[i/seeds%len(backends)]
 		s := i % seeds
-		return runColorer(o.ctx(), b, tc, model.Default(f, n), uint64(700+s), nil)
+		return runColorer(ctx, b, tc, model.Default(f, n), uint64(700+s), nil)
 	})
 	if err != nil {
 		return nil, err
@@ -183,11 +183,11 @@ func C2ColorScaling(o Options) (*stats.Table, error) {
 		g := model.Default(f, n)
 		cases[i] = c2case{n, colorCase{"uniform", topology.UniformDegree(newRand(uint64(50+i)), n, g.REps(), 12), 32, 24, 12}}
 	}
-	runs, err := sweep(o, len(cases)*len(backends)*seeds, func(i int) (colorMetrics, error) {
+	runs, err := sweep(o, len(cases)*len(backends)*seeds, func(ctx context.Context, i int) (colorMetrics, error) {
 		c := cases[i/(len(backends)*seeds)]
 		b := backends[i/seeds%len(backends)]
 		s := i % seeds
-		return runColorer(o.ctx(), b, c.tc, model.Default(f, c.n), uint64(800+s), nil)
+		return runColorer(ctx, b, c.tc, model.Default(f, c.n), uint64(800+s), nil)
 	})
 	if err != nil {
 		return nil, err
@@ -222,12 +222,12 @@ func C3ColorChurn(o Options) (*stats.Table, error) {
 	tc := colorCase{"crowd", topology.Crowd(newRand(61), n, g.ClusterRadius()), n, 4, 2}
 	backends := o.colorBackends()
 	seeds := o.seeds()
-	runs, err := sweep(o, len(rates)*len(backends)*seeds, func(i int) (colorMetrics, error) {
+	runs, err := sweep(o, len(rates)*len(backends)*seeds, func(ctx context.Context, i int) (colorMetrics, error) {
 		rate := rates[i/(len(backends)*seeds)]
 		b := backends[i/seeds%len(backends)]
 		s := i % seeds
 		spec := fault.Spec{CrashRate: rate}
-		return runColorer(o.ctx(), b, tc, model.Default(f, n), uint64(900+s), &spec)
+		return runColorer(ctx, b, tc, model.Default(f, n), uint64(900+s), &spec)
 	})
 	if err != nil {
 		return nil, err

@@ -33,8 +33,9 @@ type Options struct {
 	// across: 0 (the default) uses GOMAXPROCS, 1 forces the serial sweep.
 	// Tables are byte-identical at every setting.
 	Parallel int
-	// Ctx, when non-nil, cancels the sweep between runs (Ctrl-C on the
-	// CLIs); nil means context.Background().
+	// Ctx, when non-nil, cancels the sweep (Ctrl-C on the CLIs): queued
+	// runs never start and in-flight runs abort mid-schedule. Nil means
+	// context.Background().
 	Ctx context.Context
 	// Colorers restricts the c-series head-to-heads to a subset of coloring
 	// backend names; empty means every registered backend. Other experiment
@@ -86,7 +87,7 @@ func E1SpeedupVsChannels(o Options) (*stats.Table, error) {
 		fs = []int{1, 4}
 	}
 	seeds := o.seeds()
-	runs, err := sweep(o, len(fs)*seeds, func(i int) (aggRun, error) {
+	runs, err := sweep(o, len(fs)*seeds, func(ctx context.Context, i int) (aggRun, error) {
 		f, s := fs[i/seeds], i%seeds
 		p := model.Default(f, n)
 		pos := Crowd(p, n, uint64(s+1))
@@ -95,11 +96,11 @@ func E1SpeedupVsChannels(o Options) (*stats.Table, error) {
 		cfg.DeltaHat = n
 		cfg.PhiMax = 4
 		cfg.HopBound = 2
-		m, err := RunAgg(pos, p, cfg, values, agg.Sum, uint64(100*f+s))
+		m, err := aggregate(ctx, pos, p, cfg, values, uint64(100*f+s))
 		if err != nil {
 			return aggRun{}, err
 		}
-		return aggRun{float64(m.AckSlots), float64(m.AggSlots), m.Informed, m.Exact, m.N}, nil
+		return aggRun{float64(m.AckSlots), float64(m.AggSlots), m.Informed, m.Exact, n}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -143,7 +144,7 @@ func E2AggVsN(o Options) (*stats.Table, error) {
 	}
 	const f = 8
 	seeds := o.seeds()
-	runs, err := sweep(o, len(ns)*seeds, func(i int) (aggRun, error) {
+	runs, err := sweep(o, len(ns)*seeds, func(ctx context.Context, i int) (aggRun, error) {
 		n, s := ns[i/seeds], i%seeds
 		p := model.Default(f, n)
 		pos := Crowd(p, n, uint64(s+11))
@@ -152,11 +153,11 @@ func E2AggVsN(o Options) (*stats.Table, error) {
 		cfg.DeltaHat = n
 		cfg.PhiMax = 4
 		cfg.HopBound = 2
-		m, err := RunAgg(pos, p, cfg, values, agg.Sum, uint64(1000*n+s))
+		m, err := aggregate(ctx, pos, p, cfg, values, uint64(1000*n+s))
 		if err != nil {
 			return aggRun{}, err
 		}
-		return aggRun{float64(m.AckSlots), float64(m.AggSlots), m.Informed, m.Exact, m.N}, nil
+		return aggRun{float64(m.AckSlots), float64(m.AggSlots), m.Informed, m.Exact, n}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -196,7 +197,7 @@ func E3Baselines(o Options) (*stats.Table, error) {
 		exact [algos]int
 		total [algos]int
 	}
-	runs, err := sweep(o, o.seeds(), func(s int) (e3Run, error) {
+	runs, err := sweep(o, o.seeds(), func(ctx context.Context, s int) (e3Run, error) {
 		var r e3Run
 		seed := uint64(s + 21)
 		values, want := sequentialValues(n)
@@ -208,13 +209,13 @@ func E3Baselines(o Options) (*stats.Table, error) {
 			cfg.DeltaHat = n
 			cfg.PhiMax = 4
 			cfg.HopBound = 2
-			m, err := RunAgg(pos, p, cfg, values, agg.Sum, seed*7+uint64(idx))
+			m, err := aggregate(ctx, pos, p, cfg, values, seed*7+uint64(idx))
 			if err != nil {
 				return r, err
 			}
 			r.slots[idx] = float64(m.AggSlots)
 			r.exact[idx] = m.Exact
-			r.total[idx] = m.N
+			r.total[idx] = n
 		}
 
 		p := model.Default(1, n)
@@ -295,7 +296,7 @@ func E4Coloring(o Options) (*stats.Table, error) {
 		palette, greedy, conflicts, uncolored int
 	}
 	seeds := o.seeds()
-	runs, err := sweep(o, len(fs)*seeds, func(i int) (e4Run, error) {
+	runs, err := sweep(o, len(fs)*seeds, func(ctx context.Context, i int) (e4Run, error) {
 		f, s := fs[i/seeds], i%seeds
 		p := model.Default(f, n)
 		pos := Crowd(p, n, uint64(s+31))
@@ -305,7 +306,7 @@ func E4Coloring(o Options) (*stats.Table, error) {
 		cfg.HopBound = 2
 		pl := core.NewPlan(p, cfg)
 		e := sim.NewEngine(phy.NewField(p, pos), uint64(300*f+s))
-		res, err := coloring.Run(e, pl, coloring.DefaultConfig())
+		res, err := coloring.RunContext(ctx, e, pl, coloring.DefaultConfig())
 		if err != nil {
 			return e4Run{}, err
 		}
@@ -365,7 +366,7 @@ func E5RulingSet(o Options) (*stats.Table, error) {
 		viol, undom int
 	}
 	seeds := o.seeds()
-	runs, err := sweep(o, len(ns)*seeds, func(i int) (e5Run, error) {
+	runs, err := sweep(o, len(ns)*seeds, func(ctx context.Context, i int) (e5Run, error) {
 		n, s := ns[i/seeds], i%seeds
 		p := model.Default(1, n)
 		rnd := newRand(uint64(500*n + s))
@@ -389,7 +390,7 @@ func E5RulingSet(o Options) (*stats.Table, error) {
 			f := &ruling.RunFrag{Cfg: cfg}
 			steppers[i] = &sim.FragStepper{Frag: f, Finish: func(*sim.StepCtx) { out[i] = f.Out }}
 		}
-		if _, err := e.Run(steppers); err != nil {
+		if _, err := e.RunContext(ctx, steppers); err != nil {
 			return e5Run{}, err
 		}
 		maxRound := 0
@@ -440,7 +441,7 @@ func E6CSA(o Options) (*stats.Table, error) {
 		budget int
 	}
 	seeds := o.seeds()
-	runs, err := sweep(o, len(sizes)*len(variants)*seeds, func(i int) (e6Run, error) {
+	runs, err := sweep(o, len(sizes)*len(variants)*seeds, func(ctx context.Context, i int) (e6Run, error) {
 		size := sizes[i/(len(variants)*seeds)]
 		variant := variants[i/seeds%len(variants)]
 		s := i % seeds
@@ -469,7 +470,7 @@ func E6CSA(o Options) (*stats.Table, error) {
 				steppers[i] = &sim.FragStepper{Frag: &csa.SmallDominateeFrag{Cfg: cfg}}
 			}
 		}
-		if _, err := e.Run(steppers); err != nil {
+		if _, err := e.RunContext(ctx, steppers); err != nil {
 			return e6Run{}, err
 		}
 		return e6Run{ratio: float64(est) / float64(size), budget: budget}, nil
@@ -506,7 +507,7 @@ func E7StructureBuild(o Options) (*stats.Table, error) {
 		offsets core.StageOffsets
 		covered string
 	}
-	runs, err := sweep(o, len(ns), func(i int) (e7Run, error) {
+	runs, err := sweep(o, len(ns), func(ctx context.Context, i int) (e7Run, error) {
 		n := ns[i]
 		p := model.Default(8, n)
 		cfg := core.DefaultConfig(p)
@@ -517,12 +518,12 @@ func E7StructureBuild(o Options) (*stats.Table, error) {
 		if n <= 128 {
 			pos := Crowd(p, n, uint64(n))
 			e := sim.NewEngine(phy.NewField(p, pos), uint64(n)*3)
-			res, err := core.Run(e, pl, make([]int64, n), agg.Sum, 1)
+			sum, err := core.RunSummary(ctx, e, pl, make([]int64, n), agg.Sum)
 			if err != nil {
 				return e7Run{}, err
 			}
 			good := 0
-			for i, r := range res {
+			for i, r := range sum.Results {
 				if r.Dominator >= 0 && pos[i].Dist(pos[r.Dominator]) <= p.ClusterRadius() {
 					good++
 				}
@@ -572,7 +573,7 @@ func E8ExponentialChain(o Options) (*stats.Table, error) {
 	type e8Run struct {
 		maxPar, total int
 	}
-	runs, err := sweep(o, len(cases), func(i int) (e8Run, error) {
+	runs, err := sweep(o, len(cases), func(ctx context.Context, i int) (e8Run, error) {
 		c := cases[i]
 		p := model.Default(1, n)
 		// β = 1.5 ≥ 2^{1/3} ≈ 1.26: the lemma's condition holds. The
@@ -598,7 +599,7 @@ func E8ExponentialChain(o Options) (*stats.Table, error) {
 		for i := range steppers {
 			steppers[i] = &chainStepper{slots: slots}
 		}
-		if _, err := e.Run(steppers); err != nil {
+		if _, err := e.RunContext(ctx, steppers); err != nil {
 			return e8Run{}, err
 		}
 		return e8Run{maxPar: maxPar, total: total}, nil
@@ -651,7 +652,7 @@ func E9Backbone(o Options) (*stats.Table, error) {
 		doms, dens, selfs, uncov, colors, confl float64
 	}
 	seeds := o.seeds()
-	runs, err := sweep(o, len(ns)*seeds, func(i int) (e9Run, error) {
+	runs, err := sweep(o, len(ns)*seeds, func(ctx context.Context, i int) (e9Run, error) {
 		n, s := ns[i/seeds], i%seeds
 		p := model.Default(4, n)
 		rnd := newRand(uint64(900*n + s))
@@ -665,7 +666,7 @@ func E9Backbone(o Options) (*stats.Table, error) {
 			f := &dominate.RunFrag{Cfg: dcfg}
 			steppers[i] = &sim.FragStepper{Frag: f, Finish: func(*sim.StepCtx) { dout[i] = f.Out }}
 		}
-		if _, err := e.Run(steppers); err != nil {
+		if _, err := e.RunContext(ctx, steppers); err != nil {
 			return e9Run{}, err
 		}
 		st := dominate.Analyze(pos, dout, rc)
@@ -682,7 +683,7 @@ func E9Backbone(o Options) (*stats.Table, error) {
 				steppers[i] = &sim.FragStepper{Frag: &sim.IdleFrag{K: ccfg.SlotBudget(p)}}
 			}
 		}
-		if _, err := e2.Run(steppers); err != nil {
+		if _, err := e2.RunContext(ctx, steppers); err != nil {
 			return e9Run{}, err
 		}
 		maxColor, conflicts := 0, 0
@@ -746,7 +747,7 @@ func E10DiameterTerm(o Options) (*stats.Table, error) {
 		informed, total, dia int
 	}
 	seeds := o.seeds()
-	runs, err := sweep(o, len(lengths)*seeds, func(i int) (e10Run, error) {
+	runs, err := sweep(o, len(lengths)*seeds, func(ctx context.Context, i int) (e10Run, error) {
 		L, s := lengths[i/seeds], i%seeds
 		n := 8 * L
 		p := model.Default(4, n)
@@ -761,7 +762,7 @@ func E10DiameterTerm(o Options) (*stats.Table, error) {
 		cfg.DeltaHat = 24
 		cfg.PhiMax = 24
 		cfg.HopBound = 3*L + 6
-		m, err := RunAgg(pos, p, cfg, values, agg.Sum, uint64(1200*L+s))
+		m, err := aggregate(ctx, pos, p, cfg, values, uint64(1200*L+s))
 		if err != nil {
 			return e10Run{}, err
 		}
@@ -769,8 +770,8 @@ func E10DiameterTerm(o Options) (*stats.Table, error) {
 			delay:    float64(m.CastDelay),
 			agg:      float64(m.AggSlots),
 			informed: m.Informed,
-			total:    m.N,
-			dia:      m.Diam,
+			total:    n,
+			dia:      g.DiameterApprox(),
 		}, nil
 	})
 	if err != nil {

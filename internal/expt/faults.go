@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 
 	"mcnet/internal/agg"
@@ -8,21 +9,24 @@ import (
 	"mcnet/internal/fault"
 	"mcnet/internal/geo"
 	"mcnet/internal/model"
+	"mcnet/internal/phy"
+	"mcnet/internal/sim"
 	"mcnet/internal/stats"
 	"mcnet/internal/topology"
 )
 
-// RunAggFaults executes the pipeline once under a fault spec and extracts
-// metrics plus the injector's report. The spec must be valid for
-// (len(pos), p.Channels); the rate-based crash window defaults to the
+// RunAggFaults runs the pipeline once under a fault spec; the summary
+// carries the injector's report and survivor tally. The spec must be valid
+// for (len(pos), p.Channels); the rate-based crash window defaults to the
 // schedule's slot budget.
-func RunAggFaults(pos []geo.Point, p model.Params, cfg core.Config, values []int64, op agg.Op, seed uint64, spec fault.Spec) (AggMetrics, fault.Report, error) {
+func RunAggFaults(ctx context.Context, pos []geo.Point, p model.Params, cfg core.Config, values []int64, op agg.Op, seed uint64, spec fault.Spec) (*core.Summary, error) {
 	if err := spec.Validate(len(pos), p.Channels); err != nil {
-		return AggMetrics{}, fault.Report{}, err
+		return nil, err
 	}
 	pl := core.NewPlan(p, cfg)
-	inj := fault.NewInjector(spec, seed, len(pos), p.Channels, pl.Offsets.End)
-	return runAgg(pos, p, cfg, values, op, seed, inj)
+	e := sim.NewEngine(phy.NewField(p, pos), seed)
+	e.Faults = fault.NewInjector(spec, seed, len(pos), p.Channels, pl.Offsets.End)
+	return core.RunSummary(ctx, e, pl, values, op)
 }
 
 // faultCrowd is the shared deployment of the fault sweeps: a single-cluster
@@ -48,7 +52,7 @@ func F1LossSweep(o Options) (*stats.Table, error) {
 		informed, exact, acked, lost, total int
 	}
 	seeds := o.seeds()
-	runs, err := sweep(o, len(losses)*seeds, func(i int) (f1Run, error) {
+	runs, err := sweep(o, len(losses)*seeds, func(ctx context.Context, i int) (f1Run, error) {
 		lp, s := losses[i/seeds], i%seeds
 		p := model.Default(f, n)
 		pos := Crowd(p, n, uint64(s+71))
@@ -57,13 +61,13 @@ func F1LossSweep(o Options) (*stats.Table, error) {
 		cfg.DeltaHat = n
 		cfg.PhiMax = 4
 		cfg.HopBound = 2
-		m, rep, err := RunAggFaults(pos, p, cfg, values, agg.Sum,
+		m, err := RunAggFaults(ctx, pos, p, cfg, values, agg.Sum,
 			uint64(2000+s), fault.Spec{LossProb: lp})
 		if err != nil {
 			return f1Run{}, err
 		}
 		return f1Run{float64(m.AckSlots), float64(m.AggSlots),
-			m.Informed, m.Exact, m.FollowersAcked, rep.Lost, m.N}, nil
+			m.Informed, m.Exact, m.FollowersAcked, m.Faults.Lost, n}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -121,7 +125,7 @@ func F2JamSweep(o Options) (*stats.Table, error) {
 		informed, exact, total int
 	}
 	seeds := o.seeds()
-	runs, err := sweep(o, len(points)*seeds, func(i int) (f2Run, error) {
+	runs, err := sweep(o, len(points)*seeds, func(ctx context.Context, i int) (f2Run, error) {
 		pt, s := points[i/seeds], i%seeds
 		p := model.Default(f, n)
 		pos := Crowd(p, n, uint64(s+81))
@@ -130,12 +134,12 @@ func F2JamSweep(o Options) (*stats.Table, error) {
 		cfg.DeltaHat = n
 		cfg.PhiMax = 4
 		cfg.HopBound = 2
-		m, _, err := RunAggFaults(pos, p, cfg, values, agg.Sum,
+		m, err := RunAggFaults(ctx, pos, p, cfg, values, agg.Sum,
 			uint64(3000+s), fault.Spec{JamChannels: pt.k, JamModel: pt.jm})
 		if err != nil {
 			return f2Run{}, err
 		}
-		return f2Run{float64(m.AckSlots), float64(m.AggSlots), m.Informed, m.Exact, m.N}, nil
+		return f2Run{float64(m.AckSlots), float64(m.AggSlots), m.Informed, m.Exact, n}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -197,7 +201,7 @@ func F3ChurnSweep(o Options) (*stats.Table, error) {
 		survivors, survInformed, survAgree, survExact int
 	}
 	seeds := o.seeds()
-	runs, err := sweep(o, len(rates)*seeds, func(i int) (f3Run, error) {
+	runs, err := sweep(o, len(rates)*seeds, func(ctx context.Context, i int) (f3Run, error) {
 		cr, s := rates[i/seeds], i%seeds
 		p := model.Default(f, n)
 		pos := Crowd(p, n, uint64(s+91))
@@ -206,20 +210,20 @@ func F3ChurnSweep(o Options) (*stats.Table, error) {
 		cfg.DeltaHat = n
 		cfg.PhiMax = 4
 		cfg.HopBound = 2
-		m, rep, err := RunAggFaults(pos, p, cfg, values, agg.Sum,
+		m, err := RunAggFaults(ctx, pos, p, cfg, values, agg.Sum,
 			uint64(4000+s), fault.Spec{CrashRate: cr})
 		if err != nil {
 			return f3Run{}, err
 		}
 		return f3Run{
 			agg:          float64(m.AggSlots),
-			crashed:      len(rep.CrashedNodes),
+			crashed:      len(m.Faults.CrashedNodes),
 			informed:     m.Informed,
-			total:        m.N,
-			survivors:    m.Survivors,
-			survInformed: m.SurvivorsInformed,
-			survAgree:    m.SurvivorsAgreeing,
-			survExact:    m.SurvivorsExact,
+			total:        n,
+			survivors:    m.Survivors.Survivors,
+			survInformed: m.Survivors.Informed,
+			survAgree:    m.Survivors.Agreeing,
+			survExact:    m.Survivors.Exact,
 		}, nil
 	})
 	if err != nil {
@@ -298,7 +302,7 @@ func F4ByzantineSweep(o Options) (*stats.Table, error) {
 		survivors, survExact, survAgree int
 	}
 	seeds := o.seeds()
-	runs, err := sweep(o, len(points)*seeds, func(i int) (f4Run, error) {
+	runs, err := sweep(o, len(points)*seeds, func(ctx context.Context, i int) (f4Run, error) {
 		pt, s := points[i/seeds], i%seeds
 		p := model.Default(f, 2*n)
 		pos := topology.UniformDegree(newRand(uint64(5100*n+s)), n, p.REps(), 14)
@@ -307,7 +311,7 @@ func F4ByzantineSweep(o Options) (*stats.Table, error) {
 		cfg.DeltaHat = 32
 		cfg.PhiMax = 24
 		cfg.HopBound = 14
-		m, rep, err := RunAggFaults(pos, p, cfg, values, agg.Sum,
+		m, err := RunAggFaults(ctx, pos, p, cfg, values, agg.Sum,
 			uint64(5000+s), fault.Spec{
 				JamChannels: 1,
 				JamModel:    pt.jm,
@@ -318,12 +322,12 @@ func F4ByzantineSweep(o Options) (*stats.Table, error) {
 		}
 		return f4Run{
 			agg:       float64(m.AggSlots),
-			byz:       len(rep.ByzantineNodes),
+			byz:       len(m.Faults.ByzantineNodes),
 			informed:  m.Informed,
-			total:     m.N,
-			survivors: m.Survivors,
-			survExact: m.SurvivorsExact,
-			survAgree: m.SurvivorsAgreeing,
+			total:     n,
+			survivors: m.Survivors.Survivors,
+			survExact: m.Survivors.Exact,
+			survAgree: m.Survivors.Agreeing,
 		}, nil
 	})
 	if err != nil {
@@ -388,7 +392,7 @@ func F5JamHeadToHead(o Options) (*stats.Table, error) {
 		informed, exact, total int
 	}
 	seeds := o.seeds()
-	runs, err := sweep(o, len(points)*seeds, func(i int) (f5Run, error) {
+	runs, err := sweep(o, len(points)*seeds, func(ctx context.Context, i int) (f5Run, error) {
 		pt, s := points[i/seeds], i%seeds
 		p := model.Default(f, n)
 		pos := Crowd(p, n, uint64(s+111))
@@ -397,12 +401,12 @@ func F5JamHeadToHead(o Options) (*stats.Table, error) {
 		cfg.DeltaHat = n
 		cfg.PhiMax = 4
 		cfg.HopBound = 2
-		m, _, err := RunAggFaults(pos, p, cfg, values, agg.Sum,
+		m, err := RunAggFaults(ctx, pos, p, cfg, values, agg.Sum,
 			uint64(6000+s), fault.Spec{JamChannels: pt.k, JamModel: pt.jm})
 		if err != nil {
 			return f5Run{}, err
 		}
-		return f5Run{float64(m.AckSlots), float64(m.AggSlots), m.Informed, m.Exact, m.N}, nil
+		return f5Run{float64(m.AckSlots), float64(m.AggSlots), m.Informed, m.Exact, n}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -458,7 +462,7 @@ func F6ByzChurnSweep(o Options) (*stats.Table, error) {
 		survivors, survExact, survAgree int
 	}
 	seeds := o.seeds()
-	runs, err := sweep(o, len(points)*seeds, func(i int) (f6Run, error) {
+	runs, err := sweep(o, len(points)*seeds, func(ctx context.Context, i int) (f6Run, error) {
 		pt, s := points[i/seeds], i%seeds
 		p := model.Default(f, n)
 		pos := Crowd(p, n, uint64(s+121))
@@ -467,7 +471,7 @@ func F6ByzChurnSweep(o Options) (*stats.Table, error) {
 		cfg.DeltaHat = n
 		cfg.PhiMax = 4
 		cfg.HopBound = 2
-		m, rep, err := RunAggFaults(pos, p, cfg, values, agg.Sum,
+		m, err := RunAggFaults(ctx, pos, p, cfg, values, agg.Sum,
 			uint64(7000+s), fault.Spec{
 				CrashRate: pt.rate,
 				Byz:       fault.ByzSpec{Fraction: pt.frac, Strategy: fault.ByzCorrupt},
@@ -477,13 +481,13 @@ func F6ByzChurnSweep(o Options) (*stats.Table, error) {
 		}
 		return f6Run{
 			agg:       float64(m.AggSlots),
-			byz:       len(rep.ByzantineNodes),
-			crashed:   len(rep.CrashedNodes),
+			byz:       len(m.Faults.ByzantineNodes),
+			crashed:   len(m.Faults.CrashedNodes),
 			informed:  m.Informed,
-			total:     m.N,
-			survivors: m.Survivors,
-			survExact: m.SurvivorsExact,
-			survAgree: m.SurvivorsAgreeing,
+			total:     n,
+			survivors: m.Survivors.Survivors,
+			survExact: m.Survivors.Exact,
+			survAgree: m.Survivors.Agreeing,
 		}, nil
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -41,9 +42,10 @@ func TestFaultSweepsQuick(t *testing.T) {
 }
 
 // TestRunAggFaultsDeterminism: equal (seed, spec) pairs reproduce identical
-// metrics and fault reports; a zero spec matches the fault-free runner.
+// summaries and fault reports; a zero spec matches the fault-free runner.
 func TestRunAggFaultsDeterminism(t *testing.T) {
 	const n, f = 40, 4
+	ctx := context.Background()
 	p := model.Default(f, n)
 	pos := Crowd(p, n, 3)
 	values, _ := sequentialValues(n)
@@ -53,34 +55,39 @@ func TestRunAggFaultsDeterminism(t *testing.T) {
 	cfg.HopBound = 2
 
 	spec := fault.Spec{LossProb: 0.1, JamChannels: 1, JamModel: fault.JamRoundRobin, CrashRate: 0.1}
-	m1, r1, err := RunAggFaults(pos, p, cfg, values, agg.Sum, 99, spec)
+	m1, err := RunAggFaults(ctx, pos, p, cfg, values, agg.Sum, 99, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, r2, err := RunAggFaults(pos, p, cfg, values, agg.Sum, 99, spec)
+	m2, err := RunAggFaults(ctx, pos, p, cfg, values, agg.Sum, 99, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(m1, m2) || !reflect.DeepEqual(r1, r2) {
-		t.Errorf("same seed+spec diverged:\n%+v\n%+v\n%+v\n%+v", m1, m2, r1, r2)
+	if !reflect.DeepEqual(m1, m2) {
+		t.Errorf("same seed+spec diverged:\n%+v\n%+v", m1, m2)
 	}
 
-	plain, err := RunAgg(pos, p, cfg, values, agg.Sum, 99)
+	plain, err := aggregate(ctx, pos, p, cfg, values, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, zrep, err := RunAggFaults(pos, p, cfg, values, agg.Sum, 99, fault.Spec{})
+	zero, err := RunAggFaults(ctx, pos, p, cfg, values, agg.Sum, 99, fault.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plain, zero) {
-		t.Errorf("zero spec diverged from fault-free run:\n%+v\n%+v", plain, zero)
-	}
+	zrep := *zero.Faults
 	if zrep.Lost != 0 || zrep.JammedSlotChannels != 0 || len(zrep.CrashedNodes) != 0 {
 		t.Errorf("zero spec reported faults: %+v", zrep)
 	}
+	if tl := zero.Survivors; tl.Survivors != n || tl.Informed != zero.Informed || tl.Exact != zero.Exact {
+		t.Errorf("zero spec survivor tally %+v: every node must survive", tl)
+	}
+	zero.Faults, zero.Survivors = nil, fault.SurvivorTally{}
+	if !reflect.DeepEqual(plain, zero) {
+		t.Errorf("zero spec diverged from fault-free run:\n%+v\n%+v", plain, zero)
+	}
 
-	if _, _, err := RunAggFaults(pos, p, cfg, values, agg.Sum, 1, fault.Spec{LossProb: 2}); err == nil {
+	if _, err := RunAggFaults(ctx, pos, p, cfg, values, agg.Sum, 1, fault.Spec{LossProb: 2}); err == nil {
 		t.Error("invalid spec accepted")
 	}
 }

@@ -263,8 +263,8 @@ type SurvivorTally struct {
 
 // TallySurvivors folds per-node outcomes into a SurvivorTally. node(i) must
 // report whether node i learned a value and which; want is the reference
-// aggregate for exactness. It is the single definition shared by the facade
-// result and the experiment metrics, so the two cannot drift.
+// aggregate for exactness. core.RunSummary is its one caller, so the facade
+// result and the experiment tables read the same tally.
 //
 // Byzantine nodes are excluded from every count: the tally measures honest
 // correctness, which is what degrades as the Byzantine fraction grows — a

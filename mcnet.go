@@ -149,7 +149,7 @@ func (nw *Network) Plan() PlanInfo {
 		HopBound:    nw.cfg.HopBound,
 		BuildSlots:  nw.plan.Offsets.Followers,
 		BudgetSlots: nw.plan.Offsets.End,
-		Stages:      stageWindows(nw.plan),
+		Stages:      stageReports(nw.plan.Stages()),
 	}
 }
 
@@ -168,17 +168,14 @@ func (nw *Network) Events(fn func(Event)) {
 
 // newEngine builds a per-run engine with event streaming and (when fault
 // options were given) a fresh fault injector attached; callers install
-// their own Trace for slot and channel accounting. The injector is returned
-// so runs can surface its Report — nil when the network is fault-free.
-func (nw *Network) newEngine() (*sim.Engine, *fault.Injector) {
+// their own Trace for slot and channel accounting.
+func (nw *Network) newEngine() *sim.Engine {
 	e := sim.NewEngine(nw.deploy.NewField(), nw.seed)
 	if nw.maxSlots > 0 {
 		e.MaxSlots = nw.maxSlots
 	}
-	var inj *fault.Injector
 	if nw.faulted {
-		inj = fault.NewInjector(nw.faults, nw.seed, nw.N(), nw.Channels(), nw.plan.Offsets.End)
-		e.Faults = inj
+		e.Faults = fault.NewInjector(nw.faults, nw.seed, nw.N(), nw.Channels(), nw.plan.Offsets.End)
 	}
 	nw.mu.Lock()
 	observers := make([]func(Event), len(nw.observers))
@@ -194,7 +191,7 @@ func (nw *Network) newEngine() (*sim.Engine, *fault.Injector) {
 			}
 		}
 	}
-	return e, inj
+	return e
 }
 
 // Aggregate runs the full multichannel pipeline: structure construction
@@ -212,7 +209,7 @@ func (nw *Network) Aggregate(ctx context.Context, values []int64, op Aggregator)
 	busySlots := make([]int, nw.Channels())
 	seen := make([]bool, nw.Channels())
 	slots := 0
-	e, inj := nw.newEngine()
+	e := nw.newEngine()
 	e.Trace = func(_ int, txs []phy.Tx, _ []phy.Rx, _ []phy.Reception) {
 		slots++
 		for i := range seen {
@@ -226,20 +223,27 @@ func (nw *Network) Aggregate(ctx context.Context, values []int64, op Aggregator)
 		}
 	}
 
-	aop := toOp(op)
-	res, err := core.RunContext(ctx, e, nw.plan, values, aop, nw.seed)
+	sum, err := core.RunSummary(ctx, e, nw.plan, values, toOp(op))
 	if err != nil {
 		return nil, err
 	}
 
 	out := &AggregateResult{
-		Value:       aop.Fold(values),
+		Value:       sum.Want,
 		Nodes:       make([]NodeResult, n),
+		Informed:    sum.Informed,
+		Exact:       sum.Exact,
+		Dominators:  sum.Dominators,
+		Reporters:   sum.Reporters,
+		Followers:   sum.Followers,
 		Slots:       slots,
 		BudgetSlots: nw.plan.Offsets.End,
 		BuildSlots:  nw.plan.Offsets.Followers,
+		AckSlots:    sum.AckSlots,
+		AggSlots:    sum.AggSlots,
+		Stages:      stageReports(sum.Stages),
 	}
-	for i, r := range res {
+	for i, r := range sum.Results {
 		out.Nodes[i] = NodeResult{
 			Value:        r.Value,
 			Informed:     r.Ok,
@@ -250,62 +254,22 @@ func (nw *Network) Aggregate(ctx context.Context, values []int64, op Aggregator)
 			SizeEstimate: r.SizeEst,
 			Channel:      r.Channel,
 		}
-		switch {
-		case r.IsDominator:
-			out.Dominators++
-		case r.IsReporter:
-			out.Reporters++
-		default:
-			out.Followers++
-		}
-		if r.Ok {
-			out.Informed++
-			if r.Value == out.Value {
-				out.Exact++
-			}
-		}
 	}
-
-	events := e.Events()
-	aggStart := nw.plan.Offsets.Followers
-	lastAck, lastDone := 0, 0
-	for _, ev := range events {
-		switch ev.Name {
-		case EventAcked:
-			if ev.Slot > lastAck {
-				lastAck = ev.Slot
-			}
-		case EventBackboneAgg, EventBackboneResult:
-			if ev.Slot > lastDone {
-				lastDone = ev.Slot
-			}
-		}
-	}
-	if lastAck > 0 {
-		out.AckSlots = lastAck - aggStart
-	}
-	if lastDone > 0 {
-		out.AggSlots = lastDone - aggStart
-	}
-	out.Stages = observeStages(stageWindows(nw.plan), events)
 	out.ChannelUtilization = make([]float64, len(busySlots))
 	if slots > 0 {
 		for i, b := range busySlots {
 			out.ChannelUtilization[i] = float64(b) / float64(slots)
 		}
 	}
-	if inj != nil {
-		out.Faults = faultReportOf(inj.Report(), out)
+	if sum.Faults != nil {
+		out.Faults = faultReportOf(sum)
 	}
 	return out, nil
 }
 
-// faultReportOf converts an injector's run summary into the public report,
-// restricting the informed/exact counts to the nodes that survived.
-func faultReportOf(rep fault.Report, out *AggregateResult) *FaultReport {
-	tally := rep.TallySurvivors(len(out.Nodes), func(i int) (bool, int64) {
-		return out.Nodes[i].Informed, out.Nodes[i].Value
-	}, out.Value)
+// faultReportOf converts a faulted run's summary into the public report.
+func faultReportOf(sum *core.Summary) *FaultReport {
+	rep, tally := sum.Faults, sum.Survivors
 	return &FaultReport{
 		Delivered:          rep.Delivered,
 		Lost:               rep.Lost,
@@ -332,7 +296,7 @@ func (nw *Network) Color(ctx context.Context) (*ColorResult, error) {
 	}
 	n := nw.N()
 	slots := 0
-	e, _ := nw.newEngine()
+	e := nw.newEngine()
 	e.Trace = func(int, []phy.Tx, []phy.Rx, []phy.Reception) { slots++ }
 
 	res, st, err := backend.Color(ctx, e, nw.plan)
@@ -394,42 +358,11 @@ func (nw *Network) VerifyTDMA(colors []int) (TDMAReport, error) {
 	return rep, nil
 }
 
-// stageWindows lists the budgeted slot window of every pipeline stage.
-func stageWindows(pl *core.Plan) []StageReport {
-	o := pl.Offsets
-	mk := func(name string, start, end int) StageReport {
-		return StageReport{Name: name, Start: start, End: end, LastEvent: -1}
+// stageReports copies core's stage windows into the public type.
+func stageReports(ws []core.StageWindow) []StageReport {
+	out := make([]StageReport, len(ws))
+	for i, w := range ws {
+		out[i] = StageReport(w)
 	}
-	return []StageReport{
-		mk("dominate", o.Dominate, o.Color),
-		mk("color", o.Color, o.Announce),
-		mk("announce", o.Announce, o.CSA),
-		mk("csa", o.CSA, o.Elect),
-		mk("elect", o.Elect, o.Followers),
-		mk("followers", o.Followers, o.Tree),
-		mk("tree", o.Tree, o.Backbone),
-		mk("backbone", o.Backbone, o.Inform),
-		mk("inform", o.Inform, o.End),
-	}
-}
-
-// observeStages fills each stage window with the milestone events that
-// fired inside it. Events whose slot lands at or beyond the final stage's
-// budget end — programs that consumed their whole schedule, or instrumented
-// epilogues past the budget — are clamped into the final stage, so the
-// per-stage event totals always sum to the engine's event log.
-func observeStages(stages []StageReport, events []sim.Event) []StageReport {
-	for _, ev := range events {
-		for i := range stages {
-			last := i == len(stages)-1
-			if ev.Slot >= stages[i].Start && (ev.Slot < stages[i].End || last) {
-				stages[i].Events++
-				if ev.Slot > stages[i].LastEvent {
-					stages[i].LastEvent = ev.Slot
-				}
-				break
-			}
-		}
-	}
-	return stages
+	return out
 }
