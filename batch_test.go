@@ -22,7 +22,7 @@ func workerCounts() []int {
 // guarantee on the scenario layer: the emitted table is byte-identical at
 // every worker count.
 func TestRunScenarioParallelIdentity(t *testing.T) {
-	sc := mcnet.Scenario{
+	sp := mcnet.ScenarioSpec{
 		Name:  "identity",
 		N:     24,
 		Loss:  []float64{0, 0.1},
@@ -32,8 +32,7 @@ func TestRunScenarioParallelIdentity(t *testing.T) {
 	}
 	var serial string
 	for _, workers := range workerCounts() {
-		sc.Workers = workers
-		tb, err := mcnet.RunScenario(context.Background(), sc)
+		tb, err := mcnet.RunScenario(context.Background(), sp, mcnet.BatchOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -145,35 +144,35 @@ func TestRunBatchValidation(t *testing.T) {
 // TestScenarioAxisValidation checks the sweep axes are rejected up front
 // with errors naming the offending value.
 func TestScenarioAxisValidation(t *testing.T) {
-	base := mcnet.Scenario{N: 16, Seeds: 1}
+	base := mcnet.ScenarioSpec{N: 16, Seeds: 1}
 	cases := []struct {
 		name string
-		mut  func(*mcnet.Scenario)
+		mut  func(*mcnet.ScenarioSpec)
 		want string
 	}{
-		{"loss below range", func(sc *mcnet.Scenario) { sc.Loss = []float64{-0.1} }, "loss"},
-		{"loss above range", func(sc *mcnet.Scenario) { sc.Loss = []float64{1.5} }, "loss"},
-		{"negative jam", func(sc *mcnet.Scenario) { sc.Jam = []int{-1} }, "jam"},
-		{"jam covers channels", func(sc *mcnet.Scenario) { sc.Jam = []int{4} }, "jam"},
-		{"negative churn", func(sc *mcnet.Scenario) { sc.Churn = []float64{-0.2} }, "churn"},
-		{"churn above range", func(sc *mcnet.Scenario) { sc.Churn = []float64{1.1} }, "churn"},
-		{"unknown jam model", func(sc *mcnet.Scenario) { sc.JamModel = mcnet.JamModel(9) }, "jam model"},
+		{"loss below range", func(sp *mcnet.ScenarioSpec) { sp.Loss = []float64{-0.1} }, "loss"},
+		{"loss above range", func(sp *mcnet.ScenarioSpec) { sp.Loss = []float64{1.5} }, "loss"},
+		{"negative jam", func(sp *mcnet.ScenarioSpec) { sp.Jam = []int{-1} }, "jam"},
+		{"jam covers channels", func(sp *mcnet.ScenarioSpec) { sp.Jam = []int{4} }, "jam"},
+		{"negative churn", func(sp *mcnet.ScenarioSpec) { sp.Churn = []float64{-0.2} }, "churn"},
+		{"churn above range", func(sp *mcnet.ScenarioSpec) { sp.Churn = []float64{1.1} }, "churn"},
+		{"unknown jam model", func(sp *mcnet.ScenarioSpec) { sp.JamModel = "psychic" }, "jam model"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sc := base
-			tc.mut(&sc)
-			_, err := mcnet.RunScenario(context.Background(), sc)
+			sp := base
+			tc.mut(&sp)
+			_, err := mcnet.RunScenario(context.Background(), sp, mcnet.BatchOptions{})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want error mentioning %q", err, tc.want)
 			}
 		})
 	}
 	// A jam count below the (overridden) channel count passes validation.
-	sc := base
-	sc.Options = []mcnet.Option{mcnet.Channels(8)}
-	sc.Jam = []int{6}
-	if _, err := mcnet.RunScenario(context.Background(), sc); err != nil {
+	sp := base
+	sp.Channels = 8
+	sp.Jam = []int{6}
+	if _, err := mcnet.RunScenario(context.Background(), sp, mcnet.BatchOptions{}); err != nil {
 		t.Fatalf("jam 6 of 8 channels should be valid: %v", err)
 	}
 }
@@ -185,12 +184,14 @@ func TestRunScenarioCancellationMidBatch(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	var done atomic.Int64
-	sc := mcnet.Scenario{
+	sp := mcnet.ScenarioSpec{
 		N:     24,
 		Loss:  []float64{0}, // a single grid point: cancellation must hit between seeds
 		Seeds: 64,
-		// Serial pool: cancel after the first completed run, then require the
-		// sweep to die long before all 64 repetitions finish.
+	}
+	// Serial pool: cancel after the first completed run, then require the
+	// sweep to die long before all 64 repetitions finish.
+	bo := mcnet.BatchOptions{
 		Workers: 1,
 		Progress: func(d, total int) {
 			if done.Add(1) == 1 {
@@ -199,7 +200,7 @@ func TestRunScenarioCancellationMidBatch(t *testing.T) {
 		},
 	}
 	start := time.Now()
-	_, err := mcnet.RunScenario(ctx, sc)
+	_, err := mcnet.RunScenario(ctx, sp, bo)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -222,17 +223,13 @@ func TestRunScenarioCancellationMidBatch(t *testing.T) {
 // run exactly once.
 func TestRunScenarioProgressTotals(t *testing.T) {
 	var calls, lastDone, total atomic.Int64
-	sc := mcnet.Scenario{
-		N:     16,
-		Loss:  []float64{0, 0.1},
-		Seeds: 2,
-		Progress: func(done, tot int) {
-			calls.Add(1)
-			lastDone.Store(int64(done))
-			total.Store(int64(tot))
-		},
-	}
-	if _, err := mcnet.RunScenario(context.Background(), sc); err != nil {
+	sp := mcnet.ScenarioSpec{N: 16, Loss: []float64{0, 0.1}, Seeds: 2}
+	bo := mcnet.BatchOptions{Progress: func(done, tot int) {
+		calls.Add(1)
+		lastDone.Store(int64(done))
+		total.Store(int64(tot))
+	}}
+	if _, err := mcnet.RunScenario(context.Background(), sp, bo); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 4 || lastDone.Load() != 4 || total.Load() != 4 {

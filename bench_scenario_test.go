@@ -10,15 +10,12 @@ import (
 // grid (2 loss × 2 jam points, 4 seeds each = 16 runs) of the kind
 // mcscenario executes, small enough for the CI tripwire's -benchtime=1x
 // and large enough that batch-level parallelism dominates per-run noise.
-func benchSweep(workers int) Scenario {
-	return Scenario{
-		Name:    "bench",
-		N:       64,
-		Loss:    []float64{0, 0.05},
-		Jam:     []int{0, 1},
-		Seeds:   4,
-		Workers: workers,
-	}
+var benchSweep = ScenarioSpec{
+	Name:  "bench",
+	N:     64,
+	Loss:  []float64{0, 0.05},
+	Jam:   []int{0, 1},
+	Seeds: 4,
 }
 
 // BenchmarkScenarioSweep measures the batch execution layer end to end:
@@ -47,11 +44,10 @@ func BenchmarkScenarioSweep(b *testing.B) {
 		{"parallel", 0},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			sc := benchSweep(bc.workers)
-			runs := len(sc.Loss) * len(sc.Jam) * sc.Seeds
+			runs := len(benchSweep.Loss) * len(benchSweep.Jam) * benchSweep.Seeds
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := RunScenario(context.Background(), sc); err != nil {
+				if _, err := RunScenario(context.Background(), benchSweep, BatchOptions{Workers: bc.workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -86,68 +86,22 @@ func run(args []string, out, errOut io.Writer, exit func(int)) {
 	// stops, profiles are still flushed by fatal, and the exit is non-zero.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	var colorers []string
-	if *colorer != "" {
-		valid := make(map[string]bool)
-		for _, name := range mcnet.ColorerNames() {
-			valid[name] = true
+	o := mcnet.ExperimentOptions{Seeds: *seeds, Quick: *quick, Parallel: *parallel,
+		Colorers: splitList(*colorer), JamModels: splitList(*jamModel)}
+	for _, part := range splitList(*byz) {
+		frac, err := strconv.ParseFloat(part, 64)
+		if err != nil {
+			fmt.Fprintf(errOut, "mcagg: -byz: bad value %q\n", part)
+			fatal(2)
+			return
 		}
-		for _, name := range strings.Split(*colorer, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if !valid[name] {
-				fmt.Fprintf(errOut, "mcagg: unknown coloring backend %q (valid: %s)\n",
-					name, strings.Join(mcnet.ColorerNames(), ", "))
-				fatal(2)
-				return
-			}
-			colorers = append(colorers, name)
-		}
+		o.Byz = append(o.Byz, frac)
 	}
-	var byzFracs []float64
-	if *byz != "" {
-		for _, part := range strings.Split(*byz, ",") {
-			part = strings.TrimSpace(part)
-			if part == "" {
-				continue
-			}
-			frac, err := strconv.ParseFloat(part, 64)
-			if err != nil {
-				fmt.Fprintf(errOut, "mcagg: -byz: bad value %q\n", part)
-				fatal(2)
-				return
-			}
-			if frac < 0 || frac > 1 {
-				fmt.Fprintf(errOut, "mcagg: -byz value %v must be in [0, 1]\n", frac)
-				fatal(2)
-				return
-			}
-			byzFracs = append(byzFracs, frac)
-		}
+	if err := o.Validate(); err != nil {
+		fmt.Fprintln(errOut, "mcagg:", err)
+		fatal(2)
+		return
 	}
-	var jamModels []string
-	if *jamModel != "" {
-		valid := make(map[string]bool)
-		for _, name := range mcnet.JamModelNames() {
-			valid[name] = true
-		}
-		for _, name := range strings.Split(*jamModel, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if !valid[name] {
-				fmt.Fprintf(errOut, "mcagg: unknown jam model %q (valid: %s)\n",
-					name, strings.Join(mcnet.JamModelNames(), ", "))
-				fatal(2)
-				return
-			}
-			jamModels = append(jamModels, name)
-		}
-	}
-	o := mcnet.ExperimentOptions{Seeds: *seeds, Quick: *quick, Parallel: *parallel, Colorers: colorers, Byz: byzFracs, JamModels: jamModels}
 	var tables []*mcnet.Table
 	if strings.EqualFold(*exp, "all") {
 		ts, err := mcnet.AllExperimentsContext(ctx, o)
@@ -179,4 +133,15 @@ func run(args []string, out, errOut io.Writer, exit func(int)) {
 			fmt.Fprintln(out, tb.Render())
 		}
 	}
+}
+
+// splitList splits a comma-separated flag value, dropping empty entries.
+func splitList(s string) []string {
+	var out []string
+	for _, part := range strings.Split(s, ",") {
+		if part = strings.TrimSpace(part); part != "" {
+			out = append(out, part)
+		}
+	}
+	return out
 }

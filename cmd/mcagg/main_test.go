@@ -69,8 +69,9 @@ func TestRunColorerValidation(t *testing.T) {
 	}
 }
 
-// TestRunByzJamFlagValidation: -byz fractions outside [0, 1] (or garbage)
-// and unknown -jam-model names exit 2 without output on stdout.
+// TestRunByzJamFlagValidation: -byz fractions outside [0, 1] (NaN
+// included, or garbage) and unknown -jam-model names exit 2 before any run,
+// without output on stdout.
 func TestRunByzJamFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -79,6 +80,7 @@ func TestRunByzJamFlagValidation(t *testing.T) {
 	}{
 		{"byz above one", []string{"-exp", "f4", "-byz", "1.5"}, "[0, 1]"},
 		{"byz negative", []string{"-exp", "f4", "-byz", "0,-0.2"}, "[0, 1]"},
+		{"byz NaN", []string{"-exp", "f4", "-quick", "-seeds", "1", "-byz", "NaN"}, "NaN"},
 		{"byz garbage", []string{"-exp", "f4", "-byz", "lots"}, "-byz"},
 		{"unknown jam model", []string{"-exp", "f5", "-jam-model", "psychic"}, "psychic"},
 	}

@@ -96,7 +96,7 @@ func run(args []string, out, errOut io.Writer, exit func(int)) {
 	// The sweep comes from a spec document (-spec) or from the grid flags;
 	// either way it can run locally or be submitted to a daemon (-submit).
 	var (
-		sc  mcnet.Scenario
+		sp  mcnet.ScenarioSpec
 		doc []byte
 	)
 	if *specFile != "" {
@@ -105,16 +105,11 @@ func run(args []string, out, errOut io.Writer, exit func(int)) {
 			fail("%v", err)
 			return
 		}
-		sp, err := mcnet.ParseScenarioSpec(data)
-		if err != nil {
+		if sp, err = mcnet.ParseScenarioSpec(data); err != nil {
 			fail("%s: %v", *specFile, err)
 			return
 		}
 		doc = data
-		if sc, err = sp.Scenario(); err != nil {
-			fail("%s: %v", *specFile, err)
-			return
-		}
 	} else {
 		if *n < 2 {
 			fail("-n = %d must be ≥ 2", *n)
@@ -133,52 +128,24 @@ func run(args []string, out, errOut io.Writer, exit func(int)) {
 			fail("-loss: %v", err)
 			return
 		}
-		for _, p := range lossGrid {
-			if p < 0 || p > 1 {
-				fail("-loss value %v must be in [0, 1]", p)
-				return
-			}
-		}
 		jamGrid, err := parseInts(*jam)
 		if err != nil {
 			fail("-jam: %v", err)
 			return
-		}
-		for _, k := range jamGrid {
-			if k < 0 {
-				fail("-jam value %d must be ≥ 0", k)
-				return
-			}
-			if k >= *channels {
-				fail("-jam value %d jams every one of %d channels; leave at least one usable", k, *channels)
-				return
-			}
 		}
 		churnGrid, err := parseFloats(*churn)
 		if err != nil {
 			fail("-churn: %v", err)
 			return
 		}
-		for _, r := range churnGrid {
-			if r < 0 || r > 1 {
-				fail("-churn value %v must be in [0, 1]", r)
-				return
-			}
-		}
 		byzGrid, err := parseFloats(*byz)
 		if err != nil {
 			fail("-byz: %v", err)
 			return
 		}
-		for _, bf := range byzGrid {
-			if bf < 0 || bf > 1 {
-				fail("-byz value %v must be in [0, 1]", bf)
-				return
-			}
-		}
 		// Route flags through the spec document so the local run, the spec
 		// file and the daemon all validate and execute identically.
-		sp := mcnet.ScenarioSpec{
+		sp = mcnet.ScenarioSpec{
 			Name:        *name,
 			N:           *n,
 			Topology:    *kind,
@@ -192,7 +159,7 @@ func run(args []string, out, errOut io.Writer, exit func(int)) {
 			Seeds:       *seeds,
 			BaseSeed:    *seed,
 		}
-		if sc, err = sp.Scenario(); err != nil {
+		if err = sp.Validate(); err != nil {
 			fail("%v", err)
 			return
 		}
@@ -233,23 +200,20 @@ func run(args []string, out, errOut io.Writer, exit func(int)) {
 		}
 		return k
 	}
-	points := axis(len(sc.Loss)) * axis(len(sc.Jam)) * axis(len(sc.Churn)) * axis(len(sc.Byz))
-	reps := sc.Seeds
-	if reps < 1 {
-		reps = 1
-	}
+	points := axis(len(sp.Loss)) * axis(len(sp.Jam)) * axis(len(sp.Churn)) * axis(len(sp.Byz))
+	reps := max(sp.Seeds, 1)
+	bo := mcnet.BatchOptions{Workers: *parallel}
 	if !*quiet {
 		fmt.Fprintf(errOut, "mcscenario: sweeping %d grid points × %d seeds = %d runs\n",
 			points, reps, points*reps)
-		sc.Progress = func(done, total int) {
+		bo.Progress = func(done, total int) {
 			if done%reps == 0 || done == total {
 				fmt.Fprintf(errOut, "mcscenario: %d/%d runs (≈ %d/%d grid points)\n",
 					done, total, done/reps, points)
 			}
 		}
 	}
-	sc.Workers = *parallel
-	tb, err := mcnet.RunScenario(ctx, sc)
+	tb, err := mcnet.RunScenario(ctx, sp, bo)
 	if err != nil {
 		fmt.Fprintln(errOut, "mcscenario:", err)
 		// exit may be os.Exit, which skips defers — flush the profiles so

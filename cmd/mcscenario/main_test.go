@@ -68,15 +68,15 @@ func TestScenarioFlagValidation(t *testing.T) {
 		{"bad topology", []string{"-topo", "moebius"}, "topology"},
 		{"bad jam model", []string{"-jam-model", "psychic"}, "jam model"},
 		{"bad byz strategy", []string{"-byz-strategy", "gossip"}, "strategy"},
-		{"byz out of range", []string{"-byz", "0,1.5"}, "-byz"},
-		{"byz negative", []string{"-byz", "-0.1"}, "-byz"},
+		{"byz out of range", []string{"-byz", "0,1.5"}, "byz[1]"},
+		{"byz negative", []string{"-byz", "-0.1"}, "byz[0]"},
 		{"byz garbage", []string{"-byz", "lots"}, "-byz"},
-		{"loss out of range", []string{"-loss", "0,1.5"}, "-loss"},
+		{"loss out of range", []string{"-loss", "0,1.5"}, "loss[1]"},
 		{"loss garbage", []string{"-loss", "zero"}, "-loss"},
 		{"loss empty", []string{"-loss", ","}, "-loss"},
-		{"negative jam", []string{"-jam", "-1"}, "-jam"},
-		{"jam all channels", []string{"-channels", "2", "-jam", "2"}, "-jam"},
-		{"churn out of range", []string{"-churn", "2"}, "-churn"},
+		{"negative jam", []string{"-jam", "-1"}, "jam[0]"},
+		{"jam all channels", []string{"-channels", "2", "-jam", "2"}, "jam[0]"},
+		{"churn out of range", []string{"-churn", "2"}, "churn[0]"},
 		{"bogus flag", []string{"-bogus"}, ""},
 	}
 	for _, tc := range cases {

@@ -77,21 +77,21 @@
 // reuse one deployment construction (topology layout, derived sizing,
 // pipeline plan) with only the per-spec fault layer swapped in, so a fault
 // grid over s seeds costs s deployment builds rather than one per run.
-// RunScenario, the experiment suite (ExperimentOptions.Parallel) and both
-// CLIs (-parallel) run on this layer; Scenario.Progress and
-// BatchOptions.Progress report completed runs for long sweeps. The first
-// run error aborts a batch, and a cancelled context returns ctx.Err()
-// promptly without leaking goroutines.
+// RunScenario(ctx, spec, BatchOptions), the experiment suite
+// (ExperimentOptions.Parallel) and both CLIs (-parallel) run on this
+// layer; BatchOptions.Progress reports completed runs for long sweeps. The
+// first run error aborts a batch, and a cancelled context returns
+// ctx.Err() promptly without leaking goroutines.
 //
 // # Scenario service
 //
-// Sweeps travel as JSON spec documents: ScenarioSpec is the stable wire
-// format (strict parsing via ParseScenarioSpec — unknown fields rejected,
-// validation errors name the offending field), RunSpec marshals per-run
-// fault layers, and Scenario.Compile exposes the sweep's executable form
-// (Len/Specs/Run/Fold) so external schedulers can run items one at a time
-// and fold them later. Items are pure functions of (spec, index), which
-// makes sweeps resumable from any durable prefix. cmd/mcserved is the
+// A sweep is one ScenarioSpec, which is also its stable JSON document
+// (strict parsing via ParseScenarioSpec — unknown fields rejected,
+// validation errors name the offending field, and n and grid points ×
+// seeds are bounded before anything is allocated). ScenarioSpec.Compile
+// exposes the sweep's executable form (Len/Run/Fold) so a scheduler can
+// run items one at a time and fold them later. Items are pure functions of
+// (spec, index), which makes sweeps resumable from any durable prefix. cmd/mcserved is the
 // long-running daemon built on this (internal/serve): an HTTP/JSON
 // service with a persistent on-disk job queue, per-job NDJSON result
 // logs written in strict index order, SSE progress streaming, admission

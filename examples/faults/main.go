@@ -51,14 +51,15 @@ func main() {
 		fr.CrashedNodes, fr.SurvivorsInformed, fr.Survivors, fr.SurvivorsAgreeing)
 
 	// Sweep a small fault grid; the table is stable for a fixed base seed.
-	tb, err := mcnet.RunScenario(context.Background(), mcnet.Scenario{
-		Name:    "faults example",
-		N:       48,
-		Options: []mcnet.Option{mcnet.Channels(4), mcnet.WithTopology(mcnet.Crowd)},
-		Loss:    []float64{0, 0.1},
-		Jam:     []int{0, 1},
-		Seeds:   2,
-	})
+	tb, err := mcnet.RunScenario(context.Background(), mcnet.ScenarioSpec{
+		Name:     "faults example",
+		N:        48,
+		Topology: "crowd",
+		Channels: 4,
+		Loss:     []float64{0, 0.1},
+		Jam:      []int{0, 1},
+		Seeds:    2,
+	}, mcnet.BatchOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,8 +32,8 @@ type ExperimentOptions struct {
 	// backend. Other experiments ignore it.
 	Colorers []string
 	// Byz overrides the Byzantine-fraction axis of the f4 and f6 sweeps;
-	// empty means each experiment's default axis. Every value must be in
-	// [0, 1]. Other experiments ignore it.
+	// empty means each experiment's default axis. Every value must pass the
+	// Byzantine option's range rule. Other experiments ignore it.
 	Byz []float64
 	// JamModels restricts the jamming adversaries of the f4 and f5 sweeps
 	// to a subset of JamModelNames(); empty means each experiment's default
@@ -78,29 +78,44 @@ func RunExperimentContext(ctx context.Context, id string, o ExperimentOptions) (
 		return nil, fmt.Errorf("mcnet: %w %q (valid: %s; use AllExperiments for the suite)",
 			ErrUnknownExperiment, id, strings.Join(ExperimentIDs(), ", "))
 	}
-	for _, name := range o.Colorers {
-		if _, err := coloring.ByName(name); err != nil {
-			return nil, fmt.Errorf("mcnet: %w", err)
-		}
+	eo, err := o.expt(ctx)
+	if err != nil {
+		return nil, err
 	}
-	for _, frac := range o.Byz {
-		if frac < 0 || frac > 1 {
-			return nil, fmt.Errorf("mcnet: byzantine fraction %v must be in [0, 1]", frac)
-		}
-	}
-	var jams []fault.JamModel
-	for _, name := range o.JamModels {
-		jm, err := jamModelByName(name)
-		if err != nil {
-			return nil, fmt.Errorf("mcnet: %w", err)
-		}
-		jams = append(jams, fault.JamModel(jm))
-	}
-	tb, err := runner(expt.Options{Seeds: o.Seeds, Quick: o.Quick, Parallel: o.Parallel, Ctx: ctx, Colorers: o.Colorers, Byz: o.Byz, JamModels: jams})
+	tb, err := runner(eo)
 	if err != nil {
 		return nil, err
 	}
 	return &Table{t: tb}, nil
+}
+
+// Validate checks the backend names, Byzantine fractions and jam-model
+// names, naming the offending option; RunExperiment and AllExperiments
+// apply the same check before any run starts.
+func (o ExperimentOptions) Validate() error {
+	_, err := o.expt(context.Background())
+	return err
+}
+
+// expt validates the options and converts them for the experiment suite.
+func (o ExperimentOptions) expt(ctx context.Context) (expt.Options, error) {
+	for i, name := range o.Colorers {
+		if _, err := coloring.ByName(name); err != nil {
+			return expt.Options{}, fmt.Errorf("mcnet: ExperimentOptions.Colorers[%d]: %w", i, err)
+		}
+	}
+	if i, err := firstFault(o.Byz, 0, 1, func(fs *fault.Spec, v float64) { fs.Byz.Fraction = v }); err != nil {
+		return expt.Options{}, fmt.Errorf("mcnet: ExperimentOptions.Byz[%d]: %w", i, err)
+	}
+	var jams []fault.JamModel
+	for i, name := range o.JamModels {
+		jm, err := fault.ParseJamModel(name)
+		if err != nil {
+			return expt.Options{}, fmt.Errorf("mcnet: ExperimentOptions.JamModels[%d]: %w", i, err)
+		}
+		jams = append(jams, jm)
+	}
+	return expt.Options{Seeds: o.Seeds, Quick: o.Quick, Parallel: o.Parallel, Ctx: ctx, Colorers: o.Colorers, Byz: o.Byz, JamModels: jams}, nil
 }
 
 // AllExperiments runs the full e1..e10 suite in order.
@@ -112,7 +127,11 @@ func AllExperiments(o ExperimentOptions) ([]*Table, error) {
 // experiments that completed before ctx fired are returned alongside the
 // error.
 func AllExperimentsContext(ctx context.Context, o ExperimentOptions) ([]*Table, error) {
-	ts, err := expt.All(expt.Options{Seeds: o.Seeds, Quick: o.Quick, Parallel: o.Parallel, Ctx: ctx})
+	eo, err := o.expt(ctx)
+	if err != nil {
+		return nil, err
+	}
+	ts, err := expt.All(eo)
 	out := make([]*Table, len(ts))
 	for i, tb := range ts {
 		out[i] = &Table{t: tb}

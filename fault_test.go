@@ -2,8 +2,10 @@ package mcnet
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -292,23 +294,105 @@ func TestByzantineReporting(t *testing.T) {
 	}
 }
 
+// TestFaultRuleEveryEntryPoint: each bad fault value is rejected by every
+// entry point that takes it — New options, RunBatch through a RunSpec,
+// ParseScenarioSpec and RunExperiment — since all of them defer to the one
+// rule set in internal/fault. JSON has no NaN, so the NaN values have no
+// spec document.
+func TestFaultRuleEveryEntryPoint(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name string
+		opt  Option
+		rs   RunSpec
+		doc  string
+		exp  ExperimentOptions
+	}{
+		{"loss 1.5", Loss(1.5), RunSpec{Loss: 1.5}, `{"n": 16, "loss": [0, 1.5]}`, ExperimentOptions{}},
+		{"loss NaN", Loss(nan), RunSpec{Loss: nan}, "", ExperimentOptions{}},
+		{"jam = F", Jamming(4, JamOblivious), RunSpec{Jam: 4}, `{"n": 16, "jam": [4]}`, ExperimentOptions{}},
+		{"churn -0.1", Churn(ChurnSpec{Rate: -0.1}), RunSpec{Churn: ChurnSpec{Rate: -0.1}}, `{"n": 16, "churn": [-0.1]}`, ExperimentOptions{}},
+		{"byz NaN", Byzantine(nan, ByzCorrupt), RunSpec{Byz: nan}, "", ExperimentOptions{Byz: []float64{0, nan}}},
+		{"jam model", Jamming(1, JamModel(9)), RunSpec{Jam: 1, JamModel: JamModel(9)}, `{"n": 16, "jam_model": "psychic"}`, ExperimentOptions{JamModels: []string{"psychic"}}},
+		{"byz strategy", Byzantine(0.1, ByzStrategy(7)), RunSpec{Byz: 0.1, ByzStrategy: ByzStrategy(7)}, `{"n": 16, "byz_strategy": "gossip"}`, ExperimentOptions{}},
+	}
+	for _, tc := range cases {
+		if _, err := New(16, tc.opt); err == nil {
+			t.Errorf("%s: New accepted it", tc.name)
+		}
+		if _, err := RunBatch(context.Background(), 16, nil, []RunSpec{tc.rs}, BatchOptions{}); err == nil {
+			t.Errorf("%s: RunBatch accepted it", tc.name)
+		}
+		if tc.doc != "" {
+			if _, err := ParseScenarioSpec([]byte(tc.doc)); err == nil {
+				t.Errorf("%s: ParseScenarioSpec accepted it", tc.name)
+			}
+		}
+		if tc.exp.Byz != nil || tc.exp.JamModels != nil {
+			tc.exp.Quick, tc.exp.Seeds = true, 1
+			// The error names the option, and comes before any run.
+			if _, err := RunExperiment("f4", tc.exp); err == nil || !strings.Contains(err.Error(), "ExperimentOptions.") {
+				t.Errorf("%s: RunExperiment err = %v, want an error naming the option", tc.name, err)
+			}
+		}
+	}
+}
+
+// TestFaultNamesRoundTrip: the name lists follow declaration order (both
+// CLIs print them in their usage text), and every value's name parses back
+// to it through ParseByzStrategy and the spec's case-insensitive lookup.
+func TestFaultNamesRoundTrip(t *testing.T) {
+	models := []JamModel{JamOblivious, JamRoundRobin, JamReactive, JamAdaptive}
+	if names := JamModelNames(); len(names) != len(models) {
+		t.Fatalf("JamModelNames() = %v, want %d names", names, len(models))
+	}
+	for i, m := range models {
+		if name := JamModelNames()[i]; name != m.String() {
+			t.Errorf("JamModelNames()[%d] = %q, want %q", i, name, m)
+		}
+		sw, err := ScenarioSpec{N: 16, JamModel: strings.ToUpper(m.String())}.resolve()
+		if err != nil || sw.jamModel != m {
+			t.Errorf("spec jam_model %q resolved to %v (err %v), want %v", strings.ToUpper(m.String()), sw, err, m)
+		}
+	}
+	strategies := []ByzStrategy{ByzCorrupt, ByzEquivocate, ByzSilent}
+	if names := ByzStrategyNames(); len(names) != len(strategies) {
+		t.Fatalf("ByzStrategyNames() = %v, want %d names", names, len(strategies))
+	}
+	for i, st := range strategies {
+		if name := ByzStrategyNames()[i]; name != st.String() {
+			t.Errorf("ByzStrategyNames()[%d] = %q, want %q", i, name, st)
+		}
+		if got, err := ParseByzStrategy(st.String()); err != nil || got != st {
+			t.Errorf("ParseByzStrategy(%q) = %v, %v; want %v", st.String(), got, err, st)
+		}
+		sw, err := ScenarioSpec{N: 16, ByzStrategy: strings.ToUpper(st.String())}.resolve()
+		if err != nil || sw.byzStrategy != st {
+			t.Errorf("spec byz_strategy %q resolved to %v (err %v), want %v", strings.ToUpper(st.String()), sw, err, st)
+		}
+	}
+	if got, err := ParseByzStrategy(""); err != nil || got != ByzCorrupt {
+		t.Errorf(`ParseByzStrategy("") = %v, %v; want corrupt`, got, err)
+	}
+}
+
 // TestRunScenario: the runner sweeps the full grid deterministically — two
 // consecutive runs emit identical CSV — and honors cancellation.
 func TestRunScenario(t *testing.T) {
-	sc := Scenario{
-		Name:    "test",
-		N:       32,
-		Options: []Option{Channels(4), WithTopology(Crowd)},
-		Loss:    []float64{0, 0.1},
-		Jam:     []int{0, 1},
-		Churn:   []float64{0, 0.1},
-		Seeds:   2,
+	sp := ScenarioSpec{
+		Name:     "test",
+		N:        32,
+		Channels: 4,
+		Loss:     []float64{0, 0.1},
+		Jam:      []int{0, 1},
+		Churn:    []float64{0, 0.1},
+		Seeds:    2,
 	}
-	t1, err := RunScenario(context.Background(), sc)
+	t1, err := RunScenario(context.Background(), sp, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := RunScenario(context.Background(), sc)
+	t2, err := RunScenario(context.Background(), sp, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,12 +405,12 @@ func TestRunScenario(t *testing.T) {
 		t.Errorf("CSV has %d lines, want %d:\n%s", lines, want, t1.CSV())
 	}
 
-	if _, err := RunScenario(context.Background(), Scenario{N: 1}); err == nil {
+	if _, err := RunScenario(context.Background(), ScenarioSpec{N: 1}, BatchOptions{}); err == nil {
 		t.Error("n = 1 accepted")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunScenario(ctx, sc); err == nil {
+	if _, err := RunScenario(ctx, sp, BatchOptions{}); err == nil {
 		t.Error("cancelled context not honored")
 	}
 }

@@ -65,21 +65,14 @@ func ByName(name string) (Colorer, error) {
 // Sec7 is the paper's Sec. 7 algorithm as a backend: structure construction
 // followed by the four index-distribution procedures, colors k·φ + i. It is
 // the default and reproduces the pre-interface transcripts bit-identically.
-type Sec7 struct {
-	// Cfg parameterizes procedure 4; the zero value means DefaultConfig.
-	Cfg Config
-}
+type Sec7 struct{}
 
 // Name implements Colorer.
 func (Sec7) Name() string { return "sec7" }
 
 // Color implements Colorer by running the original procedures unchanged.
-func (b Sec7) Color(ctx context.Context, e *sim.Engine, pl *core.Plan) ([]Result, Stats, error) {
-	cfg := b.Cfg
-	if cfg.AssignCycles == 0 && cfg.AssignSlackFactor == 0 {
-		cfg = DefaultConfig()
-	}
-	res, err := RunContext(ctx, e, pl, cfg)
+func (Sec7) Color(ctx context.Context, e *sim.Engine, pl *core.Plan) ([]Result, Stats, error) {
+	res, err := RunContext(ctx, e, pl)
 	if err != nil {
 		return nil, Stats{}, err
 	}

@@ -42,19 +42,12 @@ type Assign struct {
 // EventColored fires when a node learns its final color.
 const EventColored = "colored"
 
-// Config parameterizes the coloring run on top of a core.Plan.
-type Config struct {
-	// AssignCycles is how many times each reporter cycles through its
-	// follower list in procedure 4.
-	AssignCycles int
-	// AssignSlackFactor adds ceil(factor·ln n̂) extra assignment rounds.
-	AssignSlackFactor float64
-}
-
-// DefaultConfig returns the standard coloring configuration.
-func DefaultConfig() Config {
-	return Config{AssignCycles: 3, AssignSlackFactor: 8}
-}
+// Procedure 4's length: each reporter cycles assignCycles times through
+// its follower list, plus ceil(assignSlackFactor·ln n̂) extra rounds.
+const (
+	assignCycles      = 3
+	assignSlackFactor = 8
+)
 
 // Result is the per-node outcome.
 type Result struct {
@@ -68,10 +61,10 @@ type Result struct {
 	IsDominator, IsReporter bool
 }
 
-// AssignRounds returns the length of procedure 4 in TDMA blocks.
-func AssignRounds(pl *core.Plan, cfg Config) int {
+// assignRounds returns the length of procedure 4 in TDMA blocks.
+func assignRounds(pl *core.Plan) int {
 	perChannel := int(math.Ceil(float64(pl.Cfg.DeltaHat) / float64(pl.Params.Channels)))
-	return cfg.AssignCycles*perChannel + int(math.Ceil(cfg.AssignSlackFactor*pl.Params.LogN()))
+	return assignCycles*perChannel + int(math.Ceil(assignSlackFactor*pl.Params.LogN()))
 }
 
 // RunContext executes structure construction followed by the four coloring
@@ -79,9 +72,9 @@ func AssignRounds(pl *core.Plan, cfg Config) int {
 // when ctx is cancelled mid-run. All protocol randomness flows from the
 // engine's seed through the per-node ctx.Rand streams, so there is no
 // separate coloring seed.
-func RunContext(ctx context.Context, e *sim.Engine, pl *core.Plan, cfg Config) ([]Result, error) {
+func RunContext(ctx context.Context, e *sim.Engine, pl *core.Plan) ([]Result, error) {
 	n := e.Field().N()
-	rounds := AssignRounds(pl, cfg)
+	rounds := assignRounds(pl)
 	steppers := make([]sim.Stepper, n)
 	arena := make([]sec7Stepper, n) // one allocation for all nodes
 	for i := 0; i < n; i++ {

@@ -17,7 +17,7 @@ func runColoring(t *testing.T, pos []geo.Point, p model.Params, ccfg core.Config
 	t.Helper()
 	pl := core.NewPlan(p, ccfg)
 	e := sim.NewEngine(phy.NewField(p, pos), seed)
-	res, err := RunContext(context.Background(), e, pl, DefaultConfig())
+	res, err := RunContext(context.Background(), e, pl)
 	if err != nil {
 		t.Fatal(err)
 	}

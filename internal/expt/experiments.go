@@ -306,7 +306,7 @@ func E4Coloring(o Options) (*stats.Table, error) {
 		cfg.HopBound = 2
 		pl := core.NewPlan(p, cfg)
 		e := sim.NewEngine(phy.NewField(p, pos), uint64(300*f+s))
-		res, err := coloring.RunContext(ctx, e, pl, coloring.DefaultConfig())
+		res, err := coloring.RunContext(ctx, e, pl)
 		if err != nil {
 			return e4Run{}, err
 		}

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"mcnet/internal/phy"
 	"mcnet/internal/rng"
@@ -60,20 +61,33 @@ const (
 	JamAdaptive
 )
 
+// jamModelNames is the one name table for JamModel, in declaration order:
+// String, ParseJamModel, JamModelNames and Spec.Validate all read it.
+var jamModelNames = [...]string{
+	JamOblivious:  "oblivious",
+	JamRoundRobin: "roundrobin",
+	JamReactive:   "reactive",
+	JamAdaptive:   "adaptive",
+}
+
 // String returns the model's mnemonic name.
 func (m JamModel) String() string {
-	switch m {
-	case JamOblivious:
-		return "oblivious"
-	case JamRoundRobin:
-		return "roundrobin"
-	case JamReactive:
-		return "reactive"
-	case JamAdaptive:
-		return "adaptive"
-	default:
-		return fmt.Sprintf("JamModel(%d)", int(m))
+	if m.valid() {
+		return jamModelNames[m]
 	}
+	return fmt.Sprintf("JamModel(%d)", int(m))
+}
+
+func (m JamModel) valid() bool { return m >= 0 && int(m) < len(jamModelNames) }
+
+// JamModelNames lists the jam-model names in declaration order.
+func JamModelNames() []string { return append([]string(nil), jamModelNames[:]...) }
+
+// ParseJamModel maps a name from JamModelNames, in any case, to its model;
+// "" means JamOblivious.
+func ParseJamModel(name string) (JamModel, error) {
+	i, err := parseName(name, jamModelNames[:], "jam model")
+	return JamModel(i), err
 }
 
 // ByzStrategy selects what a Byzantine node does with its own transmissions.
@@ -93,18 +107,46 @@ const (
 	ByzSilent
 )
 
+// byzStrategyNames is the one name table for ByzStrategy, in declaration
+// order.
+var byzStrategyNames = [...]string{
+	ByzCorrupt:    "corrupt",
+	ByzEquivocate: "equivocate",
+	ByzSilent:     "silent",
+}
+
 // String returns the strategy's mnemonic name.
 func (s ByzStrategy) String() string {
-	switch s {
-	case ByzCorrupt:
-		return "corrupt"
-	case ByzEquivocate:
-		return "equivocate"
-	case ByzSilent:
-		return "silent"
-	default:
-		return fmt.Sprintf("ByzStrategy(%d)", int(s))
+	if s.valid() {
+		return byzStrategyNames[s]
 	}
+	return fmt.Sprintf("ByzStrategy(%d)", int(s))
+}
+
+func (s ByzStrategy) valid() bool { return s >= 0 && int(s) < len(byzStrategyNames) }
+
+// ByzStrategyNames lists the Byzantine-strategy names in declaration order.
+func ByzStrategyNames() []string { return append([]string(nil), byzStrategyNames[:]...) }
+
+// ParseByzStrategy maps a name from ByzStrategyNames, in any case, to its
+// strategy; "" means ByzCorrupt.
+func ParseByzStrategy(name string) (ByzStrategy, error) {
+	i, err := parseName(name, byzStrategyNames[:], "byzantine strategy")
+	return ByzStrategy(i), err
+}
+
+// parseName returns name's index in names, ignoring case, with "" meaning
+// index 0.
+func parseName(name string, names []string, kind string) (int, error) {
+	if name == "" {
+		return 0, nil
+	}
+	for i, known := range names {
+		if strings.EqualFold(name, known) {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown %s %q (valid: %s)", kind, name, strings.Join(names, ", "))
 }
 
 // ByzSpec declares the Byzantine population of one run. The zero value
@@ -185,9 +227,7 @@ func (s Spec) Validate(n, channels int) error {
 	if s.JamChannels >= channels && s.JamChannels > 0 {
 		return fmt.Errorf("fault: jamming %d of %d channels leaves none usable", s.JamChannels, channels)
 	}
-	switch s.JamModel {
-	case JamOblivious, JamRoundRobin, JamReactive, JamAdaptive:
-	default:
+	if !s.JamModel.valid() {
 		return fmt.Errorf("fault: unknown jam model %d", int(s.JamModel))
 	}
 	if s.CrashRate < 0 || s.CrashRate > 1 || s.CrashRate != s.CrashRate {
@@ -209,12 +249,9 @@ func (s Spec) Validate(n, channels int) error {
 	}
 	if b := s.Byz; b.Fraction < 0 || b.Fraction > 1 || b.Fraction != b.Fraction {
 		return fmt.Errorf("fault: byzantine fraction %v must be in [0, 1]", b.Fraction)
-	} else {
-		switch b.Strategy {
-		case ByzCorrupt, ByzEquivocate, ByzSilent:
-		default:
-			return fmt.Errorf("fault: unknown byzantine strategy %d", int(b.Strategy))
-		}
+	}
+	if !s.Byz.Strategy.valid() {
+		return fmt.Errorf("fault: unknown byzantine strategy %d", int(s.Byz.Strategy))
 	}
 	return nil
 }

@@ -26,11 +26,7 @@ const resumeSpec = `{"name": "resume", "n": 48, "channels": 3, "loss": [0, 0.05,
 // run — at every worker count.
 func TestCrashResumeDeterminism(t *testing.T) {
 	sp := testSpec(t, resumeSpec)
-	sc, err := sp.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden, err := mcnet.RunScenario(context.Background(), sc)
+	golden, err := mcnet.RunScenario(context.Background(), sp, mcnet.BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,11 +124,7 @@ func TestSubmitRunDownload(t *testing.T) {
 
 	// Table identity with the in-process run.
 	sp := testSpec(t, smallSpec)
-	sc, err := sp.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := mcnet.RunScenario(context.Background(), sc)
+	want, err := mcnet.RunScenario(context.Background(), sp, mcnet.BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +145,9 @@ func TestSubmitRunDownload(t *testing.T) {
 	}
 }
 
-// TestSubmitValidation: invalid documents are rejected with 400 and a
-// field-naming message; oversized bodies are rejected outright.
+// TestSubmitValidation: invalid documents, including ones above the spec
+// size bounds, are rejected with 400 and a field-naming message before any
+// expansion state is allocated; oversized bodies are rejected outright.
 func TestSubmitValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for doc, want := range map[string]string{
@@ -158,6 +155,8 @@ func TestSubmitValidation(t *testing.T) {
 		`{"n": 16, "loss": [7]}`:        `spec field \"loss[0]\"`,
 		`{"n": 16, "jam_model": "x"}`:   `spec field \"jam_model\"`,
 		`{"n": 16, "frobnicate": true}`: "frobnicate",
+		`{"n": 65537}`:                  `spec field \"n\"`,
+		`{"n": 16, "seeds": 65537}`:     `spec field \"seeds\"`,
 		`not json`:                      "parsing",
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(doc))

@@ -236,11 +236,7 @@ func resumeLegacy(t *testing.T, doc string) {
 		t.Fatalf("legacy job ended %+v, want done 2/2", fin)
 	}
 
-	sc, err := testSpec(t, `{"name": "legacy", "n": 16, "loss": [0, 0.1]}`).Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := mcnet.RunScenario(context.Background(), sc)
+	want, err := mcnet.RunScenario(context.Background(), testSpec(t, `{"name": "legacy", "n": 16, "loss": [0, 0.1]}`), mcnet.BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,18 +147,14 @@ const (
 // String returns the strategy's CLI/spec name: corrupt, equivocate or silent.
 func (s ByzStrategy) String() string { return fault.ByzStrategy(s).String() }
 
-// ParseByzStrategy maps a CLI/spec name ("corrupt", "equivocate", "silent";
-// "" means corrupt) to its ByzStrategy.
+// ParseByzStrategy maps a name from ByzStrategyNames, in any case ("" means
+// corrupt), to its ByzStrategy.
 func ParseByzStrategy(name string) (ByzStrategy, error) {
-	switch name {
-	case "", "corrupt":
-		return ByzCorrupt, nil
-	case "equivocate":
-		return ByzEquivocate, nil
-	case "silent":
-		return ByzSilent, nil
+	st, err := fault.ParseByzStrategy(name)
+	if err != nil {
+		return ByzCorrupt, fmt.Errorf("mcnet: %w", err)
 	}
-	return ByzCorrupt, fmt.Errorf("mcnet: unknown byzantine strategy %q (valid: corrupt, equivocate, silent)", name)
+	return ByzStrategy(st), nil
 }
 
 // ChurnSpec configures node churn for the Churn option. Both mechanisms may

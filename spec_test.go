@@ -52,22 +52,18 @@ func TestScenarioSpecGoldenRoundTrip(t *testing.T) {
 }
 
 // TestScenarioSpecDefaults: the minimal document is runnable and fills
-// Scenario defaults (crowd topology, 4 channels, sum, oblivious).
+// the option defaults (crowd topology, 4 channels, sum, oblivious, corrupt).
 func TestScenarioSpecDefaults(t *testing.T) {
 	sp, err := ParseScenarioSpec([]byte(`{"n": 16}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := sp.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.N != 16 || sc.Op.Name() != "sum" || sc.JamModel != JamOblivious {
-		t.Fatalf("defaults not applied: %+v", sc)
-	}
 	sw, err := sp.Compile()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if sw.n != 16 || sw.op.Name() != "sum" || sw.jamModel != JamOblivious || sw.byzStrategy != ByzCorrupt {
+		t.Fatalf("defaults not applied: %+v", sw)
 	}
 	if sw.Len() != 1 {
 		t.Fatalf("minimal spec expands to %d items, want 1", sw.Len())
@@ -91,6 +87,9 @@ var specFieldErrorCases = []struct {
 	{`{"n": 16, "topology": "grid", "topology_param": 3}`, `"topology_param"`},
 	{`{"n": 16, "topology": "line", "topology_param": 1.5}`, `"topology_param"`},
 	{`{"n": 16, "seeds": -1}`, `"seeds"`},
+	{`{"n": 65537}`, `"n"`},
+	{`{"n": 16, "seeds": 65537}`, `"seeds"`},
+	{`{"n": 16, "loss": [0, 0.1], "seeds": 32769}`, `"seeds"`},
 	{`{"n": 16, "colorer": "dplus1"}`, `"colorer"`},
 	{`{"n": 16, "bogus": true}`, `bogus`},
 	{`{"n": 16} {"n": 8}`, `trailing`},
@@ -109,11 +108,17 @@ func TestScenarioSpecFieldErrors(t *testing.T) {
 			t.Errorf("doc %s: error %q does not mention %s", c.doc, err, c.want)
 		}
 	}
+	// The size bounds themselves are accepted.
+	for _, doc := range []string{`{"n": 65536}`, `{"n": 16, "seeds": 65536}`, `{"n": 16, "loss": [0, 0.1], "seeds": 32768}`} {
+		if _, err := ParseScenarioSpec([]byte(doc)); err != nil {
+			t.Errorf("doc %s at the size bound rejected: %v", doc, err)
+		}
+	}
 }
 
 // FuzzParseScenarioSpec: the parser never panics, every document it
 // accepts re-marshals and re-parses to byte-identical JSON, and every
-// accepted document compiles to a Scenario.
+// accepted document compiles.
 func FuzzParseScenarioSpec(f *testing.F) {
 	f.Add([]byte(stormSpecGolden))
 	f.Add([]byte(`{"n": 16}`))
@@ -141,100 +146,23 @@ func FuzzParseScenarioSpec(f *testing.F) {
 		if string(first) != string(second) {
 			t.Fatalf("round trip drifted:\n first %s\nsecond %s", first, second)
 		}
-		if _, err := sp.Scenario(); err != nil {
+		if _, err := sp.Compile(); err != nil {
 			t.Fatalf("accepted spec %s does not compile: %v", first, err)
 		}
 	})
 }
 
-// TestRunSpecGoldenRoundTrip: RunSpec's wire form is stable and
-// round-trips through names for the jam model, aggregate and churn.
-func TestRunSpecGoldenRoundTrip(t *testing.T) {
-	rs := RunSpec{
-		Seed:     9,
-		Loss:     0.25,
-		Jam:      1,
-		JamModel: JamRoundRobin,
-		Churn:    ChurnSpec{CrashAt: map[int]int{3: 40}, Rate: 0.1, From: 8, Until: 64},
-		Faulted:  true,
-		Values:   []int64{5, -2, 7},
-		Op:       Max,
-	}
-	data, err := json.Marshal(rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const golden = `{"seed":9,"loss":0.25,"jam":1,"jam_model":"roundrobin",` +
-		`"churn":{"crash_at":{"3":40},"rate":0.1,"from":8,"until":64},` +
-		`"faulted":true,"values":[5,-2,7],"op":"max"}`
-	if string(data) != golden {
-		t.Fatalf("marshal drifted from golden document:\n got %s\nwant %s", data, golden)
-	}
-	var back RunSpec
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	round, err := json.Marshal(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(round) != golden {
-		t.Fatalf("round trip drifted:\n got %s\nwant %s", round, golden)
-	}
-	if back.Op.Name() != "max" || back.JamModel != JamRoundRobin || back.Churn.CrashAt[3] != 40 {
-		t.Fatalf("decoded spec lost fields: %+v", back)
-	}
-
-	// The zero spec stays minimal on the wire.
-	minimal, err := json.Marshal(RunSpec{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(minimal) != `{"seed":1}` {
-		t.Fatalf("zero spec marshals to %s, want {\"seed\":1}", minimal)
-	}
-}
-
-// TestRunSpecErrors: bad wire documents name the offending field, and a
-// custom aggregator refuses to serialize rather than emitting a document
-// that cannot round-trip.
-func TestRunSpecErrors(t *testing.T) {
-	for _, c := range []struct{ doc, want string }{
-		{`{"seed": 1, "loss": -0.5}`, `"loss"`},
-		{`{"seed": 1, "jam": -2}`, `"jam"`},
-		{`{"seed": 1, "jam_model": "psychic"}`, `"jam_model"`},
-		{`{"seed": 1, "churn": {"rate": 3}}`, `"churn.rate"`},
-		{`{"seed": 1, "op": "median"}`, `"op"`},
-		{`{"seed": 1, "bogus": 2}`, `bogus`},
-	} {
-		var rs RunSpec
-		err := json.Unmarshal([]byte(c.doc), &rs)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("doc %s: err %v, want mention of %s", c.doc, err, c.want)
-		}
-	}
-
-	custom := NewAggregator("xor", 0, func(a, b int64) int64 { return a ^ b })
-	if _, err := json.Marshal(RunSpec{Seed: 1, Op: custom}); err == nil {
-		t.Error("custom aggregator serialized; want error")
-	}
-}
-
 // TestSpecSweepMatchesRunScenario: compiling a spec document and folding
-// its item results yields byte-for-byte the table RunScenario emits for
-// the equivalent Scenario — the identity the scenario service's
-// durability guarantee is built on.
+// its item results out of order yields byte-for-byte the table
+// RunScenario emits — the identity the scenario service's durability
+// guarantee is built on.
 func TestSpecSweepMatchesRunScenario(t *testing.T) {
 	sp, err := ParseScenarioSpec([]byte(
 		`{"name": "svc", "n": 24, "channels": 3, "loss": [0, 0.1], "jam": [0, 1], "seeds": 2}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := sp.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := RunScenario(context.Background(), sc)
+	want, err := RunScenario(context.Background(), sp, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
