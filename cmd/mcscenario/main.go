@@ -57,7 +57,7 @@ func run(args []string, out, errOut io.Writer, exit func(int)) {
 	var (
 		n          = fs.Int("n", 96, "node count (≥ 2)")
 		kind       = fs.String("topo", "crowd", "topology: uniform|crowd|grid|line|ring")
-		channels   = fs.Int("channels", 4, "number of radio channels (≥ 1)")
+		channels   = fs.Int("channels", 4, "number of radio channels, 1 to 1024 (0 = the spec default, 4)")
 		seeds      = fs.Int("seeds", 1, "repetitions per grid point (≥ 1)")
 		seed       = fs.Uint64("seed", 1, "base seed; repetition s runs with seed+s")
 		loss       = fs.String("loss", "0", "comma-separated loss probabilities in [0, 1]")
@@ -113,10 +113,6 @@ func run(args []string, out, errOut io.Writer, exit func(int)) {
 	} else {
 		if *n < 2 {
 			fail("-n = %d must be ≥ 2", *n)
-			return
-		}
-		if *channels < 1 {
-			fail("-channels = %d must be ≥ 1", *channels)
 			return
 		}
 		if *seeds < 1 {

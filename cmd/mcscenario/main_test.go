@@ -63,7 +63,8 @@ func TestScenarioFlagValidation(t *testing.T) {
 	}{
 		{"tiny n", []string{"-n", "1"}, "-n"},
 		{"negative n", []string{"-n", "-5"}, "-n"},
-		{"zero channels", []string{"-channels", "0"}, "-channels"},
+		{"negative channels", []string{"-channels", "-1"}, `"channels"`},
+		{"too many channels", []string{"-channels", "1025"}, `"channels"`},
 		{"zero seeds", []string{"-seeds", "0"}, "-seeds"},
 		{"bad topology", []string{"-topo", "moebius"}, "topology"},
 		{"bad jam model", []string{"-jam-model", "psychic"}, "jam model"},
@@ -101,6 +102,24 @@ func TestScenarioFlagValidation(t *testing.T) {
 		if !strings.Contains(errBuf.String(), name) {
 			t.Errorf("jam-model error does not list %q: %q", name, errBuf.String())
 		}
+	}
+}
+
+// TestScenarioZeroChannels: -channels 0 is the spec's "use the default"
+// value, so it runs the same sweep as -channels 4.
+func TestScenarioZeroChannels(t *testing.T) {
+	sweep := func(channels string) string {
+		var buf, errBuf bytes.Buffer
+		exitCode := -1
+		args := []string{"-n", "16", "-channels", channels, "-jam", "0,3", "-seed", "3", "-csv"}
+		run(args, &buf, &errBuf, func(c int) { exitCode = c })
+		if exitCode != -1 {
+			t.Fatalf("-channels %s: exit code %d: %s", channels, exitCode, errBuf.String())
+		}
+		return buf.String()
+	}
+	if zero, four := sweep("0"), sweep("4"); zero != four {
+		t.Errorf("-channels 0 differs from -channels 4:\n%s\n---\n%s", zero, four)
 	}
 }
 

@@ -128,11 +128,19 @@
 //
 // The engine drives every protocol as Steppers: per-node state in
 // explicit structs that the engine steps inline each slot, fanning the
-// step calls out across workers for large populations, with long idle
+// step calls out across workers for large populations, with idle
 // stretches parked on a calendar wake-wheel — so a million-node crowd
-// needs a handful of goroutines, not a million stacks. Transcripts are
-// identical at every worker count; goldens recorded from the earlier
-// goroutine-per-node engine pin them, under -race -cpu 1,2,8 in CI.
+// needs a handful of goroutines, not a million stacks. Every protocol
+// fragment sleeps through each stretch it can prove idle (no radio
+// action, no random draw, no event), up to its next decision and never
+// past its own end, and the engine's per-slot passes walk only the awake
+// nodes, so a node costs nothing while it has nothing to do: a
+// 1024-node, 8-channel crowd Aggregate (the bench crowd-agg workload)
+// makes 1.46 Step calls per transmission or listen instead of 9.46, and
+// its median run time fell from 0.53 s to 0.13 s on a 2-vCPU Intel
+// Xeon VM (go1.24.0). Transcripts are identical at every worker count;
+// goldens recorded from the earlier goroutine-per-node engine pin them,
+// under -race -cpu 1,2,8 in CI.
 //
 // # Experiments
 //

@@ -66,7 +66,7 @@ func (s *sec7Stepper) enter(sc *sim.StepCtx) {
 	case sUp, sDown:
 		s.enterCast()
 	case sAssign:
-		s.asg = assignFrag{pl: s.build.Pl, st: st, rounds: s.rounds, followers: s.followers,
+		s.asg = assignFrag{pl: s.build.Pl, st: st, rounds: s.rounds, start: sc.Slot(), followers: s.followers,
 			ackedOn: s.build.AckedOn, Index: -1, Color: -1}
 		switch {
 		case st.Role == 0:
@@ -138,12 +138,15 @@ func (s *sec7Stepper) result(r *Result) {
 
 // assignFrag is procedure 4: a reporter holding its block announces one
 // index per follower on its channel, round-robin; an uncolored follower
-// listens on the channel whose reporter acknowledged it.
+// listens on the channel whose reporter acknowledged it. It runs rounds
+// rounds of PhiMax slots, acting only in the cluster's sub-slot Off, and
+// every other node sleeps through it.
 // Index and Color are the node's outcome (-1 while uncolored).
 type assignFrag struct {
 	pl        *core.Plan
 	st        *core.Structure
 	rounds    int
+	start     int
 	followers []int
 	block     [2]int64
 	haveBlock bool
@@ -151,8 +154,6 @@ type assignFrag struct {
 
 	Index, Color int
 
-	round int
-	pos   uint8 // 0 pre-idle, 1 act, 2 post-idle
 	await bool
 }
 
@@ -174,41 +175,30 @@ func (f *assignFrag) Feed(sc *sim.StepCtx) bool {
 			f.assign(sc, m.Index)
 		}
 	}
-	for {
-		if f.round >= f.rounds {
-			return true
-		}
-		switch f.pos {
-		case 0:
-			f.pos = 1
-			if st.Off > 0 {
-				sc.IdleFor(st.Off)
-				return false
-			}
-		case 1:
-			f.pos = 2
-			switch {
-			case st.Role >= 1 && f.haveBlock && len(f.followers) > 0:
-				k := f.round % len(f.followers)
-				sc.Transmit(st.Role-1, Assign{
-					Dom:   st.Dom.Dominator,
-					To:    f.followers[k],
-					Index: int(f.block[0]) + 1 + k,
-				})
-			case st.Role < 0 && f.Color < 0 && f.ackedOn >= 0:
-				sc.Listen(f.ackedOn)
-				f.await = true
-			default:
-				sc.Idle()
-			}
-			return false
-		default:
-			f.pos = 0
-			f.round++
-			if k := f.pl.Cfg.PhiMax - 1 - st.Off; k > 0 {
-				sc.IdleFor(k)
-				return false
-			}
-		}
+	rel := sc.Slot() - f.start
+	r := sim.Rounds{Stride: f.pl.Cfg.PhiMax, Offset: st.Off}
+	end := f.rounds * r.Stride
+	if rel >= end {
+		return true
 	}
+	sends := st.Role >= 1 && f.haveBlock && len(f.followers) > 0
+	listens := st.Role < 0 && f.Color < 0 && f.ackedOn >= 0
+	k := r.Next(rel)
+	switch at := min(r.At(k), end); {
+	case !sends && !listens:
+		sc.IdleFor(end - rel)
+	case at > rel:
+		sc.IdleFor(at - rel)
+	case sends:
+		i := k % len(f.followers)
+		sc.Transmit(st.Role-1, Assign{
+			Dom:   st.Dom.Dominator,
+			To:    f.followers[i],
+			Index: int(f.block[0]) + 1 + i,
+		})
+	default:
+		sc.Listen(f.ackedOn)
+		f.await = true
+	}
+	return false
 }

@@ -116,7 +116,7 @@ func (f *BuildFrag) enter(sc *sim.StepCtx) {
 			f.enterIdle(pl.Color.SlotBudget(p))
 		}
 	case stAnnounce:
-		f.ann = announceFrag{pl: pl, dom: f.St.Dom, ownColor: f.ownColor}
+		f.ann = announceFrag{pl: pl, dom: f.St.Dom, ownColor: f.ownColor, start: sc.Slot(), color: -1}
 		f.cur = &f.ann
 	case stCSA:
 		if pl.UseSmall {
@@ -289,7 +289,7 @@ func (ps *pipelineStepper) enter(sc *sim.StepCtx) {
 			ps.enterIdle(pl.Tree.SlotBudget())
 		}
 	case psInform:
-		ps.inf = informFrag{pl: pl, st: st}
+		ps.inf = informFrag{pl: pl, st: st, start: sc.Slot()}
 		if st.IsDominator() && ps.tree != nil {
 			ps.inf.Value, ps.inf.Have = ps.tree.Out.Result, ps.tree.Out.Done
 		}
@@ -339,25 +339,21 @@ func (ps *pipelineStepper) result(r *Result) {
 // announceFrag is stage 3: dominators repeatedly announce their color on
 // channel 0; members learn their cluster's color. Color is valid once Feed
 // returns true: the dominator's own, the learned one, or 0 for a member
-// that missed every announcement.
+// that missed every announcement. It consumes exactly AnnounceSlots slots.
 type announceFrag struct {
 	pl       *Plan
 	dom      dominate.Outcome
 	ownColor int
+	start    int
 	Color    int
 
-	init  bool
-	s     int
 	color int
 	await bool
 }
 
-// Feed implements sim.Frag.
+// Feed implements sim.Frag. The dominator draws in every slot; a member
+// listens until it learns the color, then sleeps to the end of the stage.
 func (f *announceFrag) Feed(sc *sim.StepCtx) bool {
-	if !f.init {
-		f.init = true
-		f.color = -1
-	}
 	p := f.pl.Params
 	if f.await {
 		f.await = false
@@ -367,7 +363,8 @@ func (f *announceFrag) Feed(sc *sim.StepCtx) bool {
 			f.color = m.Color
 		}
 	}
-	if f.s >= f.pl.AnnounceSlots {
+	rel := sc.Slot() - f.start
+	if rel >= f.pl.AnnounceSlots {
 		if f.dom.IsDominator {
 			f.Color = f.ownColor
 		} else {
@@ -378,21 +375,19 @@ func (f *announceFrag) Feed(sc *sim.StepCtx) bool {
 		}
 		return true
 	}
-	f.s++
-	if f.dom.IsDominator {
+	switch {
+	case f.dom.IsDominator:
 		if sc.Rand.Float64() < 0.2 {
 			sc.Transmit(0, ColorMsg{Dom: sc.ID(), Color: f.ownColor})
 		} else {
 			sc.Idle()
 		}
-		return false
+	case f.color >= 0:
+		sc.IdleFor(f.pl.AnnounceSlots - rel)
+	default:
+		sc.Listen(0)
+		f.await = true
 	}
-	if f.color >= 0 {
-		sc.Idle()
-		return false
-	}
-	sc.Listen(0)
-	f.await = true
 	return false
 }
 
@@ -413,22 +408,29 @@ const (
 // backoff-controlled contention. It reads b's plan, structure and value,
 // leaves its results in b.Got and b.AckedOn, and consumes exactly
 // Offsets.Tree − Offsets.Followers slots.
+//
+// The stage is FollowerPhases phases of Γ value rounds and one backoff
+// round, each round 2·PhiMax slots with the cluster's two sub-slots at
+// 2·Off and 2·Off+1. In a value round unacked followers draw and transmit
+// in sub-slot 1 while reporters and the dominator listen, and reporters ack
+// in sub-slot 2 while transmitters listen; in the backoff round the
+// dominator may signal and unacked followers listen. A node sleeps from
+// each of its decisions straight to the next one.
 type followerFrag struct {
 	b *BuildFrag
 
 	init                   bool
-	stride, off            int
 	isRep, isDom, follower bool
+	acked, heardBackoff    bool
+	await                  folAwait
+	start, total, perPhase int
+	rounds                 sim.Rounds
 	repChan                int
-	acked                  bool
 	pu                     float64
 	memberR                float64
-	phase, round           int
-	pos                    uint8 // 0-3 value rounds, 4-7 backoff round
+	phase                  int
 	count                  int
-	heardBackoff           bool
 	sentOn, ackTo          int
-	await                  folAwait
 }
 
 // Feed implements sim.Frag.
@@ -439,7 +441,10 @@ func (f *followerFrag) Feed(sc *sim.StepCtx) bool {
 	st := &b.St
 	if !f.init {
 		f.init = true
-		f.stride = pl.Cfg.PhiMax
+		f.start = sc.Slot()
+		f.total = pl.followerBudget()
+		f.perPhase = pl.FollowerGamma + 1
+		f.rounds = sim.Rounds{Stride: 2 * pl.Cfg.PhiMax, Offset: 2 * st.Off}
 		f.isRep = st.IsReporter()
 		f.repChan = st.Role - 1
 		f.isDom = st.IsDominator()
@@ -449,7 +454,6 @@ func (f *followerFrag) Feed(sc *sim.StepCtx) bool {
 			f.pu = 0.5
 		}
 		f.memberR = pl.ClusterRadius()
-		f.off = st.Off
 		b.AckedOn = -1
 		f.sentOn, f.ackTo = -1, -1
 		if f.isRep {
@@ -486,114 +490,132 @@ func (f *followerFrag) Feed(sc *sim.StepCtx) bool {
 		}
 	}
 	f.await = folAwaitNone
-	for {
-		if f.phase >= pl.FollowerPhases {
-			return true
-		}
-		switch f.pos {
-		case 0: // value-round pre-idle
-			if f.round >= pl.FollowerGamma {
-				f.pos = 4
-				continue
-			}
-			f.pos = 1
-			if k := 2 * f.off; k > 0 {
-				sc.IdleFor(k)
-				return false
-			}
-		case 1: // sub-slot 1: follower transmissions
-			f.pos = 2
-			f.sentOn, f.ackTo = -1, -1
-			switch {
-			case f.follower && !f.acked && sc.Rand.Float64() < f.pu:
-				f.sentOn = sc.Rand.Intn(st.Fv)
-				sc.Transmit(f.sentOn, FollowerMsg{From: sc.ID(), Dom: st.Dom.Dominator, Value: b.Value})
-			case f.isRep:
-				sc.Listen(f.repChan)
-				f.await = folAwaitRep
-			case f.isDom:
-				sc.Listen(0)
-				f.await = folAwaitDom
-			default:
-				sc.Idle()
-			}
-			return false
-		case 2: // sub-slot 2: acknowledgements
-			f.pos = 3
-			switch {
-			case f.isRep && f.ackTo >= 0:
-				sc.Transmit(f.repChan, FollowerAck{To: f.ackTo, Dom: st.Dom.Dominator})
-			case f.follower && f.sentOn >= 0:
-				sc.Listen(f.sentOn)
-				f.await = folAwaitAck
-			default:
-				sc.Idle()
-			}
-			return false
-		case 3: // value-round post-idle
-			f.pos = 0
-			f.round++
-			if k := 2 * (f.stride - 1 - f.off); k > 0 {
-				sc.IdleFor(k)
-				return false
-			}
-		case 4: // backoff-round pre-idle
-			f.pos = 5
-			if k := 2 * f.off; k > 0 {
-				sc.IdleFor(k)
-				return false
-			}
-		case 5: // backoff signal
-			f.pos = 6
-			switch {
-			case f.isDom && f.count >= pl.Omega && !pl.Cfg.DisableBackoff:
-				sc.Transmit(0, Backoff{Dom: sc.ID()})
-			case f.follower && !f.acked:
-				sc.Listen(0)
-				f.await = folAwaitBackoff
-			default:
-				sc.Idle()
-			}
-			return false
-		case 6: // stride parity
-			f.pos = 7
-			sc.Idle()
-			return false
-		default: // backoff-round post-idle + phase advance
-			f.pos = 0
-			f.round = 0
-			if f.follower && !f.acked && !f.heardBackoff {
-				f.pu *= 2
-				if f.pu > 0.5 {
-					f.pu = 0.5
-				}
-			}
-			f.phase++
-			f.count = 0
-			f.heardBackoff = false
-			if k := 2 * (f.stride - 1 - f.off); k > 0 {
-				sc.IdleFor(k)
-				return false
-			}
-		}
+
+	rel := sc.Slot() - f.start
+	if rel >= f.total {
+		return true
 	}
+	k := f.rounds.Next(rel)
+	if k > 0 && rel == f.rounds.At(k-1)+1 && !f.isBackoff(k-1) && f.ack(sc) {
+		return false
+	}
+	k = f.next(k)
+	at := min(f.rounds.At(k), f.total)
+	if at == rel {
+		f.advance(k / f.perPhase)
+		if f.act(sc, k) {
+			return false
+		}
+		at = min(f.rounds.At(f.next(k+1)), f.total)
+	}
+	sc.IdleFor(at - rel)
+	return false
+}
+
+// isBackoff reports whether round k is its phase's backoff round.
+func (f *followerFrag) isBackoff(k int) bool { return k%f.perPhase == f.perPhase-1 }
+
+// next returns the first round from k on in which the node has something
+// to do in the round's first sub-slot: an unacked follower draws or listens
+// in every round, the dominator listens or signals in every round, a
+// reporter listens in value rounds only, and an acked follower is done.
+func (f *followerFrag) next(k int) int {
+	switch {
+	case f.isDom, f.follower && !f.acked:
+		return k
+	case f.isRep:
+		if f.isBackoff(k) {
+			return k + 1
+		}
+		return k
+	}
+	return f.total // past every round
+}
+
+// advance closes the phases before phase: an unacked follower that heard
+// no backoff signal doubles its send probability, and the dominator's
+// count and the backoff flag restart.
+func (f *followerFrag) advance(phase int) {
+	for ; f.phase < phase; f.phase++ {
+		if f.follower && !f.acked && !f.heardBackoff {
+			f.pu *= 2
+			if f.pu > 0.5 {
+				f.pu = 0.5
+			}
+		}
+		f.count = 0
+		f.heardBackoff = false
+	}
+}
+
+// act performs the node's first-sub-slot action in round k, reporting
+// false if it has none (a follower whose draw failed included).
+func (f *followerFrag) act(sc *sim.StepCtx, k int) bool {
+	pl := f.b.Pl
+	st := &f.b.St
+	if f.isBackoff(k) {
+		switch {
+		case f.isDom && f.count >= pl.Omega && !pl.Cfg.DisableBackoff:
+			sc.Transmit(0, Backoff{Dom: sc.ID()})
+		case f.follower && !f.acked:
+			sc.Listen(0)
+			f.await = folAwaitBackoff
+		default:
+			return false
+		}
+		return true
+	}
+	f.sentOn, f.ackTo = -1, -1
+	switch {
+	case f.follower && !f.acked && sc.Rand.Float64() < f.pu:
+		f.sentOn = sc.Rand.Intn(st.Fv)
+		sc.Transmit(f.sentOn, FollowerMsg{From: sc.ID(), Dom: st.Dom.Dominator, Value: f.b.Value})
+	case f.isRep:
+		sc.Listen(f.repChan)
+		f.await = folAwaitRep
+	case f.isDom:
+		sc.Listen(0)
+		f.await = folAwaitDom
+	default:
+		return false
+	}
+	return true
+}
+
+// ack performs the node's value-round second-sub-slot action, reporting
+// false if it has none: a reporter acknowledges the follower it just
+// heard, a follower that just transmitted listens for that ack.
+func (f *followerFrag) ack(sc *sim.StepCtx) bool {
+	st := &f.b.St
+	switch {
+	case f.isRep && f.ackTo >= 0:
+		sc.Transmit(f.repChan, FollowerAck{To: f.ackTo, Dom: st.Dom.Dominator})
+	case f.follower && f.sentOn >= 0:
+		sc.Listen(f.sentOn)
+		f.await = folAwaitAck
+	default:
+		return false
+	}
+	return true
 }
 
 // informFrag is stage 9: dominators announce the final value within their
 // clusters and members listen, in exactly PhiMax slots. Value and Have are
 // the stage's in/out value pair.
 type informFrag struct {
-	pl *Plan
-	st *Structure
+	pl    *Plan
+	st    *Structure
+	start int
 
 	Value int64
 	Have  bool
 
-	sub   int
 	await bool
 }
 
-// Feed implements sim.Frag.
+// Feed implements sim.Frag. A dominator holding the value transmits in its
+// cluster's sub-slot; a member listens until it has the value; every other
+// slot is slept through.
 func (f *informFrag) Feed(sc *sim.StepCtx) bool {
 	p := f.pl.Params
 	if f.await {
@@ -604,19 +626,21 @@ func (f *informFrag) Feed(sc *sim.StepCtx) bool {
 			f.Value, f.Have = m.Value, true
 		}
 	}
-	if f.sub >= f.pl.Cfg.PhiMax {
+	rel := sc.Slot() - f.start
+	end := f.pl.Cfg.PhiMax
+	if rel >= end {
 		return true
 	}
-	sub := f.sub
-	f.sub++
 	switch {
-	case f.st.IsDominator() && sub == f.st.Off && f.Have:
-		sc.Transmit(0, FinalMsg{Dom: sc.ID(), Value: f.Value})
 	case !f.st.IsDominator() && !f.Have:
 		sc.Listen(0)
 		f.await = true
+	case f.st.IsDominator() && f.Have && rel == f.st.Off:
+		sc.Transmit(0, FinalMsg{Dom: sc.ID(), Value: f.Value})
+	case f.st.IsDominator() && f.Have && rel < f.st.Off:
+		sc.IdleFor(f.st.Off - rel)
 	default:
-		sc.Idle()
+		sc.IdleFor(end - rel)
 	}
 	return false
 }

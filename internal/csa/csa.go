@@ -112,6 +112,11 @@ func (c Config) threshold(p model.Params) int {
 	return t
 }
 
+// rounds is the estimator's TDMA round layout: RoundsPerPhase probe
+// rounds and then one notification round per phase, each Stride slots long
+// with the act slot at Offset.
+func (c Config) rounds() sim.Rounds { return sim.Rounds{Stride: c.stride(), Offset: c.Offset} }
+
 // DominatorFrag executes the counting side for cluster head Dom (usually
 // the node itself; channel leaders in the small-Δ̂ variant pass their own
 // ID). Once Feed returns true, Estimate is the estimate of the number of
@@ -123,22 +128,23 @@ type DominatorFrag struct {
 	Dom      int
 	Estimate int
 
-	init                   bool
-	phases, rounds, thresh int
-	phase, round           int
-	pos                    uint8 // 0/1/2 probe round, 3/4/5 notification
-	count                  int
-	terminated             bool
-	awaitProbe             bool
+	init, terminated, awaitProbe bool
+	start, total                 int
+	perPhase                     int // rounds per phase, the notification round included
+	thresh                       int
+	phase                        int
+	count                        int
 }
 
-// Feed implements sim.Frag.
+// Feed implements sim.Frag. The head listens in every probe round and
+// notifies (or sleeps through) every notification round.
 func (f *DominatorFrag) Feed(sc *sim.StepCtx) bool {
 	p := sc.Params()
 	if !f.init {
 		f.init = true
-		f.phases = f.Cfg.Phases()
-		f.rounds = f.Cfg.RoundsPerPhase(p)
+		f.start = sc.Slot()
+		f.total = f.Cfg.SlotBudget(p)
+		f.perPhase = f.Cfg.RoundsPerPhase(p) + 1
 		f.thresh = f.Cfg.threshold(p)
 	}
 	if f.awaitProbe {
@@ -149,67 +155,37 @@ func (f *DominatorFrag) Feed(sc *sim.StepCtx) bool {
 			f.count++
 		}
 	}
-	stride := f.Cfg.stride()
-	off := f.Cfg.Offset
-	for {
-		if f.phase >= f.phases {
-			return true
+	rel := sc.Slot() - f.start
+	if rel >= f.total {
+		return true
+	}
+	r := f.Cfg.rounds()
+	k := r.Next(rel)
+	at := min(r.At(k), f.total)
+	if at == rel {
+		if ph := k / f.perPhase; ph > f.phase {
+			f.phase, f.count = ph, 0
 		}
-		switch f.pos {
-		case 0: // probe-round pre-idle
-			if f.round >= f.rounds {
-				f.pos = 3
-				continue
-			}
-			f.pos = 1
-			if off > 0 {
-				sc.IdleFor(off)
-				return false
-			}
-		case 1: // probe-round listen
-			f.pos = 2
+		if k%f.perPhase < f.perPhase-1 {
 			sc.Listen(f.Cfg.Channel)
 			f.awaitProbe = true
 			return false
-		case 2: // probe-round post-idle
-			f.pos = 0
-			f.round++
-			if k := stride - 1 - off; k > 0 {
-				sc.IdleFor(k)
-				return false
-			}
-		case 3: // notification pre-idle
-			f.pos = 4
-			if off > 0 {
-				sc.IdleFor(off)
-				return false
-			}
-		case 4: // notification act
-			f.pos = 5
-			if !f.terminated && f.count >= f.thresh {
-				f.terminated = true
-				f.Estimate = f.Cfg.DeltaHat >> f.phase
-				if f.Estimate < 1 {
-					f.Estimate = 1
-				}
-			}
-			if f.terminated {
-				sc.Transmit(f.Cfg.Channel, Estimate{Dom: f.Dom, Est: f.Estimate})
-			} else {
-				sc.Idle()
-			}
-			return false
-		default: // notification post-idle + phase advance
-			f.pos = 0
-			f.round = 0
-			f.count = 0
-			f.phase++
-			if k := stride - 1 - off; k > 0 {
-				sc.IdleFor(k)
-				return false
+		}
+		if !f.terminated && f.count >= f.thresh {
+			f.terminated = true
+			f.Estimate = f.Cfg.DeltaHat >> f.phase
+			if f.Estimate < 1 {
+				f.Estimate = 1
 			}
 		}
+		if f.terminated {
+			sc.Transmit(f.Cfg.Channel, Estimate{Dom: f.Dom, Est: f.Estimate})
+			return false
+		}
+		at = min(r.At(k+1), f.total)
 	}
+	sc.IdleFor(at - rel)
+	return false
 }
 
 // DominateeFrag executes the probing side for a member of cluster Dom.
@@ -221,21 +197,23 @@ type DominateeFrag struct {
 	Dom      int
 	Estimate int
 
-	init           bool
-	phases, rounds int
-	phase, round   int
-	pos            uint8 // 0/1/2 probe round, 3/4/5 notification
+	init, awaitEst bool
+	start, total   int
+	perPhase       int // rounds per phase, the notification round included
+	phase          int
 	prob           float64
-	awaitEst       bool
 }
 
-// Feed implements sim.Frag.
+// Feed implements sim.Frag. The member draws in every probe round until it
+// holds an estimate and listens in every notification round; it sleeps
+// through everything else, and through the probe rounds once estimated.
 func (f *DominateeFrag) Feed(sc *sim.StepCtx) bool {
 	p := sc.Params()
 	if !f.init {
 		f.init = true
-		f.phases = f.Cfg.Phases()
-		f.rounds = f.Cfg.RoundsPerPhase(p)
+		f.start = sc.Slot()
+		f.total = f.Cfg.SlotBudget(p)
+		f.perPhase = f.Cfg.RoundsPerPhase(p) + 1
 		f.prob = f.Cfg.Lambda / float64(f.Cfg.DeltaHat)
 	}
 	if f.awaitEst {
@@ -246,60 +224,40 @@ func (f *DominateeFrag) Feed(sc *sim.StepCtx) bool {
 			f.Estimate = m.Est
 		}
 	}
-	stride := f.Cfg.stride()
-	off := f.Cfg.Offset
-	for {
-		if f.phase >= f.phases {
-			return true
+	rel := sc.Slot() - f.start
+	if rel >= f.total {
+		return true
+	}
+	k := f.next(rel)
+	at := min(f.Cfg.rounds().At(k), f.total)
+	if at == rel {
+		for ph := k / f.perPhase; f.phase < ph; f.phase++ {
+			f.prob = math.Min(f.prob*2, f.Cfg.Lambda)
 		}
-		switch f.pos {
-		case 0: // probe-round pre-idle
-			if f.round >= f.rounds {
-				f.pos = 3
-				continue
-			}
-			f.pos = 1
-			if off > 0 {
-				sc.IdleFor(off)
-				return false
-			}
-		case 1: // probe-round act
-			f.pos = 2
-			if f.Estimate == 0 && sc.Rand.Float64() < f.prob {
-				sc.Transmit(f.Cfg.Channel, Probe{From: sc.ID(), Dom: f.Dom})
-			} else {
-				sc.Idle()
-			}
-			return false
-		case 2: // probe-round post-idle
-			f.pos = 0
-			f.round++
-			if k := stride - 1 - off; k > 0 {
-				sc.IdleFor(k)
-				return false
-			}
-		case 3: // notification pre-idle
-			f.pos = 4
-			if off > 0 {
-				sc.IdleFor(off)
-				return false
-			}
-		case 4: // notification listen
-			f.pos = 5
+		if k%f.perPhase == f.perPhase-1 {
 			sc.Listen(f.Cfg.Channel)
 			f.awaitEst = true
 			return false
-		default: // notification post-idle + phase advance
-			f.pos = 0
-			f.round = 0
-			f.phase++
-			f.prob = math.Min(f.prob*2, f.Cfg.Lambda)
-			if k := stride - 1 - off; k > 0 {
-				sc.IdleFor(k)
-				return false
-			}
 		}
+		if f.Estimate == 0 && sc.Rand.Float64() < f.prob {
+			sc.Transmit(f.Cfg.Channel, Probe{From: sc.ID(), Dom: f.Dom})
+			return false
+		}
+		at = min(f.Cfg.rounds().At(f.next(rel+1)), f.total)
 	}
+	sc.IdleFor(at - rel)
+	return false
+}
+
+// next returns the first round at or after slot rel in which the member
+// acts: any round while it still probes, only notification rounds once it
+// holds an estimate.
+func (f *DominateeFrag) next(rel int) int {
+	k := f.Cfg.rounds().Next(rel)
+	if f.Estimate != 0 {
+		k += f.perPhase - 1 - k%f.perPhase
+	}
+	return k
 }
 
 // SmallConfig parameterizes the Appendix A multichannel estimator.
@@ -367,6 +325,25 @@ func smallCastCfg(cfg SmallConfig) reporter.CastConfig {
 	return cast
 }
 
+// broadcast runs the closing broadcast round — the last stride slots of a
+// total-slot budget, acting at Offset — for a fragment at relative slot
+// rel: it sleeps up to the act slot, calls act there, and sleeps from it to
+// the end. It reports true once the budget is spent.
+func (c SmallConfig) broadcast(sc *sim.StepCtx, rel, total int, act func()) bool {
+	at := total - c.stride() + c.Offset
+	switch {
+	case rel < at:
+		sc.IdleFor(at - rel)
+	case rel == at:
+		act()
+	case rel < total:
+		sc.IdleFor(total - rel)
+	default:
+		return true
+	}
+	return false
+}
+
 // SmallDominatorFrag executes the dominator side of the Appendix A
 // variant: it sits out election and probing, collects the per-channel
 // counts over the reporter tree and broadcasts the total. Once Feed
@@ -376,65 +353,42 @@ type SmallDominatorFrag struct {
 	Cfg      SmallConfig
 	Estimate int
 
-	init  bool
-	stage uint8 // 0 idle-elect, 1 idle-probe, 2 cast up, 3/4/5 broadcast
-	idle  sim.IdleFrag
-	cast  *reporter.CastUpFrag
+	init, counted        bool
+	start, castAt, total int
+	cast                 *reporter.CastUpFrag
 }
 
 // Feed implements sim.Frag.
 func (f *SmallDominatorFrag) Feed(sc *sim.StepCtx) bool {
 	p := sc.Params()
-	for {
-		switch f.stage {
-		case 0: // sit out the election
-			if !f.init {
-				f.init = true
-				elect := f.Cfg.Elect
-				elect.Stride, elect.Offset = f.Cfg.stride(), f.Cfg.Offset
-				f.idle = sim.IdleFrag{K: elect.SlotBudget(p)}
-			}
-			if !f.idle.Feed(sc) {
-				return false
-			}
-			probe := f.Cfg.Probe
-			probe.Stride, probe.Offset = f.Cfg.stride(), f.Cfg.Offset
-			f.idle = sim.IdleFrag{K: probe.SlotBudget(p)}
-			f.stage = 1
-		case 1: // sit out the probing
-			if !f.idle.Feed(sc) {
-				return false
-			}
+	if !f.init {
+		f.init = true
+		f.start = sc.Slot()
+		f.total = f.Cfg.SlotBudget(p)
+		elect, probe := f.Cfg.Elect, f.Cfg.Probe
+		elect.Stride, probe.Stride = f.Cfg.stride(), f.Cfg.stride()
+		f.castAt = elect.SlotBudget(p) + probe.SlotBudget(p)
+	}
+	rel := sc.Slot() - f.start
+	if rel < f.castAt { // sit out the election and the probing
+		sc.IdleFor(f.castAt - rel)
+		return false
+	}
+	if !f.counted { // aggregate channel counts up the reporter tree
+		if f.cast == nil {
 			f.cast = &reporter.CastUpFrag{
 				Cfg: smallCastCfg(f.Cfg), Role: 0, Dom: sc.ID(), Value: 0, Op: agg.Sum,
 			}
-			f.stage = 2
-		case 2: // aggregate channel counts up the reporter tree
-			if !f.cast.Feed(sc) {
-				return false
-			}
-			f.Estimate = int(f.cast.St.Value) + 1 // members + self
-			f.stage = 3
-		case 3: // broadcast pre-idle
-			f.stage = 4
-			if k := f.Cfg.Offset; k > 0 {
-				sc.IdleFor(k)
-				return false
-			}
-		case 4: // broadcast
-			f.stage = 5
-			sc.Transmit(0, Estimate{Dom: sc.ID(), Est: f.Estimate})
-			return false
-		case 5: // broadcast post-idle
-			f.stage = 6
-			if k := f.Cfg.stride() - 1 - f.Cfg.Offset; k > 0 {
-				sc.IdleFor(k)
-				return false
-			}
-		default:
-			return true
 		}
+		if !f.cast.Feed(sc) {
+			return false
+		}
+		f.Estimate = int(f.cast.St.Value) + 1 // members + self
+		f.counted = true
 	}
+	return f.Cfg.broadcast(sc, rel, f.total, func() {
+		sc.Transmit(0, Estimate{Dom: sc.ID(), Est: f.Estimate})
+	})
 }
 
 // SmallDominateeFrag executes the member side of the Appendix A variant
@@ -447,18 +401,18 @@ type SmallDominateeFrag struct {
 	Dom      int
 	Estimate int
 
-	init    bool
-	stage   uint8 // 0 elect, 1 lead probe, 2 lead cast, 3 member probe, 4 idle cast, 5/6/7 broadcast
-	channel int
-	elect   *reporter.ElectFrag
-	domFrag *DominatorFrag
-	deeFrag *DominateeFrag
-	cast    *reporter.CastUpFrag
-	idle    sim.IdleFrag
-	await   bool
+	init, await  bool
+	stage        uint8 // 0 elect, 1 lead probe, 2 lead cast, 3 member probe, 4 broadcast
+	start, total int
+	channel      int
+	elect        *reporter.ElectFrag
+	domFrag      *DominatorFrag
+	deeFrag      *DominateeFrag
+	cast         *reporter.CastUpFrag
 }
 
-// Feed implements sim.Frag.
+// Feed implements sim.Frag. A plain member sleeps from the end of its
+// probing straight to the broadcast listen.
 func (f *SmallDominateeFrag) Feed(sc *sim.StepCtx) bool {
 	p := sc.Params()
 	if f.await {
@@ -469,16 +423,18 @@ func (f *SmallDominateeFrag) Feed(sc *sim.StepCtx) bool {
 			f.Estimate = m.Est
 		}
 	}
+	if !f.init {
+		f.init = true
+		f.start = sc.Slot()
+		f.total = f.Cfg.SlotBudget(p)
+		f.channel = sc.Rand.Intn(f.Cfg.F)
+		elect := f.Cfg.Elect
+		elect.Stride, elect.Offset = f.Cfg.stride(), f.Cfg.Offset
+		f.elect = &reporter.ElectFrag{Cfg: elect, Channel: f.channel, Dom: f.Dom}
+	}
 	for {
 		switch f.stage {
-		case 0: // channel choice + election
-			if !f.init {
-				f.init = true
-				f.channel = sc.Rand.Intn(f.Cfg.F)
-				elect := f.Cfg.Elect
-				elect.Stride, elect.Offset = f.Cfg.stride(), f.Cfg.Offset
-				f.elect = &reporter.ElectFrag{Cfg: elect, Channel: f.channel, Dom: f.Dom}
-			}
+		case 0: // election
 			if !f.elect.Feed(sc) {
 				return false
 			}
@@ -505,37 +461,17 @@ func (f *SmallDominateeFrag) Feed(sc *sim.StepCtx) bool {
 			if !f.cast.Feed(sc) {
 				return false
 			}
-			f.stage = 5
-		case 3: // member: probe
+			f.stage = 4
+		case 3: // member: probe, then sit out the cast
 			if !f.deeFrag.Feed(sc) {
 				return false
 			}
-			f.idle = sim.IdleFrag{K: smallCastCfg(f.Cfg).SlotBudget()}
 			f.stage = 4
-		case 4: // member: sit out the cast
-			if !f.idle.Feed(sc) {
-				return false
-			}
-			f.stage = 5
-		case 5: // broadcast pre-idle
-			f.stage = 6
-			if k := f.Cfg.Offset; k > 0 {
-				sc.IdleFor(k)
-				return false
-			}
-		case 6: // broadcast listen on channel 0
-			f.stage = 7
-			sc.Listen(0)
-			f.await = true
-			return false
-		case 7: // broadcast post-idle
-			f.stage = 8
-			if k := f.Cfg.stride() - 1 - f.Cfg.Offset; k > 0 {
-				sc.IdleFor(k)
-				return false
-			}
-		default:
-			return true
+		default: // listen to the dominator's broadcast on channel 0
+			return f.Cfg.broadcast(sc, sc.Slot()-f.start, f.total, func() {
+				sc.Listen(0)
+				f.await = true
+			})
 		}
 	}
 }

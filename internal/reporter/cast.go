@@ -69,6 +69,12 @@ func (c CastConfig) SlotBudget() int {
 	return 4 * c.Levels() * c.stride()
 }
 
+// rounds lays out a pass's levels: the k-th level passed spans 4·Stride
+// slots with its four sub-slots starting at 4·Offset.
+func (c CastConfig) rounds() sim.Rounds {
+	return sim.Rounds{Stride: 4 * c.stride(), Offset: 4 * c.Offset}
+}
+
 // levelOf returns the heap level of role k: 0 for the root (role 0), and
 // the MSB position for k ≥ 1 (role 1 → 1, roles 2-3 → 2, roles 4-7 → 3, …).
 func levelOf(k int) int {
@@ -151,8 +157,10 @@ const (
 //
 // Sub-slots per level: 0 = left child transmits, 1 = ack to left child,
 // 2 = right child transmits, 3 = ack to right child. Role 1 (the root's
-// only child) uses the right-child sub-slots. The pass consumes exactly
-// Cfg.SlotBudget slots.
+// only child) uses the right-child sub-slots. Each level spans 4·Stride
+// slots with its sub-slots at 4·Offset; a node steps through the
+// sub-slots of the levels it sends or receives in and sleeps through the
+// rest. The pass consumes exactly Cfg.SlotBudget slots.
 type CastUpFrag struct {
 	Cfg       CastConfig
 	Role, Dom int
@@ -160,20 +168,18 @@ type CastUpFrag struct {
 	Op        agg.Op
 	St        CastState
 
-	init   bool
-	lvl    int
-	pos    uint8 // 0 pre-idle, 1..4 sub-slots 0..3, 5 level end + post-idle
-	acting int
-	done   bool
-	await  castAwait
+	start      int // the slot of the first Feed
+	lvl        int // the level being passed, Levels() down to 1
+	acting     int
+	init, done bool
+	await      castAwait
 	// Per-level state.
-	isSender, isParent    bool
-	sendsLeft, sendsRight bool
-	parentRole            int
-	sendCh, ownCh         int
-	gotAck, standIn       bool
-	sibValue              int64
-	sibSeen               bool
+	isSender, isParent       bool
+	sendsLeft, sendsRight    bool
+	gotAck, standIn, sibSeen bool
+	parentRole               int
+	sendCh, ownCh            int
+	sibValue                 int64
 }
 
 func (f *CastUpFrag) recordChild(j, side int, v int64) {
@@ -187,6 +193,7 @@ func (f *CastUpFrag) Feed(sc *sim.StepCtx) bool {
 	p := sc.Params()
 	if !f.init {
 		f.init = true
+		f.start = sc.Slot()
 		f.St = CastState{
 			Value:       f.Value,
 			DeliveredAs: -1,
@@ -198,6 +205,7 @@ func (f *CastUpFrag) Feed(sc *sim.StepCtx) bool {
 			f.St.Chain = append(f.St.Chain, f.Role)
 		}
 		f.lvl = f.Cfg.Levels()
+		f.begin()
 	}
 	switch f.await {
 	case castAwaitSub0Parent:
@@ -232,116 +240,138 @@ func (f *CastUpFrag) Feed(sc *sim.StepCtx) bool {
 	}
 	f.await = castAwaitNone
 
-	stride := f.Cfg.stride()
-	for {
-		if f.lvl < 1 {
-			return true
+	rel := sc.Slot() - f.start
+	// Close every level whose sub-slots are over.
+	for f.lvl >= 1 && rel >= f.subSlot(4) {
+		f.fold()
+	}
+	total := f.Cfg.SlotBudget()
+	if rel >= total {
+		return true
+	}
+	at := total
+	if f.lvl >= 1 {
+		at = f.subSlot(0)
+		if f.isSender || f.isParent {
+			if sub := rel - at; sub >= 0 {
+				if f.act(sc, sub) {
+					return false
+				}
+				at = rel + 1 // the next sub-slot, or the level's close
+			}
+		} else {
+			at = f.subSlot(4) // sleep through the level; the close is a no-op
 		}
-		switch f.pos {
-		case 0:
-			f.pos = 1
-			if k := 4 * f.Cfg.Offset; k > 0 {
-				sc.IdleFor(k)
-				return false
-			}
-		case 1: // Sub-slot 0: left children transmit.
-			f.isSender = !f.done && f.acting >= 1 && levelOf(f.acting) == f.lvl
-			f.isParent = !f.done && f.acting >= 0 && levelOf(f.acting) == f.lvl-1
-			f.sendsLeft = f.isSender && f.acting%2 == 0 && f.acting != 1
-			f.sendsRight = f.isSender && (f.acting%2 == 1 || f.acting == 1)
-			f.parentRole = f.acting / 2
-			f.sendCh = chanOf(f.parentRole)
-			f.ownCh = chanOf(f.acting)
-			f.gotAck, f.standIn, f.sibSeen = false, false, false
-			f.sibValue = 0
-			f.pos = 2
-			switch {
-			case f.sendsLeft:
-				sc.Transmit(f.sendCh, UpMsg{ToRole: f.parentRole, Dom: f.Dom, From: f.acting, Value: f.St.Value})
-			case f.isParent:
-				sc.Listen(f.ownCh)
-				f.await = castAwaitSub0Parent
-			default:
-				sc.Idle()
-			}
+	}
+	sc.IdleFor(min(at, total) - rel)
+	return false
+}
+
+// subSlot returns the fragment-relative slot of sub-slot k of the current
+// level (k = 4 is the slot after the level's last sub-slot).
+func (f *CastUpFrag) subSlot(k int) int {
+	return f.Cfg.rounds().At(f.Cfg.Levels()-f.lvl) + k
+}
+
+// begin derives the node's part in the current level.
+func (f *CastUpFrag) begin() {
+	f.isSender = !f.done && f.acting >= 1 && levelOf(f.acting) == f.lvl
+	f.isParent = !f.done && f.acting >= 0 && levelOf(f.acting) == f.lvl-1
+	f.sendsLeft = f.isSender && f.acting%2 == 0 && f.acting != 1
+	f.sendsRight = f.isSender && (f.acting%2 == 1 || f.acting == 1)
+	f.parentRole = f.acting / 2
+	f.sendCh = chanOf(f.parentRole)
+	f.ownCh = chanOf(f.acting)
+	f.gotAck, f.standIn, f.sibSeen = false, false, false
+	f.sibValue = 0
+}
+
+// act performs the node's action in sub-slot sub of the current level,
+// reporting false if it has none.
+func (f *CastUpFrag) act(sc *sim.StepCtx, sub int) bool {
+	switch sub {
+	case 0: // left children transmit
+		switch {
+		case f.sendsLeft:
+			sc.Transmit(f.sendCh, UpMsg{ToRole: f.parentRole, Dom: f.Dom, From: f.acting, Value: f.St.Value})
+		case f.isParent:
+			sc.Listen(f.ownCh)
+			f.await = castAwaitSub0Parent
+		default:
 			return false
-		case 2: // Sub-slot 1: parents ack their left child.
-			f.pos = 3
-			switch {
-			case f.isParent && f.St.ChildSeen[f.acting][0]:
-				sc.Transmit(f.ownCh, UpAck{ToRole: 2 * f.acting, Dom: f.Dom})
-			case f.sendsLeft:
-				sc.Listen(f.sendCh)
-				f.await = castAwaitSub1Sender
-			default:
-				sc.Idle()
-			}
+		}
+	case 1: // parents ack their left child
+		switch {
+		case f.isParent && f.St.ChildSeen[f.acting][0]:
+			sc.Transmit(f.ownCh, UpAck{ToRole: 2 * f.acting, Dom: f.Dom})
+		case f.sendsLeft:
+			sc.Listen(f.sendCh)
+			f.await = castAwaitSub1Sender
+		default:
 			return false
-		case 3: // Sub-slot 2: right children transmit; stand-ins absorb.
-			f.pos = 4
-			switch {
-			case f.sendsRight:
-				sc.Transmit(f.sendCh, UpMsg{ToRole: f.parentRole, Dom: f.Dom, From: f.acting, Value: f.St.Value})
-			case f.isParent:
-				sc.Listen(f.ownCh)
-				f.await = castAwaitSub2Parent
-			case f.standIn:
-				sc.Listen(f.sendCh)
-				f.await = castAwaitSub2StandIn
-			default:
-				sc.Idle()
-			}
+		}
+	case 2: // right children transmit; stand-ins absorb
+		switch {
+		case f.sendsRight:
+			sc.Transmit(f.sendCh, UpMsg{ToRole: f.parentRole, Dom: f.Dom, From: f.acting, Value: f.St.Value})
+		case f.isParent:
+			sc.Listen(f.ownCh)
+			f.await = castAwaitSub2Parent
+		case f.standIn:
+			sc.Listen(f.sendCh)
+			f.await = castAwaitSub2StandIn
+		default:
 			return false
-		case 4: // Sub-slot 3: parents (or stand-ins) ack the right child.
-			f.pos = 5
-			switch {
-			case f.isParent && f.St.ChildSeen[f.acting][1]:
-				sc.Transmit(f.ownCh, UpAck{ToRole: 2*f.acting + 1, Dom: f.Dom})
-			case f.standIn && f.sibSeen:
-				sc.Transmit(f.sendCh, UpAck{ToRole: f.acting + 1, Dom: f.Dom})
-			case f.sendsRight:
-				sc.Listen(f.sendCh)
-				f.await = castAwaitSub3Sender
-			default:
-				sc.Idle()
-			}
+		}
+	default: // parents (or stand-ins) ack the right child
+		switch {
+		case f.isParent && f.St.ChildSeen[f.acting][1]:
+			sc.Transmit(f.ownCh, UpAck{ToRole: 2*f.acting + 1, Dom: f.Dom})
+		case f.standIn && f.sibSeen:
+			sc.Transmit(f.sendCh, UpAck{ToRole: f.acting + 1, Dom: f.Dom})
+		case f.sendsRight:
+			sc.Listen(f.sendCh)
+			f.await = castAwaitSub3Sender
+		default:
 			return false
-		default: // Fold, resolve takeovers, post-idle, next level.
-			if f.isParent {
-				if f.St.ChildSeen[f.acting][0] {
-					f.St.Value = f.Op.Combine(f.St.Value, f.St.ChildVals[f.acting][0])
+		}
+	}
+	return true
+}
+
+// fold closes the current level — a parent folds its children in, a sender
+// either delivered or takes over its missing parent's role — and begins
+// the next one.
+func (f *CastUpFrag) fold() {
+	if f.isParent {
+		if f.St.ChildSeen[f.acting][0] {
+			f.St.Value = f.Op.Combine(f.St.Value, f.St.ChildVals[f.acting][0])
+		}
+		if f.St.ChildSeen[f.acting][1] {
+			f.St.Value = f.Op.Combine(f.St.Value, f.St.ChildVals[f.acting][1])
+		}
+	}
+	if f.isSender {
+		switch {
+		case f.gotAck:
+			f.St.DeliveredAs = f.acting
+			f.done = true
+		default:
+			f.St.Chain = append(f.St.Chain, f.parentRole)
+			f.acting = f.parentRole
+			if f.standIn {
+				f.recordChild(f.parentRole, 0, f.St.Value)
+				if f.sibSeen {
+					f.St.Value = f.Op.Combine(f.St.Value, f.sibValue)
+					f.recordChild(f.parentRole, 1, f.sibValue)
 				}
-				if f.St.ChildSeen[f.acting][1] {
-					f.St.Value = f.Op.Combine(f.St.Value, f.St.ChildVals[f.acting][1])
-				}
-			}
-			if f.isSender {
-				switch {
-				case f.gotAck:
-					f.St.DeliveredAs = f.acting
-					f.done = true
-				default:
-					f.St.Chain = append(f.St.Chain, f.parentRole)
-					f.acting = f.parentRole
-					if f.standIn {
-						f.recordChild(f.parentRole, 0, f.St.Value)
-						if f.sibSeen {
-							f.St.Value = f.Op.Combine(f.St.Value, f.sibValue)
-							f.recordChild(f.parentRole, 1, f.sibValue)
-						}
-					} else {
-						f.recordChild(f.parentRole, 1, f.St.Value)
-					}
-				}
-			}
-			f.lvl--
-			f.pos = 0
-			if k := 4 * (stride - 1 - f.Cfg.Offset); k > 0 {
-				sc.IdleFor(k)
-				return false
+			} else {
+				f.recordChild(f.parentRole, 1, f.St.Value)
 			}
 		}
 	}
+	f.lvl--
+	f.begin()
 }
 
 // CastDownFrag executes one down pass for tree role Role in cluster Dom,
@@ -349,8 +379,11 @@ func (f *CastUpFrag) Feed(sc *sim.StepCtx) bool {
 // retraces the up pass St (a CastUpFrag's St, takeovers included), starting
 // from Root at the dominator and dividing each acted role's payload with
 // Split. Self and Ok are the node's own interval and whether it obtained
-// one, valid once Feed returns true. The pass consumes exactly
-// Cfg.SlotBudget slots.
+// one, valid once Feed returns true. It uses the up pass's level layout
+// with the levels in reverse order; only sub-slots 0 and 2 carry payloads
+// (1 and 3 keep the layout), and a node wakes at each level's sub-slot 0
+// and, when it sends or expects a payload there, at sub-slot 2. The pass
+// consumes exactly Cfg.SlotBudget slots.
 type CastDownFrag struct {
 	Cfg       CastConfig
 	Role, Dom int
@@ -360,20 +393,17 @@ type CastDownFrag struct {
 	Self      [2]int64
 	Ok        bool
 
-	init     bool
-	lvl      int
-	pos      uint8            // 0 pre-idle, 1..4 sub-slots 0..3, 5 post-idle
-	chain    []int            // the roles acted as: chainRoles(Role, St)
-	payloads map[int][2]int64 // payload per chain role, once known
-	have     bool
-	topRole  int
-	await    bool
+	init, have, await bool
+	start             int              // the slot of the first Feed
+	lvl               int              // the level being passed, 1 up to Levels()
+	chain             []int            // the roles acted as: chainRoles(Role, St)
+	payloads          map[int][2]int64 // payload per chain role, once known
+	topRole           int
 	// Per-level state.
-	parentRole        int
-	isParent          bool
-	leftPay, rightPay [2]int64
-	expectsAt         bool
-	recvCh            int
+	isParent, expectsAt bool
+	parentRole          int
+	leftPay, rightPay   [2]int64
+	recvCh              int
 }
 
 // inChain reports whether the node acted as role j during the up pass.
@@ -420,6 +450,7 @@ func (f *CastDownFrag) Feed(sc *sim.StepCtx) bool {
 	p := sc.Params()
 	if !f.init {
 		f.init = true
+		f.start = sc.Slot()
 		f.chain = chainRoles(f.Role, f.St)
 		f.payloads = map[int][2]int64{}
 		f.topRole = -1
@@ -433,7 +464,6 @@ func (f *CastDownFrag) Feed(sc *sim.StepCtx) bool {
 			f.topRole = f.chain[len(f.chain)-1]
 		}
 		f.propagate()
-		f.lvl = 1
 	}
 	if f.await {
 		f.await = false
@@ -445,79 +475,89 @@ func (f *CastDownFrag) Feed(sc *sim.StepCtx) bool {
 		}
 	}
 
-	stride := f.Cfg.stride()
-	for {
-		if f.lvl > f.Cfg.Levels() {
-			return true
+	rel := sc.Slot() - f.start
+	total := f.Cfg.SlotBudget()
+	if rel >= total {
+		return true
+	}
+	r := f.Cfg.rounds()
+	k := rel / r.Stride
+	base, next := r.At(k), r.At(k+1) // this and the next level's sub-slot 0
+	at := next
+	switch {
+	case rel < base:
+		at = base
+	case rel == base:
+		f.begin(k + 1)
+		if f.send(sc, 0) {
+			return false
 		}
-		switch f.pos {
-		case 0:
-			f.pos = 1
-			if k := 4 * f.Cfg.Offset; k > 0 {
-				sc.IdleFor(k)
-				return false
-			}
-		case 1: // Sub-slot 0: payload to left child.
-			// Does the node act as a parent of level-lvl roles?
-			f.parentRole, f.isParent = -1, false
-			for _, j := range f.chain {
-				if levelOf(j) == f.lvl-1 {
-					f.parentRole, f.isParent = j, true
-				}
-			}
-			if f.isParent {
-				if _, ok := f.payloads[f.parentRole]; !ok {
-					f.isParent = false
-				}
-			}
-			f.leftPay, f.rightPay = [2]int64{}, [2]int64{}
-			if f.isParent {
-				_, f.leftPay, f.rightPay = f.Split(f.parentRole, f.parentRole == f.Role,
-					f.payloads[f.parentRole], f.St.ChildVals[f.parentRole], f.St.ChildSeen[f.parentRole])
-			}
-			// Does the node expect to receive at this level?
-			f.expectsAt = !f.have && f.topRole >= 1 && levelOf(f.topRole) == f.lvl
-			f.recvCh = chanOf(f.topRole / 2)
-			f.pos = 2
-			switch {
-			case f.isParent && f.parentRole >= 1 && f.St.ChildSeen[f.parentRole][0] && !f.inChain(2*f.parentRole):
-				sc.Transmit(chanOf(f.parentRole), DownMsg{ToRole: 2 * f.parentRole, Dom: f.Dom, Payload: f.leftPay})
-			case f.expectsAt && f.topRole%2 == 0 && f.topRole != 1:
-				sc.Listen(f.recvCh)
-				f.await = true
-			default:
-				sc.Idle()
-			}
+		if f.isParent || f.expectsAt {
+			at = base + 2
+		}
+	case rel <= base+2 && (f.isParent || f.expectsAt):
+		at = base + 2
+		if rel == at && f.send(sc, 2) {
 			return false
-		case 2: // Sub-slot 1: layout parity with the up pass.
-			f.pos = 3
-			sc.Idle()
-			return false
-		case 3: // Sub-slot 2: payload to right child (and from root to role 1).
-			f.pos = 4
-			switch {
-			case f.isParent && f.parentRole == 0:
-				sc.Transmit(0, DownMsg{ToRole: 1, Dom: f.Dom, Payload: f.rightPay})
-			case f.isParent && f.St.ChildSeen[f.parentRole][1] && !f.inChain(2*f.parentRole+1):
-				sc.Transmit(chanOf(f.parentRole), DownMsg{ToRole: 2*f.parentRole + 1, Dom: f.Dom, Payload: f.rightPay})
-			case f.expectsAt && (f.topRole%2 == 1 || f.topRole == 1):
-				sc.Listen(f.recvCh)
-				f.await = true
-			default:
-				sc.Idle()
-			}
-			return false
-		case 4: // Sub-slot 3: layout parity.
-			f.pos = 5
-			sc.Idle()
-			return false
-		default:
-			f.lvl++
-			f.pos = 0
-			if k := 4 * (stride - 1 - f.Cfg.Offset); k > 0 {
-				sc.IdleFor(k)
-				return false
-			}
+		}
+		if rel == at {
+			at = next
 		}
 	}
+	sc.IdleFor(min(at, total) - rel)
+	return false
+}
+
+// begin derives the node's part in level lvl: whether it passes a payload
+// down to level-lvl roles, and whether it expects its own.
+func (f *CastDownFrag) begin(lvl int) {
+	f.lvl = lvl
+	f.parentRole, f.isParent = -1, false
+	for _, j := range f.chain {
+		if levelOf(j) == f.lvl-1 {
+			f.parentRole, f.isParent = j, true
+		}
+	}
+	if f.isParent {
+		if _, ok := f.payloads[f.parentRole]; !ok {
+			f.isParent = false
+		}
+	}
+	f.leftPay, f.rightPay = [2]int64{}, [2]int64{}
+	if f.isParent {
+		_, f.leftPay, f.rightPay = f.Split(f.parentRole, f.parentRole == f.Role,
+			f.payloads[f.parentRole], f.St.ChildVals[f.parentRole], f.St.ChildSeen[f.parentRole])
+	}
+	f.expectsAt = !f.have && f.topRole >= 1 && levelOf(f.topRole) == f.lvl
+	f.recvCh = chanOf(f.topRole / 2)
+}
+
+// send performs the node's action in sub-slot sub (0: payload to the left
+// child; 2: payload to the right child, and from the root to role 1) of
+// the current level, reporting false if it has none.
+func (f *CastDownFrag) send(sc *sim.StepCtx, sub int) bool {
+	if sub == 0 {
+		switch {
+		case f.isParent && f.parentRole >= 1 && f.St.ChildSeen[f.parentRole][0] && !f.inChain(2*f.parentRole):
+			sc.Transmit(chanOf(f.parentRole), DownMsg{ToRole: 2 * f.parentRole, Dom: f.Dom, Payload: f.leftPay})
+		case f.expectsAt && f.topRole%2 == 0 && f.topRole != 1:
+			sc.Listen(f.recvCh)
+			f.await = true
+		default:
+			return false
+		}
+		return true
+	}
+	switch {
+	case f.isParent && f.parentRole == 0:
+		sc.Transmit(0, DownMsg{ToRole: 1, Dom: f.Dom, Payload: f.rightPay})
+	case f.isParent && f.St.ChildSeen[f.parentRole][1] && !f.inChain(2*f.parentRole+1):
+		sc.Transmit(chanOf(f.parentRole), DownMsg{ToRole: 2*f.parentRole + 1, Dom: f.Dom, Payload: f.rightPay})
+	case f.expectsAt && (f.topRole%2 == 1 || f.topRole == 1):
+		sc.Listen(f.recvCh)
+		f.await = true
+	default:
+		return false
+	}
+	return true
 }

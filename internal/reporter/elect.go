@@ -84,19 +84,18 @@ type ElectFrag struct {
 	Channel, Dom int
 	Min          int
 
-	init      bool
-	rounds    int
-	round     int
-	pos       uint8 // 0 pre-idle, 1 act, 2 post-idle
-	awaitCand bool
+	init, awaitCand bool
+	start, total    int
 }
 
-// Feed implements sim.Frag.
+// Feed implements sim.Frag. The member acts in every round's act slot and
+// sleeps between them.
 func (f *ElectFrag) Feed(sc *sim.StepCtx) bool {
 	p := sc.Params()
 	if !f.init {
 		f.init = true
-		f.rounds = f.Cfg.Rounds(p)
+		f.start = sc.Slot()
+		f.total = f.Cfg.SlotBudget(p)
 		f.Min = sc.ID()
 	}
 	if f.awaitCand {
@@ -107,34 +106,20 @@ func (f *ElectFrag) Feed(sc *sim.StepCtx) bool {
 			f.Min = c.From
 		}
 	}
-	stride := f.Cfg.stride()
-	for {
-		if f.round >= f.rounds {
-			return true
-		}
-		switch f.pos {
-		case 0:
-			f.pos = 1
-			if f.Cfg.Offset > 0 {
-				sc.IdleFor(f.Cfg.Offset)
-				return false
-			}
-		case 1:
-			f.pos = 2
-			if f.Min == sc.ID() && sc.Rand.Float64() < f.Cfg.TxProb {
-				sc.Transmit(f.Channel, Cand{From: sc.ID(), Dom: f.Dom})
-			} else {
-				sc.Listen(f.Channel)
-				f.awaitCand = true
-			}
-			return false
-		default:
-			f.pos = 0
-			f.round++
-			if k := stride - 1 - f.Cfg.Offset; k > 0 {
-				sc.IdleFor(k)
-				return false
-			}
-		}
+	rel := sc.Slot() - f.start
+	if rel >= f.total {
+		return true
 	}
+	r := sim.Rounds{Stride: f.Cfg.stride(), Offset: f.Cfg.Offset}
+	if at := min(r.At(r.Next(rel)), f.total); at > rel {
+		sc.IdleFor(at - rel)
+		return false
+	}
+	if f.Min == sc.ID() && sc.Rand.Float64() < f.Cfg.TxProb {
+		sc.Transmit(f.Channel, Cand{From: sc.ID(), Dom: f.Dom})
+	} else {
+		sc.Listen(f.Channel)
+		f.awaitCand = true
+	}
+	return false
 }

@@ -122,23 +122,22 @@ const (
 )
 
 // RunFrag is the participant side of the ruling-set protocol as a
-// sim.Frag. It consumes exactly Cfg.SlotBudget slots, padding with an idle
-// stretch once the node halts; Out is the node's outcome once Feed returns
-// true. Non-participants idle through the budget with a sim.IdleFrag.
+// sim.Frag. It consumes exactly Cfg.SlotBudget slots: a live node acts in
+// the three protocol slots of every round and sleeps between them, and a
+// halted node sleeps to the end. Out is the node's outcome once Feed
+// returns true. Non-participants idle through the budget with a
+// sim.IdleFrag.
 type RunFrag struct {
 	Cfg Config
 	Out Outcome
 
-	init      bool
-	rounds    int
-	round     int
-	pos       uint8 // 0 round start, 1-3 protocol slots, 4 round end, 5 padded
-	slotUsed  int
-	halted    bool // joined S or was dominated
-	sentHello bool
-	clearFrom int
-	gotAck    bool
-	await     rulingAwait
+	init              bool
+	halted            bool // joined S or was dominated
+	sentHello, gotAck bool
+	await             rulingAwait
+	start, total      int
+	round             int // the round of the node's latest HELLO slot
+	clearFrom         int
 }
 
 // Feed implements sim.Frag.
@@ -147,8 +146,9 @@ func (f *RunFrag) Feed(sc *sim.StepCtx) bool {
 	cfg := f.Cfg
 	if !f.init {
 		f.init = true
-		f.rounds = cfg.Rounds(p)
-		f.Out = Outcome{DominatedBy: -1, JoinRound: f.rounds}
+		f.start = sc.Slot()
+		f.total = cfg.SlotBudget(p)
+		f.Out = Outcome{DominatedBy: -1, JoinRound: cfg.Rounds(p)}
 	}
 	// Consume the previous slot's reception before acting (or drawing).
 	switch f.await {
@@ -171,74 +171,58 @@ func (f *RunFrag) Feed(sc *sim.StepCtx) bool {
 		}
 	}
 	f.await = awaitNone
-	for {
-		switch f.pos {
-		case 0:
-			if f.round >= f.rounds || f.halted {
-				if !f.halted {
-					// Survivor: enters S at the end (Sec. 4).
-					f.Out.InSet = true
-				}
-				// Pad to the fixed stage length.
-				f.pos = 5
-				if k := cfg.SlotBudget(p) - f.slotUsed; k > 0 {
-					sc.IdleFor(k)
-					return false
-				}
-				continue
-			}
-			f.slotUsed += 3 * cfg.stride()
-			f.pos = 1
-			if k := 3 * cfg.Offset; k > 0 {
-				sc.IdleFor(k)
-				return false
-			}
-		case 1: // slot 1: HELLO
-			f.pos = 2
-			f.clearFrom, f.gotAck = -1, false
-			f.sentHello = sc.Rand.Float64() < 1/(2*cfg.Mu)
-			if f.sentHello {
-				sc.Transmit(cfg.Channel, Hello{From: sc.ID()})
-			} else {
-				sc.Listen(cfg.Channel)
-				f.await = awaitHello
-			}
-			return false
-		case 2: // slot 2: ACK
-			f.pos = 3
-			switch {
-			case f.sentHello:
-				sc.Listen(cfg.Channel)
-				f.await = awaitAck
-			case f.clearFrom >= 0 && sc.Rand.Float64() < cfg.AckProb:
-				sc.Transmit(cfg.Channel, Ack{To: f.clearFrom})
-			default:
-				sc.Listen(cfg.Channel)
-			}
-			return false
-		case 3: // slot 3: IN
-			f.pos = 4
-			if f.sentHello && f.gotAck {
-				sc.Transmit(cfg.Channel, In{From: sc.ID()})
-				f.Out.InSet = true
-				f.Out.JoinRound = f.round
-				f.halted = true
-			} else {
-				sc.Listen(cfg.Channel)
-				f.await = awaitIn
-			}
-			return false
-		case 4:
-			f.pos = 0
-			f.round++
-			if k := 3 * (cfg.stride() - 1 - cfg.Offset); k > 0 {
-				sc.IdleFor(k)
-				return false
-			}
+
+	rel := sc.Slot() - f.start
+	if rel >= f.total {
+		if !f.halted {
+			// Survivor: enters S at the end (Sec. 4).
+			f.Out.InSet = true
+		}
+		return true
+	}
+	if f.halted {
+		sc.IdleFor(f.total - rel)
+		return false
+	}
+	r := sim.Rounds{Stride: 3 * cfg.stride(), Offset: 3 * cfg.Offset}
+	k := rel / r.Stride
+	switch w := rel - r.At(k); { // slots past this round's HELLO slot
+	case w < 0:
+		sc.IdleFor(-w)
+	case w >= 3:
+		sc.IdleFor(min(r.At(k+1), f.total) - rel)
+	case w == 0: // slot 1: HELLO
+		f.round = k
+		f.clearFrom, f.gotAck = -1, false
+		f.sentHello = sc.Rand.Float64() < 1/(2*cfg.Mu)
+		if f.sentHello {
+			sc.Transmit(cfg.Channel, Hello{From: sc.ID()})
+		} else {
+			sc.Listen(cfg.Channel)
+			f.await = awaitHello
+		}
+	case w == 1: // slot 2: ACK
+		switch {
+		case f.sentHello:
+			sc.Listen(cfg.Channel)
+			f.await = awaitAck
+		case f.clearFrom >= 0 && sc.Rand.Float64() < cfg.AckProb:
+			sc.Transmit(cfg.Channel, Ack{To: f.clearFrom})
 		default:
-			return true
+			sc.Listen(cfg.Channel)
+		}
+	default: // slot 3: IN
+		if f.sentHello && f.gotAck {
+			sc.Transmit(cfg.Channel, In{From: sc.ID()})
+			f.Out.InSet = true
+			f.Out.JoinRound = f.round
+			f.halted = true
+		} else {
+			sc.Listen(cfg.Channel)
+			f.await = awaitIn
 		}
 	}
+	return false
 }
 
 // Validate checks the ruling-set postcondition over the participant set:

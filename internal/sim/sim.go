@@ -22,8 +22,17 @@
 // IdleFor(k) takes a node out of circulation for k slots: off the awake
 // list, registered in a calendar queue keyed by wake slot (wheel.go).
 // Sleeping nodes cost nothing per slot; the engine pops one wheel bucket
-// per slot to wake the nodes whose batch just ended, so mixed active/idle
+// per slot to wake the nodes whose batch just ended and merges them into
+// the awake list, which it keeps in node order. Every per-slot pass —
+// step, collect, deliver, wake — walks only the awake nodes or the slot's
+// actions, so a slot costs O(awake), not O(n), and mixed active/idle
 // populations fast-forward past the sleepers.
+//
+// Protocols make this pay by sleeping through every stretch they can prove
+// idle (see Stepper): one IdleFor up to the next draw, listen or transmit,
+// never past the end of the current Frag, and with no Rand draw skipped or
+// reordered. The transcript is the same as idling slot by slot; only the
+// Step calls go away.
 //
 // Determinism: Steppers draw randomness only from StepCtx.Rand, a per-node
 // stream derived from (run seed, node ID), and slot resolution is
@@ -204,15 +213,16 @@ func (e *Engine) RunContext(ctx context.Context, steppers []Stepper) (slots int,
 	}
 
 	// nActive counts live nodes and decides termination. The wheel holds
-	// every sleeping node, keyed by the slot it acts again in.
+	// every sleeping node, keyed by the slot it acts again in; the awake
+	// list holds every other live node, in node order.
 	nActive := n
 	wheel := newWakeWheel(n)
-	due := make([]int32, 0, 64)
+	due := make([]int32, 0, n)
 
 	// The run's slot arena: action and reception buffers sized for every
 	// node once up front, and the field's struct-of-arrays / grid-bin
 	// scratch presized to match, so the steady-state slot pipeline —
-	// step, collect, resolve, deliver — allocates nothing.
+	// step, collect, resolve, deliver, wake — allocates nothing.
 	txs := make([]phy.Tx, 0, n)
 	rxs := make([]phy.Rx, 0, n)
 	e.field.Reserve(n, n)
@@ -231,30 +241,29 @@ func (e *Engine) RunContext(ctx context.Context, steppers []Stepper) (slots int,
 				return slot, rs.panicked
 			}
 			// Collect the slot while retiring terminated nodes and
-			// registering fresh IdleFor batches — one fused pass over the
-			// awake nodes, in node order.
-			for i := 0; i < n; i++ {
-				if rs.state[i] != stepAwake {
-					continue
-				}
+			// registering fresh IdleFor batches — one pass over the awake
+			// list, in node order, which also drops the nodes that left it.
+			kept := rs.awake[:0]
+			for _, id := range rs.awake {
+				i := int(id)
 				if rs.done[i] {
-					rs.state[i] = stepDead
 					nActive--
 					continue
 				}
-				switch rs.pending[i].kind {
+				switch a := &rs.pending[i]; a.kind {
 				case actTransmit:
-					txs = append(txs, phy.Tx{Node: i, Channel: rs.pending[i].ch, Msg: rs.pending[i].msg})
+					txs = append(txs, phy.Tx{Node: i, Channel: a.ch, Msg: a.msg})
 				case actListen:
-					rxs = append(rxs, phy.Rx{Node: i, Channel: rs.pending[i].ch})
+					rxs = append(rxs, phy.Rx{Node: i, Channel: a.ch})
 				case actIdleLong:
 					// The node idles from this slot through slot+count-1
 					// and sleeps through those slots.
-					wheel.add(i, slot+rs.pending[i].count)
-					rs.state[i] = stepSleeping
+					wheel.add(i, slot+a.count)
+					continue
 				}
+				kept = append(kept, id)
 			}
-			rs.compact()
+			rs.awake = kept
 			if nActive == 0 {
 				return slot, nil
 			}
@@ -296,21 +305,15 @@ func (e *Engine) RunContext(ctx context.Context, steppers []Stepper) (slots int,
 		// Deliver outcomes. Only listeners observe their result slot —
 		// Transmit and Idle discard it — so non-listen entries keep their
 		// stale contents untouched.
-		ri := 0
-		for i := 0; i < n && ri < len(rxs); i++ {
-			if rs.state[i] == stepAwake && rs.pending[i].kind == actListen {
-				rs.results[i] = recs[ri]
-				ri++
-			}
+		for k := range rxs {
+			rs.results[rxs[k].Node] = recs[k]
 		}
 		slot++
 
-		// Open the next slot: sleepers due now pop off the wheel and rejoin
-		// the awake list.
-		due = wheel.pop(slot, due[:0])
-		for _, id := range due {
-			rs.state[id] = stepAwake
-			rs.awake = append(rs.awake, id)
+		// Open the next slot: sleepers due now pop off the wheel and merge
+		// into the awake list in node order.
+		if due = wheel.pop(slot, due[:0]); len(due) > 0 {
+			rs.wake(due)
 		}
 	}
 }

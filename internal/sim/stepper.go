@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -33,6 +34,15 @@ import (
 // that slot's reception; consume it before doing anything else (including
 // drawing randomness), so the protocol reacts to a reception before its
 // next decision — the order the committed transcript goldens pin.
+//
+// Sleeping rule: a node whose next k slots are provably idle — no radio
+// action, no sc.Rand draw and no Emit — covers them with one IdleFor(k)
+// rather than k Idle calls, up to its next decision point (its next draw,
+// listen or transmit, or the end of its current Frag). The transcript is
+// the same either way; only the Step calls differ, and a sleeping node
+// costs the engine nothing. A node never sleeps past its Frag's end (the
+// stage glue there may Emit or draw), and never skips or reorders a Rand
+// draw.
 type Stepper interface {
 	Step(sc *StepCtx)
 }
@@ -42,10 +52,30 @@ type Stepper interface {
 // returns false (the fragment still owns the node's slots), or finalizes
 // without acting and returns true — the caller then advances to the next
 // fragment within the same Step call, so stage boundaries consume no extra
-// slots.
+// slots. Fragments follow the Stepper sleeping rule: each IdleFor runs to
+// the fragment's next decision point and never past its own end.
 type Frag interface {
 	Feed(sc *StepCtx) bool
 }
+
+// Rounds is the slot arithmetic of a TDMA-interleaved fragment: round k
+// spans the fragment's slots [k·Stride, (k+1)·Stride), and the node acts
+// only in the round's slot Offset (0 ≤ Offset < Stride). Fragments measure
+// their own position as sc.Slot() minus the slot of their first Feed and
+// sleep straight from one act slot they need to the next.
+type Rounds struct{ Stride, Offset int }
+
+// Next returns the first round whose act slot is at or after the
+// fragment-relative slot rel.
+func (r Rounds) Next(rel int) int {
+	if rel <= r.Offset {
+		return 0
+	}
+	return (rel - r.Offset + r.Stride - 1) / r.Stride
+}
+
+// At returns round k's act slot.
+func (r Rounds) At(k int) int { return k*r.Stride + r.Offset }
 
 // IdleFrag is the Frag form of "idle through a stage budget": one
 // IdleFor(K) batch, then done. A K ≤ 0 finalizes immediately without
@@ -119,18 +149,19 @@ func (c *StepCtx) Prev() phy.Reception { return c.rs.results[c.id] }
 
 // Transmit sends msg on the given channel for this slot.
 func (c *StepCtx) Transmit(channel int, msg any) {
-	c.put(action{kind: actTransmit, ch: channel, msg: msg})
+	a := c.put(actTransmit)
+	a.ch, a.msg = channel, msg
 }
 
 // Listen receives on the given channel for this slot; the reception is
 // available as Prev at the start of the next Step call.
 func (c *StepCtx) Listen(channel int) {
-	c.put(action{kind: actListen, ch: channel})
+	c.put(actListen).ch = channel
 }
 
 // Idle does nothing for this slot (radio off).
 func (c *StepCtx) Idle() {
-	c.put(action{kind: actIdle})
+	c.put(actIdle)
 }
 
 // IdleFor idles for k consecutive slots; the next Step call comes k slots
@@ -143,7 +174,7 @@ func (c *StepCtx) IdleFor(k int) {
 	if k <= 0 {
 		return
 	}
-	c.put(action{kind: actIdleLong, count: k})
+	c.put(actIdleLong).count = k
 }
 
 // Done powers the node down for the remainder of the run. It is final and
@@ -161,12 +192,17 @@ func (c *StepCtx) Emit(name string, value int) {
 	c.engine.emit(Event{Slot: c.slot, Node: c.id, Name: name, Value: value})
 }
 
-func (c *StepCtx) put(a action) {
+// put records the node's primitive for this slot and returns its pending
+// entry for the caller to fill in; fields the kind does not use keep stale
+// values the engine never reads.
+func (c *StepCtx) put(kind actKind) *action {
 	if c.acted || c.ended {
 		panic(fmt.Sprintf("sim: node %d Stepper performed a second primitive in one Step", c.id))
 	}
 	c.acted = true
-	c.rs.pending[c.id] = a
+	a := &c.rs.pending[c.id]
+	a.kind = kind
+	return a
 }
 
 // stepNode drives one awake stepped node through one slot: crash check,
@@ -194,13 +230,6 @@ func (c *StepCtx) stepNode(slot int) {
 	}
 }
 
-// Node scheduling states, tracked per node in runState.state.
-const (
-	stepAwake uint8 = iota
-	stepSleeping
-	stepDead
-)
-
 // parallelStepMin is the awake-population size below which a slot's Step
 // calls run serially even on multicore: fan-out costs more than it saves.
 const parallelStepMin = 4096
@@ -218,8 +247,10 @@ type runState struct {
 	pending []action
 	results []phy.Reception
 	done    []bool
-	state   []uint8 // node → stepAwake/stepSleeping/stepDead
-	awake   []int32 // nodes to drive this slot, compacted after each scan
+	// awake lists the nodes to drive this slot in ascending node order
+	// (the collect pass reads actions in this order). Its capacity holds
+	// every node, so wake merges into it in place.
+	awake   []int32
 	workers int
 
 	// panicked is the first panic out of any step worker, as the run
@@ -235,7 +266,6 @@ func newRunState(e *Engine, steppers []Stepper) (*runState, error) {
 		pending: make([]action, n),
 		results: make([]phy.Reception, n),
 		done:    make([]bool, n),
-		state:   make([]uint8, n),
 		awake:   make([]int32, n),
 		workers: runtime.GOMAXPROCS(0),
 	}
@@ -322,15 +352,29 @@ func (rs *runState) stepRange(ids []int32, slot int) {
 	}
 }
 
-// compact drops nodes that went to sleep or died from the awake list,
-// preserving order. Runs once per scanned slot, after the engine has
-// classified every pending action.
-func (rs *runState) compact() {
-	kept := rs.awake[:0]
-	for _, id := range rs.awake {
-		if rs.state[id] == stepAwake {
-			kept = append(kept, id)
+// wake merges the nodes due this slot into the awake list, keeping it in
+// node order. due comes off the wheel in registration order, so it is
+// sorted first.
+func (rs *runState) wake(due []int32) {
+	slices.Sort(due)
+	rs.merge(due)
+}
+
+// merge merges the ascending ids into the awake list in place, from the
+// back: awake's capacity covers every node, and a node is never both awake
+// and due.
+func (rs *runState) merge(ids []int32) {
+	a := rs.awake
+	i, j := len(a)-1, len(ids)-1
+	a = a[:len(a)+len(ids)]
+	for k := len(a) - 1; j >= 0; k-- {
+		if i >= 0 && a[i] > ids[j] {
+			a[k] = a[i]
+			i--
+		} else {
+			a[k] = ids[j]
+			j--
 		}
 	}
-	rs.awake = kept
+	rs.awake = a
 }

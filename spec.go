@@ -130,11 +130,13 @@ func aggregatorByName(name string) (Aggregator, error) {
 
 // Spec documents arrive from outside the process (the scenario service,
 // mcscenario -spec), so validation bounds their size before anything is
-// allocated: n is at most maxSpecNodes and grid points × seeds at most
-// maxSpecRuns.
+// allocated: n is at most maxSpecNodes, channels at most maxSpecChannels
+// (the field and the fault layer allocate per channel; E1 sweeps F ≤ 16)
+// and grid points × seeds at most maxSpecRuns.
 const (
-	maxSpecNodes = 1 << 16
-	maxSpecRuns  = 1 << 16
+	maxSpecNodes    = 1 << 16
+	maxSpecChannels = 1 << 10
+	maxSpecRuns     = 1 << 16
 )
 
 // firstFault returns the index and fault-layer error of the first value
@@ -173,8 +175,8 @@ func (sp ScenarioSpec) resolve() (*Sweep, error) {
 	if channels == 0 {
 		channels = 4
 	}
-	if channels < 1 {
-		return nil, specFieldError("channels", "%d must be ≥ 1", sp.Channels)
+	if channels < 1 || channels > maxSpecChannels {
+		return nil, specFieldError("channels", "%d must be in [1, %d]", sp.Channels, maxSpecChannels)
 	}
 	if i, err := firstFault(sp.Loss, sp.N, channels, func(fs *fault.Spec, v float64) { fs.LossProb = v }); err != nil {
 		return nil, specFieldError(fmt.Sprintf("loss[%d]", i), "%v", err)

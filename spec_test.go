@@ -88,6 +88,9 @@ var specFieldErrorCases = []struct {
 	{`{"n": 16, "topology": "line", "topology_param": 1.5}`, `"topology_param"`},
 	{`{"n": 16, "seeds": -1}`, `"seeds"`},
 	{`{"n": 65537}`, `"n"`},
+	{`{"n": 16, "channels": -1}`, `"channels"`},
+	{`{"n": 16, "channels": 1025}`, `"channels"`},
+	{`{"n": 16, "channels": 1099511627776}`, `"channels"`},
 	{`{"n": 16, "seeds": 65537}`, `"seeds"`},
 	{`{"n": 16, "loss": [0, 0.1], "seeds": 32769}`, `"seeds"`},
 	{`{"n": 16, "colorer": "dplus1"}`, `"colorer"`},
@@ -109,7 +112,7 @@ func TestScenarioSpecFieldErrors(t *testing.T) {
 		}
 	}
 	// The size bounds themselves are accepted.
-	for _, doc := range []string{`{"n": 65536}`, `{"n": 16, "seeds": 65536}`, `{"n": 16, "loss": [0, 0.1], "seeds": 32768}`} {
+	for _, doc := range []string{`{"n": 65536}`, `{"n": 16, "channels": 1024}`, `{"n": 16, "seeds": 65536}`, `{"n": 16, "loss": [0, 0.1], "seeds": 32768}`} {
 		if _, err := ParseScenarioSpec([]byte(doc)); err != nil {
 			t.Errorf("doc %s at the size bound rejected: %v", doc, err)
 		}
@@ -123,6 +126,7 @@ func FuzzParseScenarioSpec(f *testing.F) {
 	f.Add([]byte(stormSpecGolden))
 	f.Add([]byte(`{"n": 16}`))
 	f.Add([]byte(`{"n": 20, "channels": 4, "colorer": "dplus1"}`))
+	f.Add([]byte(`{"n": 16, "channels": 1024, "jam": [0, 1023]}`))
 	for _, c := range specFieldErrorCases {
 		f.Add([]byte(c.doc))
 	}
