@@ -145,8 +145,9 @@
 // # Experiments
 //
 // RunExperiment (and cmd/mcagg -exp) runs one table per claim, and
-// testdata/golden_experiments_quick.csv freezes every table at -quick
-// -seeds 1:
+// testdata/golden_experiments_quick.csv and
+// golden_experiments_quick_seeds3.csv freeze every table at -quick with
+// -seeds 1 and -seeds 3:
 //
 //   - E1–E4: aggregation vs channels F (the Δ/F term), vs n, vs the
 //     single-channel tree and TDMA baselines, and node coloring (Sec. 7);
@@ -154,7 +155,8 @@
 //     approximation (Lemmas 12–14), structure construction (Theorem 10),
 //     the exponential-chain lower-bound instance (Sec. 1), and backbone
 //     quality (Lemmas 7–8);
-//   - E10: the diameter term D on corridors;
+//   - E10: the diameter term D on corridors, with the informed and the
+//     exact share (a corridor node can learn a wrong sum);
 //   - A1–A3: ablations of the follower backoff, the cluster TDMA and the
 //     channel spread;
 //   - F1–F6: message loss, jamming, churn, Byzantine nodes, jamming

@@ -3,6 +3,7 @@ package mcnet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,8 +17,7 @@ import (
 // prints it.
 var goldenExperimentsPath = filepath.Join("testdata", "golden_experiments_quick.csv")
 
-// quickTables renders every experiment at -quick -seeds 1 in the golden
-// file's layout.
+// quickTables renders every experiment in the golden file's layout.
 func quickTables(t *testing.T, o ExperimentOptions) string {
 	t.Helper()
 	var b strings.Builder
@@ -32,23 +32,36 @@ func quickTables(t *testing.T, o ExperimentOptions) string {
 	return b.String()
 }
 
-// TestExperimentsQuickGolden pins all 22 experiment tables at -quick
-// -seeds 1 byte for byte. Regenerate with -update-golden only for an
-// intentional, explained behaviour change.
+// TestExperimentsQuickGolden pins all 22 experiment tables at -quick byte
+// for byte, at -seeds 1 and at -seeds 3. One seed makes every median and
+// sum trivial; three seeds also pin each sweep's fold: the per-point
+// medians, sums and per-seed averages, and the (point, seed) index order.
+// Regenerate with -update-golden only for an intentional, explained
+// behaviour change.
 func TestExperimentsQuickGolden(t *testing.T) {
-	got := quickTables(t, ExperimentOptions{Seeds: 1, Quick: true})
-	if *golden.Update {
-		if err := os.WriteFile(goldenExperimentsPath, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(goldenExperimentsPath)
-	if err != nil {
-		t.Fatalf("reading golden tables (regenerate with -update-golden): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("experiment tables differ from %s:\n%s", goldenExperimentsPath, got)
+	for _, tc := range []struct {
+		seeds int
+		path  string
+	}{
+		{1, goldenExperimentsPath},
+		{3, filepath.Join("testdata", "golden_experiments_quick_seeds3.csv")},
+	} {
+		t.Run(fmt.Sprintf("seeds=%d", tc.seeds), func(t *testing.T) {
+			got := quickTables(t, ExperimentOptions{Seeds: tc.seeds, Quick: true})
+			if *golden.Update {
+				if err := os.WriteFile(tc.path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(tc.path)
+			if err != nil {
+				t.Fatalf("reading golden tables (regenerate with -update-golden): %v", err)
+			}
+			if got != string(want) {
+				t.Fatalf("experiment tables differ from %s:\n%s", tc.path, got)
+			}
+		})
 	}
 }
 

@@ -56,9 +56,11 @@ const (
 	// EventAcked fires when a follower's value is first acknowledged.
 	EventAcked = "acked"
 	// EventClusterAgg fires at a dominator once its cluster aggregate is
-	// complete (end of the reporter-tree pass).
+	// complete: in the step its reporter-tree root folds the last level.
 	EventClusterAgg = "cluster-agg"
-	// EventInformed fires when a node learns the final aggregate.
+	// EventInformed fires when a node learns the final aggregate: a
+	// dominator when the backbone hands it the result, a member when it
+	// decodes its dominator's announcement.
 	EventInformed = "informed"
 )
 

@@ -223,6 +223,9 @@ type pipelineStepper struct {
 	op    agg.Op
 
 	stage uint8
+	// watch marks a stage whose milestone the node has yet to emit: the
+	// reporter-tree root's cluster aggregate, or a dominator's informed.
+	watch bool
 	cur   sim.Frag
 
 	inf  informFrag
@@ -237,11 +240,15 @@ type pipelineStepper struct {
 func (ps *pipelineStepper) Step(sc *sim.StepCtx) {
 	for {
 		if ps.cur != nil {
-			if !ps.cur.Feed(sc) {
+			done := ps.cur.Feed(sc)
+			if ps.watch {
+				ps.milestone(sc)
+			}
+			if !done {
 				return
 			}
 			ps.cur = nil
-			ps.leave(sc)
+			ps.leave()
 		}
 		if ps.stage == psDone {
 			sc.Done()
@@ -278,6 +285,7 @@ func (ps *pipelineStepper) enter(sc *sim.StepCtx) {
 				Value: castVal, Op: ps.op,
 			}
 			ps.cur = ps.cast
+			ps.watch = st.Role == 0
 		} else {
 			ps.enterIdle(cast.SlotBudget())
 		}
@@ -285,6 +293,7 @@ func (ps *pipelineStepper) enter(sc *sim.StepCtx) {
 		if st.IsDominator() {
 			ps.tree = &backbone.TreeFrag{Cfg: pl.Tree, Color: st.Off, Value: ps.clusterAgg, Op: ps.op}
 			ps.cur = ps.tree
+			ps.watch = true
 		} else {
 			ps.enterIdle(pl.Tree.SlotBudget())
 		}
@@ -297,23 +306,35 @@ func (ps *pipelineStepper) enter(sc *sim.StepCtx) {
 	}
 }
 
-// leave consumes the finished stage's result and emits its milestone
-// events.
-func (ps *pipelineStepper) leave(sc *sim.StepCtx) {
+// milestone emits the watched stage's milestone event in the step it
+// happens: cluster-agg once the reporter-tree root has folded its last
+// level, informed once the backbone hands a dominator the result. (A
+// member's informed is emitted by informFrag as it decodes the result.)
+func (ps *pipelineStepper) milestone(sc *sim.StepCtx) {
+	switch {
+	case ps.stage == psCast && ps.cast.Folded():
+		sc.Emit(EventClusterAgg, 0)
+	case ps.stage == psTree && ps.tree.Out.Done:
+		sc.Emit(EventInformed, 0)
+	default:
+		return
+	}
+	ps.watch = false
+}
+
+// leave consumes the finished stage's result.
+func (ps *pipelineStepper) leave() {
 	switch ps.stage {
 	case psCast:
 		if ps.build.St.Role == 0 {
 			ps.clusterAgg = ps.cast.St.Value
-			sc.Emit(EventClusterAgg, 0)
 		}
 		ps.build.Got = nil // drops the reporter's follower map
 		ps.cast = nil
 	case psInform:
-		if ps.inf.Have {
-			sc.Emit(EventInformed, 0)
-		}
 		ps.tree = nil
 	}
+	ps.watch = false
 	ps.stage++
 }
 
@@ -624,6 +645,7 @@ func (f *informFrag) Feed(sc *sim.StepCtx) bool {
 		if m, ok := rec.Msg.(FinalMsg); ok && m.Dom == f.st.Dom.Dominator &&
 			phy.SenderWithin(rec, p, p.ClusterRadius()) {
 			f.Value, f.Have = m.Value, true
+			sc.Emit(EventInformed, 0)
 		}
 	}
 	rel := sc.Slot() - f.start

@@ -183,3 +183,49 @@ func TestObserveStagesClampsTrailing(t *testing.T) {
 		t.Errorf("stage totals %d disagree with event log %d", total, len(events))
 	}
 }
+
+// TestMilestonesAtTheirSlot: milestone events carry the slot at which the
+// milestone happens, not the end of the stage window that contains it. On
+// a 30-node crowd the reporter-tree root's cluster-agg lands inside the
+// tree window, the dominator's informed inside the backbone window, and a
+// member's informed when it decodes the result, before Offsets.End.
+func TestMilestonesAtTheirSlot(t *testing.T) {
+	const n = 30
+	values, pl, field := summaryCrowd(n)
+	e := sim.NewEngine(field, 5)
+	s, err := RunSummary(context.Background(), e, pl, values, agg.Sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Informed != n || s.Dominators != 1 {
+		t.Fatalf("crowd informed %d of %d with %d dominators", s.Informed, n, s.Dominators)
+	}
+	o := pl.Offsets
+	clusterAgg, informed, atEnd := 0, 0, 0
+	for _, ev := range e.Events() {
+		switch ev.Name {
+		case EventClusterAgg:
+			clusterAgg++
+			if ev.Slot < o.Tree || ev.Slot >= o.Backbone {
+				t.Errorf("cluster-agg at slot %d, outside the tree window [%d, %d)", ev.Slot, o.Tree, o.Backbone)
+			}
+		case EventInformed:
+			informed++
+			if ev.Slot < o.Backbone || ev.Slot > o.End {
+				t.Errorf("informed at slot %d, outside [%d, %d]", ev.Slot, o.Backbone, o.End)
+			}
+			if ev.Slot == o.End {
+				atEnd++
+			}
+		}
+	}
+	if clusterAgg != s.Dominators || informed != n {
+		t.Errorf("%d cluster-agg and %d informed events, want %d and %d", clusterAgg, informed, s.Dominators, n)
+	}
+	if atEnd == informed {
+		t.Errorf("all %d informed events sit at Offsets.End = %d", informed, o.End)
+	}
+	if tree := s.Stages[6]; tree.Name != "tree" || tree.Events == 0 {
+		t.Errorf("tree window %+v holds no milestone event", tree)
+	}
+}

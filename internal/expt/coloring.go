@@ -34,21 +34,19 @@ func (o Options) colorBackends() []string {
 // colorCase is one deployment of the c-series, with the structure sizing
 // the sec7 backend derives its schedule from.
 type colorCase struct {
-	name     string
-	pos      []geo.Point
-	deltaHat int
-	phiMax   int
-	hopBound int
+	name string
+	pos  []geo.Point
+	size sizing
 }
 
 // colorSuite spans the topology families at one node count.
 func colorSuite(n int, seed uint64) []colorCase {
 	g := model.Default(4, n) // geometry only
 	return []colorCase{
-		{"crowd", topology.Crowd(newRand(seed), n, g.ClusterRadius()), n, 4, 2},
-		{"uniform", topology.UniformDegree(newRand(seed+1), n, g.REps(), 12), 32, 24, 12},
-		{"grid", topology.PerturbedGrid(newRand(seed+2), n, 0.5*g.REps(), 0.1*g.REps()), 16, 24, 12},
-		{"line", topology.Line(n, 0.5), 6, 24, 12},
+		{"crowd", topology.Crowd(topology.LayoutRand(seed), n, g.ClusterRadius()), crowdSizing(n)},
+		{"uniform", topology.UniformDegree(topology.LayoutRand(seed+1), n, g.REps(), 12), sizing{32, 24, 12}},
+		{"grid", topology.PerturbedGrid(topology.LayoutRand(seed+2), n, 0.5*g.REps(), 0.1*g.REps()), sizing{16, 24, 12}},
+		{"line", topology.Line(n, 0.5), sizing{6, 24, 12}},
 	}
 }
 
@@ -71,11 +69,7 @@ func runColorer(goctx context.Context, name string, tc colorCase, p model.Params
 	if err != nil {
 		return m, err
 	}
-	cfg := core.DefaultConfig(p)
-	cfg.DeltaHat = tc.deltaHat
-	cfg.PhiMax = tc.phiMax
-	cfg.HopBound = tc.hopBound
-	pl := core.NewPlan(p, cfg)
+	pl := core.NewPlan(p, tc.size.config(p))
 	e := sim.NewEngine(phy.NewField(p, tc.pos), seed)
 	var inj *fault.Injector
 	if spec != nil {
@@ -153,7 +147,7 @@ func C1ColorHeadToHead(o Options) (*stats.Table, error) {
 			agg := foldColorRuns(runs[(ti*len(backends)+bi)*seeds : (ti*len(backends)+bi+1)*seeds])
 			t.AddRow(tc.name, b, stats.I(agg.palette), stats.I(agg.cycle),
 				stats.I(agg.rounds), stats.I(agg.colorSlots),
-				pct(agg.delivered, agg.links), stats.I(agg.conflicts), stats.I(agg.uncolored))
+				stats.Pct(agg.delivered, agg.links), stats.I(agg.conflicts), stats.I(agg.uncolored))
 		}
 	}
 	t.AddNote("seeds=%d; palette/cycle are per-seed maxima, rounds/color_slots medians", seeds)
@@ -181,7 +175,7 @@ func C2ColorScaling(o Options) (*stats.Table, error) {
 	cases := make([]c2case, len(ns))
 	for i, n := range ns {
 		g := model.Default(f, n)
-		cases[i] = c2case{n, colorCase{"uniform", topology.UniformDegree(newRand(uint64(50+i)), n, g.REps(), 12), 32, 24, 12}}
+		cases[i] = c2case{n, colorCase{"uniform", topology.UniformDegree(topology.LayoutRand(uint64(50+i)), n, g.REps(), 12), sizing{32, 24, 12}}}
 	}
 	runs, err := sweep(o, len(cases)*len(backends)*seeds, func(ctx context.Context, i int) (colorMetrics, error) {
 		c := cases[i/(len(backends)*seeds)]
@@ -219,7 +213,7 @@ func C3ColorChurn(o Options) (*stats.Table, error) {
 		rates = []float64{0, 0.2}
 	}
 	g := model.Default(f, n)
-	tc := colorCase{"crowd", topology.Crowd(newRand(61), n, g.ClusterRadius()), n, 4, 2}
+	tc := colorCase{"crowd", topology.Crowd(topology.LayoutRand(61), n, g.ClusterRadius()), crowdSizing(n)}
 	backends := o.colorBackends()
 	seeds := o.seeds()
 	runs, err := sweep(o, len(rates)*len(backends)*seeds, func(ctx context.Context, i int) (colorMetrics, error) {

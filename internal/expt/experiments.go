@@ -67,15 +67,6 @@ func (o Options) seeds() int {
 	return o.Seeds
 }
 
-// aggRun carries the per-run metrics an aggregation sweep folds into its
-// table rows.
-type aggRun struct {
-	ack, agg float64
-	informed int
-	exact    int
-	n        int
-}
-
 // E1SpeedupVsChannels measures aggregation latency on a single-cluster
 // crowd while sweeping the channel count F: the headline linear-speedup
 // claim (Theorem 22, the Δ/F term).
@@ -86,21 +77,9 @@ func E1SpeedupVsChannels(o Options) (*stats.Table, error) {
 		n = 64
 		fs = []int{1, 4}
 	}
-	seeds := o.seeds()
-	runs, err := sweep(o, len(fs)*seeds, func(ctx context.Context, i int) (aggRun, error) {
-		f, s := fs[i/seeds], i%seeds
-		p := model.Default(f, n)
-		pos := Crowd(p, n, uint64(s+1))
-		values, _ := sequentialValues(n)
-		cfg := core.DefaultConfig(p)
-		cfg.DeltaHat = n
-		cfg.PhiMax = 4
-		cfg.HopBound = 2
-		m, err := aggregate(ctx, pos, p, cfg, values, uint64(100*f+s))
-		if err != nil {
-			return aggRun{}, err
-		}
-		return aggRun{float64(m.AckSlots), float64(m.AggSlots), m.Informed, m.Exact, n}, nil
+	rows, err := aggSweep(o, len(fs), func(fi, s int) aggCase {
+		f := fs[fi]
+		return crowdCase(f, n, uint64(s+1), uint64(100*f+s))
 	})
 	if err != nil {
 		return nil, err
@@ -108,29 +87,14 @@ func E1SpeedupVsChannels(o Options) (*stats.Table, error) {
 	t := stats.NewTable(
 		fmt.Sprintf("E1: aggregation vs channels (crowd n=%d, Δ=n-1)", n),
 		"F", "ack_slots", "agg_slots", "speedup", "informed", "exact")
-	var base float64
-	for fi, f := range fs {
-		var acks, aggs []float64
-		informed, exact, total := 0, 0, 0
-		for s := 0; s < seeds; s++ {
-			r := runs[fi*seeds+s]
-			acks = append(acks, r.ack)
-			aggs = append(aggs, r.agg)
-			informed += r.informed
-			exact += r.exact
-			total += r.n
-		}
-		ack := stats.Median(acks)
-		aggT := stats.Median(aggs)
-		if f == fs[0] {
-			base = ack
-		}
+	base := rows[0].ack
+	for fi, r := range rows {
 		speedup := 0.0
-		if ack > 0 {
-			speedup = base / ack
+		if r.ack > 0 {
+			speedup = base / r.ack
 		}
-		t.AddRow(stats.I(f), stats.F1(ack), stats.F1(aggT), stats.F(speedup),
-			pct(informed, total), pct(exact, total))
+		t.AddRow(stats.I(fs[fi]), stats.F1(r.ack), stats.F1(r.agg), stats.F(speedup),
+			stats.Pct(r.informed, r.nodes), stats.Pct(r.exact, r.nodes))
 	}
 	t.AddNote("seeds=%d; ack_slots = last follower acknowledged (Δ/F mechanism); speedup relative to F=%d", o.seeds(), fs[0])
 	return t, nil
@@ -143,21 +107,9 @@ func E2AggVsN(o Options) (*stats.Table, error) {
 		ns = []int{48, 96}
 	}
 	const f = 8
-	seeds := o.seeds()
-	runs, err := sweep(o, len(ns)*seeds, func(ctx context.Context, i int) (aggRun, error) {
-		n, s := ns[i/seeds], i%seeds
-		p := model.Default(f, n)
-		pos := Crowd(p, n, uint64(s+11))
-		values, _ := sequentialValues(n)
-		cfg := core.DefaultConfig(p)
-		cfg.DeltaHat = n
-		cfg.PhiMax = 4
-		cfg.HopBound = 2
-		m, err := aggregate(ctx, pos, p, cfg, values, uint64(1000*n+s))
-		if err != nil {
-			return aggRun{}, err
-		}
-		return aggRun{float64(m.AckSlots), float64(m.AggSlots), m.Informed, m.Exact, n}, nil
+	rows, err := aggSweep(o, len(ns), func(ni, s int) aggCase {
+		n := ns[ni]
+		return crowdCase(f, n, uint64(s+11), uint64(1000*n+s))
 	})
 	if err != nil {
 		return nil, err
@@ -165,18 +117,9 @@ func E2AggVsN(o Options) (*stats.Table, error) {
 	t := stats.NewTable(
 		fmt.Sprintf("E2: aggregation vs n (crowd, F=%d)", f),
 		"n", "Delta", "ack_slots", "agg_slots", "exact")
-	for ni, n := range ns {
-		var acks, aggs []float64
-		exact, total := 0, 0
-		for s := 0; s < seeds; s++ {
-			r := runs[ni*seeds+s]
-			acks = append(acks, r.ack)
-			aggs = append(aggs, r.agg)
-			exact += r.exact
-			total += r.n
-		}
-		t.AddRow(stats.I(n), stats.I(n-1), stats.F1(stats.Median(acks)),
-			stats.F1(stats.Median(aggs)), pct(exact, total))
+	for ni, r := range rows {
+		n := ns[ni]
+		t.AddRow(stats.I(n), stats.I(n-1), stats.F1(r.ack), stats.F1(r.agg), stats.Pct(r.exact, r.nodes))
 	}
 	t.AddNote("seeds=%d; expect ack_slots ≈ a + b·Δ/F (linear in n at fixed F)", o.seeds())
 	return t, nil
@@ -195,7 +138,6 @@ func E3Baselines(o Options) (*stats.Table, error) {
 	type e3Run struct {
 		slots [algos]float64
 		exact [algos]int
-		total [algos]int
 	}
 	runs, err := sweep(o, o.seeds(), func(ctx context.Context, s int) (e3Run, error) {
 		var r e3Run
@@ -203,19 +145,12 @@ func E3Baselines(o Options) (*stats.Table, error) {
 		values, want := sequentialValues(n)
 
 		for idx, f := range []int{8, 1} {
-			p := model.Default(f, n)
-			pos := Crowd(p, n, seed)
-			cfg := core.DefaultConfig(p)
-			cfg.DeltaHat = n
-			cfg.PhiMax = 4
-			cfg.HopBound = 2
-			m, err := aggregate(ctx, pos, p, cfg, values, seed*7+uint64(idx))
+			m, err := crowdCase(f, n, seed, seed*7+uint64(idx)).run(ctx)
 			if err != nil {
 				return r, err
 			}
 			r.slots[idx] = float64(m.AggSlots)
 			r.exact[idx] = m.Exact
-			r.total[idx] = n
 		}
 
 		p := model.Default(1, n)
@@ -239,7 +174,6 @@ func E3Baselines(o Options) (*stats.Table, error) {
 			if res.Done && res.Value == want {
 				r.exact[2]++
 			}
-			r.total[2]++
 		}
 
 		e = sim.NewEngine(phy.NewField(p, pos), seed*17)
@@ -252,7 +186,6 @@ func E3Baselines(o Options) (*stats.Table, error) {
 			if res.Done && res.Value == want {
 				r.exact[3]++
 			}
-			r.total[3]++
 		}
 		return r, nil
 	})
@@ -270,13 +203,12 @@ func E3Baselines(o Options) (*stats.Table, error) {
 	}
 	for idx, name := range names {
 		var slots []float64
-		exact, total := 0, 0
+		exact := 0
 		for _, r := range runs {
 			slots = append(slots, r.slots[idx])
 			exact += r.exact[idx]
-			total += r.total[idx]
 		}
-		t.AddRow(name, stats.F1(stats.Median(slots)), pct(exact, total))
+		t.AddRow(name, stats.F1(stats.Median(slots)), stats.Pct(exact, n*len(runs)))
 	}
 	t.AddNote("seeds=%d; slots = event-measured completion of the aggregate", o.seeds())
 	return t, nil
@@ -300,11 +232,7 @@ func E4Coloring(o Options) (*stats.Table, error) {
 		f, s := fs[i/seeds], i%seeds
 		p := model.Default(f, n)
 		pos := Crowd(p, n, uint64(s+31))
-		cfg := core.DefaultConfig(p)
-		cfg.DeltaHat = n
-		cfg.PhiMax = 4
-		cfg.HopBound = 2
-		pl := core.NewPlan(p, cfg)
+		pl := core.NewPlan(p, crowdSizing(n).config(p))
 		e := sim.NewEngine(phy.NewField(p, pos), uint64(300*f+s))
 		res, err := coloring.RunContext(ctx, e, pl)
 		if err != nil {
@@ -369,7 +297,7 @@ func E5RulingSet(o Options) (*stats.Table, error) {
 	runs, err := sweep(o, len(ns)*seeds, func(ctx context.Context, i int) (e5Run, error) {
 		n, s := ns[i/seeds], i%seeds
 		p := model.Default(1, n)
-		rnd := newRand(uint64(500*n + s))
+		rnd := topology.LayoutRand(uint64(500*n + s))
 		// Constant areal density (the regime the pipeline invokes ruling
 		// sets in), with one in eight nodes placed as a close "twin" of
 		// an earlier node so the HELLO/ACK/IN resolution is exercised.
@@ -510,9 +438,8 @@ func E7StructureBuild(o Options) (*stats.Table, error) {
 	runs, err := sweep(o, len(ns), func(ctx context.Context, i int) (e7Run, error) {
 		n := ns[i]
 		p := model.Default(8, n)
-		cfg := core.DefaultConfig(p)
-		cfg.DeltaHat = n
-		pl := core.NewPlan(p, cfg)
+		def := core.DefaultConfig(p)
+		pl := core.NewPlan(p, sizing{n, def.PhiMax, def.HopBound}.config(p))
 		covered := "-"
 		// One live run for coverage (cheap at small n, skipped at large).
 		if n <= 128 {
@@ -528,7 +455,7 @@ func E7StructureBuild(o Options) (*stats.Table, error) {
 					good++
 				}
 			}
-			covered = pct(good, n)
+			covered = stats.Pct(good, n)
 		}
 		return e7Run{offsets: pl.Offsets, covered: covered}, nil
 	})
@@ -655,7 +582,7 @@ func E9Backbone(o Options) (*stats.Table, error) {
 	runs, err := sweep(o, len(ns)*seeds, func(ctx context.Context, i int) (e9Run, error) {
 		n, s := ns[i/seeds], i%seeds
 		p := model.Default(4, n)
-		rnd := newRand(uint64(900*n + s))
+		rnd := topology.LayoutRand(uint64(900*n + s))
 		pos := topology.UniformDegree(rnd, n, p.REps(), 12)
 		rc := p.ClusterRadius()
 		dcfg := dominate.DefaultConfig(rc, 0)
@@ -741,64 +668,33 @@ func E10DiameterTerm(o Options) (*stats.Table, error) {
 	if o.Quick {
 		lengths = []int{3, 5}
 	}
-	type e10Run struct {
-		skipped              bool // disconnected layout: excluded from medians
-		delay, agg           float64
-		informed, total, dia int
-	}
 	seeds := o.seeds()
-	runs, err := sweep(o, len(lengths)*seeds, func(ctx context.Context, i int) (e10Run, error) {
-		L, s := lengths[i/seeds], i%seeds
+	diams := make([]int, len(lengths)*seeds) // per run, indexed like the sweep
+	rows, err := aggSweep(o, len(lengths), func(li, s int) aggCase {
+		L := lengths[li]
 		n := 8 * L
 		p := model.Default(4, n)
-		rnd := newRand(uint64(1100*L + s))
-		pos := topology.Corridor(rnd, n, float64(L)*p.REps(), 0.6*p.REps())
+		pos := topology.Corridor(topology.LayoutRand(uint64(1100*L+s)), n, float64(L)*p.REps(), 0.6*p.REps())
 		g := graph.Build(pos, p.REps())
 		if !g.Connected() {
-			return e10Run{skipped: true}, nil
+			return aggCase{} // disconnected layout: excluded from the row
 		}
-		values, _ := sequentialValues(n)
-		cfg := core.DefaultConfig(p)
-		cfg.DeltaHat = 24
-		cfg.PhiMax = 24
-		cfg.HopBound = 3*L + 6
-		m, err := aggregate(ctx, pos, p, cfg, values, uint64(1200*L+s))
-		if err != nil {
-			return e10Run{}, err
-		}
-		return e10Run{
-			delay:    float64(m.CastDelay),
-			agg:      float64(m.AggSlots),
-			informed: m.Informed,
-			total:    n,
-			dia:      g.DiameterApprox(),
-		}, nil
+		diams[li*seeds+s] = g.DiameterApprox()
+		return aggCase{p: p, pos: pos, cfg: sizing{24, 24, 3*L + 6}.config(p), seed: uint64(1200*L + s)}
 	})
 	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable("E10: diameter term (corridors, F=4)",
-		"length", "n", "diam", "cast_delay", "agg_slots", "informed")
-	for li, L := range lengths {
-		n := 8 * L
-		var delays, aggs []float64
-		informed, total, diam := 0, 0, 0
-		for s := 0; s < seeds; s++ {
-			r := runs[li*seeds+s]
-			if r.skipped {
-				continue
-			}
-			delays = append(delays, r.delay)
-			aggs = append(aggs, r.agg)
-			informed += r.informed
-			total += r.total
-			if r.dia > diam {
-				diam = r.dia
-			}
+		"length", "n", "diam", "cast_delay", "agg_slots", "informed", "exact")
+	for li, r := range rows {
+		L := lengths[li]
+		diam := 0
+		for _, d := range diams[li*seeds : (li+1)*seeds] {
+			diam = max(diam, d)
 		}
-		t.AddRow(stats.I(L), stats.I(n), stats.I(diam),
-			stats.F1(stats.Median(delays)), stats.F1(stats.Median(aggs)),
-			pct(informed, total))
+		t.AddRow(stats.I(L), stats.I(8*L), stats.I(diam), stats.F1(r.cast), stats.F1(r.agg),
+			stats.Pct(r.informed, r.nodes), stats.Pct(r.exact, r.nodes))
 	}
 	t.AddNote("seeds=%d; cast_delay = backbone convergecast completion, expect ≈ linear in diam", o.seeds())
 	return t, nil

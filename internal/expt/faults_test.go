@@ -6,10 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"mcnet/internal/agg"
-	"mcnet/internal/core"
 	"mcnet/internal/fault"
-	"mcnet/internal/model"
 )
 
 // TestFaultSweepsQuick: each fault experiment runs in quick mode and
@@ -42,24 +39,23 @@ func TestFaultSweepsQuick(t *testing.T) {
 }
 
 // TestRunAggFaultsDeterminism: equal (seed, spec) pairs reproduce identical
-// summaries and fault reports; a zero spec matches the fault-free runner.
+// summaries and fault reports; a zero spec matches the run without an
+// injector; an invalid spec is rejected.
 func TestRunAggFaultsDeterminism(t *testing.T) {
 	const n, f = 40, 4
 	ctx := context.Background()
-	p := model.Default(f, n)
-	pos := Crowd(p, n, 3)
-	values, _ := sequentialValues(n)
-	cfg := core.DefaultConfig(p)
-	cfg.DeltaHat = n
-	cfg.PhiMax = 4
-	cfg.HopBound = 2
+	withSpec := func(seed uint64, spec *fault.Spec) aggCase {
+		c := crowdCase(f, n, 3, seed)
+		c.spec = spec
+		return c
+	}
 
 	spec := fault.Spec{LossProb: 0.1, JamChannels: 1, JamModel: fault.JamRoundRobin, CrashRate: 0.1}
-	m1, err := RunAggFaults(ctx, pos, p, cfg, values, agg.Sum, 99, spec)
+	m1, err := withSpec(99, &spec).run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := RunAggFaults(ctx, pos, p, cfg, values, agg.Sum, 99, spec)
+	m2, err := withSpec(99, &spec).run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +63,11 @@ func TestRunAggFaultsDeterminism(t *testing.T) {
 		t.Errorf("same seed+spec diverged:\n%+v\n%+v", m1, m2)
 	}
 
-	plain, err := aggregate(ctx, pos, p, cfg, values, 99)
+	plain, err := withSpec(99, nil).run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := RunAggFaults(ctx, pos, p, cfg, values, agg.Sum, 99, fault.Spec{})
+	zero, err := withSpec(99, &fault.Spec{}).run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +83,7 @@ func TestRunAggFaultsDeterminism(t *testing.T) {
 		t.Errorf("zero spec diverged from fault-free run:\n%+v\n%+v", plain, zero)
 	}
 
-	if _, err := RunAggFaults(ctx, pos, p, cfg, values, agg.Sum, 1, fault.Spec{LossProb: 2}); err == nil {
+	if _, err := withSpec(1, &fault.Spec{LossProb: 2}).run(ctx); err == nil {
 		t.Error("invalid spec accepted")
 	}
 }

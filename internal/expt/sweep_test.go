@@ -21,11 +21,7 @@ func TestSweepCancelsMidRun(t *testing.T) {
 	p := model.Default(4, n)
 	pos := Crowd(p, n, 1)
 	values, _ := sequentialValues(n)
-	cfg := core.DefaultConfig(p)
-	cfg.DeltaHat = n
-	cfg.PhiMax = 4
-	cfg.HopBound = 2
-	pl := core.NewPlan(p, cfg)
+	pl := core.NewPlan(p, crowdSizing(n).config(p))
 
 	slots := 0
 	_, err := sweep(Options{Parallel: 1, Ctx: ctx}, 1, func(ctx context.Context, _ int) (*core.Summary, error) {

@@ -616,7 +616,7 @@ func (in *Injector) FilterReception(slot, node, channel int, rec phy.Reception) 
 		in.lost++
 		rec.Interference += rec.SignalPower
 		rec.Decoded, rec.From, rec.Msg = false, -1, nil
-		rec.SignalPower, rec.SINR = 0, 0
+		rec.SignalPower = 0
 		return rec
 	}
 	in.delivered++

@@ -69,7 +69,7 @@ func TestLossDeterminism(t *testing.T) {
 	a := NewInjector(spec, 42, 4, 2, 1000)
 	b := NewInjector(spec, 42, 4, 2, 1000)
 	c := NewInjector(spec, 43, 4, 2, 1000)
-	rec := phy.Reception{Decoded: true, From: 1, SignalPower: 2, SINR: 4}
+	rec := phy.Reception{Decoded: true, From: 1, SignalPower: 2}
 	lost, diverged := 0, false
 	const trials = 4000
 	for slot := 0; slot < trials; slot++ {
@@ -84,7 +84,7 @@ func TestLossDeterminism(t *testing.T) {
 		}
 		if !ra.Decoded {
 			lost++
-			if ra.From != -1 || ra.Msg != nil || ra.SignalPower != 0 || ra.SINR != 0 {
+			if ra.From != -1 || ra.Msg != nil || ra.SignalPower != 0 {
 				t.Fatalf("lost reception not fully degraded: %+v", ra)
 			}
 			if ra.Interference != rec.Interference+rec.SignalPower {
@@ -108,7 +108,7 @@ func TestLossDeterminism(t *testing.T) {
 // everything as delivered.
 func TestLossZeroIsIdentity(t *testing.T) {
 	in := NewInjector(Spec{}, 1, 2, 2, 100)
-	rec := phy.Reception{Decoded: true, From: 0, Msg: "m", SignalPower: 3, Interference: 1, SINR: 1.5}
+	rec := phy.Reception{Decoded: true, From: 0, Msg: "m", SignalPower: 3, Interference: 1}
 	if got := in.FilterReception(7, 1, 0, rec); !reflect.DeepEqual(got, rec) {
 		t.Errorf("zero spec altered reception: %+v", got)
 	}
@@ -441,7 +441,7 @@ func TestJamReactive(t *testing.T) {
 		t.Fatalf("first slot jammed %v, want {0} (no history)", jam)
 	}
 	// Deliver two decodes on channel 2, one on channel 3, during slot 0.
-	rec := phy.Reception{Decoded: true, From: 0, SignalPower: 1, SINR: 4}
+	rec := phy.Reception{Decoded: true, From: 0, SignalPower: 1}
 	in.FilterReception(0, 1, 2, rec)
 	in.FilterReception(0, 1, 2, rec)
 	in.FilterReception(0, 1, 3, rec)
@@ -464,7 +464,7 @@ func TestJamAdaptiveDeterminism(t *testing.T) {
 	fa, fb := testField(channels), testField(channels)
 	a := NewInjector(Spec{JamChannels: k, JamModel: JamAdaptive}, 13, 2, channels, 100)
 	b := NewInjector(Spec{JamChannels: k, JamModel: JamAdaptive}, 13, 2, channels, 100)
-	rec := phy.Reception{Decoded: true, From: 0, SignalPower: 1, SINR: 4}
+	rec := phy.Reception{Decoded: true, From: 0, SignalPower: 1}
 	distinct := map[string]bool{}
 	for slot := 0; slot < 64; slot++ {
 		a.BeginSlot(slot, fa)

@@ -12,9 +12,10 @@
 // Every slot is resolved exactly: each listener's sum covers every
 // same-channel transmitter, whatever its distance.
 //
-// Listeners always measure total received power (the RSSI primitive of
-// Sec. 2), which upper layers use for carrier sense, clear-reception
-// detection (Definition 4) and distance estimation.
+// Listeners always measure total received power, SignalPower +
+// Interference (the RSSI primitive of Sec. 2), which upper layers use for
+// carrier sense, clear-reception detection (Definition 4) and distance
+// estimation.
 //
 // # Performance
 //
@@ -87,13 +88,7 @@ type Reception struct {
 	// than the decoded one. When nothing was decoded this is the total
 	// received power. Ambient noise is not included.
 	Interference float64
-	// SINR is SignalPower / (N + Interference) when Decoded, else 0.
-	SINR float64
 }
-
-// RSSI returns the total measured power including the decoded signal but
-// excluding ambient noise.
-func (r Reception) RSSI() float64 { return r.SignalPower + r.Interference }
 
 // Deployment is the immutable half of a resolver: the node placement, the
 // model parameters, the fading metric and the lazily built link-gain table
@@ -307,7 +302,7 @@ func jamFold(rec *Reception) {
 	if rec.Decoded {
 		rec.Interference += rec.SignalPower
 		rec.Decoded, rec.From, rec.Msg = false, -1, nil
-		rec.SignalPower, rec.SINR = 0, 0
+		rec.SignalPower = 0
 	}
 }
 
@@ -398,15 +393,13 @@ func (f *Field) decide(rec *Reception, txs []Tx, total, bestPow float64, best in
 		return
 	}
 	interference := total - bestPow
-	sinr := bestPow / (f.params.Noise + interference)
-	if sinr >= f.params.Beta {
+	if bestPow/(f.params.Noise+interference) >= f.params.Beta {
 		*rec = Reception{
 			Decoded:      true,
 			From:         txs[best].Node,
 			Msg:          txs[best].Msg,
 			SignalPower:  bestPow,
 			Interference: interference,
-			SINR:         sinr,
 		}
 		return
 	}

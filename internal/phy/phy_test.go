@@ -65,7 +65,7 @@ func TestChannelIsolation(t *testing.T) {
 		[]Rx{{Node: 1, Channel: 1}},
 	)
 	r := recs[0]
-	if r.Decoded || r.RSSI() != 0 {
+	if r.Decoded || r.SignalPower+r.Interference != 0 {
 		t.Fatalf("channel leakage: %+v", r)
 	}
 }
@@ -84,8 +84,8 @@ func TestCollisionBlocks(t *testing.T) {
 	}
 	p := f.Params()
 	want := 2 * p.PowerAtDistance(0.3)
-	if math.Abs(r.RSSI()-want) > 1e-9 {
-		t.Errorf("sensed power = %v, want %v", r.RSSI(), want)
+	if sensed := r.SignalPower + r.Interference; math.Abs(sensed-want) > 1e-9 {
+		t.Errorf("sensed power = %v, want %v", sensed, want)
 	}
 }
 
@@ -112,7 +112,7 @@ func TestTransmitterHearsNothing(t *testing.T) {
 		[]Tx{{Node: 0, Channel: 0, Msg: 1}},
 		[]Rx{{Node: 0, Channel: 0}},
 	)
-	if recs[0].Decoded || recs[0].RSSI() != 0 {
+	if recs[0].Decoded || recs[0].SignalPower+recs[0].Interference != 0 {
 		t.Fatalf("transmitter heard itself: %+v", recs[0])
 	}
 }
@@ -146,7 +146,7 @@ func TestCoLocatedTransmitters(t *testing.T) {
 	if r.Decoded {
 		t.Fatalf("co-located collision decoded: %+v", r)
 	}
-	if math.IsNaN(r.SINR) || math.IsNaN(r.SignalPower) {
+	if math.IsNaN(r.Interference) || math.IsNaN(r.SignalPower) {
 		t.Fatalf("NaN escaped: %+v", r)
 	}
 }
@@ -174,7 +174,8 @@ func TestMonotoneInterference(t *testing.T) {
 		if !base.Decoded && more.Decoded && more.From == 0 {
 			return false // interference helped sender 0: impossible
 		}
-		if base.Decoded && more.Decoded && more.From == 0 && more.SINR > base.SINR+1e-12 {
+		sinr := func(r Reception) float64 { return r.SignalPower / (p.Noise + r.Interference) }
+		if base.Decoded && more.Decoded && more.From == 0 && sinr(more) > sinr(base)+1e-12 {
 			return false
 		}
 		return true
@@ -301,7 +302,7 @@ func TestJammedChannel(t *testing.T) {
 	if r.Decoded || r.Msg != nil || r.From != -1 {
 		t.Fatalf("jammed channel decoded: %+v", r)
 	}
-	if r.RSSI() <= 0 {
+	if r.SignalPower+r.Interference <= 0 {
 		t.Error("jammed channel should still sense power")
 	}
 	// The other channel is unaffected.

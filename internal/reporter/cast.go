@@ -267,6 +267,10 @@ func (f *CastUpFrag) Feed(sc *sim.StepCtx) bool {
 	return false
 }
 
+// Folded reports whether the pass has closed every level, so St.Value is
+// final: for the root, its cluster's aggregate.
+func (f *CastUpFrag) Folded() bool { return f.init && f.lvl < 1 }
+
 // subSlot returns the fragment-relative slot of sub-slot k of the current
 // level (k = 4 is the slot after the level's last sub-slot).
 func (f *CastUpFrag) subSlot(k int) int {

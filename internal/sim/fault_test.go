@@ -82,7 +82,7 @@ func TestEngineFaultJamAll(t *testing.T) {
 	observe := func(sc *StepCtx) {
 		if rec := sc.Prev(); rec.Decoded {
 			decodes++
-		} else if rec.RSSI() > 0 {
+		} else if rec.Interference > 0 {
 			sensed = true
 		}
 	}

@@ -91,7 +91,7 @@ func TestLockstep(t *testing.T) {
 	if !recs[0].Decoded || recs[0].Msg != 1 {
 		t.Errorf("slot 0: %+v", recs[0])
 	}
-	if recs[1].Decoded || recs[1].RSSI() != 0 {
+	if recs[1].Decoded || recs[1].SignalPower+recs[1].Interference != 0 {
 		t.Errorf("slot 1 should be silent: %+v", recs[1])
 	}
 	if !recs[2].Decoded || recs[2].Msg != 3 {

@@ -148,3 +148,11 @@ func F(v float64) string { return fmt.Sprintf("%.2f", v) }
 
 // F1 formats a float cell with one decimal.
 func F1(v float64) string { return fmt.Sprintf("%.1f", v) }
+
+// Pct formats a/b as a whole percentage cell, or "-" when b is 0.
+func Pct(a, b int) string {
+	if b == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.0f%%", 100*float64(a)/float64(b))
+}

@@ -119,3 +119,22 @@ func TestFormatters(t *testing.T) {
 		t.Error("formatter output unexpected")
 	}
 }
+
+func TestPct(t *testing.T) {
+	cases := []struct {
+		a, b int
+		want string
+	}{
+		{0, 0, "-"},
+		{5, 0, "-"},
+		{0, 7, "0%"},
+		{1, 3, "33%"},
+		{2, 3, "67%"},
+		{48, 48, "100%"},
+	}
+	for _, c := range cases {
+		if got := Pct(c.a, c.b); got != c.want {
+			t.Errorf("Pct(%d, %d) = %q, want %q", c.a, c.b, got, c.want)
+		}
+	}
+}

@@ -27,7 +27,7 @@ const (
 	// reporter (the Δ/F contention mechanism).
 	EventAcked = core.EventAcked
 	// EventClusterAgg fires at a dominator once its cluster aggregate is
-	// complete.
+	// complete, in the tree stage.
 	EventClusterAgg = core.EventClusterAgg
 	// EventBackboneAgg fires when the backbone root completes the
 	// network-wide aggregate.
@@ -35,7 +35,8 @@ const (
 	// EventBackboneResult fires when a dominator learns the final result
 	// over the backbone.
 	EventBackboneResult = backbone.EventResult
-	// EventInformed fires when a node learns the final aggregate.
+	// EventInformed fires when a node learns the final aggregate: a
+	// dominator in the backbone stage, a member in the inform stage.
 	EventInformed = core.EventInformed
 	// EventColored fires when a node learns its final color (Color runs).
 	EventColored = coloring.EventColored

@@ -150,9 +150,9 @@ func (sw *Sweep) Fold(results []RunResult) (*Table, error) {
 					}
 					t.AddRow(
 						stats.F(lp), stats.I(k), stats.F(cr), stats.F(bf),
-						scenarioPct(informed, total), scenarioPct(exact, total),
-						scenarioPct(survExact, survivors),
-						scenarioPct(survAgree, survivors),
+						stats.Pct(informed, total), stats.Pct(exact, total),
+						stats.Pct(survExact, survivors),
+						stats.Pct(survAgree, survivors),
 						stats.I(lost), stats.I(crashed),
 						stats.F1(stats.Median(acks)), stats.F1(stats.Median(aggs)))
 				}
@@ -187,11 +187,4 @@ func RunScenario(ctx context.Context, sp ScenarioSpec, bo BatchOptions) (*Table,
 		return nil, err
 	}
 	return sw.Fold(results)
-}
-
-func scenarioPct(a, b int) string {
-	if b == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.0f%%", 100*float64(a)/float64(b))
 }
