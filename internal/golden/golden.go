@@ -5,7 +5,11 @@
 // A Digest holds the slot count, a hash over every resolved slot's integer
 // content (each transmission's node, channel and %v message; each
 // listener's node, channel, decoded flag and sender), a hash over the
-// sorted event log, and a hash over the JSON encoding of the run's results.
+// transmissions alone, a hash over the sorted event log, and a hash over
+// the JSON encoding of the run's results. The transmissions-only hash
+// separates what nodes said from who listened: a change that only drops
+// listens whose receptions a protocol discards moves the transcript but
+// not the tx hash.
 // Received powers and SINR values are left out, so a digest does not move
 // with floating-point rounding across Go releases as long as every decode
 // decision stays the same.
@@ -40,6 +44,7 @@ var Update = flag.Bool("update-golden", false, "rewrite golden files from curren
 type Digest struct {
 	Slots      int    `json:"slots"`
 	Transcript string `json:"transcript"`
+	Tx         string `json:"tx"`
 	Events     int    `json:"events"`
 	EventHash  string `json:"event_hash"`
 	Results    string `json:"results"`
@@ -54,21 +59,27 @@ type event struct {
 // Recorder accumulates one run's digest. Install Trace as the engine's
 // slot trace; feed every emitted event to Event.
 type Recorder struct {
-	h      hash.Hash64
+	h, tx  hash.Hash64
+	buf    []byte
 	slots  int
 	events []event
 }
 
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{h: fnv.New64a()} }
+func NewRecorder() *Recorder { return &Recorder{h: fnv.New64a(), tx: fnv.New64a()} }
 
-// Trace folds one resolved slot into the transcript hash. Its signature
-// matches the engine's slot trace.
+// Trace folds one resolved slot into the transcript hash, and its
+// transmissions (if any) into the tx hash. Its signature matches the
+// engine's slot trace.
 func (r *Recorder) Trace(slot int, txs []phy.Tx, rxs []phy.Rx, recs []phy.Reception) {
 	r.slots++
-	fmt.Fprintf(r.h, "s%d|", slot)
+	r.buf = fmt.Appendf(r.buf[:0], "s%d|", slot)
 	for _, tx := range txs {
-		fmt.Fprintf(r.h, "t%d.%d:%v|", tx.Node, tx.Channel, tx.Msg)
+		r.buf = fmt.Appendf(r.buf, "t%d.%d:%v|", tx.Node, tx.Channel, tx.Msg)
+	}
+	r.h.Write(r.buf)
+	if len(txs) > 0 {
+		r.tx.Write(r.buf)
 	}
 	for i, rx := range rxs {
 		fmt.Fprintf(r.h, "r%d.%d:%v,%d|", rx.Node, rx.Channel, recs[i].Decoded, recs[i].From)
@@ -87,6 +98,7 @@ func (r *Recorder) Digest(t testing.TB, results any) Digest {
 	return Digest{
 		Slots:      r.slots,
 		Transcript: fmt.Sprintf("%016x", r.h.Sum64()),
+		Tx:         fmt.Sprintf("%016x", r.tx.Sum64()),
 		Events:     len(r.events),
 		EventHash:  eventHash(r.events),
 		Results:    jsonHash(t, results),
