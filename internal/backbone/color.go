@@ -112,7 +112,8 @@ type ColorFrag struct {
 	Out ColorOutcome
 
 	init                    bool
-	stage                   uint8 // 0 discover, 1 resolve
+	reach                   phy.Reach // Cfg.Radius
+	stage                   uint8     // 0 discover, 1 resolve
 	s                       int
 	discoverLen, resolveLen int
 	neighbors               []int
@@ -124,9 +125,10 @@ type ColorFrag struct {
 
 // Feed implements sim.Frag.
 func (f *ColorFrag) Feed(sc *sim.StepCtx) bool {
-	p := sc.Params()
 	if !f.init {
+		p := sc.Params()
 		f.init = true
+		f.reach = phy.NewReach(p, f.Cfg.Radius)
 		f.Out = ColorOutcome{Color: -1}
 		f.discoverLen = f.Cfg.discoverSlots(p)
 		f.resolveLen = f.Cfg.resolveSlots(p)
@@ -134,7 +136,7 @@ func (f *ColorFrag) Feed(sc *sim.StepCtx) bool {
 	if f.awaitBeacon {
 		f.awaitBeacon = false
 		rec := sc.Prev()
-		if b, ok := rec.Msg.(Beacon); ok && phy.SenderWithin(rec, p, f.Cfg.Radius) &&
+		if b, ok := rec.Msg.(Beacon); ok && f.reach.Within(rec) &&
 			!slices.Contains(f.neighbors, b.From) {
 			f.neighbors = append(f.neighbors, b.From)
 		}
@@ -143,8 +145,7 @@ func (f *ColorFrag) Feed(sc *sim.StepCtx) bool {
 		f.awaitFinal = false
 		rec := sc.Prev()
 		if fin, ok := rec.Msg.(Final); ok {
-			if i, nb := slices.BinarySearch(f.Out.Neighbors, fin.From); nb &&
-				phy.SenderWithin(rec, p, f.Cfg.Radius) {
+			if i, nb := slices.BinarySearch(f.Out.Neighbors, fin.From); nb && f.reach.Within(rec) {
 				if !slices.Contains(f.taken, fin.Color) {
 					f.taken = append(f.taken, fin.Color)
 				}

@@ -158,7 +158,8 @@ type TreeFrag struct {
 	Out   TreeOutcome
 
 	init   bool
-	phase  uint8 // 0 build, 1 children, 2 cast, 3 result, 4 done
+	reach  phy.Reach // Cfg.Radius
+	phase  uint8     // 0 build, 1 children, 2 cast, 3 result, 4 done
 	b, sub int
 	await  treeAwait
 	// Phase A
@@ -209,15 +210,15 @@ func (f *TreeFrag) advance() {
 
 // Feed implements sim.Frag.
 func (f *TreeFrag) Feed(sc *sim.StepCtx) bool {
-	p := sc.Params()
 	if !f.init {
 		f.init = true
+		f.reach = phy.NewReach(sc.Params(), f.Cfg.Radius)
 		f.Out = TreeOutcome{Root: sc.ID(), Parent: -1}
 	}
 	switch f.await {
 	case treeAwaitA:
 		rec := sc.Prev()
-		if st, ok := rec.Msg.(State); ok && phy.SenderWithin(rec, p, f.Cfg.Radius) {
+		if st, ok := rec.Msg.(State); ok && f.reach.Within(rec) {
 			switch {
 			case st.Root > f.Out.Root,
 				st.Root == f.Out.Root && st.Hops+1 < f.Out.Depth,

@@ -9,7 +9,6 @@ package coloring
 import (
 	"mcnet/internal/agg"
 	"mcnet/internal/core"
-	"mcnet/internal/phy"
 	"mcnet/internal/reporter"
 	"mcnet/internal/sim"
 )
@@ -171,7 +170,7 @@ func (f *assignFrag) Feed(sc *sim.StepCtx) bool {
 		f.await = false
 		rec := sc.Prev()
 		if m, ok := rec.Msg.(Assign); ok && m.Dom == st.Dom.Dominator &&
-			m.To == sc.ID() && phy.SenderWithin(rec, f.pl.Params, f.pl.ClusterRadius()) {
+			m.To == sc.ID() && f.pl.MemberReach().Within(rec) {
 			f.assign(sc, m.Index)
 		}
 	}

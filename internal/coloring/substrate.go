@@ -94,6 +94,7 @@ type sweepFrag struct {
 	h     hearer
 
 	s     int
+	reach phy.Reach // R_ε, set at the sweep's first slot
 	await bool
 }
 
@@ -102,12 +103,15 @@ func (f *sweepFrag) Feed(sc *sim.StepCtx) bool {
 	p := sc.Params()
 	if f.await {
 		f.await = false
-		if rec := sc.Prev(); rec.Decoded && phy.SenderWithin(rec, p, p.REps()) {
+		if rec := sc.Prev(); f.reach.Within(rec) {
 			f.h.hear(rec)
 		}
 	}
 	if f.s >= f.cycle {
 		return true
+	}
+	if f.s == 0 {
+		f.reach = phy.NewReach(p, p.REps())
 	}
 	s := f.s
 	f.s++

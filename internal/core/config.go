@@ -27,6 +27,7 @@ import (
 	"mcnet/internal/csa"
 	"mcnet/internal/dominate"
 	"mcnet/internal/model"
+	"mcnet/internal/phy"
 	"mcnet/internal/reporter"
 )
 
@@ -96,6 +97,10 @@ type Plan struct {
 
 	// Stage slot offsets (start of each stage) and the total budget.
 	Offsets StageOffsets
+
+	// domReach filters receptions from the node's dominator (within r_c);
+	// memberReach those from fellow cluster members (within 2·r_c).
+	domReach, memberReach phy.Reach
 }
 
 // StageOffsets records where each stage begins in the global slot timeline.
@@ -106,6 +111,9 @@ type StageOffsets struct {
 // ClusterRadius returns the membership radius used by intra-cluster filters:
 // any two members of one cluster are within 2·r_c of each other.
 func (pl *Plan) ClusterRadius() float64 { return 2 * pl.Params.ClusterRadius() }
+
+// MemberReach is the reception filter for ClusterRadius.
+func (pl *Plan) MemberReach() phy.Reach { return pl.memberReach }
 
 // NewPlan derives all stage configurations and offsets.
 func NewPlan(p model.Params, cfg Config) *Plan {
@@ -118,6 +126,7 @@ func NewPlan(p model.Params, cfg Config) *Plan {
 	pl := &Plan{Params: p, Cfg: cfg}
 	rc := p.ClusterRadius()
 	memberR := 2 * rc
+	pl.domReach, pl.memberReach = phy.NewReach(p, rc), phy.NewReach(p, memberR)
 
 	pl.Dominate = dominate.DefaultConfig(rc, 0)
 	pl.Color = backbone.DefaultColorConfig(p, cfg.PhiMax)

@@ -5,7 +5,6 @@ import (
 	"mcnet/internal/backbone"
 	"mcnet/internal/csa"
 	"mcnet/internal/dominate"
-	"mcnet/internal/phy"
 	"mcnet/internal/reporter"
 	"mcnet/internal/sim"
 )
@@ -375,12 +374,11 @@ type announceFrag struct {
 // Feed implements sim.Frag. The dominator draws in every slot; a member
 // listens until it learns the color, then sleeps to the end of the stage.
 func (f *announceFrag) Feed(sc *sim.StepCtx) bool {
-	p := f.pl.Params
 	if f.await {
 		f.await = false
 		rec := sc.Prev()
 		if m, ok := rec.Msg.(ColorMsg); ok && m.Dom == f.dom.Dominator &&
-			phy.SenderWithin(rec, p, p.ClusterRadius()) {
+			f.pl.domReach.Within(rec) {
 			f.color = m.Color
 		}
 	}
@@ -448,7 +446,6 @@ type followerFrag struct {
 	rounds                 sim.Rounds
 	repChan                int
 	pu                     float64
-	memberR                float64
 	phase                  int
 	count                  int
 	sentOn, ackTo          int
@@ -458,7 +455,6 @@ type followerFrag struct {
 func (f *followerFrag) Feed(sc *sim.StepCtx) bool {
 	b := f.b
 	pl := b.Pl
-	p := pl.Params
 	st := &b.St
 	if !f.init {
 		f.init = true
@@ -474,7 +470,6 @@ func (f *followerFrag) Feed(sc *sim.StepCtx) bool {
 		if f.pu > 0.5 {
 			f.pu = 0.5
 		}
-		f.memberR = pl.ClusterRadius()
 		b.AckedOn = -1
 		f.sentOn, f.ackTo = -1, -1
 		if f.isRep {
@@ -485,14 +480,14 @@ func (f *followerFrag) Feed(sc *sim.StepCtx) bool {
 	case folAwaitRep:
 		rec := sc.Prev()
 		if m, ok := rec.Msg.(FollowerMsg); ok && m.Dom == st.Dom.Dominator &&
-			phy.SenderWithin(rec, p, f.memberR) {
+			pl.memberReach.Within(rec) {
 			b.Got[m.From] = m.Value
 			f.ackTo = m.From
 		}
 	case folAwaitDom:
 		rec := sc.Prev()
 		if m, ok := rec.Msg.(FollowerMsg); ok && m.Dom == sc.ID() &&
-			phy.SenderWithin(rec, p, f.memberR) {
+			pl.memberReach.Within(rec) {
 			f.count++
 		}
 	case folAwaitAck:
@@ -506,7 +501,7 @@ func (f *followerFrag) Feed(sc *sim.StepCtx) bool {
 	case folAwaitBackoff:
 		rec := sc.Prev()
 		if b, ok := rec.Msg.(Backoff); ok && b.Dom == st.Dom.Dominator &&
-			phy.SenderWithin(rec, p, f.memberR) {
+			pl.memberReach.Within(rec) {
 			f.heardBackoff = true
 		}
 	}
@@ -638,12 +633,11 @@ type informFrag struct {
 // cluster's sub-slot; a member listens until it has the value; every other
 // slot is slept through.
 func (f *informFrag) Feed(sc *sim.StepCtx) bool {
-	p := f.pl.Params
 	if f.await {
 		f.await = false
 		rec := sc.Prev()
 		if m, ok := rec.Msg.(FinalMsg); ok && m.Dom == f.st.Dom.Dominator &&
-			phy.SenderWithin(rec, p, p.ClusterRadius()) {
+			f.pl.domReach.Within(rec) {
 			f.Value, f.Have = m.Value, true
 			sc.Emit(EventInformed, 0)
 		}

@@ -129,6 +129,7 @@ type DominatorFrag struct {
 	Estimate int
 
 	init, terminated, awaitProbe bool
+	reach                        phy.Reach // Cfg.ClusterRadius
 	start, total                 int
 	perPhase                     int // rounds per phase, the notification round included
 	thresh                       int
@@ -142,6 +143,7 @@ func (f *DominatorFrag) Feed(sc *sim.StepCtx) bool {
 	p := sc.Params()
 	if !f.init {
 		f.init = true
+		f.reach = phy.NewReach(p, f.Cfg.ClusterRadius)
 		f.start = sc.Slot()
 		f.total = f.Cfg.SlotBudget(p)
 		f.perPhase = f.Cfg.RoundsPerPhase(p) + 1
@@ -151,7 +153,7 @@ func (f *DominatorFrag) Feed(sc *sim.StepCtx) bool {
 		f.awaitProbe = false
 		rec := sc.Prev()
 		if m, ok := rec.Msg.(Probe); ok && m.Dom == f.Dom &&
-			phy.SenderWithin(rec, p, f.Cfg.ClusterRadius) {
+			f.reach.Within(rec) {
 			f.count++
 		}
 	}
@@ -198,6 +200,7 @@ type DominateeFrag struct {
 	Estimate int
 
 	init, awaitEst bool
+	reach          phy.Reach // Cfg.ClusterRadius
 	start, total   int
 	perPhase       int // rounds per phase, the notification round included
 	phase          int
@@ -211,6 +214,7 @@ func (f *DominateeFrag) Feed(sc *sim.StepCtx) bool {
 	p := sc.Params()
 	if !f.init {
 		f.init = true
+		f.reach = phy.NewReach(p, f.Cfg.ClusterRadius)
 		f.start = sc.Slot()
 		f.total = f.Cfg.SlotBudget(p)
 		f.perPhase = f.Cfg.RoundsPerPhase(p) + 1
@@ -220,7 +224,7 @@ func (f *DominateeFrag) Feed(sc *sim.StepCtx) bool {
 		f.awaitEst = false
 		rec := sc.Prev()
 		if m, ok := rec.Msg.(Estimate); ok && m.Dom == f.Dom &&
-			phy.SenderWithin(rec, p, f.Cfg.ClusterRadius) && f.Estimate == 0 {
+			f.reach.Within(rec) && f.Estimate == 0 {
 			f.Estimate = m.Est
 		}
 	}
@@ -402,7 +406,8 @@ type SmallDominateeFrag struct {
 	Estimate int
 
 	init, await  bool
-	stage        uint8 // 0 elect, 1 lead probe, 2 lead cast, 3 member probe, 4 broadcast
+	reach        phy.Reach // Cfg.ClusterRadius
+	stage        uint8     // 0 elect, 1 lead probe, 2 lead cast, 3 member probe, 4 broadcast
 	start, total int
 	channel      int
 	elect        *reporter.ElectFrag
@@ -419,12 +424,13 @@ func (f *SmallDominateeFrag) Feed(sc *sim.StepCtx) bool {
 		f.await = false
 		rec := sc.Prev()
 		if m, ok := rec.Msg.(Estimate); ok && m.Dom == f.Dom &&
-			phy.SenderWithin(rec, p, f.Cfg.ClusterRadius) {
+			f.reach.Within(rec) {
 			f.Estimate = m.Est
 		}
 	}
 	if !f.init {
 		f.init = true
+		f.reach = phy.NewReach(p, f.Cfg.ClusterRadius)
 		f.start = sc.Slot()
 		f.total = f.Cfg.SlotBudget(p)
 		f.channel = sc.Rand.Intn(f.Cfg.F)

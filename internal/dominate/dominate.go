@@ -121,6 +121,7 @@ type RunFrag struct {
 	Out Outcome
 
 	init              bool
+	reach             phy.Reach // Cfg.R
 	phases, rounds    int
 	prob, probCap     float64
 	phase, round, sub int
@@ -132,9 +133,10 @@ type RunFrag struct {
 
 // Feed implements sim.Frag.
 func (f *RunFrag) Feed(sc *sim.StepCtx) bool {
-	p := sc.Params()
 	if !f.init {
+		p := sc.Params()
 		f.init = true
+		f.reach = phy.NewReach(p, f.Cfg.R)
 		f.phases = f.Cfg.phases(p)
 		f.rounds = f.Cfg.roundsPerPhase(p)
 		f.prob = 1 / float64(p.NEstimate)
@@ -147,19 +149,19 @@ func (f *RunFrag) Feed(sc *sim.StepCtx) bool {
 	case awaitHello:
 		rec := sc.Prev()
 		if h, ok := rec.Msg.(Hello); ok && !f.Out.IsDominator &&
-			phy.Clear(rec, p, f.Cfg.R) {
+			f.reach.Clear(rec) {
 			f.clearFrom = h.From
 		}
 	case awaitAck:
 		rec := sc.Prev()
 		if a, ok := rec.Msg.(Ack); ok && a.To == sc.ID() &&
-			phy.SenderWithin(rec, p, f.Cfg.R) {
+			f.reach.Within(rec) {
 			f.gotAck = true
 		}
 	case awaitIn:
 		rec := sc.Prev()
 		if in, ok := rec.Msg.(In); ok && f.Out.Dominator == -1 &&
-			phy.SenderWithin(rec, p, f.Cfg.R) {
+			f.reach.Within(rec) {
 			f.Out.Dominator = in.From
 		}
 	}

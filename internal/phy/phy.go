@@ -407,6 +407,26 @@ func (f *Field) decide(rec *Reception, txs []Tx, total, bestPow float64, best in
 	*rec = Reception{From: -1, Interference: total}
 }
 
+// Reach is the reception filter for one distance r under one parameter
+// set: it holds the received-power thresholds that Within and Clear compare
+// against, so a protocol builds it once per fragment (NewReach) instead of
+// evaluating the path-loss law on every decoded reception.
+type Reach struct {
+	minPow, maxInterference float64
+}
+
+// NewReach returns the filter for radius r under p.
+func NewReach(p model.Params, r float64) Reach {
+	return Reach{minPow: p.PowerAtDistance(r), maxInterference: p.ClearInterferenceBound(r)}
+}
+
+// Within reports whether the decoded sender lies within distance r of the
+// receiver, judged from received power (exact under the deterministic
+// path-loss law).
+func (g Reach) Within(rec Reception) bool {
+	return rec.Decoded && rec.SignalPower >= g.minPow
+}
+
 // Clear reports whether rec is a "clear reception" for radius r in the sense
 // of Definition 4: a message was decoded, it originated within distance r
 // (judged from received power), and the sensed interference certifies that
@@ -416,19 +436,6 @@ func (f *Field) decide(rec *Reception, txs []Tx, total, bestPow float64, best in
 // than the paper's (much smaller) constant T_s; see
 // model.Params.ClearInterferenceBound and deviation D5 in the mcnet package
 // documentation.
-func Clear(rec Reception, p model.Params, r float64) bool {
-	if !rec.Decoded {
-		return false
-	}
-	if rec.SignalPower < p.PowerAtDistance(r) {
-		return false // sender farther than r
-	}
-	return rec.Interference < p.ClearInterferenceBound(r)
-}
-
-// SenderWithin reports whether the decoded sender lies within distance r of
-// the receiver, judged from received power (exact under the deterministic
-// path-loss law).
-func SenderWithin(rec Reception, p model.Params, r float64) bool {
-	return rec.Decoded && rec.SignalPower >= p.PowerAtDistance(r)
+func (g Reach) Clear(rec Reception) bool {
+	return g.Within(rec) && rec.Interference < g.maxInterference
 }

@@ -191,7 +191,7 @@ func TestClearReception(t *testing.T) {
 	// Sender within r, no interference: clear.
 	f := NewField(p, []geo.Point{{X: 0, Y: 0}, {X: 0.04, Y: 0}})
 	rec := f.Resolve([]Tx{{Node: 0, Channel: 0, Msg: 1}}, []Rx{{Node: 1, Channel: 0}})[0]
-	if !Clear(rec, p, r) {
+	if !NewReach(p, r).Clear(rec) {
 		t.Error("isolated close transmission should be clear")
 	}
 	// Sender beyond r: decoded but not clear.
@@ -200,7 +200,7 @@ func TestClearReception(t *testing.T) {
 	if !rec.Decoded {
 		t.Fatal("setup: should decode")
 	}
-	if Clear(rec, p, r) {
+	if NewReach(p, r).Clear(rec) {
 		t.Error("distant sender must not count as clear for small r")
 	}
 	// Interferer within 4r of listener: interference above threshold → not clear.
@@ -209,7 +209,7 @@ func TestClearReception(t *testing.T) {
 		{Node: 0, Channel: 0, Msg: 1},
 		{Node: 2, Channel: 0, Msg: 2},
 	}, []Rx{{Node: 1, Channel: 0}})[0]
-	if Clear(rec, p, r) {
+	if NewReach(p, r).Clear(rec) {
 		t.Error("nearby interferer must break clearness")
 	}
 }
@@ -234,7 +234,7 @@ func TestClearImpliesNoNearbyTransmitter(t *testing.T) {
 			}
 		}
 		rec := fld.Resolve(txs, []Rx{{Node: 0, Channel: 0}})[0]
-		if !Clear(rec, p, r) {
+		if !NewReach(p, r).Clear(rec) {
 			return true // vacuous
 		}
 		for _, tx := range txs {
@@ -256,13 +256,13 @@ func TestSenderWithin(t *testing.T) {
 	p := model.Default(1, 64)
 	f := NewField(p, []geo.Point{{X: 0, Y: 0}, {X: 0.3, Y: 0}})
 	rec := f.Resolve([]Tx{{Node: 0, Channel: 0, Msg: 1}}, []Rx{{Node: 1, Channel: 0}})[0]
-	if !SenderWithin(rec, p, 0.3) {
+	if !NewReach(p, 0.3).Within(rec) {
 		t.Error("sender at exactly r should count as within")
 	}
-	if SenderWithin(rec, p, 0.29) {
+	if NewReach(p, 0.29).Within(rec) {
 		t.Error("sender beyond r should not count as within")
 	}
-	if SenderWithin(Reception{}, p, 1) {
+	if NewReach(p, 1).Within(Reception{}) {
 		t.Error("undecoded reception cannot locate a sender")
 	}
 }

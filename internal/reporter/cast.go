@@ -172,6 +172,7 @@ type CastUpFrag struct {
 	lvl        int // the level being passed, Levels() down to 1
 	acting     int
 	init, done bool
+	reach      phy.Reach // Cfg.ClusterRadius
 	await      castAwait
 	// Per-level state.
 	isSender, isParent       bool
@@ -190,9 +191,9 @@ func (f *CastUpFrag) recordChild(j, side int, v int64) {
 
 // Feed implements sim.Frag.
 func (f *CastUpFrag) Feed(sc *sim.StepCtx) bool {
-	p := sc.Params()
 	if !f.init {
 		f.init = true
+		f.reach = phy.NewReach(sc.Params(), f.Cfg.ClusterRadius)
 		f.start = sc.Slot()
 		f.St = CastState{
 			Value:       f.Value,
@@ -211,7 +212,7 @@ func (f *CastUpFrag) Feed(sc *sim.StepCtx) bool {
 	case castAwaitSub0Parent:
 		rec := sc.Prev()
 		if m, ok := rec.Msg.(UpMsg); ok && m.ToRole == f.acting && m.Dom == f.Dom &&
-			m.From == 2*f.acting && phy.SenderWithin(rec, p, f.Cfg.ClusterRadius) {
+			m.From == 2*f.acting && f.reach.Within(rec) {
 			f.recordChild(f.acting, 0, m.Value)
 		}
 	case castAwaitSub1Sender:
@@ -223,13 +224,13 @@ func (f *CastUpFrag) Feed(sc *sim.StepCtx) bool {
 	case castAwaitSub2Parent:
 		rec := sc.Prev()
 		if m, ok := rec.Msg.(UpMsg); ok && m.ToRole == f.acting && m.Dom == f.Dom &&
-			m.From == 2*f.acting+1 && phy.SenderWithin(rec, p, f.Cfg.ClusterRadius) {
+			m.From == 2*f.acting+1 && f.reach.Within(rec) {
 			f.recordChild(f.acting, 1, m.Value)
 		}
 	case castAwaitSub2StandIn:
 		rec := sc.Prev()
 		if m, ok := rec.Msg.(UpMsg); ok && m.ToRole == f.parentRole && m.Dom == f.Dom &&
-			m.From == f.acting+1 && phy.SenderWithin(rec, p, f.Cfg.ClusterRadius) {
+			m.From == f.acting+1 && f.reach.Within(rec) {
 			f.sibValue, f.sibSeen = m.Value, true
 		}
 	case castAwaitSub3Sender:
@@ -398,6 +399,7 @@ type CastDownFrag struct {
 	Ok        bool
 
 	init, have, await bool
+	reach             phy.Reach        // Cfg.ClusterRadius
 	start             int              // the slot of the first Feed
 	lvl               int              // the level being passed, 1 up to Levels()
 	chain             []int            // the roles acted as: chainRoles(Role, St)
@@ -451,9 +453,9 @@ func (f *CastDownFrag) propagate() {
 
 // Feed implements sim.Frag.
 func (f *CastDownFrag) Feed(sc *sim.StepCtx) bool {
-	p := sc.Params()
 	if !f.init {
 		f.init = true
+		f.reach = phy.NewReach(sc.Params(), f.Cfg.ClusterRadius)
 		f.start = sc.Slot()
 		f.chain = chainRoles(f.Role, f.St)
 		f.payloads = map[int][2]int64{}
@@ -473,7 +475,7 @@ func (f *CastDownFrag) Feed(sc *sim.StepCtx) bool {
 		f.await = false
 		rec := sc.Prev()
 		if m, ok := rec.Msg.(DownMsg); ok && m.ToRole == f.topRole && m.Dom == f.Dom &&
-			phy.SenderWithin(rec, p, f.Cfg.ClusterRadius) {
+			f.reach.Within(rec) {
 			f.payloads[f.topRole], f.have = m.Payload, true
 			f.propagate()
 		}

@@ -85,15 +85,17 @@ type ElectFrag struct {
 	Min          int
 
 	init, awaitCand bool
+	reach           phy.Reach // Cfg.ClusterRadius
 	start, total    int
 }
 
 // Feed implements sim.Frag. The member acts in every round's act slot and
 // sleeps between them.
 func (f *ElectFrag) Feed(sc *sim.StepCtx) bool {
-	p := sc.Params()
 	if !f.init {
+		p := sc.Params()
 		f.init = true
+		f.reach = phy.NewReach(p, f.Cfg.ClusterRadius)
 		f.start = sc.Slot()
 		f.total = f.Cfg.SlotBudget(p)
 		f.Min = sc.ID()
@@ -102,7 +104,7 @@ func (f *ElectFrag) Feed(sc *sim.StepCtx) bool {
 		f.awaitCand = false
 		rec := sc.Prev()
 		if c, ok := rec.Msg.(Cand); ok && c.Dom == f.Dom && c.From < f.Min &&
-			phy.SenderWithin(rec, p, f.Cfg.ClusterRadius) {
+			f.reach.Within(rec) {
 			f.Min = c.From
 		}
 	}

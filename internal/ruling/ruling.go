@@ -132,7 +132,8 @@ type RunFrag struct {
 	Out Outcome
 
 	init              bool
-	halted            bool // joined S or was dominated
+	reach             phy.Reach // Cfg.R
+	halted            bool      // joined S or was dominated
 	sentHello, gotAck bool
 	await             rulingAwait
 	start, total      int
@@ -142,10 +143,11 @@ type RunFrag struct {
 
 // Feed implements sim.Frag.
 func (f *RunFrag) Feed(sc *sim.StepCtx) bool {
-	p := sc.Params()
 	cfg := f.Cfg
 	if !f.init {
+		p := sc.Params()
 		f.init = true
+		f.reach = phy.NewReach(p, cfg.R)
 		f.start = sc.Slot()
 		f.total = cfg.SlotBudget(p)
 		f.Out = Outcome{DominatedBy: -1, JoinRound: cfg.Rounds(p)}
@@ -154,17 +156,17 @@ func (f *RunFrag) Feed(sc *sim.StepCtx) bool {
 	switch f.await {
 	case awaitHello:
 		rec := sc.Prev()
-		if h, ok := rec.Msg.(Hello); ok && phy.Clear(rec, p, cfg.R) {
+		if h, ok := rec.Msg.(Hello); ok && f.reach.Clear(rec) {
 			f.clearFrom = h.From
 		}
 	case awaitAck:
 		rec := sc.Prev()
-		if a, ok := rec.Msg.(Ack); ok && a.To == sc.ID() && phy.SenderWithin(rec, p, cfg.R) {
+		if a, ok := rec.Msg.(Ack); ok && a.To == sc.ID() && f.reach.Within(rec) {
 			f.gotAck = true
 		}
 	case awaitIn:
 		rec := sc.Prev()
-		if in, ok := rec.Msg.(In); ok && phy.SenderWithin(rec, p, cfg.R) {
+		if in, ok := rec.Msg.(In); ok && f.reach.Within(rec) {
 			f.Out.DominatedBy = in.From
 			f.Out.JoinRound = f.round
 			f.halted = true
