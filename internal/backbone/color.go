@@ -188,11 +188,16 @@ func (f *ColorFrag) Feed(sc *sim.StepCtx) bool {
 			if f.Out.Color < 0 && f.smaller == 0 {
 				f.pickColor()
 			}
-			if f.Out.Color >= 0 && sc.Rand.Float64() < f.Cfg.AnnounceProb {
-				sc.Transmit(f.Cfg.Channel, Final{From: sc.ID(), Color: f.Out.Color})
-			} else {
+			switch {
+			case f.Out.Color < 0:
 				sc.Listen(f.Cfg.Channel)
 				f.awaitFinal = true
+			case sc.Rand.Float64() < f.Cfg.AnnounceProb:
+				sc.Transmit(f.Cfg.Channel, Final{From: sc.ID(), Color: f.Out.Color})
+			default:
+				// Colored: taken, unheard and smaller are never read again,
+				// so a Final heard now would be discarded.
+				sc.Idle()
 			}
 			return false
 		default:

@@ -72,7 +72,8 @@ func (m Result) WithPayloadValue(v int64) any { m.Value = v; return m }
 //
 // All communication happens in TDMA blocks of PhiMax sub-slots: a dominator
 // with cluster color c may transmit only in sub-slot c of each block and
-// listens in the others, which keeps simultaneously transmitting dominators
+// listens in the others (in the result flood, only until it holds the
+// result), which keeps simultaneously transmitting dominators
 // R_{ε/2}-separated (Lemma 2's regime) and makes backbone links decodable
 // under concurrency.
 type TreeConfig struct {
@@ -269,7 +270,7 @@ func (f *TreeFrag) Feed(sc *sim.StepCtx) bool {
 		}
 	case treeAwaitD:
 		rec := sc.Prev()
-		if m, ok := rec.Msg.(Result); ok && !f.informed {
+		if m, ok := rec.Msg.(Result); ok {
 			f.Out.Result = m.Value
 			f.Out.Done = true
 			f.informed = true
@@ -357,11 +358,30 @@ func (f *TreeFrag) Feed(sc *sim.StepCtx) bool {
 				f.phase = 4
 				continue
 			}
-			if f.ownSlot(f.sub) && f.informed && sc.Rand.Float64() < f.Cfg.FloodProb {
-				sc.Transmit(f.Cfg.Channel, Result{Value: f.Out.Result, From: sc.ID()})
-			} else {
+			if !f.informed {
 				sc.Listen(f.Cfg.Channel)
 				f.await = treeAwaitD
+				f.advance()
+				return false
+			}
+			// An informed node discards every Result it hears, so it never
+			// listens again: it floods in its own sub-slots and sleeps from
+			// one to the next, or to the end of the phase.
+			if !f.ownSlot(f.sub) {
+				pos := f.b*f.Cfg.PhiMax + f.sub
+				next := f.b*f.Cfg.PhiMax + f.Color%f.Cfg.PhiMax
+				if next < pos {
+					next += f.Cfg.PhiMax
+				}
+				next = min(next, f.Cfg.ResultBlocks*f.Cfg.PhiMax)
+				sc.IdleFor(next - pos)
+				f.b, f.sub = next/f.Cfg.PhiMax, next%f.Cfg.PhiMax
+				return false
+			}
+			if sc.Rand.Float64() < f.Cfg.FloodProb {
+				sc.Transmit(f.Cfg.Channel, Result{Value: f.Out.Result, From: sc.ID()})
+			} else {
+				sc.Idle()
 			}
 			f.advance()
 			return false

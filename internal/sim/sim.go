@@ -34,6 +34,15 @@
 // reordered. The transcript is the same as idling slot by slot; only the
 // Step calls go away.
 //
+// # Listening rule
+//
+// A node listens only while it can still use what it hears. A listen whose
+// reception the protocol would provably discard is an Idle instead (see
+// Stepper), so it costs the resolver nothing: the SINR layer evaluates one
+// interference sum per listener, and an inert listener's sum is pure waste.
+// Dropping such listens removes only listener entries from the transcript;
+// every transmission, draw, event and result stays put.
+//
 // Determinism: Steppers draw randomness only from StepCtx.Rand, a per-node
 // stream derived from (run seed, node ID), and slot resolution is
 // order-independent, so a run's transcript is a pure function of (seed,

@@ -43,6 +43,15 @@ import (
 // costs the engine nothing. A node never sleeps past its Frag's end (the
 // stage glue there may Emit or draw), and never skips or reorders a Rand
 // draw.
+//
+// Listening rule: a node listens only in slots whose reception it can still
+// read. Once nothing a protocol could hear would change its state or output
+// (it already holds the result a flood carries, say, or has fixed the color
+// that heard announcements constrain), each such listen becomes an Idle,
+// and a run of them with no Rand draw becomes one IdleFor under the
+// sleeping rule. Transmissions, draws, events and results are the same
+// either way; the slot loses only the node's listener entry, and with it a
+// Step call and that listener's SINR sum.
 type Stepper interface {
 	Step(sc *StepCtx)
 }

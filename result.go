@@ -115,7 +115,10 @@ type AggregateResult struct {
 type FaultReport struct {
 	// Delivered counts decoded receptions handed to listeners; Lost counts
 	// decoded receptions suppressed by the loss process. Their sum is every
-	// successful decode of the SINR layer (after jamming).
+	// successful decode of the SINR layer (after jamming). Both count only
+	// receptions at nodes that listened in the slot: a node that has stopped
+	// listening because nothing it could hear would change it (see the
+	// listening rule in internal/sim) receives, and is counted, nothing.
 	Delivered, Lost int
 	// JammedSlotChannels counts (slot, channel) pairs the adversary jammed.
 	JammedSlotChannels int
