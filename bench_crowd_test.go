@@ -79,11 +79,21 @@ func (ps *peakSampler) report(b *testing.B) {
 
 func benchAggregateCrowdSlots(b *testing.B, n, slots int, extra ...Option) {
 	b.Helper()
+	benchAggregate(b, n, append([]Option{MaxSlots(slots)}, extra...)...)
+}
+
+// benchAggregate runs one Aggregate per iteration on an n-node, 8-channel
+// network built with opts, and reports the peaks and the per-slot-node
+// rates over the slots simulated: a run cut off by MaxSlots counts its
+// budget, a complete run its Slots.
+func benchAggregate(b *testing.B, n int, opts ...Option) {
+	b.Helper()
 	values := make([]int64, n)
 	for i := range values {
 		values[i] = int64(i + 1)
 	}
-	opts := append([]Option{Channels(8), MaxSlots(slots)}, extra...)
+	opts = append([]Option{Channels(8)}, opts...)
+	var simulated float64
 	ps := startPeakSampler()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -91,14 +101,19 @@ func benchAggregateCrowdSlots(b *testing.B, n, slots int, extra ...Option) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := nw.Aggregate(context.Background(), values, Sum); err != nil &&
-			!strings.Contains(err.Error(), "MaxSlots") {
+		res, err := nw.Aggregate(context.Background(), values, Sum)
+		switch {
+		case err == nil:
+			simulated += float64(res.Slots)
+		case strings.Contains(err.Error(), "MaxSlots"):
+			simulated += float64(nw.maxSlots)
+		default:
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	ps.report(b)
-	nodeSlots := float64(slots) * float64(n) * float64(b.N)
+	nodeSlots := simulated * float64(n)
 	b.ReportMetric(nodeSlots/b.Elapsed().Seconds(), "node-slots/s")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/nodeSlots, "ns/slot-node")
 }
@@ -112,6 +127,17 @@ func BenchmarkAggregateCrowd(b *testing.B) {
 	b.Run("n=4k", func(b *testing.B) { benchAggregateCrowd(b, 4096) })
 	b.Run("n=16k", func(b *testing.B) { benchAggregateCrowd(b, 16384) })
 	b.Run("n=65k", func(b *testing.B) { benchAggregateCrowd(b, 65536) })
+}
+
+// BenchmarkAggregateField is the PR-tier tripwire for everything after the
+// dominate stage, which the crowd rows' 256-slot prefix never reaches: one
+// complete Aggregate on a multi-cluster uniform field (Uniform(12),
+// n = 1024, F = 8), the field-agg workload of the end-to-end benchmark.
+// Backbone and cluster-color resolution dominate its cost.
+//
+// Run with: go test -bench='BenchmarkAggregateField$' -benchtime=1x
+func BenchmarkAggregateField(b *testing.B) {
+	benchAggregate(b, 1024, WithTopology(Uniform(12)))
 }
 
 // BenchmarkAggregateCrowdLarge is the nightly bench-large lane: crowd sizes
