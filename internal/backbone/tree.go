@@ -177,8 +177,6 @@ type TreeFrag struct {
 	sentVal  int64
 	sentAny  bool
 	emitted  bool
-	// Phase D
-	informed bool
 }
 
 func (f *TreeFrag) ownSlot(sub int) bool { return sub == f.Color%f.Cfg.PhiMax }
@@ -273,7 +271,6 @@ func (f *TreeFrag) Feed(sc *sim.StepCtx) bool {
 		if m, ok := rec.Msg.(Result); ok {
 			f.Out.Result = m.Value
 			f.Out.Done = true
-			f.informed = true
 			sc.Emit(EventResult, int(m.Value))
 		}
 	}
@@ -321,10 +318,8 @@ func (f *TreeFrag) Feed(sc *sim.StepCtx) bool {
 			return false
 		case 2: // Phase C: convergecast.
 			if f.b >= f.Cfg.CastBlocks {
-				have := f.recompute()
-				f.informed = f.isRoot
 				if f.isRoot {
-					f.Out.Result = have
+					f.Out.Result = f.recompute()
 					f.Out.Done = true
 				}
 				f.phase, f.b, f.sub = 3, 0, 0
@@ -358,7 +353,7 @@ func (f *TreeFrag) Feed(sc *sim.StepCtx) bool {
 				f.phase = 4
 				continue
 			}
-			if !f.informed {
+			if !f.Out.Done {
 				sc.Listen(f.Cfg.Channel)
 				f.await = treeAwaitD
 				f.advance()

@@ -36,12 +36,11 @@
 //
 // # Listening rule
 //
-// A node listens only while it can still use what it hears. A listen whose
+// A node listens only while it can still use what it hears: a listen whose
 // reception the protocol would provably discard is an Idle instead (see
-// Stepper), so it costs the resolver nothing: the SINR layer evaluates one
-// interference sum per listener, and an inert listener's sum is pure waste.
-// Dropping such listens removes only listener entries from the transcript;
-// every transmission, draw, event and result stays put.
+// Stepper). The SINR layer evaluates one interference sum per listener, so
+// an inert listener is pure resolution cost; dropping it removes only its
+// listener entries from the transcript.
 //
 // Determinism: Steppers draw randomness only from StepCtx.Rand, a per-node
 // stream derived from (run seed, node ID), and slot resolution is

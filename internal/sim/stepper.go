@@ -51,7 +51,8 @@ import (
 // and a run of them with no Rand draw becomes one IdleFor under the
 // sleeping rule. Transmissions, draws, events and results are the same
 // either way; the slot loses only the node's listener entry, and with it a
-// Step call and that listener's SINR sum.
+// Step call and that listener's SINR sum (and a FaultInjector that counts
+// delivered receptions counts fewer).
 type Stepper interface {
 	Step(sc *StepCtx)
 }
