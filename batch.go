@@ -184,5 +184,5 @@ func (nw *Network) withFaults(spec fault.Spec) (*Network, error) {
 	}
 	s := nw.settings
 	s.faults, s.faulted = spec, true
-	return &Network{settings: s, deploy: nw.deploy, cfg: nw.cfg, plan: nw.plan}, nil
+	return &Network{settings: s, deploy: nw.deploy, plan: nw.plan}, nil
 }

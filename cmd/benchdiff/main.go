@@ -29,9 +29,6 @@
 // regression.
 //
 // Regenerate with -update.
-//
-// Baselines written by older versions (plain name → ns/op numbers) still
-// load; -update rewrites them in the current format.
 package main
 
 import (
@@ -200,25 +197,11 @@ func run(args []string, out, errOut io.Writer) int {
 	return 0
 }
 
-// parseBaseline reads the current object format and, for compatibility,
-// the original flat name → ns/op map.
+// parseBaseline reads a baseline document: benchmark name → entry.
 func parseBaseline(raw []byte) (map[string]entry, error) {
-	var rawMap map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &rawMap); err != nil {
+	var out map[string]entry
+	if err := json.Unmarshal(raw, &out); err != nil {
 		return nil, err
-	}
-	out := make(map[string]entry, len(rawMap))
-	for name, v := range rawMap {
-		var e entry
-		if err := json.Unmarshal(v, &e); err == nil {
-			out[name] = e
-			continue
-		}
-		var ns float64
-		if err := json.Unmarshal(v, &ns); err != nil {
-			return nil, fmt.Errorf("entry %q is neither an object nor a number", name)
-		}
-		out[name] = entry{NsOp: ns}
 	}
 	return out, nil
 }

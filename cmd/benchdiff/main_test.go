@@ -112,19 +112,6 @@ func TestCompareWithinThreshold(t *testing.T) {
 	}
 }
 
-// TestCompareLegacyBaseline: the original flat name → ns/op format still
-// loads.
-func TestCompareLegacyBaseline(t *testing.T) {
-	benchPath, basePath := writeFiles(t, sampleBench, map[string]float64{
-		"BenchmarkAggregateCrowd/n=1k": 10000000,
-		"BenchmarkResolve4kSerial":     1500000,
-	})
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-baseline", basePath, "-bench", benchPath}, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d:\n%s%s", code, out.String(), errOut.String())
-	}
-}
-
 func TestCompareRegression(t *testing.T) {
 	benchPath, basePath := writeFiles(t, sampleBench, map[string]entry{
 		"BenchmarkAggregateCrowd/n=1k": {NsOp: 12000000},

@@ -172,11 +172,40 @@
 //
 // D1, practical constants. Where the analysis picks constants for a union
 // bound, the implementation uses the smallest values that keep the
-// measured guarantees: the ruling set's ACK probability is 1/2 instead of
-// 1/(2µ), since clear receivers of distinct HELLOs are already spatially
-// sparse, and channels per cluster use c₁ = 1 instead of 24. Exercised by
-// the ruling package's postcondition tests, E5's violations and
-// undominated columns, and E1's speedup curve.
+// measured guarantees. Each is an unexported constant of the package that
+// runs the protocol (c₁ excepted: ablation A3 varies it), and this list is
+// the one place that records them. A round or slot factor k means
+// ⌈k·ln n̂⌉ rounds or slots.
+//
+//	constant             value  replaces                                package
+//	mu                   4      µ: HELLO probability cap 1/(2µ)         dominate
+//	ackProb              0.5    ACK probability 1/(2µ)                  dominate
+//	reannounceProb       0.25   — (IN re-announcement, D2)              dominate
+//	roundFactor          4      O(log n) rounds per doubling phase      dominate
+//	channel              0      the single channel                      dominate
+//	beaconProb           0.02   — (discovery beacons, D4)               backbone
+//	announceProb         0.02   — (color re-announcement, D4)           backbone
+//	discoverFactor       150    — (discovery slots, D4)                 backbone
+//	resolveFactor        250    — (greedy resolution slots, D4)         backbone
+//	ackProb              0.7    — (tree acknowledgements, D3)           backbone
+//	channel              0      the single channel                      backbone
+//	txProb               0.25   — (min-ID gossip, D6)                   reporter
+//	roundFactor          10     O(log n) election rounds (D6)           reporter
+//	lambda               0.5    λ: probe contention target              csa
+//	omega1               2      ω₁: termination count                   csa
+//	gamma1               16     γ₁: probe rounds per phase              csa
+//	ackProb              0.5    ACK probability 1/(2µ)                  ruling
+//	roundFactor          14     O(log n) rounds                         ruling
+//	gamma2               5      γ₂: follower rounds per phase           core
+//	omega2               1      ω₂: dominator backoff threshold         core
+//	lambda               0.5    λ: follower contention target           core
+//	extraFollowerPhases  4      — (follower-stage padding)              core
+//	Config.C1            1      c₁ = 24: channels per cluster           core
+//
+// The ACK probabilities drop the paper's 1/(2µ) because clear receivers of
+// distinct HELLOs are already spatially sparse. Exercised by the ruling and
+// dominate packages' postcondition tests, E5's violations and undominated
+// columns, E6's est/truth column and E1's speedup curve.
 //
 // D2, dominating set. The paper adopts the O(log n) protocol of
 // Scheideler, Richa and Santi as a black box. internal/dominate runs an

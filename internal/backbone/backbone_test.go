@@ -48,7 +48,7 @@ func TestRunColorProper(t *testing.T) {
 		rnd := rand.New(rand.NewSource(int64(seed)))
 		pos := topology.Uniform(rnd, 40, 3, 3)
 		p := model.Default(1, 64)
-		cfg := DefaultColorConfig(p, 24)
+		cfg := ColorConfig{Radius: p.REpsHalf(), PhiMax: 24}
 		e := sim.NewEngine(phy.NewField(p, pos), seed)
 		out := make([]ColorOutcome, len(pos))
 		steppers := make([]sim.Stepper, len(pos))
@@ -83,7 +83,7 @@ func TestRunColorProper(t *testing.T) {
 
 func TestRunColorSingleton(t *testing.T) {
 	p := model.Default(1, 64)
-	cfg := DefaultColorConfig(p, 8)
+	cfg := ColorConfig{Radius: p.REpsHalf(), PhiMax: 8}
 	e := sim.NewEngine(phy.NewField(p, []geo.Point{{X: 0}}), 1)
 	f := &ColorFrag{Cfg: cfg}
 	if _, err := e.Run([]sim.Stepper{&sim.FragStepper{Frag: f}}); err != nil {
@@ -97,7 +97,7 @@ func TestRunColorSingleton(t *testing.T) {
 
 func TestColorSlotBudget(t *testing.T) {
 	p := model.Default(1, 64)
-	cfg := DefaultColorConfig(p, 8)
+	cfg := ColorConfig{Radius: p.REpsHalf(), PhiMax: 8}
 	pos := []geo.Point{{X: 0}, {X: 0.5}}
 	e := sim.NewEngine(phy.NewField(p, pos), 2)
 	after := make([]int, 2)

@@ -34,8 +34,6 @@ type Final struct {
 // Radius to announce, then takes the smallest free color and announces it
 // for the rest of the stage.
 type ColorConfig struct {
-	// Channel used by the stage.
-	Channel int
 	// Radius is the conflict radius: dominators within it must receive
 	// distinct colors. The pipeline passes R_{ε/2}.
 	Radius float64
@@ -43,47 +41,42 @@ type ColorConfig struct {
 	// {0, …, PhiMax-1}; the stage records an overflow if greedy needs more
 	// (it then wraps, and Validate will report conflicts).
 	PhiMax int
-	// BeaconProb is the discovery transmission probability.
-	BeaconProb float64
-	// AnnounceProb is the per-slot probability that a colored dominator
-	// re-announces its color.
-	AnnounceProb float64
-	// DiscoverFactor and ResolveFactor scale the two sub-stage lengths:
-	// slots = ceil(factor · ln n̂).
-	DiscoverFactor, ResolveFactor float64
 }
 
-// DefaultColorConfig returns the pipeline configuration.
+// Coloring-stage constants (deviation D1 in the mcnet package
+// documentation).
 //
 // The probabilities are deliberately small: conflict edges run up to
 // R_{ε/2} ≈ 0.85·R_T where the SINR headroom over β is only ~60%, so a
 // beacon is decodable across such a link only when almost nothing else
 // transmits network-wide. Low per-slot probability with a long (one-time)
 // stage is the reliable operating point.
-func DefaultColorConfig(p model.Params, phiMax int) ColorConfig {
-	return ColorConfig{
-		Channel:        0,
-		Radius:         p.REpsHalf(),
-		PhiMax:         phiMax,
-		BeaconProb:     0.02,
-		AnnounceProb:   0.02,
-		DiscoverFactor: 150,
-		ResolveFactor:  250,
-	}
+const (
+	// channel is the one channel both backbone stages run on.
+	channel int = 0
+	// beaconProb is the discovery transmission probability.
+	beaconProb float64 = 0.02
+	// announceProb is the per-slot probability that a colored dominator
+	// re-announces its color.
+	announceProb float64 = 0.02
+	// discoverFactor and resolveFactor scale the two sub-stage lengths:
+	// slots = ⌈factor·ln n̂⌉.
+	discoverFactor float64 = 150
+	resolveFactor  float64 = 250
+)
+
+func discoverSlots(p model.Params) int {
+	return int(math.Ceil(discoverFactor * p.LogN()))
 }
 
-func (c ColorConfig) discoverSlots(p model.Params) int {
-	return int(math.Ceil(c.DiscoverFactor * p.LogN()))
-}
-
-func (c ColorConfig) resolveSlots(p model.Params) int {
-	return int(math.Ceil(c.ResolveFactor * p.LogN()))
+func resolveSlots(p model.Params) int {
+	return int(math.Ceil(resolveFactor * p.LogN()))
 }
 
 // SlotBudget returns the exact number of slots the coloring stage
 // consumes.
 func (c ColorConfig) SlotBudget(p model.Params) int {
-	return c.discoverSlots(p) + c.resolveSlots(p)
+	return discoverSlots(p) + resolveSlots(p)
 }
 
 // ColorOutcome is the per-dominator result of the coloring stage.
@@ -130,8 +123,8 @@ func (f *ColorFrag) Feed(sc *sim.StepCtx) bool {
 		f.init = true
 		f.reach = phy.NewReach(p, f.Cfg.Radius)
 		f.Out = ColorOutcome{Color: -1}
-		f.discoverLen = f.Cfg.discoverSlots(p)
-		f.resolveLen = f.Cfg.resolveSlots(p)
+		f.discoverLen = discoverSlots(p)
+		f.resolveLen = resolveSlots(p)
 	}
 	if f.awaitBeacon {
 		f.awaitBeacon = false
@@ -160,10 +153,10 @@ func (f *ColorFrag) Feed(sc *sim.StepCtx) bool {
 		switch {
 		case f.stage == 0 && f.s < f.discoverLen:
 			f.s++
-			if sc.Rand.Float64() < f.Cfg.BeaconProb {
-				sc.Transmit(f.Cfg.Channel, Beacon{From: sc.ID()})
+			if sc.Rand.Float64() < beaconProb {
+				sc.Transmit(channel, Beacon{From: sc.ID()})
 			} else {
-				sc.Listen(f.Cfg.Channel)
+				sc.Listen(channel)
 				f.awaitBeacon = true
 			}
 			return false
@@ -190,10 +183,10 @@ func (f *ColorFrag) Feed(sc *sim.StepCtx) bool {
 			}
 			switch {
 			case f.Out.Color < 0:
-				sc.Listen(f.Cfg.Channel)
+				sc.Listen(channel)
 				f.awaitFinal = true
-			case sc.Rand.Float64() < f.Cfg.AnnounceProb:
-				sc.Transmit(f.Cfg.Channel, Final{From: sc.ID(), Color: f.Out.Color})
+			case sc.Rand.Float64() < announceProb:
+				sc.Transmit(channel, Final{From: sc.ID(), Color: f.Out.Color})
 			default:
 				// Colored: taken, unheard and smaller are never read again,
 				// so a Final heard now would be discarded.

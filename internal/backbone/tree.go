@@ -77,8 +77,6 @@ func (m Result) WithPayloadValue(v int64) any { m.Value = v; return m }
 // R_{ε/2}-separated (Lemma 2's regime) and makes backbone links decodable
 // under concurrency.
 type TreeConfig struct {
-	// Channel used by the stage.
-	Channel int
 	// Radius is the maximum accepted link length (the pipeline passes
 	// R_{ε/2}; adjacent clusters' dominators are within it).
 	Radius float64
@@ -86,24 +84,24 @@ type TreeConfig struct {
 	PhiMax int
 	// FloodProb is the per-own-sub-slot transmission probability.
 	FloodProb float64
-	// AckProb is the probability of prioritizing a pending acknowledgement
-	// over the node's own announcements.
-	AckProb float64
 	// BuildBlocks, ChildBlocks, CastBlocks and ResultBlocks are the phase
 	// lengths in TDMA blocks.
 	BuildBlocks, ChildBlocks, CastBlocks, ResultBlocks int
 }
+
+// ackProb is the probability of prioritizing a pending acknowledgement over
+// the node's own announcements (deviation D1 in the mcnet package
+// documentation).
+const ackProb float64 = 0.7
 
 // DefaultTreeConfig sizes the phases for a backbone whose hop diameter is at
 // most hopBound.
 func DefaultTreeConfig(p model.Params, phiMax, hopBound int) TreeConfig {
 	logn := int(p.LogN()) + 1
 	return TreeConfig{
-		Channel:      0,
 		Radius:       p.REpsHalf(),
 		PhiMax:       phiMax,
 		FloodProb:    0.4,
-		AckProb:      0.7,
 		BuildBlocks:  6*hopBound + 10*logn,
 		ChildBlocks:  12 * logn,
 		CastBlocks:   6*hopBound + 12*logn,
@@ -286,9 +284,9 @@ func (f *TreeFrag) Feed(sc *sim.StepCtx) bool {
 				continue
 			}
 			if f.ownSlot(f.sub) && sc.Rand.Float64() < f.Cfg.FloodProb {
-				sc.Transmit(f.Cfg.Channel, State{Root: f.Out.Root, Hops: f.Out.Depth, From: sc.ID()})
+				sc.Transmit(channel, State{Root: f.Out.Root, Hops: f.Out.Depth, From: sc.ID()})
 			} else {
-				sc.Listen(f.Cfg.Channel)
+				sc.Listen(channel)
 				f.await = treeAwaitA
 			}
 			f.advance()
@@ -300,19 +298,19 @@ func (f *TreeFrag) Feed(sc *sim.StepCtx) bool {
 				continue
 			}
 			if f.ownSlot(f.sub) {
-				if len(f.ackQueue) > 0 && sc.Rand.Float64() < f.Cfg.AckProb {
-					sc.Transmit(f.Cfg.Channel, ChildAck{To: f.ackQueue[0]})
+				if len(f.ackQueue) > 0 && sc.Rand.Float64() < ackProb {
+					sc.Transmit(channel, ChildAck{To: f.ackQueue[0]})
 					f.ackQueue = f.ackQueue[1:]
 					f.advance()
 					return false
 				}
 				if !f.childAcked && sc.Rand.Float64() < f.Cfg.FloodProb {
-					sc.Transmit(f.Cfg.Channel, Child{Parent: f.Out.Parent, From: sc.ID()})
+					sc.Transmit(channel, Child{Parent: f.Out.Parent, From: sc.ID()})
 					f.advance()
 					return false
 				}
 			}
-			sc.Listen(f.Cfg.Channel)
+			sc.Listen(channel)
 			f.await = treeAwaitB
 			f.advance()
 			return false
@@ -330,8 +328,8 @@ func (f *TreeFrag) Feed(sc *sim.StepCtx) bool {
 				sc.Emit(EventAgg, int(f.recompute()))
 			}
 			if f.ownSlot(f.sub) {
-				if len(f.upAcks) > 0 && sc.Rand.Float64() < f.Cfg.AckProb {
-					sc.Transmit(f.Cfg.Channel, UpAck{To: f.upAcks[0]})
+				if len(f.upAcks) > 0 && sc.Rand.Float64() < ackProb {
+					sc.Transmit(channel, UpAck{To: f.upAcks[0]})
 					f.upAcks = f.upAcks[1:]
 					f.advance()
 					return false
@@ -339,12 +337,12 @@ func (f *TreeFrag) Feed(sc *sim.StepCtx) bool {
 				if !f.isRoot && !f.upAcked && f.ready() && sc.Rand.Float64() < f.Cfg.FloodProb {
 					f.sentVal = f.recompute()
 					f.sentAny = true
-					sc.Transmit(f.Cfg.Channel, Up{Parent: f.Out.Parent, From: sc.ID(), Value: f.sentVal})
+					sc.Transmit(channel, Up{Parent: f.Out.Parent, From: sc.ID(), Value: f.sentVal})
 					f.advance()
 					return false
 				}
 			}
-			sc.Listen(f.Cfg.Channel)
+			sc.Listen(channel)
 			f.await = treeAwaitC
 			f.advance()
 			return false
@@ -354,7 +352,7 @@ func (f *TreeFrag) Feed(sc *sim.StepCtx) bool {
 				continue
 			}
 			if !f.Out.Done {
-				sc.Listen(f.Cfg.Channel)
+				sc.Listen(channel)
 				f.await = treeAwaitD
 				f.advance()
 				return false
@@ -374,7 +372,7 @@ func (f *TreeFrag) Feed(sc *sim.StepCtx) bool {
 				return false
 			}
 			if sc.Rand.Float64() < f.Cfg.FloodProb {
-				sc.Transmit(f.Cfg.Channel, Result{Value: f.Out.Result, From: sc.ID()})
+				sc.Transmit(channel, Result{Value: f.Out.Result, From: sc.ID()})
 			} else {
 				sc.Idle()
 			}

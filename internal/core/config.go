@@ -128,19 +128,17 @@ func NewPlan(p model.Params, cfg Config) *Plan {
 	memberR := 2 * rc
 	pl.domReach, pl.memberReach = phy.NewReach(p, rc), phy.NewReach(p, memberR)
 
-	pl.Dominate = dominate.DefaultConfig(rc, 0)
-	pl.Color = backbone.DefaultColorConfig(p, cfg.PhiMax)
+	pl.Dominate = dominate.Config{R: rc}
+	pl.Color = backbone.ColorConfig{Radius: p.REpsHalf(), PhiMax: cfg.PhiMax}
 
 	pl.AnnounceSlots = int(math.Ceil(8 * p.LogN()))
 
 	pl.UseSmall = csa.UseSmall(p, cfg.DeltaHat)
-	pl.CSALarge = csa.DefaultConfig(cfg.DeltaHat, memberR)
-	pl.CSALarge.Stride = cfg.PhiMax
+	pl.CSALarge = csa.Config{ClusterRadius: memberR, DeltaHat: cfg.DeltaHat, Stride: cfg.PhiMax}
 	pl.CSASmall = csa.DefaultSmallConfig(p, memberR)
 	pl.CSASmall.Stride = cfg.PhiMax
 
-	pl.Elect = reporter.DefaultElectConfig(memberR)
-	pl.Elect.Stride = cfg.PhiMax
+	pl.Elect = reporter.ElectConfig{ClusterRadius: memberR, Stride: cfg.PhiMax}
 
 	pl.FollowerGamma = int(math.Ceil(gamma2 * p.LogN()))
 	pl.Omega = int(math.Ceil(omega2 * p.LogN()))

@@ -51,31 +51,21 @@ type Config struct {
 	ClusterRadius float64
 	// DeltaHat is the known upper bound Δ̂ on the cluster size.
 	DeltaHat int
-	// Lambda is the target contention λ (the paper uses 1/2).
-	Lambda float64
-	// CountFactor: the dominator terminates on ≥ CountFactor·ln n̂ probes in
-	// a phase (the paper's ω₁).
-	CountFactor float64
-	// RoundFactor: probe rounds per phase = ceil(RoundFactor·ln n̂) (the
-	// paper's γ₁).
-	RoundFactor float64
 	// Stride and Offset interleave clusters under the TDMA scheme.
 	Stride, Offset int
 }
 
-// DefaultConfig returns the pipeline configuration of the large-Δ̂
-// estimator.
-func DefaultConfig(deltaHat int, clusterRadius float64) Config {
-	return Config{
-		Channel:       0,
-		ClusterRadius: clusterRadius,
-		DeltaHat:      deltaHat,
-		Lambda:        0.5,
-		CountFactor:   2,
-		RoundFactor:   16,
-		Stride:        1,
-	}
-}
+// Estimator constants of Sec. 5.2.1.1 (deviation D1 in the mcnet package
+// documentation).
+const (
+	// lambda is the target contention λ = 1/2.
+	lambda float64 = 0.5
+	// omega1 sets the termination count: the dominator stops on
+	// ≥ ⌈ω₁·ln n̂⌉ probes in a phase.
+	omega1 float64 = 2
+	// gamma1 sets the phase length: ⌈γ₁·ln n̂⌉ probe rounds.
+	gamma1 float64 = 16
+)
 
 func (c Config) stride() int {
 	if c.Stride < 1 {
@@ -94,7 +84,7 @@ func (c Config) Phases() int {
 
 // RoundsPerPhase returns the probe rounds per phase.
 func (c Config) RoundsPerPhase(p model.Params) int {
-	return int(math.Ceil(c.RoundFactor * p.LogN()))
+	return int(math.Ceil(gamma1 * p.LogN()))
 }
 
 // SlotBudget returns the exact number of slots the estimator consumes:
@@ -105,7 +95,7 @@ func (c Config) SlotBudget(p model.Params) int {
 
 // threshold is the termination count for the given parameters.
 func (c Config) threshold(p model.Params) int {
-	t := int(math.Ceil(c.CountFactor * p.LogN()))
+	t := int(math.Ceil(omega1 * p.LogN()))
 	if t < 1 {
 		return 1
 	}
@@ -218,7 +208,7 @@ func (f *DominateeFrag) Feed(sc *sim.StepCtx) bool {
 		f.start = sc.Slot()
 		f.total = f.Cfg.SlotBudget(p)
 		f.perPhase = f.Cfg.RoundsPerPhase(p) + 1
-		f.prob = f.Cfg.Lambda / float64(f.Cfg.DeltaHat)
+		f.prob = lambda / float64(f.Cfg.DeltaHat)
 	}
 	if f.awaitEst {
 		f.awaitEst = false
@@ -236,7 +226,7 @@ func (f *DominateeFrag) Feed(sc *sim.StepCtx) bool {
 	at := min(f.Cfg.rounds().At(k), f.total)
 	if at == rel {
 		for ph := k / f.perPhase; f.phase < ph; f.phase++ {
-			f.prob = math.Min(f.prob*2, f.Cfg.Lambda)
+			f.prob = math.Min(f.prob*2, lambda)
 		}
 		if k%f.perPhase == f.perPhase-1 {
 			sc.Listen(f.Cfg.Channel)
@@ -270,9 +260,6 @@ type SmallConfig struct {
 	F int
 	// ClusterRadius bounds the distance to co-members (2·r_c).
 	ClusterRadius float64
-	// PerChannelBound is the Δ̂ used by the per-channel estimators (the
-	// paper's γ₃·ln^c n; members per channel are O(polylog n) w.h.p.).
-	PerChannelBound int
 	// Elect configures the per-channel leader election.
 	Elect reporter.ElectConfig
 	// Probe configures the per-channel estimator (Channel is overridden).
@@ -284,15 +271,15 @@ type SmallConfig struct {
 // DefaultSmallConfig returns the pipeline configuration of the small-Δ̂
 // variant.
 func DefaultSmallConfig(p model.Params, clusterRadius float64) SmallConfig {
+	// The per-channel estimators' Δ̂ is the paper's γ₃·ln^c n: members per
+	// channel are O(polylog n) w.h.p.
 	perChan := int(math.Ceil(8 * p.LogN()))
-	probe := DefaultConfig(perChan, clusterRadius)
 	return SmallConfig{
-		F:               p.Channels,
-		ClusterRadius:   clusterRadius,
-		PerChannelBound: perChan,
-		Elect:           reporter.DefaultElectConfig(clusterRadius),
-		Probe:           probe,
-		Stride:          1,
+		F:             p.Channels,
+		ClusterRadius: clusterRadius,
+		Elect:         reporter.ElectConfig{ClusterRadius: clusterRadius},
+		Probe:         Config{ClusterRadius: clusterRadius, DeltaHat: perChan},
+		Stride:        1,
 	}
 }
 

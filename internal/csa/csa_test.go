@@ -61,7 +61,7 @@ func TestLargeEstimateAccuracy(t *testing.T) {
 	// Cluster sizes across two orders of magnitude with Δ̂ = 512: estimates
 	// must land within a constant band of the truth.
 	for _, size := range []int{16, 64, 200} {
-		cfg := DefaultConfig(512, 0.14)
+		cfg := Config{DeltaHat: 512, ClusterRadius: 0.14}
 		domEst, memberEst := runLarge(t, size, cfg, 1, uint64(size))
 		truth := size - 1 // probing members
 		if domEst < truth/8 || domEst > truth*8 {
@@ -78,7 +78,7 @@ func TestLargeEstimateAccuracy(t *testing.T) {
 
 func TestLargeEmptyClusterNoTermination(t *testing.T) {
 	// A dominator with no members must report 0 (no probes ever arrive).
-	cfg := DefaultConfig(64, 0.14)
+	cfg := Config{DeltaHat: 64, ClusterRadius: 0.14}
 	domEst, _ := runLarge(t, 1, cfg, 1, 3)
 	if domEst != 0 {
 		t.Errorf("empty cluster estimate = %d, want 0", domEst)
@@ -87,7 +87,7 @@ func TestLargeEmptyClusterNoTermination(t *testing.T) {
 
 func TestLargeSlotBudget(t *testing.T) {
 	p := model.Default(1, 256)
-	cfg := DefaultConfig(128, 0.14)
+	cfg := Config{DeltaHat: 128, ClusterRadius: 0.14}
 	pos := clusterPos(3, 0.05, 1)
 	e := sim.NewEngine(phy.NewField(p, pos), 1)
 	after := make([]int, 3)
@@ -107,13 +107,13 @@ func TestLargeSlotBudget(t *testing.T) {
 }
 
 func TestLargePhases(t *testing.T) {
-	if got := DefaultConfig(1, 0.14).Phases(); got != 1 {
+	if got := (Config{DeltaHat: 1}).Phases(); got != 1 {
 		t.Errorf("Phases(Δ̂=1) = %d", got)
 	}
-	if got := DefaultConfig(128, 0.14).Phases(); got != 7 {
+	if got := (Config{DeltaHat: 128}).Phases(); got != 7 {
 		t.Errorf("Phases(Δ̂=128) = %d, want 7", got)
 	}
-	if got := DefaultConfig(100, 0.14).Phases(); got != 7 {
+	if got := (Config{DeltaHat: 100}).Phases(); got != 7 {
 		t.Errorf("Phases(Δ̂=100) = %d, want 7", got)
 	}
 }
@@ -201,7 +201,7 @@ func TestTwoClustersInterleaved(t *testing.T) {
 	ests := make([]int, 2)
 	steppers := make([]sim.Stepper, 2*size)
 	for c := 0; c < 2; c++ {
-		cfg := DefaultConfig(256, 0.14)
+		cfg := Config{DeltaHat: 256, ClusterRadius: 0.14}
 		cfg.Stride, cfg.Offset = 2, c
 		dom := c * size
 		f := &DominatorFrag{Cfg: cfg, Dom: dom}

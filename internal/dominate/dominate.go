@@ -47,33 +47,22 @@ type In struct {
 type Config struct {
 	// R is the dominating radius (the pipeline passes r_c).
 	R float64
-	// Channel all nodes operate on.
-	Channel int
-	// Mu caps the HELLO probability at 1/(2µ).
-	Mu float64
-	// AckProb is the probability with which a clear receiver confirms.
-	AckProb float64
-	// ReannounceProb is the probability an established dominator repeats IN
-	// in slot 3 of a round.
-	ReannounceProb float64
-	// RoundFactor scales rounds per phase: ceil(RoundFactor·ln n̂).
-	RoundFactor float64
-	// Phases overrides the number of doubling phases; 0 means ceil(log₂ n̂).
-	Phases int
 }
 
-// DefaultConfig returns the pipeline configuration for radius r on the given
-// channel.
-func DefaultConfig(r float64, channel int) Config {
-	return Config{
-		R:              r,
-		Channel:        channel,
-		Mu:             4,
-		AckProb:        0.5,
-		ReannounceProb: 0.25,
-		RoundFactor:    4,
-	}
-}
+// Protocol constants (deviation D1 in the mcnet package documentation).
+const (
+	// channel is the one channel every node operates on.
+	channel int = 0
+	// mu is the density bound µ: the HELLO probability is capped at 1/(2µ).
+	mu float64 = 4
+	// ackProb is the probability with which a clear receiver confirms.
+	ackProb float64 = 0.5
+	// reannounceProb is the probability an established dominator repeats
+	// IN in slot 3 of a round.
+	reannounceProb float64 = 0.25
+	// roundFactor scales rounds per phase: ⌈roundFactor·ln n̂⌉.
+	roundFactor float64 = 4
+)
 
 // Outcome is the per-node result of the construction.
 type Outcome struct {
@@ -87,20 +76,18 @@ type Outcome struct {
 	SelfAppointed bool
 }
 
-func (c Config) phases(p model.Params) int {
-	if c.Phases > 0 {
-		return c.Phases
-	}
+// phases is the number of doubling phases, ⌈log₂ n̂⌉.
+func phases(p model.Params) int {
 	return int(math.Ceil(math.Log2(float64(p.NEstimate))))
 }
 
-func (c Config) roundsPerPhase(p model.Params) int {
-	return int(math.Ceil(c.RoundFactor * p.LogN()))
+func roundsPerPhase(p model.Params) int {
+	return int(math.Ceil(roundFactor * p.LogN()))
 }
 
 // SlotBudget returns the exact number of slots RunFrag consumes.
 func (c Config) SlotBudget(p model.Params) int {
-	return 3 * c.phases(p) * c.roundsPerPhase(p)
+	return 3 * phases(p) * roundsPerPhase(p)
 }
 
 // runAwait tags which listen, if any, the fragment's previous slot holds.
@@ -137,10 +124,10 @@ func (f *RunFrag) Feed(sc *sim.StepCtx) bool {
 		p := sc.Params()
 		f.init = true
 		f.reach = phy.NewReach(p, f.Cfg.R)
-		f.phases = f.Cfg.phases(p)
-		f.rounds = f.Cfg.roundsPerPhase(p)
+		f.phases = phases(p)
+		f.rounds = roundsPerPhase(p)
 		f.prob = 1 / float64(p.NEstimate)
-		f.probCap = 1 / (2 * f.Cfg.Mu)
+		f.probCap = 1 / (2 * mu)
 		f.Out = Outcome{Dominator: -1}
 		f.clearFrom = -1
 	}
@@ -176,39 +163,38 @@ func (f *RunFrag) Feed(sc *sim.StepCtx) bool {
 		return true
 	}
 
-	ch := f.Cfg.Channel
 	switch f.sub {
 	case 0: // HELLO
 		candidate := f.Out.Dominator == -1 && !f.Out.IsDominator
 		f.sentHello = candidate && sc.Rand.Float64() < f.prob
 		f.clearFrom = -1
 		if f.sentHello {
-			sc.Transmit(ch, Hello{From: sc.ID()})
+			sc.Transmit(channel, Hello{From: sc.ID()})
 		} else {
-			sc.Listen(ch)
+			sc.Listen(channel)
 			f.await = awaitHello
 		}
 	case 1: // ACK
 		f.gotAck = false
 		switch {
 		case f.sentHello:
-			sc.Listen(ch)
+			sc.Listen(channel)
 			f.await = awaitAck
-		case f.clearFrom >= 0 && sc.Rand.Float64() < f.Cfg.AckProb:
-			sc.Transmit(ch, Ack{To: f.clearFrom})
+		case f.clearFrom >= 0 && sc.Rand.Float64() < ackProb:
+			sc.Transmit(channel, Ack{To: f.clearFrom})
 		default:
-			sc.Listen(ch)
+			sc.Listen(channel)
 		}
 	case 2: // IN
 		switch {
 		case f.sentHello && f.gotAck:
 			f.Out.IsDominator = true
 			f.Out.Dominator = sc.ID()
-			sc.Transmit(ch, In{From: sc.ID()})
-		case f.Out.IsDominator && sc.Rand.Float64() < f.Cfg.ReannounceProb:
-			sc.Transmit(ch, In{From: sc.ID()})
+			sc.Transmit(channel, In{From: sc.ID()})
+		case f.Out.IsDominator && sc.Rand.Float64() < reannounceProb:
+			sc.Transmit(channel, In{From: sc.ID()})
 		default:
-			sc.Listen(ch)
+			sc.Listen(channel)
 			f.await = awaitIn
 		}
 	}

@@ -32,7 +32,7 @@ func runDominate(t *testing.T, pos []geo.Point, cfg Config, seed uint64) []Outco
 }
 
 func TestSingletonSelfAppoints(t *testing.T) {
-	cfg := DefaultConfig(0.06, 0)
+	cfg := Config{R: 0.06}
 	out := runDominate(t, []geo.Point{{X: 0}}, cfg, 1)
 	if !out[0].IsDominator || out[0].Dominator != 0 {
 		t.Errorf("singleton outcome = %+v", out[0])
@@ -40,7 +40,7 @@ func TestSingletonSelfAppoints(t *testing.T) {
 }
 
 func TestCoverageOnSparseField(t *testing.T) {
-	cfg := DefaultConfig(0.06, 0)
+	cfg := Config{R: 0.06}
 	for seed := uint64(1); seed <= 4; seed++ {
 		rnd := rand.New(rand.NewSource(int64(seed)))
 		pos := topology.Uniform(rnd, 150, 2, 2)
@@ -55,7 +55,7 @@ func TestCoverageOnSparseField(t *testing.T) {
 func TestDensePatchFormsFewClusters(t *testing.T) {
 	// 120 nodes inside one r-ball: a handful of dominators must absorb
 	// everyone; density must stay small.
-	cfg := DefaultConfig(0.06, 0)
+	cfg := Config{R: 0.06}
 	for seed := uint64(1); seed <= 4; seed++ {
 		rnd := rand.New(rand.NewSource(int64(seed * 7)))
 		pos := make([]geo.Point, 120)
@@ -78,7 +78,7 @@ func TestDensePatchFormsFewClusters(t *testing.T) {
 func TestDensityBoundedOnMixedField(t *testing.T) {
 	// Hotspots plus background: density of dominators per r-ball must be a
 	// small constant.
-	cfg := DefaultConfig(0.06, 0)
+	cfg := Config{R: 0.06}
 	for seed := uint64(1); seed <= 3; seed++ {
 		rnd := rand.New(rand.NewSource(int64(seed * 13)))
 		pos := topology.Hotspot(rnd, 5, 30, 1.5, 0.03)
@@ -95,7 +95,7 @@ func TestDensityBoundedOnMixedField(t *testing.T) {
 }
 
 func TestDominatorAssignmentsConsistent(t *testing.T) {
-	cfg := DefaultConfig(0.06, 0)
+	cfg := Config{R: 0.06}
 	rnd := rand.New(rand.NewSource(5))
 	pos := topology.Uniform(rnd, 100, 1, 1)
 	out := runDominate(t, pos, cfg, 9)
@@ -115,7 +115,7 @@ func TestDominatorAssignmentsConsistent(t *testing.T) {
 func TestSlotBudgetExact(t *testing.T) {
 	pos := []geo.Point{{X: 0}, {X: 0.02}, {X: 5}}
 	p := model.Default(1, 64)
-	cfg := DefaultConfig(0.06, 0)
+	cfg := Config{R: 0.06}
 	want := cfg.SlotBudget(p)
 	e := sim.NewEngine(phy.NewField(p, pos), 3)
 	after := make([]int, len(pos))
@@ -130,15 +130,6 @@ func TestSlotBudgetExact(t *testing.T) {
 		if s != want {
 			t.Errorf("node %d consumed %d slots, want %d", i, s, want)
 		}
-	}
-}
-
-func TestPhasesOverride(t *testing.T) {
-	p := model.Default(1, 1024)
-	cfg := DefaultConfig(0.06, 0)
-	cfg.Phases = 3
-	if got, want := cfg.SlotBudget(p), 3*3*cfg.roundsPerPhase(p); got != want {
-		t.Errorf("budget = %d, want %d", got, want)
 	}
 }
 
@@ -162,7 +153,7 @@ func TestAnalyzeUncovered(t *testing.T) {
 func TestIdleConsumesBudget(t *testing.T) {
 	pos := []geo.Point{{X: 0}, {X: 0.02}}
 	p := model.Default(1, 64)
-	cfg := DefaultConfig(0.06, 0)
+	cfg := Config{R: 0.06}
 	e := sim.NewEngine(phy.NewField(p, pos), 1)
 	after := make([]int, 2)
 	if _, err := e.Run([]sim.Stepper{

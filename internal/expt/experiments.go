@@ -382,7 +382,7 @@ func E6CSA(o Options) (*stats.Table, error) {
 		memberR := 2 * p.ClusterRadius()
 		steppers := make([]sim.Stepper, size)
 		if variant == "large" {
-			cfg := csa.DefaultConfig(256, memberR)
+			cfg := csa.Config{ClusterRadius: memberR, DeltaHat: 256}
 			budget = cfg.SlotBudget(p)
 			dom := &csa.DominatorFrag{Cfg: cfg}
 			steppers[0] = &sim.FragStepper{Frag: dom, Finish: func(*sim.StepCtx) { est = dom.Estimate + 1 }}
@@ -585,7 +585,7 @@ func E9Backbone(o Options) (*stats.Table, error) {
 		rnd := topology.LayoutRand(uint64(900*n + s))
 		pos := topology.UniformDegree(rnd, n, p.REps(), 12)
 		rc := p.ClusterRadius()
-		dcfg := dominate.DefaultConfig(rc, 0)
+		dcfg := dominate.Config{R: rc}
 		e := sim.NewEngine(phy.NewField(p, pos), uint64(s+41))
 		dout := make([]dominate.Outcome, n)
 		steppers := make([]sim.Stepper, n)
@@ -599,7 +599,7 @@ func E9Backbone(o Options) (*stats.Table, error) {
 		st := dominate.Analyze(pos, dout, rc)
 
 		// Color the dominators.
-		ccfg := backbone.DefaultColorConfig(p, 32)
+		ccfg := backbone.ColorConfig{Radius: p.REpsHalf(), PhiMax: 32}
 		e2 := sim.NewEngine(phy.NewField(p, pos), uint64(s+61))
 		cout := make([]backbone.ColorOutcome, n)
 		for i := range steppers {

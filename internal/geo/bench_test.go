@@ -15,7 +15,7 @@ func BenchmarkGridNeighbors(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := pts[i%len(pts)]
-		g.CountNeighbors(q, 1)
+		g.ForNeighbors(q, 1, func(int) bool { return true })
 	}
 }
 

@@ -1,5 +1,6 @@
 // Package geo provides plane geometry primitives used throughout the
-// simulator: points, distance computations, and ball/annulus queries.
+// simulator: points, distance computations, and radius queries over a
+// spatial grid.
 //
 // All coordinates are in abstract distance units; the SINR model layer
 // (internal/model) decides what one unit means relative to the transmission
@@ -35,23 +36,8 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 // Sub returns the translation of p by -q.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
-// Scale returns p scaled by the factor s about the origin.
-func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
-
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.3f, %.3f)", p.X, p.Y) }
-
-// InBall reports whether q lies in the closed ball of radius r around p.
-func (p Point) InBall(q Point, r float64) bool {
-	return p.Dist2(q) <= r*r
-}
-
-// InAnnulus reports whether q lies in the half-open annulus centered at p
-// with radii [lo, hi).
-func (p Point) InAnnulus(q Point, lo, hi float64) bool {
-	d2 := p.Dist2(q)
-	return d2 >= lo*lo && d2 < hi*hi
-}
 
 // BoundingBox returns the min and max corners of the axis-aligned bounding
 // box of pts. It returns zero points for an empty slice.
@@ -77,60 +63,15 @@ func BoundingBox(pts []Point) (min, max Point) {
 func MaxBallCount(pts []Point, r float64) int {
 	g := NewGrid(pts, r)
 	best := 0
-	for i, p := range pts {
+	for _, p := range pts {
 		n := 0
 		g.ForNeighbors(p, r, func(int) bool {
 			n++
 			return true
 		})
-		_ = i
 		if n > best {
 			best = n
 		}
 	}
 	return best
-}
-
-// MinPairwiseDist returns the smallest pairwise distance among pts, or +Inf
-// when fewer than two points are given.
-func MinPairwiseDist(pts []Point) float64 {
-	if len(pts) < 2 {
-		return math.Inf(1)
-	}
-	// Grid with a heuristic cell size; fall back to brute force for tiny n.
-	if len(pts) <= 64 {
-		best := math.Inf(1)
-		for i := range pts {
-			for j := i + 1; j < len(pts); j++ {
-				if d := pts[i].Dist(pts[j]); d < best {
-					best = d
-				}
-			}
-		}
-		return best
-	}
-	min, max := BoundingBox(pts)
-	span := math.Max(max.X-min.X, max.Y-min.Y)
-	cell := span / math.Sqrt(float64(len(pts)))
-	if cell <= 0 {
-		cell = 1
-	}
-	for {
-		g := NewGrid(pts, cell)
-		best := math.Inf(1)
-		for i, p := range pts {
-			g.ForNeighbors(p, cell, func(j int) bool {
-				if j != i {
-					if d := p.Dist(pts[j]); d < best {
-						best = d
-					}
-				}
-				return true
-			})
-		}
-		if !math.IsInf(best, 1) {
-			return best
-		}
-		cell *= 2 // no neighbor found within cell radius; widen
-	}
 }

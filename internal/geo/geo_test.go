@@ -39,25 +39,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Sub(q); got != (Point{-2, 6}) {
 		t.Errorf("Sub = %v", got)
 	}
-	if got := p.Scale(2); got != (Point{2, 4}) {
-		t.Errorf("Scale = %v", got)
-	}
-}
-
-func TestInBallAndAnnulus(t *testing.T) {
-	c := Point{0, 0}
-	if !c.InBall(Point{1, 0}, 1) {
-		t.Error("boundary point should be inside closed ball")
-	}
-	if c.InBall(Point{1.0001, 0}, 1) {
-		t.Error("outside point reported inside ball")
-	}
-	if !c.InAnnulus(Point{2, 0}, 2, 3) {
-		t.Error("lo boundary should be inside half-open annulus")
-	}
-	if c.InAnnulus(Point{3, 0}, 2, 3) {
-		t.Error("hi boundary should be outside half-open annulus")
-	}
 }
 
 func TestBoundingBox(t *testing.T) {
@@ -119,8 +100,8 @@ func TestGridMatchesBruteForce(t *testing.T) {
 }
 
 func TestGridQuickProperty(t *testing.T) {
-	// Property: for any random configuration, CountNeighbors equals the
-	// brute-force count.
+	// Property: for any random configuration, Neighbors finds as many
+	// points as the brute-force scan.
 	f := func(seed int64, nRaw uint8, cellRaw, radiusRaw uint16) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + int(nRaw)%100
@@ -129,7 +110,7 @@ func TestGridQuickProperty(t *testing.T) {
 		radius := float64(radiusRaw%300) / 10
 		g := NewGrid(pts, cell)
 		q := Point{r.Float64() * 60, r.Float64() * 60}
-		return g.CountNeighbors(q, radius) == len(bruteNeighbors(pts, q, radius))
+		return len(g.Neighbors(q, radius)) == len(bruteNeighbors(pts, q, radius))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -151,7 +132,7 @@ func TestGridEarlyStop(t *testing.T) {
 
 func TestGridNegativeRadius(t *testing.T) {
 	g := NewGrid([]Point{{0, 0}}, 1)
-	if got := g.CountNeighbors(Point{0, 0}, -1); got != 0 {
+	if got := len(g.Neighbors(Point{0, 0}, -1)); got != 0 {
 		t.Errorf("negative radius returned %d neighbors", got)
 	}
 }
@@ -177,34 +158,5 @@ func TestMaxBallCount(t *testing.T) {
 	}
 	if got := MaxBallCount(pts, 0.1); got != 1 {
 		t.Errorf("MaxBallCount small radius = %d, want 1", got)
-	}
-}
-
-func TestMinPairwiseDist(t *testing.T) {
-	if !math.IsInf(MinPairwiseDist(nil), 1) {
-		t.Error("empty set should give +Inf")
-	}
-	if !math.IsInf(MinPairwiseDist([]Point{{1, 1}}), 1) {
-		t.Error("singleton should give +Inf")
-	}
-	pts := []Point{{0, 0}, {3, 4}, {0, 1}}
-	if got := MinPairwiseDist(pts); math.Abs(got-1) > 1e-12 {
-		t.Errorf("MinPairwiseDist = %v, want 1", got)
-	}
-}
-
-func TestMinPairwiseDistLarge(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	pts := randPoints(r, 500, 100)
-	want := math.Inf(1)
-	for i := range pts {
-		for j := i + 1; j < len(pts); j++ {
-			if d := pts[i].Dist(pts[j]); d < want {
-				want = d
-			}
-		}
-	}
-	if got := MinPairwiseDist(pts); math.Abs(got-want) > 1e-12 {
-		t.Errorf("MinPairwiseDist = %v, want %v", got, want)
 	}
 }

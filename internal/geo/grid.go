@@ -64,9 +64,6 @@ func NewGrid(pts []Point, cell float64) *Grid {
 // Len returns the number of indexed points.
 func (g *Grid) Len() int { return len(g.pts) }
 
-// Points returns the indexed point slice (shared, do not mutate).
-func (g *Grid) Points() []Point { return g.pts }
-
 func (g *Grid) cellCoord(p Point) (int, int) {
 	c := int((p.X - g.origin.X) / g.cell)
 	r := int((p.Y - g.origin.Y) / g.cell)
@@ -127,14 +124,4 @@ func (g *Grid) Neighbors(q Point, r float64) []int {
 		return true
 	})
 	return out
-}
-
-// CountNeighbors returns how many points lie within distance r of q.
-func (g *Grid) CountNeighbors(q Point, r float64) int {
-	n := 0
-	g.ForNeighbors(q, r, func(int) bool {
-		n++
-		return true
-	})
-	return n
 }

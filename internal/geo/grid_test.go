@@ -35,7 +35,7 @@ func TestGridCellBoundaryPoints(t *testing.T) {
 	// (inclusive contract) — the center of the lattice has 4 at distance
 	// exactly cell plus itself.
 	center := Point{X: 2 * cell, Y: 2 * cell}
-	if got := g.CountNeighbors(center, cell); got != 5 {
+	if got := len(g.Neighbors(center, cell)); got != 5 {
 		t.Errorf("boundary-radius query found %d points, want 5 (self + 4 touching)", got)
 	}
 	// cellCoord is consistent with the binning: querying each point's own
@@ -59,10 +59,10 @@ func TestGridAllColocated(t *testing.T) {
 	if g.cols != 1 || g.rows != 1 {
 		t.Errorf("colocated grid dims = %dx%d, want 1x1", g.cols, g.rows)
 	}
-	if got := g.CountNeighbors(pts[0], 0); got != len(pts) {
+	if got := len(g.Neighbors(pts[0], 0)); got != len(pts) {
 		t.Errorf("radius-0 query found %d, want all %d colocated points", got, len(pts))
 	}
-	if got := g.CountNeighbors(Point{X: 100, Y: 100}, 1); got != 0 {
+	if got := len(g.Neighbors(Point{X: 100, Y: 100}, 1)); got != 0 {
 		t.Errorf("distant query found %d, want 0", got)
 	}
 }
@@ -74,11 +74,11 @@ func TestGridMaxCornerClamp(t *testing.T) {
 	pts := []Point{{X: 0, Y: 0}, {X: 1, Y: 1}, {X: 2, Y: 2}}
 	g := NewGrid(pts, 1) // corner point lands exactly on a cell edge
 	for i, p := range pts {
-		if got := g.CountNeighbors(p, 0); got < 1 {
+		if got := len(g.Neighbors(p, 0)); got < 1 {
 			t.Errorf("point %d (%v) unreachable: %d", i, p, got)
 		}
 	}
-	if got := g.CountNeighbors(Point{X: 2, Y: 2}, 1.5); got != 2 {
+	if got := len(g.Neighbors(Point{X: 2, Y: 2}, 1.5)); got != 2 {
 		t.Errorf("corner query found %d, want 2", got)
 	}
 }
@@ -115,7 +115,7 @@ func TestGridBoundaryBruteForce(t *testing.T) {
 					want++
 				}
 			}
-			if got := g.CountNeighbors(query, radius); got != want {
+			if got := len(g.Neighbors(query, radius)); got != want {
 				t.Fatalf("trial %d: radius %v from %v: grid %d vs brute force %d",
 					trial, radius, query, got, want)
 			}

@@ -4,8 +4,7 @@
 // The network uses uniform transmission power P on F non-overlapping
 // channels. A transmission from u is decoded at v iff they share a channel,
 // v listens, and SINR(u, v) ≥ β with path-loss exponent α > 2 and ambient
-// noise N. Nodes know only ranges for (α, β, N); protocols must use the
-// pessimistic end of each range, which Params exposes via Bounds.
+// noise N.
 package model
 
 import (
@@ -33,15 +32,6 @@ type Params struct {
 	// nodes (the paper's n̂). Protocols read ln(NEstimate); they never see
 	// the true n.
 	NEstimate int
-}
-
-// Bounds captures the uncertainty ranges for the SINR parameters known to
-// the nodes (the paper's α_min..α_max etc.). Protocols choose whichever end
-// is pessimistic for the quantity being derived.
-type Bounds struct {
-	AlphaMin, AlphaMax float64
-	BetaMin, BetaMax   float64
-	NoiseMin, NoiseMax float64
 }
 
 // Default returns the parameter set used throughout the experiment suite:
@@ -150,16 +140,6 @@ func (p Params) ClearInterferenceBound(r float64) float64 {
 // their round counts by.
 func (p Params) LogN() float64 { return math.Log(float64(p.NEstimate)) }
 
-// DistanceFromPower inverts the path-loss law: given received power prx from
-// a transmission at power P, the distance estimate is (P/prx)^{1/α}. This is
-// the RSSI-based ranging primitive the paper assumes (Sec. 2).
-func (p Params) DistanceFromPower(prx float64) float64 {
-	if prx <= 0 {
-		return math.Inf(1)
-	}
-	return math.Pow(p.Power/prx, 1/p.Alpha)
-}
-
 // PowerAtDistance returns the received power P/d^α of a transmission heard
 // at distance d. Distance zero yields +Inf.
 func (p Params) PowerAtDistance(d float64) float64 {
@@ -167,17 +147,6 @@ func (p Params) PowerAtDistance(d float64) float64 {
 		return math.Inf(1)
 	}
 	return p.Power / math.Pow(d, p.Alpha)
-}
-
-// ExactBounds returns degenerate uncertainty ranges equal to the true
-// parameters (the common case in the experiments; protocols still only read
-// the ranges).
-func (p Params) ExactBounds() Bounds {
-	return Bounds{
-		AlphaMin: p.Alpha, AlphaMax: p.Alpha,
-		BetaMin: p.Beta, BetaMax: p.Beta,
-		NoiseMin: p.Noise, NoiseMax: p.Noise,
-	}
 }
 
 // WithChannels returns a copy of p using the given channel count.

@@ -75,18 +75,15 @@ func TestClearThreshold(t *testing.T) {
 }
 
 func TestDistancePowerRoundTrip(t *testing.T) {
+	// Inverting the path-loss law, d = (P/prx)^{1/α}, recovers the distance.
 	p := Default(4, 100)
 	f := func(dRaw uint16) bool {
 		d := 0.01 + float64(dRaw)/1000 // (0.01, 65.5)
-		prx := p.PowerAtDistance(d)
-		back := p.DistanceFromPower(prx)
+		back := math.Pow(p.Power/p.PowerAtDistance(d), 1/p.Alpha)
 		return math.Abs(back-d) < 1e-9*d+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-	if !math.IsInf(p.DistanceFromPower(0), 1) {
-		t.Error("zero power should give infinite distance")
 	}
 	if !math.IsInf(p.PowerAtDistance(0), 1) {
 		t.Error("zero distance should give infinite power")
@@ -108,15 +105,6 @@ func TestWithChannels(t *testing.T) {
 	q := p.WithChannels(16)
 	if q.Channels != 16 || p.Channels != 4 {
 		t.Error("WithChannels should copy, not mutate")
-	}
-}
-
-func TestExactBounds(t *testing.T) {
-	p := Default(4, 100)
-	b := p.ExactBounds()
-	if b.AlphaMin != p.Alpha || b.AlphaMax != p.Alpha ||
-		b.BetaMin != p.Beta || b.NoiseMax != p.Noise {
-		t.Error("ExactBounds should echo the true parameters")
 	}
 }
 

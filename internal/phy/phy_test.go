@@ -30,8 +30,8 @@ func TestSingleTransmissionInRange(t *testing.T) {
 		t.Errorf("interference = %v, want 0", r.Interference)
 	}
 	p := f.Params()
-	if est := p.DistanceFromPower(r.SignalPower); math.Abs(est-0.5) > 1e-9 {
-		t.Errorf("distance estimate = %v, want 0.5", est)
+	if want := p.PowerAtDistance(0.5); math.Abs(r.SignalPower-want) > 1e-9*want {
+		t.Errorf("signal power = %v, want %v", r.SignalPower, want)
 	}
 }
 

@@ -37,24 +37,18 @@ type ElectConfig struct {
 	// ClusterRadius bounds the distance to co-members (the pipeline passes
 	// 2·r_c); senders beyond it are ignored.
 	ClusterRadius float64
-	// TxProb is the per-round transmission probability of a node that still
-	// believes itself the minimum.
-	TxProb float64
-	// RoundFactor scales the stage: rounds = ceil(RoundFactor·ln n̂).
-	RoundFactor float64
 	// Stride and Offset interleave clusters under the TDMA scheme.
 	Stride, Offset int
 }
 
-// DefaultElectConfig returns the pipeline configuration.
-func DefaultElectConfig(clusterRadius float64) ElectConfig {
-	return ElectConfig{
-		ClusterRadius: clusterRadius,
-		TxProb:        0.25,
-		RoundFactor:   10,
-		Stride:        1,
-	}
-}
+// Election constants (deviation D1 in the mcnet package documentation).
+const (
+	// txProb is the per-round transmission probability of a node that
+	// still believes itself the minimum.
+	txProb float64 = 0.25
+	// roundFactor scales the stage: rounds = ⌈roundFactor·ln n̂⌉.
+	roundFactor float64 = 10
+)
 
 func (c ElectConfig) stride() int {
 	if c.Stride < 1 {
@@ -65,7 +59,7 @@ func (c ElectConfig) stride() int {
 
 // Rounds returns the number of election rounds.
 func (c ElectConfig) Rounds(p model.Params) int {
-	return int(math.Ceil(c.RoundFactor * p.LogN()))
+	return int(math.Ceil(roundFactor * p.LogN()))
 }
 
 // SlotBudget returns the exact number of slots an election consumes.
@@ -117,7 +111,7 @@ func (f *ElectFrag) Feed(sc *sim.StepCtx) bool {
 		sc.IdleFor(at - rel)
 		return false
 	}
-	if f.Min == sc.ID() && sc.Rand.Float64() < f.Cfg.TxProb {
+	if f.Min == sc.ID() && sc.Rand.Float64() < txProb {
 		sc.Transmit(f.Channel, Cand{From: sc.ID(), Dom: f.Dom})
 	} else {
 		sc.Listen(f.Channel)

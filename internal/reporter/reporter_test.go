@@ -29,7 +29,7 @@ func clusterField(n, channels int, radius float64, seed int64) (*phy.Field, mode
 func TestElectMinIDPerChannel(t *testing.T) {
 	const n, channels = 20, 4
 	f, p := clusterField(n, channels, 0.05, 3)
-	cfg := DefaultElectConfig(0.14)
+	cfg := ElectConfig{ClusterRadius: 0.14}
 	// Channel assignment round-robin so minima are known: channel c gets
 	// nodes c, c+4, c+8, ... → min on channel c is node c.
 	e := sim.NewEngine(f, 5)
@@ -62,7 +62,7 @@ func TestElectTwoClustersIsolated(t *testing.T) {
 	}
 	p := model.Default(1, 64)
 	e := sim.NewEngine(phy.NewField(p, pos), 7)
-	cfg := DefaultElectConfig(0.14)
+	cfg := ElectConfig{ClusterRadius: 0.14}
 	isLeader := make([]bool, len(pos))
 	steppers := make([]sim.Stepper, len(pos))
 	for i := range steppers {
@@ -85,7 +85,7 @@ func TestElectTwoClustersIsolated(t *testing.T) {
 
 func TestElectSlotBudget(t *testing.T) {
 	p := model.Default(1, 64)
-	cfg := DefaultElectConfig(0.14)
+	cfg := ElectConfig{ClusterRadius: 0.14}
 	pos := []geo.Point{{X: 0}, {X: 0.02}}
 	e := sim.NewEngine(phy.NewField(p, pos), 2)
 	after := make([]int, 2)

@@ -9,7 +9,7 @@
 //	         probability 1/(2µ); others listen.
 //	Slot 2 — ACK: a node with a *clear reception* (Definition 4) of a HELLO
 //	         from an r-neighbor transmits ACK(sender) with probability
-//	         AckProb; the HELLO sender listens.
+//	         ackProb; the HELLO sender listens.
 //	Slot 3 — IN: a HELLO sender that received an ACK addressed to it from an
 //	         r-neighbor joins S, announces IN(id) and halts. Everyone else
 //	         listens; receiving IN from an r-neighbor halts the node
@@ -54,29 +54,30 @@ type Config struct {
 	Channel int
 	// Mu is the assumed density bound µ; the HELLO probability is 1/(2µ).
 	Mu float64
-	// AckProb is the slot-2 acknowledgement probability. The paper uses
-	// 1/(2µ) as well; 1/2 is a practical default since clear receivers of
-	// distinct HELLOs are already spatially sparse (deviation D1 in the
-	// mcnet package documentation).
-	AckProb float64
-	// RoundFactor scales the round count: rounds = ceil(RoundFactor·ln n̂).
-	RoundFactor float64
 	// Stride and Offset interleave executions under the cluster TDMA
 	// scheme: a node runs its 3 protocol slots in sub-block Offset of each
 	// 3·Stride-slot block. Stride 0 means 1 (no interleaving).
 	Stride, Offset int
 }
 
+// Ruling-set constants (deviation D1 in the mcnet package documentation).
+const (
+	// ackProb is the slot-2 acknowledgement probability. The paper uses
+	// 1/(2µ) as well; 1/2 suffices since clear receivers of distinct
+	// HELLOs are already spatially sparse.
+	ackProb float64 = 0.5
+	// roundFactor scales the round count: rounds = ⌈roundFactor·ln n̂⌉.
+	roundFactor float64 = 14
+)
+
 // DefaultConfig returns the practical configuration used by the pipeline for
 // a ruling set of radius r on the given channel.
 func DefaultConfig(r float64, channel int) Config {
 	return Config{
-		R:           r,
-		Channel:     channel,
-		Mu:          3,
-		AckProb:     0.5,
-		RoundFactor: 14,
-		Stride:      1,
+		R:       r,
+		Channel: channel,
+		Mu:      3,
+		Stride:  1,
 	}
 }
 
@@ -89,7 +90,7 @@ func (c Config) stride() int {
 
 // Rounds returns the number of protocol rounds for the given parameters.
 func (c Config) Rounds(p model.Params) int {
-	return int(math.Ceil(c.RoundFactor * p.LogN()))
+	return int(math.Ceil(roundFactor * p.LogN()))
 }
 
 // SlotBudget returns the exact number of simulator slots RunFrag consumes:
@@ -208,7 +209,7 @@ func (f *RunFrag) Feed(sc *sim.StepCtx) bool {
 		case f.sentHello:
 			sc.Listen(cfg.Channel)
 			f.await = awaitAck
-		case f.clearFrom >= 0 && sc.Rand.Float64() < cfg.AckProb:
+		case f.clearFrom >= 0 && sc.Rand.Float64() < ackProb:
 			sc.Transmit(cfg.Channel, Ack{To: f.clearFrom})
 		default:
 			sc.Listen(cfg.Channel)

@@ -125,7 +125,7 @@ type Engine struct {
 	mu     sync.Mutex
 	events []Event
 	// sinkMu serializes EventSink calls without holding mu, so a slow sink
-	// cannot stall Events()/ResetEvents() and a sink may safely read them.
+	// cannot stall Events() and a sink may safely read them.
 	sinkMu sync.Mutex
 }
 
@@ -150,13 +150,6 @@ func (e *Engine) Events() []Event {
 	out := make([]Event, len(e.events))
 	copy(out, e.events)
 	return out
-}
-
-// ResetEvents discards recorded events.
-func (e *Engine) ResetEvents() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.events = nil
 }
 
 func (e *Engine) emit(ev Event) {

@@ -265,10 +265,6 @@ func TestEventsAndSlotCounter(t *testing.T) {
 	if evs[0].Slot != 2 || evs[0].Node != 0 || evs[0].Name != "checkpoint" || evs[0].Value != 7 {
 		t.Errorf("event = %+v", evs[0])
 	}
-	e.ResetEvents()
-	if len(e.Events()) != 0 {
-		t.Error("ResetEvents did not clear")
-	}
 }
 
 func TestTraceObservesSlots(t *testing.T) {

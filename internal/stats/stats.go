@@ -9,29 +9,6 @@ import (
 	"strings"
 )
 
-// Summary condenses a sample.
-type Summary struct {
-	N                      int
-	Min, Median, Mean, Max float64
-}
-
-// Summarize computes a Summary; an empty sample yields zeros.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	total := 0.0
-	for _, x := range xs {
-		total += x
-		s.Min = math.Min(s.Min, x)
-		s.Max = math.Max(s.Max, x)
-	}
-	s.Mean = total / float64(len(xs))
-	s.Median = Median(xs)
-	return s
-}
-
 // Median returns the sample median (average of middle pair for even n, 0
 // for empty input).
 func Median(xs []float64) float64 {

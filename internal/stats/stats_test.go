@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -52,19 +51,6 @@ func TestMedianProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || s.Min != 1 || s.Max != 4 || s.Median != 2.5 {
-		t.Errorf("summary = %+v", s)
-	}
-	if math.Abs(s.Mean-2.5) > 1e-12 {
-		t.Errorf("mean = %v", s.Mean)
-	}
-	if z := Summarize(nil); z.N != 0 {
-		t.Error("empty summary should be zero")
 	}
 }
 

@@ -131,26 +131,6 @@ func ExponentialChain(n int, scale float64) []geo.Point {
 	return pts
 }
 
-// Star places one hub at the origin and n-1 points uniformly in the ball of
-// the given radius around it: a single-cluster, Δ = n-1 topology isolating
-// the Δ/F term.
-func Star(r *rand.Rand, n int, radius float64) []geo.Point {
-	pts := make([]geo.Point, n)
-	for i := 1; i < n; i++ {
-		for {
-			p := geo.Point{
-				X: (r.Float64()*2 - 1) * radius,
-				Y: (r.Float64()*2 - 1) * radius,
-			}
-			if p.Dist(geo.Point{}) <= radius {
-				pts[i] = p
-				break
-			}
-		}
-	}
-	return pts
-}
-
 // Ring places n points evenly on a circle of the given radius.
 func Ring(n int, radius float64) []geo.Point {
 	pts := make([]geo.Point, n)

@@ -27,7 +27,6 @@ type Network struct {
 	// every withFaults copy) resolves over it, so its link-gain table is
 	// built once, on the first run rather than in New.
 	deploy *phy.Deployment
-	cfg    core.Config
 	plan   *core.Plan
 
 	mu        sync.Mutex
@@ -69,21 +68,19 @@ func New(n int, opts ...Option) (*Network, error) {
 	n = len(pts)
 	p.NEstimate = n
 
-	// Sizing: topology-derived defaults, generic fallbacks for zero fields.
-	d := s.topo.Defaults(n, g)
-	if d.DeltaHat <= 0 {
-		d.DeltaHat = n
-	}
-	if d.PhiMax <= 0 {
-		d.PhiMax = 10
-	}
-	if d.HopBound <= 0 {
-		d.HopBound = 8
-	}
+	// Sizing: the pipeline defaults, overridden by the topology's positive
+	// fields (NewPlan clamps Δ̂ to n̂).
 	cfg := core.DefaultConfig(p)
-	cfg.DeltaHat = min(d.DeltaHat, n)
-	cfg.PhiMax = d.PhiMax
-	cfg.HopBound = d.HopBound
+	d := s.topo.Defaults(n, g)
+	if d.DeltaHat > 0 {
+		cfg.DeltaHat = d.DeltaHat
+	}
+	if d.PhiMax > 0 {
+		cfg.PhiMax = d.PhiMax
+	}
+	if d.HopBound > 0 {
+		cfg.HopBound = d.HopBound
+	}
 
 	// The fault spec can only be validated once the deployment's true n and
 	// channel count are fixed (crash sets name node IDs, jamming must leave
@@ -97,7 +94,6 @@ func New(n int, opts ...Option) (*Network, error) {
 	return &Network{
 		settings: s,
 		deploy:   phy.NewDeployment(p, toGeo(pts)),
-		cfg:      cfg,
 		plan:     core.NewPlan(p, cfg),
 	}, nil
 }
@@ -144,9 +140,9 @@ func (nw *Network) Stats() GraphStats {
 // Plan exposes the derived pipeline sizing and stage budgets.
 func (nw *Network) Plan() PlanInfo {
 	return PlanInfo{
-		DeltaHat:    nw.cfg.DeltaHat,
-		PhiMax:      nw.cfg.PhiMax,
-		HopBound:    nw.cfg.HopBound,
+		DeltaHat:    nw.plan.Cfg.DeltaHat,
+		PhiMax:      nw.plan.Cfg.PhiMax,
+		HopBound:    nw.plan.Cfg.HopBound,
 		BuildSlots:  nw.plan.Offsets.Followers,
 		BudgetSlots: nw.plan.Offsets.End,
 		Stages:      stageReports(nw.plan.Stages()),
