@@ -33,3 +33,21 @@ func BenchmarkColor(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkColorField is the PR-tier row that sees a whole sec7 coloring:
+// one complete Color — structure construction and all four procedures — on
+// the field-color workload of the end-to-end benchmark (Uniform(12),
+// n = 1024, F = 8).
+//
+// Run with: go test -bench='BenchmarkColorField$' -benchtime=1x -benchmem
+func BenchmarkColorField(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		nw, err := New(1024, Channels(8), WithTopology(Uniform(12)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := nw.Color(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

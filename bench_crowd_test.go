@@ -123,10 +123,20 @@ func benchAggregateCrowd(b *testing.B, n int) {
 }
 
 func BenchmarkAggregateCrowd(b *testing.B) {
-	b.Run("n=1k", func(b *testing.B) { benchAggregateCrowd(b, 1024) })
 	b.Run("n=4k", func(b *testing.B) { benchAggregateCrowd(b, 4096) })
 	b.Run("n=16k", func(b *testing.B) { benchAggregateCrowd(b, 16384) })
 	b.Run("n=65k", func(b *testing.B) { benchAggregateCrowd(b, 65536) })
+}
+
+// BenchmarkAggregateCrowdFull is the PR-tier row that sees a whole crowd
+// run: one complete Aggregate, all nine stages, on the crowd-agg workload
+// of the end-to-end benchmark (Crowd, n = 1024, F = 8). At n = 1024 a
+// 256-slot prefix ends inside the dominate stage, so this size runs to the
+// end.
+//
+// Run with: go test -bench='BenchmarkAggregateCrowdFull$' -benchtime=1x
+func BenchmarkAggregateCrowdFull(b *testing.B) {
+	benchAggregate(b, 1024)
 }
 
 // BenchmarkAggregateField is the PR-tier tripwire for everything after the

@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"mcnet"
@@ -42,8 +43,8 @@ func run(args []string, out, errOut io.Writer, exit func(int)) {
 		exit(2)
 		return
 	}
-	if *degree <= 0 {
-		fmt.Fprintf(errOut, "mctopo: -degree = %v must be > 0\n", *degree)
+	if !(*degree > 0) || math.IsInf(*degree, 1) { // NaN included
+		fmt.Fprintf(errOut, "mctopo: -degree = %v must be finite and > 0\n", *degree)
 		exit(2)
 		return
 	}

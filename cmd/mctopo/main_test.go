@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestTopoKinds(t *testing.T) {
@@ -61,11 +62,24 @@ func TestTopoFlagValidation(t *testing.T) {
 		{"zero degree", []string{"-kind", "uniform", "-degree", "0"}, "-degree"},
 		{"negative degree", []string{"-kind", "uniform", "-degree", "-3"}, "-degree"},
 		{"zero length", []string{"-kind", "corridor", "-length", "0"}, "-length"},
+		{"NaN degree", []string{"-kind", "uniform", "-degree", "NaN", "-n", "16"}, "-degree"},
+		{"infinite degree", []string{"-kind", "uniform", "-degree", "+Inf", "-n", "16"}, "-degree"},
 	}
 	for _, tc := range cases {
 		var buf, errBuf bytes.Buffer
 		exitCode := -1
-		run(tc.args, &buf, &errBuf, func(c int) { exitCode = c })
+		// A deadline, so a flag value that sends the layout into an endless
+		// loop fails the case instead of hanging the suite.
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			run(tc.args, &buf, &errBuf, func(c int) { exitCode = c })
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: still running after 10s", tc.name)
+		}
 		if exitCode != 2 {
 			t.Errorf("%s: exit = %d, want 2", tc.name, exitCode)
 			continue

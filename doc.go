@@ -130,11 +130,17 @@
 // explicit structs that the engine steps inline each slot, fanning the
 // step calls out across workers for large populations, with idle
 // stretches parked on a calendar wake-wheel — so a million-node crowd
-// needs a handful of goroutines, not a million stacks. Every protocol
-// fragment sleeps through each stretch it can prove idle (no radio
-// action, no random draw, no event), up to its next decision and never
-// past its own end, and the engine's per-slot passes walk only the awake
-// nodes, so a node costs nothing while it has nothing to do: a
+// needs a handful of goroutines, not a million stacks. Each stage is
+// compiled once per run, where the plan is built: its slot window,
+// reception filters, round stride, counts and probability tables are
+// values every node's fragment shares by pointer, so a fragment holds
+// only per-node state and a node's pipeline is 568 bytes on 64-bit
+// platforms. Every protocol fragment sleeps through each stretch it can
+// prove idle (no radio action, no random draw, no event), up to its next
+// decision and never past its stage window's end; a node that sits a
+// stage out sleeps through the whole window in one step. The engine's
+// per-slot passes walk only the awake nodes, so a node costs nothing
+// while it has nothing to do: a
 // 1024-node, 8-channel crowd Aggregate (the bench crowd-agg workload)
 // makes 1.46 Step calls per transmission or listen instead of 9.46, and
 // its median run time fell from 0.53 s to 0.13 s on a 2-vCPU Intel
@@ -175,7 +181,12 @@
 // measured guarantees. Each is an unexported constant of the package that
 // runs the protocol (c₁ excepted: ablation A3 varies it), and this list is
 // the one place that records them. A round or slot factor k means
-// ⌈k·ln n̂⌉ rounds or slots.
+// ⌈k·ln n̂⌉ rounds or slots. The constants that size a stage or shape its
+// schedule (round and slot factors, thresholds, doubling caps) are read
+// once, where the stage is compiled (the package's New*Stage, or
+// core.NewPlan for core's), into its window length, counts and per-phase
+// probability tables; fragments read only fixed per-draw probabilities
+// directly.
 //
 //	constant             value  replaces                                package
 //	mu                   4      µ: HELLO probability cap 1/(2µ)         dominate

@@ -49,11 +49,12 @@ func TestRunColorProper(t *testing.T) {
 		pos := topology.Uniform(rnd, 40, 3, 3)
 		p := model.Default(1, 64)
 		cfg := ColorConfig{Radius: p.REpsHalf(), PhiMax: 24}
+		st := NewColorStage(p, cfg, 0)
 		e := sim.NewEngine(phy.NewField(p, pos), seed)
 		out := make([]ColorOutcome, len(pos))
 		steppers := make([]sim.Stepper, len(pos))
 		for i := range steppers {
-			f := &ColorFrag{Cfg: cfg}
+			f := NewColorFrag(&st)
 			steppers[i] = &sim.FragStepper{Frag: f, Finish: func(*sim.StepCtx) { out[i] = f.Out }}
 		}
 		if _, err := e.Run(steppers); err != nil {
@@ -85,7 +86,8 @@ func TestRunColorSingleton(t *testing.T) {
 	p := model.Default(1, 64)
 	cfg := ColorConfig{Radius: p.REpsHalf(), PhiMax: 8}
 	e := sim.NewEngine(phy.NewField(p, []geo.Point{{X: 0}}), 1)
-	f := &ColorFrag{Cfg: cfg}
+	st := NewColorStage(p, cfg, 0)
+	f := NewColorFrag(&st)
 	if _, err := e.Run([]sim.Stepper{&sim.FragStepper{Frag: f}}); err != nil {
 		t.Fatal(err)
 	}
@@ -97,17 +99,17 @@ func TestRunColorSingleton(t *testing.T) {
 
 func TestColorSlotBudget(t *testing.T) {
 	p := model.Default(1, 64)
-	cfg := ColorConfig{Radius: p.REpsHalf(), PhiMax: 8}
+	st := NewColorStage(p, ColorConfig{Radius: p.REpsHalf(), PhiMax: 8}, 0)
 	pos := []geo.Point{{X: 0}, {X: 0.5}}
 	e := sim.NewEngine(phy.NewField(p, pos), 2)
 	after := make([]int, 2)
 	if _, err := e.Run([]sim.Stepper{
-		&sim.FragStepper{Frag: &ColorFrag{Cfg: cfg}, Finish: func(sc *sim.StepCtx) { after[0] = sc.Slot() }},
-		&sim.FragStepper{Frag: &sim.IdleFrag{K: cfg.SlotBudget(p)}, Finish: func(sc *sim.StepCtx) { after[1] = sc.Slot() }},
+		&sim.FragStepper{Frag: NewColorFrag(&st), Finish: func(sc *sim.StepCtx) { after[0] = sc.Slot() }},
+		&sim.FragStepper{Frag: &st.Window, Finish: func(sc *sim.StepCtx) { after[1] = sc.Slot() }},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	want := cfg.SlotBudget(p)
+	want := st.Len
 	if after[0] != want || after[1] != want {
 		t.Errorf("budgets %v, want %d", after, want)
 	}
@@ -120,12 +122,12 @@ func runTree(t *testing.T, pos []geo.Point, values []int64, op agg.Op, seed uint
 	p := model.Default(1, 64)
 	colors := greedyColors(pos, p.REpsHalf())
 	phiMax := maxOf(colors) + 1
-	cfg := DefaultTreeConfig(p, phiMax, hopBound)
+	st := NewTreeStage(p, DefaultTreeConfig(p, phiMax, hopBound), 0)
 	e := sim.NewEngine(phy.NewField(p, pos), seed)
 	out := make([]TreeOutcome, len(pos))
 	steppers := make([]sim.Stepper, len(pos))
 	for i := range steppers {
-		f := &TreeFrag{Cfg: cfg, Color: colors[i], Value: values[i], Op: op}
+		f := NewTreeFrag(&st, i, colors[i], values[i], op)
 		steppers[i] = &sim.FragStepper{Frag: f, Finish: func(*sim.StepCtx) { out[i] = f.Out }}
 	}
 	if _, err := e.Run(steppers); err != nil {
@@ -245,18 +247,18 @@ func TestTreeChildSetsMatchParents(t *testing.T) {
 
 func TestTreeSlotBudget(t *testing.T) {
 	p := model.Default(1, 64)
-	cfg := DefaultTreeConfig(p, 4, 3)
+	st := NewTreeStage(p, DefaultTreeConfig(p, 4, 3), 0)
 	pos := []geo.Point{{X: 0}, {X: 0.5}}
 	e := sim.NewEngine(phy.NewField(p, pos), 2)
 	after := make([]int, 2)
 	if _, err := e.Run([]sim.Stepper{
-		&sim.FragStepper{Frag: &TreeFrag{Cfg: cfg, Value: 1, Op: agg.Sum}, Finish: func(sc *sim.StepCtx) { after[0] = sc.Slot() }},
-		&sim.FragStepper{Frag: &sim.IdleFrag{K: cfg.SlotBudget()}, Finish: func(sc *sim.StepCtx) { after[1] = sc.Slot() }},
+		&sim.FragStepper{Frag: NewTreeFrag(&st, 0, 0, 1, agg.Sum), Finish: func(sc *sim.StepCtx) { after[0] = sc.Slot() }},
+		&sim.FragStepper{Frag: &st.Window, Finish: func(sc *sim.StepCtx) { after[1] = sc.Slot() }},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if after[0] != cfg.SlotBudget() || after[1] != cfg.SlotBudget() {
-		t.Errorf("budgets %v, want %d", after, cfg.SlotBudget())
+	if after[0] != st.Len || after[1] != st.Len {
+		t.Errorf("budgets %v, want %d", after, st.Len)
 	}
 }
 
@@ -264,11 +266,11 @@ func TestTreeEmitsEvents(t *testing.T) {
 	p := model.Default(1, 64)
 	pos := topology.Line(4, 0.5)
 	colors := greedyColors(pos, p.REpsHalf())
-	cfg := DefaultTreeConfig(p, maxOf(colors)+1, 4)
+	st := NewTreeStage(p, DefaultTreeConfig(p, maxOf(colors)+1, 4), 0)
 	e := sim.NewEngine(phy.NewField(p, pos), 3)
 	steppers := make([]sim.Stepper, len(pos))
 	for i := range steppers {
-		steppers[i] = &sim.FragStepper{Frag: &TreeFrag{Cfg: cfg, Color: colors[i], Value: 1, Op: agg.Sum}}
+		steppers[i] = &sim.FragStepper{Frag: NewTreeFrag(&st, i, colors[i], 1, agg.Sum)}
 	}
 	if _, err := e.Run(steppers); err != nil {
 		t.Fatal(err)

@@ -65,18 +65,26 @@ const (
 	resolveFactor  float64 = 250
 )
 
-func discoverSlots(p model.Params) int {
-	return int(math.Ceil(discoverFactor * p.LogN()))
+// ColorStage is the coloring stage compiled for one run: discovery takes
+// the window's first ⌈discoverFactor·ln n̂⌉ slots, resolution the
+// remaining ⌈resolveFactor·ln n̂⌉.
+type ColorStage struct {
+	sim.Window
+	reach       phy.Reach // within Radius
+	discoverLen int
+	phiMax      int
 }
 
-func resolveSlots(p model.Params) int {
-	return int(math.Ceil(resolveFactor * p.LogN()))
-}
-
-// SlotBudget returns the exact number of slots the coloring stage
-// consumes.
-func (c ColorConfig) SlotBudget(p model.Params) int {
-	return discoverSlots(p) + resolveSlots(p)
+// NewColorStage compiles c under p starting at slot start.
+func NewColorStage(p model.Params, c ColorConfig, start int) ColorStage {
+	discover := int(math.Ceil(discoverFactor * p.LogN()))
+	resolve := int(math.Ceil(resolveFactor * p.LogN()))
+	return ColorStage{
+		Window:      sim.Window{Start: start, Len: discover + resolve},
+		reach:       phy.NewReach(p, c.Radius),
+		discoverLen: discover,
+		phiMax:      c.PhiMax,
+	}
 }
 
 // ColorOutcome is the per-dominator result of the coloring stage.
@@ -92,23 +100,19 @@ type ColorOutcome struct {
 	Overflowed bool
 }
 
-// ColorFrag executes the dominator side of the coloring stage, consuming
-// exactly Cfg.SlotBudget slots; non-dominators idle through the budget with
-// a sim.IdleFrag. Out is valid once Feed returns true.
+// ColorFrag executes the dominator side of the coloring stage, acting in
+// every slot of its Stage's window; non-dominators sleep through the
+// window. Out is valid once Feed returns true. Build it with
+// NewColorFrag.
 //
 // The fragment keeps its three sets as small slices rather than maps: the
 // neighbor set (sorted once discovery ends, becoming Out.Neighbors), a
 // not-yet-heard flag per smaller-ID neighbor, and the list of announced
 // colors.
 type ColorFrag struct {
-	Cfg ColorConfig
-	Out ColorOutcome
+	Stage *ColorStage
+	Out   ColorOutcome
 
-	init                    bool
-	reach                   phy.Reach // Cfg.Radius
-	stage                   uint8     // 0 discover, 1 resolve
-	s                       int
-	discoverLen, resolveLen int
 	neighbors               []int
 	unheard                 []bool // per Out.Neighbors entry: smaller ID, not yet heard
 	smaller                 int    // count of unheard entries
@@ -116,20 +120,18 @@ type ColorFrag struct {
 	awaitBeacon, awaitFinal bool
 }
 
+// NewColorFrag returns a dominator's fragment for st, not yet colored.
+func NewColorFrag(st *ColorStage) *ColorFrag {
+	return &ColorFrag{Stage: st, Out: ColorOutcome{Color: -1}}
+}
+
 // Feed implements sim.Frag.
 func (f *ColorFrag) Feed(sc *sim.StepCtx) bool {
-	if !f.init {
-		p := sc.Params()
-		f.init = true
-		f.reach = phy.NewReach(p, f.Cfg.Radius)
-		f.Out = ColorOutcome{Color: -1}
-		f.discoverLen = discoverSlots(p)
-		f.resolveLen = resolveSlots(p)
-	}
+	st := f.Stage
 	if f.awaitBeacon {
 		f.awaitBeacon = false
 		rec := sc.Prev()
-		if b, ok := rec.Msg.(Beacon); ok && f.reach.Within(rec) &&
+		if b, ok := rec.Msg.(Beacon); ok && st.reach.Within(rec) &&
 			!slices.Contains(f.neighbors, b.From) {
 			f.neighbors = append(f.neighbors, b.From)
 		}
@@ -138,7 +140,7 @@ func (f *ColorFrag) Feed(sc *sim.StepCtx) bool {
 		f.awaitFinal = false
 		rec := sc.Prev()
 		if fin, ok := rec.Msg.(Final); ok {
-			if i, nb := slices.BinarySearch(f.Out.Neighbors, fin.From); nb && f.reach.Within(rec) {
+			if i, nb := slices.BinarySearch(f.Out.Neighbors, fin.From); nb && st.reach.Within(rec) {
 				if !slices.Contains(f.taken, fin.Color) {
 					f.taken = append(f.taken, fin.Color)
 				}
@@ -149,56 +151,57 @@ func (f *ColorFrag) Feed(sc *sim.StepCtx) bool {
 			}
 		}
 	}
-	for {
-		switch {
-		case f.stage == 0 && f.s < f.discoverLen:
-			f.s++
-			if sc.Rand.Float64() < beaconProb {
-				sc.Transmit(channel, Beacon{From: sc.ID()})
-			} else {
-				sc.Listen(channel)
-				f.awaitBeacon = true
-			}
-			return false
-		case f.stage == 0:
-			// Discovery over: freeze the neighbor list, set up resolution.
-			f.stage, f.s = 1, 0
-			slices.Sort(f.neighbors)
-			f.Out.Neighbors = slices.Clip(f.neighbors)
-			if f.Out.Neighbors == nil {
-				f.Out.Neighbors = []int{}
-			}
-			f.neighbors = nil
-			f.unheard = make([]bool, len(f.Out.Neighbors))
-			for i, id := range f.Out.Neighbors {
-				if id < sc.ID() {
-					f.unheard[i] = true
-					f.smaller++
-				}
-			}
-		case f.s < f.resolveLen:
-			f.s++
-			if f.Out.Color < 0 && f.smaller == 0 {
-				f.pickColor()
-			}
-			switch {
-			case f.Out.Color < 0:
-				sc.Listen(channel)
-				f.awaitFinal = true
-			case sc.Rand.Float64() < announceProb:
-				sc.Transmit(channel, Final{From: sc.ID(), Color: f.Out.Color})
-			default:
-				// Colored: taken, unheard and smaller are never read again,
-				// so a Final heard now would be discarded.
-				sc.Idle()
-			}
-			return false
-		default:
-			if f.Out.Color < 0 {
-				f.Out.Forced = true
-				f.pickColor()
-			}
-			return true
+	rel := st.Rel(sc)
+	if rel < st.discoverLen {
+		if sc.Rand.Float64() < beaconProb {
+			sc.Transmit(channel, Beacon{From: sc.ID()})
+		} else {
+			sc.Listen(channel)
+			f.awaitBeacon = true
+		}
+		return false
+	}
+	if f.Out.Neighbors == nil {
+		f.freeze(sc.ID())
+	}
+	if rel >= st.Len {
+		if f.Out.Color < 0 {
+			f.Out.Forced = true
+			f.pickColor()
+		}
+		return true
+	}
+	if f.Out.Color < 0 && f.smaller == 0 {
+		f.pickColor()
+	}
+	switch {
+	case f.Out.Color < 0:
+		sc.Listen(channel)
+		f.awaitFinal = true
+	case sc.Rand.Float64() < announceProb:
+		sc.Transmit(channel, Final{From: sc.ID(), Color: f.Out.Color})
+	default:
+		// Colored: taken, unheard and smaller are never read again, so a
+		// Final heard now would be discarded.
+		sc.Idle()
+	}
+	return false
+}
+
+// freeze ends discovery: it fixes the sorted neighbor list and marks the
+// smaller-ID neighbors as unheard.
+func (f *ColorFrag) freeze(id int) {
+	slices.Sort(f.neighbors)
+	f.Out.Neighbors = slices.Clip(f.neighbors)
+	if f.Out.Neighbors == nil {
+		f.Out.Neighbors = []int{}
+	}
+	f.neighbors = nil
+	f.unheard = make([]bool, len(f.Out.Neighbors))
+	for i, nb := range f.Out.Neighbors {
+		if nb < id {
+			f.unheard[i] = true
+			f.smaller++
 		}
 	}
 }
@@ -208,9 +211,9 @@ func (f *ColorFrag) pickColor() {
 	for slices.Contains(f.taken, c) {
 		c++
 	}
-	if c >= f.Cfg.PhiMax {
+	if c >= f.Stage.phiMax {
 		f.Out.Overflowed = true
-		c %= f.Cfg.PhiMax
+		c %= f.Stage.phiMax
 	}
 	f.Out.Color = c
 }

@@ -109,10 +109,25 @@ func DefaultTreeConfig(p model.Params, phiMax, hopBound int) TreeConfig {
 	}
 }
 
-// SlotBudget returns the exact number of slots the inter-cluster stage
-// consumes.
-func (c TreeConfig) SlotBudget() int {
-	return c.PhiMax * (c.BuildBlocks + c.ChildBlocks + c.CastBlocks + c.ResultBlocks)
+// TreeStage is the inter-cluster stage compiled for one run.
+type TreeStage struct {
+	sim.Window
+	TreeConfig
+	reach phy.Reach // within Radius
+	ends  [4]int    // window-relative end of each phase
+}
+
+// NewTreeStage compiles c under p starting at slot start: the four phases
+// back to back, PhiMax slots per block.
+func NewTreeStage(p model.Params, c TreeConfig, start int) TreeStage {
+	st := TreeStage{TreeConfig: c, reach: phy.NewReach(p, c.Radius)}
+	end := 0
+	for i, blocks := range [4]int{c.BuildBlocks, c.ChildBlocks, c.CastBlocks, c.ResultBlocks} {
+		end += blocks * c.PhiMax
+		st.ends[i] = end
+	}
+	st.Window = sim.Window{Start: start, Len: end}
+	return st
 }
 
 // TreeOutcome is the per-dominator result of the inter-cluster stage.
@@ -146,21 +161,18 @@ const (
 // elects a root, builds a BFS-ish tree, convergecasts the cluster values
 // under Op, and floods the result back. Color is the cluster color that
 // picks the node's TDMA sub-slot and Value this cluster's aggregate from
-// the intra-cluster phase. It consumes exactly Cfg.SlotBudget slots
-// (non-dominators idle through it with a sim.IdleFrag); Out is valid once
-// Feed returns true.
+// the intra-cluster phase. It consumes exactly its Stage's window
+// (non-dominators sleep through it); Out is valid once Feed returns true.
+// Build it with NewTreeFrag.
 type TreeFrag struct {
-	Cfg   TreeConfig
+	Stage *TreeStage
 	Color int
 	Value int64
 	Op    agg.Op
 	Out   TreeOutcome
 
-	init   bool
-	reach  phy.Reach // Cfg.Radius
-	phase  uint8     // 0 build, 1 children, 2 cast, 3 result, 4 done
-	b, sub int
-	await  treeAwait
+	phase uint8 // 0 build, 1 children, 2 cast, 3 result, 4 done
+	await treeAwait
 	// Phase A
 	parentPow float64
 	// Phase B
@@ -177,7 +189,12 @@ type TreeFrag struct {
 	emitted  bool
 }
 
-func (f *TreeFrag) ownSlot(sub int) bool { return sub == f.Color%f.Cfg.PhiMax }
+// NewTreeFrag returns dominator id's fragment for st, its own root.
+func NewTreeFrag(st *TreeStage, id, color int, value int64, op agg.Op) *TreeFrag {
+	return &TreeFrag{Stage: st, Color: color, Value: value, Op: op, Out: TreeOutcome{Root: id, Parent: -1}}
+}
+
+func (f *TreeFrag) ownSlot(sub int) bool { return sub == f.Color%f.Stage.PhiMax }
 
 func (f *TreeFrag) recompute() int64 {
 	v := f.Value
@@ -196,26 +213,33 @@ func (f *TreeFrag) ready() bool {
 	return true
 }
 
-// advance moves to the next (block, sub-slot) pair of the current phase.
-func (f *TreeFrag) advance() {
-	f.sub++
-	if f.sub == f.Cfg.PhiMax {
-		f.sub = 0
-		f.b++
+// endPhase closes the current phase: the root learns it is the root and
+// children discovery begins, the convergecast begins, the root fixes the
+// result, or the flood ends.
+func (f *TreeFrag) endPhase(id int) {
+	switch f.phase {
+	case 0:
+		f.isRoot = f.Out.Root == id
+		f.childSet = map[int]bool{}
+		f.childAcked = f.isRoot
+	case 1:
+		f.childVal = map[int]int64{}
+	case 2:
+		if f.isRoot {
+			f.Out.Result = f.recompute()
+			f.Out.Done = true
+		}
 	}
+	f.phase++
 }
 
 // Feed implements sim.Frag.
 func (f *TreeFrag) Feed(sc *sim.StepCtx) bool {
-	if !f.init {
-		f.init = true
-		f.reach = phy.NewReach(sc.Params(), f.Cfg.Radius)
-		f.Out = TreeOutcome{Root: sc.ID(), Parent: -1}
-	}
+	c := &f.Stage.TreeConfig
 	switch f.await {
 	case treeAwaitA:
 		rec := sc.Prev()
-		if st, ok := rec.Msg.(State); ok && f.reach.Within(rec) {
+		if st, ok := rec.Msg.(State); ok && f.Stage.reach.Within(rec) {
 			switch {
 			case st.Root > f.Out.Root,
 				st.Root == f.Out.Root && st.Hops+1 < f.Out.Depth,
@@ -273,110 +297,82 @@ func (f *TreeFrag) Feed(sc *sim.StepCtx) bool {
 		}
 	}
 	f.await = treeAwaitNone
+	// Phases are whole blocks, so the window-relative slot's remainder is
+	// the sub-slot.
+	rel := f.Stage.Rel(sc)
+	sub := rel % c.PhiMax
 	for {
+		if f.phase < 4 && rel >= f.Stage.ends[f.phase] {
+			f.endPhase(sc.ID())
+			continue
+		}
 		switch f.phase {
 		case 0: // Phase A: root election + BFS tree.
-			if f.b >= f.Cfg.BuildBlocks {
-				f.isRoot = f.Out.Root == sc.ID()
-				f.childSet = map[int]bool{}
-				f.childAcked = f.isRoot
-				f.phase, f.b, f.sub = 1, 0, 0
-				continue
-			}
-			if f.ownSlot(f.sub) && sc.Rand.Float64() < f.Cfg.FloodProb {
+			if f.ownSlot(sub) && sc.Rand.Float64() < c.FloodProb {
 				sc.Transmit(channel, State{Root: f.Out.Root, Hops: f.Out.Depth, From: sc.ID()})
 			} else {
 				sc.Listen(channel)
 				f.await = treeAwaitA
 			}
-			f.advance()
 			return false
 		case 1: // Phase B: children discovery.
-			if f.b >= f.Cfg.ChildBlocks {
-				f.childVal = map[int]int64{}
-				f.phase, f.b, f.sub = 2, 0, 0
-				continue
-			}
-			if f.ownSlot(f.sub) {
+			if f.ownSlot(sub) {
 				if len(f.ackQueue) > 0 && sc.Rand.Float64() < ackProb {
 					sc.Transmit(channel, ChildAck{To: f.ackQueue[0]})
 					f.ackQueue = f.ackQueue[1:]
-					f.advance()
 					return false
 				}
-				if !f.childAcked && sc.Rand.Float64() < f.Cfg.FloodProb {
+				if !f.childAcked && sc.Rand.Float64() < c.FloodProb {
 					sc.Transmit(channel, Child{Parent: f.Out.Parent, From: sc.ID()})
-					f.advance()
 					return false
 				}
 			}
 			sc.Listen(channel)
 			f.await = treeAwaitB
-			f.advance()
 			return false
 		case 2: // Phase C: convergecast.
-			if f.b >= f.Cfg.CastBlocks {
-				if f.isRoot {
-					f.Out.Result = f.recompute()
-					f.Out.Done = true
-				}
-				f.phase, f.b, f.sub = 3, 0, 0
-				continue
-			}
 			if f.isRoot && !f.emitted && f.ready() {
 				f.emitted = true
 				sc.Emit(EventAgg, int(f.recompute()))
 			}
-			if f.ownSlot(f.sub) {
+			if f.ownSlot(sub) {
 				if len(f.upAcks) > 0 && sc.Rand.Float64() < ackProb {
 					sc.Transmit(channel, UpAck{To: f.upAcks[0]})
 					f.upAcks = f.upAcks[1:]
-					f.advance()
 					return false
 				}
-				if !f.isRoot && !f.upAcked && f.ready() && sc.Rand.Float64() < f.Cfg.FloodProb {
+				if !f.isRoot && !f.upAcked && f.ready() && sc.Rand.Float64() < c.FloodProb {
 					f.sentVal = f.recompute()
 					f.sentAny = true
 					sc.Transmit(channel, Up{Parent: f.Out.Parent, From: sc.ID(), Value: f.sentVal})
-					f.advance()
 					return false
 				}
 			}
 			sc.Listen(channel)
 			f.await = treeAwaitC
-			f.advance()
 			return false
 		case 3: // Phase D: result flood.
-			if f.b >= f.Cfg.ResultBlocks {
-				f.phase = 4
-				continue
-			}
 			if !f.Out.Done {
 				sc.Listen(channel)
 				f.await = treeAwaitD
-				f.advance()
 				return false
 			}
 			// An informed node discards every Result it hears, so it never
 			// listens again: it floods in its own sub-slots and sleeps from
 			// one to the next, or to the end of the phase.
-			if !f.ownSlot(f.sub) {
-				pos := f.b*f.Cfg.PhiMax + f.sub
-				next := f.b*f.Cfg.PhiMax + f.Color%f.Cfg.PhiMax
-				if next < pos {
-					next += f.Cfg.PhiMax
+			if !f.ownSlot(sub) {
+				next := rel - sub + f.Color%c.PhiMax
+				if next < rel {
+					next += c.PhiMax
 				}
-				next = min(next, f.Cfg.ResultBlocks*f.Cfg.PhiMax)
-				sc.IdleFor(next - pos)
-				f.b, f.sub = next/f.Cfg.PhiMax, next%f.Cfg.PhiMax
+				sc.IdleFor(min(next, f.Stage.ends[3]) - rel)
 				return false
 			}
-			if sc.Rand.Float64() < f.Cfg.FloodProb {
+			if sc.Rand.Float64() < c.FloodProb {
 				sc.Transmit(channel, Result{Value: f.Out.Result, From: sc.ID()})
 			} else {
 				sc.Idle()
 			}
-			f.advance()
 			return false
 		default:
 			return true

@@ -51,10 +51,11 @@ func SingleChannelTree(e *sim.Engine, values []int64, op agg.Op, deltaHint, hopB
 	cfg.CastBlocks += 2*stretch*hopBound + 8*deltaHint
 	cfg.ResultBlocks += 2 * stretch * hopBound
 
+	st := backbone.NewTreeStage(p, cfg, 0)
 	out := make([]SingleChannelResult, n)
 	steppers := make([]sim.Stepper, n)
 	for i := range steppers {
-		f := &backbone.TreeFrag{Cfg: cfg, Value: values[i], Op: op}
+		f := backbone.NewTreeFrag(&st, i, 0, values[i], op)
 		steppers[i] = &sim.FragStepper{Frag: f, Finish: func(*sim.StepCtx) {
 			out[i] = SingleChannelResult{Value: f.Out.Result, Done: f.Out.Done}
 		}}

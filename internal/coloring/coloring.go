@@ -61,10 +61,20 @@ type Result struct {
 	IsDominator, IsReporter bool
 }
 
-// assignRounds returns the length of procedure 4 in TDMA blocks.
-func assignRounds(pl *core.Plan) int {
+// sec7Stages holds procedures 3 and 4 compiled once per run: procedure
+// 2's up pass is the plan's cast stage, the down pass runs right after it,
+// and procedure 4's assign rounds of PhiMax slots follow.
+type sec7Stages struct {
+	down   reporter.CastStage
+	assign sim.Window
+}
+
+func newSec7Stages(pl *core.Plan) *sec7Stages {
 	perChannel := int(math.Ceil(float64(pl.Cfg.DeltaHat) / float64(pl.Params.Channels)))
-	return assignCycles*perChannel + int(math.Ceil(assignSlackFactor*pl.Params.LogN()))
+	rounds := assignCycles*perChannel + int(math.Ceil(assignSlackFactor*pl.Params.LogN()))
+	down := pl.Cast
+	down.Start = pl.Cast.End()
+	return &sec7Stages{down: down, assign: sim.Window{Start: down.End(), Len: rounds * pl.Cfg.PhiMax}}
 }
 
 // RunContext executes structure construction followed by the four coloring
@@ -74,12 +84,12 @@ func assignRounds(pl *core.Plan) int {
 // separate coloring seed.
 func RunContext(ctx context.Context, e *sim.Engine, pl *core.Plan) ([]Result, error) {
 	n := e.Field().N()
-	rounds := assignRounds(pl)
+	stages := newSec7Stages(pl)
 	steppers := make([]sim.Stepper, n)
 	arena := make([]sec7Stepper, n) // one allocation for all nodes
 	for i := 0; i < n; i++ {
 		// Procedure 1 delivers IDs, so a node's follower value is its ID.
-		arena[i] = sec7Stepper{build: core.BuildFrag{Pl: pl, Value: int64(i)}, rounds: rounds}
+		arena[i] = sec7Stepper{build: core.BuildFrag{Pl: pl, Value: int64(i)}, stages: stages}
 		steppers[i] = &arena[i]
 	}
 	if _, err := e.RunContext(ctx, steppers); err != nil {

@@ -35,8 +35,8 @@ func (DPlus1) Name() string { return "dplus1" }
 // Color implements Colorer. The plan is unused: this backend needs no
 // structure construction.
 func (b DPlus1) Color(goctx context.Context, e *sim.Engine, _ *core.Plan) ([]Result, Stats, error) {
-	res, epochs, err := backendRun(goctx, e, func(r *Result, ep *int) sim.Stepper {
-		return &dplus1Stepper{b: b, r: r, epochs: ep}
+	res, epochs, err := backendRun(goctx, e, func(id int, sw *sweep, r *Result, ep *int) sim.Stepper {
+		return &dplus1Stepper{b: b, sw: sw, r: r, epochs: ep, disc: newDiscovery(id, sw)}
 	})
 	if err != nil {
 		return nil, Stats{}, err
@@ -51,6 +51,7 @@ func (b DPlus1) Color(goctx context.Context, e *sim.Engine, _ *core.Plan) ([]Res
 // then the trial epochs.
 type dplus1Stepper struct {
 	b      DPlus1
+	sw     *sweep
 	r      *Result
 	epochs *int
 
@@ -60,10 +61,6 @@ type dplus1Stepper struct {
 
 // Step implements sim.Stepper.
 func (s *dplus1Stepper) Step(sc *sim.StepCtx) {
-	p := sc.Params()
-	if s.disc == nil {
-		s.disc = newDiscovery(sc.ID(), sweepLen(p))
-	}
 	if s.trials == nil {
 		if !s.disc.Feed(sc) {
 			return
@@ -71,9 +68,9 @@ func (s *dplus1Stepper) Step(sc *sim.StepCtx) {
 		nbs := s.disc.sorted()
 		maxEpochs := s.b.MaxEpochs
 		if maxEpochs <= 0 {
-			maxEpochs = trialEpochCap(p, len(nbs))
+			maxEpochs = s.sw.trialEpochCap(len(nbs))
 		}
-		s.trials = newTrialFrag(sc.ID(), sweepLen(p), maxEpochs, nbs, s.r)
+		s.trials = newTrialFrag(sc.ID(), s.sw, maxEpochs, nbs, s.r)
 	}
 	if !s.trials.Feed(sc) {
 		return

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"mcnet/internal/core"
-	"mcnet/internal/model"
 	"mcnet/internal/phy"
 	"mcnet/internal/sim"
 )
@@ -35,8 +34,8 @@ func (HSB) Name() string { return "hsb" }
 // Color implements Colorer. The plan is unused: symmetry is broken by the
 // MIS, not by the paper's structure.
 func (b HSB) Color(goctx context.Context, e *sim.Engine, _ *core.Plan) ([]Result, Stats, error) {
-	res, epochs, err := backendRun(goctx, e, func(r *Result, ep *int) sim.Stepper {
-		return &hsbStepper{b: b, r: r, epochs: ep}
+	res, epochs, err := backendRun(goctx, e, func(id int, sw *sweep, r *Result, ep *int) sim.Stepper {
+		return &hsbStepper{b: b, sw: sw, r: r, epochs: ep, disc: newDiscovery(id, sw)}
 	})
 	if err != nil {
 		return nil, Stats{}, err
@@ -52,14 +51,15 @@ func (b HSB) Color(goctx context.Context, e *sim.Engine, _ *core.Plan) ([]Result
 // undecided edge count per epoch in expectation, so logarithmic in n̂ with
 // generous constants. Undecided survivors fall back to covered and color as
 // ordinary members.
-func misEpochCap(p model.Params) int {
-	return 16 + 6*bits.Len(uint(sweepLen(p)))
+func (sw *sweep) misEpochCap() int {
+	return 16 + 6*bits.Len(uint(sw.cycle))
 }
 
 // hsbStepper is one node of the hsb backend: the discovery sweep, the MIS
 // epochs, then the trial epochs.
 type hsbStepper struct {
 	b      HSB
+	sw     *sweep
 	r      *Result
 	epochs *int
 
@@ -70,17 +70,12 @@ type hsbStepper struct {
 
 // Step implements sim.Stepper.
 func (s *hsbStepper) Step(sc *sim.StepCtx) {
-	p := sc.Params()
-	cycle := sweepLen(p)
-	if s.disc == nil {
-		s.disc = newDiscovery(sc.ID(), cycle)
-	}
 	if s.mis == nil {
 		if !s.disc.Feed(sc) {
 			return
 		}
 		nbs := s.disc.sorted()
-		s.mis = &misFrag{epochLoop: epochLoop{cycle: cycle, cap: misEpochCap(p)}, id: sc.ID(), nbs: nbs,
+		s.mis = &misFrag{epochLoop: epochLoop{sw: s.sw, cap: s.sw.misEpochCap()}, id: sc.ID(), nbs: nbs,
 			decided: make(map[int]bool, len(nbs))}
 	}
 	if s.trials == nil {
@@ -97,9 +92,9 @@ func (s *hsbStepper) Step(sc *sim.StepCtx) {
 		}
 		maxEpochs := s.b.MaxEpochs
 		if maxEpochs <= 0 {
-			maxEpochs = trialEpochCap(p, len(s.mis.nbs))
+			maxEpochs = s.sw.trialEpochCap(len(s.mis.nbs))
 		}
-		s.trials = newTrialFrag(sc.ID(), cycle, maxEpochs, s.mis.nbs, s.r)
+		s.trials = newTrialFrag(sc.ID(), s.sw, maxEpochs, s.mis.nbs, s.r)
 	}
 	if !s.trials.Feed(sc) {
 		return
@@ -107,8 +102,8 @@ func (s *hsbStepper) Step(sc *sim.StepCtx) {
 	*s.epochs = 1 + s.mis.epoch + s.trials.epoch
 	// Read the color as its multi-channel TDMA pair.
 	if s.r.Color >= 0 {
-		s.r.Index = s.r.Color / p.Channels
-		s.r.ClusterColor = s.r.Color % p.Channels
+		s.r.Index = s.r.Color / s.sw.channels
+		s.r.ClusterColor = s.r.Color % s.sw.channels
 	}
 	sc.Done()
 }

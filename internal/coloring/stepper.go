@@ -25,12 +25,11 @@ const (
 // sec7Stepper is one node's sec7 coloring as a sim.Stepper.
 type sec7Stepper struct {
 	build  core.BuildFrag
-	rounds int
+	stages *sec7Stages
 
 	stage uint8
 	cur   sim.Frag
 
-	idle      sim.IdleFrag
 	asg       assignFrag
 	up        *reporter.CastUpFrag
 	down      *reporter.CastDownFrag
@@ -65,8 +64,7 @@ func (s *sec7Stepper) enter(sc *sim.StepCtx) {
 	case sUp, sDown:
 		s.enterCast()
 	case sAssign:
-		s.asg = assignFrag{pl: s.build.Pl, st: st, rounds: s.rounds, start: sc.Slot(), followers: s.followers,
-			ackedOn: s.build.AckedOn, Index: -1, Color: -1}
+		s.asg = assignFrag{s: s, Index: -1, Color: -1}
 		switch {
 		case st.Role == 0:
 			// The dominator's index is one past the member total.
@@ -81,13 +79,15 @@ func (s *sec7Stepper) enter(sc *sim.StepCtx) {
 }
 
 // enterCast starts procedure 2 (subtree counts up the reporter tree) or 3
-// (index ranges down it); followers idle through the pass instead.
+// (index ranges down it); followers sleep through the pass instead.
 func (s *sec7Stepper) enterCast() {
 	st := &s.build.St
-	cast := s.build.Pl.CastConfig(st.Off)
 	if st.Role < 0 {
-		s.idle = sim.IdleFrag{K: cast.SlotBudget()}
-		s.cur = &s.idle
+		if s.stage == sUp {
+			s.cur = &s.build.Pl.Cast.Window
+		} else {
+			s.cur = &s.stages.down.Window
+		}
 		return
 	}
 	subtree := int64(1 + len(s.followers))
@@ -96,14 +96,12 @@ func (s *sec7Stepper) enterCast() {
 		if st.Role == 0 {
 			value = 0
 		}
-		s.up = &reporter.CastUpFrag{Cfg: cast, Role: st.Role, Dom: st.Dom.Dominator, Value: value, Op: agg.Sum}
+		s.up = reporter.NewCastUpFrag(&s.build.Pl.Cast, st.Off, st.Role, st.Dom.Dominator, value, agg.Sum)
 		s.cur = s.up
 		return
 	}
-	s.down = &reporter.CastDownFrag{
-		Cfg: cast, Role: st.Role, Dom: st.Dom.Dominator,
-		St: s.up.St, Root: [2]int64{0, s.up.St.Value}, Split: indexSplit(subtree),
-	}
+	s.down = reporter.NewCastDownFrag(&s.stages.down, st.Off, st.Role, st.Dom.Dominator,
+		s.up.St, [2]int64{0, s.up.St.Value}, indexSplit(subtree))
 	s.cur = s.down
 }
 
@@ -135,21 +133,16 @@ func (s *sec7Stepper) result(r *Result) {
 	}
 }
 
-// assignFrag is procedure 4: a reporter holding its block announces one
-// index per follower on its channel, round-robin; an uncolored follower
-// listens on the channel whose reporter acknowledged it. It runs rounds
-// rounds of PhiMax slots, acting only in the cluster's sub-slot Off, and
-// every other node sleeps through it.
-// Index and Color are the node's outcome (-1 while uncolored).
+// assignFrag is procedure 4 for the enclosing sec7Stepper s: a reporter
+// holding its block announces one index per follower on its channel,
+// round-robin; an uncolored follower listens on the channel whose reporter
+// acknowledged it. It runs the assign window's rounds of PhiMax slots,
+// acting only in the cluster's sub-slot Off, and every other node sleeps
+// through it. Index and Color are the node's outcome (-1 while uncolored).
 type assignFrag struct {
-	pl        *core.Plan
-	st        *core.Structure
-	rounds    int
-	start     int
-	followers []int
+	s         *sec7Stepper
 	block     [2]int64
 	haveBlock bool
-	ackedOn   int
 
 	Index, Color int
 
@@ -159,44 +152,47 @@ type assignFrag struct {
 // assign records within-cluster index k and announces the resulting color.
 func (f *assignFrag) assign(sc *sim.StepCtx, k int) {
 	f.Index = k
-	f.Color = paletteColor(f.pl, k, f.st.Color)
+	f.Color = paletteColor(f.s.build.Pl, k, f.s.build.St.Color)
 	sc.Emit(EventColored, f.Color)
 }
 
 // Feed implements sim.Frag.
 func (f *assignFrag) Feed(sc *sim.StepCtx) bool {
-	st := f.st
+	pl := f.s.build.Pl
+	st := &f.s.build.St
+	followers := f.s.followers
+	ackedOn := f.s.build.AckedOn
 	if f.await {
 		f.await = false
 		rec := sc.Prev()
 		if m, ok := rec.Msg.(Assign); ok && m.Dom == st.Dom.Dominator &&
-			m.To == sc.ID() && f.pl.MemberReach().Within(rec) {
+			m.To == sc.ID() && pl.MemberReach().Within(rec) {
 			f.assign(sc, m.Index)
 		}
 	}
-	rel := sc.Slot() - f.start
-	r := sim.Rounds{Stride: f.pl.Cfg.PhiMax, Offset: st.Off}
-	end := f.rounds * r.Stride
-	if rel >= end {
+	w := &f.s.stages.assign
+	rel := w.Rel(sc)
+	if rel >= w.Len {
 		return true
 	}
-	sends := st.Role >= 1 && f.haveBlock && len(f.followers) > 0
-	listens := st.Role < 0 && f.Color < 0 && f.ackedOn >= 0
+	r := sim.Rounds{Stride: pl.Cfg.PhiMax, Offset: st.Off}
+	sends := st.Role >= 1 && f.haveBlock && len(followers) > 0
+	listens := st.Role < 0 && f.Color < 0 && ackedOn >= 0
 	k := r.Next(rel)
-	switch at := min(r.At(k), end); {
+	switch at := min(r.At(k), w.Len); {
 	case !sends && !listens:
-		sc.IdleFor(end - rel)
+		sc.IdleFor(w.Len - rel)
 	case at > rel:
 		sc.IdleFor(at - rel)
 	case sends:
-		i := k % len(f.followers)
+		i := k % len(followers)
 		sc.Transmit(st.Role-1, Assign{
 			Dom:   st.Dom.Dominator,
-			To:    f.followers[i],
+			To:    followers[i],
 			Index: int(f.block[0]) + 1 + i,
 		})
 	default:
-		sc.Listen(f.ackedOn)
+		sc.Listen(ackedOn)
 		f.await = true
 	}
 	return false

@@ -71,12 +71,23 @@ func sweepLen(p model.Params) int {
 	return c
 }
 
+// sweep is the TDMA substrate compiled once per run: the sweep length, the
+// channel count and the R_ε reception filter.
+type sweep struct {
+	cycle, channels int
+	reach           phy.Reach
+}
+
+func newSweep(p model.Params) *sweep {
+	return &sweep{cycle: sweepLen(p), channels: p.Channels, reach: phy.NewReach(p, p.REps())}
+}
+
 // trialEpochCap bounds a node's trial epochs: logarithmic in n̂ for the
 // expected O(log n) convergence of rank-based trials, plus the node's
 // degree to cover the deterministic at-least-one-commit-per-epoch worst
 // case among palette-starved neighborhoods.
-func trialEpochCap(p model.Params, deg int) int {
-	return 24 + 8*bits.Len(uint(sweepLen(p))) + deg
+func (sw *sweep) trialEpochCap(deg int) int {
+	return 24 + 8*bits.Len(uint(sw.cycle)) + deg
 }
 
 // hearer consumes the messages a sweep delivers.
@@ -87,36 +98,31 @@ type hearer interface {
 // sweepFrag is one TDMA sweep as a sim.Frag: the node transmits msg in its
 // own sweep slot and listens on every other slot's channel, passing each
 // message decoded from within the communication radius R_ε to h. It
-// consumes exactly cycle slots, keeping all nodes sweep-aligned.
+// consumes exactly sw.cycle slots, keeping all nodes sweep-aligned.
 type sweepFrag struct {
-	cycle int
-	msg   any
-	h     hearer
+	sw  *sweep
+	msg any
+	h   hearer
 
 	s     int
-	reach phy.Reach // R_ε, set at the sweep's first slot
 	await bool
 }
 
 // Feed implements sim.Frag.
 func (f *sweepFrag) Feed(sc *sim.StepCtx) bool {
-	p := sc.Params()
 	if f.await {
 		f.await = false
-		if rec := sc.Prev(); f.reach.Within(rec) {
+		if rec := sc.Prev(); f.sw.reach.Within(rec) {
 			f.h.hear(rec)
 		}
 	}
-	if f.s >= f.cycle {
+	if f.s >= f.sw.cycle {
 		return true
-	}
-	if f.s == 0 {
-		f.reach = phy.NewReach(p, p.REps())
 	}
 	s := f.s
 	f.s++
-	ch := s % p.Channels
-	if s == sc.ID()%f.cycle {
+	ch := s % f.sw.channels
+	if s == sc.ID()%f.sw.cycle {
 		sc.Transmit(ch, f.msg)
 		return false
 	}
@@ -134,9 +140,9 @@ type discovery struct {
 	nbs  []int
 }
 
-func newDiscovery(id, cycle int) *discovery {
+func newDiscovery(id int, sw *sweep) *discovery {
 	d := &discovery{seen: make(map[int]bool)}
-	d.sweepFrag = sweepFrag{cycle: cycle, msg: hello{From: id}, h: d}
+	d.sweepFrag = sweepFrag{sw: sw, msg: hello{From: id}, h: d}
 	return d
 }
 
@@ -166,9 +172,10 @@ type epochProto interface {
 // epochLoop drives an epochProto through whole-sweep epochs, at most cap of
 // them; epoch is the number started so far.
 type epochLoop struct {
-	cycle, cap, epoch int
-	sweep             sweepFrag
-	inSweep           bool
+	sw         *sweep
+	cap, epoch int
+	sweep      sweepFrag
+	inSweep    bool
 }
 
 // feed advances p by one slot, like sim.Frag.Feed.
@@ -187,7 +194,7 @@ func (l *epochLoop) feed(sc *sim.StepCtx, p epochProto) bool {
 			return true
 		}
 		l.epoch++
-		l.sweep = sweepFrag{cycle: l.cycle, msg: p.begin(sc), h: p}
+		l.sweep = sweepFrag{sw: l.sw, msg: p.begin(sc), h: p}
 		l.inSweep = true
 	}
 }
@@ -217,9 +224,9 @@ type trialFrag struct {
 	lost      bool
 }
 
-func newTrialFrag(id, cycle, maxEpochs int, nbs []int, r *Result) *trialFrag {
+func newTrialFrag(id int, sw *sweep, maxEpochs int, nbs []int, r *Result) *trialFrag {
 	return &trialFrag{
-		epochLoop: epochLoop{cycle: cycle, cap: maxEpochs},
+		epochLoop: epochLoop{sw: sw, cap: maxEpochs},
 		id:        id, nbs: nbs, r: r, deg: len(nbs),
 		taken:  make(map[int]bool, len(nbs)),
 		finals: make(map[int]bool, len(nbs)),
@@ -296,17 +303,19 @@ func allMarked(nbs []int, m map[int]bool) bool {
 	return true
 }
 
-// backendRun drives one Stepper per node of a sweep backend and returns
-// the per-node results, which start uncolored (-1 everywhere) so a node
-// that crashes before acting reports no color.
-func backendRun(goctx context.Context, e *sim.Engine, mk func(r *Result, epochs *int) sim.Stepper) ([]Result, []int, error) {
+// backendRun drives one Stepper per node of a sweep backend over the
+// substrate compiled for the engine's field, and returns the per-node
+// results, which start uncolored (-1 everywhere) so a node that crashes
+// before acting reports no color.
+func backendRun(goctx context.Context, e *sim.Engine, mk func(id int, sw *sweep, r *Result, epochs *int) sim.Stepper) ([]Result, []int, error) {
 	n := e.Field().N()
+	sw := newSweep(e.Field().Params())
 	res := make([]Result, n)
 	epochs := make([]int, n)
 	steppers := make([]sim.Stepper, n)
 	for i := range res {
 		res[i].Color, res[i].Index, res[i].ClusterColor = -1, -1, -1
-		steppers[i] = mk(&res[i], &epochs[i])
+		steppers[i] = mk(i, sw, &res[i], &epochs[i])
 	}
 	if _, err := e.RunContext(goctx, steppers); err != nil {
 		return nil, nil, err

@@ -29,6 +29,7 @@ import (
 	"mcnet/internal/model"
 	"mcnet/internal/phy"
 	"mcnet/internal/reporter"
+	"mcnet/internal/sim"
 )
 
 // Config parameterizes the full pipeline.
@@ -74,28 +75,30 @@ func DefaultConfig(p model.Params) Config {
 	}
 }
 
-// Plan holds the fully derived stage configurations and their slot offsets.
+// Plan holds the pipeline's compiled stages: every run constant a stage
+// derives from the model and the sizing — its slot window, reception
+// filters, round strides, counts and probability tables — computed once,
+// where the plan is built, and shared by every node's fragments.
 type Plan struct {
 	Params model.Params
 	Cfg    Config
 
-	Dominate dominate.Config
-	Color    backbone.ColorConfig
-	CSALarge csa.Config
-	CSASmall csa.SmallConfig
-	UseSmall bool
-	Elect    reporter.ElectConfig
-	Tree     backbone.TreeConfig
+	// The stages in slot order; each window starts where the previous one
+	// ends. UseSmall picks the CSA variant (Lemma 14): CSASmall when set,
+	// CSALarge otherwise; only the picked one is compiled.
+	Dominate  dominate.Stage
+	Color     backbone.ColorStage
+	Announce  sim.Window
+	UseSmall  bool
+	CSALarge  csa.Stage
+	CSASmall  csa.SmallStage
+	Elect     reporter.ElectStage
+	Followers followerStage
+	Cast      reporter.CastStage
+	Tree      backbone.TreeStage
+	Inform    sim.Window
 
-	// AnnounceSlots is the length of the color-dissemination stage.
-	AnnounceSlots int
-	// FollowerPhases and FollowerGamma size the follower stage: phases ×
-	// (Γ rounds + 1 backoff round) × 2 sub-slots × PhiMax stride.
-	FollowerPhases, FollowerGamma int
-	// Omega is the dominator's backoff threshold per phase.
-	Omega int
-
-	// Stage slot offsets (start of each stage) and the total budget.
+	// Offsets records the window starts and the total budget.
 	Offsets StageOffsets
 
 	// domReach filters receptions from the node's dominator (within r_c);
@@ -103,19 +106,24 @@ type Plan struct {
 	domReach, memberReach phy.Reach
 }
 
+// followerStage is stage 6 compiled: phases of perPhase−1 value rounds and
+// one backoff round, each round 2·PhiMax slots.
+type followerStage struct {
+	sim.Window
+	perPhase int // Γ + 1 rounds, Γ = ⌈γ₂·ln n̂⌉
+	omega    int // the dominator's backoff threshold per phase, ⌈ω₂·ln n̂⌉
+}
+
 // StageOffsets records where each stage begins in the global slot timeline.
 type StageOffsets struct {
 	Dominate, Color, Announce, CSA, Elect, Followers, Tree, Backbone, Inform, End int
 }
 
-// ClusterRadius returns the membership radius used by intra-cluster filters:
-// any two members of one cluster are within 2·r_c of each other.
-func (pl *Plan) ClusterRadius() float64 { return 2 * pl.Params.ClusterRadius() }
-
-// MemberReach is the reception filter for ClusterRadius.
+// MemberReach is the reception filter for fellow cluster members: any two
+// members of one cluster are within 2·r_c of each other.
 func (pl *Plan) MemberReach() phy.Reach { return pl.memberReach }
 
-// NewPlan derives all stage configurations and offsets.
+// NewPlan compiles every stage and its window.
 func NewPlan(p model.Params, cfg Config) *Plan {
 	if cfg.DeltaHat <= 0 {
 		cfg.DeltaHat = p.NEstimate
@@ -128,62 +136,52 @@ func NewPlan(p model.Params, cfg Config) *Plan {
 	memberR := 2 * rc
 	pl.domReach, pl.memberReach = phy.NewReach(p, rc), phy.NewReach(p, memberR)
 
-	pl.Dominate = dominate.Config{R: rc}
-	pl.Color = backbone.ColorConfig{Radius: p.REpsHalf(), PhiMax: cfg.PhiMax}
+	pl.Dominate = dominate.NewStage(p, dominate.Config{R: rc}, 0)
+	pl.Color = backbone.NewColorStage(p, backbone.ColorConfig{Radius: p.REpsHalf(), PhiMax: cfg.PhiMax}, pl.Dominate.End())
+	pl.Announce = sim.Window{Start: pl.Color.End(), Len: int(math.Ceil(8 * p.LogN()))}
 
-	pl.AnnounceSlots = int(math.Ceil(8 * p.LogN()))
-
+	var csaEnd int
 	pl.UseSmall = csa.UseSmall(p, cfg.DeltaHat)
-	pl.CSALarge = csa.Config{ClusterRadius: memberR, DeltaHat: cfg.DeltaHat, Stride: cfg.PhiMax}
-	pl.CSASmall = csa.DefaultSmallConfig(p, memberR)
-	pl.CSASmall.Stride = cfg.PhiMax
+	if pl.UseSmall {
+		small := csa.DefaultSmallConfig(p, memberR)
+		small.Stride = cfg.PhiMax
+		pl.CSASmall = csa.NewSmallStage(p, small, pl.Announce.End())
+		csaEnd = pl.CSASmall.End()
+	} else {
+		large := csa.Config{ClusterRadius: memberR, DeltaHat: cfg.DeltaHat, Stride: cfg.PhiMax}
+		pl.CSALarge = csa.NewStage(p, large, pl.Announce.End())
+		csaEnd = pl.CSALarge.End()
+	}
 
-	pl.Elect = reporter.ElectConfig{ClusterRadius: memberR, Stride: cfg.PhiMax}
+	pl.Elect = reporter.NewElectStage(p, reporter.ElectConfig{ClusterRadius: memberR, Stride: cfg.PhiMax}, csaEnd)
 
-	pl.FollowerGamma = int(math.Ceil(gamma2 * p.LogN()))
-	pl.Omega = int(math.Ceil(omega2 * p.LogN()))
+	gamma := int(math.Ceil(gamma2 * p.LogN()))
 	throughput := float64(p.Channels) * p.LogN()
-	pl.FollowerPhases = int(math.Ceil(math.Log2(float64(max2(cfg.DeltaHat, 2))))) +
+	phases := int(math.Ceil(math.Log2(float64(max(cfg.DeltaHat, 2))))) +
 		int(math.Ceil(float64(cfg.DeltaHat)/throughput)) +
 		extraFollowerPhases
-
-	pl.Tree = backbone.DefaultTreeConfig(p, cfg.PhiMax, cfg.HopBound)
-
-	// Stage offsets.
-	o := &pl.Offsets
-	o.Dominate = 0
-	o.Color = o.Dominate + pl.Dominate.SlotBudget(p)
-	o.Announce = o.Color + pl.Color.SlotBudget(p)
-	o.CSA = o.Announce + pl.AnnounceSlots
-	csaBudget := pl.CSALarge.SlotBudget(p)
-	if pl.UseSmall {
-		csaBudget = pl.CSASmall.SlotBudget(p)
+	pl.Followers = followerStage{
+		Window:   sim.Window{Start: pl.Elect.End(), Len: phases * (gamma + 1) * 2 * cfg.PhiMax},
+		perPhase: gamma + 1,
+		omega:    int(math.Ceil(omega2 * p.LogN())),
 	}
-	o.Elect = o.CSA + csaBudget
-	o.Followers = o.Elect + pl.Elect.SlotBudget(p)
-	o.Tree = o.Followers + pl.followerBudget()
-	o.Backbone = o.Tree + pl.castBudget()
-	o.Inform = o.Backbone + pl.Tree.SlotBudget()
-	o.End = o.Inform + cfg.PhiMax
+
+	// The reporter-tree pass covers the deepest possible tree: f_v up to F.
+	pl.Cast = reporter.NewCastStage(p, reporter.CastConfig{F: p.Channels, ClusterRadius: memberR, Stride: cfg.PhiMax}, pl.Followers.End())
+	pl.Tree = backbone.NewTreeStage(p, backbone.DefaultTreeConfig(p, cfg.PhiMax, cfg.HopBound), pl.Cast.End())
+	pl.Inform = sim.Window{Start: pl.Tree.End(), Len: cfg.PhiMax}
+
+	pl.Offsets = StageOffsets{
+		Dominate:  pl.Dominate.Start,
+		Color:     pl.Color.Start,
+		Announce:  pl.Announce.Start,
+		CSA:       pl.Announce.End(),
+		Elect:     pl.Elect.Start,
+		Followers: pl.Followers.Start,
+		Tree:      pl.Cast.Start,
+		Backbone:  pl.Tree.Start,
+		Inform:    pl.Inform.Start,
+		End:       pl.Inform.End(),
+	}
 	return pl
-}
-
-// followerBudget is the slot cost of the follower-aggregation stage.
-func (pl *Plan) followerBudget() int {
-	return pl.FollowerPhases * (pl.FollowerGamma + 1) * 2 * pl.Cfg.PhiMax
-}
-
-// castBudget is the slot cost of the reporter-tree convergecast stage, which
-// must cover the deepest possible tree (f_v up to F).
-func (pl *Plan) castBudget() int {
-	cast := reporter.DefaultCastConfig(pl.Params.Channels, pl.ClusterRadius())
-	cast.Stride = pl.Cfg.PhiMax
-	return cast.SlotBudget()
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -341,10 +341,10 @@ func TestPipelineDeterminism(t *testing.T) {
 func TestPipelineUnderParameterUncertainty(t *testing.T) {
 	// Sec. 2: nodes know only ranges for (α, β, N) and should use the
 	// pessimistic ends. Here the physics run at (α=3, β=1.5, N=1) while
-	// protocols believe the conservative (β=1.7, N=1.2): every
-	// protocol-side threshold (r_c, clear bounds, distance estimates) is
-	// derived from the believed values, and the pipeline must still
-	// aggregate exactly.
+	// protocols believe the conservative (β=1.7, N=1.2): the plan is
+	// compiled from the believed values, so every protocol-side threshold
+	// (r_c, clear bounds, distance estimates) derives from them, and the
+	// pipeline must still aggregate exactly.
 	const n = 26
 	truth := model.Default(4, 64)
 	believed := truth
@@ -374,7 +374,6 @@ func TestPipelineUnderParameterUncertainty(t *testing.T) {
 	cfg.HopBound = 2
 	pl := NewPlan(believed, cfg)
 	e := sim.NewEngine(phy.NewField(truth, pos), 49)
-	e.NodeParams = &believed
 	res, err := RunContext(context.Background(), e, pl, values, agg.Sum, 49)
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"mcnet/internal/dominate"
-	"mcnet/internal/reporter"
-)
+import "mcnet/internal/dominate"
 
 // Structure is a node's place in the aggregation structure after the build
 // stages (Sec. 5): clustering, cluster color, size estimate, and channel
@@ -31,11 +28,3 @@ func (s Structure) IsDominator() bool { return s.Role == 0 }
 
 // IsReporter reports whether the node is a channel reporter.
 func (s Structure) IsReporter() bool { return s.Role >= 1 }
-
-// CastConfig returns the reporter-tree cast configuration for the node's
-// TDMA offset.
-func (pl *Plan) CastConfig(off int) reporter.CastConfig {
-	cast := reporter.DefaultCastConfig(pl.Params.Channels, pl.ClusterRadius())
-	cast.Stride, cast.Offset = pl.Cfg.PhiMax, off
-	return cast
-}

@@ -159,17 +159,18 @@ func TestInformStageDelivers(t *testing.T) {
 	cfg := DefaultConfig(p)
 	cfg.PhiMax = 4
 	pl := NewPlan(p, cfg)
+	pl.Inform.Start = 0 // the stage runs on its own
 	e := sim.NewEngine(phy.NewField(p, pos), 7)
 	got := make([]int64, n)
 	oks := make([]bool, n)
 	steppers := make([]sim.Stepper, n)
 	for i := range steppers {
-		st := &Structure{Channel: -1, Role: -1}
+		b := &BuildFrag{Pl: pl, St: Structure{Channel: -1, Role: -1}}
 		if i == 0 {
-			st.Dom.IsDominator = true
-			st.Role = 0
+			b.St.Dom.IsDominator = true
+			b.St.Role = 0
 		}
-		f := &informFrag{pl: pl, st: st, Value: 777, Have: i == 0}
+		f := &informFrag{b: b, Value: 777, Have: i == 0}
 		steppers[i] = &sim.FragStepper{Frag: f, Finish: func(*sim.StepCtx) { got[i], oks[i] = f.Value, f.Have }}
 	}
 	slots, err := e.Run(steppers)

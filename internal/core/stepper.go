@@ -53,14 +53,14 @@ type BuildFrag struct {
 	// node) passes through live as values inside the fragment, so entering
 	// them costs zero allocations: cur points at the embedded field. The
 	// rare-role fragments (dominators are ~1 per cluster) stay heap
-	// pointers to keep the arena element lean.
+	// pointers to keep the arena element lean. A node that sits a stage
+	// out runs the stage's plan Window.
 	dom     dominate.RunFrag
 	ann     announceFrag
 	csaDee  csa.DominateeFrag
 	csaSDee csa.SmallDominateeFrag
 	elect   reporter.ElectFrag
 	fol     followerFrag
-	idle    sim.IdleFrag
 
 	col     *backbone.ColorFrag
 	csaDom  *csa.DominatorFrag
@@ -91,68 +91,57 @@ func (f *BuildFrag) Feed(sc *sim.StepCtx) bool {
 	}
 }
 
-// enterIdle points cur at the embedded idle fragment, reset for a k-slot
-// idle stretch.
-func (f *BuildFrag) enterIdle(k int) {
-	f.idle = sim.IdleFrag{K: k}
-	f.cur = &f.idle
-}
-
 // enter builds the fragment for the current stage, including its pre-stage
-// glue (the member's elect channel draw).
+// glue (a member's channel draws: the small CSA's and the election's).
 func (f *BuildFrag) enter(sc *sim.StepCtx) {
 	pl := f.Pl
-	p := sc.Params()
+	st := &f.St
 	switch f.stage {
 	case stDominate:
-		f.dom = dominate.RunFrag{Cfg: pl.Dominate}
+		f.dom = dominate.NewRunFrag(&pl.Dominate)
 		f.cur = &f.dom
 	case stColor:
-		if f.St.Dom.IsDominator {
-			f.col = &backbone.ColorFrag{Cfg: pl.Color}
+		if st.Dom.IsDominator {
+			f.col = backbone.NewColorFrag(&pl.Color)
 			f.cur = f.col
 		} else {
-			f.enterIdle(pl.Color.SlotBudget(p))
+			f.cur = &pl.Color.Window
 		}
 	case stAnnounce:
-		f.ann = announceFrag{pl: pl, dom: f.St.Dom, ownColor: f.ownColor, start: sc.Slot(), color: -1}
+		f.ann = announceFrag{b: f, color: -1}
 		f.cur = &f.ann
 	case stCSA:
-		if pl.UseSmall {
-			cfg := pl.CSASmall
-			cfg.Offset = f.St.Off
-			if f.St.Dom.IsDominator {
-				f.csaSDom = &csa.SmallDominatorFrag{Cfg: cfg}
-				f.cur = f.csaSDom
-			} else {
-				f.csaSDee = csa.SmallDominateeFrag{Cfg: cfg, Dom: f.St.Dom.Dominator}
-				f.cur = &f.csaSDee
-			}
-		} else {
-			cfg := pl.CSALarge
-			cfg.Offset = f.St.Off
-			if f.St.Dom.IsDominator {
-				f.csaDom = &csa.DominatorFrag{Cfg: cfg, Dom: sc.ID()}
-				f.cur = f.csaDom
-			} else {
-				f.csaDee = csa.DominateeFrag{Cfg: cfg, Dom: f.St.Dom.Dominator}
-				f.cur = &f.csaDee
-			}
+		switch {
+		case pl.UseSmall && st.Dom.IsDominator:
+			f.csaSDom = csa.NewSmallDominatorFrag(&pl.CSASmall, st.Off, sc.ID())
+			f.cur = f.csaSDom
+		case pl.UseSmall:
+			f.csaSDee = csa.NewSmallDominateeFrag(sc, &pl.CSASmall, st.Off, st.Dom.Dominator)
+			f.cur = &f.csaSDee
+		case st.Dom.IsDominator:
+			f.csaDom = &csa.DominatorFrag{Stage: &pl.CSALarge, Off: st.Off, Dom: sc.ID()}
+			f.cur = f.csaDom
+		default:
+			f.csaDee = csa.DominateeFrag{Stage: &pl.CSALarge, Off: st.Off, Dom: st.Dom.Dominator}
+			f.cur = &f.csaDee
 		}
 	case stElect:
-		f.St.Fv = pl.fv(f.St.Est)
-		elect := pl.Elect
-		elect.Offset = f.St.Off
-		f.St.Role = -1
-		if f.St.Dom.IsDominator {
-			f.enterIdle(elect.SlotBudget(p))
+		st.Fv = pl.fv(st.Est)
+		st.Role = -1
+		if st.Dom.IsDominator {
+			f.cur = &pl.Elect.Window
 		} else {
-			f.St.Channel = sc.Rand.Intn(f.St.Fv)
-			f.elect = reporter.ElectFrag{Cfg: elect, Channel: f.St.Channel, Dom: f.St.Dom.Dominator}
+			st.Channel = sc.Rand.Intn(st.Fv)
+			f.elect = reporter.ElectFrag{Stage: &pl.Elect, Off: st.Off, Channel: st.Channel, Dom: st.Dom.Dominator, Min: sc.ID()}
 			f.cur = &f.elect
 		}
 	case stFollower:
-		f.fol = followerFrag{b: f}
+		f.AckedOn = -1
+		if st.IsReporter() {
+			f.Got = map[int]int64{}
+		}
+		pu := lambda * float64(st.Fv) / float64(max(st.Est, 1))
+		f.fol = followerFrag{b: f, pu: min(pu, 0.5), sentOn: -1, ackTo: -1}
 		f.cur = &f.fol
 	}
 }
@@ -172,7 +161,6 @@ func (f *BuildFrag) leave(sc *sim.StepCtx) {
 		}
 		f.col = nil
 	case stAnnounce:
-		f.St.Color = f.ann.Color
 		f.St.Off = f.St.Color % pl.Cfg.PhiMax
 		if f.St.Off < 0 {
 			f.St.Off = 0
@@ -228,7 +216,6 @@ type pipelineStepper struct {
 	cur   sim.Frag
 
 	inf  informFrag
-	idle sim.IdleFrag
 	cast *reporter.CastUpFrag
 	tree *backbone.TreeFrag
 
@@ -257,13 +244,6 @@ func (ps *pipelineStepper) Step(sc *sim.StepCtx) {
 	}
 }
 
-// enterIdle points cur at the embedded idle fragment, reset for a k-slot
-// idle stretch.
-func (ps *pipelineStepper) enterIdle(k int) {
-	ps.idle = sim.IdleFrag{K: k}
-	ps.cur = &ps.idle
-}
-
 // enter builds the fragment for the current stage, including its
 // pre-stage glue (the reporter's cast-value fold).
 func (ps *pipelineStepper) enter(sc *sim.StepCtx) {
@@ -273,31 +253,27 @@ func (ps *pipelineStepper) enter(sc *sim.StepCtx) {
 	case psBuild:
 		ps.cur = &ps.build
 	case psCast:
-		cast := pl.CastConfig(st.Off)
 		if st.Role >= 0 {
 			castVal := ps.build.Value
 			for _, v := range ps.build.Got {
 				castVal = ps.op.Combine(castVal, v)
 			}
-			ps.cast = &reporter.CastUpFrag{
-				Cfg: cast, Role: st.Role, Dom: st.Dom.Dominator,
-				Value: castVal, Op: ps.op,
-			}
+			ps.cast = reporter.NewCastUpFrag(&pl.Cast, st.Off, st.Role, st.Dom.Dominator, castVal, ps.op)
 			ps.cur = ps.cast
 			ps.watch = st.Role == 0
 		} else {
-			ps.enterIdle(cast.SlotBudget())
+			ps.cur = &pl.Cast.Window
 		}
 	case psTree:
 		if st.IsDominator() {
-			ps.tree = &backbone.TreeFrag{Cfg: pl.Tree, Color: st.Off, Value: ps.clusterAgg, Op: ps.op}
+			ps.tree = backbone.NewTreeFrag(&pl.Tree, sc.ID(), st.Off, ps.clusterAgg, ps.op)
 			ps.cur = ps.tree
 			ps.watch = true
 		} else {
-			ps.enterIdle(pl.Tree.SlotBudget())
+			ps.cur = &pl.Tree.Window
 		}
 	case psInform:
-		ps.inf = informFrag{pl: pl, st: st, start: sc.Slot()}
+		ps.inf = informFrag{b: &ps.build}
 		if st.IsDominator() && ps.tree != nil {
 			ps.inf.Value, ps.inf.Have = ps.tree.Out.Result, ps.tree.Out.Done
 		}
@@ -356,17 +332,13 @@ func (ps *pipelineStepper) result(r *Result) {
 	}
 }
 
-// announceFrag is stage 3: dominators repeatedly announce their color on
-// channel 0; members learn their cluster's color. Color is valid once Feed
-// returns true: the dominator's own, the learned one, or 0 for a member
-// that missed every announcement. It consumes exactly AnnounceSlots slots.
+// announceFrag is stage 3 for the enclosing BuildFrag b: dominators
+// repeatedly announce their color on channel 0; members learn their
+// cluster's color. Once Feed returns true, b.St.Color is the dominator's
+// own color, the learned one, or 0 for a member that missed every
+// announcement. It consumes exactly the plan's Announce window.
 type announceFrag struct {
-	pl       *Plan
-	dom      dominate.Outcome
-	ownColor int
-	start    int
-	Color    int
-
+	b     *BuildFrag
 	color int
 	await bool
 }
@@ -374,35 +346,37 @@ type announceFrag struct {
 // Feed implements sim.Frag. The dominator draws in every slot; a member
 // listens until it learns the color, then sleeps to the end of the stage.
 func (f *announceFrag) Feed(sc *sim.StepCtx) bool {
+	b := f.b
+	dom := &b.St.Dom
+	w := &b.Pl.Announce
 	if f.await {
 		f.await = false
 		rec := sc.Prev()
-		if m, ok := rec.Msg.(ColorMsg); ok && m.Dom == f.dom.Dominator &&
-			f.pl.domReach.Within(rec) {
+		if m, ok := rec.Msg.(ColorMsg); ok && m.Dom == dom.Dominator &&
+			b.Pl.domReach.Within(rec) {
 			f.color = m.Color
 		}
 	}
-	rel := sc.Slot() - f.start
-	if rel >= f.pl.AnnounceSlots {
-		if f.dom.IsDominator {
-			f.Color = f.ownColor
+	rel := w.Rel(sc)
+	if rel >= w.Len {
+		if dom.IsDominator {
+			b.St.Color = b.ownColor
 		} else {
-			f.Color = f.color
-			if f.Color < 0 {
-				f.Color = 0 // degraded: TDMA misalignment possible, but keep going
-			}
+			// A member that heard nothing degrades to 0: TDMA misalignment
+			// is possible, but the run keeps going.
+			b.St.Color = max(f.color, 0)
 		}
 		return true
 	}
 	switch {
-	case f.dom.IsDominator:
+	case dom.IsDominator:
 		if sc.Rand.Float64() < 0.2 {
-			sc.Transmit(0, ColorMsg{Dom: sc.ID(), Color: f.ownColor})
+			sc.Transmit(0, ColorMsg{Dom: sc.ID(), Color: b.ownColor})
 		} else {
 			sc.Idle()
 		}
 	case f.color >= 0:
-		sc.IdleFor(f.pl.AnnounceSlots - rel)
+		sc.IdleFor(w.Len - rel)
 	default:
 		sc.Listen(0)
 		f.await = true
@@ -425,57 +399,41 @@ const (
 // followerFrag is stage 6 (Sec. 6, first procedure) for the enclosing
 // BuildFrag b: followers deliver their values to reporters under
 // backoff-controlled contention. It reads b's plan, structure and value,
-// leaves its results in b.Got and b.AckedOn, and consumes exactly
-// Offsets.Tree − Offsets.Followers slots.
+// leaves its results in b.Got and b.AckedOn, and consumes exactly the
+// plan's Followers window.
 //
-// The stage is FollowerPhases phases of Γ value rounds and one backoff
-// round, each round 2·PhiMax slots with the cluster's two sub-slots at
-// 2·Off and 2·Off+1. In a value round unacked followers draw and transmit
-// in sub-slot 1 while reporters and the dominator listen, and reporters ack
-// in sub-slot 2 while transmitters listen; in the backoff round the
-// dominator may signal and unacked followers listen. A node sleeps from
-// each of its decisions straight to the next one.
+// The stage is phases of Γ value rounds and one backoff round, each round
+// 2·PhiMax slots with the cluster's two sub-slots at 2·Off and 2·Off+1. In
+// a value round unacked followers draw and transmit in sub-slot 1 while
+// reporters and the dominator listen, and reporters ack in sub-slot 2 while
+// transmitters listen; in the backoff round the dominator may signal and
+// unacked followers listen. A node sleeps from each of its decisions
+// straight to the next one. Its send probability pu starts at
+// λ·f_v/est (at most 1/2), set where the fragment is built.
 type followerFrag struct {
 	b *BuildFrag
 
-	init                   bool
-	isRep, isDom, follower bool
-	acked, heardBackoff    bool
-	await                  folAwait
-	start, total, perPhase int
-	rounds                 sim.Rounds
-	repChan                int
-	pu                     float64
-	phase                  int
-	count                  int
-	sentOn, ackTo          int
+	pu                  float64
+	phase, count        int
+	sentOn, ackTo       int
+	acked, heardBackoff bool
+	await               folAwait
 }
+
+// rounds is the node's round layout in the follower window.
+func (f *followerFrag) rounds() sim.Rounds {
+	return sim.Rounds{Stride: 2 * f.b.Pl.Cfg.PhiMax, Offset: 2 * f.b.St.Off}
+}
+
+// follower reports whether the node is a follower (neither its cluster's
+// dominator nor a reporter).
+func (f *followerFrag) follower() bool { return f.b.St.Role < 0 }
 
 // Feed implements sim.Frag.
 func (f *followerFrag) Feed(sc *sim.StepCtx) bool {
 	b := f.b
 	pl := b.Pl
 	st := &b.St
-	if !f.init {
-		f.init = true
-		f.start = sc.Slot()
-		f.total = pl.followerBudget()
-		f.perPhase = pl.FollowerGamma + 1
-		f.rounds = sim.Rounds{Stride: 2 * pl.Cfg.PhiMax, Offset: 2 * st.Off}
-		f.isRep = st.IsReporter()
-		f.repChan = st.Role - 1
-		f.isDom = st.IsDominator()
-		f.follower = !f.isRep && !f.isDom
-		f.pu = lambda * float64(st.Fv) / float64(max2(st.Est, 1))
-		if f.pu > 0.5 {
-			f.pu = 0.5
-		}
-		b.AckedOn = -1
-		f.sentOn, f.ackTo = -1, -1
-		if f.isRep {
-			b.Got = map[int]int64{}
-		}
-	}
 	switch f.await {
 	case folAwaitRep:
 		rec := sc.Prev()
@@ -507,45 +465,51 @@ func (f *followerFrag) Feed(sc *sim.StepCtx) bool {
 	}
 	f.await = folAwaitNone
 
-	rel := sc.Slot() - f.start
-	if rel >= f.total {
+	total := pl.Followers.Len
+	rel := pl.Followers.Rel(sc)
+	if rel >= total {
 		return true
 	}
-	k := f.rounds.Next(rel)
-	if k > 0 && rel == f.rounds.At(k-1)+1 && !f.isBackoff(k-1) && f.ack(sc) {
+	r := f.rounds()
+	k := r.Next(rel)
+	if k > 0 && rel == r.At(k-1)+1 && !f.isBackoff(k-1) && f.ack(sc) {
 		return false
 	}
 	k = f.next(k)
-	at := min(f.rounds.At(k), f.total)
+	at := min(r.At(k), total)
 	if at == rel {
-		f.advance(k / f.perPhase)
+		f.advance(k / pl.Followers.perPhase)
 		if f.act(sc, k) {
 			return false
 		}
-		at = min(f.rounds.At(f.next(k+1)), f.total)
+		at = min(r.At(f.next(k+1)), total)
 	}
 	sc.IdleFor(at - rel)
 	return false
 }
 
 // isBackoff reports whether round k is its phase's backoff round.
-func (f *followerFrag) isBackoff(k int) bool { return k%f.perPhase == f.perPhase-1 }
+func (f *followerFrag) isBackoff(k int) bool {
+	perPhase := f.b.Pl.Followers.perPhase
+	return k%perPhase == perPhase-1
+}
 
 // next returns the first round from k on in which the node has something
 // to do in the round's first sub-slot: an unacked follower draws or listens
 // in every round, the dominator listens or signals in every round, a
 // reporter listens in value rounds only, and an acked follower is done.
 func (f *followerFrag) next(k int) int {
+	st := &f.b.St
 	switch {
-	case f.isDom, f.follower && !f.acked:
+	case st.IsDominator(), f.follower() && !f.acked:
 		return k
-	case f.isRep:
+	case st.IsReporter():
 		if f.isBackoff(k) {
 			return k + 1
 		}
 		return k
 	}
-	return f.total // past every round
+	return f.b.Pl.Followers.Len // past every round
 }
 
 // advance closes the phases before phase: an unacked follower that heard
@@ -553,7 +517,7 @@ func (f *followerFrag) next(k int) int {
 // count and the backoff flag restart.
 func (f *followerFrag) advance(phase int) {
 	for ; f.phase < phase; f.phase++ {
-		if f.follower && !f.acked && !f.heardBackoff {
+		if f.follower() && !f.acked && !f.heardBackoff {
 			f.pu *= 2
 			if f.pu > 0.5 {
 				f.pu = 0.5
@@ -571,9 +535,9 @@ func (f *followerFrag) act(sc *sim.StepCtx, k int) bool {
 	st := &f.b.St
 	if f.isBackoff(k) {
 		switch {
-		case f.isDom && f.count >= pl.Omega && !pl.Cfg.DisableBackoff:
+		case st.IsDominator() && f.count >= pl.Followers.omega && !pl.Cfg.DisableBackoff:
 			sc.Transmit(0, Backoff{Dom: sc.ID()})
-		case f.follower && !f.acked:
+		case f.follower() && !f.acked:
 			sc.Listen(0)
 			f.await = folAwaitBackoff
 		default:
@@ -583,13 +547,13 @@ func (f *followerFrag) act(sc *sim.StepCtx, k int) bool {
 	}
 	f.sentOn, f.ackTo = -1, -1
 	switch {
-	case f.follower && !f.acked && sc.Rand.Float64() < f.pu:
+	case f.follower() && !f.acked && sc.Rand.Float64() < f.pu:
 		f.sentOn = sc.Rand.Intn(st.Fv)
 		sc.Transmit(f.sentOn, FollowerMsg{From: sc.ID(), Dom: st.Dom.Dominator, Value: f.b.Value})
-	case f.isRep:
-		sc.Listen(f.repChan)
+	case st.IsReporter():
+		sc.Listen(st.Role - 1)
 		f.await = folAwaitRep
-	case f.isDom:
+	case st.IsDominator():
 		sc.Listen(0)
 		f.await = folAwaitDom
 	default:
@@ -604,9 +568,9 @@ func (f *followerFrag) act(sc *sim.StepCtx, k int) bool {
 func (f *followerFrag) ack(sc *sim.StepCtx) bool {
 	st := &f.b.St
 	switch {
-	case f.isRep && f.ackTo >= 0:
-		sc.Transmit(f.repChan, FollowerAck{To: f.ackTo, Dom: st.Dom.Dominator})
-	case f.follower && f.sentOn >= 0:
+	case st.IsReporter() && f.ackTo >= 0:
+		sc.Transmit(st.Role-1, FollowerAck{To: f.ackTo, Dom: st.Dom.Dominator})
+	case f.follower() && f.sentOn >= 0:
 		sc.Listen(f.sentOn)
 		f.await = folAwaitAck
 	default:
@@ -615,13 +579,12 @@ func (f *followerFrag) ack(sc *sim.StepCtx) bool {
 	return true
 }
 
-// informFrag is stage 9: dominators announce the final value within their
-// clusters and members listen, in exactly PhiMax slots. Value and Have are
-// the stage's in/out value pair.
+// informFrag is stage 9 for the enclosing BuildFrag b: dominators announce
+// the final value within their clusters and members listen, in the plan's
+// Inform window (PhiMax slots). Value and Have are the stage's in/out
+// value pair.
 type informFrag struct {
-	pl    *Plan
-	st    *Structure
-	start int
+	b *BuildFrag
 
 	Value int64
 	Have  bool
@@ -633,30 +596,31 @@ type informFrag struct {
 // cluster's sub-slot; a member listens until it has the value; every other
 // slot is slept through.
 func (f *informFrag) Feed(sc *sim.StepCtx) bool {
+	st := &f.b.St
+	w := &f.b.Pl.Inform
 	if f.await {
 		f.await = false
 		rec := sc.Prev()
-		if m, ok := rec.Msg.(FinalMsg); ok && m.Dom == f.st.Dom.Dominator &&
-			f.pl.domReach.Within(rec) {
+		if m, ok := rec.Msg.(FinalMsg); ok && m.Dom == st.Dom.Dominator &&
+			f.b.Pl.domReach.Within(rec) {
 			f.Value, f.Have = m.Value, true
 			sc.Emit(EventInformed, 0)
 		}
 	}
-	rel := sc.Slot() - f.start
-	end := f.pl.Cfg.PhiMax
-	if rel >= end {
+	rel := w.Rel(sc)
+	if rel >= w.Len {
 		return true
 	}
 	switch {
-	case !f.st.IsDominator() && !f.Have:
+	case !st.IsDominator() && !f.Have:
 		sc.Listen(0)
 		f.await = true
-	case f.st.IsDominator() && f.Have && rel == f.st.Off:
+	case st.IsDominator() && f.Have && rel == st.Off:
 		sc.Transmit(0, FinalMsg{Dom: sc.ID(), Value: f.Value})
-	case f.st.IsDominator() && f.Have && rel < f.st.Off:
-		sc.IdleFor(f.st.Off - rel)
+	case st.IsDominator() && f.Have && rel < st.Off:
+		sc.IdleFor(st.Off - rel)
 	default:
-		sc.IdleFor(end - rel)
+		sc.IdleFor(w.Len - rel)
 	}
 	return false
 }

@@ -45,14 +45,13 @@ type Estimate struct {
 // Config parameterizes the large-Δ̂ estimator (also used per channel by the
 // small-Δ̂ variant).
 type Config struct {
-	// Channel the estimator runs on.
-	Channel int
 	// ClusterRadius bounds the distance to co-members (2·r_c).
 	ClusterRadius float64
 	// DeltaHat is the known upper bound Δ̂ on the cluster size.
 	DeltaHat int
-	// Stride and Offset interleave clusters under the TDMA scheme.
-	Stride, Offset int
+	// Stride interleaves clusters under the TDMA scheme; each node acts in
+	// its own offset of every Stride-slot round.
+	Stride int
 }
 
 // Estimator constants of Sec. 5.2.1.1 (deviation D1 in the mcnet package
@@ -67,177 +66,150 @@ const (
 	gamma1 float64 = 16
 )
 
-func (c Config) stride() int {
-	if c.Stride < 1 {
-		return 1
+// Stage is the estimator compiled for one run.
+type Stage struct {
+	sim.Window
+	reach    phy.Reach // within ClusterRadius
+	deltaHat int
+	stride   int       // Config.Stride, at least 1
+	perPhase int       // rounds per phase, the notification round included
+	thresh   int       // the head's termination count, ⌈ω₁·ln n̂⌉ ≥ 1
+	probs    []float64 // member probe probability per phase, doubling from λ/Δ̂ to λ
+}
+
+// NewStage compiles c under p starting at slot start: ⌈log₂ Δ̂⌉ doubling
+// phases (at least one), each ⌈γ₁·ln n̂⌉ probe rounds plus one
+// notification round of stride slots.
+func NewStage(p model.Params, c Config, start int) Stage {
+	phases := 1
+	if c.DeltaHat > 1 {
+		phases = int(math.Ceil(math.Log2(float64(c.DeltaHat))))
 	}
-	return c.Stride
-}
-
-// Phases returns ⌈log₂ Δ̂⌉, the number of doubling phases.
-func (c Config) Phases() int {
-	if c.DeltaHat <= 1 {
-		return 1
+	st := Stage{
+		reach:    phy.NewReach(p, c.ClusterRadius),
+		deltaHat: c.DeltaHat,
+		stride:   max(c.Stride, 1),
+		perPhase: int(math.Ceil(gamma1*p.LogN())) + 1,
+		thresh:   max(int(math.Ceil(omega1*p.LogN())), 1),
+		probs:    make([]float64, phases),
 	}
-	return int(math.Ceil(math.Log2(float64(c.DeltaHat))))
-}
-
-// RoundsPerPhase returns the probe rounds per phase.
-func (c Config) RoundsPerPhase(p model.Params) int {
-	return int(math.Ceil(gamma1 * p.LogN()))
-}
-
-// SlotBudget returns the exact number of slots the estimator consumes:
-// per phase, RoundsPerPhase probe rounds plus one notification round.
-func (c Config) SlotBudget(p model.Params) int {
-	return c.stride() * c.Phases() * (c.RoundsPerPhase(p) + 1)
-}
-
-// threshold is the termination count for the given parameters.
-func (c Config) threshold(p model.Params) int {
-	t := int(math.Ceil(omega1 * p.LogN()))
-	if t < 1 {
-		return 1
+	st.Window = sim.Window{Start: start, Len: st.stride * len(st.probs) * st.perPhase}
+	prob := lambda / float64(c.DeltaHat)
+	for i := range st.probs {
+		st.probs[i] = prob
+		prob = math.Min(prob*2, lambda)
 	}
-	return t
+	return st
 }
 
-// rounds is the estimator's TDMA round layout: RoundsPerPhase probe
-// rounds and then one notification round per phase, each Stride slots long
-// with the act slot at Offset.
-func (c Config) rounds() sim.Rounds { return sim.Rounds{Stride: c.stride(), Offset: c.Offset} }
+// rounds is the estimator's TDMA round layout for a node at offset off:
+// perPhase−1 probe rounds and then one notification round per phase, each
+// stride slots long with the act slot at off.
+func (s *Stage) rounds(off int) sim.Rounds { return sim.Rounds{Stride: s.stride, Offset: off} }
 
 // DominatorFrag executes the counting side for cluster head Dom (usually
 // the node itself; channel leaders in the small-Δ̂ variant pass their own
-// ID). Once Feed returns true, Estimate is the estimate of the number of
-// PROBING members (excluding the head itself), ≥ 1·constant-factor
-// accurate w.h.p., or 0 if the cluster appears empty. It consumes exactly
-// Cfg.SlotBudget slots.
+// ID) on Channel at TDMA offset Off. Once Feed returns true, Estimate is
+// the estimate of the number of PROBING members (excluding the head
+// itself), ≥ 1·constant-factor accurate w.h.p., or 0 if the cluster appears
+// empty. It consumes exactly its Stage's window.
 type DominatorFrag struct {
-	Cfg      Config
-	Dom      int
-	Estimate int
+	Stage             *Stage
+	Off, Channel, Dom int
+	Estimate          int
 
-	init, terminated, awaitProbe bool
-	reach                        phy.Reach // Cfg.ClusterRadius
-	start, total                 int
-	perPhase                     int // rounds per phase, the notification round included
-	thresh                       int
-	phase                        int
-	count                        int
+	phase, count           int
+	terminated, awaitProbe bool
 }
 
 // Feed implements sim.Frag. The head listens in every probe round and
 // notifies (or sleeps through) every notification round.
 func (f *DominatorFrag) Feed(sc *sim.StepCtx) bool {
-	p := sc.Params()
-	if !f.init {
-		f.init = true
-		f.reach = phy.NewReach(p, f.Cfg.ClusterRadius)
-		f.start = sc.Slot()
-		f.total = f.Cfg.SlotBudget(p)
-		f.perPhase = f.Cfg.RoundsPerPhase(p) + 1
-		f.thresh = f.Cfg.threshold(p)
-	}
+	st := f.Stage
 	if f.awaitProbe {
 		f.awaitProbe = false
 		rec := sc.Prev()
 		if m, ok := rec.Msg.(Probe); ok && m.Dom == f.Dom &&
-			f.reach.Within(rec) {
+			st.reach.Within(rec) {
 			f.count++
 		}
 	}
-	rel := sc.Slot() - f.start
-	if rel >= f.total {
+	rel := st.Rel(sc)
+	if rel >= st.Len {
 		return true
 	}
-	r := f.Cfg.rounds()
+	r := st.rounds(f.Off)
 	k := r.Next(rel)
-	at := min(r.At(k), f.total)
+	at := min(r.At(k), st.Len)
 	if at == rel {
-		if ph := k / f.perPhase; ph > f.phase {
+		if ph := k / st.perPhase; ph > f.phase {
 			f.phase, f.count = ph, 0
 		}
-		if k%f.perPhase < f.perPhase-1 {
-			sc.Listen(f.Cfg.Channel)
+		if k%st.perPhase < st.perPhase-1 {
+			sc.Listen(f.Channel)
 			f.awaitProbe = true
 			return false
 		}
-		if !f.terminated && f.count >= f.thresh {
+		if !f.terminated && f.count >= st.thresh {
 			f.terminated = true
-			f.Estimate = f.Cfg.DeltaHat >> f.phase
+			f.Estimate = st.deltaHat >> f.phase
 			if f.Estimate < 1 {
 				f.Estimate = 1
 			}
 		}
 		if f.terminated {
-			sc.Transmit(f.Cfg.Channel, Estimate{Dom: f.Dom, Est: f.Estimate})
+			sc.Transmit(f.Channel, Estimate{Dom: f.Dom, Est: f.Estimate})
 			return false
 		}
-		at = min(r.At(k+1), f.total)
+		at = min(r.At(k+1), st.Len)
 	}
 	sc.IdleFor(at - rel)
 	return false
 }
 
-// DominateeFrag executes the probing side for a member of cluster Dom.
-// Once Feed returns true, Estimate is the estimate learned from the head's
-// notification (0 if none arrived). It consumes exactly Cfg.SlotBudget
-// slots.
+// DominateeFrag executes the probing side for a member of cluster Dom on
+// Channel at TDMA offset Off. Once Feed returns true, Estimate is the
+// estimate learned from the head's notification (0 if none arrived). It
+// consumes exactly its Stage's window.
 type DominateeFrag struct {
-	Cfg      Config
-	Dom      int
-	Estimate int
+	Stage             *Stage
+	Off, Channel, Dom int
+	Estimate          int
 
-	init, awaitEst bool
-	reach          phy.Reach // Cfg.ClusterRadius
-	start, total   int
-	perPhase       int // rounds per phase, the notification round included
-	phase          int
-	prob           float64
+	awaitEst bool
 }
 
 // Feed implements sim.Frag. The member draws in every probe round until it
 // holds an estimate and listens in every notification round; it sleeps
 // through everything else, and through the probe rounds once estimated.
 func (f *DominateeFrag) Feed(sc *sim.StepCtx) bool {
-	p := sc.Params()
-	if !f.init {
-		f.init = true
-		f.reach = phy.NewReach(p, f.Cfg.ClusterRadius)
-		f.start = sc.Slot()
-		f.total = f.Cfg.SlotBudget(p)
-		f.perPhase = f.Cfg.RoundsPerPhase(p) + 1
-		f.prob = lambda / float64(f.Cfg.DeltaHat)
-	}
+	st := f.Stage
 	if f.awaitEst {
 		f.awaitEst = false
 		rec := sc.Prev()
 		if m, ok := rec.Msg.(Estimate); ok && m.Dom == f.Dom &&
-			f.reach.Within(rec) && f.Estimate == 0 {
+			st.reach.Within(rec) && f.Estimate == 0 {
 			f.Estimate = m.Est
 		}
 	}
-	rel := sc.Slot() - f.start
-	if rel >= f.total {
+	rel := st.Rel(sc)
+	if rel >= st.Len {
 		return true
 	}
+	r := st.rounds(f.Off)
 	k := f.next(rel)
-	at := min(f.Cfg.rounds().At(k), f.total)
+	at := min(r.At(k), st.Len)
 	if at == rel {
-		for ph := k / f.perPhase; f.phase < ph; f.phase++ {
-			f.prob = math.Min(f.prob*2, lambda)
-		}
-		if k%f.perPhase == f.perPhase-1 {
-			sc.Listen(f.Cfg.Channel)
+		if k%st.perPhase == st.perPhase-1 {
+			sc.Listen(f.Channel)
 			f.awaitEst = true
 			return false
 		}
-		if f.Estimate == 0 && sc.Rand.Float64() < f.prob {
-			sc.Transmit(f.Cfg.Channel, Probe{From: sc.ID(), Dom: f.Dom})
+		if f.Estimate == 0 && sc.Rand.Float64() < st.probs[k/st.perPhase] {
+			sc.Transmit(f.Channel, Probe{From: sc.ID(), Dom: f.Dom})
 			return false
 		}
-		at = min(f.Cfg.rounds().At(f.next(rel+1)), f.total)
+		at = min(r.At(f.next(rel+1)), st.Len)
 	}
 	sc.IdleFor(at - rel)
 	return false
@@ -247,9 +219,10 @@ func (f *DominateeFrag) Feed(sc *sim.StepCtx) bool {
 // acts: any round while it still probes, only notification rounds once it
 // holds an estimate.
 func (f *DominateeFrag) next(rel int) int {
-	k := f.Cfg.rounds().Next(rel)
+	st := f.Stage
+	k := st.rounds(f.Off).Next(rel)
 	if f.Estimate != 0 {
-		k += f.perPhase - 1 - k%f.perPhase
+		k += st.perPhase - 1 - k%st.perPhase
 	}
 	return k
 }
@@ -258,14 +231,14 @@ func (f *DominateeFrag) next(rel int) int {
 type SmallConfig struct {
 	// F is the number of channels to spread members over.
 	F int
-	// ClusterRadius bounds the distance to co-members (2·r_c).
+	// ClusterRadius bounds the distance to co-members (2·r_c); it also
+	// bounds the per-channel leader election.
 	ClusterRadius float64
-	// Elect configures the per-channel leader election.
-	Elect reporter.ElectConfig
-	// Probe configures the per-channel estimator (Channel is overridden).
+	// Probe configures the per-channel estimator.
 	Probe Config
-	// Stride and Offset interleave clusters under the TDMA scheme.
-	Stride, Offset int
+	// Stride interleaves clusters under the TDMA scheme; it overrides the
+	// estimator's.
+	Stride int
 }
 
 // DefaultSmallConfig returns the pipeline configuration of the small-Δ̂
@@ -277,30 +250,36 @@ func DefaultSmallConfig(p model.Params, clusterRadius float64) SmallConfig {
 	return SmallConfig{
 		F:             p.Channels,
 		ClusterRadius: clusterRadius,
-		Elect:         reporter.ElectConfig{ClusterRadius: clusterRadius},
 		Probe:         Config{ClusterRadius: clusterRadius, DeltaHat: perChan},
 		Stride:        1,
 	}
 }
 
-func (c SmallConfig) stride() int {
-	if c.Stride < 1 {
-		return 1
-	}
-	return c.Stride
+// SmallStage is the small-Δ̂ estimator compiled for one run: its
+// sub-stages — election, per-channel estimation, tree aggregation — run
+// back to back from the window's start, and one broadcast round closes the
+// window.
+type SmallStage struct {
+	sim.Window
+	reach  phy.Reach // within ClusterRadius
+	f      int
+	stride int // SmallConfig.Stride, at least 1
+	elect  reporter.ElectStage
+	probe  Stage
+	cast   reporter.CastStage
 }
 
-// SlotBudget returns the exact number of slots the small-Δ̂ estimator
-// consumes: election + per-channel estimation + tree aggregation + one
-// broadcast round.
-func (c SmallConfig) SlotBudget(p model.Params) int {
-	elect := c.Elect
-	elect.Stride, elect.Offset = c.stride(), 0
+// NewSmallStage compiles c under p starting at slot start.
+func NewSmallStage(p model.Params, c SmallConfig, start int) SmallStage {
+	stride := max(c.Stride, 1)
 	probe := c.Probe
-	probe.Stride, probe.Offset = c.stride(), 0
-	cast := reporter.DefaultCastConfig(c.F, c.ClusterRadius)
-	cast.Stride, cast.Offset = c.stride(), 0
-	return elect.SlotBudget(p) + probe.SlotBudget(p) + cast.SlotBudget() + c.stride()
+	probe.Stride = stride
+	st := SmallStage{reach: phy.NewReach(p, c.ClusterRadius), f: c.F, stride: stride}
+	st.elect = reporter.NewElectStage(p, reporter.ElectConfig{ClusterRadius: c.ClusterRadius, Stride: stride}, start)
+	st.probe = NewStage(p, probe, st.elect.End())
+	st.cast = reporter.NewCastStage(p, reporter.CastConfig{F: c.F, ClusterRadius: c.ClusterRadius, Stride: stride}, st.probe.End())
+	st.Window = sim.Window{Start: start, Len: st.cast.End() + stride - start}
+	return st
 }
 
 // UseSmall implements the Lemma 14 chooser: the small variant applies when
@@ -309,26 +288,19 @@ func UseSmall(p model.Params, deltaHat int) bool {
 	return float64(deltaHat)/float64(p.Channels) <= p.LogN()*p.LogN()
 }
 
-// smallCastCfg builds the reporter-tree config the small variant uses.
-func smallCastCfg(cfg SmallConfig) reporter.CastConfig {
-	cast := reporter.DefaultCastConfig(cfg.F, cfg.ClusterRadius)
-	cast.Stride, cast.Offset = cfg.stride(), cfg.Offset
-	return cast
-}
-
-// broadcast runs the closing broadcast round — the last stride slots of a
-// total-slot budget, acting at Offset — for a fragment at relative slot
-// rel: it sleeps up to the act slot, calls act there, and sleeps from it to
-// the end. It reports true once the budget is spent.
-func (c SmallConfig) broadcast(sc *sim.StepCtx, rel, total int, act func()) bool {
-	at := total - c.stride() + c.Offset
+// broadcast runs the closing broadcast round — the window's last stride
+// slots, acting at offset off — for a fragment at window-relative slot
+// rel: it sleeps up to the act slot, calls act there, and sleeps from it
+// to the end. It reports true once the window is spent.
+func (s *SmallStage) broadcast(sc *sim.StepCtx, off, rel int, act func()) bool {
+	at := s.Len - s.stride + off
 	switch {
 	case rel < at:
 		sc.IdleFor(at - rel)
 	case rel == at:
 		act()
-	case rel < total:
-		sc.IdleFor(total - rel)
+	case rel < s.Len:
+		sc.IdleFor(s.Len - rel)
 	default:
 		return true
 	}
@@ -336,94 +308,85 @@ func (c SmallConfig) broadcast(sc *sim.StepCtx, rel, total int, act func()) bool
 }
 
 // SmallDominatorFrag executes the dominator side of the Appendix A
-// variant: it sits out election and probing, collects the per-channel
-// counts over the reporter tree and broadcasts the total. Once Feed
-// returns true, Estimate is the cluster-size estimate (counting members
-// and the dominator itself). It consumes exactly Cfg.SlotBudget slots.
+// variant at TDMA offset Off: it sits out election and probing, collects
+// the per-channel counts over the reporter tree and broadcasts the total.
+// Once Feed returns true, Estimate is the cluster-size estimate (counting
+// members and the dominator itself). It consumes exactly its Stage's
+// window. Build it with NewSmallDominatorFrag.
 type SmallDominatorFrag struct {
-	Cfg      SmallConfig
+	Stage    *SmallStage
+	Off      int
 	Estimate int
 
-	init, counted        bool
-	start, castAt, total int
-	cast                 *reporter.CastUpFrag
+	cast    *reporter.CastUpFrag
+	counted bool
+}
+
+// NewSmallDominatorFrag returns dominator id's fragment for st at TDMA
+// offset off.
+func NewSmallDominatorFrag(st *SmallStage, off, id int) *SmallDominatorFrag {
+	return &SmallDominatorFrag{Stage: st, Off: off, cast: reporter.NewCastUpFrag(&st.cast, off, 0, id, 0, agg.Sum)}
 }
 
 // Feed implements sim.Frag.
 func (f *SmallDominatorFrag) Feed(sc *sim.StepCtx) bool {
-	p := sc.Params()
-	if !f.init {
-		f.init = true
-		f.start = sc.Slot()
-		f.total = f.Cfg.SlotBudget(p)
-		elect, probe := f.Cfg.Elect, f.Cfg.Probe
-		elect.Stride, probe.Stride = f.Cfg.stride(), f.Cfg.stride()
-		f.castAt = elect.SlotBudget(p) + probe.SlotBudget(p)
-	}
-	rel := sc.Slot() - f.start
-	if rel < f.castAt { // sit out the election and the probing
-		sc.IdleFor(f.castAt - rel)
+	st := f.Stage
+	if sc.Slot() < st.cast.Start { // sit out the election and the probing
+		sc.IdleFor(st.cast.Start - sc.Slot())
 		return false
 	}
 	if !f.counted { // aggregate channel counts up the reporter tree
-		if f.cast == nil {
-			f.cast = &reporter.CastUpFrag{
-				Cfg: smallCastCfg(f.Cfg), Role: 0, Dom: sc.ID(), Value: 0, Op: agg.Sum,
-			}
-		}
 		if !f.cast.Feed(sc) {
 			return false
 		}
 		f.Estimate = int(f.cast.St.Value) + 1 // members + self
 		f.counted = true
 	}
-	return f.Cfg.broadcast(sc, rel, f.total, func() {
+	return st.broadcast(sc, f.Off, st.Rel(sc), func() {
 		sc.Transmit(0, Estimate{Dom: sc.ID(), Est: f.Estimate})
 	})
 }
 
 // SmallDominateeFrag executes the member side of the Appendix A variant
-// for a member of cluster Dom: pick a channel, elect a leader, estimate per
-// channel, aggregate, and learn the total from the dominator's broadcast.
-// Once Feed returns true, Estimate is the learned estimate (0 if the
-// broadcast was missed). It consumes exactly Cfg.SlotBudget slots.
+// for a member of cluster Dom at TDMA offset Off: pick a channel, elect a
+// leader, estimate per channel, aggregate, and learn the total from the
+// dominator's broadcast. Once Feed returns true, Estimate is the learned
+// estimate (0 if the broadcast was missed). It consumes exactly its
+// Stage's window. Build it with NewSmallDominateeFrag.
 type SmallDominateeFrag struct {
-	Cfg      SmallConfig
-	Dom      int
+	Stage    *SmallStage
+	Off, Dom int
 	Estimate int
+	channel  int
+	stage    uint8 // 0 elect, 1 lead probe, 2 lead cast, 3 member probe, 4 broadcast
+	await    bool
+	elect    *reporter.ElectFrag
+	domFrag  *DominatorFrag
+	deeFrag  *DominateeFrag
+	cast     *reporter.CastUpFrag
+}
 
-	init, await  bool
-	reach        phy.Reach // Cfg.ClusterRadius
-	stage        uint8     // 0 elect, 1 lead probe, 2 lead cast, 3 member probe, 4 broadcast
-	start, total int
-	channel      int
-	elect        *reporter.ElectFrag
-	domFrag      *DominatorFrag
-	deeFrag      *DominateeFrag
-	cast         *reporter.CastUpFrag
+// NewSmallDominateeFrag returns the member fragment for st at TDMA offset
+// off, drawing the member's channel from sc.Rand.
+func NewSmallDominateeFrag(sc *sim.StepCtx, st *SmallStage, off, dom int) SmallDominateeFrag {
+	ch := sc.Rand.Intn(st.f)
+	return SmallDominateeFrag{
+		Stage: st, Off: off, Dom: dom, channel: ch,
+		elect: &reporter.ElectFrag{Stage: &st.elect, Off: off, Channel: ch, Dom: dom, Min: sc.ID()},
+	}
 }
 
 // Feed implements sim.Frag. A plain member sleeps from the end of its
 // probing straight to the broadcast listen.
 func (f *SmallDominateeFrag) Feed(sc *sim.StepCtx) bool {
-	p := sc.Params()
+	st := f.Stage
 	if f.await {
 		f.await = false
 		rec := sc.Prev()
 		if m, ok := rec.Msg.(Estimate); ok && m.Dom == f.Dom &&
-			f.reach.Within(rec) {
+			st.reach.Within(rec) {
 			f.Estimate = m.Est
 		}
-	}
-	if !f.init {
-		f.init = true
-		f.reach = phy.NewReach(p, f.Cfg.ClusterRadius)
-		f.start = sc.Slot()
-		f.total = f.Cfg.SlotBudget(p)
-		f.channel = sc.Rand.Intn(f.Cfg.F)
-		elect := f.Cfg.Elect
-		elect.Stride, elect.Offset = f.Cfg.stride(), f.Cfg.Offset
-		f.elect = &reporter.ElectFrag{Cfg: elect, Channel: f.channel, Dom: f.Dom}
 	}
 	for {
 		switch f.stage {
@@ -431,24 +394,19 @@ func (f *SmallDominateeFrag) Feed(sc *sim.StepCtx) bool {
 			if !f.elect.Feed(sc) {
 				return false
 			}
-			probe := f.Cfg.Probe
-			probe.Stride, probe.Offset = f.Cfg.stride(), f.Cfg.Offset
-			probe.Channel = f.channel
 			if f.elect.Min == sc.ID() {
-				f.domFrag = &DominatorFrag{Cfg: probe, Dom: sc.ID()}
+				f.domFrag = &DominatorFrag{Stage: &st.probe, Off: f.Off, Channel: f.channel, Dom: sc.ID()}
 				f.stage = 1
 			} else {
-				f.deeFrag = &DominateeFrag{Cfg: probe, Dom: f.elect.Min}
+				f.deeFrag = &DominateeFrag{Stage: &st.probe, Off: f.Off, Channel: f.channel, Dom: f.elect.Min}
 				f.stage = 3
 			}
 		case 1: // channel leader: count own channel
 			if !f.domFrag.Feed(sc) {
 				return false
 			}
-			f.cast = &reporter.CastUpFrag{
-				Cfg: smallCastCfg(f.Cfg), Role: f.channel + 1, Dom: f.Dom,
-				Value: int64(f.domFrag.Estimate) + 1, Op: agg.Sum, // + leader
-			}
+			// + leader
+			f.cast = reporter.NewCastUpFrag(&st.cast, f.Off, f.channel+1, f.Dom, int64(f.domFrag.Estimate)+1, agg.Sum)
 			f.stage = 2
 		case 2: // channel leader: report up the tree
 			if !f.cast.Feed(sc) {
@@ -461,7 +419,7 @@ func (f *SmallDominateeFrag) Feed(sc *sim.StepCtx) bool {
 			}
 			f.stage = 4
 		default: // listen to the dominator's broadcast on channel 0
-			return f.Cfg.broadcast(sc, sc.Slot()-f.start, f.total, func() {
+			return st.broadcast(sc, f.Off, st.Rel(sc), func() {
 				sc.Listen(0)
 				f.await = true
 			})

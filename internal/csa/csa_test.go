@@ -24,14 +24,23 @@ func clusterPos(size int, radius float64, seed int64) []geo.Point {
 	return pos
 }
 
-// finishSlots runs node i as frags[i] and records in after[i] the slot at
-// which that fragment finished.
-func finishSlots(after []int, frags ...sim.Frag) []sim.Stepper {
-	steppers := make([]sim.Stepper, len(frags))
-	for i, f := range frags {
-		steppers[i] = &sim.FragStepper{Frag: f, Finish: func(sc *sim.StepCtx) { after[i] = sc.Slot() }}
+// finishSlots runs node i as steppers[i] and records in after[i] the slot
+// at which its fragment finished.
+func finishSlots(after []int, steppers ...*sim.FragStepper) []sim.Stepper {
+	out := make([]sim.Stepper, len(steppers))
+	for i, s := range steppers {
+		s.Finish = func(sc *sim.StepCtx) { after[i] = sc.Slot() }
+		out[i] = s
 	}
-	return steppers
+	return out
+}
+
+// smallMember runs a small-variant member of cluster 0 at offset off.
+func smallMember(st *SmallStage, off int) *sim.FragStepper {
+	return &sim.FragStepper{New: func(sc *sim.StepCtx) sim.Frag {
+		f := NewSmallDominateeFrag(sc, st, off, 0)
+		return &f
+	}}
 }
 
 // runLarge executes the large-Δ̂ estimator on a single cluster with node 0
@@ -42,13 +51,14 @@ func runLarge(t *testing.T, size int, cfg Config, channels int, seed uint64) (in
 	pos := clusterPos(size, 0.05, int64(seed))
 	p := model.Default(channels, 256)
 	e := sim.NewEngine(phy.NewField(p, pos), seed)
+	st := NewStage(p, cfg, 0)
 	var domEst int
 	memberEst := make([]int, size)
 	steppers := make([]sim.Stepper, size)
-	dom := &DominatorFrag{Cfg: cfg}
+	dom := &DominatorFrag{Stage: &st}
 	steppers[0] = &sim.FragStepper{Frag: dom, Finish: func(*sim.StepCtx) { domEst = dom.Estimate }}
 	for i := 1; i < size; i++ {
-		f := &DominateeFrag{Cfg: cfg}
+		f := &DominateeFrag{Stage: &st}
 		steppers[i] = &sim.FragStepper{Frag: f, Finish: func(*sim.StepCtx) { memberEst[i] = f.Estimate }}
 	}
 	if _, err := e.Run(steppers); err != nil {
@@ -87,18 +97,18 @@ func TestLargeEmptyClusterNoTermination(t *testing.T) {
 
 func TestLargeSlotBudget(t *testing.T) {
 	p := model.Default(1, 256)
-	cfg := Config{DeltaHat: 128, ClusterRadius: 0.14}
+	st := NewStage(p, Config{DeltaHat: 128, ClusterRadius: 0.14}, 0)
 	pos := clusterPos(3, 0.05, 1)
 	e := sim.NewEngine(phy.NewField(p, pos), 1)
 	after := make([]int, 3)
 	if _, err := e.Run(finishSlots(after,
-		&DominatorFrag{Cfg: cfg},
-		&DominateeFrag{Cfg: cfg},
-		&sim.IdleFrag{K: cfg.SlotBudget(p)},
+		&sim.FragStepper{Frag: &DominatorFrag{Stage: &st}},
+		&sim.FragStepper{Frag: &DominateeFrag{Stage: &st}},
+		&sim.FragStepper{Frag: &st.Window},
 	)); err != nil {
 		t.Fatal(err)
 	}
-	want := cfg.SlotBudget(p)
+	want := st.Len
 	for i, s := range after {
 		if s != want {
 			t.Errorf("node %d consumed %d, want %d", i, s, want)
@@ -107,14 +117,11 @@ func TestLargeSlotBudget(t *testing.T) {
 }
 
 func TestLargePhases(t *testing.T) {
-	if got := (Config{DeltaHat: 1}).Phases(); got != 1 {
-		t.Errorf("Phases(Δ̂=1) = %d", got)
-	}
-	if got := (Config{DeltaHat: 128}).Phases(); got != 7 {
-		t.Errorf("Phases(Δ̂=128) = %d, want 7", got)
-	}
-	if got := (Config{DeltaHat: 100}).Phases(); got != 7 {
-		t.Errorf("Phases(Δ̂=100) = %d, want 7", got)
+	p := model.Default(1, 256)
+	for _, tc := range []struct{ deltaHat, want int }{{1, 1}, {128, 7}, {100, 7}} {
+		if got := len(NewStage(p, Config{DeltaHat: tc.deltaHat}, 0).probs); got != tc.want {
+			t.Errorf("phases(Δ̂=%d) = %d, want %d", tc.deltaHat, got, tc.want)
+		}
 	}
 }
 
@@ -122,16 +129,17 @@ func TestSmallEstimateAccuracy(t *testing.T) {
 	for _, size := range []int{12, 40, 90} {
 		pos := clusterPos(size, 0.05, int64(size))
 		p := model.Default(8, 256)
-		cfg := DefaultSmallConfig(p, 0.14)
+		st := NewSmallStage(p, DefaultSmallConfig(p, 0.14), 0)
 		e := sim.NewEngine(phy.NewField(p, pos), uint64(size)*7)
 		var domEst int
 		memberEst := make([]int, size)
 		steppers := make([]sim.Stepper, size)
-		dom := &SmallDominatorFrag{Cfg: cfg}
+		dom := NewSmallDominatorFrag(&st, 0, 0)
 		steppers[0] = &sim.FragStepper{Frag: dom, Finish: func(*sim.StepCtx) { domEst = dom.Estimate }}
 		for i := 1; i < size; i++ {
-			f := &SmallDominateeFrag{Cfg: cfg}
-			steppers[i] = &sim.FragStepper{Frag: f, Finish: func(*sim.StepCtx) { memberEst[i] = f.Estimate }}
+			m := smallMember(&st, 0)
+			m.Finish = func(*sim.StepCtx) { memberEst[i] = m.Frag.(*SmallDominateeFrag).Estimate }
+			steppers[i] = m
 		}
 		if _, err := e.Run(steppers); err != nil {
 			t.Fatal(err)
@@ -156,19 +164,19 @@ func TestSmallEstimateAccuracy(t *testing.T) {
 
 func TestSmallSlotBudget(t *testing.T) {
 	p := model.Default(4, 256)
-	cfg := DefaultSmallConfig(p, 0.14)
+	st := NewSmallStage(p, DefaultSmallConfig(p, 0.14), 0)
 	pos := clusterPos(4, 0.05, 2)
 	e := sim.NewEngine(phy.NewField(p, pos), 5)
 	after := make([]int, 4)
 	if _, err := e.Run(finishSlots(after,
-		&SmallDominatorFrag{Cfg: cfg},
-		&SmallDominateeFrag{Cfg: cfg},
-		&SmallDominateeFrag{Cfg: cfg},
-		&sim.IdleFrag{K: cfg.SlotBudget(p)},
+		&sim.FragStepper{Frag: NewSmallDominatorFrag(&st, 0, 0)},
+		smallMember(&st, 0),
+		smallMember(&st, 0),
+		&sim.FragStepper{Frag: &st.Window},
 	)); err != nil {
 		t.Fatal(err)
 	}
-	want := cfg.SlotBudget(p)
+	want := st.Len
 	for i, s := range after {
 		if s != want {
 			t.Errorf("node %d consumed %d, want %d", i, s, want)
@@ -200,14 +208,13 @@ func TestTwoClustersInterleaved(t *testing.T) {
 	e := sim.NewEngine(phy.NewField(p, pos), 9)
 	ests := make([]int, 2)
 	steppers := make([]sim.Stepper, 2*size)
+	st := NewStage(p, Config{DeltaHat: 256, ClusterRadius: 0.14, Stride: 2}, 0)
 	for c := 0; c < 2; c++ {
-		cfg := Config{DeltaHat: 256, ClusterRadius: 0.14}
-		cfg.Stride, cfg.Offset = 2, c
 		dom := c * size
-		f := &DominatorFrag{Cfg: cfg, Dom: dom}
+		f := &DominatorFrag{Stage: &st, Off: c, Dom: dom}
 		steppers[dom] = &sim.FragStepper{Frag: f, Finish: func(*sim.StepCtx) { ests[c] = f.Estimate }}
 		for i := 1; i < size; i++ {
-			steppers[dom+i] = &sim.FragStepper{Frag: &DominateeFrag{Cfg: cfg, Dom: dom}}
+			steppers[dom+i] = &sim.FragStepper{Frag: &DominateeFrag{Stage: &st, Off: c, Dom: dom}}
 		}
 	}
 	if _, err := e.Run(steppers); err != nil {

@@ -76,18 +76,32 @@ type Outcome struct {
 	SelfAppointed bool
 }
 
-// phases is the number of doubling phases, ⌈log₂ n̂⌉.
-func phases(p model.Params) int {
-	return int(math.Ceil(math.Log2(float64(p.NEstimate))))
+// Stage is the construction compiled for one run: its slot window, its
+// reception filter and its per-phase HELLO probabilities.
+type Stage struct {
+	sim.Window
+	reach  phy.Reach // within R
+	rounds int       // rounds per phase, ⌈roundFactor·ln n̂⌉
+	probs  []float64 // HELLO probability per phase, doubling from 1/n̂ to 1/(2µ)
 }
 
-func roundsPerPhase(p model.Params) int {
-	return int(math.Ceil(roundFactor * p.LogN()))
-}
-
-// SlotBudget returns the exact number of slots RunFrag consumes.
-func (c Config) SlotBudget(p model.Params) int {
-	return 3 * phases(p) * roundsPerPhase(p)
+// NewStage compiles the construction under p starting at slot start: ⌈log₂
+// n̂⌉ phases of rounds three-slot rounds each.
+func NewStage(p model.Params, c Config, start int) Stage {
+	phases := int(math.Ceil(math.Log2(float64(p.NEstimate))))
+	rounds := int(math.Ceil(roundFactor * p.LogN()))
+	st := Stage{
+		Window: sim.Window{Start: start, Len: 3 * phases * rounds},
+		reach:  phy.NewReach(p, c.R),
+		rounds: rounds,
+		probs:  make([]float64, max(phases, 0)),
+	}
+	prob := 1 / float64(p.NEstimate)
+	for i := range st.probs {
+		st.probs[i] = prob
+		prob = math.Min(prob*2, 1/(2*mu))
+	}
+	return st
 }
 
 // runAwait tags which listen, if any, the fragment's previous slot holds.
@@ -101,60 +115,51 @@ const (
 )
 
 // RunFrag executes the node's side of the dominating-set construction as a
-// sim.Frag, consuming exactly Cfg.SlotBudget slots. Out is valid once Feed
-// returns true.
+// sim.Frag over its Stage's window. Out is valid once Feed returns true.
+// Build it with NewRunFrag.
 type RunFrag struct {
-	Cfg Config
-	Out Outcome
+	Stage *Stage
+	Out   Outcome
 
-	init              bool
-	reach             phy.Reach // Cfg.R
-	phases, rounds    int
-	prob, probCap     float64
-	phase, round, sub int
-	sentHello         bool
 	clearFrom         int
-	gotAck            bool
+	sentHello, gotAck bool
 	await             runAwait
 }
 
-// Feed implements sim.Frag.
+// NewRunFrag returns a node's fragment for st, not yet dominated.
+func NewRunFrag(st *Stage) RunFrag {
+	return RunFrag{Stage: st, Out: Outcome{Dominator: -1}, clearFrom: -1}
+}
+
+// Feed implements sim.Frag. The node acts in every slot of the window:
+// round k of phase k/rounds spans its slots [3k, 3k+3).
 func (f *RunFrag) Feed(sc *sim.StepCtx) bool {
-	if !f.init {
-		p := sc.Params()
-		f.init = true
-		f.reach = phy.NewReach(p, f.Cfg.R)
-		f.phases = phases(p)
-		f.rounds = roundsPerPhase(p)
-		f.prob = 1 / float64(p.NEstimate)
-		f.probCap = 1 / (2 * mu)
-		f.Out = Outcome{Dominator: -1}
-		f.clearFrom = -1
-	}
+	st := f.Stage
 	// Consume the previous slot's reception before acting (or drawing).
 	switch f.await {
 	case awaitHello:
 		rec := sc.Prev()
 		if h, ok := rec.Msg.(Hello); ok && !f.Out.IsDominator &&
-			f.reach.Clear(rec) {
+			st.reach.Clear(rec) {
 			f.clearFrom = h.From
 		}
 	case awaitAck:
 		rec := sc.Prev()
 		if a, ok := rec.Msg.(Ack); ok && a.To == sc.ID() &&
-			f.reach.Within(rec) {
+			st.reach.Within(rec) {
 			f.gotAck = true
 		}
 	case awaitIn:
 		rec := sc.Prev()
 		if in, ok := rec.Msg.(In); ok && f.Out.Dominator == -1 &&
-			f.reach.Within(rec) {
+			st.reach.Within(rec) {
 			f.Out.Dominator = in.From
 		}
 	}
 	f.await = awaitNone
 
-	if f.phase >= f.phases {
+	rel := st.Rel(sc)
+	if rel >= st.Len {
 		if f.Out.Dominator == -1 {
 			f.Out.IsDominator = true
 			f.Out.SelfAppointed = true
@@ -163,10 +168,10 @@ func (f *RunFrag) Feed(sc *sim.StepCtx) bool {
 		return true
 	}
 
-	switch f.sub {
+	switch rel % 3 {
 	case 0: // HELLO
 		candidate := f.Out.Dominator == -1 && !f.Out.IsDominator
-		f.sentHello = candidate && sc.Rand.Float64() < f.prob
+		f.sentHello = candidate && sc.Rand.Float64() < st.probs[rel/3/st.rounds]
 		f.clearFrom = -1
 		if f.sentHello {
 			sc.Transmit(channel, Hello{From: sc.ID()})
@@ -196,16 +201,6 @@ func (f *RunFrag) Feed(sc *sim.StepCtx) bool {
 		default:
 			sc.Listen(channel)
 			f.await = awaitIn
-		}
-	}
-	f.sub++
-	if f.sub == 3 {
-		f.sub = 0
-		f.round++
-		if f.round == f.rounds {
-			f.round = 0
-			f.phase++
-			f.prob = math.Min(f.prob*2, f.probCap)
 		}
 	}
 	return false

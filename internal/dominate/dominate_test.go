@@ -19,11 +19,12 @@ func runDominate(t *testing.T, pos []geo.Point, cfg Config, seed uint64) []Outco
 	}
 	p := model.Default(1, nEst)
 	e := sim.NewEngine(phy.NewField(p, pos), seed)
+	st := NewStage(p, cfg, 0)
 	out := make([]Outcome, len(pos))
 	steppers := make([]sim.Stepper, len(pos))
 	for i := range steppers {
-		f := &RunFrag{Cfg: cfg}
-		steppers[i] = &sim.FragStepper{Frag: f, Finish: func(*sim.StepCtx) { out[i] = f.Out }}
+		f := NewRunFrag(&st)
+		steppers[i] = &sim.FragStepper{Frag: &f, Finish: func(*sim.StepCtx) { out[i] = f.Out }}
 	}
 	if _, err := e.Run(steppers); err != nil {
 		t.Fatal(err)
@@ -115,13 +116,14 @@ func TestDominatorAssignmentsConsistent(t *testing.T) {
 func TestSlotBudgetExact(t *testing.T) {
 	pos := []geo.Point{{X: 0}, {X: 0.02}, {X: 5}}
 	p := model.Default(1, 64)
-	cfg := Config{R: 0.06}
-	want := cfg.SlotBudget(p)
+	st := NewStage(p, Config{R: 0.06}, 0)
+	want := st.Len
 	e := sim.NewEngine(phy.NewField(p, pos), 3)
 	after := make([]int, len(pos))
 	steppers := make([]sim.Stepper, len(pos))
 	for i := range steppers {
-		steppers[i] = &sim.FragStepper{Frag: &RunFrag{Cfg: cfg}, Finish: func(sc *sim.StepCtx) { after[i] = sc.Slot() }}
+		f := NewRunFrag(&st)
+		steppers[i] = &sim.FragStepper{Frag: &f, Finish: func(sc *sim.StepCtx) { after[i] = sc.Slot() }}
 	}
 	if _, err := e.Run(steppers); err != nil {
 		t.Fatal(err)
@@ -148,21 +150,22 @@ func TestAnalyzeUncovered(t *testing.T) {
 	}
 }
 
-// TestIdleConsumesBudget: a node idling through SlotBudget finishes in the
-// same slot as a participant next to it.
+// TestIdleConsumesBudget: a node sleeping through the stage window
+// finishes in the same slot as a participant next to it.
 func TestIdleConsumesBudget(t *testing.T) {
 	pos := []geo.Point{{X: 0}, {X: 0.02}}
 	p := model.Default(1, 64)
-	cfg := Config{R: 0.06}
+	st := NewStage(p, Config{R: 0.06}, 0)
+	f := NewRunFrag(&st)
 	e := sim.NewEngine(phy.NewField(p, pos), 1)
 	after := make([]int, 2)
 	if _, err := e.Run([]sim.Stepper{
-		&sim.FragStepper{Frag: &RunFrag{Cfg: cfg}, Finish: func(sc *sim.StepCtx) { after[0] = sc.Slot() }},
-		&sim.FragStepper{Frag: &sim.IdleFrag{K: cfg.SlotBudget(p)}, Finish: func(sc *sim.StepCtx) { after[1] = sc.Slot() }},
+		&sim.FragStepper{Frag: &f, Finish: func(sc *sim.StepCtx) { after[0] = sc.Slot() }},
+		&sim.FragStepper{Frag: &st.Window, Finish: func(sc *sim.StepCtx) { after[1] = sc.Slot() }},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if after[0] != cfg.SlotBudget(p) || after[1] != after[0] {
-		t.Errorf("participant finished at %d, idler at %d, want both %d", after[0], after[1], cfg.SlotBudget(p))
+	if after[0] != st.Len || after[1] != after[0] {
+		t.Errorf("participant finished at %d, idler at %d, want both %d", after[0], after[1], st.Len)
 	}
 }

@@ -310,13 +310,13 @@ func E5RulingSet(o Options) (*stats.Table, error) {
 				Y: base.Y + (rnd.Float64()*2-1)*r/3,
 			})
 		}
-		cfg := ruling.DefaultConfig(r, 0)
+		st := ruling.NewStage(p, ruling.DefaultConfig(r, 0), 0)
 		e := sim.NewEngine(phy.NewField(p, pos), uint64(s+1))
 		out := make([]ruling.Outcome, n)
 		steppers := make([]sim.Stepper, n)
 		for i := range steppers {
-			f := &ruling.RunFrag{Cfg: cfg}
-			steppers[i] = &sim.FragStepper{Frag: f, Finish: func(*sim.StepCtx) { out[i] = f.Out }}
+			f := ruling.NewRunFrag(&st, 0)
+			steppers[i] = &sim.FragStepper{Frag: &f, Finish: func(*sim.StepCtx) { out[i] = f.Out }}
 		}
 		if _, err := e.RunContext(ctx, steppers); err != nil {
 			return e5Run{}, err
@@ -327,7 +327,7 @@ func E5RulingSet(o Options) (*stats.Table, error) {
 		for i, oc := range out {
 			part[i] = true
 			inset[i] = oc.InSet
-			if oc.JoinRound > maxRound && oc.JoinRound < cfg.Rounds(p) {
+			if oc.JoinRound > maxRound && oc.JoinRound < st.Rounds {
 				maxRound = oc.JoinRound
 			}
 		}
@@ -350,7 +350,7 @@ func E5RulingSet(o Options) (*stats.Table, error) {
 		}
 		p := model.Default(1, n)
 		t.AddRow(stats.I(n), stats.F1(stats.Median(rounds)),
-			stats.I(ruling.DefaultConfig(r, 0).Rounds(p)), stats.I(viol), stats.I(undom))
+			stats.I(ruling.NewStage(p, ruling.DefaultConfig(r, 0), 0).Rounds), stats.I(viol), stats.I(undom))
 	}
 	t.AddNote("seeds=%d; rounds_done = last decision round; expect growth ∝ log n", o.seeds())
 	return t, nil
@@ -382,20 +382,23 @@ func E6CSA(o Options) (*stats.Table, error) {
 		memberR := 2 * p.ClusterRadius()
 		steppers := make([]sim.Stepper, size)
 		if variant == "large" {
-			cfg := csa.Config{ClusterRadius: memberR, DeltaHat: 256}
-			budget = cfg.SlotBudget(p)
-			dom := &csa.DominatorFrag{Cfg: cfg}
+			st := csa.NewStage(p, csa.Config{ClusterRadius: memberR, DeltaHat: 256}, 0)
+			budget = st.Len
+			dom := &csa.DominatorFrag{Stage: &st}
 			steppers[0] = &sim.FragStepper{Frag: dom, Finish: func(*sim.StepCtx) { est = dom.Estimate + 1 }}
 			for i := 1; i < size; i++ {
-				steppers[i] = &sim.FragStepper{Frag: &csa.DominateeFrag{Cfg: cfg}}
+				steppers[i] = &sim.FragStepper{Frag: &csa.DominateeFrag{Stage: &st}}
 			}
 		} else {
-			cfg := csa.DefaultSmallConfig(p, memberR)
-			budget = cfg.SlotBudget(p)
-			dom := &csa.SmallDominatorFrag{Cfg: cfg}
+			st := csa.NewSmallStage(p, csa.DefaultSmallConfig(p, memberR), 0)
+			budget = st.Len
+			dom := csa.NewSmallDominatorFrag(&st, 0, 0)
 			steppers[0] = &sim.FragStepper{Frag: dom, Finish: func(*sim.StepCtx) { est = dom.Estimate }}
 			for i := 1; i < size; i++ {
-				steppers[i] = &sim.FragStepper{Frag: &csa.SmallDominateeFrag{Cfg: cfg}}
+				steppers[i] = &sim.FragStepper{New: func(sc *sim.StepCtx) sim.Frag {
+					f := csa.NewSmallDominateeFrag(sc, &st, 0, 0)
+					return &f
+				}}
 			}
 		}
 		if _, err := e.RunContext(ctx, steppers); err != nil {
@@ -585,13 +588,13 @@ func E9Backbone(o Options) (*stats.Table, error) {
 		rnd := topology.LayoutRand(uint64(900*n + s))
 		pos := topology.UniformDegree(rnd, n, p.REps(), 12)
 		rc := p.ClusterRadius()
-		dcfg := dominate.Config{R: rc}
+		dst := dominate.NewStage(p, dominate.Config{R: rc}, 0)
 		e := sim.NewEngine(phy.NewField(p, pos), uint64(s+41))
 		dout := make([]dominate.Outcome, n)
 		steppers := make([]sim.Stepper, n)
 		for i := range steppers {
-			f := &dominate.RunFrag{Cfg: dcfg}
-			steppers[i] = &sim.FragStepper{Frag: f, Finish: func(*sim.StepCtx) { dout[i] = f.Out }}
+			f := dominate.NewRunFrag(&dst)
+			steppers[i] = &sim.FragStepper{Frag: &f, Finish: func(*sim.StepCtx) { dout[i] = f.Out }}
 		}
 		if _, err := e.RunContext(ctx, steppers); err != nil {
 			return e9Run{}, err
@@ -600,14 +603,15 @@ func E9Backbone(o Options) (*stats.Table, error) {
 
 		// Color the dominators.
 		ccfg := backbone.ColorConfig{Radius: p.REpsHalf(), PhiMax: 32}
+		cst := backbone.NewColorStage(p, ccfg, 0)
 		e2 := sim.NewEngine(phy.NewField(p, pos), uint64(s+61))
 		cout := make([]backbone.ColorOutcome, n)
 		for i := range steppers {
 			if dout[i].IsDominator {
-				f := &backbone.ColorFrag{Cfg: ccfg}
+				f := backbone.NewColorFrag(&cst)
 				steppers[i] = &sim.FragStepper{Frag: f, Finish: func(*sim.StepCtx) { cout[i] = f.Out }}
 			} else {
-				steppers[i] = &sim.FragStepper{Frag: &sim.IdleFrag{K: ccfg.SlotBudget(p)}}
+				steppers[i] = &sim.FragStepper{Frag: &cst.Window}
 			}
 		}
 		if _, err := e2.RunContext(ctx, steppers); err != nil {

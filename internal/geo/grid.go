@@ -24,12 +24,17 @@ type Grid struct {
 const maxGridCells = 1 << 21
 
 // NewGrid builds a grid over pts with the given cell size. Cell size must be
-// positive; it is typically the most common query radius.
+// positive; it is typically the most common query radius. Every point must
+// have finite coordinates.
 func NewGrid(pts []Point, cell float64) *Grid {
 	if cell <= 0 || math.IsNaN(cell) || math.IsInf(cell, 0) {
 		panic("geo: grid cell size must be positive and finite")
 	}
 	min, max := BoundingBox(pts)
+	if w, h := max.X-min.X, max.Y-min.Y; math.IsNaN(w) || math.IsInf(w, 0) || math.IsNaN(h) || math.IsInf(h, 0) {
+		// The cell-doubling loop below would never end.
+		panic("geo: grid bounding box must be finite")
+	}
 	for {
 		c := (max.X-min.X)/cell + 1
 		r := (max.Y-min.Y)/cell + 1

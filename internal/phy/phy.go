@@ -409,8 +409,8 @@ func (f *Field) decide(rec *Reception, txs []Tx, total, bestPow float64, best in
 
 // Reach is the reception filter for one distance r under one parameter
 // set: it holds the received-power thresholds that Within and Clear compare
-// against, so a protocol builds it once per fragment (NewReach) instead of
-// evaluating the path-loss law on every decoded reception.
+// against, so a protocol builds it once per compiled stage (NewReach)
+// instead of evaluating the path-loss law on every decoded reception.
 type Reach struct {
 	minPow, maxInterference float64
 }

@@ -2,6 +2,7 @@ package reporter
 
 import (
 	"mcnet/internal/agg"
+	"mcnet/internal/model"
 	"mcnet/internal/phy"
 	"mcnet/internal/sim"
 )
@@ -40,39 +41,40 @@ type CastConfig struct {
 	F int
 	// ClusterRadius bounds the distance to co-members (2·r_c).
 	ClusterRadius float64
-	// Stride and Offset interleave clusters under the TDMA scheme.
-	Stride, Offset int
+	// Stride interleaves clusters under the TDMA scheme; each node passes
+	// its levels in its own offset of every round. Stride 0 means 1.
+	Stride int
 }
 
-// DefaultCastConfig returns the pipeline configuration.
-func DefaultCastConfig(f int, clusterRadius float64) CastConfig {
-	return CastConfig{F: f, ClusterRadius: clusterRadius, Stride: 1}
+// CastStage is one directional pass (up or down) compiled for one run.
+// A pass's constants do not depend on where it starts, so a copy with
+// another Start is the same pass at that slot.
+type CastStage struct {
+	sim.Window
+	levels int       // depth of the role heap, ⌊log₂ F⌋ + 1
+	stride int       // CastConfig.Stride, at least 1
+	reach  phy.Reach // within ClusterRadius
 }
 
-func (c CastConfig) stride() int {
-	if c.Stride < 1 {
-		return 1
+// NewCastStage compiles one pass of c under p starting at slot start: 4
+// sub-slots per level, stride-interleaved. The roles are 1..F; the level of
+// role k is the position of its most significant bit, so role 1 is level 1.
+func NewCastStage(p model.Params, c CastConfig, start int) CastStage {
+	stride := max(c.Stride, 1)
+	levels := levelOf(c.F)
+	return CastStage{
+		Window: sim.Window{Start: start, Len: 4 * levels * stride},
+		levels: levels,
+		stride: stride,
+		reach:  phy.NewReach(p, c.ClusterRadius),
 	}
-	return c.Stride
 }
 
-// Levels returns the depth of the role heap: roles 1..F; the level of role
-// k is the position of its most significant bit, so role 1 is level 1 and
-// the deepest level is ⌊log₂ F⌋ + 1.
-func (c CastConfig) Levels() int {
-	return levelOf(c.F)
-}
-
-// SlotBudget returns the exact number of slots one directional pass (up or
-// down) consumes: 4 sub-slots per level, stride-interleaved.
-func (c CastConfig) SlotBudget() int {
-	return 4 * c.Levels() * c.stride()
-}
-
-// rounds lays out a pass's levels: the k-th level passed spans 4·Stride
-// slots with its four sub-slots starting at 4·Offset.
-func (c CastConfig) rounds() sim.Rounds {
-	return sim.Rounds{Stride: 4 * c.stride(), Offset: 4 * c.Offset}
+// rounds lays out a pass's levels for a node at TDMA offset off: the k-th
+// level passed spans 4·stride slots with its four sub-slots starting at
+// 4·off.
+func (s *CastStage) rounds(off int) sim.Rounds {
+	return sim.Rounds{Stride: 4 * s.stride, Offset: 4 * off}
 }
 
 // levelOf returns the heap level of role k: 0 for the root (role 0), and
@@ -144,36 +146,34 @@ const (
 )
 
 // CastUpFrag executes one up pass of the reporter tree for tree role Role
-// in cluster Dom, folding Value with Op. St is valid once Feed returns
-// true.
+// in cluster Dom, folding values with Op. St is valid once Feed returns
+// true. Build it with NewCastUpFrag.
 //
 // Role 0 is the dominator; roles 1..F are channel reporters (role k on
-// physical channel k-1); bystanders idle through the pass with a
-// sim.IdleFrag. Missing roles (empty channels) are healed by the Appendix
-// A rules: an unacknowledged left child stands in for its missing parent,
-// absorbing its sibling's transmission directly; an unacknowledged right
-// child takes over only when the left sibling is absent too (a present
-// left sibling would have acknowledged it).
+// physical channel k-1); bystanders sleep through the pass. Missing roles
+// (empty channels) are healed by the Appendix A rules: an unacknowledged
+// left child stands in for its missing parent, absorbing its sibling's
+// transmission directly; an unacknowledged right child takes over only
+// when the left sibling is absent too (a present left sibling would have
+// acknowledged it).
 //
 // Sub-slots per level: 0 = left child transmits, 1 = ack to left child,
 // 2 = right child transmits, 3 = ack to right child. Role 1 (the root's
-// only child) uses the right-child sub-slots. Each level spans 4·Stride
-// slots with its sub-slots at 4·Offset; a node steps through the
-// sub-slots of the levels it sends or receives in and sleeps through the
-// rest. The pass consumes exactly Cfg.SlotBudget slots.
+// only child) uses the right-child sub-slots. Each level spans 4·stride
+// slots with its sub-slots at 4·Off; a node steps through the sub-slots of
+// the levels it sends or receives in and sleeps through the rest. The pass
+// consumes exactly its Stage's window.
 type CastUpFrag struct {
-	Cfg       CastConfig
+	Stage     *CastStage
+	Off       int
 	Role, Dom int
-	Value     int64
 	Op        agg.Op
 	St        CastState
 
-	start      int // the slot of the first Feed
-	lvl        int // the level being passed, Levels() down to 1
-	acting     int
-	init, done bool
-	reach      phy.Reach // Cfg.ClusterRadius
-	await      castAwait
+	lvl    int // the level being passed, levels down to 1
+	acting int
+	done   bool
+	await  castAwait
 	// Per-level state.
 	isSender, isParent       bool
 	sendsLeft, sendsRight    bool
@@ -181,6 +181,27 @@ type CastUpFrag struct {
 	parentRole               int
 	sendCh, ownCh            int
 	sibValue                 int64
+}
+
+// NewCastUpFrag returns the up-pass fragment of role in cluster dom at TDMA
+// offset off, starting from value.
+func NewCastUpFrag(st *CastStage, off, role, dom int, value int64, op agg.Op) *CastUpFrag {
+	f := &CastUpFrag{
+		Stage: st, Off: off, Role: role, Dom: dom, Op: op,
+		St: CastState{
+			Value:       value,
+			DeliveredAs: -1,
+			ChildVals:   map[int][2]int64{},
+			ChildSeen:   map[int][2]bool{},
+		},
+		lvl:    st.levels,
+		acting: role,
+	}
+	if role >= 0 {
+		f.St.Chain = append(f.St.Chain, role)
+	}
+	f.begin()
+	return f
 }
 
 func (f *CastUpFrag) recordChild(j, side int, v int64) {
@@ -191,28 +212,12 @@ func (f *CastUpFrag) recordChild(j, side int, v int64) {
 
 // Feed implements sim.Frag.
 func (f *CastUpFrag) Feed(sc *sim.StepCtx) bool {
-	if !f.init {
-		f.init = true
-		f.reach = phy.NewReach(sc.Params(), f.Cfg.ClusterRadius)
-		f.start = sc.Slot()
-		f.St = CastState{
-			Value:       f.Value,
-			DeliveredAs: -1,
-			ChildVals:   map[int][2]int64{},
-			ChildSeen:   map[int][2]bool{},
-		}
-		f.acting = f.Role
-		if f.Role >= 0 {
-			f.St.Chain = append(f.St.Chain, f.Role)
-		}
-		f.lvl = f.Cfg.Levels()
-		f.begin()
-	}
+	reach := &f.Stage.reach
 	switch f.await {
 	case castAwaitSub0Parent:
 		rec := sc.Prev()
 		if m, ok := rec.Msg.(UpMsg); ok && m.ToRole == f.acting && m.Dom == f.Dom &&
-			m.From == 2*f.acting && f.reach.Within(rec) {
+			m.From == 2*f.acting && reach.Within(rec) {
 			f.recordChild(f.acting, 0, m.Value)
 		}
 	case castAwaitSub1Sender:
@@ -224,13 +229,13 @@ func (f *CastUpFrag) Feed(sc *sim.StepCtx) bool {
 	case castAwaitSub2Parent:
 		rec := sc.Prev()
 		if m, ok := rec.Msg.(UpMsg); ok && m.ToRole == f.acting && m.Dom == f.Dom &&
-			m.From == 2*f.acting+1 && f.reach.Within(rec) {
+			m.From == 2*f.acting+1 && reach.Within(rec) {
 			f.recordChild(f.acting, 1, m.Value)
 		}
 	case castAwaitSub2StandIn:
 		rec := sc.Prev()
 		if m, ok := rec.Msg.(UpMsg); ok && m.ToRole == f.parentRole && m.Dom == f.Dom &&
-			m.From == f.acting+1 && f.reach.Within(rec) {
+			m.From == f.acting+1 && reach.Within(rec) {
 			f.sibValue, f.sibSeen = m.Value, true
 		}
 	case castAwaitSub3Sender:
@@ -241,12 +246,12 @@ func (f *CastUpFrag) Feed(sc *sim.StepCtx) bool {
 	}
 	f.await = castAwaitNone
 
-	rel := sc.Slot() - f.start
+	rel := f.Stage.Rel(sc)
 	// Close every level whose sub-slots are over.
 	for f.lvl >= 1 && rel >= f.subSlot(4) {
 		f.fold()
 	}
-	total := f.Cfg.SlotBudget()
+	total := f.Stage.Len
 	if rel >= total {
 		return true
 	}
@@ -270,12 +275,12 @@ func (f *CastUpFrag) Feed(sc *sim.StepCtx) bool {
 
 // Folded reports whether the pass has closed every level, so St.Value is
 // final: for the root, its cluster's aggregate.
-func (f *CastUpFrag) Folded() bool { return f.init && f.lvl < 1 }
+func (f *CastUpFrag) Folded() bool { return f.lvl < 1 }
 
 // subSlot returns the fragment-relative slot of sub-slot k of the current
 // level (k = 4 is the slot after the level's last sub-slot).
 func (f *CastUpFrag) subSlot(k int) int {
-	return f.Cfg.rounds().At(f.Cfg.Levels()-f.lvl) + k
+	return f.Stage.rounds(f.Off).At(f.Stage.levels-f.lvl) + k
 }
 
 // begin derives the node's part in the current level.
@@ -382,34 +387,56 @@ func (f *CastUpFrag) fold() {
 // CastDownFrag executes one down pass for tree role Role in cluster Dom,
 // distributing payload intervals from the root to the reporters: it
 // retraces the up pass St (a CastUpFrag's St, takeovers included), starting
-// from Root at the dominator and dividing each acted role's payload with
-// Split. Self and Ok are the node's own interval and whether it obtained
-// one, valid once Feed returns true. It uses the up pass's level layout
-// with the levels in reverse order; only sub-slots 0 and 2 carry payloads
-// (1 and 3 keep the layout), and a node wakes at each level's sub-slot 0
-// and, when it sends or expects a payload there, at sub-slot 2. The pass
-// consumes exactly Cfg.SlotBudget slots.
+// from the root payload at the dominator and dividing each acted role's
+// payload with Split. Self and Ok are the node's own interval and whether
+// it obtained one, valid once Feed returns true. It uses the up pass's
+// level layout with the levels in reverse order; only sub-slots 0 and 2
+// carry payloads (1 and 3 keep the layout), and a node wakes at each
+// level's sub-slot 0 and, when it sends or expects a payload there, at
+// sub-slot 2. The pass consumes exactly its Stage's window. Build it with
+// NewCastDownFrag.
 type CastDownFrag struct {
-	Cfg       CastConfig
+	Stage     *CastStage
+	Off       int
 	Role, Dom int
 	St        CastState
-	Root      [2]int64
 	Split     SplitFunc
 	Self      [2]int64
 	Ok        bool
 
-	init, have, await bool
-	reach             phy.Reach        // Cfg.ClusterRadius
-	start             int              // the slot of the first Feed
-	lvl               int              // the level being passed, 1 up to Levels()
-	chain             []int            // the roles acted as: chainRoles(Role, St)
-	payloads          map[int][2]int64 // payload per chain role, once known
-	topRole           int
+	have, await bool
+	lvl         int              // the level being passed, 1 up to levels
+	chain       []int            // the roles acted as: chainRoles(Role, St)
+	payloads    map[int][2]int64 // payload per chain role, once known
+	topRole     int
 	// Per-level state.
 	isParent, expectsAt bool
 	parentRole          int
 	leftPay, rightPay   [2]int64
 	recvCh              int
+}
+
+// NewCastDownFrag returns the down-pass fragment of role in cluster dom at
+// TDMA offset off, retracing the up pass up; the dominator starts from the
+// payload root.
+func NewCastDownFrag(st *CastStage, off, role, dom int, up CastState, root [2]int64, split SplitFunc) *CastDownFrag {
+	f := &CastDownFrag{
+		Stage: st, Off: off, Role: role, Dom: dom, St: up, Split: split,
+		chain:    chainRoles(role, up),
+		payloads: map[int][2]int64{},
+		topRole:  -1,
+	}
+	if role == 0 {
+		f.payloads[0] = root
+		f.have = true
+		f.topRole = 0
+	} else if len(f.chain) > 0 {
+		// The payload arrives addressed to the highest role in the chain
+		// (the role under which the node delivered upward).
+		f.topRole = f.chain[len(f.chain)-1]
+	}
+	f.propagate()
+	return f
 }
 
 // inChain reports whether the node acted as role j during the up pass.
@@ -453,40 +480,22 @@ func (f *CastDownFrag) propagate() {
 
 // Feed implements sim.Frag.
 func (f *CastDownFrag) Feed(sc *sim.StepCtx) bool {
-	if !f.init {
-		f.init = true
-		f.reach = phy.NewReach(sc.Params(), f.Cfg.ClusterRadius)
-		f.start = sc.Slot()
-		f.chain = chainRoles(f.Role, f.St)
-		f.payloads = map[int][2]int64{}
-		f.topRole = -1
-		if f.Role == 0 {
-			f.payloads[0] = f.Root
-			f.have = true
-			f.topRole = 0
-		} else if len(f.chain) > 0 {
-			// The payload arrives addressed to the highest role in the
-			// chain (the role under which the node delivered upward).
-			f.topRole = f.chain[len(f.chain)-1]
-		}
-		f.propagate()
-	}
 	if f.await {
 		f.await = false
 		rec := sc.Prev()
 		if m, ok := rec.Msg.(DownMsg); ok && m.ToRole == f.topRole && m.Dom == f.Dom &&
-			f.reach.Within(rec) {
+			f.Stage.reach.Within(rec) {
 			f.payloads[f.topRole], f.have = m.Payload, true
 			f.propagate()
 		}
 	}
 
-	rel := sc.Slot() - f.start
-	total := f.Cfg.SlotBudget()
+	rel := f.Stage.Rel(sc)
+	total := f.Stage.Len
 	if rel >= total {
 		return true
 	}
-	r := f.Cfg.rounds()
+	r := f.Stage.rounds(f.Off)
 	k := rel / r.Stride
 	base, next := r.At(k), r.At(k+1) // this and the next level's sub-slot 0
 	at := next

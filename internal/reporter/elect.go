@@ -37,8 +37,9 @@ type ElectConfig struct {
 	// ClusterRadius bounds the distance to co-members (the pipeline passes
 	// 2·r_c); senders beyond it are ignored.
 	ClusterRadius float64
-	// Stride and Offset interleave clusters under the TDMA scheme.
-	Stride, Offset int
+	// Stride interleaves clusters under the TDMA scheme; each node acts in
+	// its own offset of every Stride-slot round.
+	Stride int
 }
 
 // Election constants (deviation D1 in the mcnet package documentation).
@@ -50,64 +51,58 @@ const (
 	roundFactor float64 = 10
 )
 
-func (c ElectConfig) stride() int {
-	if c.Stride < 1 {
-		return 1
+// ElectStage is an election compiled for one run.
+type ElectStage struct {
+	sim.Window
+	reach  phy.Reach // within ClusterRadius
+	stride int       // ElectConfig.Stride, at least 1
+}
+
+// NewElectStage compiles c under p starting at slot start:
+// ⌈roundFactor·ln n̂⌉ rounds of stride slots.
+func NewElectStage(p model.Params, c ElectConfig, start int) ElectStage {
+	stride := max(c.Stride, 1)
+	return ElectStage{
+		Window: sim.Window{Start: start, Len: stride * int(math.Ceil(roundFactor*p.LogN()))},
+		reach:  phy.NewReach(p, c.ClusterRadius),
+		stride: stride,
 	}
-	return c.Stride
-}
-
-// Rounds returns the number of election rounds.
-func (c ElectConfig) Rounds(p model.Params) int {
-	return int(math.Ceil(roundFactor * p.LogN()))
-}
-
-// SlotBudget returns the exact number of slots an election consumes.
-func (c ElectConfig) SlotBudget(p model.Params) int {
-	return c.stride() * c.Rounds(p)
 }
 
 // ElectFrag runs the election on the given physical channel for a member
-// of cluster Dom. Min is the node's current minimum; once Feed returns
-// true it is the elected reporter's ID — the minimum ID among members that
-// chose the channel, w.h.p. — which equals the node's own ID exactly when
-// it is the reporter. It consumes exactly Cfg.SlotBudget slots;
-// non-members idle through the budget with a sim.IdleFrag.
+// of cluster Dom, acting in offset Off of every round. Min is the node's
+// current minimum and starts as its own ID; once Feed returns true it is
+// the elected reporter's ID — the minimum ID among members that chose the
+// channel, w.h.p. — which equals the node's own ID exactly when it is the
+// reporter. It consumes exactly its Stage's window; non-members sleep
+// through the window.
 type ElectFrag struct {
-	Cfg          ElectConfig
+	Stage        *ElectStage
+	Off          int
 	Channel, Dom int
 	Min          int
 
-	init, awaitCand bool
-	reach           phy.Reach // Cfg.ClusterRadius
-	start, total    int
+	awaitCand bool
 }
 
 // Feed implements sim.Frag. The member acts in every round's act slot and
 // sleeps between them.
 func (f *ElectFrag) Feed(sc *sim.StepCtx) bool {
-	if !f.init {
-		p := sc.Params()
-		f.init = true
-		f.reach = phy.NewReach(p, f.Cfg.ClusterRadius)
-		f.start = sc.Slot()
-		f.total = f.Cfg.SlotBudget(p)
-		f.Min = sc.ID()
-	}
+	st := f.Stage
 	if f.awaitCand {
 		f.awaitCand = false
 		rec := sc.Prev()
 		if c, ok := rec.Msg.(Cand); ok && c.Dom == f.Dom && c.From < f.Min &&
-			f.reach.Within(rec) {
+			st.reach.Within(rec) {
 			f.Min = c.From
 		}
 	}
-	rel := sc.Slot() - f.start
-	if rel >= f.total {
+	rel := st.Rel(sc)
+	if rel >= st.Len {
 		return true
 	}
-	r := sim.Rounds{Stride: f.Cfg.stride(), Offset: f.Cfg.Offset}
-	if at := min(r.At(r.Next(rel)), f.total); at > rel {
+	r := sim.Rounds{Stride: st.stride, Offset: f.Off}
+	if at := min(r.At(r.Next(rel)), st.Len); at > rel {
 		sc.IdleFor(at - rel)
 		return false
 	}

@@ -15,7 +15,7 @@ import (
 
 // TestCastDownFragMatchesRunCastDown pins the up and down passes on random
 // role sets with missing roles: every node's up-pass state and
-// self-interval, the transcript and the slot count (2·SlotBudget) match
+// self-interval, the transcript and the slot count (two pass windows) match
 // the golden the goroutine engine recorded. Across the trials the role sets
 // must produce left-child stand-ins, right-child takeovers and absent
 // subtrees, so every Appendix A path of the retrace is covered.
@@ -48,18 +48,18 @@ func TestCastDownFragMatchesRunCastDown(t *testing.T) {
 			pos[i] = geo.Point{X: (rnd.Float64()*2 - 1) * 0.03, Y: (rnd.Float64()*2 - 1) * 0.03}
 		}
 		p := model.Default(channels, 64)
-		cfg := DefaultCastConfig(channels, 0.14)
+		cfg, off := CastConfig{F: channels, ClusterRadius: 0.14}, 0
 		if trial%2 == 1 {
-			cfg.Stride, cfg.Offset = 3, trial%3 // exercise the TDMA idles
+			cfg.Stride, off = 3, trial%3 // exercise the TDMA idles
 		}
 		seed := uint64(trial) + 1
 
 		e := sim.NewEngine(phy.NewField(p, pos), seed)
 		rec := golden.NewRecorder()
 		e.Trace = rec.Trace
-		ups, selves, oks, slots := castRun(t, e, cfg, roles, values, agg.Sum, true)
-		if want := 2 * cfg.SlotBudget(); slots != want {
-			t.Fatalf("trial %d: %d slots, want 2·SlotBudget = %d", trial, slots, want)
+		ups, selves, oks, slots := castRun(t, e, cfg, off, roles, values, agg.Sum, true)
+		if want := 2 * NewCastStage(p, cfg, 0).Len; slots != want {
+			t.Fatalf("trial %d: %d slots, want two passes = %d", trial, slots, want)
 		}
 		golden.Check(t, fmt.Sprintf("trial=%02d", trial), rec.Digest(t, struct {
 			Selves [][2]int64

@@ -29,19 +29,18 @@ func clusterField(n, channels int, radius float64, seed int64) (*phy.Field, mode
 func TestElectMinIDPerChannel(t *testing.T) {
 	const n, channels = 20, 4
 	f, p := clusterField(n, channels, 0.05, 3)
-	cfg := ElectConfig{ClusterRadius: 0.14}
+	st := NewElectStage(p, ElectConfig{ClusterRadius: 0.14}, 0)
 	// Channel assignment round-robin so minima are known: channel c gets
 	// nodes c, c+4, c+8, ... → min on channel c is node c.
 	e := sim.NewEngine(f, 5)
 	isLeader := make([]bool, n)
 	steppers := make([]sim.Stepper, n)
 	for i := range steppers {
-		steppers[i] = electStepper(cfg, i%channels, 0, &isLeader[i])
+		steppers[i] = electStepper(&st, i, i%channels, 0, &isLeader[i])
 	}
 	if _, err := e.Run(steppers); err != nil {
 		t.Fatal(err)
 	}
-	_ = p
 	for i, l := range isLeader {
 		want := i < channels
 		if l != want {
@@ -62,7 +61,7 @@ func TestElectTwoClustersIsolated(t *testing.T) {
 	}
 	p := model.Default(1, 64)
 	e := sim.NewEngine(phy.NewField(p, pos), 7)
-	cfg := ElectConfig{ClusterRadius: 0.14}
+	st := NewElectStage(p, ElectConfig{ClusterRadius: 0.14}, 0)
 	isLeader := make([]bool, len(pos))
 	steppers := make([]sim.Stepper, len(pos))
 	for i := range steppers {
@@ -70,7 +69,7 @@ func TestElectTwoClustersIsolated(t *testing.T) {
 		if i >= perCluster {
 			dom = perCluster
 		}
-		steppers[i] = electStepper(cfg, 0, dom, &isLeader[i])
+		steppers[i] = electStepper(&st, i, 0, dom, &isLeader[i])
 	}
 	if _, err := e.Run(steppers); err != nil {
 		t.Fatal(err)
@@ -85,55 +84,42 @@ func TestElectTwoClustersIsolated(t *testing.T) {
 
 func TestElectSlotBudget(t *testing.T) {
 	p := model.Default(1, 64)
-	cfg := ElectConfig{ClusterRadius: 0.14}
+	st := NewElectStage(p, ElectConfig{ClusterRadius: 0.14}, 0)
 	pos := []geo.Point{{X: 0}, {X: 0.02}}
 	e := sim.NewEngine(phy.NewField(p, pos), 2)
 	after := make([]int, 2)
 	if _, err := e.Run([]sim.Stepper{
-		&sim.FragStepper{Frag: &ElectFrag{Cfg: cfg}, Finish: func(sc *sim.StepCtx) { after[0] = sc.Slot() }},
-		&sim.FragStepper{Frag: &sim.IdleFrag{K: cfg.SlotBudget(p)}, Finish: func(sc *sim.StepCtx) { after[1] = sc.Slot() }},
+		&sim.FragStepper{Frag: &ElectFrag{Stage: &st}, Finish: func(sc *sim.StepCtx) { after[0] = sc.Slot() }},
+		&sim.FragStepper{Frag: &st.Window, Finish: func(sc *sim.StepCtx) { after[1] = sc.Slot() }},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	want := cfg.SlotBudget(p)
+	want := st.Len
 	if after[0] != want || after[1] != want {
 		t.Errorf("budgets %v, want %d", after, want)
 	}
 }
 
-// electStepper runs one member's election on channel for cluster dom and
+// electStepper runs member id's election on channel for cluster dom and
 // records whether the node ended as the channel's reporter.
-func electStepper(cfg ElectConfig, channel, dom int, leader *bool) sim.Stepper {
-	f := &ElectFrag{Cfg: cfg, Channel: channel, Dom: dom}
+func electStepper(st *ElectStage, id, channel, dom int, leader *bool) sim.Stepper {
+	f := &ElectFrag{Stage: st, Channel: channel, Dom: dom, Min: id}
 	return &sim.FragStepper{Frag: f, Finish: func(sc *sim.StepCtx) { *leader = f.Min == sc.ID() }}
 }
 
-// castStepper plays one tree role in cluster 0: an up pass folding value
-// with op, then (with down) a down pass splitting the root total with
-// coloringSplit. A negative role is a bystander idling through the passes.
+// castStepper plays one tree role in cluster 0: an up pass, then (with
+// down set) a down pass splitting the root total with coloringSplit. A
+// bystander (nil up) sleeps through the passes.
 type castStepper struct {
-	cfg  CastConfig
-	role int
-	down bool
+	down *CastStage
 
-	up    CastUpFrag
-	dn    *CastDownFrag
-	idle  *sim.IdleFrag
-	start bool
+	up   *CastUpFrag
+	dn   *CastDownFrag
+	idle sim.Window
 }
 
 func (s *castStepper) Step(sc *sim.StepCtx) {
-	if !s.start {
-		s.start = true
-		if s.role < 0 {
-			passes := 1
-			if s.down {
-				passes = 2
-			}
-			s.idle = &sim.IdleFrag{K: passes * s.cfg.SlotBudget()}
-		}
-	}
-	if s.idle != nil {
+	if s.up == nil {
 		if s.idle.Feed(sc) {
 			sc.Done()
 		}
@@ -143,30 +129,40 @@ func (s *castStepper) Step(sc *sim.StepCtx) {
 		if !s.up.Feed(sc) {
 			return
 		}
-		if !s.down {
+		if s.down == nil {
 			sc.Done()
 			return
 		}
-		s.dn = &CastDownFrag{
-			Cfg: s.cfg, Role: s.role, St: s.up.St,
-			Root: [2]int64{0, s.up.St.Value}, Split: coloringSplit,
-		}
+		s.dn = NewCastDownFrag(s.down, s.up.Off, s.up.Role, 0, s.up.St, [2]int64{0, s.up.St.Value}, coloringSplit)
 	}
 	if s.dn.Feed(sc) {
 		sc.Done()
 	}
 }
 
-// castRun runs node i as tree role roles[i] with value values[i] (see
-// castStepper) and returns each node's up-pass state and, with down, its
-// own interval and whether it obtained one, plus the run's slot count.
-func castRun(t *testing.T, e *sim.Engine, cfg CastConfig, roles []int, values []int64, op agg.Op, down bool) (ups []CastState, selves [][2]int64, oks []bool, slots int) {
+// castRun runs node i as tree role roles[i] with value values[i], at TDMA
+// offset off (see castStepper), and returns each node's up-pass state and,
+// with down, its own interval and whether it obtained one, plus the run's
+// slot count.
+func castRun(t *testing.T, e *sim.Engine, cfg CastConfig, off int, roles []int, values []int64, op agg.Op, down bool) (ups []CastState, selves [][2]int64, oks []bool, slots int) {
 	t.Helper()
+	p := e.Field().Params()
+	up := NewCastStage(p, cfg, 0)
+	idle := up.Window
+	var dn *CastStage
+	if down {
+		d := up
+		d.Start = up.End()
+		dn = &d
+		idle.Len += dn.Len
+	}
 	nodes := make([]castStepper, len(roles))
 	steppers := make([]sim.Stepper, len(roles))
 	for i := range nodes {
-		nodes[i] = castStepper{cfg: cfg, role: roles[i], down: down,
-			up: CastUpFrag{Cfg: cfg, Role: roles[i], Value: values[i], Op: op}}
+		nodes[i] = castStepper{down: dn, idle: idle}
+		if roles[i] >= 0 {
+			nodes[i].up = NewCastUpFrag(&up, off, roles[i], 0, values[i], op)
+		}
 		steppers[i] = &nodes[i]
 	}
 	slots, err := e.Run(steppers)
@@ -177,7 +173,7 @@ func castRun(t *testing.T, e *sim.Engine, cfg CastConfig, roles []int, values []
 	selves = make([][2]int64, len(roles))
 	oks = make([]bool, len(roles))
 	for i, nd := range nodes {
-		if nd.role >= 0 {
+		if nd.up != nil {
 			ups[i] = nd.up.St
 		}
 		if nd.dn != nil {
@@ -192,7 +188,7 @@ func castRun(t *testing.T, e *sim.Engine, cfg CastConfig, roles []int, values []
 func runCast(t *testing.T, roles []int, values []int64, channels int, op agg.Op, seed uint64) []CastState {
 	t.Helper()
 	f, _ := clusterField(len(roles), channels, 0.05, int64(seed))
-	ups, _, _, _ := castRun(t, sim.NewEngine(f, seed), DefaultCastConfig(channels, 0.14), roles, values, op, false)
+	ups, _, _, _ := castRun(t, sim.NewEngine(f, seed), CastConfig{F: channels, ClusterRadius: 0.14}, 0, roles, values, op, false)
 	return ups
 }
 
@@ -309,9 +305,9 @@ func TestCastDownDistributesDisjointRanges(t *testing.T) {
 	values := []int64{0, 1, 1, 1, 1, 1}
 	channels := 5
 	f, _ := clusterField(len(roles), channels, 0.05, 31)
-	cfg := DefaultCastConfig(channels, 0.14)
+	cfg := CastConfig{F: channels, ClusterRadius: 0.14}
 	e := sim.NewEngine(f, 31)
-	states, payloads, oks, _ := castRun(t, e, cfg, roles, values, agg.Sum, true)
+	states, payloads, oks, _ := castRun(t, e, cfg, 0, roles, values, agg.Sum, true)
 	if states[0].Value != 5 {
 		t.Fatalf("root total = %d, want 5", states[0].Value)
 	}
@@ -341,9 +337,9 @@ func TestCastDownWithTakeover(t *testing.T) {
 	values := []int64{0, 1, 0, 1, 1}
 	channels := 4
 	f, _ := clusterField(len(roles), channels, 0.05, 37)
-	cfg := DefaultCastConfig(channels, 0.14)
+	cfg := CastConfig{F: channels, ClusterRadius: 0.14}
 	e := sim.NewEngine(f, 37)
-	states, payloads, oks, _ := castRun(t, e, cfg, roles, values, agg.Sum, true)
+	states, payloads, oks, _ := castRun(t, e, cfg, 0, roles, values, agg.Sum, true)
 	if states[0].Value != 3 {
 		t.Fatalf("root total = %d, want 3", states[0].Value)
 	}
@@ -363,18 +359,18 @@ func TestCastDownWithTakeover(t *testing.T) {
 
 func TestCastSlotBudget(t *testing.T) {
 	p := model.Default(4, 64)
-	cfg := DefaultCastConfig(4, 0.14)
+	st := NewCastStage(p, CastConfig{F: 4, ClusterRadius: 0.14}, 0)
 	pos := []geo.Point{{X: 0}, {X: 0.02}}
 	e := sim.NewEngine(phy.NewField(p, pos), 2)
 	after := make([]int, 2)
 	if _, err := e.Run([]sim.Stepper{
-		&sim.FragStepper{Frag: &CastUpFrag{Cfg: cfg, Value: 1, Op: agg.Sum}, Finish: func(sc *sim.StepCtx) { after[0] = sc.Slot() }},
-		&sim.FragStepper{Frag: &sim.IdleFrag{K: cfg.SlotBudget()}, Finish: func(sc *sim.StepCtx) { after[1] = sc.Slot() }},
+		&sim.FragStepper{Frag: NewCastUpFrag(&st, 0, 0, 0, 1, agg.Sum), Finish: func(sc *sim.StepCtx) { after[0] = sc.Slot() }},
+		&sim.FragStepper{Frag: &st.Window, Finish: func(sc *sim.StepCtx) { after[1] = sc.Slot() }},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if after[0] != cfg.SlotBudget() || after[1] != cfg.SlotBudget() {
-		t.Errorf("budgets %v, want %d", after, cfg.SlotBudget())
+	if after[0] != st.Len || after[1] != st.Len {
+		t.Errorf("budgets %v, want %d", after, st.Len)
 	}
 }
 

@@ -16,10 +16,11 @@
 //	         (it is dominated, Lemma 5). Participants still active after all
 //	         rounds join S.
 //
-// The implementation is a composable stage: RunFrag consumes exactly
-// Config.SlotBudget slots, padding with idle slots after the node halts, so
-// staged pipelines stay slot-aligned. Stride/Offset interleave
-// independent executions under the cluster TDMA scheme of Sec. 5.1.2.
+// The implementation is a composable stage: NewStage compiles one
+// execution's slot window, and RunFrag consumes exactly that window,
+// padding with idle slots after the node halts, so staged pipelines stay
+// slot-aligned. Config.Stride and each node's offset interleave independent
+// executions under the cluster TDMA scheme of Sec. 5.1.2.
 package ruling
 
 import (
@@ -54,10 +55,10 @@ type Config struct {
 	Channel int
 	// Mu is the assumed density bound µ; the HELLO probability is 1/(2µ).
 	Mu float64
-	// Stride and Offset interleave executions under the cluster TDMA
-	// scheme: a node runs its 3 protocol slots in sub-block Offset of each
+	// Stride interleaves executions under the cluster TDMA scheme: a node
+	// runs its 3 protocol slots in sub-block Off (its RunFrag's) of each
 	// 3·Stride-slot block. Stride 0 means 1 (no interleaving).
-	Stride, Offset int
+	Stride int
 }
 
 // Ruling-set constants (deviation D1 in the mcnet package documentation).
@@ -81,22 +82,30 @@ func DefaultConfig(r float64, channel int) Config {
 	}
 }
 
-func (c Config) stride() int {
-	if c.Stride < 1 {
-		return 1
+// Stage is one ruling-set execution compiled for one run.
+type Stage struct {
+	sim.Window
+	// Rounds is the number of protocol rounds, ⌈roundFactor·ln n̂⌉.
+	Rounds    int
+	reach     phy.Reach // within R
+	channel   int
+	stride    int // Config.Stride, at least 1
+	helloProb float64
+}
+
+// NewStage compiles c under p starting at slot start: Rounds rounds of 3
+// slots per stride sub-block.
+func NewStage(p model.Params, c Config, start int) Stage {
+	rounds := int(math.Ceil(roundFactor * p.LogN()))
+	stride := max(c.Stride, 1)
+	return Stage{
+		Window:    sim.Window{Start: start, Len: 3 * stride * rounds},
+		Rounds:    rounds,
+		reach:     phy.NewReach(p, c.R),
+		channel:   c.Channel,
+		stride:    stride,
+		helloProb: 1 / (2 * c.Mu),
 	}
-	return c.Stride
-}
-
-// Rounds returns the number of protocol rounds for the given parameters.
-func (c Config) Rounds(p model.Params) int {
-	return int(math.Ceil(roundFactor * p.LogN()))
-}
-
-// SlotBudget returns the exact number of simulator slots RunFrag consumes:
-// 3 slots per round per stride sub-block.
-func (c Config) SlotBudget(p model.Params) int {
-	return 3 * c.stride() * c.Rounds(p)
 }
 
 // Outcome is the per-node result of a ruling-set execution.
@@ -123,51 +132,45 @@ const (
 )
 
 // RunFrag is the participant side of the ruling-set protocol as a
-// sim.Frag. It consumes exactly Cfg.SlotBudget slots: a live node acts in
-// the three protocol slots of every round and sleeps between them, and a
-// halted node sleeps to the end. Out is the node's outcome once Feed
-// returns true. Non-participants idle through the budget with a
-// sim.IdleFrag.
+// sim.Frag, in sub-block Off of its Stage's rounds. It consumes exactly the
+// Stage's window: a live node acts in the three protocol slots of every
+// round and sleeps between them, and a halted node sleeps to the end. Out
+// is the node's outcome once Feed returns true. Build it with NewRunFrag.
 type RunFrag struct {
-	Cfg Config
-	Out Outcome
+	Stage *Stage
+	Off   int
+	Out   Outcome
 
-	init              bool
-	reach             phy.Reach // Cfg.R
-	halted            bool      // joined S or was dominated
-	sentHello, gotAck bool
-	await             rulingAwait
-	start, total      int
 	round             int // the round of the node's latest HELLO slot
 	clearFrom         int
+	halted            bool // joined S or was dominated
+	sentHello, gotAck bool
+	await             rulingAwait
+}
+
+// NewRunFrag returns a participant's fragment for st at TDMA offset off.
+func NewRunFrag(st *Stage, off int) RunFrag {
+	return RunFrag{Stage: st, Off: off, Out: Outcome{DominatedBy: -1, JoinRound: st.Rounds}}
 }
 
 // Feed implements sim.Frag.
 func (f *RunFrag) Feed(sc *sim.StepCtx) bool {
-	cfg := f.Cfg
-	if !f.init {
-		p := sc.Params()
-		f.init = true
-		f.reach = phy.NewReach(p, cfg.R)
-		f.start = sc.Slot()
-		f.total = cfg.SlotBudget(p)
-		f.Out = Outcome{DominatedBy: -1, JoinRound: cfg.Rounds(p)}
-	}
+	st := f.Stage
 	// Consume the previous slot's reception before acting (or drawing).
 	switch f.await {
 	case awaitHello:
 		rec := sc.Prev()
-		if h, ok := rec.Msg.(Hello); ok && f.reach.Clear(rec) {
+		if h, ok := rec.Msg.(Hello); ok && st.reach.Clear(rec) {
 			f.clearFrom = h.From
 		}
 	case awaitAck:
 		rec := sc.Prev()
-		if a, ok := rec.Msg.(Ack); ok && a.To == sc.ID() && f.reach.Within(rec) {
+		if a, ok := rec.Msg.(Ack); ok && a.To == sc.ID() && st.reach.Within(rec) {
 			f.gotAck = true
 		}
 	case awaitIn:
 		rec := sc.Prev()
-		if in, ok := rec.Msg.(In); ok && f.reach.Within(rec) {
+		if in, ok := rec.Msg.(In); ok && st.reach.Within(rec) {
 			f.Out.DominatedBy = in.From
 			f.Out.JoinRound = f.round
 			f.halted = true
@@ -175,8 +178,8 @@ func (f *RunFrag) Feed(sc *sim.StepCtx) bool {
 	}
 	f.await = awaitNone
 
-	rel := sc.Slot() - f.start
-	if rel >= f.total {
+	rel := st.Rel(sc)
+	if rel >= st.Len {
 		if !f.halted {
 			// Survivor: enters S at the end (Sec. 4).
 			f.Out.InSet = true
@@ -184,44 +187,44 @@ func (f *RunFrag) Feed(sc *sim.StepCtx) bool {
 		return true
 	}
 	if f.halted {
-		sc.IdleFor(f.total - rel)
+		sc.IdleFor(st.Len - rel)
 		return false
 	}
-	r := sim.Rounds{Stride: 3 * cfg.stride(), Offset: 3 * cfg.Offset}
+	r := sim.Rounds{Stride: 3 * st.stride, Offset: 3 * f.Off}
 	k := rel / r.Stride
 	switch w := rel - r.At(k); { // slots past this round's HELLO slot
 	case w < 0:
 		sc.IdleFor(-w)
 	case w >= 3:
-		sc.IdleFor(min(r.At(k+1), f.total) - rel)
+		sc.IdleFor(min(r.At(k+1), st.Len) - rel)
 	case w == 0: // slot 1: HELLO
 		f.round = k
 		f.clearFrom, f.gotAck = -1, false
-		f.sentHello = sc.Rand.Float64() < 1/(2*cfg.Mu)
+		f.sentHello = sc.Rand.Float64() < st.helloProb
 		if f.sentHello {
-			sc.Transmit(cfg.Channel, Hello{From: sc.ID()})
+			sc.Transmit(st.channel, Hello{From: sc.ID()})
 		} else {
-			sc.Listen(cfg.Channel)
+			sc.Listen(st.channel)
 			f.await = awaitHello
 		}
 	case w == 1: // slot 2: ACK
 		switch {
 		case f.sentHello:
-			sc.Listen(cfg.Channel)
+			sc.Listen(st.channel)
 			f.await = awaitAck
 		case f.clearFrom >= 0 && sc.Rand.Float64() < ackProb:
-			sc.Transmit(cfg.Channel, Ack{To: f.clearFrom})
+			sc.Transmit(st.channel, Ack{To: f.clearFrom})
 		default:
-			sc.Listen(cfg.Channel)
+			sc.Listen(st.channel)
 		}
 	default: // slot 3: IN
 		if f.sentHello && f.gotAck {
-			sc.Transmit(cfg.Channel, In{From: sc.ID()})
+			sc.Transmit(st.channel, In{From: sc.ID()})
 			f.Out.InSet = true
 			f.Out.JoinRound = f.round
 			f.halted = true
 		} else {
-			sc.Listen(cfg.Channel)
+			sc.Listen(st.channel)
 			f.await = awaitIn
 		}
 	}

@@ -23,24 +23,20 @@ func runRuling(t *testing.T, pos []geo.Point, cfg Config, seed uint64, channels 
 	p := model.Default(channels, nEst)
 	e := sim.NewEngine(phy.NewField(p, pos), seed)
 	out := make([]Outcome, len(pos))
-	cfgs := make([]Config, len(pos))
-	for i := range cfgs {
-		cfgs[i] = cfg
-	}
-	if _, err := e.Run(rulingSteppers(cfgs, out, nil)); err != nil {
+	if _, err := e.Run(rulingSteppers(NewStage(p, cfg, 0), make([]int, len(pos)), out, nil)); err != nil {
 		t.Fatal(err)
 	}
 	return out
 }
 
-// rulingSteppers runs node i as a participant under cfgs[i], storing its
-// outcome in out[i] and, if after is non-nil, the slot it finished at in
-// after[i].
-func rulingSteppers(cfgs []Config, out []Outcome, after []int) []sim.Stepper {
-	steppers := make([]sim.Stepper, len(cfgs))
+// rulingSteppers runs node i as a participant of st at TDMA offset
+// offs[i], storing its outcome in out[i] and, if after is non-nil, the slot
+// it finished at in after[i].
+func rulingSteppers(st Stage, offs []int, out []Outcome, after []int) []sim.Stepper {
+	steppers := make([]sim.Stepper, len(offs))
 	for i := range steppers {
-		f := &RunFrag{Cfg: cfgs[i]}
-		steppers[i] = &sim.FragStepper{Frag: f, Finish: func(sc *sim.StepCtx) {
+		f := NewRunFrag(&st, offs[i])
+		steppers[i] = &sim.FragStepper{Frag: &f, Finish: func(sc *sim.StepCtx) {
 			out[i] = f.Out
 			if after != nil {
 				after[i] = sc.Slot()
@@ -203,12 +199,11 @@ func TestSlotBudgetExact(t *testing.T) {
 	// nodes halt, so pipelines stay aligned.
 	pos := []geo.Point{{X: 0}, {X: 0.02}, {X: 10}}
 	p := model.Default(1, 64)
-	cfg := DefaultConfig(0.05, 0)
-	want := cfg.SlotBudget(p)
+	st := NewStage(p, DefaultConfig(0.05, 0), 0)
+	want := st.Len
 	e := sim.NewEngine(phy.NewField(p, pos), 3)
 	after := make([]int, len(pos))
-	cfgs := []Config{cfg, cfg, cfg}
-	if _, err := e.Run(rulingSteppers(cfgs, make([]Outcome, len(pos)), after)); err != nil {
+	if _, err := e.Run(rulingSteppers(st, make([]int, len(pos)), make([]Outcome, len(pos)), after)); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range after {
@@ -218,24 +213,24 @@ func TestSlotBudgetExact(t *testing.T) {
 	}
 }
 
-// TestIdleConsumesBudget: a non-participant idling through SlotBudget
-// finishes in the same slot as the participants next to it.
+// TestIdleConsumesBudget: a non-participant sleeping through the stage
+// window finishes in the same slot as the participants next to it.
 func TestIdleConsumesBudget(t *testing.T) {
 	pos := []geo.Point{{X: 0}, {X: 0.02}}
 	p := model.Default(1, 64)
-	cfg := DefaultConfig(0.05, 0)
+	st := NewStage(p, DefaultConfig(0.05, 0), 0)
 	e := sim.NewEngine(phy.NewField(p, pos), 1)
 	after := make([]int, 2)
-	steppers := rulingSteppers([]Config{cfg}, make([]Outcome, 1), after)
+	steppers := rulingSteppers(st, []int{0}, make([]Outcome, 1), after)
 	steppers = append(steppers, &sim.FragStepper{
-		Frag:   &sim.IdleFrag{K: cfg.SlotBudget(p)},
+		Frag:   &st.Window,
 		Finish: func(sc *sim.StepCtx) { after[1] = sc.Slot() },
 	})
 	if _, err := e.Run(steppers); err != nil {
 		t.Fatal(err)
 	}
-	if after[0] != cfg.SlotBudget(p) || after[1] != after[0] {
-		t.Errorf("participant finished at %d, idler at %d, want both %d", after[0], after[1], cfg.SlotBudget(p))
+	if after[0] != st.Len || after[1] != after[0] {
+		t.Errorf("participant finished at %d, idler at %d, want both %d", after[0], after[1], st.Len)
 	}
 }
 
@@ -253,13 +248,9 @@ func TestStrideInterleavingIsolation(t *testing.T) {
 	p := model.Default(1, 64)
 	e := sim.NewEngine(phy.NewField(p, pos), 9)
 	out := make([]Outcome, len(pos))
-	cfgs := make([]Config, len(pos))
-	for i := range cfgs {
-		cfgs[i] = DefaultConfig(r, 0)
-		cfgs[i].Mu = 6
-		cfgs[i].Stride, cfgs[i].Offset = 2, group[i]
-	}
-	if _, err := e.Run(rulingSteppers(cfgs, out, nil)); err != nil {
+	cfg := DefaultConfig(r, 0)
+	cfg.Mu, cfg.Stride = 6, 2
+	if _, err := e.Run(rulingSteppers(NewStage(p, cfg, 0), group, out, nil)); err != nil {
 		t.Fatal(err)
 	}
 	for g := 0; g < 2; g++ {
@@ -277,9 +268,8 @@ func TestStrideInterleavingIsolation(t *testing.T) {
 
 func TestRoundsScaleLogarithmically(t *testing.T) {
 	cfg := DefaultConfig(0.05, 0)
-	p64 := model.Default(1, 64)
-	p4096 := model.Default(1, 4096)
-	r64, r4096 := cfg.Rounds(p64), cfg.Rounds(p4096)
+	r64 := NewStage(model.Default(1, 64), cfg, 0).Rounds
+	r4096 := NewStage(model.Default(1, 4096), cfg, 0).Rounds
 	ratio := float64(r4096) / float64(r64)
 	want := math.Log(4096) / math.Log(64)
 	if math.Abs(ratio-want) > 0.1 {

@@ -15,7 +15,9 @@
 // deposits the node's action for the slot into its own pending entry, and
 // the engine scans the pending entries in node order, so the resolved
 // transcript never depends on how many workers drove the Step calls
-// (stepper.go). Protocols are composed from stage-sized Frags.
+// (stepper.go). Protocols are composed from stage-sized Frags; each stage's
+// run constants, its slot Window included, are compiled once per plan, so a
+// Frag holds only per-node state.
 //
 // # Idle wake-wheel
 //
@@ -30,9 +32,10 @@
 //
 // Protocols make this pay by sleeping through every stretch they can prove
 // idle (see Stepper): one IdleFor up to the next draw, listen or transmit,
-// never past the end of the current Frag, and with no Rand draw skipped or
-// reordered. The transcript is the same as idling slot by slot; only the
-// Step calls go away.
+// never past the end of the current stage's Window, and with no Rand draw
+// skipped or reordered. A node that sits a stage out sleeps through its
+// whole Window in one IdleFor. The transcript is the same as idling slot
+// by slot; only the Step calls go away.
 //
 // # Listening rule
 //
@@ -53,7 +56,6 @@ import (
 	"fmt"
 	"sync"
 
-	"mcnet/internal/model"
 	"mcnet/internal/phy"
 )
 
@@ -103,11 +105,6 @@ type Engine struct {
 	MaxSlots int
 	// Trace, when non-nil, observes every resolved slot.
 	Trace TraceFn
-	// NodeParams, when non-nil, is what StepCtx.Params reports to protocols
-	// instead of the field's true parameters — the Sec. 2 setting where
-	// nodes know only (possibly conservative) estimates of the SINR
-	// parameters while physics follows the truth.
-	NodeParams *model.Params
 	// EventSink, when non-nil, observes every event as it is emitted, in
 	// addition to the recorded Events() log. Calls are serialized (one at a
 	// time) but may come from any step worker and stall that worker's share

@@ -18,7 +18,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mcnet/internal/model"
 	"mcnet/internal/phy"
 	"mcnet/internal/rng"
 )
@@ -40,9 +39,9 @@ import (
 // rather than k Idle calls, up to its next decision point (its next draw,
 // listen or transmit, or the end of its current Frag). The transcript is
 // the same either way; only the Step calls differ, and a sleeping node
-// costs the engine nothing. A node never sleeps past its Frag's end (the
-// stage glue there may Emit or draw), and never skips or reorders a Rand
-// draw.
+// costs the engine nothing. A node never sleeps past its stage window's
+// end (the stage glue there may Emit or draw), and never skips or reorders
+// a Rand draw.
 //
 // Listening rule: a node listens only in slots whose reception it can still
 // read. Once nothing a protocol could hear would change its state or output
@@ -62,21 +61,47 @@ type Stepper interface {
 // returns false (the fragment still owns the node's slots), or finalizes
 // without acting and returns true — the caller then advances to the next
 // fragment within the same Step call, so stage boundaries consume no extra
-// slots. Fragments follow the Stepper sleeping rule: each IdleFor runs to
-// the fragment's next decision point and never past its own end.
+// slots. A fragment holds only per-node state; the stage's run constants
+// (its Window, reception filter, round stride, counts and probability
+// tables) are compiled once and shared by pointer. Fragments follow the
+// Stepper sleeping rule: each IdleFor runs to the fragment's next decision
+// point and never past its stage window's end.
 type Frag interface {
 	Feed(sc *StepCtx) bool
 }
 
+// Window is a stage's slot window [Start, End()), compiled once per plan
+// (or per standalone run) with the stage's other run constants: every node
+// enters the stage at Start, measures its position as sc.Slot() − Start,
+// and leaves it at End. A node that sits the stage out runs the Window
+// itself as its Frag.
+type Window struct{ Start, Len int }
+
+// End returns the first slot after the window.
+func (w *Window) End() int { return w.Start + w.Len }
+
+// Rel returns the current slot relative to the window's start.
+func (w *Window) Rel(sc *StepCtx) int { return sc.slot - w.Start }
+
+// Feed implements Frag for a node that sits the stage out: one IdleFor to
+// the window's end, then done (at once if the window is already over).
+func (w *Window) Feed(sc *StepCtx) bool {
+	if k := w.End() - sc.slot; k > 0 {
+		sc.IdleFor(k)
+		return false
+	}
+	return true
+}
+
 // Rounds is the slot arithmetic of a TDMA-interleaved fragment: round k
-// spans the fragment's slots [k·Stride, (k+1)·Stride), and the node acts
-// only in the round's slot Offset (0 ≤ Offset < Stride). Fragments measure
-// their own position as sc.Slot() minus the slot of their first Feed and
-// sleep straight from one act slot they need to the next.
+// spans the window-relative slots [k·Stride, (k+1)·Stride), and the node
+// acts only in the round's slot Offset (0 ≤ Offset < Stride). The stage
+// compiles Stride; Offset is the node's own. Fragments sleep straight from
+// one act slot they need to the next.
 type Rounds struct{ Stride, Offset int }
 
 // Next returns the first round whose act slot is at or after the
-// fragment-relative slot rel.
+// window-relative slot rel.
 func (r Rounds) Next(rel int) int {
 	if rel <= r.Offset {
 		return 0
@@ -87,34 +112,21 @@ func (r Rounds) Next(rel int) int {
 // At returns round k's act slot.
 func (r Rounds) At(k int) int { return k*r.Stride + r.Offset }
 
-// IdleFrag is the Frag form of "idle through a stage budget": one
-// IdleFor(K) batch, then done. A K ≤ 0 finalizes immediately without
-// consuming a slot.
-type IdleFrag struct {
-	K    int
-	done bool
-}
-
-// Feed implements Frag.
-func (f *IdleFrag) Feed(sc *StepCtx) bool {
-	if f.done || f.K <= 0 {
-		return true
-	}
-	f.done = true
-	sc.IdleFor(f.K)
-	return false
-}
-
 // FragStepper drives one Frag as a node's whole protocol: once the fragment
 // finalizes, Finish (if set) observes the node's state and the node powers
-// down in the same Step call.
+// down in the same Step call. A nil Frag is built by New in the node's
+// first Step, for fragments whose starting values draw on sc.Rand.
 type FragStepper struct {
 	Frag   Frag
+	New    func(sc *StepCtx) Frag
 	Finish func(sc *StepCtx)
 }
 
 // Step implements Stepper.
 func (s *FragStepper) Step(sc *StepCtx) {
+	if s.Frag == nil {
+		s.Frag = s.New(sc)
+	}
 	if !s.Frag.Feed(sc) {
 		return
 	}
@@ -132,7 +144,6 @@ type StepCtx struct {
 
 	id      int
 	engine  *Engine
-	params  model.Params
 	rs      *runState
 	stepper Stepper
 	slot    int
@@ -143,9 +154,6 @@ type StepCtx struct {
 
 // ID returns this node's index (the model's unique node ID).
 func (c *StepCtx) ID() int { return c.id }
-
-// Params returns the model parameters known to the node.
-func (c *StepCtx) Params() model.Params { return c.params }
 
 // Slot returns the slot the current Step call is acting in: the number of
 // slots completed before it, so code that consumes a Listen's reception
@@ -279,10 +287,6 @@ func newRunState(e *Engine, steppers []Stepper) (*runState, error) {
 		awake:   make([]int32, n),
 		workers: runtime.GOMAXPROCS(0),
 	}
-	params := e.field.Params()
-	if e.NodeParams != nil {
-		params = *e.NodeParams
-	}
 	rands := rng.Streams(e.seed, n)
 	for i, st := range steppers {
 		if st == nil {
@@ -294,7 +298,6 @@ func newRunState(e *Engine, steppers []Stepper) (*runState, error) {
 			Rand:    rands[i],
 			id:      i,
 			engine:  e,
-			params:  params,
 			rs:      rs,
 			stepper: st,
 			crashAt: math.MaxInt,

@@ -3,11 +3,13 @@ package mcnet
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"mcnet/internal/coloring"
 	"mcnet/internal/core"
 	"mcnet/internal/fault"
+	"mcnet/internal/geo"
 	"mcnet/internal/graph"
 	"mcnet/internal/model"
 	"mcnet/internal/phy"
@@ -65,6 +67,10 @@ func New(n int, opts ...Option) (*Network, error) {
 	if len(pts) < 2 {
 		return nil, fmt.Errorf("mcnet: topology %q produced %d nodes, need ≥ 2", s.topo.Name(), len(pts))
 	}
+	gpts, err := geoPoints(s.topo.Name(), pts)
+	if err != nil {
+		return nil, err
+	}
 	n = len(pts)
 	p.NEstimate = n
 
@@ -93,9 +99,27 @@ func New(n int, opts ...Option) (*Network, error) {
 
 	return &Network{
 		settings: s,
-		deploy:   phy.NewDeployment(p, toGeo(pts)),
+		deploy:   phy.NewDeployment(p, gpts),
 		plan:     core.NewPlan(p, cfg),
 	}, nil
+}
+
+// maxCoord bounds layout coordinates, so that the difference of any two,
+// and with it the extent every spatial grid indexes, stays finite.
+const maxCoord = math.MaxFloat64 / 2
+
+// geoPoints converts a layout to geo points, rejecting a coordinate that
+// is NaN, infinite or beyond ±maxCoord: the spatial grid behind every
+// graph measure cannot index it.
+func geoPoints(topo string, pts []Point) ([]geo.Point, error) {
+	out := make([]geo.Point, len(pts))
+	for i, q := range pts {
+		if !(math.Abs(q.X) <= maxCoord && math.Abs(q.Y) <= maxCoord) { // NaN included
+			return nil, fmt.Errorf("mcnet: topology %q placed node %d at (%v, %v); coordinates must be finite and within ±%v", topo, i, q.X, q.Y, maxCoord)
+		}
+		out[i] = geo.Point{X: q.X, Y: q.Y}
+	}
+	return out, nil
 }
 
 // N returns the node count.

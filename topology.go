@@ -110,6 +110,13 @@ type uniformTopo struct{ deg float64 }
 
 func (t uniformTopo) Name() string { return "uniform" }
 
+func (t uniformTopo) validate() error {
+	if math.IsNaN(t.deg) {
+		return fmt.Errorf("mcnet: Uniform target degree = %v must be a number", t.deg)
+	}
+	return nil
+}
+
 func (t uniformTopo) Layout(n int, seed uint64, g Geometry) []Point {
 	return fromGeo(topology.UniformDegree(layoutRand(seed), n, g.CommRadius, t.deg))
 }
@@ -153,7 +160,7 @@ type lineTopo struct{ frac float64 }
 func (t lineTopo) Name() string { return "line" }
 
 func (t lineTopo) validate() error {
-	if t.frac <= 0 || t.frac > 1 {
+	if !(t.frac > 0 && t.frac <= 1) { // NaN included
 		return fmt.Errorf("mcnet: Line spacing fraction = %v must be in (0, 1]", t.frac)
 	}
 	return nil
@@ -233,7 +240,7 @@ type ringTopo struct{ frac float64 }
 func (t ringTopo) Name() string { return "ring" }
 
 func (t ringTopo) validate() error {
-	if t.frac <= 0 || t.frac > 1 {
+	if !(t.frac > 0 && t.frac <= 1) { // NaN included
 		return fmt.Errorf("mcnet: Ring spacing fraction = %v must be in (0, 1]", t.frac)
 	}
 	return nil
@@ -276,9 +283,9 @@ func (t hotspotTopo) validate() error {
 	switch {
 	case t.clusters < 1 || t.per < 1:
 		return fmt.Errorf("mcnet: Hotspot needs ≥ 1 cluster of ≥ 1 node, got %d × %d", t.clusters, t.per)
-	case t.span <= 0:
+	case !(t.span > 0): // NaN included
 		return fmt.Errorf("mcnet: Hotspot span = %v must be positive", t.span)
-	case t.stddev < 0:
+	case !(t.stddev >= 0):
 		return fmt.Errorf("mcnet: Hotspot stddev = %v must be ≥ 0", t.stddev)
 	}
 	return nil
