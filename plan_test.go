@@ -13,21 +13,26 @@ func (zeroSizing) Layout(n int, seed uint64, g Geometry) []Point {
 func (zeroSizing) Defaults(int, Geometry) Defaults { return Defaults{} }
 
 // TestPlanBenchSizes pins the plans of the bench deployments (n = 1024,
-// F = 8): the resolved sizing and the end of every stage window. Each
-// window starts where the previous one ends. A changed protocol constant
-// or sizing fallback shows here before it shows in the bench's slot count.
+// F = 8, and the fault sweep's n = 128, F = 4 field, which takes the
+// small-Δ̂ CSA path): the resolved sizing and the end of every stage
+// window. Each window starts where the previous one ends. A changed
+// protocol constant or sizing fallback shows here before it shows in the
+// bench's slot count.
 func TestPlanBenchSizes(t *testing.T) {
 	for _, tc := range []struct {
+		name                       string
 		topo                       Topology
+		n, channels                int
 		deltaHat, phiMax, hopBound int
 		ends                       [9]int
 	}{
-		{Crowd, 1024, 4, 2, [9]int{840, 3613, 3669, 8149, 8429, 17933, 17997, 19373, 19377}},
-		{Uniform(12), 48, 10, 28, [9]int{840, 3613, 3669, 11259, 11959, 19879, 20039, 28159, 28169}},
-		{zeroSizing{}, 1024, 10, 8, [9]int{840, 3613, 3669, 14869, 15569, 39329, 39489, 44009, 44019}},
+		{"crowd", Crowd, 1024, 8, 1024, 4, 2, [9]int{840, 3613, 3669, 8149, 8429, 17933, 17997, 19373, 19377}},
+		{"uniform", Uniform(12), 1024, 8, 48, 10, 28, [9]int{840, 3613, 3669, 11259, 11959, 19879, 20039, 28159, 28169}},
+		{"zero-sizing", zeroSizing{}, 1024, 8, 1024, 10, 8, [9]int{840, 3613, 3669, 14869, 15569, 39329, 39489, 44009, 44019}},
+		{"fault-sweep", Uniform(12), 128, 4, 48, 10, 13, [9]int{420, 2362, 2401, 7761, 8251, 15011, 15131, 19671, 19681}},
 	} {
-		t.Run(tc.topo.Name(), func(t *testing.T) {
-			nw, err := New(1024, Channels(8), WithTopology(tc.topo))
+		t.Run(tc.name, func(t *testing.T) {
+			nw, err := New(tc.n, Channels(tc.channels), WithTopology(tc.topo))
 			if err != nil {
 				t.Fatal(err)
 			}
