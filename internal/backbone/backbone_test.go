@@ -48,8 +48,8 @@ func TestRunColorProper(t *testing.T) {
 		rnd := rand.New(rand.NewSource(int64(seed)))
 		pos := topology.Uniform(rnd, 40, 3, 3)
 		p := model.Default(1, 64)
-		cfg := ColorConfig{Radius: p.REpsHalf(), PhiMax: 24}
-		st := NewColorStage(p, cfg, 0)
+		const phiMax = 24
+		st := NewColorStage(p, phy.NewReach(p, p.REpsHalf()), phiMax, 0)
 		e := sim.NewEngine(phy.NewField(p, pos), seed)
 		out := make([]ColorOutcome, len(pos))
 		steppers := make([]sim.Stepper, len(pos))
@@ -63,7 +63,7 @@ func TestRunColorProper(t *testing.T) {
 		conflicts := 0
 		for i := range pos {
 			for j := i + 1; j < len(pos); j++ {
-				if pos[i].Dist(pos[j]) <= cfg.Radius && out[i].Color == out[j].Color {
+				if pos[i].Dist(pos[j]) <= p.REpsHalf() && out[i].Color == out[j].Color {
 					conflicts++
 				}
 			}
@@ -72,7 +72,7 @@ func TestRunColorProper(t *testing.T) {
 			t.Errorf("seed %d: %d color conflicts", seed, conflicts)
 		}
 		for i, o := range out {
-			if o.Color < 0 || o.Color >= cfg.PhiMax {
+			if o.Color < 0 || o.Color >= phiMax {
 				t.Errorf("seed %d: node %d color %d out of range", seed, i, o.Color)
 			}
 			if o.Overflowed {
@@ -84,9 +84,8 @@ func TestRunColorProper(t *testing.T) {
 
 func TestRunColorSingleton(t *testing.T) {
 	p := model.Default(1, 64)
-	cfg := ColorConfig{Radius: p.REpsHalf(), PhiMax: 8}
 	e := sim.NewEngine(phy.NewField(p, []geo.Point{{X: 0}}), 1)
-	st := NewColorStage(p, cfg, 0)
+	st := NewColorStage(p, phy.NewReach(p, p.REpsHalf()), 8, 0)
 	f := NewColorFrag(&st)
 	if _, err := e.Run([]sim.Stepper{&sim.FragStepper{Frag: f}}); err != nil {
 		t.Fatal(err)
@@ -99,7 +98,7 @@ func TestRunColorSingleton(t *testing.T) {
 
 func TestColorSlotBudget(t *testing.T) {
 	p := model.Default(1, 64)
-	st := NewColorStage(p, ColorConfig{Radius: p.REpsHalf(), PhiMax: 8}, 0)
+	st := NewColorStage(p, phy.NewReach(p, p.REpsHalf()), 8, 0)
 	pos := []geo.Point{{X: 0}, {X: 0.5}}
 	e := sim.NewEngine(phy.NewField(p, pos), 2)
 	after := make([]int, 2)
@@ -122,7 +121,7 @@ func runTree(t *testing.T, pos []geo.Point, values []int64, op agg.Op, seed uint
 	p := model.Default(1, 64)
 	colors := greedyColors(pos, p.REpsHalf())
 	phiMax := maxOf(colors) + 1
-	st := NewTreeStage(p, DefaultTreeConfig(p, phiMax, hopBound), 0)
+	st := NewTreeStage(p, phy.NewReach(p, p.REpsHalf()), DefaultTreeConfig(p, phiMax, hopBound), 0)
 	e := sim.NewEngine(phy.NewField(p, pos), seed)
 	out := make([]TreeOutcome, len(pos))
 	steppers := make([]sim.Stepper, len(pos))
@@ -247,7 +246,7 @@ func TestTreeChildSetsMatchParents(t *testing.T) {
 
 func TestTreeSlotBudget(t *testing.T) {
 	p := model.Default(1, 64)
-	st := NewTreeStage(p, DefaultTreeConfig(p, 4, 3), 0)
+	st := NewTreeStage(p, phy.NewReach(p, p.REpsHalf()), DefaultTreeConfig(p, 4, 3), 0)
 	pos := []geo.Point{{X: 0}, {X: 0.5}}
 	e := sim.NewEngine(phy.NewField(p, pos), 2)
 	after := make([]int, 2)
@@ -266,7 +265,7 @@ func TestTreeEmitsEvents(t *testing.T) {
 	p := model.Default(1, 64)
 	pos := topology.Line(4, 0.5)
 	colors := greedyColors(pos, p.REpsHalf())
-	st := NewTreeStage(p, DefaultTreeConfig(p, maxOf(colors)+1, 4), 0)
+	st := NewTreeStage(p, phy.NewReach(p, p.REpsHalf()), DefaultTreeConfig(p, maxOf(colors)+1, 4), 0)
 	e := sim.NewEngine(phy.NewField(p, pos), 3)
 	steppers := make([]sim.Stepper, len(pos))
 	for i := range steppers {

@@ -25,24 +25,6 @@ type Final struct {
 	Color int
 }
 
-// ColorConfig parameterizes the cluster coloring stage.
-//
-// The pipeline variant (deviation D4 in the mcnet package documentation)
-// colors the constant-density dominator set in two sub-stages:
-// RSSI-filtered neighbor discovery, then ID-ordered greedy color
-// resolution — each dominator waits for all smaller-ID neighbors within
-// Radius to announce, then takes the smallest free color and announces it
-// for the rest of the stage.
-type ColorConfig struct {
-	// Radius is the conflict radius: dominators within it must receive
-	// distinct colors. The pipeline passes R_{ε/2}.
-	Radius float64
-	// PhiMax is the agreed TDMA period: colors are drawn from
-	// {0, …, PhiMax-1}; the stage records an overflow if greedy needs more
-	// (it then wraps, and Validate will report conflicts).
-	PhiMax int
-}
-
 // Coloring-stage constants (deviation D1 in the mcnet package
 // documentation).
 //
@@ -70,20 +52,34 @@ const (
 // remaining ⌈resolveFactor·ln n̂⌉.
 type ColorStage struct {
 	sim.Window
-	reach       phy.Reach // within Radius
+	reach       phy.Reach // within the conflict radius
 	discoverLen int
 	phiMax      int
 }
 
-// NewColorStage compiles c under p starting at slot start.
-func NewColorStage(p model.Params, c ColorConfig, start int) ColorStage {
+// NewColorStage compiles the cluster coloring stage under p starting at
+// slot start.
+//
+// The pipeline variant (deviation D4 in the mcnet package documentation)
+// colors the constant-density dominator set in two sub-stages:
+// RSSI-filtered neighbor discovery, then ID-ordered greedy color
+// resolution — each dominator waits for all smaller-ID neighbors within
+// the conflict radius to announce, then takes the smallest free color and
+// announces it for the rest of the stage.
+//
+// reach filters receptions at the conflict radius: dominators within it
+// must receive distinct colors (the pipeline's is R_{ε/2}). phiMax is the
+// agreed TDMA period: colors are drawn from {0, …, phiMax-1}; the stage
+// records an overflow if greedy needs more (it then wraps, and Validate
+// will report conflicts).
+func NewColorStage(p model.Params, reach phy.Reach, phiMax, start int) ColorStage {
 	discover := int(math.Ceil(discoverFactor * p.LogN()))
 	resolve := int(math.Ceil(resolveFactor * p.LogN()))
 	return ColorStage{
 		Window:      sim.Window{Start: start, Len: discover + resolve},
-		reach:       phy.NewReach(p, c.Radius),
+		reach:       reach,
 		discoverLen: discover,
-		phiMax:      c.PhiMax,
+		phiMax:      phiMax,
 	}
 }
 
@@ -91,7 +87,8 @@ func NewColorStage(p model.Params, c ColorConfig, start int) ColorStage {
 type ColorOutcome struct {
 	// Color in {0, …, PhiMax-1}; -1 for non-participants.
 	Color int
-	// Neighbors lists the dominator IDs discovered within Radius.
+	// Neighbors lists the dominator IDs discovered within the conflict
+	// radius.
 	Neighbors []int
 	// Forced reports that the node colored itself greedily at the stage end
 	// without having heard all smaller-ID neighbors (possible conflict).

@@ -77,9 +77,6 @@ func (m Result) WithPayloadValue(v int64) any { m.Value = v; return m }
 // R_{ε/2}-separated (Lemma 2's regime) and makes backbone links decodable
 // under concurrency.
 type TreeConfig struct {
-	// Radius is the maximum accepted link length (the pipeline passes
-	// R_{ε/2}; adjacent clusters' dominators are within it).
-	Radius float64
 	// PhiMax is the TDMA period (must match the coloring stage).
 	PhiMax int
 	// FloodProb is the per-own-sub-slot transmission probability.
@@ -99,7 +96,6 @@ const ackProb float64 = 0.7
 func DefaultTreeConfig(p model.Params, phiMax, hopBound int) TreeConfig {
 	logn := int(p.LogN()) + 1
 	return TreeConfig{
-		Radius:       p.REpsHalf(),
 		PhiMax:       phiMax,
 		FloodProb:    0.4,
 		BuildBlocks:  6*hopBound + 10*logn,
@@ -113,14 +109,16 @@ func DefaultTreeConfig(p model.Params, phiMax, hopBound int) TreeConfig {
 type TreeStage struct {
 	sim.Window
 	TreeConfig
-	reach phy.Reach // within Radius
+	reach phy.Reach // within the maximum link length
 	ends  [4]int    // window-relative end of each phase
 }
 
 // NewTreeStage compiles c under p starting at slot start: the four phases
-// back to back, PhiMax slots per block.
-func NewTreeStage(p model.Params, c TreeConfig, start int) TreeStage {
-	st := TreeStage{TreeConfig: c, reach: phy.NewReach(p, c.Radius)}
+// back to back, PhiMax slots per block. reach filters receptions at the
+// maximum accepted link length (the pipeline's is R_{ε/2}: adjacent
+// clusters' dominators are within it).
+func NewTreeStage(p model.Params, reach phy.Reach, c TreeConfig, start int) TreeStage {
+	st := TreeStage{TreeConfig: c, reach: reach}
 	end := 0
 	for i, blocks := range [4]int{c.BuildBlocks, c.ChildBlocks, c.CastBlocks, c.ResultBlocks} {
 		end += blocks * c.PhiMax

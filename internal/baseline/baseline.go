@@ -17,6 +17,7 @@ import (
 	"mcnet/internal/backbone"
 	"mcnet/internal/geo"
 	"mcnet/internal/graph"
+	"mcnet/internal/phy"
 	"mcnet/internal/sim"
 )
 
@@ -35,8 +36,7 @@ func SingleChannelTree(e *sim.Engine, values []int64, op agg.Op, deltaHint, hopB
 	p := e.Field().Params()
 	n := e.Field().N()
 	cfg := backbone.DefaultTreeConfig(p, 1, hopBound)
-	cfg.Radius = p.REps()
-	prob := 2.0 / float64(max2(deltaHint, 4))
+	prob := 2.0 / float64(max(deltaHint, 4))
 	if prob > 0.4 {
 		prob = 0.4
 	}
@@ -45,13 +45,13 @@ func SingleChannelTree(e *sim.Engine, values []int64, op agg.Op, deltaHint, hopB
 	// up to Δ children one acknowledgement at a time: stretch the phases by
 	// Δ (the Δ term of single-channel lower bounds) so the run actually
 	// completes; the measured completion event reflects the true cost.
-	stretch := max2(deltaHint/4, 1)
+	stretch := max(deltaHint/4, 1)
 	cfg.BuildBlocks += 2 * stretch * hopBound
 	cfg.ChildBlocks += 8 * deltaHint
 	cfg.CastBlocks += 2*stretch*hopBound + 8*deltaHint
 	cfg.ResultBlocks += 2 * stretch * hopBound
 
-	st := backbone.NewTreeStage(p, cfg, 0)
+	st := backbone.NewTreeStage(p, phy.NewReach(p, p.REps()), cfg, 0)
 	out := make([]SingleChannelResult, n)
 	steppers := make([]sim.Stepper, n)
 	for i := range steppers {
@@ -150,11 +150,4 @@ func MaxColor(colors []int) int {
 		}
 	}
 	return m
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

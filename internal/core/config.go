@@ -132,28 +132,28 @@ func NewPlan(p model.Params, cfg Config) *Plan {
 		cfg.DeltaHat = p.NEstimate
 	}
 	pl := &Plan{Params: p, Cfg: cfg}
+	// The three model radii, each compiled once: r_c to the dominator,
+	// 2·r_c between fellow cluster members, R_{ε/2} between adjacent
+	// clusters' dominators.
 	rc := p.ClusterRadius()
-	memberR := 2 * rc
-	pl.domReach, pl.memberReach = phy.NewReach(p, rc), phy.NewReach(p, memberR)
+	pl.domReach, pl.memberReach = phy.NewReach(p, rc), phy.NewReach(p, 2*rc)
+	backboneReach := phy.NewReach(p, p.REpsHalf())
 
-	pl.Dominate = dominate.NewStage(p, dominate.Config{R: rc}, 0)
-	pl.Color = backbone.NewColorStage(p, backbone.ColorConfig{Radius: p.REpsHalf(), PhiMax: cfg.PhiMax}, pl.Dominate.End())
+	pl.Dominate = dominate.NewStage(p, pl.domReach, 0)
+	pl.Color = backbone.NewColorStage(p, backboneReach, cfg.PhiMax, pl.Dominate.End())
 	pl.Announce = sim.Window{Start: pl.Color.End(), Len: int(math.Ceil(8 * p.LogN()))}
 
 	var csaEnd int
 	pl.UseSmall = csa.UseSmall(p, cfg.DeltaHat)
 	if pl.UseSmall {
-		small := csa.DefaultSmallConfig(p, memberR)
-		small.Stride = cfg.PhiMax
-		pl.CSASmall = csa.NewSmallStage(p, small, pl.Announce.End())
+		pl.CSASmall = csa.NewSmallStage(p, pl.memberReach, cfg.PhiMax, pl.Announce.End())
 		csaEnd = pl.CSASmall.End()
 	} else {
-		large := csa.Config{ClusterRadius: memberR, DeltaHat: cfg.DeltaHat, Stride: cfg.PhiMax}
-		pl.CSALarge = csa.NewStage(p, large, pl.Announce.End())
+		pl.CSALarge = csa.NewStage(p, pl.memberReach, cfg.DeltaHat, cfg.PhiMax, pl.Announce.End())
 		csaEnd = pl.CSALarge.End()
 	}
 
-	pl.Elect = reporter.NewElectStage(p, reporter.ElectConfig{ClusterRadius: memberR, Stride: cfg.PhiMax}, csaEnd)
+	pl.Elect = reporter.NewElectStage(p, pl.memberReach, cfg.PhiMax, csaEnd)
 
 	gamma := int(math.Ceil(gamma2 * p.LogN()))
 	throughput := float64(p.Channels) * p.LogN()
@@ -167,8 +167,8 @@ func NewPlan(p model.Params, cfg Config) *Plan {
 	}
 
 	// The reporter-tree pass covers the deepest possible tree: f_v up to F.
-	pl.Cast = reporter.NewCastStage(p, reporter.CastConfig{F: p.Channels, ClusterRadius: memberR, Stride: cfg.PhiMax}, pl.Followers.End())
-	pl.Tree = backbone.NewTreeStage(p, backbone.DefaultTreeConfig(p, cfg.PhiMax, cfg.HopBound), pl.Cast.End())
+	pl.Cast = reporter.NewCastStage(p, pl.memberReach, cfg.PhiMax, pl.Followers.End())
+	pl.Tree = backbone.NewTreeStage(p, backboneReach, backbone.DefaultTreeConfig(p, cfg.PhiMax, cfg.HopBound), pl.Cast.End())
 	pl.Inform = sim.Window{Start: pl.Tree.End(), Len: cfg.PhiMax}
 
 	pl.Offsets = StageOffsets{

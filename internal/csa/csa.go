@@ -42,18 +42,6 @@ type Estimate struct {
 	Est int
 }
 
-// Config parameterizes the large-Δ̂ estimator (also used per channel by the
-// small-Δ̂ variant).
-type Config struct {
-	// ClusterRadius bounds the distance to co-members (2·r_c).
-	ClusterRadius float64
-	// DeltaHat is the known upper bound Δ̂ on the cluster size.
-	DeltaHat int
-	// Stride interleaves clusters under the TDMA scheme; each node acts in
-	// its own offset of every Stride-slot round.
-	Stride int
-}
-
 // Estimator constants of Sec. 5.2.1.1 (deviation D1 in the mcnet package
 // documentation).
 const (
@@ -64,37 +52,45 @@ const (
 	omega1 float64 = 2
 	// gamma1 sets the phase length: ⌈γ₁·ln n̂⌉ probe rounds.
 	gamma1 float64 = 16
+	// gamma3 sets the small-Δ̂ variant's per-channel bound: its
+	// estimators run with Δ̂ = ⌈γ₃·ln n̂⌉, the paper's γ₃·ln^c n, since
+	// members per channel are O(polylog n) w.h.p.
+	gamma3 float64 = 8
 )
 
 // Stage is the estimator compiled for one run.
 type Stage struct {
 	sim.Window
-	reach    phy.Reach // within ClusterRadius
+	reach    phy.Reach // within the cluster radius
 	deltaHat int
-	stride   int       // Config.Stride, at least 1
+	stride   int       // at least 1
 	perPhase int       // rounds per phase, the notification round included
 	thresh   int       // the head's termination count, ⌈ω₁·ln n̂⌉ ≥ 1
 	probs    []float64 // member probe probability per phase, doubling from λ/Δ̂ to λ
 }
 
-// NewStage compiles c under p starting at slot start: ⌈log₂ Δ̂⌉ doubling
-// phases (at least one), each ⌈γ₁·ln n̂⌉ probe rounds plus one
-// notification round of stride slots.
-func NewStage(p model.Params, c Config, start int) Stage {
+// NewStage compiles the estimator under p starting at slot start: ⌈log₂
+// Δ̂⌉ doubling phases (at least one), each ⌈γ₁·ln n̂⌉ probe rounds plus one
+// notification round of stride slots. reach bounds the distance to
+// co-members (the pipeline's is 2·r_c), deltaHat is the known upper bound
+// Δ̂ on the cluster size, and stride interleaves clusters under the TDMA
+// scheme: each node acts in its own offset of every round; stride 0 means
+// 1.
+func NewStage(p model.Params, reach phy.Reach, deltaHat, stride, start int) Stage {
 	phases := 1
-	if c.DeltaHat > 1 {
-		phases = int(math.Ceil(math.Log2(float64(c.DeltaHat))))
+	if deltaHat > 1 {
+		phases = int(math.Ceil(math.Log2(float64(deltaHat))))
 	}
 	st := Stage{
-		reach:    phy.NewReach(p, c.ClusterRadius),
-		deltaHat: c.DeltaHat,
-		stride:   max(c.Stride, 1),
+		reach:    reach,
+		deltaHat: deltaHat,
+		stride:   max(stride, 1),
 		perPhase: int(math.Ceil(gamma1*p.LogN())) + 1,
 		thresh:   max(int(math.Ceil(omega1*p.LogN())), 1),
 		probs:    make([]float64, phases),
 	}
 	st.Window = sim.Window{Start: start, Len: st.stride * len(st.probs) * st.perPhase}
-	prob := lambda / float64(c.DeltaHat)
+	prob := lambda / float64(deltaHat)
 	for i := range st.probs {
 		st.probs[i] = prob
 		prob = math.Min(prob*2, lambda)
@@ -227,57 +223,31 @@ func (f *DominateeFrag) next(rel int) int {
 	return k
 }
 
-// SmallConfig parameterizes the Appendix A multichannel estimator.
-type SmallConfig struct {
-	// F is the number of channels to spread members over.
-	F int
-	// ClusterRadius bounds the distance to co-members (2·r_c); it also
-	// bounds the per-channel leader election.
-	ClusterRadius float64
-	// Probe configures the per-channel estimator.
-	Probe Config
-	// Stride interleaves clusters under the TDMA scheme; it overrides the
-	// estimator's.
-	Stride int
-}
-
-// DefaultSmallConfig returns the pipeline configuration of the small-Δ̂
-// variant.
-func DefaultSmallConfig(p model.Params, clusterRadius float64) SmallConfig {
-	// The per-channel estimators' Δ̂ is the paper's γ₃·ln^c n: members per
-	// channel are O(polylog n) w.h.p.
-	perChan := int(math.Ceil(8 * p.LogN()))
-	return SmallConfig{
-		F:             p.Channels,
-		ClusterRadius: clusterRadius,
-		Probe:         Config{ClusterRadius: clusterRadius, DeltaHat: perChan},
-		Stride:        1,
-	}
-}
-
 // SmallStage is the small-Δ̂ estimator compiled for one run: its
 // sub-stages — election, per-channel estimation, tree aggregation — run
 // back to back from the window's start, and one broadcast round closes the
 // window.
 type SmallStage struct {
 	sim.Window
-	reach  phy.Reach // within ClusterRadius
-	f      int
-	stride int // SmallConfig.Stride, at least 1
+	reach  phy.Reach // within the cluster radius
+	f      int       // channels members spread over, F
+	stride int       // at least 1
 	elect  reporter.ElectStage
 	probe  Stage
 	cast   reporter.CastStage
 }
 
-// NewSmallStage compiles c under p starting at slot start.
-func NewSmallStage(p model.Params, c SmallConfig, start int) SmallStage {
-	stride := max(c.Stride, 1)
-	probe := c.Probe
-	probe.Stride = stride
-	st := SmallStage{reach: phy.NewReach(p, c.ClusterRadius), f: c.F, stride: stride}
-	st.elect = reporter.NewElectStage(p, reporter.ElectConfig{ClusterRadius: c.ClusterRadius, Stride: stride}, start)
-	st.probe = NewStage(p, probe, st.elect.End())
-	st.cast = reporter.NewCastStage(p, reporter.CastConfig{F: c.F, ClusterRadius: c.ClusterRadius, Stride: stride}, st.probe.End())
+// NewSmallStage compiles the Appendix A estimator under p starting at slot
+// start: members spread over all F = p.Channels channels, and each
+// channel's estimator runs with Δ̂ = ⌈γ₃·ln n̂⌉. reach bounds the distance
+// to co-members (the pipeline's is 2·r_c) for every sub-stage, and stride
+// interleaves clusters under the TDMA scheme; stride 0 means 1.
+func NewSmallStage(p model.Params, reach phy.Reach, stride, start int) SmallStage {
+	stride = max(stride, 1)
+	st := SmallStage{reach: reach, f: p.Channels, stride: stride}
+	st.elect = reporter.NewElectStage(p, reach, stride, start)
+	st.probe = NewStage(p, reach, int(math.Ceil(gamma3*p.LogN())), stride, st.elect.End())
+	st.cast = reporter.NewCastStage(p, reach, stride, st.probe.End())
 	st.Window = sim.Window{Start: start, Len: st.cast.End() + stride - start}
 	return st
 }

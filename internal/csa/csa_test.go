@@ -10,6 +10,9 @@ import (
 	"mcnet/internal/sim"
 )
 
+// clusterRadius bounds the distance to co-members in every test stage.
+const clusterRadius = 0.14
+
 // clusterPos places size-1 members around a dominator at the origin, all
 // within radius.
 func clusterPos(size int, radius float64, seed int64) []geo.Point {
@@ -46,12 +49,12 @@ func smallMember(st *SmallStage, off int) *sim.FragStepper {
 // runLarge executes the large-Δ̂ estimator on a single cluster with node 0
 // as dominator; returns the dominator's estimate and the members' learned
 // estimates.
-func runLarge(t *testing.T, size int, cfg Config, channels int, seed uint64) (int, []int) {
+func runLarge(t *testing.T, size, deltaHat, channels int, seed uint64) (int, []int) {
 	t.Helper()
 	pos := clusterPos(size, 0.05, int64(seed))
 	p := model.Default(channels, 256)
 	e := sim.NewEngine(phy.NewField(p, pos), seed)
-	st := NewStage(p, cfg, 0)
+	st := NewStage(p, phy.NewReach(p, clusterRadius), deltaHat, 1, 0)
 	var domEst int
 	memberEst := make([]int, size)
 	steppers := make([]sim.Stepper, size)
@@ -71,8 +74,7 @@ func TestLargeEstimateAccuracy(t *testing.T) {
 	// Cluster sizes across two orders of magnitude with Δ̂ = 512: estimates
 	// must land within a constant band of the truth.
 	for _, size := range []int{16, 64, 200} {
-		cfg := Config{DeltaHat: 512, ClusterRadius: 0.14}
-		domEst, memberEst := runLarge(t, size, cfg, 1, uint64(size))
+		domEst, memberEst := runLarge(t, size, 512, 1, uint64(size))
 		truth := size - 1 // probing members
 		if domEst < truth/8 || domEst > truth*8 {
 			t.Errorf("size %d: estimate %d outside [%d, %d]", size, domEst, truth/8, truth*8)
@@ -88,8 +90,7 @@ func TestLargeEstimateAccuracy(t *testing.T) {
 
 func TestLargeEmptyClusterNoTermination(t *testing.T) {
 	// A dominator with no members must report 0 (no probes ever arrive).
-	cfg := Config{DeltaHat: 64, ClusterRadius: 0.14}
-	domEst, _ := runLarge(t, 1, cfg, 1, 3)
+	domEst, _ := runLarge(t, 1, 64, 1, 3)
 	if domEst != 0 {
 		t.Errorf("empty cluster estimate = %d, want 0", domEst)
 	}
@@ -97,7 +98,7 @@ func TestLargeEmptyClusterNoTermination(t *testing.T) {
 
 func TestLargeSlotBudget(t *testing.T) {
 	p := model.Default(1, 256)
-	st := NewStage(p, Config{DeltaHat: 128, ClusterRadius: 0.14}, 0)
+	st := NewStage(p, phy.NewReach(p, clusterRadius), 128, 1, 0)
 	pos := clusterPos(3, 0.05, 1)
 	e := sim.NewEngine(phy.NewField(p, pos), 1)
 	after := make([]int, 3)
@@ -119,7 +120,7 @@ func TestLargeSlotBudget(t *testing.T) {
 func TestLargePhases(t *testing.T) {
 	p := model.Default(1, 256)
 	for _, tc := range []struct{ deltaHat, want int }{{1, 1}, {128, 7}, {100, 7}} {
-		if got := len(NewStage(p, Config{DeltaHat: tc.deltaHat}, 0).probs); got != tc.want {
+		if got := len(NewStage(p, phy.NewReach(p, clusterRadius), tc.deltaHat, 1, 0).probs); got != tc.want {
 			t.Errorf("phases(Δ̂=%d) = %d, want %d", tc.deltaHat, got, tc.want)
 		}
 	}
@@ -129,7 +130,7 @@ func TestSmallEstimateAccuracy(t *testing.T) {
 	for _, size := range []int{12, 40, 90} {
 		pos := clusterPos(size, 0.05, int64(size))
 		p := model.Default(8, 256)
-		st := NewSmallStage(p, DefaultSmallConfig(p, 0.14), 0)
+		st := NewSmallStage(p, phy.NewReach(p, clusterRadius), 1, 0)
 		e := sim.NewEngine(phy.NewField(p, pos), uint64(size)*7)
 		var domEst int
 		memberEst := make([]int, size)
@@ -164,7 +165,7 @@ func TestSmallEstimateAccuracy(t *testing.T) {
 
 func TestSmallSlotBudget(t *testing.T) {
 	p := model.Default(4, 256)
-	st := NewSmallStage(p, DefaultSmallConfig(p, 0.14), 0)
+	st := NewSmallStage(p, phy.NewReach(p, clusterRadius), 1, 0)
 	pos := clusterPos(4, 0.05, 2)
 	e := sim.NewEngine(phy.NewField(p, pos), 5)
 	after := make([]int, 4)
@@ -208,7 +209,7 @@ func TestTwoClustersInterleaved(t *testing.T) {
 	e := sim.NewEngine(phy.NewField(p, pos), 9)
 	ests := make([]int, 2)
 	steppers := make([]sim.Stepper, 2*size)
-	st := NewStage(p, Config{DeltaHat: 256, ClusterRadius: 0.14, Stride: 2}, 0)
+	st := NewStage(p, phy.NewReach(p, clusterRadius), 256, 2, 0)
 	for c := 0; c < 2; c++ {
 		dom := c * size
 		f := &DominatorFrag{Stage: &st, Off: c, Dom: dom}

@@ -43,12 +43,6 @@ type In struct {
 	From int
 }
 
-// Config parameterizes the dominating-set construction.
-type Config struct {
-	// R is the dominating radius (the pipeline passes r_c).
-	R float64
-}
-
 // Protocol constants (deviation D1 in the mcnet package documentation).
 const (
 	// channel is the one channel every node operates on.
@@ -80,19 +74,20 @@ type Outcome struct {
 // reception filter and its per-phase HELLO probabilities.
 type Stage struct {
 	sim.Window
-	reach  phy.Reach // within R
+	reach  phy.Reach // within the dominating radius
 	rounds int       // rounds per phase, ⌈roundFactor·ln n̂⌉
 	probs  []float64 // HELLO probability per phase, doubling from 1/n̂ to 1/(2µ)
 }
 
 // NewStage compiles the construction under p starting at slot start: ⌈log₂
-// n̂⌉ phases of rounds three-slot rounds each.
-func NewStage(p model.Params, c Config, start int) Stage {
+// n̂⌉ phases of rounds three-slot rounds each. reach filters receptions at
+// the dominating radius (the pipeline's is r_c).
+func NewStage(p model.Params, reach phy.Reach, start int) Stage {
 	phases := int(math.Ceil(math.Log2(float64(p.NEstimate))))
 	rounds := int(math.Ceil(roundFactor * p.LogN()))
 	st := Stage{
 		Window: sim.Window{Start: start, Len: 3 * phases * rounds},
-		reach:  phy.NewReach(p, c.R),
+		reach:  reach,
 		rounds: rounds,
 		probs:  make([]float64, max(phases, 0)),
 	}

@@ -11,7 +11,10 @@ import (
 	"mcnet/internal/topology"
 )
 
-func runDominate(t *testing.T, pos []geo.Point, cfg Config, seed uint64) []Outcome {
+// radius is the dominating radius the tests build with.
+const radius = 0.06
+
+func runDominate(t *testing.T, pos []geo.Point, seed uint64) []Outcome {
 	t.Helper()
 	nEst := len(pos)
 	if nEst < 64 {
@@ -19,7 +22,7 @@ func runDominate(t *testing.T, pos []geo.Point, cfg Config, seed uint64) []Outco
 	}
 	p := model.Default(1, nEst)
 	e := sim.NewEngine(phy.NewField(p, pos), seed)
-	st := NewStage(p, cfg, 0)
+	st := NewStage(p, phy.NewReach(p, radius), 0)
 	out := make([]Outcome, len(pos))
 	steppers := make([]sim.Stepper, len(pos))
 	for i := range steppers {
@@ -33,20 +36,18 @@ func runDominate(t *testing.T, pos []geo.Point, cfg Config, seed uint64) []Outco
 }
 
 func TestSingletonSelfAppoints(t *testing.T) {
-	cfg := Config{R: 0.06}
-	out := runDominate(t, []geo.Point{{X: 0}}, cfg, 1)
+	out := runDominate(t, []geo.Point{{X: 0}}, 1)
 	if !out[0].IsDominator || out[0].Dominator != 0 {
 		t.Errorf("singleton outcome = %+v", out[0])
 	}
 }
 
 func TestCoverageOnSparseField(t *testing.T) {
-	cfg := Config{R: 0.06}
 	for seed := uint64(1); seed <= 4; seed++ {
 		rnd := rand.New(rand.NewSource(int64(seed)))
 		pos := topology.Uniform(rnd, 150, 2, 2)
-		out := runDominate(t, pos, cfg, seed)
-		s := Analyze(pos, out, cfg.R)
+		out := runDominate(t, pos, seed)
+		s := Analyze(pos, out, radius)
 		if s.Uncovered != 0 {
 			t.Errorf("seed %d: %d uncovered nodes", seed, s.Uncovered)
 		}
@@ -56,15 +57,14 @@ func TestCoverageOnSparseField(t *testing.T) {
 func TestDensePatchFormsFewClusters(t *testing.T) {
 	// 120 nodes inside one r-ball: a handful of dominators must absorb
 	// everyone; density must stay small.
-	cfg := Config{R: 0.06}
 	for seed := uint64(1); seed <= 4; seed++ {
 		rnd := rand.New(rand.NewSource(int64(seed * 7)))
 		pos := make([]geo.Point, 120)
 		for i := range pos {
 			pos[i] = geo.Point{X: rnd.Float64() * 0.04, Y: rnd.Float64() * 0.04}
 		}
-		out := runDominate(t, pos, cfg, seed)
-		s := Analyze(pos, out, cfg.R)
+		out := runDominate(t, pos, seed)
+		s := Analyze(pos, out, radius)
 		if s.Uncovered != 0 {
 			t.Errorf("seed %d: %d uncovered", seed, s.Uncovered)
 		}
@@ -79,13 +79,12 @@ func TestDensePatchFormsFewClusters(t *testing.T) {
 func TestDensityBoundedOnMixedField(t *testing.T) {
 	// Hotspots plus background: density of dominators per r-ball must be a
 	// small constant.
-	cfg := Config{R: 0.06}
 	for seed := uint64(1); seed <= 3; seed++ {
 		rnd := rand.New(rand.NewSource(int64(seed * 13)))
 		pos := topology.Hotspot(rnd, 5, 30, 1.5, 0.03)
 		pos = append(pos, topology.Uniform(rnd, 60, 1.5, 1.5)...)
-		out := runDominate(t, pos, cfg, seed)
-		s := Analyze(pos, out, cfg.R)
+		out := runDominate(t, pos, seed)
+		s := Analyze(pos, out, radius)
 		if s.Uncovered != 0 {
 			t.Errorf("seed %d: %d uncovered", seed, s.Uncovered)
 		}
@@ -96,10 +95,9 @@ func TestDensityBoundedOnMixedField(t *testing.T) {
 }
 
 func TestDominatorAssignmentsConsistent(t *testing.T) {
-	cfg := Config{R: 0.06}
 	rnd := rand.New(rand.NewSource(5))
 	pos := topology.Uniform(rnd, 100, 1, 1)
-	out := runDominate(t, pos, cfg, 9)
+	out := runDominate(t, pos, 9)
 	for i, o := range out {
 		if o.Dominator < 0 {
 			t.Fatalf("node %d has no dominator", i)
@@ -116,7 +114,7 @@ func TestDominatorAssignmentsConsistent(t *testing.T) {
 func TestSlotBudgetExact(t *testing.T) {
 	pos := []geo.Point{{X: 0}, {X: 0.02}, {X: 5}}
 	p := model.Default(1, 64)
-	st := NewStage(p, Config{R: 0.06}, 0)
+	st := NewStage(p, phy.NewReach(p, radius), 0)
 	want := st.Len
 	e := sim.NewEngine(phy.NewField(p, pos), 3)
 	after := make([]int, len(pos))
@@ -155,7 +153,7 @@ func TestAnalyzeUncovered(t *testing.T) {
 func TestIdleConsumesBudget(t *testing.T) {
 	pos := []geo.Point{{X: 0}, {X: 0.02}}
 	p := model.Default(1, 64)
-	st := NewStage(p, Config{R: 0.06}, 0)
+	st := NewStage(p, phy.NewReach(p, radius), 0)
 	f := NewRunFrag(&st)
 	e := sim.NewEngine(phy.NewField(p, pos), 1)
 	after := make([]int, 2)

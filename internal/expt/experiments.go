@@ -310,7 +310,7 @@ func E5RulingSet(o Options) (*stats.Table, error) {
 				Y: base.Y + (rnd.Float64()*2-1)*r/3,
 			})
 		}
-		st := ruling.NewStage(p, ruling.DefaultConfig(r, 0), 0)
+		st := ruling.NewStage(p, phy.NewReach(p, r), ruling.DefaultConfig(0), 0)
 		e := sim.NewEngine(phy.NewField(p, pos), uint64(s+1))
 		out := make([]ruling.Outcome, n)
 		steppers := make([]sim.Stepper, n)
@@ -350,7 +350,7 @@ func E5RulingSet(o Options) (*stats.Table, error) {
 		}
 		p := model.Default(1, n)
 		t.AddRow(stats.I(n), stats.F1(stats.Median(rounds)),
-			stats.I(ruling.NewStage(p, ruling.DefaultConfig(r, 0), 0).Rounds), stats.I(viol), stats.I(undom))
+			stats.I(ruling.NewStage(p, phy.NewReach(p, r), ruling.DefaultConfig(0), 0).Rounds), stats.I(viol), stats.I(undom))
 	}
 	t.AddNote("seeds=%d; rounds_done = last decision round; expect growth ∝ log n", o.seeds())
 	return t, nil
@@ -379,10 +379,10 @@ func E6CSA(o Options) (*stats.Table, error) {
 		e := sim.NewEngine(phy.NewField(p, pos), uint64(700*size+s))
 		est := 0
 		budget := 0
-		memberR := 2 * p.ClusterRadius()
+		memberReach := phy.NewReach(p, 2*p.ClusterRadius())
 		steppers := make([]sim.Stepper, size)
 		if variant == "large" {
-			st := csa.NewStage(p, csa.Config{ClusterRadius: memberR, DeltaHat: 256}, 0)
+			st := csa.NewStage(p, memberReach, 256, 1, 0)
 			budget = st.Len
 			dom := &csa.DominatorFrag{Stage: &st}
 			steppers[0] = &sim.FragStepper{Frag: dom, Finish: func(*sim.StepCtx) { est = dom.Estimate + 1 }}
@@ -390,7 +390,7 @@ func E6CSA(o Options) (*stats.Table, error) {
 				steppers[i] = &sim.FragStepper{Frag: &csa.DominateeFrag{Stage: &st}}
 			}
 		} else {
-			st := csa.NewSmallStage(p, csa.DefaultSmallConfig(p, memberR), 0)
+			st := csa.NewSmallStage(p, memberReach, 1, 0)
 			budget = st.Len
 			dom := csa.NewSmallDominatorFrag(&st, 0, 0)
 			steppers[0] = &sim.FragStepper{Frag: dom, Finish: func(*sim.StepCtx) { est = dom.Estimate }}
@@ -588,7 +588,7 @@ func E9Backbone(o Options) (*stats.Table, error) {
 		rnd := topology.LayoutRand(uint64(900*n + s))
 		pos := topology.UniformDegree(rnd, n, p.REps(), 12)
 		rc := p.ClusterRadius()
-		dst := dominate.NewStage(p, dominate.Config{R: rc}, 0)
+		dst := dominate.NewStage(p, phy.NewReach(p, rc), 0)
 		e := sim.NewEngine(phy.NewField(p, pos), uint64(s+41))
 		dout := make([]dominate.Outcome, n)
 		steppers := make([]sim.Stepper, n)
@@ -602,8 +602,7 @@ func E9Backbone(o Options) (*stats.Table, error) {
 		st := dominate.Analyze(pos, dout, rc)
 
 		// Color the dominators.
-		ccfg := backbone.ColorConfig{Radius: p.REpsHalf(), PhiMax: 32}
-		cst := backbone.NewColorStage(p, ccfg, 0)
+		cst := backbone.NewColorStage(p, phy.NewReach(p, p.REpsHalf()), 32, 0)
 		e2 := sim.NewEngine(phy.NewField(p, pos), uint64(s+61))
 		cout := make([]backbone.ColorOutcome, n)
 		for i := range steppers {
@@ -627,7 +626,7 @@ func E9Backbone(o Options) (*stats.Table, error) {
 			}
 			for j := i + 1; j < n; j++ {
 				if dout[j].IsDominator && cout[i].Color == cout[j].Color &&
-					pos[i].Dist(pos[j]) <= ccfg.Radius {
+					pos[i].Dist(pos[j]) <= p.REpsHalf() {
 					conflicts++
 				}
 			}

@@ -35,38 +35,31 @@ type DownMsg struct {
 	Payload [2]int64
 }
 
-// CastConfig parameterizes reporter-tree convergecast and distribution.
-type CastConfig struct {
-	// F is the number of channel roles in the tree (the cluster's f_v).
-	F int
-	// ClusterRadius bounds the distance to co-members (2·r_c).
-	ClusterRadius float64
-	// Stride interleaves clusters under the TDMA scheme; each node passes
-	// its levels in its own offset of every round. Stride 0 means 1.
-	Stride int
-}
-
 // CastStage is one directional pass (up or down) compiled for one run.
 // A pass's constants do not depend on where it starts, so a copy with
 // another Start is the same pass at that slot.
 type CastStage struct {
 	sim.Window
 	levels int       // depth of the role heap, ⌊log₂ F⌋ + 1
-	stride int       // CastConfig.Stride, at least 1
-	reach  phy.Reach // within ClusterRadius
+	stride int       // at least 1
+	reach  phy.Reach // within the cluster radius
 }
 
-// NewCastStage compiles one pass of c under p starting at slot start: 4
-// sub-slots per level, stride-interleaved. The roles are 1..F; the level of
-// role k is the position of its most significant bit, so role 1 is level 1.
-func NewCastStage(p model.Params, c CastConfig, start int) CastStage {
-	stride := max(c.Stride, 1)
-	levels := levelOf(c.F)
+// NewCastStage compiles one pass under p starting at slot start: 4
+// sub-slots per level, stride-interleaved. The roles are 1..F, F =
+// p.Channels, which covers the deepest tree any cluster's f_v ≤ F builds;
+// the level of role k is the position of its most significant bit, so role
+// 1 is level 1. reach bounds the distance to co-members (the pipeline's is
+// 2·r_c). stride interleaves clusters under the TDMA scheme: each node
+// passes its levels in its own offset of every round; stride 0 means 1.
+func NewCastStage(p model.Params, reach phy.Reach, stride, start int) CastStage {
+	stride = max(stride, 1)
+	levels := levelOf(p.Channels)
 	return CastStage{
 		Window: sim.Window{Start: start, Len: 4 * levels * stride},
 		levels: levels,
 		stride: stride,
-		reach:  phy.NewReach(p, c.ClusterRadius),
+		reach:  reach,
 	}
 }
 

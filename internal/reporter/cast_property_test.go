@@ -45,8 +45,7 @@ func TestCastUpPropertyRandomSubsets(t *testing.T) {
 		}
 		p := model.Default(channels, 64)
 		e := sim.NewEngine(phy.NewField(p, pos), uint64(trial)+1)
-		cfg := CastConfig{F: channels, ClusterRadius: 0.14}
-		states, _, _, _ := castRun(t, e, cfg, 0, roles, values, agg.Sum, false)
+		states, _, _, _ := castRun(t, e, 1, 0, roles, values, agg.Sum, false)
 		if got := states[0].Value; got != want {
 			t.Errorf("trial %d roles %v: root value %d, want %d", trial, roles, got, want)
 		}
@@ -79,8 +78,7 @@ func TestCastDownPropertyRandomSubsets(t *testing.T) {
 		}
 		p := model.Default(channels, 64)
 		e := sim.NewEngine(phy.NewField(p, pos), uint64(trial)+7)
-		cfg := CastConfig{F: channels, ClusterRadius: 0.14}
-		ups, payloads, oks, _ := castRun(t, e, cfg, 0, roles, values, agg.Sum, true)
+		ups, payloads, oks, _ := castRun(t, e, 1, 0, roles, values, agg.Sum, true)
 		rootTotal := ups[0].Value
 		reporters := len(roles) - 1
 		if rootTotal != int64(reporters) {

@@ -32,16 +32,6 @@ type Cand struct {
 	Dom  int // cluster identity (dominator ID)
 }
 
-// ElectConfig parameterizes the per-channel leader election.
-type ElectConfig struct {
-	// ClusterRadius bounds the distance to co-members (the pipeline passes
-	// 2·r_c); senders beyond it are ignored.
-	ClusterRadius float64
-	// Stride interleaves clusters under the TDMA scheme; each node acts in
-	// its own offset of every Stride-slot round.
-	Stride int
-}
-
 // Election constants (deviation D1 in the mcnet package documentation).
 const (
 	// txProb is the per-round transmission probability of a node that
@@ -54,17 +44,20 @@ const (
 // ElectStage is an election compiled for one run.
 type ElectStage struct {
 	sim.Window
-	reach  phy.Reach // within ClusterRadius
-	stride int       // ElectConfig.Stride, at least 1
+	reach  phy.Reach // within the cluster radius
+	stride int       // at least 1
 }
 
-// NewElectStage compiles c under p starting at slot start:
-// ⌈roundFactor·ln n̂⌉ rounds of stride slots.
-func NewElectStage(p model.Params, c ElectConfig, start int) ElectStage {
-	stride := max(c.Stride, 1)
+// NewElectStage compiles the election under p starting at slot start:
+// ⌈roundFactor·ln n̂⌉ rounds of stride slots. reach bounds the distance to
+// co-members (the pipeline's is 2·r_c); senders beyond it are ignored.
+// stride interleaves clusters under the TDMA scheme: each node acts in its
+// own offset of every round; stride 0 means 1.
+func NewElectStage(p model.Params, reach phy.Reach, stride, start int) ElectStage {
+	stride = max(stride, 1)
 	return ElectStage{
 		Window: sim.Window{Start: start, Len: stride * int(math.Ceil(roundFactor*p.LogN()))},
-		reach:  phy.NewReach(p, c.ClusterRadius),
+		reach:  reach,
 		stride: stride,
 	}
 }

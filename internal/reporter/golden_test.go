@@ -48,17 +48,17 @@ func TestCastDownFragMatchesRunCastDown(t *testing.T) {
 			pos[i] = geo.Point{X: (rnd.Float64()*2 - 1) * 0.03, Y: (rnd.Float64()*2 - 1) * 0.03}
 		}
 		p := model.Default(channels, 64)
-		cfg, off := CastConfig{F: channels, ClusterRadius: 0.14}, 0
+		stride, off := 1, 0
 		if trial%2 == 1 {
-			cfg.Stride, off = 3, trial%3 // exercise the TDMA idles
+			stride, off = 3, trial%3 // exercise the TDMA idles
 		}
 		seed := uint64(trial) + 1
 
 		e := sim.NewEngine(phy.NewField(p, pos), seed)
 		rec := golden.NewRecorder()
 		e.Trace = rec.Trace
-		ups, selves, oks, slots := castRun(t, e, cfg, off, roles, values, agg.Sum, true)
-		if want := 2 * NewCastStage(p, cfg, 0).Len; slots != want {
+		ups, selves, oks, slots := castRun(t, e, stride, off, roles, values, agg.Sum, true)
+		if want := 2 * NewCastStage(p, phy.NewReach(p, clusterRadius), stride, 0).Len; slots != want {
 			t.Fatalf("trial %d: %d slots, want two passes = %d", trial, slots, want)
 		}
 		golden.Check(t, fmt.Sprintf("trial=%02d", trial), rec.Digest(t, struct {

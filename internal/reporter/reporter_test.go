@@ -11,6 +11,9 @@ import (
 	"mcnet/internal/sim"
 )
 
+// clusterRadius bounds the distance to co-members in every test stage.
+const clusterRadius = 0.14
+
 // clusterField places n nodes inside a disk of the given radius (a single
 // cluster) under F channels.
 func clusterField(n, channels int, radius float64, seed int64) (*phy.Field, model.Params) {
@@ -29,7 +32,7 @@ func clusterField(n, channels int, radius float64, seed int64) (*phy.Field, mode
 func TestElectMinIDPerChannel(t *testing.T) {
 	const n, channels = 20, 4
 	f, p := clusterField(n, channels, 0.05, 3)
-	st := NewElectStage(p, ElectConfig{ClusterRadius: 0.14}, 0)
+	st := NewElectStage(p, phy.NewReach(p, clusterRadius), 1, 0)
 	// Channel assignment round-robin so minima are known: channel c gets
 	// nodes c, c+4, c+8, ... → min on channel c is node c.
 	e := sim.NewEngine(f, 5)
@@ -61,7 +64,7 @@ func TestElectTwoClustersIsolated(t *testing.T) {
 	}
 	p := model.Default(1, 64)
 	e := sim.NewEngine(phy.NewField(p, pos), 7)
-	st := NewElectStage(p, ElectConfig{ClusterRadius: 0.14}, 0)
+	st := NewElectStage(p, phy.NewReach(p, clusterRadius), 1, 0)
 	isLeader := make([]bool, len(pos))
 	steppers := make([]sim.Stepper, len(pos))
 	for i := range steppers {
@@ -84,7 +87,7 @@ func TestElectTwoClustersIsolated(t *testing.T) {
 
 func TestElectSlotBudget(t *testing.T) {
 	p := model.Default(1, 64)
-	st := NewElectStage(p, ElectConfig{ClusterRadius: 0.14}, 0)
+	st := NewElectStage(p, phy.NewReach(p, clusterRadius), 1, 0)
 	pos := []geo.Point{{X: 0}, {X: 0.02}}
 	e := sim.NewEngine(phy.NewField(p, pos), 2)
 	after := make([]int, 2)
@@ -141,13 +144,13 @@ func (s *castStepper) Step(sc *sim.StepCtx) {
 }
 
 // castRun runs node i as tree role roles[i] with value values[i], at TDMA
-// offset off (see castStepper), and returns each node's up-pass state and,
+// offset off of stride-slot rounds (see castStepper), and returns each node's up-pass state and,
 // with down, its own interval and whether it obtained one, plus the run's
 // slot count.
-func castRun(t *testing.T, e *sim.Engine, cfg CastConfig, off int, roles []int, values []int64, op agg.Op, down bool) (ups []CastState, selves [][2]int64, oks []bool, slots int) {
+func castRun(t *testing.T, e *sim.Engine, stride, off int, roles []int, values []int64, op agg.Op, down bool) (ups []CastState, selves [][2]int64, oks []bool, slots int) {
 	t.Helper()
 	p := e.Field().Params()
-	up := NewCastStage(p, cfg, 0)
+	up := NewCastStage(p, phy.NewReach(p, clusterRadius), stride, 0)
 	idle := up.Window
 	var dn *CastStage
 	if down {
@@ -188,7 +191,7 @@ func castRun(t *testing.T, e *sim.Engine, cfg CastConfig, off int, roles []int, 
 func runCast(t *testing.T, roles []int, values []int64, channels int, op agg.Op, seed uint64) []CastState {
 	t.Helper()
 	f, _ := clusterField(len(roles), channels, 0.05, int64(seed))
-	ups, _, _, _ := castRun(t, sim.NewEngine(f, seed), CastConfig{F: channels, ClusterRadius: 0.14}, 0, roles, values, op, false)
+	ups, _, _, _ := castRun(t, sim.NewEngine(f, seed), 1, 0, roles, values, op, false)
 	return ups
 }
 
@@ -305,9 +308,8 @@ func TestCastDownDistributesDisjointRanges(t *testing.T) {
 	values := []int64{0, 1, 1, 1, 1, 1}
 	channels := 5
 	f, _ := clusterField(len(roles), channels, 0.05, 31)
-	cfg := CastConfig{F: channels, ClusterRadius: 0.14}
 	e := sim.NewEngine(f, 31)
-	states, payloads, oks, _ := castRun(t, e, cfg, 0, roles, values, agg.Sum, true)
+	states, payloads, oks, _ := castRun(t, e, 1, 0, roles, values, agg.Sum, true)
 	if states[0].Value != 5 {
 		t.Fatalf("root total = %d, want 5", states[0].Value)
 	}
@@ -337,9 +339,8 @@ func TestCastDownWithTakeover(t *testing.T) {
 	values := []int64{0, 1, 0, 1, 1}
 	channels := 4
 	f, _ := clusterField(len(roles), channels, 0.05, 37)
-	cfg := CastConfig{F: channels, ClusterRadius: 0.14}
 	e := sim.NewEngine(f, 37)
-	states, payloads, oks, _ := castRun(t, e, cfg, 0, roles, values, agg.Sum, true)
+	states, payloads, oks, _ := castRun(t, e, 1, 0, roles, values, agg.Sum, true)
 	if states[0].Value != 3 {
 		t.Fatalf("root total = %d, want 3", states[0].Value)
 	}
@@ -359,7 +360,7 @@ func TestCastDownWithTakeover(t *testing.T) {
 
 func TestCastSlotBudget(t *testing.T) {
 	p := model.Default(4, 64)
-	st := NewCastStage(p, CastConfig{F: 4, ClusterRadius: 0.14}, 0)
+	st := NewCastStage(p, phy.NewReach(p, clusterRadius), 1, 0)
 	pos := []geo.Point{{X: 0}, {X: 0.02}}
 	e := sim.NewEngine(phy.NewField(p, pos), 2)
 	after := make([]int, 2)

@@ -13,9 +13,9 @@ import (
 	"mcnet/internal/sim"
 )
 
-// rulingDigest runs cfg over pos, node i at TDMA offset offs[i], and
-// digests the run.
-func rulingDigest(t *testing.T, p model.Params, pos []geo.Point, cfg Config, offs []int, seed uint64, spec *fault.Spec) golden.Digest {
+// rulingDigest runs cfg at radius r over pos, node i at TDMA offset
+// offs[i], and digests the run.
+func rulingDigest(t *testing.T, p model.Params, pos []geo.Point, r float64, cfg Config, offs []int, seed uint64, spec *fault.Spec) golden.Digest {
 	t.Helper()
 	e := sim.NewEngine(phy.NewField(p, pos), seed)
 	if spec != nil {
@@ -24,7 +24,7 @@ func rulingDigest(t *testing.T, p model.Params, pos []geo.Point, cfg Config, off
 	rec := golden.NewRecorder()
 	e.Trace = rec.Trace
 	out := make([]Outcome, len(pos))
-	if _, err := e.Run(rulingSteppers(NewStage(p, cfg, 0), offs, out, nil)); err != nil {
+	if _, err := e.Run(rulingSteppers(NewStage(p, phy.NewReach(p, r), cfg, 0), offs, out, nil)); err != nil {
 		t.Fatal(err)
 	}
 	return rec.Digest(t, out)
@@ -48,19 +48,19 @@ func TestRulingGolden(t *testing.T) {
 		base := field[rnd.Intn(len(field))]
 		field = append(field, geo.Point{X: base.X + (rnd.Float64()*2-1)*r/3, Y: base.Y + (rnd.Float64()*2-1)*r/3})
 	}
-	golden.Check(t, "field", rulingDigest(t, model.Default(1, n), field, DefaultConfig(r, 0), make([]int, n), 1, nil))
+	golden.Check(t, "field", rulingDigest(t, model.Default(1, n), field, r, DefaultConfig(0), make([]int, n), 1, nil))
 
 	crowd := patch(rand.New(rand.NewSource(21)), 24, 0, 0, 0.02)
-	strided := DefaultConfig(0.04, 0)
+	strided := DefaultConfig(0)
 	strided.Mu, strided.Stride = 6, 3
 	offs := make([]int, len(crowd))
 	for i := range offs {
 		offs[i] = i % 3
 	}
-	golden.Check(t, "stride", rulingDigest(t, model.Default(1, 64), crowd, strided, offs, 9, nil))
+	golden.Check(t, "stride", rulingDigest(t, model.Default(1, 64), crowd, 0.04, strided, offs, 9, nil))
 
-	golden.Check(t, "channel", rulingDigest(t, model.Default(3, 64), crowd, DefaultConfig(0.04, 2), make([]int, len(crowd)), 5, nil))
+	golden.Check(t, "channel", rulingDigest(t, model.Default(3, 64), crowd, 0.04, DefaultConfig(2), make([]int, len(crowd)), 5, nil))
 
 	spec := &fault.Spec{LossProb: 0.1, CrashAt: map[int]int{2: 0, 5: 7, 11: 40}}
-	golden.Check(t, "faults", rulingDigest(t, model.Default(1, n), field, DefaultConfig(r, 0), make([]int, n), 3, spec))
+	golden.Check(t, "faults", rulingDigest(t, model.Default(1, n), field, r, DefaultConfig(0), make([]int, n), 3, spec))
 }

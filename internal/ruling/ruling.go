@@ -49,8 +49,6 @@ type In struct {
 
 // Config parameterizes one ruling-set execution.
 type Config struct {
-	// R is the independence radius r ≤ R_T/2.
-	R float64
 	// Channel all participants operate on.
 	Channel int
 	// Mu is the assumed density bound µ; the HELLO probability is 1/(2µ).
@@ -71,11 +69,10 @@ const (
 	roundFactor float64 = 14
 )
 
-// DefaultConfig returns the practical configuration used by the pipeline for
-// a ruling set of radius r on the given channel.
-func DefaultConfig(r float64, channel int) Config {
+// DefaultConfig returns the practical configuration of a ruling set on the
+// given channel.
+func DefaultConfig(channel int) Config {
 	return Config{
-		R:       r,
 		Channel: channel,
 		Mu:      3,
 		Stride:  1,
@@ -87,21 +84,22 @@ type Stage struct {
 	sim.Window
 	// Rounds is the number of protocol rounds, ⌈roundFactor·ln n̂⌉.
 	Rounds    int
-	reach     phy.Reach // within R
+	reach     phy.Reach // within the independence radius r
 	channel   int
 	stride    int // Config.Stride, at least 1
 	helloProb float64
 }
 
 // NewStage compiles c under p starting at slot start: Rounds rounds of 3
-// slots per stride sub-block.
-func NewStage(p model.Params, c Config, start int) Stage {
+// slots per stride sub-block. reach filters receptions at the independence
+// radius r ≤ R_T/2.
+func NewStage(p model.Params, reach phy.Reach, c Config, start int) Stage {
 	rounds := int(math.Ceil(roundFactor * p.LogN()))
 	stride := max(c.Stride, 1)
 	return Stage{
 		Window:    sim.Window{Start: start, Len: 3 * stride * rounds},
 		Rounds:    rounds,
-		reach:     phy.NewReach(p, c.R),
+		reach:     reach,
 		channel:   c.Channel,
 		stride:    stride,
 		helloProb: 1 / (2 * c.Mu),

@@ -11,10 +11,10 @@ import (
 	"mcnet/internal/sim"
 )
 
-// runRuling executes the protocol over the given positions with every node
-// participating and returns the outcomes. The network-size estimate is kept
+// runRuling executes the protocol at radius r over the given positions with
+// every node participating and returns the outcomes. The network-size estimate is kept
 // ≥ 64 so that tiny test topologies still get enough rounds.
-func runRuling(t *testing.T, pos []geo.Point, cfg Config, seed uint64, channels int) []Outcome {
+func runRuling(t *testing.T, pos []geo.Point, r float64, cfg Config, seed uint64, channels int) []Outcome {
 	t.Helper()
 	nEst := len(pos) + 2
 	if nEst < 64 {
@@ -23,7 +23,7 @@ func runRuling(t *testing.T, pos []geo.Point, cfg Config, seed uint64, channels 
 	p := model.Default(channels, nEst)
 	e := sim.NewEngine(phy.NewField(p, pos), seed)
 	out := make([]Outcome, len(pos))
-	if _, err := e.Run(rulingSteppers(NewStage(p, cfg, 0), make([]int, len(pos)), out, nil)); err != nil {
+	if _, err := e.Run(rulingSteppers(NewStage(p, phy.NewReach(p, r), cfg, 0), make([]int, len(pos)), out, nil)); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -73,8 +73,7 @@ func patch(rnd *rand.Rand, k int, ox, oy, side float64) []geo.Point {
 }
 
 func TestSingletonJoins(t *testing.T) {
-	cfg := DefaultConfig(0.05, 0)
-	out := runRuling(t, []geo.Point{{X: 0, Y: 0}}, cfg, 1, 1)
+	out := runRuling(t, []geo.Point{{X: 0, Y: 0}}, 0.05, DefaultConfig(0), 1, 1)
 	if !out[0].InSet {
 		t.Error("lone node must end up in the ruling set")
 	}
@@ -83,8 +82,7 @@ func TestSingletonJoins(t *testing.T) {
 func TestIsolatedNodesAllJoin(t *testing.T) {
 	// Nodes far apart (no r-neighbors): all must join S.
 	pos := []geo.Point{{X: 0}, {X: 10}, {X: 20}, {X: 35}}
-	cfg := DefaultConfig(0.05, 0)
-	out := runRuling(t, pos, cfg, 2, 1)
+	out := runRuling(t, pos, 0.05, DefaultConfig(0), 2, 1)
 	for i, o := range out {
 		if !o.InSet {
 			t.Errorf("isolated node %d not in set", i)
@@ -95,10 +93,9 @@ func TestIsolatedNodesAllJoin(t *testing.T) {
 func TestClosePairExactlyOneJoins(t *testing.T) {
 	// Two nodes well within r of each other: exactly one should join, for
 	// many seeds.
-	cfg := DefaultConfig(0.05, 0)
 	for seed := uint64(0); seed < 20; seed++ {
 		pos := []geo.Point{{X: 0}, {X: 0.02}}
-		out := runRuling(t, pos, cfg, seed, 1)
+		out := runRuling(t, pos, 0.05, DefaultConfig(0), seed, 1)
 		joined := 0
 		for _, o := range out {
 			if o.InSet {
@@ -115,12 +112,12 @@ func TestDensePatchElectsOne(t *testing.T) {
 	// A single dense patch whose diameter is below r: the patch is one
 	// mutual r-neighborhood, so exactly one member may end in S.
 	const r = 0.04
-	cfg := DefaultConfig(r, 0)
+	cfg := DefaultConfig(0)
 	cfg.Mu = 8 // patch has ~16 members per r-ball; keep contention modest
 	for seed := uint64(0); seed < 10; seed++ {
 		rnd := rand.New(rand.NewSource(int64(seed + 100)))
 		pos := patch(rnd, 16, 0, 0, r/2)
-		out := runRuling(t, pos, cfg, seed, 1)
+		out := runRuling(t, pos, r, cfg, seed, 1)
 		joined := 0
 		for _, o := range out {
 			if o.InSet {
@@ -137,11 +134,11 @@ func TestSparseFieldPostcondition(t *testing.T) {
 	// Sparse global field: node density well below one per r-ball, the
 	// regime in which the pipeline invokes ruling sets over dominators.
 	const r = 0.06
-	cfg := DefaultConfig(r, 0)
+	cfg := DefaultConfig(0)
 	for seed := uint64(1); seed <= 6; seed++ {
 		rnd := rand.New(rand.NewSource(int64(seed)))
 		pos := patch(rnd, 80, 0, 0, 2.0)
-		out := runRuling(t, pos, cfg, seed, 1)
+		out := runRuling(t, pos, r, cfg, seed, 1)
 		viol, undom := Validate(pos, allTrue(len(pos)), inSetOf(out), r)
 		if viol != 0 {
 			t.Errorf("seed %d: %d independence violations", seed, viol)
@@ -156,7 +153,7 @@ func TestSeparatedPatchesPostcondition(t *testing.T) {
 	// Several dense patches far apart: each patch resolves to one member,
 	// far-field interference from other patches notwithstanding.
 	const r = 0.04
-	cfg := DefaultConfig(r, 0)
+	cfg := DefaultConfig(0)
 	cfg.Mu = 6
 	for seed := uint64(1); seed <= 5; seed++ {
 		rnd := rand.New(rand.NewSource(int64(seed * 3)))
@@ -166,7 +163,7 @@ func TestSeparatedPatchesPostcondition(t *testing.T) {
 				pos = append(pos, patch(rnd, 12, float64(px)*1.5, float64(py)*1.5, r/2)...)
 			}
 		}
-		out := runRuling(t, pos, cfg, seed, 1)
+		out := runRuling(t, pos, r, cfg, seed, 1)
 		viol, undom := Validate(pos, allTrue(len(pos)), inSetOf(out), r)
 		if viol != 0 || undom != 0 {
 			t.Errorf("seed %d: %d violations, %d undominated", seed, viol, undom)
@@ -176,11 +173,11 @@ func TestSeparatedPatchesPostcondition(t *testing.T) {
 
 func TestDominatedByIsARealMember(t *testing.T) {
 	const r = 0.04
-	cfg := DefaultConfig(r, 0)
+	cfg := DefaultConfig(0)
 	cfg.Mu = 6
 	rnd := rand.New(rand.NewSource(11))
 	pos := patch(rnd, 14, 0, 0, r/2)
-	out := runRuling(t, pos, cfg, 5, 1)
+	out := runRuling(t, pos, r, cfg, 5, 1)
 	for i, o := range out {
 		if o.InSet || o.DominatedBy < 0 {
 			continue
@@ -199,7 +196,7 @@ func TestSlotBudgetExact(t *testing.T) {
 	// nodes halt, so pipelines stay aligned.
 	pos := []geo.Point{{X: 0}, {X: 0.02}, {X: 10}}
 	p := model.Default(1, 64)
-	st := NewStage(p, DefaultConfig(0.05, 0), 0)
+	st := NewStage(p, phy.NewReach(p, 0.05), DefaultConfig(0), 0)
 	want := st.Len
 	e := sim.NewEngine(phy.NewField(p, pos), 3)
 	after := make([]int, len(pos))
@@ -218,7 +215,7 @@ func TestSlotBudgetExact(t *testing.T) {
 func TestIdleConsumesBudget(t *testing.T) {
 	pos := []geo.Point{{X: 0}, {X: 0.02}}
 	p := model.Default(1, 64)
-	st := NewStage(p, DefaultConfig(0.05, 0), 0)
+	st := NewStage(p, phy.NewReach(p, 0.05), DefaultConfig(0), 0)
 	e := sim.NewEngine(phy.NewField(p, pos), 1)
 	after := make([]int, 2)
 	steppers := rulingSteppers(st, []int{0}, make([]Outcome, 1), after)
@@ -248,9 +245,9 @@ func TestStrideInterleavingIsolation(t *testing.T) {
 	p := model.Default(1, 64)
 	e := sim.NewEngine(phy.NewField(p, pos), 9)
 	out := make([]Outcome, len(pos))
-	cfg := DefaultConfig(r, 0)
+	cfg := DefaultConfig(0)
 	cfg.Mu, cfg.Stride = 6, 2
-	if _, err := e.Run(rulingSteppers(NewStage(p, cfg, 0), group, out, nil)); err != nil {
+	if _, err := e.Run(rulingSteppers(NewStage(p, phy.NewReach(p, r), cfg, 0), group, out, nil)); err != nil {
 		t.Fatal(err)
 	}
 	for g := 0; g < 2; g++ {
@@ -267,9 +264,11 @@ func TestStrideInterleavingIsolation(t *testing.T) {
 }
 
 func TestRoundsScaleLogarithmically(t *testing.T) {
-	cfg := DefaultConfig(0.05, 0)
-	r64 := NewStage(model.Default(1, 64), cfg, 0).Rounds
-	r4096 := NewStage(model.Default(1, 4096), cfg, 0).Rounds
+	rounds := func(nEst int) int {
+		p := model.Default(1, nEst)
+		return NewStage(p, phy.NewReach(p, 0.05), DefaultConfig(0), 0).Rounds
+	}
+	r64, r4096 := rounds(64), rounds(4096)
 	ratio := float64(r4096) / float64(r64)
 	want := math.Log(4096) / math.Log(64)
 	if math.Abs(ratio-want) > 0.1 {
