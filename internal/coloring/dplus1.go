@@ -23,20 +23,18 @@ import (
 // O(log n) expected epochs. The palette never exceeds Δ+1 — compared to the
 // sec7 palette of index·φ + clusterColor values this cuts the induced TDMA
 // cycle roughly by the factor φ.
-type DPlus1 struct {
-	// MaxEpochs caps the trial loop; 0 derives a generous bound from n̂ and
-	// the node degree (see trialEpochCap).
-	MaxEpochs int
-}
+//
+// The trial loop runs at most trialEpochCap epochs per node.
+type DPlus1 struct{}
 
 // Name implements Colorer.
 func (DPlus1) Name() string { return "dplus1" }
 
 // Color implements Colorer. The plan is unused: this backend needs no
 // structure construction.
-func (b DPlus1) Color(goctx context.Context, e *sim.Engine, _ *core.Plan) ([]Result, Stats, error) {
+func (DPlus1) Color(goctx context.Context, e *sim.Engine, _ *core.Plan) ([]Result, Stats, error) {
 	res, epochs, err := backendRun(goctx, e, func(id int, sw *sweep, r *Result, ep *int) sim.Stepper {
-		return &dplus1Stepper{b: b, sw: sw, r: r, epochs: ep, disc: newDiscovery(id, sw)}
+		return &dplus1Stepper{sw: sw, r: r, epochs: ep, disc: newDiscovery(id, sw)}
 	})
 	if err != nil {
 		return nil, Stats{}, err
@@ -50,7 +48,6 @@ func (b DPlus1) Color(goctx context.Context, e *sim.Engine, _ *core.Plan) ([]Res
 // dplus1Stepper is one node of the dplus1 backend: the discovery sweep,
 // then the trial epochs.
 type dplus1Stepper struct {
-	b      DPlus1
 	sw     *sweep
 	r      *Result
 	epochs *int
@@ -65,12 +62,7 @@ func (s *dplus1Stepper) Step(sc *sim.StepCtx) {
 		if !s.disc.Feed(sc) {
 			return
 		}
-		nbs := s.disc.sorted()
-		maxEpochs := s.b.MaxEpochs
-		if maxEpochs <= 0 {
-			maxEpochs = s.sw.trialEpochCap(len(nbs))
-		}
-		s.trials = newTrialFrag(sc.ID(), s.sw, maxEpochs, nbs, s.r)
+		s.trials = newTrialFrag(sc.ID(), s.sw, s.disc.sorted(), s.r)
 	}
 	if !s.trials.Feed(sc) {
 		return

@@ -22,20 +22,19 @@ import (
 //
 // Result fields are overloaded to the pair view: Index is the slot j/F,
 // ClusterColor the channel j mod F, and IsDominator marks MIS leaders.
-type HSB struct {
-	// MaxEpochs caps the member trial loop; 0 derives the bound from n̂ and
-	// the node degree (see trialEpochCap).
-	MaxEpochs int
-}
+//
+// The MIS runs at most misEpochCap epochs and the member trial loop at
+// most trialEpochCap epochs per node.
+type HSB struct{}
 
 // Name implements Colorer.
 func (HSB) Name() string { return "hsb" }
 
 // Color implements Colorer. The plan is unused: symmetry is broken by the
 // MIS, not by the paper's structure.
-func (b HSB) Color(goctx context.Context, e *sim.Engine, _ *core.Plan) ([]Result, Stats, error) {
+func (HSB) Color(goctx context.Context, e *sim.Engine, _ *core.Plan) ([]Result, Stats, error) {
 	res, epochs, err := backendRun(goctx, e, func(id int, sw *sweep, r *Result, ep *int) sim.Stepper {
-		return &hsbStepper{b: b, sw: sw, r: r, epochs: ep, disc: newDiscovery(id, sw)}
+		return &hsbStepper{sw: sw, r: r, epochs: ep, disc: newDiscovery(id, sw)}
 	})
 	if err != nil {
 		return nil, Stats{}, err
@@ -58,7 +57,6 @@ func (sw *sweep) misEpochCap() int {
 // hsbStepper is one node of the hsb backend: the discovery sweep, the MIS
 // epochs, then the trial epochs.
 type hsbStepper struct {
-	b      HSB
 	sw     *sweep
 	r      *Result
 	epochs *int
@@ -90,11 +88,7 @@ func (s *hsbStepper) Step(sc *sim.StepCtx) {
 			s.r.IsDominator = true
 			sc.Emit(EventColored, 0)
 		}
-		maxEpochs := s.b.MaxEpochs
-		if maxEpochs <= 0 {
-			maxEpochs = s.sw.trialEpochCap(len(s.mis.nbs))
-		}
-		s.trials = newTrialFrag(sc.ID(), s.sw, maxEpochs, s.mis.nbs, s.r)
+		s.trials = newTrialFrag(sc.ID(), s.sw, s.mis.nbs, s.r)
 	}
 	if !s.trials.Feed(sc) {
 		return

@@ -224,9 +224,11 @@ type trialFrag struct {
 	lost      bool
 }
 
-func newTrialFrag(id int, sw *sweep, maxEpochs int, nbs []int, r *Result) *trialFrag {
+// newTrialFrag returns node id's trial loop over its discovered neighbors
+// nbs, capped at trialEpochCap epochs.
+func newTrialFrag(id int, sw *sweep, nbs []int, r *Result) *trialFrag {
 	return &trialFrag{
-		epochLoop: epochLoop{sw: sw, cap: maxEpochs},
+		epochLoop: epochLoop{sw: sw, cap: sw.trialEpochCap(len(nbs))},
 		id:        id, nbs: nbs, r: r, deg: len(nbs),
 		taken:  make(map[int]bool, len(nbs)),
 		finals: make(map[int]bool, len(nbs)),
