@@ -47,24 +47,14 @@ type RunSpec struct {
 	Op Aggregator
 }
 
-// faultSpec converts the public fault fields to the internal spec, exactly
-// as the Loss, Jamming and Churn options would set it.
+// faultSpec converts the public fault fields to the internal spec by
+// applying the Loss, Jamming, Churn and Byzantine options they mirror.
 func (rs RunSpec) faultSpec() fault.Spec {
-	var fs fault.Spec
-	fs.LossProb = rs.Loss
-	fs.JamChannels = rs.Jam
-	fs.JamModel = fault.JamModel(rs.JamModel)
-	if len(rs.Churn.CrashAt) > 0 {
-		fs.CrashAt = make(map[int]int, len(rs.Churn.CrashAt))
-		for id, slot := range rs.Churn.CrashAt {
-			fs.CrashAt[id] = slot
-		}
+	var s settings
+	for _, o := range []Option{Loss(rs.Loss), Jamming(rs.Jam, rs.JamModel), Churn(rs.Churn), Byzantine(rs.Byz, rs.ByzStrategy)} {
+		_ = o(&s) // the fault options only record the spec; they never fail
 	}
-	fs.CrashRate = rs.Churn.Rate
-	fs.CrashFrom, fs.CrashUntil = rs.Churn.From, rs.Churn.Until
-	fs.Byz.Fraction = rs.Byz
-	fs.Byz.Strategy = fault.ByzStrategy(rs.ByzStrategy)
-	return fs
+	return s.faults
 }
 
 // faulted reports whether the spec carries its own fault layer.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -86,6 +87,7 @@ func TestRunBatchSharedDeployment(t *testing.T) {
 		{Seed: 7, Loss: 0.2},
 		{Seed: 8, Jam: 1, JamModel: mcnet.JamRoundRobin},
 		{Seed: 7, Churn: mcnet.ChurnSpec{Rate: 0.1}},
+		{Seed: 7, Byz: 0.1, ByzStrategy: mcnet.ByzCorrupt},
 	}
 	batch, err := mcnet.RunBatch(context.Background(), 20, nil, specs, mcnet.BatchOptions{})
 	if err != nil {
@@ -100,6 +102,7 @@ func TestRunBatchSharedDeployment(t *testing.T) {
 			mcnet.Loss(rs.Loss),
 			mcnet.Jamming(rs.Jam, rs.JamModel),
 			mcnet.Churn(rs.Churn),
+			mcnet.Byzantine(rs.Byz, rs.ByzStrategy),
 		}
 		nw, err := mcnet.New(20, opts...)
 		if err != nil {
@@ -121,8 +124,10 @@ func TestRunBatchSharedDeployment(t *testing.T) {
 		}
 		if got.Faults == nil {
 			t.Errorf("spec %d: batch result missing fault report", i)
-		} else if want.Faults != nil && got.Faults.Lost != want.Faults.Lost {
-			t.Errorf("spec %d: lost = %d, want %d", i, got.Faults.Lost, want.Faults.Lost)
+		} else if want.Faults != nil && (got.Faults.Lost != want.Faults.Lost ||
+			!slices.Equal(got.Faults.ByzantineNodes, want.Faults.ByzantineNodes) ||
+			got.Faults.Corrupted != want.Faults.Corrupted) {
+			t.Errorf("spec %d: fault report %+v, want %+v", i, *got.Faults, *want.Faults)
 		}
 	}
 }
