@@ -234,19 +234,13 @@ func E4Coloring(o Options) (*stats.Table, error) {
 		pos := Crowd(p, n, uint64(s+31))
 		pl := core.NewPlan(p, crowdSizing(n).config(p))
 		e := sim.NewEngine(phy.NewField(p, pos), uint64(300*f+s))
-		res, err := coloring.RunContext(ctx, e, pl)
+		res, st, err := coloring.Sec7{}.Color(ctx, e, pl)
 		if err != nil {
 			return e4Run{}, err
 		}
 		c, u, pal := coloring.Validate(pos, p.REps(), res)
-		last := 0
-		for _, ev := range e.Events() {
-			if ev.Name == coloring.EventColored && ev.Slot > last {
-				last = ev.Slot
-			}
-		}
 		return e4Run{
-			time:      float64(last - pl.Offsets.Followers),
+			time:      float64(st.ColorSlots),
 			palette:   pal,
 			greedy:    baseline.MaxColor(baseline.GreedyColors(pos, p.REps())),
 			conflicts: c,
