@@ -205,6 +205,7 @@
 //	lambda               0.5    λ: probe contention target              csa
 //	omega1               2      ω₁: termination count                   csa
 //	gamma1               16     γ₁: probe rounds per phase              csa
+//	gamma3               8      γ₃: per-channel Δ̂ of the small CSA      csa
 //	ackProb              0.5    ACK probability 1/(2µ)                  ruling
 //	roundFactor          14     O(log n) rounds                         ruling
 //	gamma2               5      γ₂: follower rounds per phase           core
