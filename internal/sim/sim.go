@@ -11,13 +11,13 @@
 //
 // A node protocol is a Stepper: its state lives in an explicit struct, and
 // the engine drives it inline with one Step call per slot in which the node
-// is awake — no goroutine, no stack and no parking per node. Each Step
-// deposits the node's action for the slot into its own pending entry, and
-// the engine scans the pending entries in node order, so the resolved
-// transcript never depends on how many workers drove the Step calls
-// (stepper.go). Protocols are composed from stage-sized Frags; each stage's
-// run constants, its slot Window included, are compiled once per plan, so a
-// Frag holds only per-node state.
+// is awake and not inside a listen batch — no goroutine, no stack and no
+// parking per node. Each Step deposits the node's action for the slot into
+// its own pending entry, and the engine scans the pending entries in node
+// order, so the resolved transcript never depends on how many workers
+// drove the Step calls (stepper.go). Protocols are composed from
+// stage-sized Frags; each stage's run constants, its slot Window included,
+// are compiled once per plan, so a Frag holds only per-node state.
 //
 // # Idle wake-wheel
 //
@@ -44,6 +44,18 @@
 // Stepper). The SINR layer evaluates one interference sum per listener, so
 // an inert listener is pure resolution cost; dropping it removes only its
 // listener entries from the transcript.
+//
+// # Listen batches
+//
+// ListenFor(ch, k) is the listening counterpart of IdleFor: a node that
+// would listen on one channel slot after slot, acting only on a reception
+// that decodes, declares the run once (see Stepper, batch rule). The node
+// stays on the awake list and a listener in every slot of the batch — the
+// slot's listener entries, receptions, fault filtering and Trace are those
+// of listening slot by slot — but the step pass skips it (one comparison
+// against its batch end, which the crash slot caps) until the slot after
+// its first decoded reception, or until the k slots are over. Only the
+// receptions of listeners that step in the next slot are delivered.
 //
 // Determinism: Steppers draw randomness only from StepCtx.Rand, a per-node
 // stream derived from (run seed, node ID), and slot resolution is
@@ -302,11 +314,19 @@ func (e *Engine) RunContext(ctx context.Context, steppers []Stepper) (slots int,
 
 		// Deliver outcomes. Only listeners observe their result slot —
 		// Transmit and Idle discard it — so non-listen entries keep their
-		// stale contents untouched.
-		for k := range rxs {
-			rs.results[rxs[k].Node] = recs[k]
-		}
+		// stale contents untouched. A decoded reception ends its
+		// listener's ListenFor batch, and only a listener that steps in
+		// the next slot reads its reception (as Prev).
 		slot++
+		for k := range rxs {
+			id := rxs[k].Node
+			if recs[k].Decoded {
+				rs.listenUntil[id] = 0
+			} else if slot < rs.listenUntil[id] {
+				continue
+			}
+			rs.results[id] = recs[k]
+		}
 
 		// Open the next slot: sleepers due now pop off the wheel and merge
 		// into the awake list in node order.

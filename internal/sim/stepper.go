@@ -2,12 +2,13 @@ package sim
 
 // This file implements the node side of the engine: Stepper nodes hold
 // their protocol state in explicit structs and are driven inline by the
-// engine, one Step call per awake slot, optionally fanned out across step
-// workers. A Step call deposits its action into the node's own pending
-// entry, the engine scans pending in node order, and all randomness comes
-// from the node's own stream — so the resolved transcript is identical
-// regardless of how many workers drive the Step calls.
-// TestSteppedParallelDrive pins this.
+// engine, one Step call per awake slot outside a listen batch, optionally
+// fanned out across step workers. A Step call deposits its action into the
+// node's own pending entry, the engine scans pending in node order, and
+// all randomness comes from the node's own stream — so the resolved
+// transcript is identical regardless of how many workers drive the Step
+// calls. TestSteppedParallelDrive and TestListenForMatchesListenLoop pin
+// this.
 
 import (
 	"fmt"
@@ -24,9 +25,10 @@ import (
 
 // Stepper is a node protocol. The engine calls Step once per slot in which
 // the node is awake; each call must perform exactly one primitive on sc —
-// Transmit, Listen, Idle, or IdleFor — or call Done to power the node down
-// for the rest of the run. After an IdleFor(k), the next Step call comes k
-// slots later.
+// Transmit, Listen, ListenFor, Idle, or IdleFor — or call Done to power the
+// node down for the rest of the run. After an IdleFor(k), the next Step
+// call comes k slots later; after a ListenFor(ch, k), it comes the slot
+// after the first decoded reception, or k slots later.
 //
 // A Stepper must draw randomness only from sc.Rand and must not retain sc
 // across calls. If it listened in the previous acting slot, sc.Prev holds
@@ -52,6 +54,18 @@ import (
 // either way; the slot loses only the node's listener entry, and with it a
 // Step call and that listener's SINR sum (and a FaultInjector that counts
 // delivered receptions counts fewer).
+//
+// Batch rule: a node that would listen on one channel slot after slot,
+// ignoring every reception that does not decode, covers the run with one
+// ListenFor(ch, k) rather than k Listen calls, up to its next decision
+// point (its next draw, transmit or Emit, the end of its phase or of its
+// stage window). The engine keeps it a listener in every slot of the batch
+// — its listener entry, reception, FilterReception call and Trace view are
+// the same — but steps it again only in the slot after the first
+// reception that decodes (judged after the fault filter), which Prev then
+// holds, or once the k slots are over, when Prev holds the last one. The
+// crash check still runs every slot, so a node that crashes mid-batch
+// stops listening at its crash slot. Only the Step calls differ.
 type Stepper interface {
 	Step(sc *StepCtx)
 }
@@ -64,8 +78,8 @@ type Stepper interface {
 // slots. A fragment holds only per-node state; the stage's run constants
 // (its Window, reception filter, round stride, counts and probability
 // tables) are compiled once and shared by pointer. Fragments follow the
-// Stepper sleeping rule: each IdleFor runs to the fragment's next decision
-// point and never past its stage window's end.
+// Stepper sleeping and batch rules: each IdleFor or ListenFor runs to the
+// fragment's next decision point and never past its stage window's end.
 type Frag interface {
 	Feed(sc *StepCtx) bool
 }
@@ -177,6 +191,18 @@ func (c *StepCtx) Listen(channel int) {
 	c.put(actListen).ch = channel
 }
 
+// ListenFor listens on the given channel for up to k consecutive slots
+// (the Stepper batch rule): the next Step call comes in the slot after the
+// first decoded reception, or k slots later, and Prev then holds the
+// batch's last reception. k ≤ 0 is a no-op (the Step call must still act).
+func (c *StepCtx) ListenFor(channel, k int) {
+	if k <= 0 {
+		return
+	}
+	c.put(actListen).ch = channel
+	c.rs.listenUntil[c.id] = min(c.slot+k, c.crashAt)
+}
+
 // Idle does nothing for this slot (radio off).
 func (c *StepCtx) Idle() {
 	c.put(actIdle)
@@ -265,6 +291,10 @@ type runState struct {
 	pending []action
 	results []phy.Reception
 	done    []bool
+	// listenUntil is the slot a node in a ListenFor batch steps again in
+	// (its batch's end, or its crash slot if that comes first), zeroed
+	// when it decodes; at or below the current slot for every other node.
+	listenUntil []int
 	// awake lists the nodes to drive this slot in ascending node order
 	// (the collect pass reads actions in this order). Its capacity holds
 	// every node, so wake merges into it in place.
@@ -285,7 +315,9 @@ func newRunState(e *Engine, steppers []Stepper) (*runState, error) {
 		results: make([]phy.Reception, n),
 		done:    make([]bool, n),
 		awake:   make([]int32, n),
-		workers: runtime.GOMAXPROCS(0),
+
+		listenUntil: make([]int, n),
+		workers:     runtime.GOMAXPROCS(0),
 	}
 	rands := rng.Streams(e.seed, n)
 	for i, st := range steppers {
@@ -360,6 +392,11 @@ func (rs *runState) stepRange(ids []int32, slot int) {
 		}
 	}()
 	for _, id := range ids {
+		if slot < rs.listenUntil[id] {
+			// Mid-ListenFor batch: the node's pending listen stands for
+			// this slot too, with no Step call.
+			continue
+		}
 		cur = int(id)
 		rs.ctxs[id].stepNode(slot)
 	}
