@@ -163,3 +163,36 @@ func BenchmarkResolveTable2kParallel(b *testing.B) { benchTable(b, 2048, true, 0
 func BenchmarkResolveOnTheFly2k(b *testing.B)      { benchTable(b, 2048, false, 1) }
 func BenchmarkResolveTable4k(b *testing.B)         { benchTable(b, 4096, true, 1) }
 func BenchmarkResolveOnTheFly4k(b *testing.B)      { benchTable(b, 4096, false, 1) }
+
+// BenchmarkResolveTableBackbone is the backbone stage's slot shape on the
+// field-agg deployment (a uniform field of degree ≈ 12, n = 1024): one
+// channel, about a dozen transmitters and every other node listening. It
+// cycles through 16 such slots, so its cost is mostly per listener rather
+// than per pair.
+func BenchmarkResolveTableBackbone(b *testing.B) {
+	const n, slots = 1024, 16
+	r := rand.New(rand.NewSource(1))
+	span := math.Sqrt(float64(n) * math.Pi / 12)
+	pos := make([]geo.Point, n)
+	for i := range pos {
+		pos[i] = geo.Point{X: r.Float64() * span, Y: r.Float64() * span}
+	}
+	f := NewField(model.Default(8, n), pos)
+	f.SetParallelism(1)
+	txs, rxs := make([][]Tx, slots), make([][]Rx, slots)
+	for s := range txs {
+		for i := 0; i < n; i++ {
+			if r.Float64() < 12.0/n {
+				txs[s] = append(txs[s], Tx{Node: i, Msg: i})
+			} else {
+				rxs[s] = append(rxs[s], Rx{Node: i})
+			}
+		}
+		f.Resolve(txs[s], rxs[s]) // warm up scratch and the table
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.Resolve(txs[i%slots], rxs[i%slots])
+	}
+}

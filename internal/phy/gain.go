@@ -15,12 +15,19 @@ import (
 //
 // The table kernel scans transmitter-major: per channel, it walks the
 // transmitters in segment order and streams each one's row across that
-// channel's listeners in node order, accumulating every listener's total,
-// strongest sender and its power. Each listener therefore sums its powers in
+// channel's listeners in node order, accumulating every listener's total
+// and strongest power. Each listener therefore sums its powers in
 // transmitter order, exactly as the on-the-fly kernel does. A row is one
 // contiguous n-float run read forward, which the hardware prefetchers
 // follow; the listener-major transpose (gathering one column entry per
-// transmitter) was measured slower end to end.
+// transmitter) was measured slower end to end. The strongest power is
+// tracked as an integer max of IEEE bit patterns, without a branch per
+// pair, and the sender is looked up only for a listener that decodes: on
+// the backbone stage's slot shape (BenchmarkResolveTableBackbone, about a
+// dozen transmitters and a thousand listeners) Resolve took 62–79 µs per
+// slot with a compare-and-branch per pair and takes 30–40 µs without
+// (2-vCPU Intel Xeon VM, go1.24.0, best of 5 in each of three alternating
+// rounds).
 
 // maxGainTableBytes caps the link-gain table at n²·8 bytes: larger
 // deployments resolve on the fly. Set from BenchmarkResolveTable* and
@@ -45,9 +52,11 @@ func (d *Deployment) gains() []float64 {
 	return d.gain
 }
 
-// buildGains computes the full table, or nil when some power is negative
-// or NaN: the on-the-fly kernels rank those differently from one another,
-// so no single table scan reproduces both.
+// buildGains computes the full table, or nil when some power is negative,
+// −0 or NaN: the on-the-fly kernels rank negatives and NaN differently from
+// one another, so no single table scan reproduces both, and the table
+// kernel ranks powers by their bit patterns, which order like the values
+// only from +0 up.
 func (d *Deployment) buildGains() []float64 {
 	n := len(d.pos)
 	gain := make([]float64, n*n)
@@ -73,7 +82,7 @@ func (d *Deployment) buildGains() []float64 {
 			} else {
 				pw = d.params.PowerAtDistance(dist(l, t))
 			}
-			if !(pw >= 0) {
+			if !(pw >= 0) || math.Signbit(pw) {
 				return nil
 			}
 			row[i] = pw
@@ -91,57 +100,71 @@ type slotListeners struct {
 	// off[c]..off[c+1] is channel c's segment of the slices below.
 	off    []int32
 	cursor []int32
-	rx     []int32 // index of the listen in the slot's rxs slice
-	node   []int32 // listener node ids
+	rx     []int32    // index of the listen in the slot's rxs slice
+	acc    []listener // the listener and its table-kernel accumulators
 
-	total, bestPow []float64
-	best           []int32 // strongest sender's transmitter-layout index, or -1
-
-	// sending marks this slot's transmitting nodes while overlaps runs.
+	// sending marks this slot's transmitting nodes while prepare runs.
 	sending []bool
+}
+
+// listener is one slot listener in the layout with the table kernel's
+// accumulators (scanTable), kept together so the scan reads and writes one
+// record per listener.
+type listener struct {
+	total float64 // the summed received power
+	best  uint64  // the bit pattern of the strongest received power
+	node  int32   // the listener's node id
+	pass  int32   // the first transmitter of the scan pass that first reached best
 }
 
 // reserve presizes the layout for slots of up to maxRx listeners over n
 // nodes.
 func (l *slotListeners) reserve(channels, maxRx, n int) {
-	l.off = growInt32(l.off, channels+1)
-	l.cursor = growInt32(l.cursor, channels)
-	l.rx = growInt32(l.rx, maxRx)
-	l.node = growInt32(l.node, maxRx)
-	l.total = growFloat(l.total, maxRx)
-	l.bestPow = growFloat(l.bestPow, maxRx)
-	l.best = growInt32(l.best, maxRx)
+	l.off = grow(l.off, channels+1)
+	l.cursor = grow(l.cursor, channels)
+	l.rx = grow(l.rx, maxRx)
+	l.acc = grow(l.acc, maxRx)
 	if len(l.sending) < n {
 		l.sending = make([]bool, n)
 	}
 }
 
-// prepare builds the channel-segmented listener layout for one slot.
+// prepare builds the channel-segmented listener layout for one slot and
+// reports whether some listener also transmits in it (see Resolve).
 // Listens on out-of-range channels panic before any worker fan-out.
-func (l *slotListeners) prepare(f *Field, rxs []Rx) {
+func (l *slotListeners) prepare(f *Field, txs []Tx, rxs []Rx) (overlap bool) {
 	channels := f.params.Channels
 	l.reserve(channels, len(rxs), len(f.pos))
-	for c := 0; c <= channels; c++ {
-		l.off[c] = 0
-	}
+	off, cursor := l.off[:channels+1], l.cursor[:channels]
+	clear(off)
 	for i := range rxs {
 		c := rxs[i].Channel
-		if c < 0 || c >= channels {
+		if uint(c) >= uint(channels) {
 			panic("phy: listen on invalid channel")
 		}
-		l.off[c+1]++
+		off[c+1]++
 	}
-	for c := 0; c < channels; c++ {
-		l.off[c+1] += l.off[c]
-		l.cursor[c] = l.off[c]
+	for c := range cursor {
+		off[c+1] += off[c]
+		cursor[c] = off[c]
 	}
+	sending := l.sending
+	for i := range txs {
+		sending[txs[i].Node] = true
+	}
+	rx, acc := l.rx[:len(rxs)], l.acc[:len(rxs)]
 	for i := range rxs {
-		rx := &rxs[i]
-		k := l.cursor[rx.Channel]
-		l.cursor[rx.Channel] = k + 1
-		l.rx[k] = int32(i)
-		l.node[k] = int32(rx.Node)
+		v := rxs[i].Node
+		overlap = overlap || sending[v]
+		k := cursor[rxs[i].Channel]
+		cursor[rxs[i].Channel] = k + 1
+		rx[k] = int32(i)
+		acc[k].node = int32(v)
 	}
+	for i := range txs {
+		sending[txs[i].Node] = false
+	}
+	return overlap
 }
 
 // pairs returns the slot's same-channel listener×transmitter pair count
@@ -154,27 +177,6 @@ func (l *slotListeners) pairs(s *slotSoA) int {
 	return total
 }
 
-// overlaps reports whether some node both transmits and listens in the
-// slot. The engine never submits both, but the on-the-fly kernel skips a
-// listener's own transmission; the table kernel does not, so such slots
-// resolve on the fly.
-func (l *slotListeners) overlaps(txs []Tx) bool {
-	for i := range txs {
-		l.sending[txs[i].Node] = true
-	}
-	found := false
-	for _, v := range l.node[:l.off[len(l.off)-1]] {
-		if l.sending[v] {
-			found = true
-			break
-		}
-	}
-	for i := range txs {
-		l.sending[txs[i].Node] = false
-	}
-	return found
-}
-
 // resolveTableRange resolves the listeners at layout positions lo..hi from
 // the link-gain table into out, one channel run at a time, bit-identically
 // to resolveOneExact followed by the jam fold.
@@ -185,40 +187,69 @@ func (f *Field) resolveTableRange(txs []Tx, out []Reception, lo, hi int) {
 		if clo >= chi {
 			continue
 		}
-		f.scanTable(c, clo, chi)
-		for p := clo; p < chi; p++ {
-			best := -1
-			if l.best[p] >= 0 {
-				best = int(f.soa.tx[l.best[p]])
+		tlo, thi := f.soa.segment(c)
+		if tlo == thi {
+			// Nothing on the channel: every listener hears silence.
+			for p := clo; p < chi; p++ {
+				out[l.rx[p]] = Reception{From: -1}
 			}
+			continue
+		}
+		f.scanTable(c, clo, chi)
+		jammed := f.jammed[c]
+		for p := clo; p < chi; p++ {
+			a := &l.acc[p]
 			rec := &out[l.rx[p]]
-			f.decide(rec, txs, l.total[p], l.bestPow[p], best)
-			if f.jammed[c] {
+			bestPow := math.Float64frombits(a.best)
+			if !f.decodes(a.total, bestPow) {
+				*rec = Reception{From: -1, Interference: a.total}
+				continue
+			}
+			f.decoded(rec, &txs[f.strongest(int(a.pass), thi, a.node, bestPow)], a.total, bestPow)
+			if jammed {
 				jamFold(rec)
 			}
 		}
 	}
 }
 
-// scanTable accumulates, for channel c's listeners at layout positions
-// lo..hi, the total received power and the strongest sender, walking the
-// channel's transmitters in segment order and each transmitter's table row
-// across the listeners. The strict comparison against a -Inf start keeps
-// the first of equal maxima, as the on-the-fly kernel does.
-func (f *Field) scanTable(c, lo, hi int) {
-	l := &f.lis
+// strongest returns the txs index of the first transmitter from layout
+// position k on whose power at listener i is bestPow.
+func (f *Field) strongest(k, thi int, i int32, bestPow float64) int {
 	n := len(f.pos)
-	nodes := l.node[lo:hi]
-	total := l.total[lo:hi:hi][:len(nodes)]
-	bestPow := l.bestPow[lo:hi:hi][:len(nodes)]
-	best := l.best[lo:hi:hi][:len(nodes)]
-	for m := range nodes {
-		total[m], bestPow[m], best[m] = 0, math.Inf(-1), -1
+	for ; k < thi; k++ {
+		if f.gain[int(f.soa.node[k])*n+int(i)] == bestPow {
+			return int(f.soa.tx[k])
+		}
+	}
+	panic("phy: strongest power not in the channel segment")
+}
+
+// scanTable accumulates, for channel c's listeners at layout positions
+// lo..hi, the total received power and the bit pattern of the strongest
+// one, walking the channel's transmitters in segment order and each
+// transmitter's table row across the listeners, so each total sums in
+// transmitter order. Table powers are non-negative and never −0 or NaN
+// (buildGains), so their IEEE bit patterns order like their values and the
+// strongest is an integer max, with no branch per pair. The scan also
+// keeps the first transmitter of the pass (four rows, or one tail row) in
+// which each listener's max first reached its final value, so strongest,
+// run only for a listener that decodes, finds the first of equal maxima —
+// the transmitter resolveOneExact's strict comparison keeps — in at most
+// four lookups.
+func (f *Field) scanTable(c, lo, hi int) {
+	n := len(f.pos)
+	acc := f.lis.acc[lo:hi]
+	tlo, thi := f.soa.segment(c)
+	for m := range acc {
+		// The bits of +0, the least table power.
+		acc[m].total, acc[m].best, acc[m].pass = 0, 0, int32(tlo)
 	}
 	// Four rows per pass keep each listener's accumulators in registers
-	// across four transmitters: 1.3× over one row per pass, while eight
-	// spill and lose (BenchmarkResolveTable1k).
-	tlo, thi := f.soa.segment(c)
+	// across four transmitters. Against one row per pass they are 1.1–1.2×
+	// faster on BenchmarkResolveTable1k and 2k; eight rows per pass lose
+	// 1.45× on BenchmarkResolveTableBackbone, whose dozen transmitters then
+	// fall mostly to the one-row tail.
 	k := tlo
 	for ; k+4 <= thi; k += 4 {
 		j0, j1 := int(f.soa.node[k])*n, int(f.soa.node[k+1])*n
@@ -226,37 +257,34 @@ func (f *Field) scanTable(c, lo, hi int) {
 		r0, r1 := f.gain[j0:j0+n], f.gain[j1:j1+n]
 		r2, r3 := f.gain[j2:j2+n], f.gain[j3:j3+n]
 		k0 := int32(k)
-		for m, i := range nodes {
+		for m := range acc {
+			a := &acc[m]
+			i := a.node
 			p0, p1, p2, p3 := r0[i], r1[i], r2[i], r3[i]
-			t, bp, b := total[m], bestPow[m], best[m]
-			t += p0
-			if p0 > bp {
-				bp, b = p0, k0
+			a.total = a.total + p0 + p1 + p2 + p3
+			b := max(math.Float64bits(p0), math.Float64bits(p1),
+				math.Float64bits(p2), math.Float64bits(p3))
+			// A conditional move: the compiler selects both fields
+			// without a branch.
+			bm, pm := a.best, a.pass
+			if b > bm {
+				bm, pm = b, k0
 			}
-			t += p1
-			if p1 > bp {
-				bp, b = p1, k0+1
-			}
-			t += p2
-			if p2 > bp {
-				bp, b = p2, k0+2
-			}
-			t += p3
-			if p3 > bp {
-				bp, b = p3, k0+3
-			}
-			total[m], bestPow[m], best[m] = t, bp, b
+			a.best, a.pass = bm, pm
 		}
 	}
 	for ; k < thi; k++ {
 		j := int(f.soa.node[k])
 		row := f.gain[j*n : j*n+n]
-		for m, i := range nodes {
-			pw := row[i]
-			total[m] += pw
-			if pw > bestPow[m] {
-				bestPow[m], best[m] = pw, int32(k)
+		for m := range acc {
+			a := &acc[m]
+			pw := row[a.node]
+			a.total += pw
+			b, bm, pm := math.Float64bits(pw), a.best, a.pass
+			if b > bm {
+				bm, pm = b, int32(k)
 			}
+			a.best, a.pass = bm, pm
 		}
 	}
 }

@@ -29,9 +29,11 @@
 //     bit-identical. The table belongs to the Deployment, which every
 //     Field of a run shares (the facade keeps one per Network), is built
 //     lazily by the first Reserve or Resolve that needs it, and is scanned
-//     transmitter-major. Above maxGainTableBytes (n > 2048) the table
-//     would stream from DRAM and gain nothing, so larger deployments
-//     compute powers on the fly.
+//     transmitter-major with no branch per pair: table powers are
+//     non-negative, so the strongest is the integer max of their bit
+//     patterns, and only a listener that decodes looks up its sender.
+//     Above maxGainTableBytes (n > 2048) the table would stream from DRAM
+//     and gain nothing, so larger deployments compute powers on the fly.
 //   - The slot's transmitters and listeners are laid out once per Resolve
 //     in channel-segmented struct-of-arrays form (soa.go, gain.go), so the
 //     scans stream through memory with no pointer chasing.
@@ -253,9 +255,12 @@ func (f *Field) Resolve(txs []Tx, rxs []Rx) []Reception {
 	// Lay the slot's transmitters and listeners out per channel before any
 	// fan-out, so invalid channels panic on the caller's goroutine. The slot
 	// resolves through the link-gain table when the deployment has one.
+	// A node that both transmits and listens — the engine never submits
+	// one — resolves on the fly: that kernel skips the listener's own
+	// transmission, the table kernel does not.
 	f.soa.prepare(f, txs)
-	f.lis.prepare(f, rxs)
-	f.slotTable = f.gains() != nil && !f.lis.overlaps(txs)
+	overlap := f.lis.prepare(f, txs, rxs)
+	f.slotTable = f.gains() != nil && !overlap
 	if cap(f.out) < len(rxs) {
 		f.out = make([]Reception, len(rxs))
 	}
@@ -382,29 +387,34 @@ func (f *Field) resolveOneExact(rec *Reception, rx Rx, txs []Tx) {
 // rather than returning the struct keeps the per-listener copy out of the
 // callers' loops.
 func (f *Field) decide(rec *Reception, txs []Tx, total, bestPow float64, best int) {
-	if best == -1 {
+	switch {
+	case best == -1:
 		*rec = Reception{From: -1}
-		return
-	}
-	if math.IsInf(bestPow, 1) {
-		// A co-located sender: its power is unbounded, so the SINR is
-		// undefined and nothing decodes.
+	case f.decodes(total, bestPow):
+		f.decoded(rec, &txs[best], total, bestPow)
+	default:
+		// Not decoded: the listener still senses all the power.
 		*rec = Reception{From: -1, Interference: total}
-		return
 	}
-	interference := total - bestPow
-	if bestPow/(f.params.Noise+interference) >= f.params.Beta {
-		*rec = Reception{
-			Decoded:      true,
-			From:         txs[best].Node,
-			Msg:          txs[best].Msg,
-			SignalPower:  bestPow,
-			Interference: interference,
-		}
-		return
+}
+
+// decodes is the Eq. (1) test on a listener's strongest power bestPow out
+// of the total it senses. A co-located sender's power is unbounded, so its
+// SINR is undefined and nothing decodes.
+func (f *Field) decodes(total, bestPow float64) bool {
+	return !math.IsInf(bestPow, 1) && bestPow/(f.params.Noise+(total-bestPow)) >= f.params.Beta
+}
+
+// decoded writes the reception of tx's message at power bestPow out of
+// total.
+func (f *Field) decoded(rec *Reception, tx *Tx, total, bestPow float64) {
+	*rec = Reception{
+		Decoded:      true,
+		From:         tx.Node,
+		Msg:          tx.Msg,
+		SignalPower:  bestPow,
+		Interference: total - bestPow,
 	}
-	// Not decoded: the listener still senses all the power.
-	*rec = Reception{From: -1, Interference: total}
 }
 
 // Reach is the reception filter for one distance r under one parameter

@@ -23,12 +23,12 @@ type slotSoA struct {
 
 // reserve presizes the layout for slots of up to maxTx transmitters.
 func (s *slotSoA) reserve(channels, maxTx int) {
-	s.off = growInt32(s.off, channels+1)
-	s.cursor = growInt32(s.cursor, channels)
-	s.x = growFloat(s.x, maxTx)
-	s.y = growFloat(s.y, maxTx)
-	s.node = growInt32(s.node, maxTx)
-	s.tx = growInt32(s.tx, maxTx)
+	s.off = grow(s.off, channels+1)
+	s.cursor = grow(s.cursor, channels)
+	s.x = grow(s.x, maxTx)
+	s.y = grow(s.y, maxTx)
+	s.node = grow(s.node, maxTx)
+	s.tx = grow(s.tx, maxTx)
 }
 
 // prepare builds the channel-segmented layout for one slot. Transmissions
@@ -69,16 +69,11 @@ func (s *slotSoA) segment(c int) (lo, hi int) {
 	return int(s.off[c]), int(s.off[c+1])
 }
 
-func growInt32(s []int32, n int) []int32 {
+// grow returns s resliced to n elements, reallocated when its capacity is
+// short; the contents are scratch.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growFloat(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
