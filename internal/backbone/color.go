@@ -173,7 +173,9 @@ func (f *ColorFrag) Feed(sc *sim.StepCtx) bool {
 	}
 	switch {
 	case f.Out.Color < 0:
-		sc.Listen(channel)
+		// Only a decoded Final changes an uncolored node, so it listens
+		// in one batch to the next one or to the window's end.
+		sc.ListenFor(channel, st.Len-rel)
 		f.awaitFinal = true
 	case sc.Rand.Float64() < announceProb:
 		sc.Transmit(channel, Final{From: sc.ID(), Color: f.Out.Color})

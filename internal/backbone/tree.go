@@ -231,6 +231,29 @@ func (f *TreeFrag) endPhase(id int) {
 	f.phase++
 }
 
+// untilOwn returns the slots from rel to the node's next own sub-slot
+// after it, or to the end of the current phase if that comes first.
+func (f *TreeFrag) untilOwn(rel, sub int) int {
+	next := rel - sub + f.Color%f.Stage.PhiMax
+	if next <= rel {
+		next += f.Stage.PhiMax
+	}
+	return min(next, f.Stage.ends[f.phase]) - rel
+}
+
+// listen listens from rel under the sim batch rule. Every phase ignores a
+// reception that does not decode, and the node's state changes only on a
+// decode, so one ListenFor runs to the node's next own sub-slot if it may
+// draw there (draws), else to the end of the phase.
+func (f *TreeFrag) listen(sc *sim.StepCtx, rel, sub int, await treeAwait, draws bool) {
+	k := f.Stage.ends[f.phase] - rel
+	if draws {
+		k = f.untilOwn(rel, sub)
+	}
+	sc.ListenFor(channel, k)
+	f.await = await
+}
+
 // Feed implements sim.Frag.
 func (f *TreeFrag) Feed(sc *sim.StepCtx) bool {
 	c := &f.Stage.TreeConfig
@@ -308,10 +331,9 @@ func (f *TreeFrag) Feed(sc *sim.StepCtx) bool {
 		case 0: // Phase A: root election + BFS tree.
 			if f.ownSlot(sub) && sc.Rand.Float64() < c.FloodProb {
 				sc.Transmit(channel, State{Root: f.Out.Root, Hops: f.Out.Depth, From: sc.ID()})
-			} else {
-				sc.Listen(channel)
-				f.await = treeAwaitA
+				return false
 			}
+			f.listen(sc, rel, sub, treeAwaitA, true)
 			return false
 		case 1: // Phase B: children discovery.
 			if f.ownSlot(sub) {
@@ -325,52 +347,42 @@ func (f *TreeFrag) Feed(sc *sim.StepCtx) bool {
 					return false
 				}
 			}
-			sc.Listen(channel)
-			f.await = treeAwaitB
+			f.listen(sc, rel, sub, treeAwaitB, len(f.ackQueue) > 0 || !f.childAcked)
 			return false
 		case 2: // Phase C: convergecast.
 			if f.isRoot && !f.emitted && f.ready() {
 				f.emitted = true
 				sc.Emit(EventAgg, int(f.recompute()))
 			}
+			sends := !f.isRoot && !f.upAcked && f.ready()
 			if f.ownSlot(sub) {
 				if len(f.upAcks) > 0 && sc.Rand.Float64() < ackProb {
 					sc.Transmit(channel, UpAck{To: f.upAcks[0]})
 					f.upAcks = f.upAcks[1:]
 					return false
 				}
-				if !f.isRoot && !f.upAcked && f.ready() && sc.Rand.Float64() < c.FloodProb {
+				if sends && sc.Rand.Float64() < c.FloodProb {
 					f.sentVal = f.recompute()
 					f.sentAny = true
 					sc.Transmit(channel, Up{Parent: f.Out.Parent, From: sc.ID(), Value: f.sentVal})
 					return false
 				}
 			}
-			sc.Listen(channel)
-			f.await = treeAwaitC
+			f.listen(sc, rel, sub, treeAwaitC, len(f.upAcks) > 0 || sends)
 			return false
 		case 3: // Phase D: result flood.
 			if !f.Out.Done {
-				sc.Listen(channel)
-				f.await = treeAwaitD
+				f.listen(sc, rel, sub, treeAwaitD, false)
 				return false
 			}
 			// An informed node discards every Result it hears, so it never
 			// listens again: it floods in its own sub-slots and sleeps from
 			// one to the next, or to the end of the phase.
-			if !f.ownSlot(sub) {
-				next := rel - sub + f.Color%c.PhiMax
-				if next < rel {
-					next += c.PhiMax
-				}
-				sc.IdleFor(min(next, f.Stage.ends[3]) - rel)
+			if f.ownSlot(sub) && sc.Rand.Float64() < c.FloodProb {
+				sc.Transmit(channel, Result{Value: f.Out.Result, From: sc.ID()})
 				return false
 			}
-			if sc.Rand.Float64() < c.FloodProb {
-				sc.Transmit(channel, Result{Value: f.Out.Result, From: sc.ID()})
-			} else {
-				sc.Idle()
-			}
+			sc.IdleFor(f.untilOwn(rel, sub))
 			return false
 		default:
 			return true

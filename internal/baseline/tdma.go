@@ -49,12 +49,13 @@ func buildTDMASchedule(pos []geo.Point, radius float64) tdmaSchedule {
 
 // tdmaStepper is one TDMAByID node: it transmits in its own up- and
 // down-pass slots and listens in every other. No randomness is involved.
+// It reads only decoded receptions, so each listen runs as one ListenFor
+// to its next own slot or the end of the pass (the sim batch rule).
 type tdmaStepper struct {
 	sched *tdmaSchedule
 	op    agg.Op
 	out   []SingleChannelResult
 
-	t         int
 	have      int64
 	result    int64
 	gotResult bool
@@ -76,7 +77,8 @@ func (s *tdmaStepper) Step(sc *sim.StepCtx) {
 	}
 	s.await = 0
 	sd := s.sched
-	if s.t >= 2*sd.n {
+	t := sc.Slot()
+	if t >= 2*sd.n {
 		if i == 0 && !s.gotResult {
 			s.result, s.gotResult = s.have, true
 		}
@@ -88,8 +90,6 @@ func (s *tdmaStepper) Step(sc *sim.StepCtx) {
 		sc.Done()
 		return
 	}
-	t := s.t
-	s.t++
 	switch {
 	case t == sd.upSlot[i] && sd.parent[i] >= 0:
 		sc.Transmit(0, upMsg{To: sd.parent[i], Value: s.have})
@@ -99,10 +99,19 @@ func (s *tdmaStepper) Step(sc *sim.StepCtx) {
 		}
 		sc.Transmit(0, downMsg{Value: s.result})
 	case t < sd.n:
-		sc.Listen(0)
+		sc.ListenFor(0, until(t, sd.upSlot[i], sd.n))
 		s.await = 1
 	default:
-		sc.Listen(0)
+		sc.ListenFor(0, until(t, sd.downSlot[i], 2*sd.n))
 		s.await = 2
 	}
+}
+
+// until returns the slots from t to the node's own slot in the current
+// pass if that is still ahead, else to the pass's end.
+func until(t, own, end int) int {
+	if own > t {
+		return own - t
+	}
+	return end - t
 }

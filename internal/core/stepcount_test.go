@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -100,5 +101,91 @@ func TestStepCountCrowd(t *testing.T) {
 	arena[0].result(&r)
 	if !r.Ok || r.Value != exact {
 		t.Errorf("node 0 learned (%d, %v), want (%d, true)", r.Value, r.Ok, exact)
+	}
+}
+
+// windowCounter wraps one node's pipeline and counts its Step calls in the
+// slot window [from, to).
+type windowCounter struct {
+	ps       *pipelineStepper
+	from, to int
+	steps    int
+}
+
+func (c *windowCounter) Step(sc *sim.StepCtx) {
+	if s := sc.Slot(); s >= c.from && s < c.to {
+		c.steps++
+	}
+	c.ps.Step(sc)
+}
+
+// TestStepCountField pins the cost of the backbone window on the field-agg
+// deployment (the facade's Uniform(12), n = 1024, F = 8, seed 1), where
+// nearly every node is a dominator listening in every sub-slot but its
+// own. Under the sim batch rule a dominator is stepped only around its own
+// transmissions, the receptions it decodes and once per TDMA block, so the
+// window's Step calls stay within transmissions + decoded receptions + one
+// per dominator per block; listening slot by slot costs about one Step per
+// dominator per slot.
+func TestStepCountField(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full 1024-node pipeline")
+	}
+	const n, deg, seed = 1024, 12.0, 1
+	p := model.Default(8, n)
+	side, _ := topology.UniformSide(n, p.REps(), deg)
+	cfg := DefaultConfig(p)
+	cfg.DeltaHat = int(math.Ceil(4 * deg))
+	cfg.HopBound = int(math.Ceil(side*math.Sqrt2/p.REps())) + 4
+	pl := NewPlan(p, cfg)
+	o := pl.Offsets
+	pos := topology.UniformDegree(topology.LayoutRand(seed), n, p.REps(), deg)
+	e := sim.NewEngine(phy.NewField(p, pos), seed)
+	var txs, decodes int
+	e.Trace = func(slot int, tx []phy.Tx, _ []phy.Rx, recs []phy.Reception) {
+		if slot < o.Backbone || slot >= o.Inform {
+			return
+		}
+		txs += len(tx)
+		for _, r := range recs {
+			if r.Decoded {
+				decodes++
+			}
+		}
+	}
+	arena := make([]pipelineStepper, n)
+	counters := make([]windowCounter, n)
+	steppers := make([]sim.Stepper, n)
+	for i := range arena {
+		arena[i] = pipelineStepper{build: BuildFrag{Pl: pl, Value: int64(i + 1)}, op: agg.Sum}
+		counters[i] = windowCounter{ps: &arena[i], from: o.Backbone, to: o.Inform}
+		steppers[i] = &counters[i]
+	}
+	if _, err := e.RunContext(context.Background(), steppers); err != nil {
+		t.Fatal(err)
+	}
+
+	var steps, dominators int
+	for i := range counters {
+		steps += counters[i].steps
+		if arena[i].build.St.IsDominator() {
+			dominators++
+		}
+	}
+	blocks := pl.Tree.Len / cfg.PhiMax
+	bound := txs + decodes + dominators*blocks
+	t.Logf("backbone window: %d slots, %d dominators, %d Step calls, %d transmissions, %d decodes, bound %d (%.2f Step calls per dominator per slot)",
+		pl.Tree.Len, dominators, steps, txs, decodes, bound, float64(steps)/float64(dominators*pl.Tree.Len))
+	if dominators == 0 || decodes == 0 {
+		t.Fatalf("vacuous run: %d dominators, %d decodes in the backbone window", dominators, decodes)
+	}
+	if steps > bound {
+		t.Errorf("%d Step calls in the backbone window: above transmissions + decodes + one per dominator per block = %d",
+			steps, bound)
+	}
+	var r Result
+	arena[0].result(&r)
+	if !r.Ok || r.Value != int64(n)*(n+1)/2 {
+		t.Errorf("node 0 learned (%d, %v), want (%d, true)", r.Value, r.Ok, int64(n)*(n+1)/2)
 	}
 }

@@ -378,7 +378,9 @@ func (f *announceFrag) Feed(sc *sim.StepCtx) bool {
 	case f.color >= 0:
 		sc.IdleFor(w.Len - rel)
 	default:
-		sc.Listen(0)
+		// Only a decoded ColorMsg changes a member, so it listens in one
+		// batch to the next one or to the stage's end.
+		sc.ListenFor(0, w.Len-rel)
 		f.await = true
 	}
 	return false
@@ -613,7 +615,7 @@ func (f *informFrag) Feed(sc *sim.StepCtx) bool {
 	}
 	switch {
 	case !st.IsDominator() && !f.Have:
-		sc.Listen(0)
+		sc.ListenFor(0, w.Len-rel)
 		f.await = true
 	case st.IsDominator() && f.Have && rel == st.Off:
 		sc.Transmit(0, FinalMsg{Dom: sc.ID(), Value: f.Value})
