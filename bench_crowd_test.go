@@ -2,7 +2,7 @@ package mcnet
 
 import (
 	"context"
-	"runtime"
+	"runtime/metrics"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -30,6 +30,9 @@ import (
 const benchCrowdSlots = 256
 
 // peakSampler samples heap use and goroutine count during a benchmark run.
+// It reads them through runtime/metrics, which does not stop the world:
+// runtime.ReadMemStats does, and at the 1 ms tick its preemptions of the
+// benchmarked goroutines showed up in their CPU profiles.
 type peakSampler struct {
 	stop chan struct{}
 	done chan struct{}
@@ -38,15 +41,19 @@ type peakSampler struct {
 	goroutines atomic.Int64
 }
 
+// peakMetrics are the sampled runtime/metrics: heap bytes in objects, live
+// or not yet swept (runtime.MemStats.HeapAlloc), and live goroutines.
+var peakMetrics = [...]string{"/memory/classes/heap/objects:bytes", "/sched/goroutines:goroutines"}
+
 func startPeakSampler() *peakSampler {
 	ps := &peakSampler{stop: make(chan struct{}), done: make(chan struct{})}
 	go func() {
 		defer close(ps.done)
 		tick := time.NewTicker(time.Millisecond)
 		defer tick.Stop()
-		var ms runtime.MemStats
+		samples := newPeakSamples()
 		for {
-			ps.sample(&ms)
+			ps.sample(samples)
 			select {
 			case <-ps.stop:
 				return
@@ -57,12 +64,20 @@ func startPeakSampler() *peakSampler {
 	return ps
 }
 
-func (ps *peakSampler) sample(ms *runtime.MemStats) {
-	runtime.ReadMemStats(ms)
-	if h := ms.HeapAlloc; h > ps.heap.Load() {
+func newPeakSamples() []metrics.Sample {
+	samples := make([]metrics.Sample, len(peakMetrics))
+	for i, name := range peakMetrics {
+		samples[i].Name = name
+	}
+	return samples
+}
+
+func (ps *peakSampler) sample(samples []metrics.Sample) {
+	metrics.Read(samples)
+	if h := samples[0].Value.Uint64(); h > ps.heap.Load() {
 		ps.heap.Store(h)
 	}
-	if g := int64(runtime.NumGoroutine()); g > ps.goroutines.Load() {
+	if g := int64(samples[1].Value.Uint64()); g > ps.goroutines.Load() {
 		ps.goroutines.Store(g)
 	}
 }
@@ -71,8 +86,7 @@ func (ps *peakSampler) sample(ms *runtime.MemStats) {
 func (ps *peakSampler) report(b *testing.B) {
 	close(ps.stop)
 	<-ps.done
-	var ms runtime.MemStats
-	ps.sample(&ms)
+	ps.sample(newPeakSamples())
 	b.ReportMetric(float64(ps.heap.Load()), "peak-heap-bytes")
 	b.ReportMetric(float64(ps.goroutines.Load()), "peak-goroutines")
 }
