@@ -13,6 +13,16 @@ import (
 	"mcnet/internal/topology"
 )
 
+// uniformPlan sizes the pipeline for a Uniform(deg) field of n nodes as
+// the facade's Uniform topology does.
+func uniformPlan(p model.Params, n int, deg float64) *Plan {
+	side, _ := topology.UniformSide(n, p.REps(), deg)
+	cfg := DefaultConfig(p)
+	cfg.DeltaHat = int(math.Ceil(4 * deg))
+	cfg.HopBound = int(math.Ceil(side*math.Sqrt2/p.REps())) + 4
+	return NewPlan(p, cfg)
+}
+
 // TestListeningRule checks the sim listening rule on the two dominator
 // fragments that apply it, over a multi-cluster field (the facade's
 // Uniform(12) at n = 256, F = 8) and three seeds: a dominator that has
@@ -22,11 +32,7 @@ import (
 func TestListeningRule(t *testing.T) {
 	const n, deg = 256, 12.0
 	p := model.Default(8, n)
-	side, _ := topology.UniformSide(n, p.REps(), deg)
-	cfg := DefaultConfig(p)
-	cfg.DeltaHat = int(math.Ceil(4 * deg))
-	cfg.HopBound = int(math.Ceil(side*math.Sqrt2/p.REps())) + 4
-	pl := NewPlan(p, cfg)
+	pl := uniformPlan(p, n, deg)
 	o := pl.Offsets
 	values := make([]int64, n)
 	for i := range values {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -133,11 +132,7 @@ func TestStepCountField(t *testing.T) {
 	}
 	const n, deg, seed = 1024, 12.0, 1
 	p := model.Default(8, n)
-	side, _ := topology.UniformSide(n, p.REps(), deg)
-	cfg := DefaultConfig(p)
-	cfg.DeltaHat = int(math.Ceil(4 * deg))
-	cfg.HopBound = int(math.Ceil(side*math.Sqrt2/p.REps())) + 4
-	pl := NewPlan(p, cfg)
+	pl := uniformPlan(p, n, deg)
 	o := pl.Offsets
 	pos := topology.UniformDegree(topology.LayoutRand(seed), n, p.REps(), deg)
 	e := sim.NewEngine(phy.NewField(p, pos), seed)
@@ -172,7 +167,7 @@ func TestStepCountField(t *testing.T) {
 			dominators++
 		}
 	}
-	blocks := pl.Tree.Len / cfg.PhiMax
+	blocks := pl.Tree.Len / pl.Cfg.PhiMax
 	bound := txs + decodes + dominators*blocks
 	t.Logf("backbone window: %d slots, %d dominators, %d Step calls, %d transmissions, %d decodes, bound %d (%.2f Step calls per dominator per slot)",
 		pl.Tree.Len, dominators, steps, txs, decodes, bound, float64(steps)/float64(dominators*pl.Tree.Len))
