@@ -134,7 +134,7 @@
 // compiled once per run, where the plan is built: its slot window,
 // reception filters, round stride, counts and probability tables are
 // values every node's fragment shares by pointer, so a fragment holds
-// only per-node state and a node's pipeline is 568 bytes on 64-bit
+// only per-node state and a node's pipeline is 552 bytes on 64-bit
 // platforms. Every protocol fragment sleeps through each stretch it can
 // prove idle (no radio action, no random draw, no event), up to its next
 // decision and never past its stage window's end; a node that sits a
@@ -197,11 +197,13 @@
 // directly.
 //
 //	constant             value  replaces                                package
-//	mu                   4      µ: HELLO probability cap 1/(2µ)         dominate
-//	ackProb              0.5    ACK probability 1/(2µ)                  dominate
-//	reannounceProb       0.25   — (IN re-announcement, D2)              dominate
-//	roundFactor          4      O(log n) rounds per doubling phase      dominate
-//	channel              0      the single channel                      dominate
+//	ackProb              0.5    ACK probability 1/(2µ)                  ruling
+//	channel              0      the single channel                      ruling
+//	rulingMu             3      µ: HELLO probability 1/(2µ)             ruling
+//	rulingRoundFactor    14     O(log n) ruling-set rounds              ruling
+//	domMu                4      µ: HELLO probability cap 1/(2µ) (D2)    ruling
+//	domRoundFactor       4      O(log n) rounds per doubling phase (D2) ruling
+//	reannounceProb       0.25   — (IN re-announcement, D2)              ruling
 //	beaconProb           0.02   — (discovery beacons, D4)               backbone
 //	announceProb         0.02   — (color re-announcement, D4)           backbone
 //	discoverFactor       150    — (discovery slots, D4)                 backbone
@@ -214,27 +216,28 @@
 //	omega1               2      ω₁: termination count                   csa
 //	gamma1               16     γ₁: probe rounds per phase              csa
 //	gamma3               8      γ₃: per-channel Δ̂ of the small CSA      csa
-//	ackProb              0.5    ACK probability 1/(2µ)                  ruling
-//	roundFactor          14     O(log n) rounds                         ruling
 //	gamma2               5      γ₂: follower rounds per phase           core
 //	omega2               1      ω₂: dominator backoff threshold         core
 //	lambda               0.5    λ: follower contention target           core
 //	extraFollowerPhases  4      — (follower-stage padding)              core
 //	Config.C1            1      c₁ = 24: channels per cluster           core
 //
-// The ACK probabilities drop the paper's 1/(2µ) because clear receivers of
-// distinct HELLOs are already spatially sparse. Exercised by the ruling and
-// dominate packages' postcondition tests, E5's violations and undominated
-// columns, E6's est/truth column and E1's speedup curve.
+// The ACK probability drops the paper's 1/(2µ) because clear receivers of
+// distinct HELLOs are already spatially sparse. Exercised by the ruling
+// package's postcondition tests for both stages, E5's violations and
+// undominated columns, E6's est/truth column and E1's speedup curve.
 //
 // D2, dominating set. The paper adopts the O(log n) protocol of
-// Scheideler, Richa and Santi as a black box. internal/dominate runs an
-// equivalent HELLO/ACK/IN contention process instead, with per-phase
-// probability doubling from 1/n̂ (no degree knowledge needed), periodic IN
-// re-announcements by dominators, and self-appointment of nodes left
-// uncovered at the end. Exercised by the dominate package's coverage and
-// density tests and by E9's dominators, density, self_appointed and
-// uncovered columns.
+// Scheideler, Richa and Santi as a black box. internal/ruling runs it on
+// the paper's own symmetry-breaking primitive instead: the Sec. 4 ruling
+// set's HELLO/ACK/IN contention process, one RunFrag for both. The
+// dominating stage (ruling.NewDominatingStage) adds per-phase HELLO
+// probability doubling from 1/n̂ (no degree knowledge needed), and its
+// decided nodes keep acting where the ruling set's halt: dominators
+// re-announce IN and dominated nodes keep acknowledging. In both stages,
+// nodes left undecided at the end appoint themselves. Exercised by the ruling
+// package's coverage and density tests and stage golden, and by E9's
+// dominators, density, self_appointed and uncovered columns.
 //
 // D3, inter-cluster aggregation. The paper imports an aggregation tree
 // over dominators (its Theorem 3). internal/backbone builds one itself: a

@@ -13,7 +13,7 @@ func TestNodeStateSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(sec7Stepper{}); got != 592 {
-		t.Errorf("sec7Stepper is %d bytes, want 592", got)
+	if got := unsafe.Sizeof(sec7Stepper{}); got != 576 {
+		t.Errorf("sec7Stepper is %d bytes, want 576", got)
 	}
 }

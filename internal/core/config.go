@@ -5,7 +5,8 @@
 // The pipeline runs as a fixed sequence of slot-budgeted stages, every node
 // executing the same schedule so clusters stay aligned:
 //
-//  1. dominate   — r_c-dominating set + clustering (Sec. 5.1.1, channel 0)
+//  1. dominate   — r_c-dominating set + clustering (Sec. 5.1.1, channel 0):
+//     the ruling package's HELLO/ACK/IN primitive, NewDominatingStage
 //  2. color      — cluster coloring of dominators (Sec. 5.1.2)
 //  3. announce   — dominators disseminate cluster colors (enables TDMA)
 //  4. csa        — cluster-size approximation (Sec. 5.2.1 / Appendix A)
@@ -25,10 +26,10 @@ import (
 
 	"mcnet/internal/backbone"
 	"mcnet/internal/csa"
-	"mcnet/internal/dominate"
 	"mcnet/internal/model"
 	"mcnet/internal/phy"
 	"mcnet/internal/reporter"
+	"mcnet/internal/ruling"
 	"mcnet/internal/sim"
 )
 
@@ -86,7 +87,7 @@ type Plan struct {
 	// The stages in slot order; each window starts where the previous one
 	// ends. UseSmall picks the CSA variant (Lemma 14): CSASmall when set,
 	// CSALarge otherwise; only the picked one is compiled.
-	Dominate  dominate.Stage
+	Dominate  ruling.Stage
 	Color     backbone.ColorStage
 	Announce  sim.Window
 	UseSmall  bool
@@ -139,7 +140,7 @@ func NewPlan(p model.Params, cfg Config) *Plan {
 	pl.domReach, pl.memberReach = phy.NewReach(p, rc), phy.NewReach(p, 2*rc)
 	backboneReach := phy.NewReach(p, p.REpsHalf())
 
-	pl.Dominate = dominate.NewStage(p, pl.domReach, 0)
+	pl.Dominate = ruling.NewDominatingStage(p, pl.domReach, 0)
 	pl.Color = backbone.NewColorStage(p, backboneReach, cfg.PhiMax, pl.Dominate.End())
 	pl.Announce = sim.Window{Start: pl.Color.End(), Len: int(math.Ceil(8 * p.LogN()))}
 

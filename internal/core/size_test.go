@@ -13,7 +13,7 @@ func TestNodeStateSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(pipelineStepper{}); got != 568 {
-		t.Errorf("pipelineStepper is %d bytes, want 568", got)
+	if got := unsafe.Sizeof(pipelineStepper{}); got != 552 {
+		t.Errorf("pipelineStepper is %d bytes, want 552", got)
 	}
 }

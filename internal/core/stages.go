@@ -1,13 +1,13 @@
 package core
 
-import "mcnet/internal/dominate"
+import "mcnet/internal/ruling"
 
 // Structure is a node's place in the aggregation structure after the build
 // stages (Sec. 5): clustering, cluster color, size estimate, and channel
 // role.
 type Structure struct {
 	// Dom is the dominating-set outcome (cluster head assignment).
-	Dom dominate.Outcome
+	Dom ruling.Outcome
 	// Color is the cluster's TDMA color; Off = Color mod PhiMax is the
 	// node's TDMA offset.
 	Color, Off int

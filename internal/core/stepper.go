@@ -4,8 +4,8 @@ import (
 	"mcnet/internal/agg"
 	"mcnet/internal/backbone"
 	"mcnet/internal/csa"
-	"mcnet/internal/dominate"
 	"mcnet/internal/reporter"
+	"mcnet/internal/ruling"
 	"mcnet/internal/sim"
 )
 
@@ -55,7 +55,7 @@ type BuildFrag struct {
 	// rare-role fragments (dominators are ~1 per cluster) stay heap
 	// pointers to keep the arena element lean. A node that sits a stage
 	// out runs the stage's plan Window.
-	dom     dominate.RunFrag
+	dom     ruling.RunFrag
 	ann     announceFrag
 	csaDee  csa.DominateeFrag
 	csaSDee csa.SmallDominateeFrag
@@ -98,7 +98,7 @@ func (f *BuildFrag) enter(sc *sim.StepCtx) {
 	st := &f.St
 	switch f.stage {
 	case stDominate:
-		f.dom = dominate.NewRunFrag(&pl.Dominate)
+		f.dom = ruling.NewRunFrag(&pl.Dominate)
 		f.cur = &f.dom
 	case stColor:
 		if st.Dom.IsDominator {

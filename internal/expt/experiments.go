@@ -11,7 +11,6 @@ import (
 	"mcnet/internal/coloring"
 	"mcnet/internal/core"
 	"mcnet/internal/csa"
-	"mcnet/internal/dominate"
 	"mcnet/internal/fault"
 	"mcnet/internal/geo"
 	"mcnet/internal/graph"
@@ -304,15 +303,9 @@ func E5RulingSet(o Options) (*stats.Table, error) {
 				Y: base.Y + (rnd.Float64()*2-1)*r/3,
 			})
 		}
-		st := ruling.NewStage(p, phy.NewReach(p, r), ruling.DefaultConfig(0), 0)
-		e := sim.NewEngine(phy.NewField(p, pos), uint64(s+1))
-		out := make([]ruling.Outcome, n)
-		steppers := make([]sim.Stepper, n)
-		for i := range steppers {
-			f := ruling.NewRunFrag(&st, 0)
-			steppers[i] = &sim.FragStepper{Frag: &f, Finish: func(*sim.StepCtx) { out[i] = f.Out }}
-		}
-		if _, err := e.RunContext(ctx, steppers); err != nil {
+		st := ruling.NewStage(p, phy.NewReach(p, r), 0)
+		out, err := runStage(ctx, p, pos, &st, uint64(s+1))
+		if err != nil {
 			return e5Run{}, err
 		}
 		maxRound := 0
@@ -320,9 +313,9 @@ func E5RulingSet(o Options) (*stats.Table, error) {
 		inset := make([]bool, n)
 		for i, oc := range out {
 			part[i] = true
-			inset[i] = oc.InSet
-			if oc.JoinRound > maxRound && oc.JoinRound < st.Rounds {
-				maxRound = oc.JoinRound
+			inset[i] = oc.IsDominator
+			if !oc.SelfAppointed && int(oc.JoinRound) > maxRound {
+				maxRound = int(oc.JoinRound)
 			}
 		}
 		v, u := ruling.Validate(pos, part, inset, r)
@@ -344,10 +337,24 @@ func E5RulingSet(o Options) (*stats.Table, error) {
 		}
 		p := model.Default(1, n)
 		t.AddRow(stats.I(n), stats.F1(stats.Median(rounds)),
-			stats.I(ruling.NewStage(p, phy.NewReach(p, r), ruling.DefaultConfig(0), 0).Rounds), stats.I(viol), stats.I(undom))
+			stats.I(ruling.NewStage(p, phy.NewReach(p, r), 0).Len/3), stats.I(viol), stats.I(undom))
 	}
 	t.AddNote("seeds=%d; rounds_done = last decision round; expect growth ∝ log n", o.seeds())
 	return t, nil
+}
+
+// runStage runs every node of pos through the ruling-package stage st on
+// an engine seeded with seed and returns their outcomes.
+func runStage(ctx context.Context, p model.Params, pos []geo.Point, st *ruling.Stage, seed uint64) ([]ruling.Outcome, error) {
+	e := sim.NewEngine(phy.NewField(p, pos), seed)
+	out := make([]ruling.Outcome, len(pos))
+	steppers := make([]sim.Stepper, len(pos))
+	for i := range steppers {
+		f := ruling.NewRunFrag(st)
+		steppers[i] = &sim.FragStepper{Frag: &f, Finish: func(*sim.StepCtx) { out[i] = f.Out }}
+	}
+	_, err := e.RunContext(ctx, steppers)
+	return out, err
 }
 
 // E6CSA measures cluster-size approximation accuracy and cost for both
@@ -582,23 +589,18 @@ func E9Backbone(o Options) (*stats.Table, error) {
 		rnd := topology.LayoutRand(uint64(900*n + s))
 		pos := topology.UniformDegree(rnd, n, p.REps(), 12)
 		rc := p.ClusterRadius()
-		dst := dominate.NewStage(p, phy.NewReach(p, rc), 0)
-		e := sim.NewEngine(phy.NewField(p, pos), uint64(s+41))
-		dout := make([]dominate.Outcome, n)
-		steppers := make([]sim.Stepper, n)
-		for i := range steppers {
-			f := dominate.NewRunFrag(&dst)
-			steppers[i] = &sim.FragStepper{Frag: &f, Finish: func(*sim.StepCtx) { dout[i] = f.Out }}
-		}
-		if _, err := e.RunContext(ctx, steppers); err != nil {
+		dst := ruling.NewDominatingStage(p, phy.NewReach(p, rc), 0)
+		dout, err := runStage(ctx, p, pos, &dst, uint64(s+41))
+		if err != nil {
 			return e9Run{}, err
 		}
-		st := dominate.Analyze(pos, dout, rc)
+		st := ruling.Analyze(pos, dout, rc)
 
 		// Color the dominators.
 		cst := backbone.NewColorStage(p, phy.NewReach(p, p.REpsHalf()), 32, 0)
 		e2 := sim.NewEngine(phy.NewField(p, pos), uint64(s+61))
 		cout := make([]backbone.ColorOutcome, n)
+		steppers := make([]sim.Stepper, n)
 		for i := range steppers {
 			if dout[i].IsDominator {
 				f := backbone.NewColorFrag(&cst)

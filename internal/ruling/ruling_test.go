@@ -9,33 +9,54 @@ import (
 	"mcnet/internal/model"
 	"mcnet/internal/phy"
 	"mcnet/internal/sim"
+	"mcnet/internal/topology"
 )
 
-// runRuling executes the protocol at radius r over the given positions with
-// every node participating and returns the outcomes. The network-size estimate is kept
-// ≥ 64 so that tiny test topologies still get enough rounds.
-func runRuling(t *testing.T, pos []geo.Point, r float64, cfg Config, seed uint64, channels int) []Outcome {
+// stages lists both constructors, for the tests that hold for either.
+var stages = []struct {
+	name  string
+	build func(model.Params, phy.Reach, int) Stage
+}{{"ruling", NewStage}, {"dominating", NewDominatingStage}}
+
+// radius is the dominating radius the dominating-set tests build with.
+const radius = 0.06
+
+// runStage executes st over pos with every node participating and returns
+// the outcomes.
+func runStage(t *testing.T, p model.Params, pos []geo.Point, st Stage, seed uint64) []Outcome {
 	t.Helper()
-	nEst := len(pos) + 2
-	if nEst < 64 {
-		nEst = 64
-	}
-	p := model.Default(channels, nEst)
 	e := sim.NewEngine(phy.NewField(p, pos), seed)
 	out := make([]Outcome, len(pos))
-	if _, err := e.Run(rulingSteppers(NewStage(p, phy.NewReach(p, r), cfg, 0), make([]int, len(pos)), out, nil)); err != nil {
+	if _, err := e.Run(rulingSteppers(st, out, nil)); err != nil {
 		t.Fatal(err)
 	}
 	return out
 }
 
-// rulingSteppers runs node i as a participant of st at TDMA offset
-// offs[i], storing its outcome in out[i] and, if after is non-nil, the slot
-// it finished at in after[i].
-func rulingSteppers(st Stage, offs []int, out []Outcome, after []int) []sim.Stepper {
-	steppers := make([]sim.Stepper, len(offs))
+// runRuling executes the ruling set at radius r and density bound mu over
+// pos. The network-size estimate is kept ≥ 64 so that tiny test topologies
+// still get enough rounds.
+func runRuling(t *testing.T, pos []geo.Point, r, mu float64, seed uint64) []Outcome {
+	t.Helper()
+	p := model.Default(1, max(len(pos)+2, 64))
+	st := NewStage(p, phy.NewReach(p, r), 0)
+	st.probs = []float64{1 / (2 * mu)}
+	return runStage(t, p, pos, st, seed)
+}
+
+// runDominate executes the dominating set at radius over pos.
+func runDominate(t *testing.T, pos []geo.Point, seed uint64) []Outcome {
+	t.Helper()
+	p := model.Default(1, max(len(pos), 64))
+	return runStage(t, p, pos, NewDominatingStage(p, phy.NewReach(p, radius), 0), seed)
+}
+
+// rulingSteppers runs every node through st, storing node i's outcome in
+// out[i] and, if after is non-nil, the slot it finished at in after[i].
+func rulingSteppers(st Stage, out []Outcome, after []int) []sim.Stepper {
+	steppers := make([]sim.Stepper, len(out))
 	for i := range steppers {
-		f := NewRunFrag(&st, offs[i])
+		f := NewRunFrag(&st)
 		steppers[i] = &sim.FragStepper{Frag: &f, Finish: func(sc *sim.StepCtx) {
 			out[i] = f.Out
 			if after != nil {
@@ -57,7 +78,7 @@ func allTrue(n int) []bool {
 func inSetOf(out []Outcome) []bool {
 	b := make([]bool, len(out))
 	for i, o := range out {
-		b[i] = o.InSet
+		b[i] = o.IsDominator
 	}
 	return b
 }
@@ -73,8 +94,8 @@ func patch(rnd *rand.Rand, k int, ox, oy, side float64) []geo.Point {
 }
 
 func TestSingletonJoins(t *testing.T) {
-	out := runRuling(t, []geo.Point{{X: 0, Y: 0}}, 0.05, DefaultConfig(0), 1, 1)
-	if !out[0].InSet {
+	out := runRuling(t, []geo.Point{{X: 0, Y: 0}}, 0.05, rulingMu, 1)
+	if !out[0].IsDominator {
 		t.Error("lone node must end up in the ruling set")
 	}
 }
@@ -82,9 +103,9 @@ func TestSingletonJoins(t *testing.T) {
 func TestIsolatedNodesAllJoin(t *testing.T) {
 	// Nodes far apart (no r-neighbors): all must join S.
 	pos := []geo.Point{{X: 0}, {X: 10}, {X: 20}, {X: 35}}
-	out := runRuling(t, pos, 0.05, DefaultConfig(0), 2, 1)
+	out := runRuling(t, pos, 0.05, rulingMu, 2)
 	for i, o := range out {
-		if !o.InSet {
+		if !o.IsDominator {
 			t.Errorf("isolated node %d not in set", i)
 		}
 	}
@@ -95,10 +116,10 @@ func TestClosePairExactlyOneJoins(t *testing.T) {
 	// many seeds.
 	for seed := uint64(0); seed < 20; seed++ {
 		pos := []geo.Point{{X: 0}, {X: 0.02}}
-		out := runRuling(t, pos, 0.05, DefaultConfig(0), seed, 1)
+		out := runRuling(t, pos, 0.05, rulingMu, seed)
 		joined := 0
 		for _, o := range out {
-			if o.InSet {
+			if o.IsDominator {
 				joined++
 			}
 		}
@@ -112,15 +133,14 @@ func TestDensePatchElectsOne(t *testing.T) {
 	// A single dense patch whose diameter is below r: the patch is one
 	// mutual r-neighborhood, so exactly one member may end in S.
 	const r = 0.04
-	cfg := DefaultConfig(0)
-	cfg.Mu = 8 // patch has ~16 members per r-ball; keep contention modest
+	const mu = 8 // patch has ~16 members per r-ball; keep contention modest
 	for seed := uint64(0); seed < 10; seed++ {
 		rnd := rand.New(rand.NewSource(int64(seed + 100)))
 		pos := patch(rnd, 16, 0, 0, r/2)
-		out := runRuling(t, pos, r, cfg, seed, 1)
+		out := runRuling(t, pos, r, mu, seed)
 		joined := 0
 		for _, o := range out {
-			if o.InSet {
+			if o.IsDominator {
 				joined++
 			}
 		}
@@ -134,11 +154,10 @@ func TestSparseFieldPostcondition(t *testing.T) {
 	// Sparse global field: node density well below one per r-ball, the
 	// regime in which the pipeline invokes ruling sets over dominators.
 	const r = 0.06
-	cfg := DefaultConfig(0)
 	for seed := uint64(1); seed <= 6; seed++ {
 		rnd := rand.New(rand.NewSource(int64(seed)))
 		pos := patch(rnd, 80, 0, 0, 2.0)
-		out := runRuling(t, pos, r, cfg, seed, 1)
+		out := runRuling(t, pos, r, rulingMu, seed)
 		viol, undom := Validate(pos, allTrue(len(pos)), inSetOf(out), r)
 		if viol != 0 {
 			t.Errorf("seed %d: %d independence violations", seed, viol)
@@ -153,8 +172,7 @@ func TestSeparatedPatchesPostcondition(t *testing.T) {
 	// Several dense patches far apart: each patch resolves to one member,
 	// far-field interference from other patches notwithstanding.
 	const r = 0.04
-	cfg := DefaultConfig(0)
-	cfg.Mu = 6
+	const mu = 6
 	for seed := uint64(1); seed <= 5; seed++ {
 		rnd := rand.New(rand.NewSource(int64(seed * 3)))
 		var pos []geo.Point
@@ -163,7 +181,7 @@ func TestSeparatedPatchesPostcondition(t *testing.T) {
 				pos = append(pos, patch(rnd, 12, float64(px)*1.5, float64(py)*1.5, r/2)...)
 			}
 		}
-		out := runRuling(t, pos, r, cfg, seed, 1)
+		out := runRuling(t, pos, r, mu, seed)
 		viol, undom := Validate(pos, allTrue(len(pos)), inSetOf(out), r)
 		if viol != 0 || undom != 0 {
 			t.Errorf("seed %d: %d violations, %d undominated", seed, viol, undom)
@@ -173,100 +191,73 @@ func TestSeparatedPatchesPostcondition(t *testing.T) {
 
 func TestDominatedByIsARealMember(t *testing.T) {
 	const r = 0.04
-	cfg := DefaultConfig(0)
-	cfg.Mu = 6
+	const mu = 6
 	rnd := rand.New(rand.NewSource(11))
 	pos := patch(rnd, 14, 0, 0, r/2)
-	out := runRuling(t, pos, r, cfg, 5, 1)
+	out := runRuling(t, pos, r, mu, 5)
 	for i, o := range out {
-		if o.InSet || o.DominatedBy < 0 {
+		if o.IsDominator || o.Dominator < 0 {
 			continue
 		}
-		if !out[o.DominatedBy].InSet {
-			t.Errorf("node %d dominated by %d which is not in S", i, o.DominatedBy)
+		if !out[o.Dominator].IsDominator {
+			t.Errorf("node %d dominated by %d which is not in S", i, o.Dominator)
 		}
-		if pos[i].Dist(pos[o.DominatedBy]) > r {
+		if pos[i].Dist(pos[o.Dominator]) > r {
 			t.Errorf("node %d dominated from beyond r", i)
 		}
 	}
 }
 
 func TestSlotBudgetExact(t *testing.T) {
-	// The stage must consume exactly its slot budget regardless of when
+	// Each stage must consume exactly its slot budget regardless of when
 	// nodes halt, so pipelines stay aligned.
 	pos := []geo.Point{{X: 0}, {X: 0.02}, {X: 10}}
 	p := model.Default(1, 64)
-	st := NewStage(p, phy.NewReach(p, 0.05), DefaultConfig(0), 0)
-	want := st.Len
-	e := sim.NewEngine(phy.NewField(p, pos), 3)
-	after := make([]int, len(pos))
-	if _, err := e.Run(rulingSteppers(st, make([]int, len(pos)), make([]Outcome, len(pos)), after)); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range after {
-		if s != want {
-			t.Errorf("node %d consumed %d slots, want %d", i, s, want)
-		}
+	for _, s := range stages {
+		t.Run(s.name, func(t *testing.T) {
+			st := s.build(p, phy.NewReach(p, 0.05), 0)
+			e := sim.NewEngine(phy.NewField(p, pos), 3)
+			after := make([]int, len(pos))
+			if _, err := e.Run(rulingSteppers(st, make([]Outcome, len(pos)), after)); err != nil {
+				t.Fatal(err)
+			}
+			for i, slot := range after {
+				if slot != st.Len {
+					t.Errorf("node %d consumed %d slots, want %d", i, slot, st.Len)
+				}
+			}
+		})
 	}
 }
 
-// TestIdleConsumesBudget: a non-participant sleeping through the stage
-// window finishes in the same slot as the participants next to it.
+// TestIdleConsumesBudget: a node sleeping through either stage's window
+// finishes in the same slot as a participant next to it.
 func TestIdleConsumesBudget(t *testing.T) {
 	pos := []geo.Point{{X: 0}, {X: 0.02}}
 	p := model.Default(1, 64)
-	st := NewStage(p, phy.NewReach(p, 0.05), DefaultConfig(0), 0)
-	e := sim.NewEngine(phy.NewField(p, pos), 1)
-	after := make([]int, 2)
-	steppers := rulingSteppers(st, []int{0}, make([]Outcome, 1), after)
-	steppers = append(steppers, &sim.FragStepper{
-		Frag:   &st.Window,
-		Finish: func(sc *sim.StepCtx) { after[1] = sc.Slot() },
-	})
-	if _, err := e.Run(steppers); err != nil {
-		t.Fatal(err)
-	}
-	if after[0] != st.Len || after[1] != after[0] {
-		t.Errorf("participant finished at %d, idler at %d, want both %d", after[0], after[1], st.Len)
-	}
-}
-
-func TestStrideInterleavingIsolation(t *testing.T) {
-	// Two co-located dense groups run with stride 2 at offsets 0 and 1:
-	// time-division must isolate them completely, so each group elects
-	// exactly one member despite sharing the same patch of plane.
-	const r = 0.04
-	rnd := rand.New(rand.NewSource(21))
-	pos := patch(rnd, 24, 0, 0, r/2)
-	group := make([]int, len(pos))
-	for i := range group {
-		group[i] = i % 2
-	}
-	p := model.Default(1, 64)
-	e := sim.NewEngine(phy.NewField(p, pos), 9)
-	out := make([]Outcome, len(pos))
-	cfg := DefaultConfig(0)
-	cfg.Mu, cfg.Stride = 6, 2
-	if _, err := e.Run(rulingSteppers(NewStage(p, phy.NewReach(p, r), cfg, 0), group, out, nil)); err != nil {
-		t.Fatal(err)
-	}
-	for g := 0; g < 2; g++ {
-		joined := 0
-		for i, o := range out {
-			if group[i] == g && o.InSet {
-				joined++
+	for _, s := range stages {
+		t.Run(s.name, func(t *testing.T) {
+			st := s.build(p, phy.NewReach(p, 0.05), 0)
+			e := sim.NewEngine(phy.NewField(p, pos), 1)
+			after := make([]int, 2)
+			steppers := append(rulingSteppers(st, make([]Outcome, 1), after), &sim.FragStepper{
+				Frag:   &st.Window,
+				Finish: func(sc *sim.StepCtx) { after[1] = sc.Slot() },
+			})
+			if _, err := e.Run(steppers); err != nil {
+				t.Fatal(err)
 			}
-		}
-		if joined != 1 {
-			t.Errorf("group %d: %d joined, want exactly 1", g, joined)
-		}
+			if after[0] != st.Len || after[1] != after[0] {
+				t.Errorf("participant finished at %d, idler at %d, want both %d", after[0], after[1], st.Len)
+			}
+		})
 	}
 }
 
 func TestRoundsScaleLogarithmically(t *testing.T) {
 	rounds := func(nEst int) int {
 		p := model.Default(1, nEst)
-		return NewStage(p, phy.NewReach(p, 0.05), DefaultConfig(0), 0).Rounds
+		return NewStage(p, phy.NewReach(p, 0.05), 0).rounds
 	}
 	r64, r4096 := rounds(64), rounds(4096)
 	ratio := float64(r4096) / float64(r64)
@@ -298,5 +289,96 @@ func TestNonParticipantsExcludedFromValidate(t *testing.T) {
 	viol, undom := Validate(pos, []bool{true, false}, []bool{true, true}, 0.05)
 	if viol != 0 || undom != 0 {
 		t.Errorf("viol=%d undom=%d, want 0, 0", viol, undom)
+	}
+}
+
+func TestSingletonSelfAppoints(t *testing.T) {
+	out := runDominate(t, []geo.Point{{X: 0}}, 1)
+	if !out[0].IsDominator || out[0].Dominator != 0 {
+		t.Errorf("singleton outcome = %+v", out[0])
+	}
+}
+
+func TestCoverageOnSparseField(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		rnd := rand.New(rand.NewSource(int64(seed)))
+		pos := topology.Uniform(rnd, 150, 2, 2)
+		out := runDominate(t, pos, seed)
+		s := Analyze(pos, out, radius)
+		if s.Uncovered != 0 {
+			t.Errorf("seed %d: %d uncovered nodes", seed, s.Uncovered)
+		}
+	}
+}
+
+func TestDensePatchFormsFewClusters(t *testing.T) {
+	// 120 nodes inside one r-ball: a handful of dominators must absorb
+	// everyone; density must stay small.
+	for seed := uint64(1); seed <= 4; seed++ {
+		rnd := rand.New(rand.NewSource(int64(seed * 7)))
+		pos := make([]geo.Point, 120)
+		for i := range pos {
+			pos[i] = geo.Point{X: rnd.Float64() * 0.04, Y: rnd.Float64() * 0.04}
+		}
+		out := runDominate(t, pos, seed)
+		s := Analyze(pos, out, radius)
+		if s.Uncovered != 0 {
+			t.Errorf("seed %d: %d uncovered", seed, s.Uncovered)
+		}
+		// All nodes fit in one ball of radius r: a single dominator suffices;
+		// allow a little slack for simultaneous joins.
+		if s.Dominators > 4 {
+			t.Errorf("seed %d: %d dominators in one ball", seed, s.Dominators)
+		}
+	}
+}
+
+func TestDensityBoundedOnMixedField(t *testing.T) {
+	// Hotspots plus background: density of dominators per r-ball must be a
+	// small constant.
+	for seed := uint64(1); seed <= 3; seed++ {
+		rnd := rand.New(rand.NewSource(int64(seed * 13)))
+		pos := topology.Hotspot(rnd, 5, 30, 1.5, 0.03)
+		pos = append(pos, topology.Uniform(rnd, 60, 1.5, 1.5)...)
+		out := runDominate(t, pos, seed)
+		s := Analyze(pos, out, radius)
+		if s.Uncovered != 0 {
+			t.Errorf("seed %d: %d uncovered", seed, s.Uncovered)
+		}
+		if s.MaxDensity > 6 {
+			t.Errorf("seed %d: dominator density %d too high", seed, s.MaxDensity)
+		}
+	}
+}
+
+func TestDominatorAssignmentsConsistent(t *testing.T) {
+	rnd := rand.New(rand.NewSource(5))
+	pos := topology.Uniform(rnd, 100, 1, 1)
+	out := runDominate(t, pos, 9)
+	for i, o := range out {
+		if o.Dominator < 0 {
+			t.Fatalf("node %d has no dominator", i)
+		}
+		if o.IsDominator && o.Dominator != i {
+			t.Errorf("dominator %d assigned to %d", i, o.Dominator)
+		}
+		if !o.IsDominator && !out[o.Dominator].IsDominator {
+			t.Errorf("node %d assigned to non-dominator %d", i, o.Dominator)
+		}
+	}
+}
+
+func TestAnalyzeUncovered(t *testing.T) {
+	pos := []geo.Point{{X: 0}, {X: 5}}
+	out := []Outcome{
+		{IsDominator: true, Dominator: 0},
+		{Dominator: 0}, // assigned to a dominator 5 units away: uncovered
+	}
+	s := Analyze(pos, out, 0.06)
+	if s.Uncovered != 1 {
+		t.Errorf("uncovered = %d, want 1", s.Uncovered)
+	}
+	if s.Dominators != 1 {
+		t.Errorf("dominators = %d, want 1", s.Dominators)
 	}
 }
