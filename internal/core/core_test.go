@@ -259,45 +259,6 @@ func TestTwoIsolatedNodes(t *testing.T) {
 	}
 }
 
-func TestPipelineUnderManhattanMetric(t *testing.T) {
-	// Footnote 1 of the paper: the results extend to fading metrics. The
-	// protocols never touch coordinates — only received powers — so the
-	// pipeline must aggregate exactly under an L1 world as well.
-	const n = 28
-	p := model.Default(4, 64)
-	rc := p.ClusterRadius()
-	rnd := rand.New(rand.NewSource(23))
-	pos := make([]geo.Point, n)
-	for i := 1; i < n; i++ {
-		// Keep the cluster within L1 radius r_c of the origin.
-		pos[i] = geo.Point{
-			X: (rnd.Float64()*2 - 1) * rc / 3,
-			Y: (rnd.Float64()*2 - 1) * rc / 3,
-		}
-	}
-	values := make([]int64, n)
-	var want int64
-	for i := range values {
-		values[i] = int64(2*i + 1)
-		want += values[i]
-	}
-	cfg := DefaultConfig(p)
-	cfg.DeltaHat = n
-	cfg.PhiMax = 4
-	cfg.HopBound = 2
-	pl := NewPlan(p, cfg)
-	e := sim.NewEngine(phy.NewFieldMetric(p, pos, geo.Manhattan), 29)
-	res, err := RunContext(context.Background(), e, pl, values, agg.Sum, 29)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range res {
-		if !r.Ok || r.Value != want {
-			t.Errorf("L1 metric: node %d ok=%v value=%d want=%d", i, r.Ok, r.Value, want)
-		}
-	}
-}
-
 func TestPipelineDeterminism(t *testing.T) {
 	// The entire pipeline must be a pure function of (seed, topology):
 	// identical runs produce identical per-node results, regardless of

@@ -17,7 +17,8 @@
 //     reporter tree, and broadcasts the total. Runtime O(log n · log log n)
 //     when Δ̂ ≤ F·polylog(n) (Lemma 13).
 //
-// Choose combines them per Lemma 14.
+// UseSmall picks between them per Lemma 14; core.NewPlan calls it to choose
+// the variant a plan compiles.
 package csa
 
 import (

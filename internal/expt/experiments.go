@@ -510,7 +510,7 @@ func E8ExponentialChain(o Options) (*stats.Table, error) {
 		// β = 1.5 ≥ 2^{1/3} ≈ 1.26: the lemma's condition holds. The
 		// uniform power is raised so R_T covers the whole instance (the
 		// paper's chain assumes every pair is in range absent interference).
-		p.Power = p.Beta * p.Noise * math.Pow(c.span, p.Alpha)
+		p.Power = p.Beta * p.Noise * math.Pow(c.span, model.Alpha)
 		e := sim.NewEngine(phy.NewField(p, c.pos), 9)
 		maxPar, total := 0, 0
 		e.Trace = func(_ int, _ []phy.Tx, rxs []phy.Rx, recs []phy.Reception) {

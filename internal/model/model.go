@@ -3,8 +3,8 @@
 //
 // The network uses uniform transmission power P on F non-overlapping
 // channels. A transmission from u is decoded at v iff they share a channel,
-// v listens, and SINR(u, v) ≥ β with path-loss exponent α > 2 and ambient
-// noise N.
+// v listens, and SINR(u, v) ≥ β with path-loss exponent α = 3 (Alpha) and
+// ambient noise N.
 package model
 
 import (
@@ -13,10 +13,13 @@ import (
 	"math"
 )
 
+// Alpha is the path-loss exponent α of every run. The paper requires α > 2
+// in the plane; the reproduction fixes α = 3, and phy's kernels compute
+// P/d^α as P/(d·d·d).
+const Alpha float64 = 3
+
 // Params holds the physical and network model parameters for a run.
 type Params struct {
-	// Alpha is the path-loss exponent; must exceed 2 in the plane.
-	Alpha float64
 	// Beta is the SINR decoding threshold; must be ≥ 1.
 	Beta float64
 	// Noise is the ambient noise power N > 0.
@@ -39,12 +42,10 @@ type Params struct {
 // R_T = 1 (i.e. P = β·N·R_T^α).
 func Default(channels, nEstimate int) Params {
 	const (
-		alpha = 3.0
 		beta  = 1.5
 		noise = 1.0
 	)
 	return Params{
-		Alpha:     alpha,
 		Beta:      beta,
 		Noise:     noise,
 		Power:     beta * noise, // R_T = (P/(β·N))^{1/α} = 1
@@ -57,8 +58,6 @@ func Default(channels, nEstimate int) Params {
 // Validate checks that the parameters are internally consistent.
 func (p Params) Validate() error {
 	switch {
-	case p.Alpha <= 2:
-		return fmt.Errorf("model: alpha = %v must be > 2 in the plane", p.Alpha)
 	case p.Beta < 1:
 		return fmt.Errorf("model: beta = %v must be ≥ 1", p.Beta)
 	case p.Noise <= 0:
@@ -78,7 +77,7 @@ func (p Params) Validate() error {
 // RT returns the transmission range R_T = (P/(β·N))^{1/α}: the maximum
 // distance at which a transmission can be decoded absent interference.
 func (p Params) RT() float64 {
-	return math.Pow(p.Power/(p.Beta*p.Noise), 1/p.Alpha)
+	return math.Pow(p.Power/(p.Beta*p.Noise), 1/Alpha)
 }
 
 // RC returns R_c = (1-c)·R_T for 0 < c < 1 (the paper's R_c notation).
@@ -95,7 +94,7 @@ func (p Params) REpsHalf() float64 { return p.RC(p.Epsilon / 2) }
 // t = ((α-2) / (48·β·(α-1)))^{1/α} from Lemma 2 / Sec. 5.1.1: transmitters
 // that are r₁-independent are heard by all (t·r₁)-neighbors.
 func (p Params) SeparationT() float64 {
-	return math.Pow((p.Alpha-2)/(48*p.Beta*(p.Alpha-1)), 1/p.Alpha)
+	return math.Pow((Alpha-2)/(48*p.Beta*(Alpha-1)), 1/Alpha)
 }
 
 // ClusterRadius returns r_c = min{ t/(2t+2) · R_{ε/2}, ε·R_T/4 }, the
@@ -121,8 +120,8 @@ func (p Params) ClusterRadius() float64 {
 // listed in the mcnet package documentation). T_s is retained for
 // reference and for the Lemma 5 analysis checks in tests.
 func (p Params) ClearThreshold() float64 {
-	a := (math.Pow(2, p.Alpha) - 1) / math.Pow(2, p.Alpha)
-	b := math.Pow(0.5, p.Alpha) * p.Beta
+	a := (math.Pow(2, Alpha) - 1) / math.Pow(2, Alpha)
+	b := math.Pow(0.5, Alpha) * p.Beta
 	return p.Noise * math.Min(a, b)
 }
 
@@ -146,7 +145,7 @@ func (p Params) PowerAtDistance(d float64) float64 {
 	if d <= 0 {
 		return math.Inf(1)
 	}
-	return p.Power / math.Pow(d, p.Alpha)
+	return p.Power / math.Pow(d, Alpha)
 }
 
 // WithChannels returns a copy of p using the given channel count.

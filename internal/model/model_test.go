@@ -19,8 +19,6 @@ func TestDefaultValid(t *testing.T) {
 func TestValidateRejectsBadParams(t *testing.T) {
 	base := Default(4, 100)
 	mut := []func(*Params){
-		func(p *Params) { p.Alpha = 2 },
-		func(p *Params) { p.Alpha = 1.5 },
 		func(p *Params) { p.Beta = 0.5 },
 		func(p *Params) { p.Noise = 0 },
 		func(p *Params) { p.Power = -1 },
@@ -79,7 +77,7 @@ func TestDistancePowerRoundTrip(t *testing.T) {
 	p := Default(4, 100)
 	f := func(dRaw uint16) bool {
 		d := 0.01 + float64(dRaw)/1000 // (0.01, 65.5)
-		back := math.Pow(p.Power/p.PowerAtDistance(d), 1/p.Alpha)
+		back := math.Pow(p.Power/p.PowerAtDistance(d), 1/Alpha)
 		return math.Abs(back-d) < 1e-9*d+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {

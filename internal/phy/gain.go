@@ -1,10 +1,6 @@
 package phy
 
-import (
-	"math"
-
-	"mcnet/internal/geo"
-)
+import "math"
 
 // This file resolves exact slots from the deployment's link-gain table.
 // Nodes never move, so the received power P/d(j,i)^α of every ordered node
@@ -52,35 +48,24 @@ func (d *Deployment) gains() []float64 {
 	return d.gain
 }
 
-// buildGains computes the full table, or nil when some power is negative,
-// −0 or NaN: the on-the-fly kernels rank negatives and NaN differently from
-// one another, so no single table scan reproduces both, and the table
-// kernel ranks powers by their bit patterns, which order like the values
-// only from +0 up.
+// buildGains computes the full table with resolveOneExact's arithmetic, or
+// nil when some power is negative, −0 or NaN (a non-positive power or a
+// NaN position): the table kernel ranks powers by their bit patterns, which
+// order like the values only from +0 up.
 func (d *Deployment) buildGains() []float64 {
 	n := len(d.pos)
 	gain := make([]float64, n*n)
-	fast := d.dist == nil && d.cube
-	dist := d.dist
-	if dist == nil {
-		dist = geo.Euclidean
-	}
-	power := d.power
+	power := d.params.Power
 	for j, t := range d.pos {
 		row := gain[j*n : (j+1)*n]
 		for i, l := range d.pos {
+			dx, dy := l.X-t.X, l.Y-t.Y
+			r := math.Sqrt(dx*dx + dy*dy)
 			var pw float64
-			if fast {
-				// The arithmetic of resolveOneExact's hot loop.
-				dx, dy := l.X-t.X, l.Y-t.Y
-				r := math.Sqrt(dx*dx + dy*dy)
-				if r <= 0 {
-					pw = math.Inf(1)
-				} else {
-					pw = power / (r * r * r)
-				}
+			if r <= 0 {
+				pw = math.Inf(1)
 			} else {
-				pw = d.params.PowerAtDistance(dist(l, t))
+				pw = power / (r * r * r)
 			}
 			if !(pw >= 0) || math.Signbit(pw) {
 				return nil
@@ -102,9 +87,6 @@ type slotListeners struct {
 	cursor []int32
 	rx     []int32    // index of the listen in the slot's rxs slice
 	acc    []listener // the listener and its table-kernel accumulators
-
-	// sending marks this slot's transmitting nodes while prepare runs.
-	sending []bool
 }
 
 // listener is one slot listener in the layout with the table kernel's
@@ -117,24 +99,19 @@ type listener struct {
 	pass  int32   // the first transmitter of the scan pass that first reached best
 }
 
-// reserve presizes the layout for slots of up to maxRx listeners over n
-// nodes.
-func (l *slotListeners) reserve(channels, maxRx, n int) {
+// reserve presizes the layout for slots of up to maxRx listeners.
+func (l *slotListeners) reserve(channels, maxRx int) {
 	l.off = grow(l.off, channels+1)
 	l.cursor = grow(l.cursor, channels)
 	l.rx = grow(l.rx, maxRx)
 	l.acc = grow(l.acc, maxRx)
-	if len(l.sending) < n {
-		l.sending = make([]bool, n)
-	}
 }
 
-// prepare builds the channel-segmented listener layout for one slot and
-// reports whether some listener also transmits in it (see Resolve).
+// prepare builds the channel-segmented listener layout for one slot.
 // Listens on out-of-range channels panic before any worker fan-out.
-func (l *slotListeners) prepare(f *Field, txs []Tx, rxs []Rx) (overlap bool) {
+func (l *slotListeners) prepare(f *Field, rxs []Rx) {
 	channels := f.params.Channels
-	l.reserve(channels, len(rxs), len(f.pos))
+	l.reserve(channels, len(rxs))
 	off, cursor := l.off[:channels+1], l.cursor[:channels]
 	clear(off)
 	for i := range rxs {
@@ -148,23 +125,13 @@ func (l *slotListeners) prepare(f *Field, txs []Tx, rxs []Rx) (overlap bool) {
 		off[c+1] += off[c]
 		cursor[c] = off[c]
 	}
-	sending := l.sending
-	for i := range txs {
-		sending[txs[i].Node] = true
-	}
 	rx, acc := l.rx[:len(rxs)], l.acc[:len(rxs)]
 	for i := range rxs {
-		v := rxs[i].Node
-		overlap = overlap || sending[v]
 		k := cursor[rxs[i].Channel]
 		cursor[rxs[i].Channel] = k + 1
 		rx[k] = int32(i)
-		acc[k].node = int32(v)
+		acc[k].node = int32(rxs[i].Node)
 	}
-	for i := range txs {
-		sending[txs[i].Node] = false
-	}
-	return overlap
 }
 
 // pairs returns the slot's same-channel listener×transmitter pair count

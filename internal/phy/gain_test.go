@@ -11,22 +11,28 @@ import (
 )
 
 // checkTableSlot resolves one slot through the link-gain table and compares
-// every Reception, float bits included, with the on-the-fly kernel
-// (resolveOneExact plus the jam fold) over the same slot layout.
+// every Reception, float bits included, with the on-the-fly kernel over the
+// same slot layout.
 func checkTableSlot(t *testing.T, label string, f *Field, txs []Tx, rxs []Rx) {
 	t.Helper()
 	got := f.Resolve(txs, rxs)
-	if !f.slotTable {
+	if f.gain == nil {
 		t.Fatalf("%s: slot did not resolve through the link-gain table", label)
 	}
-	want := make([]Reception, len(rxs))
+	sameReceptions(t, label, got, onTheFly(f, txs, rxs))
+}
+
+// onTheFly resolves the slot f last laid out (f.Resolve(txs, rxs)) with the
+// on-the-fly kernel, resolveOneExact plus the jam fold, into a fresh slice.
+func onTheFly(f *Field, txs []Tx, rxs []Rx) []Reception {
+	out := make([]Reception, len(rxs))
 	for i, rx := range rxs {
-		f.resolveOneExact(&want[i], rx, txs)
+		f.resolveOneExact(&out[i], rx, txs)
 		if f.jammed[rx.Channel] {
-			jamFold(&want[i])
+			jamFold(&out[i])
 		}
 	}
-	sameReceptions(t, label, got, want)
+	return out
 }
 
 // colocate moves a few nodes onto other nodes' positions: single co-located
@@ -159,47 +165,11 @@ func tableEdgeSlots(t *testing.T) {
 	}
 }
 
-// TestTableMatchesOnTheFlyGenericArithmetic covers the deployments whose
-// table entries come from PowerAtDistance: a custom metric and a
-// non-integral path-loss exponent.
-func TestTableMatchesOnTheFlyGenericArithmetic(t *testing.T) {
-	r := rand.New(rand.NewSource(73))
-	pos := make([]geo.Point, 64)
-	for i := range pos {
-		pos[i] = geo.Point{X: r.Float64() * 4, Y: r.Float64() * 4}
-	}
-	colocate(pos)
-	alpha := model.Default(4, 64)
-	alpha.Alpha = 2.5
-	for _, tc := range []struct {
-		name string
-		f    *Field
-	}{
-		{"manhattan", NewFieldMetric(model.Default(4, 64), pos, geo.Manhattan)},
-		{"alpha 2.5", NewField(alpha, pos)},
-	} {
-		for trial := 0; trial < 10; trial++ {
-			_, txs, rxs := randomSlot(r, len(pos), 4, 1, 0.3)
-			checkTableSlot(t, fmt.Sprintf("%s trial %d", tc.name, trial), tc.f, txs, rxs)
-		}
-	}
-}
-
-// TestTableFallbacks pins when a slot resolves on the fly: a node that
-// both transmits and listens, and a deployment above the table cap. A
-// deployment spanning far more than R_T, within the cap, is no fallback: it
-// builds the table at Reserve and resolves through it bit-identically.
+// TestTableFallbacks pins when a deployment resolves on the fly: above the
+// table cap. A deployment spanning far more than R_T, within the cap, is no
+// fallback: it builds the table at Reserve and resolves through it
+// bit-identically.
 func TestTableFallbacks(t *testing.T) {
-	pos := []geo.Point{{X: 0}, {X: 0.5}, {X: 1}}
-	f := NewField(model.Default(1, 3), pos)
-	txs := []Tx{{Node: 0, Msg: "a"}, {Node: 1, Msg: "b"}}
-	if f.Resolve(txs, []Rx{{Node: 1}, {Node: 2}}); f.slotTable {
-		t.Error("slot with a transmitting listener used the table")
-	}
-	if f.Resolve(txs, []Rx{{Node: 2}}); !f.slotTable {
-		t.Error("ordinary slot did not use the table")
-	}
-
 	if n := uint64(math.Sqrt(maxGainTableBytes/8)) + 1; n*n*8 <= maxGainTableBytes {
 		t.Fatalf("setup: n = %d fits under the cap", n)
 	} else if d := NewDeployment(model.Default(1, int(n)), make([]geo.Point, n)); d.gains() != nil {

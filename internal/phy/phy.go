@@ -5,7 +5,9 @@
 // The decoding rule is the paper's Eq. (1): listener v decodes the message
 // of transmitter u iff they share a channel, v is not transmitting, and
 //
-//	P/d(u,v)^α / (N + Σ_{w≠u} P/d(w,v)^α) ≥ β.
+//	P/d(u,v)^α / (N + Σ_{w≠u} P/d(w,v)^α) ≥ β,
+//
+// with d the Euclidean distance and α = model.Alpha = 3.
 //
 // Since β ≥ 1, at most one transmitter (the strongest) can satisfy the
 // condition, so resolution tests only the strongest signal at each listener.
@@ -48,9 +50,10 @@
 //     allocates nothing per slot. Reserve presizes the scratch and fetches
 //     the table so even the first slots of a run stay allocation-free.
 //
-// Under the default Euclidean metric with α = 3, per-pair powers use an
-// inlined distance and cube that reproduce math.Pow bit-for-bit (see
-// resolveOneExact), so transcripts match the generic path exactly.
+// Every received power, in the table and on the fly, is computed by one
+// law: P/(d·d·d) with d = √(dx²+dy²), and +Inf at d = 0. It equals
+// model.Params.PowerAtDistance, which uses math.Pow(d, 3), bit for bit
+// (see resolveOneExact), so transcripts match the historical resolver.
 package phy
 
 import (
@@ -93,36 +96,22 @@ type Reception struct {
 }
 
 // Deployment is the immutable half of a resolver: the node placement, the
-// model parameters, the fading metric and the lazily built link-gain table
-// (see gain.go). It is safe for concurrent use, and any number of Fields —
-// one per run — may share it, so the table is built once per deployment.
+// model parameters and the lazily built link-gain table (see gain.go).
+// Distances are Euclidean and the path-loss exponent is model.Alpha. A
+// Deployment is safe for concurrent use, and any number of Fields — one
+// per run — may share it, so the table is built once per deployment.
 type Deployment struct {
 	params model.Params
 	pos    []geo.Point
-	dist   geo.Metric // nil selects the built-in Euclidean fast path
-
-	power float64 // params.Power, hoisted for the scan loops
-	cube  bool    // α = 3: the inlined-cube fast path applies
 
 	gainOnce sync.Once
 	gain     []float64 // see gains; nil until built, and when unusable
 }
 
-// NewDeployment describes a placement under the Euclidean metric. The
-// position slice is retained; callers must not mutate it while the
-// deployment is in use.
+// NewDeployment describes a placement. The position slice is retained;
+// callers must not mutate it while the deployment is in use.
 func NewDeployment(p model.Params, pos []geo.Point) *Deployment {
-	return newDeployment(p, pos, nil)
-}
-
-func newDeployment(p model.Params, pos []geo.Point, m geo.Metric) *Deployment {
-	return &Deployment{
-		params: p,
-		pos:    pos,
-		dist:   m,
-		power:  p.Power,
-		cube:   p.Alpha == 3,
-	}
+	return &Deployment{params: p, pos: pos}
 }
 
 // NewField creates a resolver over the deployment. Fields share the
@@ -158,10 +147,6 @@ type Field struct {
 	// lis is the per-slot channel-segmented listener layout and the table
 	// kernel's accumulators.
 	lis slotListeners
-	// slotTable records whether the current slot resolves through the
-	// link-gain table, set once per Resolve before any fan-out and read-only
-	// during it.
-	slotTable bool
 
 	// out is the Reception slice returned by Resolve, reused across calls.
 	out []Reception
@@ -169,23 +154,12 @@ type Field struct {
 	wg sync.WaitGroup
 }
 
-// NewField creates a resolver for the given placement under the Euclidean
-// metric. The position slice is retained; callers must not mutate it during
-// use. The field has its own Deployment; share one through
-// Deployment.NewField to build the link-gain table only once.
+// NewField creates a resolver for the given placement. The position slice
+// is retained; callers must not mutate it during use. The field has its own
+// Deployment; share one through Deployment.NewField to build the link-gain
+// table only once.
 func NewField(p model.Params, pos []geo.Point) *Field {
 	return NewDeployment(p, pos).NewField()
-}
-
-// NewFieldMetric creates a resolver under an arbitrary fading metric
-// (footnote 1 of the paper: the results extend to metrics whose doubling
-// dimension is below α). Protocols are metric-agnostic — they only observe
-// received powers — so the whole stack runs unchanged. A nil metric selects
-// the Euclidean metric and enables its inlined fast path; a non-nil metric
-// (even geo.Euclidean explicitly) goes through the generic (slower)
-// arithmetic.
-func NewFieldMetric(p model.Params, pos []geo.Point, m geo.Metric) *Field {
-	return newDeployment(p, pos, m).NewField()
 }
 
 // SetParallelism sets how many workers Resolve may fan listeners out
@@ -217,7 +191,7 @@ func (f *Field) Reserve(maxTx, maxRx int) {
 		f.out = make([]Reception, maxRx)
 	}
 	f.soa.reserve(f.params.Channels, maxTx)
-	f.lis.reserve(f.params.Channels, maxRx, len(f.pos))
+	f.lis.reserve(f.params.Channels, maxRx)
 	f.gains()
 }
 
@@ -251,16 +225,17 @@ func (f *Field) workersFor(nRx int) int {
 //
 // Channels are numbered 0..F-1; transmissions or listens on out-of-range
 // channels panic, as they indicate a protocol bug.
+//
+// Precondition: no node both transmits and listens in one slot. The engine
+// guarantees it (a Step performs one primitive), and the kernels count a
+// listener's own transmission as a co-located sender.
 func (f *Field) Resolve(txs []Tx, rxs []Rx) []Reception {
 	// Lay the slot's transmitters and listeners out per channel before any
-	// fan-out, so invalid channels panic on the caller's goroutine. The slot
-	// resolves through the link-gain table when the deployment has one.
-	// A node that both transmits and listens — the engine never submits
-	// one — resolves on the fly: that kernel skips the listener's own
-	// transmission, the table kernel does not.
+	// fan-out, so invalid channels panic on the caller's goroutine, and
+	// build or fetch the link-gain table before workers read it.
 	f.soa.prepare(f, txs)
-	overlap := f.lis.prepare(f, txs, rxs)
-	f.slotTable = f.gains() != nil && !overlap
+	f.lis.prepare(f, rxs)
+	f.gains()
 	if cap(f.out) < len(rxs) {
 		f.out = make([]Reception, len(rxs))
 	}
@@ -282,12 +257,13 @@ func (f *Field) Resolve(txs []Tx, rxs []Rx) []Reception {
 	return out
 }
 
-// resolveRange resolves one share of the slot's listeners: rxs[lo:hi], or
-// in table slots the listener layout's positions lo..hi. It is the unit of
-// work handed to pool workers; disjoint ranges touch disjoint out entries
-// and scratch, so workers share nothing but read-only slot state.
+// resolveRange resolves one share of the slot's listeners: rxs[lo:hi], or,
+// when the deployment has a link-gain table, the listener layout's
+// positions lo..hi. It is the unit of work handed to pool workers; disjoint
+// ranges touch disjoint out entries and scratch, so workers share nothing
+// but read-only slot state.
 func (f *Field) resolveRange(txs []Tx, rxs []Rx, out []Reception, lo, hi int) {
-	if f.slotTable {
+	if f.gain != nil {
 		f.resolveTableRange(txs, out, lo, hi)
 		return
 	}
@@ -313,69 +289,40 @@ func jamFold(rec *Reception) {
 
 // resolveOneExact scans the listener's whole channel segment pairwise, in
 // transmitter order, and writes the outcome to rec.
+//
+// Each power is P/(d·d·d) with d = √(dx²+dy²), the distance geo.Point.Dist
+// computes. It is bit-identical to PowerAtDistance: math.Pow(d, 3)
+// multiplies d·(d·d) by square-and-multiply, which equals (d·d)·d under
+// round-to-nearest multiplication (TestCubeMatchesPow).
 func (f *Field) resolveOneExact(rec *Reception, rx Rx, txs []Tx) {
 	listener := f.pos[rx.Node]
 	lo, hi := f.soa.segment(rx.Channel)
-	self := int32(rx.Node)
 
-	var (
-		total   float64
-		best    = int32(-1)
-		bestPow float64
-	)
-	if f.dist == nil && f.cube {
-		// Hot path: Euclidean metric with α = 3 (the default parameters).
-		// Bit-identical to the generic loop below: geo.Euclidean is exactly
-		// √(dx²+dy²), and math.Pow(d, 3) multiplies d·(d·d) by
-		// square-and-multiply, which equals (d·d)·d under round-to-nearest
-		// multiplication, so P/(d·d·d) reproduces PowerAtDistance exactly.
-		lx, ly := listener.X, listener.Y
-		power := f.power
-		xs := f.soa.x[lo:hi]
-		ys := f.soa.y[lo:hi:hi][:len(xs)]
-		nodes := f.soa.node[lo:hi:hi][:len(xs)]
-		// bestPow starts at -Inf so the first scanned transmitter always
-		// wins the strict comparison — the same selection the historical
-		// "best == -1 ||" test made, without the extra branch per pair.
-		bestPow = math.Inf(-1)
-		for k := range xs {
-			if nodes[k] == self {
-				// A node cannot hear anything while transmitting; the
-				// engine never submits both, but be safe.
-				continue
-			}
-			dx, dy := lx-xs[k], ly-ys[k]
-			d := math.Sqrt(dx*dx + dy*dy)
-			var pw float64
-			if d <= 0 {
-				pw = math.Inf(1)
-			} else {
-				pw = power / (d * d * d)
-			}
-			total += pw
-			if pw > bestPow {
-				best, bestPow = int32(k), pw
-			}
+	lx, ly := listener.X, listener.Y
+	power := f.params.Power
+	xs := f.soa.x[lo:hi]
+	ys := f.soa.y[lo:hi:hi][:len(xs)]
+	var total float64
+	best := -1
+	// bestPow starts at -Inf so the first scanned transmitter always wins
+	// the strict comparison, without a "best == -1 ||" branch per pair.
+	bestPow := math.Inf(-1)
+	for k := range xs {
+		dx, dy := lx-xs[k], ly-ys[k]
+		d := math.Sqrt(dx*dx + dy*dy)
+		var pw float64
+		if d <= 0 {
+			pw = math.Inf(1)
+		} else {
+			pw = power / (d * d * d)
 		}
-	} else {
-		dist := f.dist
-		if dist == nil {
-			dist = geo.Euclidean
-		}
-		nodes := f.soa.node[lo:hi]
-		for k := range nodes {
-			if nodes[k] == self {
-				continue
-			}
-			pw := f.params.PowerAtDistance(dist(listener, f.pos[nodes[k]]))
-			total += pw
-			if best == -1 || pw > bestPow {
-				best, bestPow = int32(k), pw
-			}
+		total += pw
+		if pw > bestPow {
+			best, bestPow = k, pw
 		}
 	}
 	if best >= 0 {
-		f.decide(rec, txs, total, bestPow, int(f.soa.tx[lo+int(best)]))
+		f.decide(rec, txs, total, bestPow, int(f.soa.tx[lo+best]))
 		return
 	}
 	f.decide(rec, txs, total, bestPow, -1)

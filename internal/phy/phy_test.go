@@ -105,18 +105,6 @@ func TestCaptureEffect(t *testing.T) {
 	}
 }
 
-func TestTransmitterHearsNothing(t *testing.T) {
-	// Same node listed as both tx and rx: its own signal is excluded.
-	f := field([]geo.Point{{X: 0, Y: 0}, {X: 0.5, Y: 0}}, 1)
-	recs := f.Resolve(
-		[]Tx{{Node: 0, Channel: 0, Msg: 1}},
-		[]Rx{{Node: 0, Channel: 0}},
-	)
-	if recs[0].Decoded || recs[0].SignalPower+recs[0].Interference != 0 {
-		t.Fatalf("transmitter heard itself: %+v", recs[0])
-	}
-}
-
 func TestInvalidChannelPanics(t *testing.T) {
 	f := field([]geo.Point{{X: 0, Y: 0}, {X: 1, Y: 0}}, 2)
 	for _, fn := range []func(){

@@ -9,14 +9,15 @@ import (
 	"mcnet/internal/model"
 )
 
-// TestCubeMatchesPow pins the identity the Euclidean α = 3 hot loops rely
-// on: d·d·d is bit-identical to math.Pow(d, 3) across every magnitude a
-// distance can take.
+// TestCubeMatchesPow pins the identity behind the resolver's one path-loss
+// law: the kernels' d·d·d is bit-identical to math.Pow(d, model.Alpha),
+// which PowerAtDistance computes, across every magnitude a distance can
+// take.
 func TestCubeMatchesPow(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 200000; i++ {
 		d := math.Exp((r.Float64()*2 - 1) * 115)
-		got, want := d*d*d, math.Pow(d, 3)
+		got, want := d*d*d, math.Pow(d, model.Alpha)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("d*d*d = %v, math.Pow(%v, 3) = %v", got, d, want)
 		}
@@ -70,27 +71,61 @@ func sameReceptions(t *testing.T, label string, a, b []Reception) {
 	}
 }
 
-// TestFastPathMatchesGeneric verifies the Euclidean α=3 exact scan loop is
-// bit-identical to the generic metric loop (which uses math.Pow through
-// PowerAtDistance, exactly like the pre-optimization resolver): same decode
-// decisions, same powers, bit for bit. The generic loop is the frozen
-// reference for the resolver's transcript contract.
+// powerLawReference resolves a slot as Eq. (1) reads, with no layout and
+// no table: each listener sums PowerAtDistance over its channel's
+// transmitters in slot order, and the first strongest one decodes when its
+// SINR reaches β. It is the frozen reference for the resolver's transcript
+// contract.
+func powerLawReference(p model.Params, pos []geo.Point, txs []Tx, rxs []Rx) []Reception {
+	out := make([]Reception, len(rxs))
+	for i, rx := range rxs {
+		var total, bestPow float64
+		best := -1
+		for k, tx := range txs {
+			if tx.Channel != rx.Channel {
+				continue
+			}
+			pw := p.PowerAtDistance(pos[rx.Node].Dist(pos[tx.Node]))
+			total += pw
+			if best == -1 || pw > bestPow {
+				best, bestPow = k, pw
+			}
+		}
+		switch {
+		case best == -1:
+			out[i] = Reception{From: -1}
+		case !math.IsInf(bestPow, 1) && bestPow/(p.Noise+(total-bestPow)) >= p.Beta:
+			out[i] = Reception{Decoded: true, From: txs[best].Node, Msg: txs[best].Msg,
+				SignalPower: bestPow, Interference: total - bestPow}
+		default:
+			out[i] = Reception{From: -1, Interference: total}
+		}
+	}
+	return out
+}
+
+// TestFastPathMatchesGeneric verifies that both kernels — the link-gain
+// table and the on-the-fly scan — are bit-identical to powerLawReference:
+// same decode decisions, same powers, bit for bit.
 func TestFastPathMatchesGeneric(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	p := model.Default(4, 256)
+	check := func(label string, pos []geo.Point, txs []Tx, rxs []Rx) {
+		t.Helper()
+		want := powerLawReference(p, pos, txs, rxs)
+		f := NewField(p, pos)
+		sameReceptions(t, label+" table", f.Resolve(txs, rxs), want)
+		sameReceptions(t, label+" on the fly", onTheFly(f, txs, rxs), want)
+	}
 	for trial := 0; trial < 50; trial++ {
 		pos, txs, rxs := randomSlot(r, 128, 4, 3.0, 0.3)
-		fast := NewField(p, pos)
-		ref := NewFieldMetric(p, pos, geo.Euclidean) // generic loop
-		sameReceptions(t, "fast vs generic", fast.Resolve(txs, rxs), append([]Reception(nil), ref.Resolve(txs, rxs)...))
+		check("random slot", pos, txs, rxs)
 	}
 	// Co-located transmitters exercise the infinite-power branches.
 	pos := []geo.Point{{}, {}, {X: 0.1}, {X: 5}}
 	txs := []Tx{{Node: 0, Channel: 0, Msg: 0}, {Node: 1, Channel: 0, Msg: 1}}
 	rxs := []Rx{{Node: 2, Channel: 0}, {Node: 3, Channel: 0}}
-	fast := NewField(p, pos)
-	ref := NewFieldMetric(p, pos, geo.Euclidean)
-	sameReceptions(t, "co-located", fast.Resolve(txs, rxs), append([]Reception(nil), ref.Resolve(txs, rxs)...))
+	check("co-located", pos, txs, rxs)
 }
 
 // TestParallelMatchesSerial verifies worker fan-out never changes outcomes:

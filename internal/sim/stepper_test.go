@@ -225,17 +225,43 @@ type lazyStepper struct{}
 
 func (lazyStepper) Step(*StepCtx) {}
 
-// TestSteppedContractViolation: a Stepper that neither acts nor calls Done
-// fails the run instead of hanging it, and a nil Stepper is rejected up
-// front.
+// doubleStepper violates the contract by transmitting and listening in one
+// Step: the one input phy.Field.Resolve does not handle.
+type doubleStepper struct{}
+
+func (doubleStepper) Step(sc *StepCtx) {
+	sc.Transmit(0, "x")
+	sc.Listen(0)
+}
+
+// actThenDoneStepper violates the contract by calling Done after acting.
+type actThenDoneStepper struct{}
+
+func (actThenDoneStepper) Step(sc *StepCtx) {
+	sc.Idle()
+	sc.Done()
+}
+
+// TestSteppedContractViolation: a Stepper that breaks the one-primitive
+// Step contract — returning without acting, performing two primitives, or
+// acting and then calling Done — fails the run instead of hanging it or
+// reaching phy, and a nil Stepper is rejected up front.
 func TestSteppedContractViolation(t *testing.T) {
-	e := NewEngine(chatterField(2), 1)
-	_, err := e.Run([]Stepper{&chatterStepper{rounds: 3}, lazyStepper{}})
-	if err == nil || !strings.Contains(err.Error(), "without acting") {
-		t.Fatalf("want contract error, got %v", err)
-	}
-	if _, err := e.Run([]Stepper{&chatterStepper{rounds: 3}, nil}); err == nil || !strings.Contains(err.Error(), "nil stepper") {
-		t.Fatalf("want nil-stepper error, got %v", err)
+	for _, tc := range []struct {
+		name    string
+		stepper Stepper
+		want    string
+	}{
+		{"no action", lazyStepper{}, "without acting"},
+		{"transmit then listen", doubleStepper{}, "second primitive"},
+		{"done after acting", actThenDoneStepper{}, "Done after acting"},
+		{"nil", nil, "nil stepper"},
+	} {
+		e := NewEngine(chatterField(2), 1)
+		_, err := e.Run([]Stepper{&chatterStepper{rounds: 3}, tc.stepper})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: want an error containing %q, got %v", tc.name, tc.want, err)
+		}
 	}
 }
 
