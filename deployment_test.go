@@ -165,3 +165,44 @@ func TestConcurrentAggregateOneNetwork(t *testing.T) {
 		}
 	}
 }
+
+// maxMallocsPerNode bounds what one Aggregate allocates per node once the
+// deployment is warm: a run pays memory per node, not per slot or per
+// transmission.
+const maxMallocsPerNode = 128
+
+// TestAggregateMallocsPerNode: after a warm-up run has built the link-gain
+// table, one Aggregate on the field-agg benchmark deployment (Uniform(12),
+// n = 1024, F = 8, Seed(1)) makes at most maxMallocsPerNode heap
+// allocations per node: fragments resend an unchanged message as one
+// boxed value (sim.Send) instead of boxing it per transmission.
+func TestAggregateMallocsPerNode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full field runs")
+	}
+	skipUnderRace(t)
+	const n = 1024
+	nw, err := mcnet.New(n, mcnet.Channels(8), mcnet.WithTopology(mcnet.Uniform(12)), mcnet.Seed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := make([]int64, n)
+	for i := range values {
+		values[i] = int64(i + 1)
+	}
+	run := func() {
+		if _, err := nw.Aggregate(context.Background(), values, mcnet.Sum); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	perNode := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("%.1f mallocs per node", perNode)
+	if perNode > maxMallocsPerNode {
+		t.Errorf("Aggregate made %.1f mallocs per node, want ≤ %d", perNode, maxMallocsPerNode)
+	}
+}

@@ -151,7 +151,7 @@ func (f *ColorFrag) Feed(sc *sim.StepCtx) bool {
 	rel := st.Rel(sc)
 	if rel < st.discoverLen {
 		if sc.Rand.Float64() < beaconProb {
-			sc.Transmit(channel, Beacon{From: sc.ID()})
+			sim.Send(sc, channel, Beacon{From: sc.ID()})
 		} else {
 			sc.Listen(channel)
 			f.awaitBeacon = true
@@ -178,7 +178,7 @@ func (f *ColorFrag) Feed(sc *sim.StepCtx) bool {
 		sc.ListenFor(channel, st.Len-rel)
 		f.awaitFinal = true
 	case sc.Rand.Float64() < announceProb:
-		sc.Transmit(channel, Final{From: sc.ID(), Color: f.Out.Color})
+		sim.Send(sc, channel, Final{From: sc.ID(), Color: f.Out.Color})
 	default:
 		// Colored: taken, unheard and smaller are never read again, so a
 		// Final heard now would be discarded.

@@ -330,7 +330,7 @@ func (f *TreeFrag) Feed(sc *sim.StepCtx) bool {
 		switch f.phase {
 		case 0: // Phase A: root election + BFS tree.
 			if f.ownSlot(sub) && sc.Rand.Float64() < c.FloodProb {
-				sc.Transmit(channel, State{Root: f.Out.Root, Hops: f.Out.Depth, From: sc.ID()})
+				sim.Send(sc, channel, State{Root: f.Out.Root, Hops: f.Out.Depth, From: sc.ID()})
 				return false
 			}
 			f.listen(sc, rel, sub, treeAwaitA, true)
@@ -338,12 +338,12 @@ func (f *TreeFrag) Feed(sc *sim.StepCtx) bool {
 		case 1: // Phase B: children discovery.
 			if f.ownSlot(sub) {
 				if len(f.ackQueue) > 0 && sc.Rand.Float64() < ackProb {
-					sc.Transmit(channel, ChildAck{To: f.ackQueue[0]})
+					sim.Send(sc, channel, ChildAck{To: f.ackQueue[0]})
 					f.ackQueue = f.ackQueue[1:]
 					return false
 				}
 				if !f.childAcked && sc.Rand.Float64() < c.FloodProb {
-					sc.Transmit(channel, Child{Parent: f.Out.Parent, From: sc.ID()})
+					sim.Send(sc, channel, Child{Parent: f.Out.Parent, From: sc.ID()})
 					return false
 				}
 			}
@@ -357,14 +357,14 @@ func (f *TreeFrag) Feed(sc *sim.StepCtx) bool {
 			sends := !f.isRoot && !f.upAcked && f.ready()
 			if f.ownSlot(sub) {
 				if len(f.upAcks) > 0 && sc.Rand.Float64() < ackProb {
-					sc.Transmit(channel, UpAck{To: f.upAcks[0]})
+					sim.Send(sc, channel, UpAck{To: f.upAcks[0]})
 					f.upAcks = f.upAcks[1:]
 					return false
 				}
 				if sends && sc.Rand.Float64() < c.FloodProb {
 					f.sentVal = f.recompute()
 					f.sentAny = true
-					sc.Transmit(channel, Up{Parent: f.Out.Parent, From: sc.ID(), Value: f.sentVal})
+					sim.Send(sc, channel, Up{Parent: f.Out.Parent, From: sc.ID(), Value: f.sentVal})
 					return false
 				}
 			}
@@ -379,7 +379,7 @@ func (f *TreeFrag) Feed(sc *sim.StepCtx) bool {
 			// listens again: it floods in its own sub-slots and sleeps from
 			// one to the next, or to the end of the phase.
 			if f.ownSlot(sub) && sc.Rand.Float64() < c.FloodProb {
-				sc.Transmit(channel, Result{Value: f.Out.Result, From: sc.ID()})
+				sim.Send(sc, channel, Result{Value: f.Out.Result, From: sc.ID()})
 				return false
 			}
 			sc.IdleFor(f.untilOwn(rel, sub))

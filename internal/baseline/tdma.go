@@ -92,12 +92,12 @@ func (s *tdmaStepper) Step(sc *sim.StepCtx) {
 	}
 	switch {
 	case t == sd.upSlot[i] && sd.parent[i] >= 0:
-		sc.Transmit(0, upMsg{To: sd.parent[i], Value: s.have})
+		sim.Send(sc, 0, upMsg{To: sd.parent[i], Value: s.have})
 	case t == sd.downSlot[i] && (s.gotResult || (i == 0 && sd.dist[i] == 0)):
 		if i == 0 {
 			s.result, s.gotResult = s.have, true
 		}
-		sc.Transmit(0, downMsg{Value: s.result})
+		sim.Send(sc, 0, downMsg{Value: s.result})
 	case t < sd.n:
 		sc.ListenFor(0, until(t, sd.upSlot[i], sd.n))
 		s.await = 1

@@ -186,7 +186,7 @@ func (f *assignFrag) Feed(sc *sim.StepCtx) bool {
 		sc.IdleFor(at - rel)
 	case sends:
 		i := k % len(followers)
-		sc.Transmit(st.Role-1, Assign{
+		sim.Send(sc, st.Role-1, Assign{
 			Dom:   st.Dom.Dominator,
 			To:    followers[i],
 			Index: int(f.block[0]) + 1 + i,

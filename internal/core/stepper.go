@@ -371,7 +371,7 @@ func (f *announceFrag) Feed(sc *sim.StepCtx) bool {
 	switch {
 	case dom.IsDominator:
 		if sc.Rand.Float64() < 0.2 {
-			sc.Transmit(0, ColorMsg{Dom: sc.ID(), Color: b.ownColor})
+			sim.Send(sc, 0, ColorMsg{Dom: sc.ID(), Color: b.ownColor})
 		} else {
 			sc.Idle()
 		}
@@ -538,7 +538,7 @@ func (f *followerFrag) act(sc *sim.StepCtx, k int) bool {
 	if f.isBackoff(k) {
 		switch {
 		case st.IsDominator() && f.count >= pl.Followers.omega && !pl.Cfg.DisableBackoff:
-			sc.Transmit(0, Backoff{Dom: sc.ID()})
+			sim.Send(sc, 0, Backoff{Dom: sc.ID()})
 		case f.follower() && !f.acked:
 			sc.Listen(0)
 			f.await = folAwaitBackoff
@@ -551,7 +551,7 @@ func (f *followerFrag) act(sc *sim.StepCtx, k int) bool {
 	switch {
 	case f.follower() && !f.acked && sc.Rand.Float64() < f.pu:
 		f.sentOn = sc.Rand.Intn(st.Fv)
-		sc.Transmit(f.sentOn, FollowerMsg{From: sc.ID(), Dom: st.Dom.Dominator, Value: f.b.Value})
+		sim.Send(sc, f.sentOn, FollowerMsg{From: sc.ID(), Dom: st.Dom.Dominator, Value: f.b.Value})
 	case st.IsReporter():
 		sc.Listen(st.Role - 1)
 		f.await = folAwaitRep
@@ -571,7 +571,7 @@ func (f *followerFrag) ack(sc *sim.StepCtx) bool {
 	st := &f.b.St
 	switch {
 	case st.IsReporter() && f.ackTo >= 0:
-		sc.Transmit(st.Role-1, FollowerAck{To: f.ackTo, Dom: st.Dom.Dominator})
+		sim.Send(sc, st.Role-1, FollowerAck{To: f.ackTo, Dom: st.Dom.Dominator})
 	case f.follower() && f.sentOn >= 0:
 		sc.Listen(f.sentOn)
 		f.await = folAwaitAck
@@ -618,7 +618,7 @@ func (f *informFrag) Feed(sc *sim.StepCtx) bool {
 		sc.ListenFor(0, w.Len-rel)
 		f.await = true
 	case st.IsDominator() && f.Have && rel == st.Off:
-		sc.Transmit(0, FinalMsg{Dom: sc.ID(), Value: f.Value})
+		sim.Send(sc, 0, FinalMsg{Dom: sc.ID(), Value: f.Value})
 	case st.IsDominator() && f.Have && rel < st.Off:
 		sc.IdleFor(st.Off - rel)
 	default:

@@ -155,7 +155,7 @@ func (f *DominatorFrag) Feed(sc *sim.StepCtx) bool {
 			}
 		}
 		if f.terminated {
-			sc.Transmit(f.Channel, Estimate{Dom: f.Dom, Est: f.Estimate})
+			sim.Send(sc, f.Channel, Estimate{Dom: f.Dom, Est: f.Estimate})
 			return false
 		}
 		at = min(r.At(k+1), st.Len)
@@ -203,7 +203,7 @@ func (f *DominateeFrag) Feed(sc *sim.StepCtx) bool {
 			return false
 		}
 		if f.Estimate == 0 && sc.Rand.Float64() < st.probs[k/st.perPhase] {
-			sc.Transmit(f.Channel, Probe{From: sc.ID(), Dom: f.Dom})
+			sim.Send(sc, f.Channel, Probe{From: sc.ID(), Dom: f.Dom})
 			return false
 		}
 		at = min(r.At(f.next(rel+1)), st.Len)
@@ -314,7 +314,7 @@ func (f *SmallDominatorFrag) Feed(sc *sim.StepCtx) bool {
 		f.counted = true
 	}
 	return st.broadcast(sc, f.Off, st.Rel(sc), func() {
-		sc.Transmit(0, Estimate{Dom: sc.ID(), Est: f.Estimate})
+		sim.Send(sc, 0, Estimate{Dom: sc.ID(), Est: f.Estimate})
 	})
 }
 

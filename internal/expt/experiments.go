@@ -566,7 +566,7 @@ func (c *chainStepper) Step(sc *sim.StepCtx) {
 	}
 	c.s++
 	if sc.ID() > 0 && sc.Rand.Float64() < 0.5 {
-		sc.Transmit(0, linkMsg{To: sc.ID() - 1})
+		sim.Send(sc, 0, linkMsg{To: sc.ID() - 1})
 	} else {
 		sc.Listen(0)
 	}

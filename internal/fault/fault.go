@@ -28,6 +28,7 @@ package fault
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"strings"
 
@@ -360,6 +361,9 @@ const neverCrashes = math.MaxInt
 // engine goroutine or during setup, never concurrently.
 //
 // An Injector is single-use: build a fresh one per run, then read Report.
+// Its per-run state is sized at construction, so its per-slot and
+// per-reception hooks allocate nothing: the jammer reseeds one generator
+// each slot rather than building a stream per slot.
 type Injector struct {
 	spec     Spec
 	channels int
@@ -370,8 +374,9 @@ type Injector struct {
 
 	crashAt []int // per node, first dead slot (neverCrashes if immortal)
 
-	jammed []int // channels jammed in the current slot (scratch)
-	perm   []int // oblivious k-subset scratch, len == channels
+	jammed []int      // channels jammed in the current slot (scratch)
+	perm   []int      // oblivious k-subset scratch, len == channels
+	jamRNG *rand.Rand // reseeded each slot from (jamSeed, slot)
 
 	// Byzantine membership: byzNodes ascending for the report, isByz for
 	// the per-transmission test. Both empty when the ByzSpec is zero.
@@ -408,6 +413,7 @@ func NewInjector(spec Spec, seed uint64, n, channels, horizon int) *Injector {
 	}
 	if spec.JamChannels > 0 {
 		in.perm = make([]int, channels)
+		in.jamRNG = rng.New(in.jamSeed)
 		if spec.JamModel == JamReactive || spec.JamModel == JamAdaptive {
 			in.chanDecode = make([]int, channels)
 			if spec.JamModel == JamAdaptive {
@@ -435,11 +441,12 @@ func NewInjector(spec Spec, seed uint64, n, channels, horizon int) *Injector {
 			until = from + 1
 		}
 		churnSeed := rng.Mix(seed, churnSalt)
+		r := rng.New(churnSeed)
 		for i := 0; i < n; i++ {
 			if in.crashAt[i] != neverCrashes {
 				continue // explicit crash set wins
 			}
-			r := rng.New(rng.Mix(churnSeed, uint64(i)))
+			r.Seed(int64(rng.Mix(churnSeed, uint64(i))))
 			if r.Float64() < spec.CrashRate {
 				in.crashAt[i] = from + r.Intn(until-from)
 			}
@@ -508,7 +515,7 @@ func (in *Injector) BeginSlot(slot int, field *phy.Field) {
 		for c := range in.chanScore {
 			in.chanScore[c] = in.chanScore[c]*adaptiveDecay + float64(in.chanDecode[c])
 		}
-		r := rng.New(rng.Mix(in.jamSeed, uint64(slot)))
+		r := in.slotRNG(slot)
 		if r.Float64() < adaptiveExplore {
 			in.jammed = in.randomSubset(in.jammed, k, r)
 		} else {
@@ -517,8 +524,7 @@ func (in *Injector) BeginSlot(slot int, field *phy.Field) {
 	default: // JamOblivious
 		// A fresh k-subset per slot via partial Fisher–Yates over a
 		// per-slot seeded stream: deterministic in (seed, slot) alone.
-		r := rng.New(rng.Mix(in.jamSeed, uint64(slot)))
-		in.jammed = in.randomSubset(in.jammed, k, r)
+		in.jammed = in.randomSubset(in.jammed, k, in.slotRNG(slot))
 	}
 	if in.chanDecode != nil {
 		for c := range in.chanDecode {
@@ -531,9 +537,16 @@ func (in *Injector) BeginSlot(slot int, field *phy.Field) {
 	in.jammedSlotChannels += len(in.jammed)
 }
 
+// slotRNG returns the jammer's stream for slot: the one generator,
+// reseeded to draw exactly as rng.New(rng.Mix(jamSeed, slot)) would.
+func (in *Injector) slotRNG(slot int) *rand.Rand {
+	in.jamRNG.Seed(int64(rng.Mix(in.jamSeed, uint64(slot))))
+	return in.jamRNG
+}
+
 // randomSubset appends a k-subset of the channels to dst via partial
 // Fisher–Yates over r, reusing in.perm as scratch.
-func (in *Injector) randomSubset(dst []int, k int, r interface{ Intn(int) int }) []int {
+func (in *Injector) randomSubset(dst []int, k int, r *rand.Rand) []int {
 	for i := range in.perm {
 		in.perm[i] = i
 	}

@@ -1,12 +1,15 @@
 package fault
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mcnet/internal/geo"
 	"mcnet/internal/model"
 	"mcnet/internal/phy"
+	"mcnet/internal/rng"
 )
 
 func TestSpecValidate(t *testing.T) {
@@ -489,6 +492,65 @@ func TestJamAdaptiveDeterminism(t *testing.T) {
 	}
 	if len(distinct) < 2 {
 		t.Error("adaptive adversary never moved off one jam set over 64 slots")
+	}
+}
+
+// TestBeginSlotAllocFree: after construction the jammer allocates nothing
+// per slot, whichever model picks its channels.
+func TestBeginSlotAllocFree(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const channels, k = 8, 3
+	rec := phy.Reception{Decoded: true, From: 0, SignalPower: 1}
+	for m := JamOblivious; m.valid(); m++ {
+		f := testField(channels)
+		in := NewInjector(Spec{JamChannels: k, JamModel: m}, 17, 2, channels, 100)
+		slot := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			in.BeginSlot(slot, f)
+			in.FilterReception(slot, 1, slot%channels, rec)
+			slot++
+		})
+		if allocs != 0 {
+			t.Errorf("%v: %v allocs per slot, want 0", m, allocs)
+		}
+	}
+}
+
+// TestJamStreamMatchesFreshRNG: the jammer's reseeded generator draws the
+// same channels, in the same order, as a fresh rng.New(rng.Mix(jamSeed,
+// slot)) per slot. Without observations the adaptive bandit exploits
+// channels 0..k-1, so its set is fixed by the same per-slot stream.
+func TestJamStreamMatchesFreshRNG(t *testing.T) {
+	const channels, k, slots = 7, 3, 10000
+	subset := func(r *rand.Rand) []int {
+		perm := make([]int, channels)
+		for i := range perm {
+			perm[i] = i
+		}
+		var out []int
+		for j := 0; j < k; j++ {
+			swap := j + r.Intn(channels-j)
+			perm[j], perm[swap] = perm[swap], perm[j]
+			out = append(out, perm[j])
+		}
+		return out
+	}
+	for _, m := range []JamModel{JamOblivious, JamAdaptive} {
+		f := testField(channels)
+		in := NewInjector(Spec{JamChannels: k, JamModel: m}, 23, 2, channels, slots)
+		for slot := 0; slot < slots; slot++ {
+			in.BeginSlot(slot, f)
+			r := rng.New(rng.Mix(in.jamSeed, uint64(slot)))
+			want := []int{0, 1, 2} // the exploited channels 0..k-1
+			if m == JamOblivious || r.Float64() < adaptiveExplore {
+				want = subset(r)
+			}
+			if !slices.Equal(in.jammed, want) {
+				t.Fatalf("%v slot %d: jammed %v, fresh stream draws %v", m, slot, in.jammed, want)
+			}
+		}
 	}
 }
 

@@ -296,7 +296,7 @@ func (f *CastUpFrag) act(sc *sim.StepCtx, sub int) bool {
 	case 0: // left children transmit
 		switch {
 		case f.sendsLeft:
-			sc.Transmit(f.sendCh, UpMsg{ToRole: f.parentRole, Dom: f.Dom, From: f.acting, Value: f.St.Value})
+			sim.Send(sc, f.sendCh, UpMsg{ToRole: f.parentRole, Dom: f.Dom, From: f.acting, Value: f.St.Value})
 		case f.isParent:
 			sc.Listen(f.ownCh)
 			f.await = castAwaitSub0Parent
@@ -306,7 +306,7 @@ func (f *CastUpFrag) act(sc *sim.StepCtx, sub int) bool {
 	case 1: // parents ack their left child
 		switch {
 		case f.isParent && f.St.ChildSeen[f.acting][0]:
-			sc.Transmit(f.ownCh, UpAck{ToRole: 2 * f.acting, Dom: f.Dom})
+			sim.Send(sc, f.ownCh, UpAck{ToRole: 2 * f.acting, Dom: f.Dom})
 		case f.sendsLeft:
 			sc.Listen(f.sendCh)
 			f.await = castAwaitSub1Sender
@@ -316,7 +316,7 @@ func (f *CastUpFrag) act(sc *sim.StepCtx, sub int) bool {
 	case 2: // right children transmit; stand-ins absorb
 		switch {
 		case f.sendsRight:
-			sc.Transmit(f.sendCh, UpMsg{ToRole: f.parentRole, Dom: f.Dom, From: f.acting, Value: f.St.Value})
+			sim.Send(sc, f.sendCh, UpMsg{ToRole: f.parentRole, Dom: f.Dom, From: f.acting, Value: f.St.Value})
 		case f.isParent:
 			sc.Listen(f.ownCh)
 			f.await = castAwaitSub2Parent
@@ -329,9 +329,9 @@ func (f *CastUpFrag) act(sc *sim.StepCtx, sub int) bool {
 	default: // parents (or stand-ins) ack the right child
 		switch {
 		case f.isParent && f.St.ChildSeen[f.acting][1]:
-			sc.Transmit(f.ownCh, UpAck{ToRole: 2*f.acting + 1, Dom: f.Dom})
+			sim.Send(sc, f.ownCh, UpAck{ToRole: 2*f.acting + 1, Dom: f.Dom})
 		case f.standIn && f.sibSeen:
-			sc.Transmit(f.sendCh, UpAck{ToRole: f.acting + 1, Dom: f.Dom})
+			sim.Send(sc, f.sendCh, UpAck{ToRole: f.acting + 1, Dom: f.Dom})
 		case f.sendsRight:
 			sc.Listen(f.sendCh)
 			f.await = castAwaitSub3Sender
@@ -547,7 +547,7 @@ func (f *CastDownFrag) send(sc *sim.StepCtx, sub int) bool {
 	if sub == 0 {
 		switch {
 		case f.isParent && f.parentRole >= 1 && f.St.ChildSeen[f.parentRole][0] && !f.inChain(2*f.parentRole):
-			sc.Transmit(chanOf(f.parentRole), DownMsg{ToRole: 2 * f.parentRole, Dom: f.Dom, Payload: f.leftPay})
+			sim.Send(sc, chanOf(f.parentRole), DownMsg{ToRole: 2 * f.parentRole, Dom: f.Dom, Payload: f.leftPay})
 		case f.expectsAt && f.topRole%2 == 0 && f.topRole != 1:
 			sc.Listen(f.recvCh)
 			f.await = true
@@ -558,9 +558,9 @@ func (f *CastDownFrag) send(sc *sim.StepCtx, sub int) bool {
 	}
 	switch {
 	case f.isParent && f.parentRole == 0:
-		sc.Transmit(0, DownMsg{ToRole: 1, Dom: f.Dom, Payload: f.rightPay})
+		sim.Send(sc, 0, DownMsg{ToRole: 1, Dom: f.Dom, Payload: f.rightPay})
 	case f.isParent && f.St.ChildSeen[f.parentRole][1] && !f.inChain(2*f.parentRole+1):
-		sc.Transmit(chanOf(f.parentRole), DownMsg{ToRole: 2*f.parentRole + 1, Dom: f.Dom, Payload: f.rightPay})
+		sim.Send(sc, chanOf(f.parentRole), DownMsg{ToRole: 2*f.parentRole + 1, Dom: f.Dom, Payload: f.rightPay})
 	case f.expectsAt && (f.topRole%2 == 1 || f.topRole == 1):
 		sc.Listen(f.recvCh)
 		f.await = true

@@ -100,7 +100,7 @@ func (f *ElectFrag) Feed(sc *sim.StepCtx) bool {
 		return false
 	}
 	if f.Min == sc.ID() && sc.Rand.Float64() < txProb {
-		sc.Transmit(f.Channel, Cand{From: sc.ID(), Dom: f.Dom})
+		sim.Send(sc, f.Channel, Cand{From: sc.ID(), Dom: f.Dom})
 	} else {
 		sc.Listen(f.Channel)
 		f.awaitCand = true

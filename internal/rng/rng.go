@@ -42,6 +42,9 @@ func (s *source) Uint64() uint64 { return splitmix64(&s.state) }
 func (s *source) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 // New returns a deterministic generator seeded with the given value.
+// Reseeding it in place with Seed(int64(s)) restarts it exactly as New(s)
+// would, without allocating, so a caller that needs a fresh stream per
+// step can keep one generator.
 func New(seed uint64) *rand.Rand {
 	return rand.New(&source{state: seed})
 }

@@ -79,3 +79,19 @@ func TestInt63NonNegative(t *testing.T) {
 		}
 	}
 }
+
+// TestReseedMatchesNew: reseeding a used generator in place restarts it
+// exactly as a fresh New with the same seed.
+func TestReseedMatchesNew(t *testing.T) {
+	r := New(1)
+	r.Intn(5)
+	for _, seed := range []uint64{0, 7, 1<<63 + 5} {
+		r.Seed(int64(seed))
+		fresh := New(seed)
+		for i := 0; i < 100; i++ {
+			if a, b := r.Int63(), fresh.Int63(); a != b {
+				t.Fatalf("seed %d draw %d: reseeded %d, fresh %d", seed, i, a, b)
+			}
+		}
+	}
+}

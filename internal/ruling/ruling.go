@@ -218,7 +218,7 @@ func (f *RunFrag) Feed(sc *sim.StepCtx) bool {
 		f.clearFrom, f.gotAck = -1, false
 		f.sentHello = f.Out.Dominator < 0 && sc.Rand.Float64() < st.probs[rel/3/st.rounds]
 		if f.sentHello {
-			sc.Transmit(channel, Hello{From: sc.ID()})
+			sim.Send(sc, channel, Hello{From: sc.ID()})
 		} else {
 			sc.Listen(channel)
 			f.await = awaitHello
@@ -229,7 +229,7 @@ func (f *RunFrag) Feed(sc *sim.StepCtx) bool {
 			sc.Listen(channel)
 			f.await = awaitAck
 		case f.clearFrom >= 0 && sc.Rand.Float64() < ackProb:
-			sc.Transmit(channel, Ack{To: f.clearFrom})
+			sim.Send(sc, channel, Ack{To: f.clearFrom})
 		default:
 			sc.Listen(channel)
 		}
@@ -239,9 +239,9 @@ func (f *RunFrag) Feed(sc *sim.StepCtx) bool {
 			f.Out.IsDominator = true
 			f.Out.Dominator = sc.ID()
 			f.Out.JoinRound = int32(rel / 3)
-			sc.Transmit(channel, In{From: sc.ID()})
+			sim.Send(sc, channel, In{From: sc.ID()})
 		case f.Out.IsDominator && sc.Rand.Float64() < st.reannounce:
-			sc.Transmit(channel, In{From: sc.ID()})
+			sim.Send(sc, channel, In{From: sc.ID()})
 		default:
 			sc.Listen(channel)
 			f.await = awaitIn

@@ -179,10 +179,25 @@ func (c *StepCtx) Slot() int { return c.slot }
 // after a Transmit or Idle the contents are stale.
 func (c *StepCtx) Prev() phy.Reception { return c.rs.results[c.id] }
 
-// Transmit sends msg on the given channel for this slot.
+// Transmit sends msg on the given channel for this slot. Receivers, the
+// fault hooks and Trace all see msg as this one interface value: none of
+// them mutates it (a Byzantine filter replaces a transmission's Msg rather
+// than rewriting it), so a node may resend one boxed value.
 func (c *StepCtx) Transmit(channel int, msg any) {
 	a := c.put(actTransmit)
 	a.ch, a.msg = channel, msg
+}
+
+// Send is Transmit for a message of comparable type T. When the node's
+// previous transmission in the run was a T equal to msg, it resends that
+// interface value instead of boxing msg again, so a node repeating an
+// unchanged message allocates once, not once per transmission.
+func Send[T comparable](c *StepCtx, channel int, msg T) {
+	a := c.put(actTransmit)
+	if prev, ok := a.msg.(T); !ok || prev != msg {
+		a.msg = msg
+	}
+	a.ch = channel
 }
 
 // Listen receives on the given channel for this slot; the reception is
@@ -238,7 +253,8 @@ func (c *StepCtx) Emit(name string, value int) {
 
 // put records the node's primitive for this slot and returns its pending
 // entry for the caller to fill in; fields the kind does not use keep stale
-// values the engine never reads.
+// values the engine never reads (Send reads a stale msg as the node's
+// previous transmission).
 func (c *StepCtx) put(kind actKind) *action {
 	if c.acted || c.ended {
 		panic(fmt.Sprintf("sim: node %d Stepper performed a second primitive in one Step", c.id))

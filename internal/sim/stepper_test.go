@@ -281,3 +281,26 @@ var (
 	_ Stepper       = (*sleeperStepper)(nil)
 	_ FaultInjector = crashFaults{}
 )
+
+// TestSendReusesUnchangedMessage: Send boxes a message once and resends
+// that interface value while the node's message stays equal; a changed
+// message is boxed anew and delivered with its new content.
+func TestSendReusesUnchangedMessage(t *testing.T) {
+	type msg struct{ From, Hops int }
+	rs := &runState{pending: make([]action, 1)}
+	sc := &StepCtx{rs: rs}
+	send := func(m msg) {
+		sc.acted = false
+		Send(sc, 2, m)
+		if a := rs.pending[0]; a.kind != actTransmit || a.ch != 2 || a.msg != m {
+			t.Fatalf("pending = %+v, want a transmission of %+v on channel 2", a, m)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { send(msg{From: 1000, Hops: 3}) }); allocs != 0 {
+		t.Errorf("unchanged message: %v allocs per Send, want 0", allocs)
+	}
+	hops := 3
+	if allocs := testing.AllocsPerRun(100, func() { hops++; send(msg{From: 1000, Hops: hops}) }); allocs != 1 {
+		t.Errorf("changed message: %v allocs per Send, want 1", allocs)
+	}
+}
