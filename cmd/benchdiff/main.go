@@ -11,7 +11,7 @@
 // The baseline maps benchmark names (GOMAXPROCS suffix stripped, so runs
 // compare across machines with different core counts) to ns/op, — when
 // the bench ran with -benchmem — allocs/op, and — for benches reporting it
-// (the crowd benches) — the ns/slot-node metric, printed alongside ns/op so
+// (the Aggregate benches) — the ns/slot-node metric, printed alongside ns/op so
 // per-slot-per-node cost reads directly across sizes. Compare mode exits 1 if any
 // current ns/op exceeds threshold × baseline, or if a benchmark matching
 // -alloc-pattern (default: the resolver benches, which guarantee an
@@ -45,8 +45,8 @@ import (
 
 // entry is one benchmark's baseline record. AllocsOp is nil when the bench
 // output carried no -benchmem columns; NsSlotNode is nil unless the bench
-// reported the ns/slot-node metric (the crowd benches' per-slot-per-node
-// cost, comparable across sizes and slot budgets).
+// reported the ns/slot-node metric (the Aggregate benches' per-slot-per-node
+// cost, comparable across sizes).
 type entry struct {
 	NsOp       float64  `json:"ns_op"`
 	AllocsOp   *float64 `json:"allocs_op,omitempty"`
@@ -212,7 +212,7 @@ func parseBaseline(raw []byte) (map[string]entry, error) {
 // sit between ns/op and them.
 var benchLine = regexp.MustCompile(`(?m)^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:.*?\s([0-9.]+) allocs/op)?`)
 
-// slotNodeCol matches the crowd benches' ns/slot-node ReportMetric column.
+// slotNodeCol matches the Aggregate benches' ns/slot-node ReportMetric column.
 var slotNodeCol = regexp.MustCompile(`\s([0-9.]+(?:e[+-]?[0-9]+)?) ns/slot-node`)
 
 // parseBench extracts name → {ns/op, allocs/op, ns/slot-node} from bench

@@ -86,7 +86,7 @@ func TestBarrierStress(t *testing.T) {
 func TestBarrierAbort(t *testing.T) {
 	n := 2 * parallelStepMin
 	e := NewEngine(stressField(n, 2), 3)
-	e.MaxSlots = 12
+	e.maxSlots = 12
 	steppers := make([]Stepper, n)
 	for i := range steppers {
 		switch i % 3 {

@@ -235,7 +235,7 @@ func TestZeroNodeRun(t *testing.T) {
 func TestAbortDeliversNoStaleReception(t *testing.T) {
 	f := lineField(2, 0.5, 1)
 	e := NewEngine(f, 1)
-	e.MaxSlots = 2
+	e.maxSlots = 2
 	var msgs []any
 	_, err := e.Run([]Stepper{
 		&loop{n: 1 << 30, body: func(sc *StepCtx, k int) { sc.Transmit(0, k) }},
@@ -261,7 +261,7 @@ func TestAbortDeliversNoStaleReception(t *testing.T) {
 func TestMaxSlotsDuringIdleFastForward(t *testing.T) {
 	f := lineField(2, 0.4, 1)
 	e := NewEngine(f, 1)
-	e.MaxSlots = 40
+	e.maxSlots = 40
 	sleep := func(sc *StepCtx) { sc.IdleFor(1 << 20) }
 	if _, err := e.Run([]Stepper{ops(sleep), ops(sleep)}); err == nil {
 		t.Fatal("expected MaxSlots error")

@@ -112,9 +112,6 @@ type FaultInjector interface {
 
 // Engine drives a set of node Steppers over a phy.Field.
 type Engine struct {
-	// MaxSlots aborts the run if the nodes have not all powered down by
-	// then. Zero means DefaultMaxSlots.
-	MaxSlots int
 	// Trace, when non-nil, observes every resolved slot.
 	Trace TraceFn
 	// EventSink, when non-nil, observes every event as it is emitted, in
@@ -130,6 +127,9 @@ type Engine struct {
 
 	field *phy.Field
 	seed  uint64
+	// maxSlots aborts the run if the nodes have not all powered down by
+	// then: DefaultMaxSlots, lowered only by this package's abort tests.
+	maxSlots int
 
 	mu     sync.Mutex
 	events []Event
@@ -145,7 +145,7 @@ const DefaultMaxSlots = 1 << 22
 // NewEngine creates an engine over the given field. The seed determines all
 // protocol randomness.
 func NewEngine(field *phy.Field, seed uint64) *Engine {
-	return &Engine{field: field, seed: seed}
+	return &Engine{field: field, seed: seed, maxSlots: DefaultMaxSlots}
 }
 
 // Field returns the engine's physical layer.
@@ -212,11 +212,6 @@ func (e *Engine) RunContext(ctx context.Context, steppers []Stepper) (slots int,
 	if len(steppers) != n {
 		return 0, fmt.Errorf("sim: %d steppers for %d nodes", len(steppers), n)
 	}
-	maxSlots := e.MaxSlots
-	if maxSlots <= 0 {
-		maxSlots = DefaultMaxSlots
-	}
-
 	rs, err := newRunState(e, steppers)
 	if err != nil {
 		return 0, err
@@ -281,8 +276,8 @@ func (e *Engine) RunContext(ctx context.Context, steppers []Stepper) (slots int,
 		if err := ctx.Err(); err != nil {
 			return slot, err
 		}
-		if used >= maxSlots {
-			return slot, fmt.Errorf("sim: exceeded MaxSlots = %d with %d nodes still live", maxSlots, nActive)
+		if used >= e.maxSlots {
+			return slot, fmt.Errorf("sim: exceeded MaxSlots = %d with %d nodes still live", e.maxSlots, nActive)
 		}
 
 		if e.Faults != nil {

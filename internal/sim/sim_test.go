@@ -209,7 +209,7 @@ func TestSeedChangesOutcome(t *testing.T) {
 func TestMaxSlotsAborts(t *testing.T) {
 	f := lineField(2, 0.5, 1)
 	e := NewEngine(f, 1)
-	e.MaxSlots = 10
+	e.maxSlots = 10
 	_, err := e.Run([]Stepper{
 		&loop{n: 1 << 30, body: func(sc *StepCtx, _ int) { sc.Idle() }},
 		&loop{},

@@ -167,7 +167,7 @@ func TestWakeWheelSpans(t *testing.T) {
 func TestSteppedMaxSlotsAbort(t *testing.T) {
 	n := 8
 	e := NewEngine(chatterField(n), 1)
-	e.MaxSlots = 10
+	e.maxSlots = 10
 	steps := make([]Stepper, n)
 	for i := range steps {
 		steps[i] = &sleeperStepper{spans: []int{100}}

@@ -191,9 +191,6 @@ func (nw *Network) Events(fn func(Event)) {
 // their own Trace for slot and channel accounting.
 func (nw *Network) newEngine() *sim.Engine {
 	e := sim.NewEngine(nw.deploy.NewField(), nw.seed)
-	if nw.maxSlots > 0 {
-		e.MaxSlots = nw.maxSlots
-	}
 	if nw.faulted {
 		e.Faults = fault.NewInjector(nw.faults, nw.seed, nw.N(), nw.Channels(), nw.plan.Offsets.End)
 	}

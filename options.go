@@ -13,7 +13,6 @@ type settings struct {
 	channels int
 	seed     uint64
 	topo     Topology
-	maxSlots int // 0 = the simulator's built-in bound
 
 	// faults is the run's fault/dynamics spec; faulted records that a fault
 	// option was given (even at zero intensity), which attaches the
@@ -60,18 +59,6 @@ func WithTopology(t Topology) Option {
 			return fmt.Errorf("mcnet: topology must not be nil")
 		}
 		s.topo = t
-		return nil
-	}
-}
-
-// MaxSlots caps a run's slot count as a safety net (default: the
-// simulator's built-in bound).
-func MaxSlots(v int) Option {
-	return func(s *settings) error {
-		if v < 1 {
-			return fmt.Errorf("mcnet: MaxSlots = %d must be ≥ 1", v)
-		}
-		s.maxSlots = v
 		return nil
 	}
 }
